@@ -15,14 +15,10 @@ JSON trajectory is produced by ``gridfed bench`` (see docs/PERFORMANCE.md).
 
 from __future__ import annotations
 
-import pytest
-
 from repro.metrics.report import render_table
 from repro.perf import (
-    QUEUE_BACKENDS,
     bench_directory_queries,
     bench_event_kernel,
-    bench_queue_kernel,
     bench_table3,
 )
 
@@ -73,53 +69,21 @@ def test_bench_directory_query_speedup(benchmark):
             )
 
 
-@pytest.mark.parametrize("backend", QUEUE_BACKENDS)
-def test_bench_event_kernel_throughput(benchmark, backend):
+def test_bench_event_kernel_throughput(benchmark):
     result = benchmark.pedantic(
-        lambda: bench_event_kernel(100_000, repeats=1, backend=backend),
+        lambda: bench_event_kernel(100_000, repeats=1),
         rounds=1,
         iterations=1,
     )
     print()
     print(
-        f"Event kernel [{backend}]: {result['events_fired']} events in "
+        f"Event kernel: {result['events_fired']} events in "
         f"{result['seconds']:.3f}s ({result['events_per_s']:,.0f} events/s)"
     )
     benchmark.extra_info["events_per_s"] = round(result["events_per_s"])
     # Far below any real machine's capability; guards against pathological
     # regressions (e.g. pending turning O(n) again) without timing flakiness.
     assert result["events_per_s"] > 10_000
-
-
-def test_bench_queue_kernel_backends_agree(benchmark):
-    rows = benchmark.pedantic(
-        lambda: bench_queue_kernel(200_000, 50_000, guards=2.0, repeats=1),
-        rounds=1,
-        iterations=1,
-    )
-    print()
-    print(
-        render_table(
-            ["Backend", "Fill s", "Hold s", "Events/s", "vs heap"],
-            [
-                [
-                    r["backend"],
-                    r["fill_s"],
-                    r["hold_s"],
-                    r["events_per_s"],
-                    f"{r['speedup_vs_heap']:.2f}x" if "speedup_vs_heap" in r else "-",
-                ]
-                for r in rows
-            ],
-            title="Queue kernel hold model — per backend",
-        )
-    )
-    for row in rows:
-        # Correctness first: every backend popped the identical sequence.
-        assert row["orders_identical"], row
-        benchmark.extra_info[f"events_per_s_{row['backend']}"] = round(
-            row["events_per_s"]
-        )
 
 
 def test_bench_table3_end_to_end(benchmark):

@@ -14,7 +14,7 @@ is a hard failure. Exits non-zero on any mismatch or timeout.
 
 Usage::
 
-    PYTHONPATH=src python scripts/resume_smoke.py [--size 256] [--queue heap]
+    PYTHONPATH=src python scripts/resume_smoke.py [--size 256]
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ def main() -> int:
     parser.add_argument("--size", type=int, default=256)
     parser.add_argument("--thin", type=int, default=16)
     parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--queue", default="heap")
     parser.add_argument("--checkpoint-interval", type=float, default=3600.0,
                         help="virtual seconds between snapshots")
     parser.add_argument("--timeout", type=float, default=600.0)
@@ -53,7 +52,7 @@ def main() -> int:
 
     scenario_args = [
         "run", "--size", str(args.size), "--thin", str(args.thin),
-        "--seed", str(args.seed), "--queue", args.queue,
+        "--seed", str(args.seed),
     ]
     env = _cli_env()
 

@@ -23,9 +23,8 @@ scenarios from the shell::
     gridfed run --faults crash-recover --thin 10 --validate
     gridfed sweep --faults chaos --profiles 0 50 100 --thin 10
 
-    # large federations on the amortized-O(1) calendar event queue, and a
-    # cProfile hotspot table for any scenario:
-    gridfed run --size 256 --queue calendar --thin 16 --validate
+    # large federations, and a cProfile hotspot table for any scenario:
+    gridfed run --size 256 --thin 16 --validate
     gridfed profile --size 64 --thin 10 --top 20
 
     # the message fabric: WAN topologies and a sharded directory:
@@ -228,7 +227,6 @@ def _scenario_from_args(args, oft_pct: Optional[float] = None) -> Scenario:
         resilience=args.resilience,
         transport=args.topology,
         directory_shards=args.shards,
-        engine=args.queue,
     )
 
 
@@ -274,20 +272,11 @@ def cmd_run(args) -> str:
 
         # Resume with no scenario flags adopts the snapshot's own scenario;
         # any explicit flags are verified against it (the snapshot guard
-        # refuses a mismatched scenario hash or queue backend fast).
+        # refuses a mismatched scenario hash fast).
         requested = _scenario_from_args(args)
-        defaults = Scenario()
-        if requested == defaults:
-            expected_scenario = expected_engine = None
-        elif requested.replace(engine=defaults.engine) == defaults:
-            # Only --queue was given: verify the backend, adopt the rest.
-            expected_scenario, expected_engine = None, requested.engine
-        else:
-            expected_scenario, expected_engine = requested, requested.engine
         result, scenario = resume_run(
             args.resume,
-            expected_scenario=expected_scenario,
-            expected_engine=expected_engine,
+            expected_scenario=None if requested == Scenario() else requested,
             checkpoint_every=args.checkpoint_interval,
         )
     else:
@@ -358,7 +347,6 @@ def cmd_sweep(args) -> str:
         resilience=args.resilience,
         transport=args.topology,
         directory_shards=args.shards,
-        engine=args.queue,
     )
     if args.clear_cache and args.cache_dir is None:
         raise ValueError("--clear-cache requires --cache-dir (nothing to clear)")
@@ -578,16 +566,6 @@ def _add_scenario_options(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=1,
         help="directory shard count (1 = single shared directory)",
-    )
-    from repro.sim.queues import AUTO_QUEUE, available_queues
-
-    parser.add_argument(
-        "--queue",
-        default="heap",
-        choices=[*available_queues(), AUTO_QUEUE],
-        help="event-queue backend of the simulation kernel (results are "
-        "identical across backends; 'auto' picks heap below ~1M standing "
-        "events and calendar above — see docs/PERFORMANCE.md)",
     )
 
 

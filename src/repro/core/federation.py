@@ -25,13 +25,6 @@ from repro.p2p.directory import FederationDirectory
 from repro.p2p.sharded import create_directory
 from repro.sim.engine import Simulator
 from repro.sim.entity import EntityRegistry
-from repro.sim.queues import (
-    AUTO_QUEUE,
-    QUEUE_REGISTRY,
-    available_queues,
-    estimate_standing_events,
-    resolve_queue_name,
-)
 from repro.sim.rng import RandomStreams
 from repro.workload.job import Job, JobStatus, QoSStrategy
 from repro.workload.qos import assign_qos, assign_strategies
@@ -75,26 +68,12 @@ class FederationConfig:
     directory_shards:
         Number of directory peer shards the quotes are partitioned across
         (1 = the historical single shared directory).
-    engine:
-        Event-queue backend of the simulation kernel (``"heap"`` — the
-        default binary heap — or ``"calendar"``, the amortized-O(1) calendar
-        queue for federations with very large pending-event populations).
-        Every backend delivers the identical event order, so this knob can
-        change wall-clock cost but never results.
     resilience:
         Resilience-policy registry key this run was configured with
         (``"paper"`` = the bare negotiation path, nothing installed).  The
         config only *names* the policy — installation happens through
         :meth:`Federation.install_resilience`, which the scenario runner
         drives for any key that resolves to an active policy.
-    workers:
-        Parallel-engine worker count the run was configured with (0 or 1 =
-        the plain single-process path; ``N >= 2`` = the conservative
-        parallel engine in :mod:`repro.par` shards the federation across N
-        workers).  Like ``resilience``, the config only *names* the shape:
-        the scenario runner dispatches eligible runs to the parallel engine,
-        and each shard's federation is built with the full worker count so
-        the ``auto`` queue heuristic sizes for one shard's population.
     """
 
     mode: SharingMode = SharingMode.ECONOMY
@@ -107,9 +86,7 @@ class FederationConfig:
     keep_message_records: bool = False
     transport: str = "uniform"
     directory_shards: int = 1
-    engine: str = "heap"
     resilience: str = "paper"
-    workers: int = 0
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.oft_fraction <= 1.0:
@@ -128,17 +105,10 @@ class FederationConfig:
             raise ValueError(
                 f"directory_shards must be at least 1, got {self.directory_shards}"
             )
-        if self.engine != AUTO_QUEUE and self.engine not in QUEUE_REGISTRY:
-            raise ValueError(
-                f"unknown event-queue backend {self.engine!r}; registered: "
-                f"{', '.join(available_queues())} (or 'auto')"
-            )
         if not self.resilience or not isinstance(self.resilience, str):
             raise ValueError(
                 f"resilience must be a registry key string, got {self.resilience!r}"
             )
-        if self.workers < 0:
-            raise ValueError(f"workers must be non-negative, got {self.workers}")
 
 
 @dataclass
@@ -248,20 +218,7 @@ class Federation:
             spec.name: list(workload.get(spec.name, [])) for spec in self.specs
         }
         self.streams = RandomStreams(self.config.seed)
-
-        #: Concrete backend in use (``config.engine`` with ``"auto"`` mapped
-        #: through the standing-event heuristic: every job submission is
-        #: scheduled up front, so the expected population is the job count).
-        self.engine: str = resolve_queue_name(
-            self.config.engine,
-            estimate_standing_events(
-                len(self.specs),
-                sum(len(jobs) for jobs in self.workload.values()),
-                directory_shards=self.config.directory_shards,
-                workers=self.config.workers,
-            ),
-        )
-        self.sim = Simulator(queue=self.engine)
+        self.sim = Simulator()
         self.registry = EntityRegistry()
         self.message_log = MessageLog(keep_records=self.config.keep_message_records)
         # The message fabric: every cross-entity interaction rides it.  The
@@ -402,7 +359,11 @@ class Federation:
         return self.collect()
 
     def start(self) -> None:
-        """Schedule the initial event population (faults, then submissions).
+        """Schedule the initial event population (faults, then arrivals).
+
+        Each user population queues only its first arrival; the rest follow
+        one at a time under sequence numbers reserved here, in population
+        order.
 
         Split out of :meth:`run` so the checkpointing driver can start the
         entities once and then advance the simulation in bounded chunks

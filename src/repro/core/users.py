@@ -27,8 +27,8 @@ class UserPopulation(Entity):
     gfa_name:
         Name of the GFA that receives this population's jobs.
     jobs:
-        The population's workload; submission events are scheduled at each
-        job's ``submit_time`` when :meth:`start` is called.
+        The population's workload; each job is submitted at its
+        ``submit_time`` once :meth:`start` has been called.
     """
 
     def __init__(
@@ -43,6 +43,8 @@ class UserPopulation(Entity):
         self._jobs: List[Job] = sorted(jobs, key=lambda j: (j.submit_time, j.job_id))
         self.submitted = 0
         self._started = False
+        #: Sequence number reserved for the first job's arrival (set by start).
+        self._first_seq = 0
         for job in self._jobs:
             if job.origin != gfa_name:
                 raise ValueError(
@@ -54,22 +56,31 @@ class UserPopulation(Entity):
     # Behaviour
     # ------------------------------------------------------------------ #
     def start(self) -> None:
-        """Schedule the submission of every job at its submit time.
+        """Reserve the arrivals' sequence numbers and queue the first one.
 
-        The whole workload goes in as one batch: sequence numbers are
-        assigned in job order (identical to the historical per-job loop, so
-        golden fingerprints are unchanged) while the queue backend pays a
-        single bulk insert for the start-up burst.
+        Only one arrival is pending at a time: each one schedules the next
+        job under the number reserved for it here, so every arrival keeps
+        the ``(time, priority, seq)`` key that scheduling the whole workload
+        up front would give it, while the event heap holds one arrival per
+        population instead of the whole workload.
         """
         if self._started:
             raise RuntimeError(f"{self.name}: population already started")
         self._started = True
-        self.sim.schedule_at_many(
-            (job.submit_time, self._submit, (job,)) for job in self._jobs
-        )
+        self._first_seq = self.sim.reserve_seqs(len(self._jobs))
+        self._schedule_next()
 
-    def _submit(self, job: Job) -> None:
+    def _schedule_next(self) -> None:
+        index = self.submitted
+        if index < len(self._jobs):
+            self.sim.schedule_reserved(
+                self._first_seq + index, self._jobs[index].submit_time, self._submit
+            )
+
+    def _submit(self) -> None:
+        job = self._jobs[self.submitted]
         self.submitted += 1
+        self._schedule_next()
         self.send(self.gfa_name, EventType.JOB_SUBMIT, payload=job)
 
     def handle_event(self, event: Event) -> None:

@@ -15,7 +15,6 @@ want hard budget enforcement.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -61,7 +60,7 @@ class GridBank:
     def __init__(self, strict: bool = False):
         self._accounts: Dict[str, Account] = {}
         self._ledger: List[Transaction] = []
-        self._ids = itertools.count(1)
+        self._next_id = 1
         self.strict = strict
 
     # ------------------------------------------------------------------ #
@@ -119,13 +118,14 @@ class GridBank:
                 f"{payer!r} has {payer_acct.balance:.2f} Grid Dollars, needs {amount:.2f}"
             )
         txn = Transaction(
-            transaction_id=next(self._ids),
+            transaction_id=self._next_id,
             time=time,
             payer=payer,
             payee=payee,
             amount=float(amount),
             memo=memo,
         )
+        self._next_id += 1
         payer_acct.balance -= amount
         payer_acct.total_debited += amount
         payer_acct.transactions.append(txn.transaction_id)

@@ -180,8 +180,6 @@ class ShardHarvest:
     #: GridBank ledger entries settled on this shard (empty outside ECONOMY).
     ledger: List[Transaction] = field(default_factory=list)
     events_processed: int = 0
-    #: Concrete event-queue backend the shard resolved (``auto`` transparency).
-    engine: str = "heap"
 
 
 class ShardFederation(Federation):
@@ -377,7 +375,6 @@ class ShardFederation(Federation):
             network=self.transport.stats,
             ledger=self.bank.ledger() if self.bank is not None else [],
             events_processed=self.sim.events_processed,
-            engine=self.engine,
         )
 
 

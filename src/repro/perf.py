@@ -1,7 +1,7 @@
 """Hot-path performance benchmark suite (``gridfed bench`` / ``gridfed profile``).
 
 The paper *assumes* an ``O(log n)``-cost directory and never measures it; this
-module is the repository's measured performance trajectory.  Five layers of
+module is the repository's measured performance trajectory.  These layers of
 the scheduling hot path are timed:
 
 * **Directory rank queries** — a simulated DBC negotiation probe schedule is
@@ -11,16 +11,9 @@ the scheduling hot path are timed:
   cursor session (``O(log n + k)`` per job) and the version-stamped ranking
   cache (``O(1)`` amortised).  Every strategy must return the identical quote
   sequence; the speedups are reported per system size.
-* **Queue kernel** — the classic *hold model* (Vaucher & Duval) driven
-  straight through the :class:`~repro.sim.queues.EventQueue` interface, per
-  backend: pre-fill a standing event population, then pop-one/push-one with a
-  configurable cancellation-churn mix (negotiation-timeout style: schedule a
-  far timeout, cancel it).  The hold-phase throughput is the headline
-  events/s — it isolates the queue data structure the way the literature
-  does, and the pop order is digest-checked identical across backends.
-* **Engine kernel** — schedule/cancel/fire throughput through the full
-  :class:`~repro.sim.engine.Simulator`, per backend, so the queue-level win
-  can be read against the engine's fixed per-event overhead.
+* **Event kernel** — schedule/cancel/fire throughput through the full
+  :class:`~repro.sim.engine.Simulator`: its heap plus the engine's fixed
+  per-event overhead.
 * **Table-3 federation run** — the full Experiment 2 simulation end to end,
   executed once per directory query mode.  The two runs must produce equal
   :func:`~repro.scenario.runner.result_fingerprint` digests (the fast path may
@@ -31,9 +24,8 @@ the scheduling hot path are timed:
   equal, ratio recorded.
 
 The ``xl`` scale pushes the directory benchmark to 512/1024 clusters (via
-Table-1 replication), the queue kernel to a million-event standing population
-(the pending set a 1024-cluster federation carries), and the end-to-end run
-to 1024 clusters — far beyond the paper's 64-cluster Experiment 5.
+Table-1 replication) and the end-to-end run to 1024 clusters — far beyond
+the paper's 64-cluster Experiment 5.
 
 :func:`run_benchmarks` executes everything at a named scale and returns a JSON-
 serialisable report; :func:`write_report` emits ``benchmarks/BENCH_perf.json``
@@ -64,16 +56,13 @@ from repro.core.policies import SharingMode
 from repro.net.transport import Transport
 from repro.p2p.directory import FederationDirectory, RankCriterion
 from repro.scenario import Scenario, result_fingerprint, run_scenario
-from repro.sim.engine import ScheduledEvent, Simulator
-from repro.sim.queues import create_queue
+from repro.sim.engine import Simulator
 from repro.workload.archive import build_federation_specs, replicate_resources
 
 __all__ = [
     "BENCH_SCALES",
     "BenchScale",
-    "QUEUE_BACKENDS",
     "bench_directory_queries",
-    "bench_queue_kernel",
     "bench_event_kernel",
     "bench_table3",
     "bench_transport_fastpath",
@@ -90,11 +79,9 @@ __all__ = [
 #: Schema tag written into every report (bump on incompatible layout changes).
 #: v2: per-backend ``queue_kernel`` / ``event_kernel`` row lists and the
 #: ``transport`` fast-path section replaced the single v1 kernel record.
-REPORT_SCHEMA = "gridfed-bench/2"
-
-#: Event-queue backends every kernel benchmark covers (heap first: it is the
-#: baseline the speedup columns are relative to).
-QUEUE_BACKENDS: Tuple[str, ...] = ("heap", "calendar")
+#: v3: ``queue_kernel`` is gone and ``event_kernel`` holds one row (the one
+#: event kernel), keyed without a backend.
+REPORT_SCHEMA = "gridfed-bench/3"
 
 #: Baselines under this many seconds are scheduler noise on shared CI runners:
 #: excluded from the wall-clock regression gate and labelled "noise" in the
@@ -111,13 +98,6 @@ class BenchScale:
     sizes: Tuple[int, ...]
     #: Simulated negotiation sequences (jobs) per size.
     probe_jobs: int
-    #: Standing event population of the queue-kernel hold model.
-    kernel_standing: int
-    #: Hold operations timed against that standing population.
-    kernel_holds: int
-    #: Timeout guards armed-and-cancelled per hold (fractional part = the
-    #: probability of arming one more) — the cancellation-churn mix.
-    kernel_guards: float
     #: Events pushed through the engine-level kernel benchmark.
     events: int
     #: ``thin`` for the Table-3 end-to-end run (1 = full workload).
@@ -148,9 +128,6 @@ BENCH_SCALES: Dict[str, BenchScale] = {
         "smoke",
         sizes=(16, 64),
         probe_jobs=200,
-        kernel_standing=20_000,
-        kernel_holds=30_000,
-        kernel_guards=1.0,
         events=30_000,
         table3_thin=4,
         table3_sizes=(None,),
@@ -163,9 +140,6 @@ BENCH_SCALES: Dict[str, BenchScale] = {
         "full",
         sizes=(16, 64, 128),
         probe_jobs=60,
-        kernel_standing=200_000,
-        kernel_holds=100_000,
-        kernel_guards=2.0,
         events=200_000,
         table3_thin=1,
         table3_sizes=(None, 32),
@@ -175,19 +149,11 @@ BENCH_SCALES: Dict[str, BenchScale] = {
         par_workers=(1, 2, 4),
     ),
     # Scale-out tier: the paper's Experiment 5 stops at 64 clusters; this is
-    # where the calendar backend and the transport fast path earn their keep.
-    # The kernel's standing population models guard-rich in-flight state at
-    # 1024 clusters (arrivals + running work + a timeout guard per in-flight
-    # RPC): millions of pending events, far beyond any CPU's last-level
-    # cache — the regime where the heap's O(log n) sift turns into ~20 DRAM
-    # misses per operation while calendar buckets stay on one line.
+    # where the transport fast path earns its keep.
     "xl": BenchScale(
         "xl",
         sizes=(512, 1024),
         probe_jobs=12,
-        kernel_standing=8_000_000,
-        kernel_holds=150_000,
-        kernel_guards=3.0,
         events=500_000,
         table3_thin=8,
         table3_sizes=(256, 1024),
@@ -311,131 +277,21 @@ def bench_directory_queries(
 
 
 # --------------------------------------------------------------------------- #
-# Queue-kernel hold-model micro-benchmark (per backend)
+# Event-kernel throughput micro-benchmark
 # --------------------------------------------------------------------------- #
-def bench_queue_kernel(
-    standing: int,
-    holds: int,
-    guards: float = 1.0,
-    repeats: int = 1,
-    seed: int = 0,
-    backends: Sequence[str] = QUEUE_BACKENDS,
-) -> List[Dict[str, object]]:
-    """The hold model, straight through the :class:`EventQueue` interface.
-
-    Phase 1 (reported as ``fill_s``) mass-inserts ``standing`` events — the
-    pre-scheduled arrival population of a large federation.  Phase 2 (the
-    headline, ``hold_s`` / ``events_per_s``) performs ``holds`` hold
-    operations: pop the minimum, push a successor a random step ahead —
-    steady state for a discrete-event kernel.  Each hold additionally arms
-    ``guards`` timeout guards and cancels them on completion — the pattern of
-    a timeout-guarded protocol with several in-flight RPCs per scheduling
-    decision (a fractional part arms one more with that probability).
-    Backends with true deletion (calendar) drop a cancelled guard on the
-    spot; lazy backends (heap) pay a near-future sift-up *and* a full
-    sift-down when the corpse surfaces — the asymmetry that dominates kernel
-    cost at federation scale.
-
-    Every backend must pop the identical event sequence — the per-row
-    ``order`` digest is compared across backends and reported as
-    ``orders_identical``.  Rows after the first carry ``speedup_vs_heap``
-    (hold-phase ratio), which is the number the xl acceptance gate watches.
-    """
-    rng = np.random.default_rng(seed)
-    fill_times = [float(d) for d in rng.random(standing) * 1_000.0]
-    steps = [float(d) for d in rng.random(holds) * 10.0]
-    whole_guards = int(guards)
-    extra_mask = rng.random(holds) < (guards - whole_guards)
-
-    def once(backend: str) -> Tuple[float, float, int]:
-        queue = create_queue(backend)
-        seq = 0
-        digest = 0
-        start = time.perf_counter()
-        for t in fill_times:
-            queue.push(ScheduledEvent(t, 0, seq, _noop))
-            seq += 1
-        fill_elapsed = time.perf_counter() - start
-        start = time.perf_counter()
-        for i in range(holds):
-            while True:
-                event = queue.pop()
-                if not event.cancelled:
-                    break
-            digest = (digest * 1_000_003 + event.seq) & 0xFFFFFFFFFFFF
-            # Re-stamp the popped handle as its own successor — the engine's
-            # pooled-handle pattern, so the hold phase measures queue ops,
-            # not allocator throughput.  (Timeout guards do need fresh
-            # handles: a lazily-deleted heap corpse still references the old
-            # object, so reuse would resurrect it.)
-            event.time = event.time + steps[i]
-            event.seq = seq
-            event._queued = True
-            queue.push(event)
-            seq += 1
-            for _ in range(whole_guards + (1 if extra_mask[i] else 0)):
-                timeout = ScheduledEvent(event.time + 50.0, 0, seq, _noop)
-                seq += 1
-                queue.push(timeout)
-                timeout.cancelled = True
-                queue.discard(timeout)
-        hold_elapsed = time.perf_counter() - start
-        return fill_elapsed, hold_elapsed, digest
-
-    rows: List[Dict[str, object]] = []
-    digests: Dict[str, int] = {}
-    for backend in backends:
-        best_fill = best_hold = None
-        for _ in range(max(1, repeats)):
-            fill_elapsed, hold_elapsed, digest = once(backend)
-            digests[backend] = digest
-            best_fill = fill_elapsed if best_fill is None else min(best_fill, fill_elapsed)
-            best_hold = hold_elapsed if best_hold is None else min(best_hold, hold_elapsed)
-        rows.append(
-            {
-                "backend": backend,
-                "standing": int(standing),
-                "holds": int(holds),
-                "guards": float(guards),
-                "fill_s": best_fill,
-                "hold_s": best_hold,
-                "events_per_s": holds / max(best_hold, 1e-12),
-            }
-        )
-    identical = len(set(digests.values())) == 1
-    baseline = rows[0]["hold_s"]
-    for row in rows:
-        row["orders_identical"] = bool(identical)
-        if row["backend"] != rows[0]["backend"]:
-            row["speedup_vs_heap"] = baseline / max(row["hold_s"], 1e-12)
-    return rows
-
-
-def _noop() -> None:  # pragma: no cover - never fired by the queue benches
-    pass
-
-
-# --------------------------------------------------------------------------- #
-# Engine-kernel throughput micro-benchmark (per backend)
-# --------------------------------------------------------------------------- #
-def bench_event_kernel(
-    events: int, repeats: int = 1, seed: int = 0, backend: str = "heap"
-) -> Dict[str, object]:
+def bench_event_kernel(events: int, repeats: int = 1, seed: int = 0) -> Dict[str, object]:
     """Schedule/cancel/fire ``events`` callbacks; report events per second.
 
-    The workload mirrors a federation run: most events are pre-scheduled at
-    random times (job arrivals), a tick chain reschedules itself (repricing
-    controllers), and ~5% of handles are cancelled before firing.  Runs
-    through the full :class:`Simulator`, so it includes the engine's fixed
-    per-event overhead — compare with :func:`bench_queue_kernel` for the
-    isolated data-structure cost.
+    Every event is scheduled up front at a random time and ~5% of handles
+    are cancelled before firing.  Runs through the full :class:`Simulator`,
+    so it includes the engine's fixed per-event overhead.
     """
     rng = np.random.default_rng(seed)
     delays = rng.random(events) * 1_000.0
     cancel_mask = rng.random(events) < 0.05
 
     def once() -> float:
-        sim = Simulator(queue=backend)
+        sim = Simulator()
         sink: List[float] = []
         start = time.perf_counter()
         handles = [sim.schedule(float(delay), sink.append, float(delay)) for delay in delays]
@@ -451,7 +307,6 @@ def bench_event_kernel(
     seconds = _best_of(repeats, once)
     fired = int(events - int(cancel_mask.sum()))
     return {
-        "backend": backend,
         "events_scheduled": int(events),
         "events_fired": fired,
         "seconds": seconds,
@@ -867,17 +722,7 @@ def run_benchmarks(
         "directory_query": bench_directory_queries(
             scale.sizes, scale.probe_jobs, repeats=scale.repeats, seed=seed
         ),
-        "queue_kernel": bench_queue_kernel(
-            scale.kernel_standing,
-            scale.kernel_holds,
-            guards=scale.kernel_guards,
-            repeats=scale.repeats,
-            seed=seed,
-        ),
-        "event_kernel": [
-            bench_event_kernel(scale.events, repeats=scale.repeats, backend=backend)
-            for backend in QUEUE_BACKENDS
-        ],
+        "event_kernel": [bench_event_kernel(scale.events, repeats=scale.repeats)],
         "table3": bench_table3(
             scale.table3_thin,
             repeats=scale.repeats,
@@ -950,14 +795,8 @@ def _tracked_timings(report: Dict[str, object]) -> Dict[str, float]:
         key = f"directory_query/{row['clusters']}x{row['probe_jobs']}/session_s"
         tracked[key] = float(row["session_s"])
     for row in report.get("event_kernel", []):
-        key = f"event_kernel/{row['backend']}/{row['events_scheduled']}/seconds"
+        key = f"event_kernel/{row['events_scheduled']}/seconds"
         tracked[key] = float(row["seconds"])
-    for row in report.get("queue_kernel", []):
-        key = (
-            f"queue_kernel/{row['backend']}/{row['standing']}x{row['holds']}"
-            f"@guards{row['guards']}/hold_s"
-        )
-        tracked[key] = float(row["hold_s"])
     for row in report.get("table3", []):
         key = f"table3/{row['clusters']}@thin{row['thin']}/session_s"
         tracked[key] = float(row["session_s"])
@@ -1008,22 +847,6 @@ def compare_to_baseline(
         if not row.get("results_identical", True):
             problems.append(
                 f"directory_query/{row['clusters']}: strategies returned different quotes"
-            )
-    for row in report.get("queue_kernel", []):
-        if not row.get("orders_identical", True):
-            problems.append(
-                f"queue_kernel/{row['backend']}: backends popped different event orders"
-            )
-        # The xl acceptance floor: once the standing population is DRAM-bound
-        # (beyond any last-level cache) the calendar backend must deliver at
-        # least twice the heap's hold throughput.  It measures ~5-6x there;
-        # at cache-resident populations heapq's C constants keep the two
-        # comparable, so the gate deliberately only arms at xl scale.
-        speedup = float(row.get("speedup_vs_heap", 0.0))
-        if row["backend"] == "calendar" and row["standing"] >= 4_000_000 and speedup < 2.0:
-            problems.append(
-                f"queue_kernel/calendar@{row['standing']}: hold speedup over the "
-                f"heap collapsed to {speedup:.2f}x (floor: 2.0x)"
             )
     for row in report.get("table3", []):
         if not row.get("outputs_identical", True):
@@ -1174,51 +997,14 @@ def render_report(report: Dict[str, object]) -> str:
             title=f"Directory rank queries — legacy scan vs resumable session ({report['scale']})",
         )
     )
-    rows = [
-        [
-            row["backend"],
-            row["standing"],
-            row["holds"],
-            row["guards"],
-            row["fill_s"],
-            row["hold_s"],
-            row["events_per_s"],
-            f"{row['speedup_vs_heap']:.2f}x" if "speedup_vs_heap" in row else "-",
-            "yes" if row.get("orders_identical", True) else "NO",
-        ]
-        for row in report["queue_kernel"]
-    ]
     out.append(
         render_table(
+            ["Events fired", "Seconds", "Events/s"],
             [
-                "Backend",
-                "Standing",
-                "Holds",
-                "Guards",
-                "Fill s",
-                "Hold s",
-                "Events/s",
-                "vs heap",
-                "Identical",
+                [row["events_fired"], row["seconds"], row["events_per_s"]]
+                for row in report["event_kernel"]
             ],
-            rows,
-            title="Queue kernel — hold model through the EventQueue backends",
-        )
-    )
-    kernel_rows = report["event_kernel"]
-    out.append(
-        render_table(
-            ["Backend", "Events fired", "Seconds", "Events/s"],
-            [
-                [
-                    row["backend"],
-                    row["events_fired"],
-                    row["seconds"],
-                    row["events_per_s"],
-                ]
-                for row in kernel_rows
-            ],
-            title="Engine kernel throughput (full Simulator)",
+            title="Event kernel throughput (full Simulator)",
         )
     )
     rows = [

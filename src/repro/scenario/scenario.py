@@ -28,7 +28,6 @@ from repro.cluster.lrms import SchedulingPolicy
 from repro.core.federation import FederationConfig
 from repro.core.policies import SharingMode
 from repro.net.topology import TOPOLOGY_REGISTRY, available_topologies, canonical_topology
-from repro.sim.queues import AUTO_QUEUE, QUEUE_REGISTRY, available_queues
 from repro.scenario.registry import (
     AGENT_REGISTRY,
     FAULT_REGISTRY,
@@ -97,15 +96,6 @@ class Scenario:
         Number of directory peers the federation's quotes are partitioned
         across by consistent key hashing (1 = the single shared directory;
         rank queries over more shards run scatter-gather merge sessions).
-    engine:
-        Event-queue backend of the simulation kernel (``"heap"`` or
-        ``"calendar"``, anything registered via
-        :func:`repro.sim.register_queue`, or ``"auto"`` to pick from the
-        expected standing-event population — heap below the ~1M-event
-        cutover, calendar above).  All backends deliver the identical
-        ``(time, priority, seq)`` event order — result fingerprints are
-        byte-identical across backends — so this selects wall-clock
-        behaviour only (see docs/PERFORMANCE.md).
     resilience:
         Key into the resilience registry (``"paper"``, ``"noop"``,
         ``"retry"``, ``"retry-breaker"``, or anything registered via
@@ -140,7 +130,6 @@ class Scenario:
     faults: str = "none"
     transport: str = "uniform"
     directory_shards: int = 1
-    engine: str = "heap"
     keep_message_records: bool = False
     resilience: str = "paper"
     parallel: int = 0
@@ -184,11 +173,6 @@ class Scenario:
                 f"unknown transport topology {self.transport!r}; registered: "
                 f"{', '.join(available_topologies())}"
             )
-        if self.engine != AUTO_QUEUE and self.engine not in QUEUE_REGISTRY:
-            raise ValueError(
-                f"unknown event-queue backend {self.engine!r}; registered: "
-                f"{', '.join(available_queues())} (or 'auto')"
-            )
         # Aliases normalise to their canonical key so "wan" and
         # "two-tier-wan" hash (and memoise, and describe) identically.
         object.__setattr__(self, "transport", canonical_topology(self.transport))
@@ -223,9 +207,7 @@ class Scenario:
             keep_message_records=self.keep_message_records,
             transport=self.transport,
             directory_shards=self.directory_shards,
-            engine=self.engine,
             resilience=self.resilience,
-            workers=self.parallel,
         )
 
     def replace(self, **changes) -> "Scenario":
@@ -270,8 +252,6 @@ class Scenario:
             summary += f" transport={self.transport}"
         if self.directory_shards != 1:
             summary += f" shards={self.directory_shards}"
-        if self.engine != "heap":
-            summary += f" engine={self.engine}"
         if self.parallel >= 2:
             summary += f" parallel={self.parallel}"
         return summary
@@ -295,9 +275,7 @@ def scenario_from_config(config: FederationConfig, **overrides) -> Scenario:
         keep_message_records=config.keep_message_records,
         transport=config.transport,
         directory_shards=config.directory_shards,
-        engine=config.engine,
         resilience=config.resilience,
-        parallel=config.workers,
     )
     base.update(overrides)
     return Scenario(**base)

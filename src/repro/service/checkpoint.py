@@ -8,7 +8,7 @@ run would have reached anyway — so a checkpointed run, an uninterrupted run
 and an interrupted-then-resumed run all produce byte-identical
 :func:`~repro.scenario.runner.result_fingerprint` digests (the resume
 oracle pinned by ``tests/test_service_resume.py`` across all five golden
-experiment shapes and both queue backends).
+experiment shapes).
 
 The checkpoint directory holds one rolling ``latest.ckpt``; every write is
 temp-then-rename, so a SIGKILL at any instant leaves a complete snapshot
@@ -151,15 +151,13 @@ def resume_run(
     checkpoint_dir: str | os.PathLike,
     *,
     expected_scenario: Optional[Scenario] = None,
-    expected_engine: Optional[str] = None,
     checkpoint_every: Optional[float] = None,
     on_progress: Optional[ProgressCallback] = None,
 ) -> Tuple[FederationResult, Scenario]:
     """Resume from the latest snapshot in ``checkpoint_dir`` to completion.
 
-    Verifies the snapshot's format version, scenario hash (against
-    ``expected_scenario`` when given) and queue backend (against
-    ``expected_engine`` when given) before unpickling anything; a mismatch
+    Verifies the snapshot's format version and scenario hash (against
+    ``expected_scenario`` when given) before unpickling anything; a mismatch
     raises :class:`~repro.service.snapshot.SnapshotMismatchError` instead of
     corrupting the run.  Returns the result together with the snapshot's own
     scenario, and keeps checkpointing into the same directory while it runs.
@@ -171,9 +169,7 @@ def resume_run(
             "started with --checkpoint/checkpoint_dir pointing here?"
         )
     _header, federation, scenario = load_snapshot(
-        path,
-        expected_scenario=expected_scenario,
-        expected_engine=expected_engine,
+        path, expected_scenario=expected_scenario
     )
     result = _drive(federation, scenario, checkpoint_dir, checkpoint_every, on_progress)
     return result, scenario

@@ -2,7 +2,7 @@
 
 A snapshot captures *everything* a run needs to continue byte-identically:
 the :class:`~repro.sim.engine.Simulator` clock, sequence counter and pending
-event queue (either backend), every entity (GFAs, LRMS queues, directory or
+event heap, every entity (GFAs, LRMS queues, directory or
 sharded directory, GridBank, MessageLog, transport state, fault-injector
 state), every named RNG stream, and the global job/event id counters that
 mid-run fault events consume.  The capture is a whole-object-graph pickle of
@@ -15,12 +15,12 @@ File format (version :data:`SNAPSHOT_FORMAT_VERSION`)::
 
     magic line        b"gridfed-snapshot\\n"
     header length     4 bytes, big endian
-    header            JSON (format version, scenario hash, engine, clock, ...)
+    header            JSON (format version, scenario hash, clock, ...)
     payload           pickle (federation, scenario, global counters)
 
 The JSON header is readable without unpickling anything, so compatibility
-guards (format version, scenario hash, queue backend) fail fast *before* any
-code from the payload runs, and status tooling can report progress without
+guards (format version, scenario hash) fail fast *before* any code from the
+payload runs, and status tooling can report progress without
 paying the unpickle cost.
 
 Writes are atomic: the bytes go to a temporary file in the target directory
@@ -60,7 +60,10 @@ __all__ = [
 
 #: Bump when the snapshot layout or the pickled object graph changes shape
 #: incompatibly; resuming across versions fails fast instead of corrupting.
-SNAPSHOT_FORMAT_VERSION = 1
+#: v2: the header lost its ``engine`` field, the simulator pickles one heap
+#: and an int sequence counter, and user populations keep one pending
+#: arrival under reserved sequence numbers.
+SNAPSHOT_FORMAT_VERSION = 2
 
 _MAGIC = b"gridfed-snapshot\n"
 
@@ -72,9 +75,9 @@ class SnapshotError(RuntimeError):
 class SnapshotMismatchError(SnapshotError):
     """Raised when a snapshot is valid but incompatible with the resume.
 
-    Covers the three refusal cases: different snapshot format version,
-    different scenario hash, and different queue backend.  The message always
-    says which side is which and what to do about it.
+    Covers the two refusal cases: different snapshot format version and
+    different scenario hash.  The message always says which side is which
+    and what to do about it.
     """
 
 
@@ -85,7 +88,6 @@ class SnapshotHeader:
     format_version: int
     scenario_hash: str
     scenario_summary: str
-    engine: str
     sim_time: float
     events_processed: int
     pending_events: int
@@ -107,8 +109,11 @@ class SnapshotHeader:
     def from_json(cls, blob: str) -> "SnapshotHeader":
         try:
             fields = json.loads(blob)
-            return cls(**fields)
-        except (ValueError, TypeError) as exc:
+            # An older format may carry fields this one dropped: keep the
+            # known ones, so the version guard (not a parse error) refuses it.
+            known = {field.name for field in dataclasses.fields(cls)}
+            return cls(**{name: value for name, value in fields.items() if name in known})
+        except (ValueError, TypeError, AttributeError) as exc:
             raise SnapshotError(f"corrupt snapshot header: {exc}") from None
 
 
@@ -119,7 +124,6 @@ def _build_header(federation: Federation, scenario: Scenario) -> SnapshotHeader:
         format_version=SNAPSHOT_FORMAT_VERSION,
         scenario_hash=scenario.scenario_hash(),
         scenario_summary=scenario.describe(),
-        engine=federation.sim.queue_name,
         sim_time=federation.sim.now,
         events_processed=federation.sim.events_processed,
         pending_events=federation.sim.pending,
@@ -200,12 +204,11 @@ def verify_compatible(
     header: SnapshotHeader,
     *,
     expected_scenario: Optional[Scenario] = None,
-    expected_engine: Optional[str] = None,
 ) -> None:
     """Refuse mismatched resumes *before* the payload is unpickled.
 
     Raises :class:`SnapshotMismatchError` with an actionable message on a
-    format-version, scenario-hash or queue-backend mismatch.
+    format-version or scenario-hash mismatch.
     """
     if header.format_version != SNAPSHOT_FORMAT_VERSION:
         raise SnapshotMismatchError(
@@ -224,20 +227,12 @@ def verify_compatible(
                 f"({expected_scenario.describe()}); resume without overriding "
                 "scenario options, or start a fresh run for the new scenario"
             )
-    if expected_engine is not None and expected_engine != header.engine:
-        raise SnapshotMismatchError(
-            f"queue backend mismatch: the snapshot was taken under the "
-            f"{header.engine!r} event queue but the resume requested "
-            f"{expected_engine!r}; a queue backend cannot change mid-run — "
-            f"pass --queue {header.engine} (or drop the flag) to resume"
-        )
 
 
 def load_snapshot(
     path: str | os.PathLike,
     *,
     expected_scenario: Optional[Scenario] = None,
-    expected_engine: Optional[str] = None,
     restore_counters: bool = True,
 ) -> Tuple[SnapshotHeader, Federation, Scenario]:
     """Load a snapshot, verify compatibility, and restore global counters.
@@ -250,11 +245,7 @@ def load_snapshot(
     try:
         with open(path, "rb") as handle:
             header = _read_preamble(handle)
-            verify_compatible(
-                header,
-                expected_scenario=expected_scenario,
-                expected_engine=expected_engine,
-            )
+            verify_compatible(header, expected_scenario=expected_scenario)
             try:
                 payload = pickle.load(handle)
             except Exception as exc:
@@ -277,8 +268,9 @@ def load_snapshot(
 #: Version of the parallel checkpoint layout (the coordinator-state payload
 #: plus the per-shard snapshot fleet the supervisor restores a run from).
 #: Bumped independently of :data:`SNAPSHOT_FORMAT_VERSION` — the shard files
-#: themselves ride the ordinary snapshot format.
-PAR_CHECKPOINT_VERSION = 1
+#: themselves ride the ordinary snapshot format.  v2: shard harvests lost
+#: their ``engine`` field and shards pickle the v2 simulator and populations.
+PAR_CHECKPOINT_VERSION = 2
 
 _PAR_MAGIC = b"gridfed-par-state\n"
 

@@ -3,9 +3,8 @@
 This package is the substrate that replaces the GridSim toolkit used in the
 paper: a small, deterministic, single-threaded discrete-event simulator with
 
-* a pluggable event-queue kernel (:class:`~repro.sim.engine.Simulator` over
-  the :mod:`repro.sim.queues` backends — the classic binary heap and an
-  amortized-O(1) calendar queue, byte-identical delivery order),
+* one event kernel (:class:`~repro.sim.engine.Simulator`: a binary heap
+  ordered by ``(time, priority, seq)``, driven by one loop),
 * named simulation entities that exchange timestamped events
   (:class:`~repro.sim.entity.Entity`),
 * reproducible, independently-seeded random streams
@@ -19,13 +18,6 @@ is built on top of these primitives.
 from repro.sim.engine import Simulator, ScheduledEvent, SimulationError
 from repro.sim.entity import Entity
 from repro.sim.events import Event, EventType
-from repro.sim.queues import (
-    CalendarQueue,
-    EventQueue,
-    HeapQueue,
-    available_queues,
-    register_queue,
-)
 from repro.sim.rng import RandomStreams
 from repro.sim.process import Process, Timeout
 
@@ -36,11 +28,6 @@ __all__ = [
     "Entity",
     "Event",
     "EventType",
-    "EventQueue",
-    "HeapQueue",
-    "CalendarQueue",
-    "register_queue",
-    "available_queues",
     "RandomStreams",
     "Process",
     "Timeout",

@@ -1,7 +1,7 @@
 """Core discrete-event simulation engine.
 
-The :class:`Simulator` keeps scheduled callbacks in a pluggable
-:class:`~repro.sim.queues.EventQueue` backend ordered by
+The :class:`Simulator` keeps scheduled callbacks in one binary heap
+(``heapq`` over bare ``(time, priority, seq, event)`` tuples) ordered by
 (time, priority, sequence-number).  The sequence number guarantees a stable,
 deterministic ordering for events scheduled at identical timestamps, which is
 essential for reproducible experiments: two runs with the same seeds produce
@@ -10,15 +10,8 @@ latency-bearing transports routinely land independent messages on the same
 timestamp, and their delivery order must be schedule order — never a heap
 insertion accident.  :mod:`repro.sim.entity` mirrors the sequence number on
 ``Event.seq`` so the order is observable at the message layer, and
-``tests/test_delivery_order.py`` pins the guarantee for *every registered
-backend* (the tests fail against a seq-less heap, whose equal-key pop order
-depends on push/pop history).
-
-Backends are selected by name — ``Simulator(queue="heap")`` (the default
-binary heap) or ``Simulator(queue="calendar")`` (the amortized-O(1) calendar
-queue for large-federation runs) — and must honour the same contract, so the
-backend can change wall-clock cost but never results (see
-:mod:`repro.sim.queues`).
+``tests/test_delivery_order.py`` pins the guarantee (the tests fail against a
+seq-less heap, whose equal-key pop order depends on push/pop history).
 
 The engine is deliberately callback-based rather than coroutine-based: the
 Grid-Federation entities (GFAs, LRMSes, user populations) are reactive state
@@ -26,32 +19,34 @@ machines, and callbacks keep the hot path free of generator overhead.  A thin
 coroutine layer is provided separately in :mod:`repro.sim.process` for code
 that reads more naturally as a process.
 
-Two hot-path details worth knowing:
+Three hot-path details worth knowing:
 
+* **One loop** — :meth:`Simulator.step`, :meth:`Simulator.run` and
+  :meth:`Simulator.run_window` all fire events through the same private
+  loop, which pops while the heap head lies inside an end bound.
 * **Handle pooling** — fired :class:`ScheduledEvent` handles that nobody else
   references (checked by refcount) are recycled into the next ``schedule``
   call instead of being reallocated; handles a caller retains are simply
   never pooled, so the optimisation is invisible.
-* **Cancellation compaction** — backends that cannot delete cancelled events
-  eagerly (the heap) are compacted once dead entries outnumber live ones, so
-  churn-heavy runs keep the queue length proportional to the *live* event
-  population instead of growing without bound.
+* **Cancellation compaction** — a heap cannot delete from the middle, so a
+  cancelled event stays put until it surfaces; the heap is compacted once
+  dead entries outnumber live ones, so churn-heavy runs keep its length
+  proportional to the *live* event population instead of growing without
+  bound.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
+from heapq import heapify, heappop, heappush
 from sys import getrefcount
-from typing import Any, Callable, Iterator, Optional, Union
-
-from repro.sim.queues import EventQueue, create_queue
+from typing import Any, Callable, Iterator, List, Optional, Tuple
 
 #: Fired handles kept for reuse; beyond this, handles are left to the GC.
 _POOL_MAX = 512
 
-#: Dead entries tolerated in a lazy-deletion backend before compaction (and
-#: the floor below which compaction is never worth the rebuild).
+#: Dead heap entries tolerated before compaction (and the floor below which
+#: compaction is never worth the rebuild).
 _COMPACT_MIN_DEAD = 64
 
 
@@ -66,7 +61,7 @@ class SimulationError(RuntimeError):
 class ScheduledEvent:
     """A handle to a scheduled callback.
 
-    Events are ordered by ``(time, priority, seq)``; the backends store bare
+    Events are ordered by ``(time, priority, seq)``; the heap stores bare
     tuples carrying those primitives so ordering comparisons never touch the
     event object (the unique ``seq`` guarantees it).  The handle is slotted
     and pooled: federations schedule one event per job arrival and per job
@@ -105,7 +100,7 @@ class ScheduledEvent:
         self.callback = callback
         self.args = args
         self.cancelled = cancelled
-        # True while the event sits unfired in the queue; the live pending
+        # True while the event sits unfired in the heap; the live pending
         # counter only moves for events in this state.
         self._queued = True
 
@@ -126,11 +121,6 @@ class Simulator:
     trace:
         Optional callable invoked as ``trace(time, label)`` every time an
         event fires; useful for debugging small scenarios.
-    queue:
-        Event-queue backend: a registered name (``"heap"``, ``"calendar"``)
-        or a ready :class:`~repro.sim.queues.EventQueue` instance.  Every
-        backend delivers the identical event order; pick ``"calendar"`` when
-        the pending event population is large (see docs/PERFORMANCE.md).
 
     Examples
     --------
@@ -149,16 +139,12 @@ class Simulator:
         self,
         start_time: float = 0.0,
         trace: Optional[Callable[[float, str], None]] = None,
-        queue: Union[str, EventQueue, None] = None,
     ):
         if not math.isfinite(start_time):
             raise SimulationError("start_time must be finite")
         self._now: float = float(start_time)
-        try:
-            self._queue: EventQueue = create_queue(queue, self._now)
-        except ValueError as exc:
-            raise SimulationError(str(exc)) from None
-        self._seq = itertools.count()
+        self._heap: List[Tuple[float, int, int, ScheduledEvent]] = []
+        self._seq = 0  # the next sequence number to hand out
         self._running = False
         self._stopped = False
         self._events_processed = 0
@@ -181,7 +167,7 @@ class Simulator:
 
     @property
     def pending(self) -> int:
-        """Number of live (non-cancelled) events still waiting in the queue.
+        """Number of live (non-cancelled) events still waiting in the heap.
 
         Maintained as a counter on schedule/cancel/fire, so reading it is
         ``O(1)`` — entities may poll it every event (dynamic pricing does).
@@ -189,17 +175,13 @@ class Simulator:
         return self._pending
 
     @property
-    def queue_name(self) -> str:
-        """Registry name of the event-queue backend in use."""
-        return self._queue.name
-
-    @property
     def queue_size(self) -> int:
-        """Raw entries held by the backend, *including* cancelled ones a
-        lazy-deletion backend has not dropped yet.  The compaction guarantee
-        keeps this within a constant factor of :attr:`pending` (plus the
-        compaction floor), bounded regardless of cancellation churn."""
-        return len(self._queue)
+        """Raw heap entries, *including* cancelled ones not yet dropped.
+
+        The compaction guarantee keeps this within a constant factor of
+        :attr:`pending` (plus the compaction floor), bounded regardless of
+        cancellation churn."""
+        return len(self._heap)
 
     def __len__(self) -> int:
         return self.pending
@@ -242,28 +224,46 @@ class Simulator:
         priority: int = 0,
     ) -> ScheduledEvent:
         """Schedule ``callback(*args)`` at an absolute simulation time."""
-        if not math.isfinite(time):
-            raise SimulationError(f"event time must be finite, got {time!r}")
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule event in the past (now={self._now}, requested={time})"
-            )
-        if not callable(callback):
-            raise SimulationError("callback must be callable")
-        seq = next(self._seq)
-        pool = self._pool
-        if pool:
-            event = pool.pop()
-            event.time = float(time)
-            event.priority = priority
-            event.seq = seq
-            event.callback = callback
-            event.args = args
-            event.cancelled = False
-            event._queued = True
-        else:
-            event = ScheduledEvent(float(time), priority, seq, callback, args)
-        self._queue.push(event)
+        event = self._handle(time, priority, self._seq, callback, args)
+        self._seq += 1
+        heappush(self._heap, (event.time, priority, event.seq, event))
+        self._pending += 1
+        return event
+
+    def reserve_seqs(self, count: int) -> int:
+        """Reserve ``count`` consecutive sequence numbers; return the first.
+
+        A caller that will schedule a chain of events — a user population's
+        arrivals — reserves their numbers where it would otherwise have
+        scheduled them all at once, then schedules each link with
+        :meth:`schedule_reserved` when the previous one fires.  Every event
+        keeps the ``(time, priority, seq)`` key it would have had, so the
+        delivery order is unchanged while only one link is pending.
+        """
+        if count < 0:
+            raise SimulationError(f"cannot reserve a negative count ({count})")
+        first = self._seq
+        self._seq = first + count
+        return first
+
+    def schedule_reserved(
+        self,
+        seq: int,
+        time: float,
+        callback: Callable[..., None],
+        *args: Any,
+    ) -> ScheduledEvent:
+        """Schedule ``callback(*args)`` at ``time`` under a reserved ``seq``.
+
+        ``seq`` must come from :meth:`reserve_seqs`, and each reserved number
+        may be used once; the event has the default priority 0.  The sequence
+        counter does not move, so the next ordinary ``schedule`` draws the
+        number it would have drawn anyway.
+        """
+        if not 0 <= seq < self._seq:
+            raise SimulationError(f"sequence number {seq} was never reserved")
+        event = self._handle(time, 0, seq, callback, args)
+        heappush(self._heap, (event.time, 0, seq, event))
         self._pending += 1
         return event
 
@@ -277,41 +277,56 @@ class Simulator:
 
         Sequence numbers are assigned in iteration order, so the delivery
         order is exactly what the equivalent :meth:`schedule_at` loop would
-        produce; the batch form exists so burst paths (user-population
-        start-up, fault-plan load spikes, cross-shard window injection) pay
-        one backend :meth:`~repro.sim.queues.EventQueue.push_many` instead of
-        one push per event.
+        produce; the batch form exists so burst paths (fault-plan load
+        spikes, cross-shard window injection) pay one heapify instead of one
+        sift per event when the burst is large next to the heap.
         """
-        now = self._now
-        seq_counter = self._seq
-        pool = self._pool
         handles: list[ScheduledEvent] = []
-        append = handles.append
         for time, callback, args in items:
-            if not math.isfinite(time):
-                raise SimulationError(f"event time must be finite, got {time!r}")
-            if time < now:
-                raise SimulationError(
-                    f"cannot schedule event in the past (now={now}, requested={time})"
-                )
-            if not callable(callback):
-                raise SimulationError("callback must be callable")
-            seq = next(seq_counter)
-            if pool:
-                event = pool.pop()
-                event.time = float(time)
-                event.priority = priority
-                event.seq = seq
-                event.callback = callback
-                event.args = tuple(args)
-                event.cancelled = False
-                event._queued = True
-            else:
-                event = ScheduledEvent(float(time), priority, seq, callback, tuple(args))
-            append(event)
-        self._queue.push_many(handles)
+            handles.append(self._handle(time, priority, self._seq, callback, tuple(args)))
+            self._seq += 1
+        heap = self._heap
+        entries = [(event.time, priority, event.seq, event) for event in handles]
+        # Below a quarter of the heap size, k sifts (O(k log n)) beat the
+        # O(n + k) rebuild; above it, extend + heapify wins.
+        if len(entries) * 4 < len(heap):
+            for entry in entries:
+                heappush(heap, entry)
+        else:
+            heap.extend(entries)
+            heapify(heap)
         self._pending += len(handles)
         return handles
+
+    def _handle(
+        self,
+        time: float,
+        priority: int,
+        seq: int,
+        callback: Callable[..., None],
+        args: tuple,
+    ) -> ScheduledEvent:
+        """Validate one event and return its (pooled, when possible) handle."""
+        if not math.isfinite(time):
+            raise SimulationError(f"event time must be finite, got {time!r}")
+        if time < self._now:
+            raise SimulationError(
+                f"cannot schedule event in the past (now={self._now}, requested={time})"
+            )
+        if not callable(callback):
+            raise SimulationError("callback must be callable")
+        pool = self._pool
+        if not pool:
+            return ScheduledEvent(float(time), priority, seq, callback, args)
+        event = pool.pop()
+        event.time = float(time)
+        event.priority = priority
+        event.seq = seq
+        event.callback = callback
+        event.args = args
+        event.cancelled = False
+        event._queued = True
+        return event
 
     def cancel(self, event: ScheduledEvent) -> None:
         """Cancel a previously scheduled event.
@@ -321,21 +336,29 @@ class Simulator:
         already fired (or been drained) is a harmless no-op on the pending
         count, as it always was.
 
-        Backends with random deletion (the calendar queue) drop the entry
-        immediately; lazy backends (the heap) mark it and the engine compacts
-        the queue once dead entries outnumber live ones, so the queue length
-        stays bounded under cancellation churn either way.
+        The cancelled entry stays in the heap until it surfaces; once dead
+        entries outnumber live ones the heap is compacted, so its length
+        stays bounded under cancellation churn.
         """
         if event.cancelled:
             raise SimulationError("event already cancelled")
         event.cancelled = True
         if event._queued:
             self._pending -= 1
-            queue = self._queue
-            if not queue.discard(event):
-                dead = len(queue) - self._pending
-                if dead > _COMPACT_MIN_DEAD and dead > self._pending:
-                    queue.compact()
+            dead = len(self._heap) - self._pending
+            if dead > _COMPACT_MIN_DEAD and dead > self._pending:
+                self._compact()
+
+    def _compact(self) -> None:
+        """Drop every cancelled entry from the heap."""
+        live = []
+        for entry in self._heap:
+            if entry[3].cancelled:
+                entry[3]._queued = False
+            else:
+                live.append(entry)
+        heapify(live)
+        self._heap = live
 
     # ------------------------------------------------------------------ #
     # Execution
@@ -343,38 +366,13 @@ class Simulator:
     def step(self) -> bool:
         """Fire the next pending event.
 
-        Returns ``True`` if an event fired and ``False`` if the queue was
-        empty.
+        Returns ``True`` if an event fired and ``False`` if the heap held no
+        live event.
         """
-        queue = self._queue
-        while True:
-            event = queue.pop()
-            if event is None:
-                return False
-            if event.cancelled:
-                continue
-            if event.time < self._now:
-                raise SimulationError(
-                    f"queue backend {queue.name!r} delivered event out of order "
-                    f"({event.time} < now {self._now})"
-                )
-            self._now = event.time
-            self._events_processed += 1
-            self._pending -= 1
-            if self._trace is not None:
-                self._trace(self._now, getattr(event.callback, "__qualname__", repr(event.callback)))
-            event.callback(*event.args)
-            pool = self._pool
-            if len(pool) < _POOL_MAX and getrefcount(event) == 2:
-                # Nobody kept the handle: recycle it (drop payload refs so
-                # pooled handles never pin callbacks or arguments alive).
-                event.callback = None
-                event.args = ()
-                pool.append(event)
-            return True
+        return self._fire(math.inf, 1) == 1
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
-        """Run until the queue drains, ``until`` is reached, or ``max_events`` fire.
+        """Run until the heap drains, ``until`` is reached, or ``max_events`` fire.
 
         Parameters
         ----------
@@ -385,68 +383,11 @@ class Simulator:
             If given, stop after firing this many events (guards against
             accidental infinite event loops in tests).
         """
-        if self._running:
-            raise SimulationError("simulator is already running (re-entrant run() call)")
         if until is not None and until < self._now:
             raise SimulationError(f"until={until} is in the past (now={self._now})")
-        self._running = True
-        self._stopped = False
-        try:
-            if until is None and max_events is None:
-                self._run_unbounded()
-            else:
-                self._run_bounded(until, max_events)
-        finally:
-            self._running = False
-
-    def _run_unbounded(self) -> None:
-        """The hot loop: no horizon, no event budget — just drain the queue.
-
-        Inlines :meth:`step` so the per-event cost is one backend ``pop``
-        plus the fire itself (this loop carries whole federation runs).
-        """
-        queue = self._queue
-        pool = self._pool
-        trace = self._trace
-        while not self._stopped:
-            event = queue.pop()
-            if event is None:
-                return
-            if event.cancelled:
-                continue
-            if event.time < self._now:
-                raise SimulationError(
-                    f"queue backend {queue.name!r} delivered event out of order "
-                    f"({event.time} < now {self._now})"
-                )
-            self._now = event.time
-            self._events_processed += 1
-            self._pending -= 1
-            if trace is not None:
-                trace(self._now, getattr(event.callback, "__qualname__", repr(event.callback)))
-            event.callback(*event.args)
-            if len(pool) < _POOL_MAX and getrefcount(event) == 2:
-                event.callback = None
-                event.args = ()
-                pool.append(event)
-
-    def _run_bounded(self, until: Optional[float], max_events: Optional[int]) -> None:
-        queue = self._queue
-        fired = 0
-        while not self._stopped:
-            nxt = queue.peek()
-            if nxt is None:
-                break
-            if until is not None and nxt.time > until:
-                self._now = until
-                return
-            if not self.step():  # pragma: no cover - peek guarantees an event
-                break
-            fired += 1
-            if max_events is not None and fired >= max_events:
-                return
-        if until is not None and not self._stopped:
-            self._now = max(self._now, until)
+        if max_events is not None and max_events < 1:
+            raise SimulationError(f"max_events must be positive, got {max_events}")
+        self._drive(math.inf if until is None else until, until, max_events)
 
     def run_window(self, end: float) -> int:
         """Fire every pending event strictly before ``end``, then land on it.
@@ -458,41 +399,73 @@ class Simulator:
         cross-shard deliveries scheduled *at* ``end`` remain legal.  Returns
         the number of events fired.
         """
-        if self._running:
-            raise SimulationError("simulator is already running (re-entrant run() call)")
         if not math.isfinite(end) or end < self._now:
             raise SimulationError(
                 f"window end must be finite and >= now (now={self._now}, got {end!r})"
             )
+        # The largest float below ``end`` turns the exclusive bound into the
+        # loop's inclusive one.
+        return self._drive(math.nextafter(end, -math.inf), end, None)
+
+    def _drive(self, bound: float, land: Optional[float], budget: Optional[int]) -> int:
+        """Run :meth:`_fire` as a top-level run, then land the clock on ``land``.
+
+        The clock lands unless :meth:`stop` was called or the event budget
+        ran out; either leaves it on the last fired event.
+        """
+        if self._running:
+            raise SimulationError("simulator is already running (re-entrant run() call)")
         self._running = True
         self._stopped = False
-        fired = 0
-        queue = self._queue
-        pool = self._pool
-        trace = self._trace
         try:
-            while not self._stopped:
-                nxt = queue.peek()
-                if nxt is None or nxt.time >= end:
-                    break
-                event = queue.pop()
-                if event is None or event.cancelled:  # pragma: no cover - peek guarantees live head
-                    continue
-                self._now = event.time
-                self._events_processed += 1
-                self._pending -= 1
-                fired += 1
-                if trace is not None:
-                    trace(self._now, getattr(event.callback, "__qualname__", repr(event.callback)))
-                event.callback(*event.args)
-                if len(pool) < _POOL_MAX and getrefcount(event) == 2:
-                    event.callback = None
-                    event.args = ()
-                    pool.append(event)
+            fired = self._fire(bound, budget)
         finally:
             self._running = False
-        if not self._stopped:
-            self._now = max(self._now, end)
+        if land is not None and not self._stopped and fired != budget:
+            self._now = max(self._now, land)
+        return fired
+
+    def _fire(self, bound: float, budget: Optional[int]) -> int:
+        """The event loop: fire events while the live head's time is at most
+        ``bound``, until ``budget`` events fired or :meth:`stop` is called.
+
+        Returns the number of events fired.  This loop carries whole
+        federation runs, so it works on the heap directly.
+        """
+        heap = self._heap
+        pool = self._pool
+        trace = self._trace
+        fired = 0
+        while heap:
+            time, _, _, event = heap[0]
+            if event.cancelled:
+                heappop(heap)
+                event._queued = False
+                continue
+            if time > bound:
+                break
+            heappop(heap)
+            event._queued = False
+            if time < self._now:
+                raise SimulationError(
+                    f"event at {time} surfaced after the clock reached {self._now} "
+                    "(heap delivered out of order)"
+                )
+            self._now = time
+            self._events_processed += 1
+            self._pending -= 1
+            fired += 1
+            if trace is not None:
+                trace(time, getattr(event.callback, "__qualname__", repr(event.callback)))
+            event.callback(*event.args)
+            if len(pool) < _POOL_MAX and getrefcount(event) == 2:
+                # Nobody kept the handle: recycle it (drop payload refs so
+                # pooled handles never pin callbacks or arguments alive).
+                event.callback = None
+                event.args = ()
+                pool.append(event)
+            if fired == budget or self._stopped:
+                break
         return fired
 
     def next_event_time(self) -> Optional[float]:
@@ -502,12 +475,27 @@ class Simulator:
         windows (jumping the global clock to the window holding the earliest
         event anywhere in the federation).
         """
-        event = self._queue.peek()
-        return event.time if event is not None else None
+        heap = self._heap
+        while heap and heap[0][3].cancelled:
+            heappop(heap)[3]._queued = False
+        return heap[0][0] if heap else None
 
     def stop(self) -> None:
         """Request that :meth:`run` return after the current event."""
         self._stopped = True
+
+    def drain(self) -> Iterator[ScheduledEvent]:
+        """Pop and yield all remaining (non-cancelled) events without firing them.
+
+        Mainly useful for inspecting the end-of-run state in tests.
+        """
+        heap = self._heap
+        while heap:
+            event = heappop(heap)[3]
+            event._queued = False
+            if not event.cancelled:
+                self._pending -= 1
+                yield event
 
     # ------------------------------------------------------------------ #
     # Pickling (checkpoint/resume support)
@@ -532,29 +520,8 @@ class Simulator:
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
 
-    # ------------------------------------------------------------------ #
-    # Internals
-    # ------------------------------------------------------------------ #
-    def _peek(self) -> Optional[ScheduledEvent]:
-        """Return the next non-cancelled event without popping it."""
-        return self._queue.peek()
-
-    def drain(self) -> Iterator[ScheduledEvent]:
-        """Pop and yield all remaining (non-cancelled) events without firing them.
-
-        Mainly useful for inspecting the end-of-run state in tests.
-        """
-        queue = self._queue
-        while True:
-            event = queue.pop()
-            if event is None:
-                return
-            if not event.cancelled:
-                self._pending -= 1
-                yield event
-
     def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
         return (
             f"Simulator(now={self._now:.3f}, pending={self.pending}, "
-            f"fired={self._events_processed}, queue={self.queue_name!r})"
+            f"fired={self._events_processed})"
         )

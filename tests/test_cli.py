@@ -48,10 +48,16 @@ class TestCommands:
 
 
 class TestQueueBackendOption:
-    def test_run_accepts_calendar_queue(self, capsys):
-        assert main(["run", "--thin", "20", "--queue", "calendar"]) == 0
-        out = capsys.readouterr().out
-        assert "engine=calendar" in out
+    def test_queue_option_is_gone(self, capsys):
+        """One event kernel: ``--queue`` is an unknown flag, reported as a
+        single argparse error line with exit status 2."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "--queue", "heap"])
+        assert excinfo.value.code == 2
+        errors = [
+            line for line in capsys.readouterr().err.splitlines() if "error" in line
+        ]
+        assert errors == ["gridfed: error: unrecognized arguments: --queue heap"]
 
     def test_unknown_queue_rejected_by_parser(self):
         with pytest.raises(SystemExit):

@@ -5,10 +5,13 @@ from __future__ import annotations
 import pytest
 
 from repro.core import Federation, FederationConfig, SharingMode, run_federation
+from repro.core.users import UserPopulation
+from repro.scenario import run_scenario
 from repro.sim import RandomStreams
 from repro.workload import build_federation_specs, build_workload
 from repro.workload.archive import ARCHIVE_RESOURCES
 from repro.workload.job import JobStatus, QoSStrategy
+from tests.test_golden_fingerprints import GOLDEN_SCENARIOS
 
 
 def small_setup(seed=7, n_resources=4):
@@ -57,6 +60,108 @@ class TestConstruction:
         assert federation.bank is None
         for jobs in federation.workload.values():
             assert all(job.strategy is QoSStrategy.NONE for job in jobs)
+
+
+class TestLazyArrivals:
+    def test_start_leaves_one_pending_arrival_per_population(self):
+        """Each non-empty population queues only its next arrival; the fault
+        plan and the repricing ticker are the only other pending events."""
+        from repro.extensions.dynamic_pricing import DynamicPricingFederation
+        from repro.faults.plan import FaultPlan
+
+        specs, workload = small_setup()
+        workload[specs[-1].name] = []
+        federation = DynamicPricingFederation(
+            specs, workload, FederationConfig(mode=SharingMode.ECONOMY)
+        )
+        plan = FaultPlan().crash(specs[0].name, at=3600.0, duration=900.0)
+        federation.install_faults(plan)
+        federation.start()
+        populations = sum(1 for jobs in workload.values() if jobs)
+        assert populations == len(specs) - 1
+        ticker = 1
+        assert federation.sim.pending == populations + len(plan.scheduled()) + ticker
+
+
+def _arrivals_by_population(sim):
+    """Live pending arrivals in the heap, counted per population."""
+    counts = {}
+    for _time, _priority, _seq, event in sim._heap:
+        callback = event.callback
+        if not event.cancelled and getattr(callback, "__func__", None) is UserPopulation._submit:
+            counts[callback.__self__.name] = counts.get(callback.__self__.name, 0) + 1
+    return counts
+
+
+class TestLazyArrivalsOnGoldenShapes:
+    """The lazy-arrival contract on each golden experiment shape: one pending
+    arrival per non-empty population, every job submitted exactly once at its
+    submit time, in ``(time, reserved seq)`` order."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_SCENARIOS))
+    def test_start_leaves_one_arrival_per_non_empty_population(self, name, monkeypatch):
+        observed = []
+        original = Federation.start
+
+        def recording_start(self):
+            original(self)
+            non_empty = {
+                population.name
+                for population in self.populations.values()
+                if population.jobs
+            }
+            observed.append((non_empty, _arrivals_by_population(self.sim)))
+
+        monkeypatch.setattr(Federation, "start", recording_start)
+        run_scenario(GOLDEN_SCENARIOS[name])
+        ((non_empty, arrivals),) = observed
+        assert non_empty
+        assert arrivals == {population: 1 for population in non_empty}
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_SCENARIOS))
+    def test_every_job_arrives_once_at_its_submit_time_in_key_order(
+        self, name, monkeypatch
+    ):
+        arrivals = []
+        populations = set()
+        original = UserPopulation._submit
+
+        def recording_submit(self):
+            job = self._jobs[self.submitted]
+            arrivals.append(
+                (self.sim.now, self._first_seq + self.submitted, job.submit_time, job.job_id)
+            )
+            populations.add(self)
+            original(self)
+
+        monkeypatch.setattr(UserPopulation, "_submit", recording_submit)
+        run_scenario(GOLDEN_SCENARIOS[name])
+        total = sum(len(population.jobs) for population in populations)
+        assert len(arrivals) == total > 0
+        assert len({job_id for *_rest, job_id in arrivals}) == total
+        assert all(now == submit_time for now, _seq, submit_time, _id in arrivals)
+        keys = [(now, seq) for now, seq, _submit_time, _id in arrivals]
+        assert keys == sorted(keys)
+        assert len(set(seq for _now, seq in keys)) == total
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_SCENARIOS))
+    def test_pending_arrivals_stay_bounded_by_the_population_count(
+        self, name, monkeypatch
+    ):
+        worst = []
+        original = UserPopulation._submit
+
+        def probing_submit(self):
+            original(self)
+            counts = _arrivals_by_population(self.sim)
+            worst.append((max(counts.values(), default=0), sum(counts.values())))
+
+        monkeypatch.setattr(UserPopulation, "_submit", probing_submit)
+        result = run_scenario(GOLDEN_SCENARIOS[name])
+        clusters = len(result.specs)
+        assert worst
+        assert max(per_population for per_population, _ in worst) == 1
+        assert max(total for _, total in worst) <= clusters
 
 
 class TestRunInvariants:

@@ -1,4 +1,4 @@
-"""Delivery-order determinism for same-timestamp events — per queue backend.
+"""Delivery-order determinism for same-timestamp events.
 
 With a latency-bearing transport, independent messages routinely collide on
 the same simulated timestamp.  Their relative order must then be a *defined*
@@ -10,11 +10,6 @@ push/pop history.  These tests fail against such a seq-less engine: they pin
 strict FIFO among equal ``(time, priority)`` events across heap-churning
 interleavings, and the ``Event.seq`` stamp that makes the order observable
 at the entity/transport layer.
-
-Every test runs once per registered event-queue backend (the ``backend``
-fixture): the ``(time, priority, seq)`` contract is what makes the backends
-interchangeable, so the whole suite is the conformance bar a new backend has
-to clear.
 """
 
 from __future__ import annotations
@@ -25,25 +20,19 @@ import pytest
 from repro.sim.engine import ScheduledEvent, Simulator
 from repro.sim.entity import Entity, EntityRegistry, RecordingEntity
 from repro.sim.events import EventType
-from repro.sim.queues import available_queues
-
-
-@pytest.fixture(params=available_queues())
-def backend(request):
-    return request.param
 
 
 class TestEngineTieBreak:
-    def test_same_timestamp_fires_in_schedule_order(self, backend):
-        sim = Simulator(queue=backend)
+    def test_same_timestamp_fires_in_schedule_order(self):
+        sim = Simulator()
         fired = []
         for i in range(50):
             sim.schedule(10.0, fired.append, i)
         sim.run()
         assert fired == list(range(50))
 
-    def test_priority_dominates_then_seq(self, backend):
-        sim = Simulator(queue=backend)
+    def test_priority_dominates_then_seq(self):
+        sim = Simulator()
         fired = []
         sim.schedule(5.0, fired.append, "late-a", priority=1)
         sim.schedule(5.0, fired.append, "early-a", priority=0)
@@ -52,12 +41,12 @@ class TestEngineTieBreak:
         sim.run()
         assert fired == ["early-a", "early-b", "late-a", "late-b"]
 
-    def test_fifo_survives_heap_churn(self, backend):
+    def test_fifo_survives_heap_churn(self):
         """Interleave far-future events, cancellations and early events so the
         queue sifts equal-key entries through many layouts; the equal-timestamp
         batch must still fire in exactly its schedule order."""
         rng = np.random.default_rng(0)
-        sim = Simulator(queue=backend)
+        sim = Simulator()
         fired = []
         cancelled = []
         batch = []
@@ -75,8 +64,8 @@ class TestEngineTieBreak:
         sim.run()
         assert fired == [i for i in range(200) if i not in set(cancelled)]
 
-    def test_seq_is_strictly_increasing_per_schedule_call(self, backend):
-        sim = Simulator(queue=backend)
+    def test_seq_is_strictly_increasing_per_schedule_call(self):
+        sim = Simulator()
         handles = [sim.schedule(1.0, lambda: None) for _ in range(10)]
         seqs = [handle.seq for handle in handles]
         assert seqs == sorted(seqs)
@@ -95,24 +84,24 @@ class _Sender(Entity):
 
 
 class TestEntityDeliveryOrder:
-    def _world(self, backend):
-        sim = Simulator(queue=backend)
+    def _world(self):
+        sim = Simulator()
         registry = EntityRegistry()
         sender_a = _Sender(sim, "a", registry)
         sender_b = _Sender(sim, "b", registry)
         sink = RecordingEntity(sim, "sink", registry)
         return sim, sender_a, sender_b, sink
 
-    def test_same_delay_messages_arrive_in_send_order(self, backend):
-        sim, a, b, sink = self._world(backend)
+    def test_same_delay_messages_arrive_in_send_order(self):
+        sim, a, b, sink = self._world()
         a.send("sink", EventType.NEGOTIATE, payload=1, delay=5.0)
         b.send("sink", EventType.NEGOTIATE, payload=2, delay=5.0)
         a.send("sink", EventType.NEGOTIATE, payload=3, delay=5.0)
         sim.run()
         assert [ev.payload for ev in sink.received] == [1, 2, 3]
 
-    def test_event_seq_is_stamped_and_ordered(self, backend):
-        sim, a, b, sink = self._world(backend)
+    def test_event_seq_is_stamped_and_ordered(self):
+        sim, a, b, sink = self._world()
         first = a.send("sink", EventType.NEGOTIATE, delay=5.0)
         second = b.send("sink", EventType.REPLY, delay=5.0)
         assert first.seq is not None and second.seq is not None
@@ -122,11 +111,11 @@ class TestEntityDeliveryOrder:
             ev.seq for ev in sink.received
         )
 
-    def test_converging_delays_deliver_by_send_order_at_collision(self, backend):
+    def test_converging_delays_deliver_by_send_order_at_collision(self):
         """Messages sent at different times with different delays that land on
         one timestamp deliver in send (seq) order — the transport-reordering
         guarantee: earlier-sent wins ties, regardless of queue history."""
-        sim, a, b, sink = self._world(backend)
+        sim, a, b, sink = self._world()
 
         def late_send():
             b.send("sink", EventType.REPLY, payload="sent-later", delay=3.0)
@@ -137,8 +126,8 @@ class TestEntityDeliveryOrder:
         assert [ev.payload for ev in sink.received] == ["sent-first", "sent-later"]
         assert sink.received[0].time == sink.received[1].time == 10.0
 
-    def test_self_timer_stamps_seq_too(self, backend):
-        sim = Simulator(queue=backend)
+    def test_self_timer_stamps_seq_too(self):
+        sim = Simulator()
         registry = EntityRegistry()
         sink = RecordingEntity(sim, "sink", registry)
         handle = sink.schedule(1.0)

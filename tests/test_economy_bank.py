@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import pickle
+import pickletools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -89,6 +92,31 @@ class TestTransfers:
         bank = GridBank()
         assert bank.earnings_of("ghost") == 0.0
         assert bank.spending_of("ghost") == 0.0
+
+
+class TestPickling:
+    """Banks ride in every economy-mode snapshot."""
+
+    def test_transaction_ids_continue_after_a_round_trip(self):
+        bank = GridBank()
+        bank.transfer("user/1", "owner/A", 5.0, time=1.0)
+        bank.transfer("user/1", "owner/B", 5.0, time=2.0)
+        clone = pickle.loads(pickle.dumps(bank))
+        assert clone.transfer("user/2", "owner/A", 1.0, time=3.0).transaction_id == 3
+        assert bank.transfer("user/2", "owner/A", 1.0, time=3.0).transaction_id == 3
+        assert [txn.transaction_id for txn in clone.ledger()] == [1, 2, 3]
+
+    def test_pickle_names_no_itertools_global(self):
+        """Pickling ``itertools`` objects is deprecated since Python 3.12."""
+        bank = GridBank()
+        bank.transfer("user/1", "owner/A", 5.0, time=1.0)
+        names = set()
+        for opcode, arg, _pos in pickletools.genops(pickle.dumps(bank)):
+            if opcode.name == "GLOBAL":
+                names.add(arg.split(" ")[0])
+            elif "UNICODE" in opcode.name:
+                names.add(arg)
+        assert "itertools" not in names
 
 
 class TestProperties:

@@ -212,15 +212,14 @@ class TestMergeOrderOracle:
         ]
         ordered = sort_injections(messages)
         expected = [(m.origin_shard, m.origin_seq) for m in ordered]
-        for backend in ("heap", "calendar"):
-            sim = Simulator(queue=backend)
-            fired = []
-            sim.schedule_at_many(
-                (m.deliver_time, fired.append, ((m.origin_shard, m.origin_seq),))
-                for m in ordered
-            )
-            sim.run()
-            assert fired == expected, f"{backend} replayed a different merge order"
+        sim = Simulator()
+        fired = []
+        sim.schedule_at_many(
+            (m.deliver_time, fired.append, ((m.origin_shard, m.origin_seq),))
+            for m in ordered
+        )
+        sim.run()
+        assert fired == expected
 
 
 class TestParallelStats:
@@ -282,6 +281,26 @@ class TestShardBuild:
                     # Foreign traces are never materialised on this shard.
                     assert jobs == []
         assert set(seen) == set(serial_ids)
+
+    @pytest.mark.parametrize("shard_index", [0, 1])
+    def test_shard_start_queues_one_arrival_per_owned_population(self, shard_index):
+        """Shards build their populations like the serial federation does, so
+        each owned, non-empty population holds exactly one pending arrival."""
+        from repro.core.users import UserPopulation
+        from repro.par.shard import build_shard_federation
+
+        shard = build_shard_federation(ELIGIBLE, shard_index, 2, 60.0)
+        shard.start()
+        arrivals = {}
+        for _time, _priority, _seq, event in shard.sim._heap:
+            callback = event.callback
+            if getattr(callback, "__func__", None) is UserPopulation._submit:
+                arrivals[callback.__self__.gfa_name] = (
+                    arrivals.get(callback.__self__.gfa_name, 0) + 1
+                )
+        owned = {spec.name for spec in shard.owned_specs if shard.workload[spec.name]}
+        assert owned
+        assert arrivals == {name: 1 for name in owned}
 
 
 class TestSimulatorValidation:

@@ -5,13 +5,12 @@ Two distinct claims are pinned here, and they must not be conflated:
 * **Fallback parity** — the five golden experiment shapes run on the paper's
   ``uniform`` zero-latency fabric, which offers no conservative lookahead, so
   requesting workers must fall back to the serial engine and reproduce the
-  pinned golden fingerprints *exactly*, on both event-queue backends and for
-  every worker count.  The parallel engine may never corrupt a run it cannot
+  pinned golden fingerprints *exactly*, for every worker count.  The parallel engine may never corrupt a run it cannot
   accelerate.
 * **Backend parity** — on an eligible topology (two-tier WAN) the sharded
   model executes identically on the in-process serial-parity oracle and on
   the multiprocess backend: byte-identical result fingerprints, per worker
-  count, per queue backend, and stable across repeated runs.  A hypothesis
+  count, and stable across repeated runs.  A hypothesis
   sweep replays randomly seeded scenarios (each a different random
   cross-shard migration schedule) through both backends against each other.
 """
@@ -39,12 +38,11 @@ PARALLEL_SCENARIO = Scenario(
 
 
 @pytest.mark.parametrize("workers", [2, 4])
-@pytest.mark.parametrize("engine", ["heap", "calendar"])
 @pytest.mark.parametrize("name", sorted(GOLDEN_SCENARIOS))
-def test_golden_shapes_fall_back_to_byte_identical_serial(name, engine, workers):
+def test_golden_shapes_fall_back_to_byte_identical_serial(name, workers):
     """Uniform-topology goldens: requested workers degrade to the serial
     path and the result is byte-identical to the pinned golden digest."""
-    scenario = GOLDEN_SCENARIOS[name].replace(engine=engine)
+    scenario = GOLDEN_SCENARIOS[name]
     with pytest.warns(RuntimeWarning, match="parallel engine unavailable"):
         result = run_scenario(scenario, workers=workers)
     assert result.parallel is not None
@@ -52,20 +50,18 @@ def test_golden_shapes_fall_back_to_byte_identical_serial(name, engine, workers)
     assert result.parallel.requested_workers == workers
     assert "zero cross-shard latency" in result.parallel.fallback_reason
     assert result_fingerprint(result) == GOLDEN_FINGERPRINTS[name], (
-        f"{name} with --workers {workers} on {engine} drifted from the "
+        f"{name} with --workers {workers} drifted from the "
         "golden fingerprint — the fallback path altered results"
     )
 
 
 class TestOracleProcessParity:
     @pytest.mark.parametrize("workers", [2, 4])
-    @pytest.mark.parametrize("engine", ["heap", "calendar"])
-    def test_process_matches_oracle(self, engine, workers):
-        scenario = PARALLEL_SCENARIO.replace(engine=engine)
+    def test_process_matches_oracle(self, workers):
         digests = {}
         for backend in ("oracle", "process"):
             result, stats = try_parallel_run(
-                scenario, workers=workers, backend=backend
+                PARALLEL_SCENARIO, workers=workers, backend=backend
             )
             assert result is not None, stats.fallback_reason
             assert stats.ran_parallel
@@ -77,21 +73,9 @@ class TestOracleProcessParity:
             )
             digests[backend] = result_fingerprint(result)
         assert digests["oracle"] == digests["process"], (
-            f"workers={workers} engine={engine}: the multiprocess backend "
+            f"workers={workers}: the multiprocess backend "
             "diverged from the serial-parity oracle"
         )
-
-    def test_queue_backend_invariance(self):
-        """The sharded model, like the serial one, is queue-backend-invariant."""
-        digests = {
-            engine: result_fingerprint(
-                try_parallel_run(
-                    PARALLEL_SCENARIO.replace(engine=engine), workers=2
-                )[0]
-            )
-            for engine in ("heap", "calendar")
-        }
-        assert digests["heap"] == digests["calendar"]
 
     def test_run_twice_deterministic(self):
         first, _ = try_parallel_run(PARALLEL_SCENARIO, workers=2)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
 
 import pytest
@@ -120,6 +121,22 @@ class TestScenarioValidation:
 
         assert Scenario(lrms_policy="easy").lrms_policy is SchedulingPolicy.EASY_BACKFILL
         assert Scenario(lrms_policy="fcfs").lrms_policy is SchedulingPolicy.FCFS
+
+
+class TestKernelKnobsAreGone:
+    """The simulator has one event kernel, so nothing selects one."""
+
+    def test_scenario_has_no_engine_field(self):
+        assert "engine" not in {field.name for field in dataclasses.fields(Scenario)}
+        with pytest.raises(TypeError, match="engine"):
+            Scenario(engine="heap")
+
+    def test_config_has_no_engine_or_workers_field(self):
+        names = {field.name for field in dataclasses.fields(FederationConfig)}
+        assert not names & {"engine", "workers"}
+        for knob in ("engine", "workers"):
+            with pytest.raises(TypeError, match=knob):
+                FederationConfig(**{knob: "heap" if knob == "engine" else 2})
 
 
 class TestFederationConfigValidation:

@@ -60,15 +60,6 @@ class TestRunFlags:
         assert "scenario mismatch" in err
         assert "seed=99" in err
 
-    def test_resume_queue_mismatch_is_exit_2(self, tmp_path, capsys):
-        ckpt = str(tmp_path / "ckpt")
-        assert main(["run", *_FAST_ARGS, "--checkpoint", ckpt]) == 0
-        capsys.readouterr()
-        assert main(["run", "--resume", ckpt, "--queue", "calendar"]) == 2
-        err = capsys.readouterr().err
-        assert "queue backend mismatch" in err
-        assert "--queue heap" in err
-
     def test_parser_knows_daemon_command(self):
         args = build_parser().parse_args(
             ["daemon", "--state", "/tmp/x", "--port", "0", "--workers", "2"]

@@ -44,7 +44,7 @@ def client(daemon):
 
 class TestFieldsRoundTrip:
     def test_scenario_fields_round_trip(self):
-        scenario = _fast(seed=3, mode="federation", engine="calendar")
+        scenario = _fast(seed=3, mode="federation", transport="two-tier-wan")
         fields = scenario_to_fields(scenario)
         json.dumps(fields)  # must be JSON-safe
         assert scenario_from_fields(fields) == scenario

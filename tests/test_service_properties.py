@@ -1,26 +1,22 @@
 """Hypothesis round-trip properties for the snapshot building blocks.
 
 The snapshot machinery is only as good as the pickle fidelity of its most
-stateful pieces: the named RNG streams and the event-queue backends.  These
+stateful pieces: the named RNG streams and the simulator's event heap.  These
 properties assert *behavioural* identity, not just structural equality — a
 restored object must produce the exact same future (draw sequences, pop
-sequences) as the original, including a calendar queue that has resized and
-is carrying lazily-cancelled corpses when the snapshot is taken.
+sequences) as the original, including a heap that is carrying lazily
+cancelled corpses when the snapshot is taken.
 """
 
 from __future__ import annotations
 
 import pickle
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.engine import ScheduledEvent, Simulator
-from repro.sim.queues import available_queues, create_queue
+from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
-
-BACKENDS = available_queues()
 
 
 def _noop() -> None:
@@ -66,13 +62,6 @@ class TestRandomStreamsRoundTrip:
         )
 
 
-def _drain(queue):
-    popped = []
-    while len(queue) > 0:
-        popped.append(queue.pop())
-    return popped
-
-
 _EVENT_LISTS = st.lists(
     st.tuples(
         st.floats(min_value=0.0, max_value=5000.0, allow_nan=False),
@@ -83,73 +72,36 @@ _EVENT_LISTS = st.lists(
 )
 
 
-class TestEventQueueRoundTrip:
-    @pytest.mark.parametrize("backend", BACKENDS)
+class TestEventHeapRoundTrip:
     @given(
         events=_EVENT_LISTS,
         pops=st.integers(min_value=0, max_value=30),
         cancels=st.data(),
     )
     @settings(max_examples=40, deadline=None)
-    def test_mid_run_queue_resumes_identically(self, backend, events, pops, cancels):
-        """Push, pop some, lazily cancel some, pickle: identical pops after."""
-        queue = create_queue(backend)
-        handles = []
-        for seq, (time, priority) in enumerate(events):
-            event = ScheduledEvent(time, priority, seq, _noop)
-            queue.push(event)
-            handles.append(event)
-        for _ in range(min(pops, len(queue) - 1)):
-            queue.pop()
-        # Cancel a random subset of the not-yet-popped events; some backends
-        # delete eagerly, some leave corpses — both must pickle faithfully.
-        pending = [h for h in handles if not h.cancelled and h._queued]
+    def test_mid_run_heap_resumes_identically(self, events, pops, cancels):
+        """Schedule, fire some, lazily cancel some, pickle: identical pops after."""
+        sim = Simulator()
+        handles = [
+            sim.schedule_at(time, _noop, priority=priority) for time, priority in events
+        ]
+        if pops:
+            sim.run(max_events=min(pops, len(handles)))
+        # Cancel a random subset of the not-yet-fired events: the heap keeps
+        # their corpses, which must pickle faithfully.
+        pending = [h for h in handles if h._queued]
         if pending:
             victims = cancels.draw(
                 st.lists(st.sampled_from(pending), max_size=len(pending), unique=True)
             )
             for victim in victims:
-                victim.cancelled = True
-                queue.discard(victim)
-        clone = _roundtrip(queue)
-        assert len(clone) == len(queue)
-        original = [(e.time, e.priority, e.seq) for e in _drain(queue) if not e.cancelled]
-        restored = [(e.time, e.priority, e.seq) for e in _drain(clone) if not e.cancelled]
+                sim.cancel(victim)
+        clone = _roundtrip(sim)
+        assert clone.queue_size == sim.queue_size
+        assert clone.pending == sim.pending
+        original = [(e.time, e.priority, e.seq) for e in sim.drain()]
+        restored = [(e.time, e.priority, e.seq) for e in clone.drain()]
         assert original == restored
-
-    def test_resized_calendar_with_corpses_round_trips(self):
-        """Deterministic worst case: force bucket resizes, leave cancelled
-        corpses behind the cursor, then pickle mid-drain."""
-        queue = create_queue("calendar")
-        events = []
-        for seq in range(4000):  # enough to trigger multiple grows
-            event = ScheduledEvent(float(seq % 977) * 1.7, seq % 3, seq, _noop)
-            queue.push(event)
-            events.append(event)
-        for _ in range(500):
-            queue.pop()
-        for event in events[::7]:
-            if event._queued and not event.cancelled:
-                event.cancelled = True
-                queue.discard(event)
-        before = len(queue)
-        clone = _roundtrip(queue)
-        assert len(clone) == before
-        original = [(e.time, e.priority, e.seq) for e in _drain(queue) if not e.cancelled]
-        restored = [(e.time, e.priority, e.seq) for e in _drain(clone) if not e.cancelled]
-        assert original == restored
-
-    def test_shrinking_calendar_round_trips(self):
-        """Drain far enough to trigger shrink resizes before pickling."""
-        queue = create_queue("calendar")
-        for seq in range(3000):
-            queue.push(ScheduledEvent(float(seq) * 0.25, 0, seq, _noop))
-        for _ in range(2800):  # forces shrink passes
-            queue.pop()
-        clone = _roundtrip(queue)
-        assert [(e.time, e.seq) for e in _drain(queue)] == [
-            (e.time, e.seq) for e in _drain(clone)
-        ]
 
 
 class _Recorder:

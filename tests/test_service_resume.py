@@ -2,16 +2,16 @@
 
 The oracle: an interrupted-then-resumed run must produce the *same*
 fingerprint as an uninterrupted one — pinned here against the golden
-digests of all five experiment shapes, under both event-queue backends
-(``test_golden_fingerprints`` pins the uninterrupted side; backend parity
-means one digest per shape).  The guards: resuming against a different
-scenario hash, snapshot format version or queue backend must fail fast
-with an actionable message, before any payload unpickling.
+digests of all five experiment shapes (``test_golden_fingerprints`` pins the
+uninterrupted side).  The guards: resuming against a different scenario hash
+or snapshot format version must fail fast with an actionable message, before
+any payload unpickling.
 """
 
 from __future__ import annotations
 
 import pickle
+import pickletools
 
 import pytest
 
@@ -54,11 +54,10 @@ def _interrupt_after_first_chunk():
 
 
 class TestResumeOracle:
-    @pytest.mark.parametrize("engine", ["heap", "calendar"])
     @pytest.mark.parametrize("name", sorted(GOLDEN_SCENARIOS))
-    def test_interrupted_resume_matches_golden(self, name, engine, tmp_path):
+    def test_interrupted_resume_matches_golden(self, name, tmp_path):
         """Interrupt after the first checkpoint, resume, compare digests."""
-        scenario = GOLDEN_SCENARIOS[name].replace(engine=engine)
+        scenario = GOLDEN_SCENARIOS[name]
         with pytest.raises(CancelledRun):
             run_scenario(
                 scenario,
@@ -72,10 +71,49 @@ class TestResumeOracle:
         )
         assert resumed_scenario == scenario
         assert result_fingerprint(result) == GOLDEN_FINGERPRINTS[name], (
-            f"{name} under {engine}: resumed fingerprint drifted from the "
+            f"{name}: resumed fingerprint drifted from the "
             "uninterrupted golden digest — checkpoint/resume is not "
             "byte-identical"
         )
+
+    @pytest.mark.parametrize(
+        "chunks, chain",
+        [(1, "unstarted"), (12, "midway"), (24, "exhausted")],
+        ids=["chain-unstarted", "chain-midway", "chain-exhausted"],
+    )
+    def test_resume_at_each_arrival_chain_state(self, chunks, chain, tmp_path):
+        """Each population keeps one pending arrival under a reserved seq.
+        Interrupt while some chains have not fired yet, while every chain is
+        midway, and after every chain has run out: each resume is exact."""
+        expected = result_fingerprint(run_scenario(_FAST))
+        reports = []
+
+        def interrupt(progress: RunProgress) -> None:
+            reports.append(progress)
+            if len(reports) == chunks:
+                raise CancelledRun("interrupted by test")
+
+        with pytest.raises(CancelledRun):
+            run_scenario(
+                _FAST,
+                checkpoint_dir=tmp_path,
+                checkpoint_every=600.0,
+                on_progress=interrupt,
+            )
+        _header, federation, _scenario = load_snapshot(snapshot_path(tmp_path))
+        progress = [
+            (population.submitted, len(population.jobs))
+            for population in federation.populations.values()
+        ]
+        if chain == "unstarted":
+            assert any(done == 0 for done, _total in progress)
+        elif chain == "midway":
+            assert all(0 < done < total for done, total in progress)
+        else:
+            assert all(done == total for done, total in progress)
+            assert federation.sim.pending > 0
+        result, _ = resume_run(tmp_path, checkpoint_every=600.0)
+        assert result_fingerprint(result) == expected
 
     def test_checkpointed_run_equals_plain_run(self, tmp_path):
         plain = result_fingerprint(run_scenario(_FAST))
@@ -143,15 +181,6 @@ class TestMismatchGuards:
         assert other.scenario_hash()[:12] in message
         assert "seed=99" in message  # the requested side is described
 
-    def test_queue_backend_mismatch_fails_fast(self, tmp_path):
-        _write_fast_snapshot(tmp_path)
-        with pytest.raises(SnapshotMismatchError) as excinfo:
-            resume_run(tmp_path, expected_engine="calendar")
-        message = str(excinfo.value)
-        assert "queue backend mismatch" in message
-        assert "'heap'" in message and "'calendar'" in message
-        assert "--queue heap" in message  # actionable fix
-
     def test_format_version_mismatch_fails_fast(self, tmp_path):
         path = _write_fast_snapshot(tmp_path)
         header = read_header(path)
@@ -199,7 +228,26 @@ class TestMismatchGuards:
             handle.write(raw[: len(magic) + 4 + length])
             handle.write(b"this is not a pickle")
         with pytest.raises(SnapshotMismatchError):
-            load_snapshot(path, expected_engine="calendar")
+            load_snapshot(path, expected_scenario=_FAST.replace(seed=99))
+
+    def test_older_format_header_is_refused_by_the_version_guard(self, tmp_path):
+        """A version-1 header still names the dropped ``engine`` field; it
+        must reach the version guard rather than fail to parse."""
+        path = _write_fast_snapshot(tmp_path)
+        raw = open(path, "rb").read()
+        magic = b"gridfed-snapshot\n"
+        length = int.from_bytes(raw[len(magic) : len(magic) + 4], "big")
+        header_start = len(magic) + 4
+        fields = read_header(path).__dict__
+        old = SnapshotHeader(**{**fields, "format_version": 1}).to_json()
+        old = old[:-1] + ', "engine": "heap"}'
+        with open(path, "wb") as handle:
+            handle.write(magic)
+            handle.write(len(old.encode()).to_bytes(4, "big"))
+            handle.write(old.encode())
+            handle.write(raw[header_start + length :])
+        with pytest.raises(SnapshotMismatchError, match="format version 1"):
+            load_snapshot(path)
 
 
 class TestSnapshotFormat:
@@ -239,7 +287,6 @@ class TestSnapshotFormat:
         header = read_header(path)
         assert header.format_version == SNAPSHOT_FORMAT_VERSION
         assert header.scenario_hash == _FAST.scenario_hash()
-        assert header.engine == "heap"
         assert header.pending_events > 0
         assert header.jobs_total > 0
         assert 0.0 < header.progress < 1.0
@@ -252,6 +299,31 @@ class TestSnapshotFormat:
             name for name in tmp_path.iterdir() if name.name.startswith(".snapshot-")
         ]
         assert leftovers == []
+
+    def test_snapshot_pickles_no_itertools_objects(self, tmp_path):
+        """Counters pickle as plain ints: pickling ``itertools`` objects is
+        deprecated since Python 3.12 and removed in 3.14."""
+        scenario = _FAST.replace(seed=1)
+        with pytest.raises(CancelledRun):
+            run_scenario(
+                scenario,
+                checkpoint_dir=tmp_path,
+                checkpoint_every=600.0,
+                on_progress=_interrupt_after_first_chunk(),
+            )
+        raw = open(snapshot_path(tmp_path), "rb").read()
+        magic = b"gridfed-snapshot\n"
+        length = int.from_bytes(raw[len(magic) : len(magic) + 4], "big")
+        payload = raw[len(magic) + 4 + length :]
+        _header, federation, _scenario = load_snapshot(snapshot_path(tmp_path))
+        assert federation.bank is not None  # the GridBank is in the graph
+        names = set()
+        for opcode, arg, _pos in pickletools.genops(payload):
+            if opcode.name == "GLOBAL":
+                names.add(arg.split(" ")[0])
+            elif "UNICODE" in opcode.name:
+                names.add(arg)
+        assert "itertools" not in names
 
     def test_snapshot_pickles_under_default_protocol(self, tmp_path):
         """The federation graph survives a plain pickle round trip too."""

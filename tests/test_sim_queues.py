@@ -1,18 +1,22 @@
-"""Unit tests for the pluggable event-queue backends.
+"""Unit tests for the simulator's event heap.
 
-The delivery contract — pops in strictly increasing ``(time, priority, seq)``
-order, no matter the backend — is pinned three ways: direct unit tests per
-backend, the backend-parametrized suite in ``test_delivery_order.py``, and
-the hypothesis oracle here that replays random schedule/cancel/run
-interleavings through every backend and requires identical fire sequences.
+The delivery contract — events fire in strictly increasing
+``(time, priority, seq)`` order — is pinned three ways: the unit tests in
+``test_delivery_order.py``, the hypothesis oracle here that replays random
+schedule / cancel / run / run_window / step interleavings through the
+simulator and through a naive sorted-list reference model and requires
+identical fire transcripts, and a parity oracle holding ``schedule_at_many``
+to the looped ``schedule_at`` form.
 
-The engine-level guarantees that ride on the backends are pinned too:
-bounded queue length under cancellation churn (heap compaction / calendar
-true deletion) and the pooled-handle rules (a retained handle is never
-recycled out from under its holder).
+The engine-level guarantees that ride on the heap are pinned too: bounded
+heap length under cancellation churn (compaction), the pooled-handle rules
+(a retained handle is never recycled out from under its holder), reserved
+sequence numbers, and the out-of-order guard.
 """
 
 from __future__ import annotations
+
+from heapq import heappush
 
 import numpy as np
 import pytest
@@ -20,315 +24,72 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.engine import ScheduledEvent, SimulationError, Simulator
-from repro.sim.queues import (
-    CalendarQueue,
-    EventQueue,
-    HeapQueue,
-    available_queues,
-    create_queue,
-    register_queue,
-)
-
-BACKENDS = available_queues()
 
 
-def make_event(time, seq, priority=0):
-    return ScheduledEvent(float(time), priority, seq, lambda: None)
+class TestMisorderGuard:
+    """The engine must fail loudly — not silently rewind its clock — if an
+    event older than the clock ever surfaces from the heap."""
 
-
-class TestRegistry:
-    def test_builtin_backends_registered(self):
-        assert "heap" in BACKENDS
-        assert "calendar" in BACKENDS
-
-    def test_create_queue_by_name(self):
-        assert isinstance(create_queue("heap"), HeapQueue)
-        assert isinstance(create_queue("calendar"), CalendarQueue)
-
-    def test_create_queue_passes_instances_through(self):
-        queue = CalendarQueue()
-        assert create_queue(queue) is queue
-
-    def test_default_backend_is_heap(self):
-        assert isinstance(create_queue(None), HeapQueue)
-        assert Simulator().queue_name == "heap"
-
-    def test_unknown_backend_rejected_with_known_names(self):
-        with pytest.raises(ValueError, match="heap"):
-            create_queue("splay")
-        with pytest.raises(SimulationError, match="calendar"):
-            Simulator(queue="splay")
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_queue("heap")(HeapQueue)
-
-    def test_custom_backend_registers_and_resolves(self):
-        @register_queue("test-heap-clone")
-        class CloneQueue(HeapQueue):
-            pass
-
-        try:
-            sim = Simulator(queue="test-heap-clone")
-            assert sim.queue_name == "test-heap-clone"
-        finally:
-            from repro.sim.queues import QUEUE_REGISTRY
-
-            del QUEUE_REGISTRY["test-heap-clone"]
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-class TestBackendContract:
-    def test_pops_in_key_order(self, backend):
-        queue = create_queue(backend)
-        events = [
-            make_event(5.0, 0),
-            make_event(1.0, 1),
-            make_event(5.0, 2, priority=-1),
-            make_event(3.0, 3),
-            make_event(5.0, 4),
-        ]
-        for event in events:
-            queue.push(event)
-        popped = []
-        while True:
-            event = queue.pop()
-            if event is None:
-                break
-            popped.append(event.seq)
-        assert popped == [1, 3, 2, 0, 4]
-
-    def test_len_counts_raw_entries(self, backend):
-        queue = create_queue(backend)
-        for i in range(10):
-            queue.push(make_event(float(i), i))
-        assert len(queue) == 10
-
-    def test_pop_clears_queued_flag(self, backend):
-        queue = create_queue(backend)
-        event = make_event(1.0, 0)
-        queue.push(event)
-        assert event._queued
-        assert queue.pop() is event
-        assert not event._queued
-
-    def test_peek_returns_next_live_without_removing(self, backend):
-        queue = create_queue(backend)
-        first = make_event(1.0, 0)
-        queue.push(make_event(2.0, 1))
-        queue.push(first)
-        assert queue.peek() is first
-        assert queue.pop() is first  # peek did not consume it
-
-    def test_peek_skips_cancelled(self, backend):
-        queue = create_queue(backend)
-        dead = make_event(1.0, 0)
-        live = make_event(2.0, 1)
-        queue.push(dead)
-        queue.push(live)
-        dead.cancelled = True
-        assert queue.peek() is live
-
-    def test_compact_drops_cancelled(self, backend):
-        queue = create_queue(backend)
-        events = [make_event(float(i), i) for i in range(20)]
-        for event in events:
-            queue.push(event)
-        for event in events[::2]:
-            event.cancelled = True
-        removed = sum(1 for event in events[::2] if not queue.discard(event))
-        # Whatever discard declined, compact must finish off.
-        queue.compact()
-        assert len(queue) == 10
-        assert [queue.pop().seq for _ in range(10)] == [e.seq for e in events[1::2]]
-        del removed
-
-    def test_same_time_priority_pops_in_seq_order_after_churn(self, backend):
-        rng = np.random.default_rng(1)
-        queue = create_queue(backend)
-        seq = 0
-        batch = []
-        for _ in range(100):
-            event = make_event(50.0, seq)
-            seq += 1
-            batch.append(event)
-            queue.push(event)
-            noise = make_event(float(rng.uniform(0, 49)), seq)
-            seq += 1
-            queue.push(noise)
-            if rng.random() < 0.6:
-                noise.cancelled = True
-                queue.discard(noise)
-        popped = []
-        while True:
-            event = queue.pop()
-            if event is None:
-                break
-            if not event.cancelled and event.time == 50.0:
-                popped.append(event.seq)
-        assert popped == [e.seq for e in batch]
-
-
-class TestCalendarSpecifics:
-    def test_discard_physically_removes(self):
-        queue = CalendarQueue()
-        events = [make_event(float(i) * 0.5, i) for i in range(100)]
-        for event in events:
-            queue.push(event)
-        victim = events[37]
-        victim.cancelled = True
-        assert queue.discard(victim) is True
-        assert len(queue) == 99
-        assert not victim._queued
-
-    def test_discard_unknown_event_declines(self):
-        queue = CalendarQueue()
-        queue.push(make_event(1.0, 0))
-        stranger = make_event(1.0, 99)
-        assert queue.discard(stranger) is False
-        assert len(queue) == 1
-
-    def test_heap_discard_declines(self):
-        queue = HeapQueue()
-        event = make_event(1.0, 0)
-        queue.push(event)
-        event.cancelled = True
-        assert queue.discard(event) is False
-        assert len(queue) == 1  # the corpse lingers until popped/compacted
-
-    def test_resize_preserves_order_across_growth_and_shrink(self):
-        rng = np.random.default_rng(7)
-        queue = CalendarQueue()
-        times = sorted(float(t) for t in rng.uniform(0, 1e6, size=5000))
-        events = [make_event(t, i) for i, t in enumerate(rng.permutation(times))]
-        for event in events:
-            queue.push(event)
-        popped_times = []
-        while True:
-            event = queue.pop()
-            if event is None:
-                break
-            popped_times.append(event.time)
-        assert popped_times == times
-
-    def test_sparse_population_still_pops_in_order(self):
-        # Events far apart relative to the bucket width force the year-scan
-        # fallback paths.
-        queue = CalendarQueue()
-        times = [0.0, 1e4, 1e8, 1e2, 1e6]
-        for i, t in enumerate(times):
-            queue.push(make_event(t, i))
-        assert [queue.pop().time for _ in range(5)] == sorted(times)
-
-    def test_identical_timestamps_degrade_gracefully(self):
-        queue = CalendarQueue()
-        for i in range(500):
-            queue.push(make_event(42.0, i))
-        assert [queue.pop().seq for _ in range(500)] == list(range(500))
-
-
-class TestResizeCursorAnchoring:
-    """Regression: a resize must never move the scan cursor ahead of the
-    engine clock.
-
-    Re-anchoring at the pending *minimum* is wrong — the pending set can sit
-    far ahead of ``now`` (a callback burst of far-future events), and a later
-    legal push in ``[now, pending_min)`` would land behind the cursor and pop
-    out of order, silently rewinding simulation time.  Both resize paths are
-    pinned: the push-path grow and the pop-path shrink.
-    """
-
-    def test_grow_resize_then_near_future_push_pops_in_order(self):
-        # A callback at t=5 bursts 40 far-future events (crossing the grow
-        # threshold of 2x the initial 16 buckets, so the resize fires inside
-        # the burst) and then schedules now+1.  Pre-fix the resize anchored
-        # the cursor at the burst's day and t=6 fired after t=100..139.
-        transcripts = {}
-        for backend in BACKENDS:
-            sim = Simulator(queue=backend)
-            fired = []
-
-            def burst(sim=sim, fired=fired):
-                for i in range(40):
-                    sim.schedule(95.0 + float(i), fired.append, 100.0 + i)
-                sim.schedule(1.0, fired.append, 6.0)
-
-            sim.schedule(5.0, burst)
-            sim.run()
-            assert fired == sorted(fired), f"{backend} delivered out of order"
-            transcripts[backend] = fired
-        assert all(t == transcripts["heap"] for t in transcripts.values())
-
-    def test_shrink_resize_then_near_future_push_pops_in_order(self):
-        # 33 pushes grow the calendar to 128 buckets; popping the second
-        # near-time event drops the population below a quarter of that and
-        # triggers the shrink resize while only far-future events remain.
-        # That event's callback then schedules now+1, which must still fire
-        # before the far block.
-        transcripts = {}
-        for backend in BACKENDS:
-            sim = Simulator(queue=backend)
-            fired = []
-            for i in range(31):
-                sim.schedule(1000.0 + i, fired.append, 1000.0 + i)
-            sim.schedule(1.0, fired.append, 1.0)
-            sim.schedule(
-                2.0, lambda sim=sim, fired=fired: sim.schedule(1.0, fired.append, 3.0)
-            )
-            sim.run()
-            assert fired == sorted(fired), f"{backend} delivered out of order"
-            transcripts[backend] = fired
-        assert all(t == transcripts["heap"] for t in transcripts.values())
-
-
-class TestBackendMisorderGuard:
-    """The engine must fail loudly — not silently rewind its clock — when a
-    backend violates the delivery contract."""
-
-    class _LifoQueue(EventQueue):
-        """A deliberately broken backend: pops in push order, newest first."""
-
-        def __init__(self, start_time: float = 0.0):
-            del start_time
-            self._entries = []
-
-        def push(self, event):
-            self._entries.append(event)
-
-        def pop(self):
-            if not self._entries:
-                return None
-            event = self._entries.pop()
-            event._queued = False
-            return event
-
-        def peek(self):
-            return self._entries[-1] if self._entries else None
-
-        def __len__(self):
-            return len(self._entries)
+    @staticmethod
+    def _corrupted():
+        sim = Simulator()
+        sim.schedule(10.0, lambda: None)
+        sim.run()
+        # Slip an entry older than the clock past schedule()'s validation.
+        stale = ScheduledEvent(1.0, 0, sim.reserve_seqs(1), lambda: None)
+        heappush(sim._heap, (stale.time, stale.priority, stale.seq, stale))
+        sim._pending += 1
+        return sim
 
     def test_run_raises_on_out_of_order_delivery(self):
-        sim = Simulator(queue=self._LifoQueue())
-        sim.schedule(1.0, lambda: None)
-        sim.schedule(2.0, lambda: None)
         with pytest.raises(SimulationError, match="out of order"):
-            sim.run()
+            self._corrupted().run()
 
     def test_step_raises_on_out_of_order_delivery(self):
-        sim = Simulator(queue=self._LifoQueue())
-        sim.schedule(1.0, lambda: None)
-        sim.schedule(2.0, lambda: None)
-        assert sim.step()  # fires t=2.0 (broken backend pops newest first)
         with pytest.raises(SimulationError, match="out of order"):
-            sim.step()
+            self._corrupted().step()
+
+    def test_run_window_raises_on_out_of_order_delivery(self):
+        with pytest.raises(SimulationError, match="out of order"):
+            self._corrupted().run_window(20.0)
+
+
+class TestReservedSequenceNumbers:
+    def test_reserved_block_is_skipped_by_ordinary_schedules(self):
+        sim = Simulator()
+        first = sim.reserve_seqs(3)
+        assert first == 0
+        assert sim.schedule(1.0, lambda: None).seq == 3
+
+    def test_reserved_schedule_does_not_advance_the_counter(self):
+        sim = Simulator()
+        first = sim.reserve_seqs(2)
+        sim.schedule_reserved(first + 1, 5.0, lambda: None)
+        assert sim.schedule(1.0, lambda: None).seq == 2
+
+    def test_reserved_event_keeps_its_place_among_equal_times(self):
+        sim = Simulator()
+        fired = []
+        first = sim.reserve_seqs(1)
+        sim.schedule(5.0, fired.append, "later seq")
+        sim.schedule_reserved(first, 5.0, fired.append, "reserved seq")
+        sim.run()
+        assert fired == ["reserved seq", "later seq"]
+
+    def test_unreserved_seq_rejected(self):
+        sim = Simulator()
+        sim.reserve_seqs(2)
+        with pytest.raises(SimulationError, match="never reserved"):
+            sim.schedule_reserved(2, 1.0, lambda: None)
+        with pytest.raises(SimulationError, match="negative"):
+            sim.reserve_seqs(-1)
 
 
 class TestEngineCompaction:
-    """Satellite regression: cancelled events must not pile up in the queue."""
+    """Satellite regression: cancelled events must not pile up in the heap."""
 
     def test_heap_queue_length_bounded_under_mass_cancellation(self):
-        sim = Simulator(queue="heap")
+        sim = Simulator()
         live = [sim.schedule(1000.0, lambda: None) for _ in range(100)]
         # Churn: far timeouts scheduled and cancelled over and over — the
         # pre-compaction engine kept every corpse until it surfaced.
@@ -338,20 +99,22 @@ class TestEngineCompaction:
             sim.cancel(handle)
             worst = max(worst, sim.queue_size)
         # Compaction triggers once dead entries outnumber live ones (above
-        # the 64-entry floor), so the raw queue can never hold more than
+        # the 64-entry floor), so the raw heap can never hold more than
         # pending + max(64, pending) + 1 entries.
         bound = sim.pending + max(64, sim.pending) + 1
-        assert worst <= bound, f"queue grew to {worst} (> bound {bound})"
+        assert worst <= bound, f"heap grew to {worst} (> bound {bound})"
         assert sim.pending == 100
         del live
 
-    def test_calendar_queue_never_accumulates_corpses(self):
-        sim = Simulator(queue="calendar")
-        for _ in range(100):
-            sim.schedule(1000.0, lambda: None)
-        for _ in range(10_000):
-            sim.cancel(sim.schedule(500.0, lambda: None))
-            assert sim.queue_size == 100  # true deletion, always tight
+    def test_cancelled_entries_linger_until_they_surface(self):
+        sim = Simulator()
+        dead = sim.schedule(1.0, lambda: None)
+        sim.schedule(2.0, lambda: None)
+        sim.cancel(dead)
+        assert sim.queue_size == 2  # below the compaction floor: kept
+        assert sim.pending == 1
+        assert sim.next_event_time() == 2.0  # the corpse is skipped...
+        assert sim.queue_size == 1  # ...and dropped on the way
 
     def test_bounded_queue_under_churn_heavy_fault_plan(self, monkeypatch):
         """The engine guarantee holds inside a real churn-heavy faulted run:
@@ -396,20 +159,19 @@ class TestEngineCompaction:
     def test_compaction_survives_to_correct_execution(self):
         """Heavy cancellation with interleaved firing still fires the right
         events in the right order."""
-        for backend in BACKENDS:
-            rng = np.random.default_rng(3)
-            sim = Simulator(queue=backend)
-            fired = []
-            expected = []
-            for i in range(2000):
-                handle = sim.schedule(float(rng.uniform(0, 100)), fired.append, i)
-                if rng.random() < 0.8:
-                    sim.cancel(handle)
-                else:
-                    expected.append((handle.time, handle.seq, i))
-            sim.run()
-            assert fired == [i for _, _, i in sorted(expected)]
-            assert sim.queue_size == 0
+        rng = np.random.default_rng(3)
+        sim = Simulator()
+        fired = []
+        expected = []
+        for i in range(2000):
+            handle = sim.schedule(float(rng.uniform(0, 100)), fired.append, i)
+            if rng.random() < 0.8:
+                sim.cancel(handle)
+            else:
+                expected.append((handle.time, handle.seq, i))
+        sim.run()
+        assert fired == [i for _, _, i in sorted(expected)]
+        assert sim.queue_size == 0
 
 
 class TestHandlePooling:
@@ -449,31 +211,138 @@ class TestHandlePooling:
         assert ref() is None, "a pooled handle kept the callback alive"
 
 
-class _Op:
-    """One step of the oracle interleaving."""
+# --------------------------------------------------------------------------- #
+# The reference-model oracle
+# --------------------------------------------------------------------------- #
+class _Entry:
+    __slots__ = ("time", "priority", "seq", "tag", "follow", "alive")
 
-    def __init__(self, kind, value):
-        self.kind = kind
-        self.value = value
+    def __init__(self, time, priority, seq, tag, follow):
+        self.time = time
+        self.priority = priority
+        self.seq = seq
+        self.tag = tag
+        self.follow = follow
+        self.alive = True
 
-    def __repr__(self):  # pragma: no cover - hypothesis debugging aid
-        return f"_Op({self.kind!r}, {self.value!r})"
+
+class _Model:
+    """The naive reference kernel: a plain list, sorted on every pop.
+
+    It schedules a reserved arrival chain *eagerly* — every link at once,
+    under consecutive sequence numbers — so agreeing with it also proves the
+    simulator's one-pending-link chain equivalent to the up-front batch.
+    """
+
+    def __init__(self):
+        self.now = 0.0
+        self.seq = 0
+        self.entries = []
+        self.fired = []
+
+    def schedule(self, delay, tag, priority=0, follow=None):
+        entry = _Entry(self.now + delay, priority, self.seq, tag, follow)
+        self.seq += 1
+        self.entries.append(entry)
+        return entry
+
+    def arrivals(self, times, tags):
+        for offset, (time, tag) in enumerate(zip(times, tags)):
+            self.entries.append(_Entry(time, 0, self.seq + offset, tag, None))
+        self.seq += len(times)
+
+    def _head(self):
+        live = sorted(
+            (entry for entry in self.entries if entry.alive),
+            key=lambda entry: (entry.time, entry.priority, entry.seq),
+        )
+        return live[0] if live else None
+
+    def _fire(self, entry):
+        entry.alive = False
+        self.now = entry.time
+        self.fired.append(entry.tag)
+        if entry.follow is not None:
+            delay, tag = entry.follow
+            self.schedule(delay, tag)
+
+    def step(self):
+        head = self._head()
+        if head is not None:
+            self._fire(head)
+
+    def run(self, until=None):
+        while (head := self._head()) is not None and (until is None or head.time <= until):
+            self._fire(head)
+        if until is not None:
+            self.now = max(self.now, until)
+
+    def run_window(self, end):
+        while (head := self._head()) is not None and head.time < end:
+            self._fire(head)
+        self.now = max(self.now, end)
+
+
+class _ArrivalChain:
+    """A user-population-style chain: one pending link at a time, each link
+    scheduled under the sequence number reserved for it up front."""
+
+    def __init__(self, sim, times, tags, fired):
+        self.sim = sim
+        self.times = times
+        self.tags = tags
+        self.fired = fired
+        self.index = 0
+        self.first = sim.reserve_seqs(len(times))
+        self._schedule_next()
+
+    def _schedule_next(self):
+        if self.index < len(self.times):
+            self.sim.schedule_reserved(
+                self.first + self.index, self.times[self.index], self._arrive
+            )
+
+    def _arrive(self):
+        self.fired.append(self.tags[self.index])
+        self.index += 1
+        self._schedule_next()
 
 
 _ops = st.lists(
     st.one_of(
-        st.tuples(st.just("schedule"), st.floats(min_value=0.0, max_value=100.0)),
-        st.tuples(st.just("schedule_same"), st.just(0.0)),
+        st.tuples(
+            st.just("schedule"),
+            st.tuples(st.floats(min_value=0.0, max_value=100.0), st.integers(-1, 1)),
+        ),
+        # Same-timestamp collisions are the interesting ordering case.
+        st.tuples(st.just("schedule"), st.tuples(st.just(5.0), st.integers(-1, 1))),
         # Tiny/huge delay mixture: near-now events scheduled while far-future
-        # ones dominate the pending set are what exercise the calendar's
-        # resize/cursor re-anchoring paths (see TestResizeCursorAnchoring).
-        st.tuples(st.just("schedule"), st.floats(min_value=0.0, max_value=0.5)),
-        st.tuples(st.just("schedule"), st.floats(min_value=1e3, max_value=1e6)),
-        # Far-future burst crossing the calendar's grow threshold (>2x the
-        # initial 16 buckets) followed by a near-now event.
+        # ones dominate the pending set.
+        st.tuples(
+            st.just("schedule"),
+            st.tuples(st.floats(min_value=0.0, max_value=0.5), st.just(0)),
+        ),
+        st.tuples(
+            st.just("schedule"),
+            st.tuples(st.floats(min_value=1e3, max_value=1e6), st.just(0)),
+        ),
+        # A far-future burst followed by a near-now event.
         st.tuples(st.just("burst"), st.integers(min_value=33, max_value=48)),
+        # An event whose callback schedules a follow-up (scheduling inside
+        # the loop, including into the window being run).
+        st.tuples(st.just("chain"), st.floats(min_value=0.0, max_value=20.0)),
+        # A reserved arrival chain with non-decreasing gaps.
+        st.tuples(
+            st.just("arrivals"),
+            st.lists(st.sampled_from([0.0, 0.5, 5.0, 12.5]), min_size=1, max_size=8),
+        ),
         st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=10_000)),
         st.tuples(st.just("run_for"), st.floats(min_value=0.0, max_value=30.0)),
+        st.tuples(st.just("window"), st.floats(min_value=0.0, max_value=30.0)),
+        # Bounds that land exactly on event times: run()'s is inclusive,
+        # run_window()'s exclusive.
+        st.tuples(st.just("run_for"), st.sampled_from([0.0, 0.5, 5.0, 12.5])),
+        st.tuples(st.just("window"), st.sampled_from([0.0, 0.5, 5.0, 12.5])),
         st.tuples(st.just("step"), st.just(None)),
     ),
     min_size=1,
@@ -481,58 +350,89 @@ _ops = st.lists(
 )
 
 
-def _replay(backend: str, ops) -> list:
-    """Replay an op sequence on one backend; return the fire transcript."""
-    sim = Simulator(queue=backend)
+def _replay(ops):
+    """Replay an op sequence on the simulator and the model in lockstep."""
+    sim = Simulator()
+    model = _Model()
     fired = []
-    handles = []
+    pairs = []  # (simulator handle, model entry) for cancellation
     tag = 0
+
+    def schedule(delay, priority=0, follow=None):
+        nonlocal tag
+        if follow is None:
+            callback = lambda t=tag: fired.append(t)  # noqa: E731
+        else:
+
+            def callback(t=tag, follow=follow):
+                fired.append(t)
+                sim.schedule(follow[0], lambda: fired.append(follow[1]))
+
+        pairs.append(
+            (
+                sim.schedule(delay, callback, priority=priority),
+                model.schedule(delay, tag, priority, follow),
+            )
+        )
+        tag += 1
+
     for kind, value in ops:
         if kind == "schedule":
-            handles.append(sim.schedule(value, lambda t=tag: fired.append(t)))
-            tag += 1
-        elif kind == "schedule_same":
-            # Same-timestamp collisions are the interesting ordering case.
-            handles.append(sim.schedule(5.0, lambda t=tag: fired.append(t)))
-            tag += 1
+            schedule(*value)
         elif kind == "burst":
             for i in range(value):
-                handles.append(
-                    sim.schedule(500.0 + float(i), lambda t=tag: fired.append(t))
-                )
-                tag += 1
-            handles.append(sim.schedule(0.5, lambda t=tag: fired.append(t)))
+                schedule(500.0 + float(i))
+            schedule(0.5)
+        elif kind == "chain":
+            schedule(value, follow=(value, ("follow", tag)))
+        elif kind == "arrivals":
+            times, at = [], sim.now
+            for gap in value:
+                at = at + gap
+                times.append(at)
+            tags = [("arrival", tag, i) for i in range(len(times))]
             tag += 1
+            _ArrivalChain(sim, times, tags, fired)
+            model.arrivals(times, tags)
         elif kind == "cancel":
-            if handles:
-                handle = handles[value % len(handles)]
+            if pairs:
+                handle, entry = pairs[value % len(pairs)]
                 if not handle.cancelled:
                     sim.cancel(handle)
+                    entry.alive = False
         elif kind == "run_for":
-            sim.run(until=sim.now + value)
+            until = sim.now + value
+            sim.run(until=until)
+            model.run(until=until)
+        elif kind == "window":
+            end = sim.now + value
+            sim.run_window(end)
+            model.run_window(end)
         elif kind == "step":
             sim.step()
+            model.step()
+        assert sim.now == model.now, f"clocks diverged after {kind}"
     sim.run()
-    fired.append(("now", round(sim.now, 9), sim.events_processed, sim.pending))
-    return fired
+    model.run()
+    assert sim.pending == 0
+    assert sim.events_processed == len(model.fired)
+    return fired, model.fired
 
 
 class TestOrderingOracle:
-    """Hypothesis oracle: every backend replays any interleaving of
-    schedule / schedule-at-equal-time / cancel / partial-run / step into the
-    exact fire transcript the heap produces."""
+    """Hypothesis oracle: the simulator replays any interleaving of
+    schedule / equal-time schedule / in-loop schedule / reserved arrival
+    chains / cancel / partial run / window / step into the exact fire
+    transcript of a naive sorted-list reference kernel."""
 
     @given(ops=_ops)
-    @settings(max_examples=60, deadline=None)
-    def test_backends_agree_with_heap_oracle(self, ops):
-        reference = _replay("heap", ops)
-        for backend in BACKENDS:
-            if backend == "heap":
-                continue
-            assert _replay(backend, ops) == reference
+    @settings(max_examples=80, deadline=None)
+    def test_simulator_agrees_with_reference_model(self, ops):
+        fired, reference = _replay(ops)
+        assert fired == reference
 
 
-#: Random (time, priority) schedules for the batch-kernel parity oracle.
+#: Random (time, priority) schedules for the batch parity oracle.
 #: Same-timestamp collisions included on purpose — seq tie-breaking is where
 #: a batch insert could silently reorder.
 _batch_entries = st.lists(
@@ -547,88 +447,53 @@ _batch_entries = st.lists(
 )
 
 
-class TestBatchKernelParity:
-    """Hypothesis oracle for the batch entry points: ``push_many`` and
-    ``pop_window`` must be observationally identical to the looped
-    ``push`` / peek-and-``pop`` forms on every backend — including under
+class TestBatchScheduleParity:
+    """Hypothesis oracle for ``schedule_at_many``: it must be observationally
+    identical to the looped ``schedule_at`` form — including under
     cancellation and with a prefilled standing population (which steers the
-    heap between its sift and heapify paths and the calendar between its
-    per-event and bulk-rebuild paths)."""
-
-    @staticmethod
-    def _looped_pop_window(queue, horizon):
-        events = []
-        while True:
-            head = queue.peek()
-            if head is None or head.time > horizon:
-                return events
-            event = queue.pop()
-            if event is not None and not event.cancelled:
-                events.append(event)
-
-    @staticmethod
-    def _drain_keys(queue):
-        keys = []
-        while True:
-            event = queue.pop()
-            if event is None:
-                return keys
-            if not event.cancelled:
-                keys.append((event.time, event.priority, event.seq))
+    batch between its per-event sift and its heapify paths)."""
 
     @given(
         prefill=_batch_entries,
-        batch=_batch_entries,
+        times=st.lists(
+            st.one_of(st.floats(min_value=0.0, max_value=1_000.0), st.just(50.0)),
+            max_size=80,
+        ),
+        priority=st.integers(min_value=-2, max_value=2),
         horizon=st.floats(min_value=0.0, max_value=1_000.0),
     )
     @settings(max_examples=60, deadline=None)
-    def test_batch_forms_match_looped_forms(self, prefill, batch, horizon):
-        for backend in BACKENDS:
-            looped = create_queue(backend)
-            batched = create_queue(backend)
-            seq = 0
-            for time, priority in prefill:
-                looped.push(make_event(time, seq, priority))
-                batched.push(make_event(time, seq, priority))
-                seq += 1
-            loop_events = [
-                make_event(t, seq + i, p) for i, (t, p) in enumerate(batch)
-            ]
-            batch_events = [
-                make_event(t, seq + i, p) for i, (t, p) in enumerate(batch)
-            ]
-            for event in loop_events:
-                looped.push(event)
-            batched.push_many(batch_events)
-            # Cancel an arbitrary-but-identical subset in both queues: the
-            # window drain must skip corpses exactly like the pop loop.
-            for a, b in zip(loop_events[::3], batch_events[::3]):
-                a.cancelled = b.cancelled = True
-                looped.discard(a)
-                batched.discard(b)
-            key = lambda e: (e.time, e.priority, e.seq)
-            window_ref = [key(e) for e in self._looped_pop_window(looped, horizon)]
-            window_batch = [key(e) for e in batched.pop_window(horizon)]
-            assert window_batch == window_ref, f"{backend} pop_window diverged"
-            assert self._drain_keys(batched) == self._drain_keys(looped), (
-                f"{backend} post-window remainder diverged"
-            )
+    def test_batch_form_matches_looped_form(self, prefill, times, priority, horizon):
+        transcripts = []
+        for batched in (False, True):
+            sim = Simulator()
+            fired = []
+            for time, prio in prefill:
+                sim.schedule_at(time, fired.append, ("pre", time), priority=prio)
+            if batched:
+                handles = sim.schedule_at_many(
+                    [(time, fired.append, (("new", i),)) for i, time in enumerate(times)],
+                    priority=priority,
+                )
+            else:
+                handles = [
+                    sim.schedule_at(time, fired.append, ("new", i), priority=priority)
+                    for i, time in enumerate(times)
+                ]
+            # Cancel an arbitrary-but-identical subset: the window must skip
+            # corpses exactly like the looped form.
+            for handle in handles[::3]:
+                sim.cancel(handle)
+            seqs = [handle.seq for handle in handles]
+            sim.run_window(horizon)
+            in_window = list(fired)
+            sim.run()
+            transcripts.append((seqs, in_window, fired, sim.now))
+        assert transcripts[0] == transcripts[1]
 
-    def test_pop_window_clears_queued_flag_and_leaves_later_events(self):
-        for backend in BACKENDS:
-            queue = create_queue(backend)
-            early = make_event(1.0, 0)
-            late = make_event(10.0, 1)
-            queue.push_many([early, late])
-            drained = queue.pop_window(5.0)
-            assert drained == [early]
-            assert not early._queued
-            assert late._queued
-            assert len(queue) == 1
-
-    def test_push_many_empty_batch_is_a_noop(self):
-        for backend in BACKENDS:
-            queue = create_queue(backend)
-            queue.push(make_event(1.0, 0))
-            queue.push_many([])
-            assert len(queue) == 1
+    def test_empty_batch_is_a_noop(self):
+        sim = Simulator()
+        sim.schedule(1.0, lambda: None)
+        assert sim.schedule_at_many([]) == []
+        assert sim.pending == 1
+        assert sim.queue_size == 1
