@@ -14,7 +14,11 @@ Besides executing jobs the LRMS answers the admission-control question used by
 the Grid-Federation negotiation protocol: *"by when could this job complete if
 submitted now?"* (:meth:`SpaceSharedLRMS.estimate_completion_time`), based on
 an :class:`~repro.cluster.profile.AvailabilityProfile` of running and queued
-work.
+work.  The profile is maintained rather than rebuilt: under FCFS with exact
+runtimes a queued job starts exactly in the slot reserved for it (Mu'alem &
+Feitelson, IEEE TPDS 2001), so each submit adds one reservation, and only a
+start the profile did not predict (an EASY backfill) or a crash makes the
+next estimate rebuild it.
 """
 
 from __future__ import annotations
@@ -69,16 +73,17 @@ class SpaceSharedLRMS:
         # Finish-event handles so a crash (fail_all) can cancel in-flight
         # completions; empty overhead on the no-fault path.
         self._finish_events: Dict[int, "ScheduledEvent"] = {}
-        # Completion-estimate cache: rebuilt lazily whenever the set of
-        # running/queued jobs changes (admission control may probe the same
-        # state many times between changes).
-        self._state_version: int = 0
         #: Optional hook fired on every state change (the parallel engine
         #: sets it to maintain a dirty set instead of scanning every cluster
         #: at every barrier); ``None`` costs one attribute check.
         self.on_state_change: Optional[Callable[[], None]] = None
-        self._profile_cache: Optional[Tuple[AvailabilityProfile, float]] = None
-        self._profile_cache_version: int = -1
+        # The live admission profile: running work plus a reservation for
+        # every queued job, or None until the next estimate rebuilds it.
+        self._profile: Optional[AvailabilityProfile] = None
+        # Predicted start of each queued job while the profile is live...
+        self._predicted: Dict[int, float] = {}
+        # ...and of the last one reserved (the FCFS queue tail).
+        self._tail: float = 0.0
         # Accounting
         self.busy_node_seconds: float = 0.0
         self.jobs_submitted: int = 0
@@ -119,8 +124,7 @@ class SpaceSharedLRMS:
         return self.busy_node_seconds / (self.spec.num_processors * period)
 
     def _touch(self) -> None:
-        """Record a queue/running-set change (and notify any observer)."""
-        self._state_version += 1
+        """Notify the observer, if any, of a queue/running-set change."""
         if self.on_state_change is not None:
             self.on_state_change()
 
@@ -138,6 +142,9 @@ class SpaceSharedLRMS:
         self.jobs_submitted += 1
         self._touch()
         self._queue.append(job)
+        if self._profile is not None:
+            self._profile.trim(self.sim.now)
+            self._reserve(job)
         self._dispatch()
 
     def _dispatch(self) -> None:
@@ -191,10 +198,7 @@ class SpaceSharedLRMS:
         remain free at that instant after the head job has been placed.
         """
         now = self.sim.now
-        profile = AvailabilityProfile(self.spec.num_processors, now)
-        for job, finish in self._running.values():
-            remaining = max(finish - now, 1e-9)
-            profile.reserve(now, remaining, job.num_processors)
+        profile = self._running_profile()
         runtime = self.runtime_of(head)
         shadow = profile.earliest_start(head.num_processors, runtime, earliest=now)
         free_at_shadow = profile.min_free(shadow, shadow + runtime)
@@ -202,6 +206,10 @@ class SpaceSharedLRMS:
         return shadow, extra
 
     def _start(self, job: Job) -> None:
+        if self._profile is not None and self._predicted.pop(job.job_id, None) != self.sim.now:
+            # A start the profile did not predict (an EASY backfill): its
+            # reservations no longer describe the cluster.
+            self._drop_profile()
         runtime = self.runtime_of(job)
         self.nodes.allocate(job.job_id, job.num_processors)
         job.mark_running(self.sim.now)
@@ -250,6 +258,7 @@ class SpaceSharedLRMS:
         self._running.clear()
         killed.extend(self._queue)
         self._queue.clear()
+        self._drop_profile()
         self._touch()
         return killed
 
@@ -285,29 +294,48 @@ class SpaceSharedLRMS:
 
         Returns the profile plus the predicted start time of the last queued
         job (the FCFS "queue tail"), which lower-bounds the start of any new
-        arrival.  The profile is cached between state changes: negotiation
-        traffic can probe the same LRMS many times before anything starts or
-        finishes, and a probe itself never changes the state.
+        arrival.  The profile is live: :meth:`submit` reserves each new job's
+        slot in it, a finishing job's reservation already ends at its finish
+        time, and a job that starts when predicted already sits where it
+        runs, so an estimate only trims it to now.  A start it did not
+        predict (an EASY backfill) or a crash drops it; the next estimate
+        then rebuilds it from the running jobs' exact ends, replaying the
+        queue in FCFS order, which gives the same profile bit for bit.
         """
-        if self._profile_cache is not None and self._profile_cache_version == self._state_version:
-            return self._profile_cache
         now = self.sim.now
-        profile = AvailabilityProfile(self.spec.num_processors, now)
-        for running_job, finish in self._running.values():
-            remaining = max(finish - now, 1e-9)
-            profile.reserve(now, remaining, running_job.num_processors)
-        queue_tail_start = now
-        for queued_job in self._queue:
-            runtime = self.runtime_of(queued_job)
-            # FCFS: each queued job starts no earlier than the one before it.
-            start = profile.earliest_start(
-                queued_job.num_processors, runtime, earliest=queue_tail_start
-            )
-            profile.reserve(start, runtime, queued_job.num_processors)
-            queue_tail_start = start
-        self._profile_cache = (profile, queue_tail_start)
-        self._profile_cache_version = self._state_version
-        return self._profile_cache
+        profile = self._profile
+        if profile is None:
+            profile = self._profile = self._running_profile()
+            self._tail = now
+            for job in self._queue:
+                self._reserve(job)
+        else:
+            profile.trim(now)
+        return profile, max(self._tail, now)
+
+    def _running_profile(self) -> AvailabilityProfile:
+        """Profile of the running jobs alone, each busy until its finish."""
+        return AvailabilityProfile.until_released(
+            self.spec.num_processors,
+            self.sim.now,
+            [(finish, job.num_processors) for job, finish in self._running.values()],
+        )
+
+    def _reserve(self, job: Job) -> None:
+        """Reserve queued ``job``'s FCFS slot in the live profile and record
+        its predicted start."""
+        runtime = self.runtime_of(job)
+        # FCFS: a queued job starts no earlier than the one before it.
+        start = self._profile.earliest_start(
+            job.num_processors, runtime, earliest=max(self.sim.now, self._tail)
+        )
+        self._profile.reserve(start, runtime, job.num_processors)
+        self._predicted[job.job_id] = start
+        self._tail = start
+
+    def _drop_profile(self) -> None:
+        self._profile = None
+        self._predicted.clear()
 
     def expected_wait(self) -> float:
         """Predicted queueing delay currently faced by a new arrival.

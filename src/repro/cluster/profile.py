@@ -12,18 +12,25 @@ the next one (the last entry extends to infinity).  Operations:
 
 * :meth:`earliest_start` — earliest time at or after a lower bound at which
   ``procs`` processors are simultaneously free for ``duration`` seconds;
-* :meth:`reserve` — subtract ``procs`` processors over an interval.
+* :meth:`reserve` — subtract ``procs`` processors over an interval;
+* :meth:`trim` — forget the profile before a time, so a profile kept alive
+  across a whole run stays as short as the work still ahead of it;
+* :meth:`until_released` — build, in one sorted pass, the profile of work
+  that holds processors from the start until known end times (the running
+  jobs), with those ends exact.
 
-Both operations are O(number of breakpoints); profiles in this simulation stay
-small (tens of entries) so no cleverer structure is warranted (per the HPC
-guide: measure before optimising).
+Queries and reservations are O(number of breakpoints).  The LRMS keeps one
+profile per cluster alive and adds one reservation per submitted job instead
+of rebuilding the profile for every admission estimate; trimmed to the work
+ahead, a profile holds tens of breakpoints, where a scan over two lists is
+cheap.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from typing import List, Tuple
+from typing import Iterable, List, Tuple
 
 
 class ProfileError(RuntimeError):
@@ -49,6 +56,35 @@ class AvailabilityProfile:
         self._capacity = capacity
         self._times: List[float] = [float(start_time)]
         self._avail: List[int] = [capacity]
+
+    @classmethod
+    def until_released(
+        cls, capacity: int, start_time: float, holds: Iterable[Tuple[float, int]]
+    ) -> "AvailabilityProfile":
+        """Profile in which each ``(end, procs)`` hold keeps ``procs``
+        processors busy over ``[start_time, end)``.
+
+        The same step function as reserving each hold in turn, built in one
+        sorted pass.  Each hold ends exactly at ``end`` (reserving a duration
+        of ``end - start_time`` can end one ulp away from it), and a hold
+        that has already ended (``end <= start_time``) reserves nothing.
+        """
+        profile = cls(capacity, start_time)
+        start = profile._times[0]
+        pending = sorted(hold for hold in holds if hold[0] > start)
+        free = capacity - sum(procs for _end, procs in pending)
+        if free < 0:
+            raise ProfileError(f"holds of {capacity - free} processors exceed capacity {capacity}")
+        times, avail = profile._times, profile._avail
+        avail[0] = free
+        for end, procs in pending:
+            free += procs
+            if times[-1] == end:
+                avail[-1] = free
+            else:
+                times.append(end)
+                avail.append(free)
+        return profile
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -165,6 +201,21 @@ class AvailabilityProfile:
         while i < len(self._times) and self._times[i] < end:
             self._avail[i] -= procs
             i += 1
+
+    def trim(self, time: float) -> None:
+        """Drop the profile before ``time``, which becomes its start.
+
+        Availability from ``time`` on is unchanged; a ``time`` at or before
+        the current start is a no-op.
+        """
+        times = self._times
+        if time <= times[0]:
+            return
+        idx = bisect.bisect_right(times, time) - 1
+        if idx:
+            del times[:idx]
+            del self._avail[:idx]
+        times[0] = time
 
     # ------------------------------------------------------------------ #
     # Internals

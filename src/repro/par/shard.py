@@ -303,10 +303,11 @@ class ShardFederation(Federation):
         The snapshot is the **absolute** queue-free time (``now`` plus the
         work-conserving :meth:`~repro.cluster.lrms.SpaceSharedLRMS.
         queue_tail_hint`), so a proxy holding a stale snapshot decays
-        naturally as its own clock advances past the tail.  The hint skips
-        the full FCFS availability-profile build — a snapshot is stale by up
-        to one window before any proxy reads it, so profile-exact tails
-        would buy no fidelity for an order of magnitude more work.
+        naturally as its own clock advances past the tail.  The hint is a
+        lower bound on the exact FCFS tail (:meth:`~repro.cluster.lrms.
+        SpaceSharedLRMS.expected_wait`), which the LRMS's live admission
+        profile now answers cheaply too; publishing the exact tail instead
+        would change the sharded model's fingerprints.
         """
         if not self._dirty_loads:
             return []

@@ -62,8 +62,10 @@ __all__ = [
 #: incompatibly; resuming across versions fails fast instead of corrupting.
 #: v2: the header lost its ``engine`` field, the simulator pickles one heap
 #: and an int sequence counter, and user populations keep one pending
-#: arrival under reserved sequence numbers.
-SNAPSHOT_FORMAT_VERSION = 2
+#: arrival under reserved sequence numbers.  v3: each LRMS pickles its live
+#: admission profile, queue tail and predicted starts in place of the
+#: version-stamped profile cache.
+SNAPSHOT_FORMAT_VERSION = 3
 
 _MAGIC = b"gridfed-snapshot\n"
 
@@ -270,7 +272,8 @@ def load_snapshot(
 #: Bumped independently of :data:`SNAPSHOT_FORMAT_VERSION` — the shard files
 #: themselves ride the ordinary snapshot format.  v2: shard harvests lost
 #: their ``engine`` field and shards pickle the v2 simulator and populations.
-PAR_CHECKPOINT_VERSION = 2
+#: v3: shards pickle the v3 LRMS (live admission profiles).
+PAR_CHECKPOINT_VERSION = 3
 
 _PAR_MAGIC = b"gridfed-par-state\n"
 

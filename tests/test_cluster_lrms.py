@@ -204,7 +204,54 @@ class TestCompletionEstimates:
         estimate = lrms.estimate_completion_time(jobs[2])
         lrms.submit(jobs[2])
         sim.run()
-        assert jobs[2].finish_time == pytest.approx(estimate)
+        assert jobs[2].finish_time == estimate
+
+    def test_estimate_uses_the_running_jobs_exact_finish(self):
+        """A running job's reservation ends at its stored finish time.
+
+        Reserving ``finish - now`` seconds from ``now`` instead ends one ulp
+        late once ``finish > 2 * now``: this job finishes at
+        19941.429098546203, but ``now + (finish - now)`` at the probe is
+        19941.429098546207.
+        """
+        sim = Simulator()
+        spec = make_spec(procs=16)
+        lrms = SpaceSharedLRMS(sim, spec)
+        start, finish, probe_at = 334.20329209458794, 19941.429098546203, 3509.1098018476896
+        running = make_job(procs=16, runtime=finish - start, spec=spec)
+        sim.run(until=start)
+        lrms.submit(running)
+        sim.run(until=probe_at)
+        assert probe_at + (finish - probe_at) != finish
+        waiting = make_job(procs=16, runtime=100.0, spec=spec)
+        estimate = lrms.estimate_completion_time(waiting)
+        lrms.submit(waiting)
+        sim.run()
+        assert running.finish_time == finish
+        assert estimate == waiting.finish_time == 20041.429098546203
+
+    @pytest.mark.parametrize("t0", [0.0, 2e7], ids=["t0-zero", "t0-2e7"])
+    def test_enquiry_at_the_instant_a_job_finishes(self, t0):
+        """An enquiry taken at a running job's finish time, before its finish
+        event fires, sees its processors free from that instant: not 1e-9 s
+        later and, past 2**24 s where ``now + 1e-9 == now``, not an error."""
+        sim = Simulator()
+        spec = make_spec(procs=16)
+        lrms = SpaceSharedLRMS(sim, spec)
+        sim.run(until=t0)
+        running = make_job(procs=8, runtime=50.0, spec=spec)
+        lrms.submit(running)
+        probe = make_job(procs=16, runtime=10.0, spec=spec)
+        answers = []
+
+        def enquire():
+            assert running in lrms.running_jobs()
+            answers.append((lrms.estimate_completion_time(probe), lrms.expected_wait()))
+
+        sim.schedule_at(t0 + 50.0, enquire, priority=-1)
+        sim.run()
+        assert running.finish_time == t0 + 50.0
+        assert answers == [(t0 + 60.0, 0.0)]
 
     def test_can_meet_deadline(self, world):
         sim, spec, lrms = world

@@ -155,3 +155,35 @@ class TestProperties:
             earlier = [t for t, _, _ in profile.segments() if t < start]
             for t in earlier:
                 assert profile.min_free(t, t + duration) < procs
+
+
+class TestTrimAndUntilReleased:
+    def test_trim_keeps_availability_from_the_new_start(self):
+        profile = AvailabilityProfile(8, 0.0)
+        profile.reserve(0.0, 10.0, 4)
+        profile.reserve(5.0, 20.0, 2)
+        before = [profile.free_at(t) for t in (7.0, 10.0, 24.0, 25.0, 99.0)]
+        profile.trim(7.0)
+        assert profile.start_time == 7.0
+        assert [profile.free_at(t) for t in (7.0, 10.0, 24.0, 25.0, 99.0)] == before
+        assert profile.segments() == [(7.0, 10.0, 2), (10.0, 25.0, 6), (25.0, float("inf"), 8)]
+
+    def test_trim_to_an_earlier_time_is_a_no_op(self):
+        profile = AvailabilityProfile(8, 5.0)
+        profile.reserve(5.0, 1.0, 8)
+        profile.trim(1.0)
+        assert profile.segments() == [(5.0, 6.0, 0), (6.0, float("inf"), 8)]
+
+    def test_until_released_equals_reserving_each_hold(self):
+        holds = [(30.0, 2), (10.0, 3), (30.0, 1), (4.0, 5), (2.0, 4)]
+        built = AvailabilityProfile.until_released(16, 4.0, holds)
+        reserved = AvailabilityProfile(16, 4.0)
+        for end, procs in holds:
+            if end > 4.0:
+                reserved.reserve(4.0, end - 4.0, procs)
+        assert built.segments() == reserved.segments()
+        assert built.segments() == [(4.0, 10.0, 10), (10.0, 30.0, 13), (30.0, float("inf"), 16)]
+
+    def test_until_released_refuses_more_than_capacity(self):
+        with pytest.raises(ProfileError):
+            AvailabilityProfile.until_released(4, 0.0, [(5.0, 3), (6.0, 2)])

@@ -1,0 +1,227 @@
+"""The LRMS's maintained admission profile against a from-scratch rebuild.
+
+``SpaceSharedLRMS`` keeps one availability profile alive: each submit adds
+one reservation, and a start the profile did not predict (an EASY backfill)
+or a crash drops it, to be rebuilt by the next estimate.  The oracle here is
+the rebuild itself, done the naive way: every running job holds its
+processors over ``[now, finish)``, the queue is replayed in FCFS order
+behind the tail, and the earliest start is found by checking the free count
+at every breakpoint of a plain list of intervals.  The LRMS's answers must
+equal it bit for bit after every operation of a random mix.
+"""
+
+from __future__ import annotations
+
+import contextlib
+from typing import List, Tuple
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.cluster import SchedulingPolicy, SpaceSharedLRMS
+from repro.cluster.profile import AvailabilityProfile
+from repro.sim import Simulator
+from tests.test_cluster_lrms import make_job, make_spec
+
+CAPACITY = 16
+
+#: (processors, runtime) of the probe jobs every check asks about.
+PROBES = ((1, 7.25), (CAPACITY // 2, 33.3), (CAPACITY, 100.0))
+
+Interval = Tuple[float, float, int]
+
+
+def _earliest(holds: List[Interval], procs: int, duration: float, lower: float) -> float:
+    """Earliest ``t >= lower`` with ``procs`` processors free over ``[t, t + duration)``."""
+    points = sorted({lower} | {t for start, end, _ in holds for t in (start, end) if t > lower})
+    free = [CAPACITY - sum(p for start, end, p in holds if start <= t < end) for t in points]
+    for i, t in enumerate(points):
+        end = t + duration
+        if all(free[j] >= procs for j in range(i, len(points)) if points[j] < end):
+            return t
+    raise AssertionError("no feasible start")  # pragma: no cover - the last point is all free
+
+
+def reference(lrms: SpaceSharedLRMS) -> Tuple[List[Interval], float]:
+    """The busy intervals from now on and the FCFS queue tail, rebuilt from scratch."""
+    now = lrms.sim.now
+    holds = []
+    for job in lrms.running_jobs():
+        finish = job.start_time + lrms.runtime_of(job)
+        if finish > now:
+            holds.append((now, finish, job.num_processors))
+    tail = now
+    for job in lrms.queued_jobs():
+        runtime = lrms.runtime_of(job)
+        tail = _earliest(holds, job.num_processors, runtime, tail)
+        holds.append((tail, tail + runtime, job.num_processors))
+    return holds, tail
+
+
+def assert_matches_reference(lrms: SpaceSharedLRMS) -> None:
+    holds, tail = reference(lrms)
+    now = lrms.sim.now
+    for procs, runtime in PROBES:
+        probe = make_job(procs=procs, runtime=runtime, spec=lrms.spec)
+        runtime = lrms.runtime_of(probe)
+        expected = _earliest(holds, procs, runtime, max(now, tail)) + runtime
+        assert lrms.estimate_completion_time(probe) == expected
+    assert lrms.expected_wait() == tail - now
+
+
+@contextlib.contextmanager
+def counted_profile_builds():
+    """Count every :class:`AvailabilityProfile` constructed inside the block."""
+    builds = []
+    original = AvailabilityProfile.__init__
+
+    def counting(self, *args, **kwargs):
+        builds.append(args)
+        original(self, *args, **kwargs)
+
+    AvailabilityProfile.__init__ = counting
+    try:
+        yield builds
+    finally:
+        AvailabilityProfile.__init__ = original
+
+
+def _next_finish(lrms: SpaceSharedLRMS) -> float:
+    return min(job.start_time + lrms.runtime_of(job) for job in lrms.running_jobs())
+
+
+_runtime = st.floats(min_value=0.5, max_value=400.0, allow_nan=False, allow_infinity=False)
+_job = st.tuples(st.integers(min_value=1, max_value=CAPACITY), _runtime)
+_op = st.one_of(
+    st.tuples(st.just("submit"), _job),
+    st.tuples(st.just("advance"), st.floats(min_value=0.0, max_value=300.0)),
+    # Act at the instant the next running job finishes, before its finish
+    # event fires: probe only, or submit a job first.
+    st.tuples(st.just("at-finish"), st.none() | _job),
+    st.tuples(st.just("probe"), st.none()),
+    st.tuples(st.just("fail-all"), st.none()),
+)
+
+
+class TestMaintainedProfileOracle:
+    @given(
+        ops=st.lists(_op, min_size=1, max_size=40),
+        policy=st.sampled_from(list(SchedulingPolicy)),
+        t0=st.sampled_from([0.0, 12_345.678, 2e7]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_answers_equal_a_naive_rebuild_after_every_op(self, ops, policy, t0):
+        sim = Simulator()
+        spec = make_spec(procs=CAPACITY)
+        lrms = SpaceSharedLRMS(sim, spec, policy=policy)
+        sim.run(until=t0)
+
+        def submit(job_shape):
+            procs, runtime = job_shape
+            lrms.submit(make_job(procs=procs, runtime=runtime, spec=spec, submit=sim.now))
+
+        for kind, arg in ops:
+            if kind == "submit":
+                submit(arg)
+            elif kind == "advance":
+                sim.run(until=sim.now + arg)
+            elif kind == "at-finish" and lrms.running_count:
+
+                def act(job_shape=arg):
+                    if job_shape is not None:
+                        submit(job_shape)
+                    assert_matches_reference(lrms)
+
+                finish = _next_finish(lrms)
+                sim.schedule_at(finish, act, priority=-1)
+                sim.run(until=finish)
+            elif kind == "fail-all":
+                lrms.fail_all()
+            assert_matches_reference(lrms)
+
+    @given(
+        arrivals=st.lists(
+            st.tuples(st.floats(min_value=0.0, max_value=200.0), _job), min_size=1, max_size=40
+        ),
+        t0=st.sampled_from([0.0, 2e7]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_fcfs_estimate_before_submit_is_the_finish_time(self, arrivals, t0):
+        """Fault-free FCFS: the estimate taken just before each submit is
+        that job's finish time exactly, and the profile is built once."""
+        sim = Simulator()
+        spec = make_spec(procs=CAPACITY)
+        lrms = SpaceSharedLRMS(sim, spec)
+        sim.run(until=t0)
+        estimates = {}
+
+        def arrive(job):
+            estimates[job.job_id] = lrms.estimate_completion_time(job)
+            lrms.submit(job)
+
+        jobs = []
+        clock = t0
+        for gap, (procs, runtime) in arrivals:
+            clock += gap
+            job = make_job(procs=procs, runtime=runtime, spec=spec, submit=clock)
+            jobs.append(job)
+            sim.schedule_at(clock, arrive, job)
+        with counted_profile_builds() as builds:
+            sim.run()
+        assert len(builds) <= 1
+        assert [job.finish_time for job in jobs] == [estimates[job.job_id] for job in jobs]
+
+
+class TestFallbackRebuilds:
+    def test_easy_backfill_start_costs_exactly_one_rebuild(self):
+        sim = Simulator()
+        spec = make_spec(procs=CAPACITY)
+        lrms = SpaceSharedLRMS(sim, spec, policy=SchedulingPolicy.EASY_BACKFILL)
+        lrms.submit(make_job(procs=10, runtime=100.0, spec=spec))  # runs until 100
+        lrms.submit(make_job(procs=16, runtime=10.0, spec=spec))   # head, shadow at 100
+        probe = make_job(procs=4, runtime=5.0, spec=spec)
+        with counted_profile_builds() as builds:
+            assert_matches_reference(lrms)
+            assert len(builds) == 1
+            assert_matches_reference(lrms)
+            assert len(builds) == 1
+            # Predicted to start at 110, behind the head; EASY starts it now.
+            small = make_job(procs=2, runtime=10.0, spec=spec)
+            lrms.submit(small)
+            assert small.start_time == 0.0
+            before = len(builds)  # the submit's shadow computations build too
+            estimate = lrms.estimate_completion_time(probe)
+            assert len(builds) == before + 1
+            assert_matches_reference(lrms)
+            assert len(builds) == before + 1
+        assert estimate == 115.0
+
+    def test_fail_all_costs_exactly_one_rebuild(self):
+        sim = Simulator()
+        spec = make_spec(procs=CAPACITY)
+        lrms = SpaceSharedLRMS(sim, spec)
+        for procs in (12, 8, 16):
+            lrms.submit(make_job(procs=procs, runtime=50.0, spec=spec))
+        with counted_profile_builds() as builds:
+            assert_matches_reference(lrms)
+            assert len(builds) == 1
+            sim.run(until=20.0)
+            assert len(lrms.fail_all()) == 3
+            lrms.submit(make_job(procs=16, runtime=30.0, spec=spec))
+            lrms.submit(make_job(procs=4, runtime=30.0, spec=spec))
+            assert_matches_reference(lrms)
+            assert_matches_reference(lrms)
+            assert len(builds) == 2
+        assert lrms.expected_wait() == 30.0
+
+    def test_fcfs_cluster_without_estimates_builds_nothing(self):
+        sim = Simulator()
+        spec = make_spec(procs=CAPACITY)
+        lrms = SpaceSharedLRMS(sim, spec)
+        with counted_profile_builds() as builds:
+            for procs in (12, 8, 16, 3):
+                lrms.submit(make_job(procs=procs, runtime=50.0, spec=spec))
+            sim.run()
+        assert builds == []
+        assert lrms.jobs_completed == 4
+

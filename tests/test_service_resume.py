@@ -33,6 +33,7 @@ from repro.service.snapshot import (
     verify_compatible,
 )
 from tests.test_golden_fingerprints import GOLDEN_FINGERPRINTS, GOLDEN_SCENARIOS
+from tests.test_lrms_profile_oracle import counted_profile_builds
 
 #: Six-hour golden horizon → a handful of chunks per run.
 _INTERVAL = 3600.0
@@ -113,6 +114,35 @@ class TestResumeOracle:
             assert all(done == total for done, total in progress)
             assert federation.sim.pending > 0
         result, _ = resume_run(tmp_path, checkpoint_every=600.0)
+        assert result_fingerprint(result) == expected
+
+    def test_resume_with_live_admission_predictions(self, tmp_path):
+        """Snapshot at 4 h, while clusters hold queued jobs in a live
+        admission profile (each queued job with its predicted start): the
+        loaded LRMSs answer without building a profile, and the resume is
+        exact."""
+        expected = result_fingerprint(run_scenario(_FAST))
+        reports = []
+
+        def interrupt(progress: RunProgress) -> None:
+            reports.append(progress)
+            if len(reports) == 4:
+                raise CancelledRun("interrupted by test")
+
+        with pytest.raises(CancelledRun):
+            run_scenario(
+                _FAST, checkpoint_dir=tmp_path, checkpoint_every=3600.0, on_progress=interrupt
+            )
+        _header, federation, _scenario = load_snapshot(snapshot_path(tmp_path))
+        live_queues = []
+        for gfa in federation.gfas.values():
+            with counted_profile_builds() as builds:
+                wait = gfa.lrms.expected_wait()
+            if gfa.lrms.queue_length and not builds:
+                live_queues.append((gfa.lrms.queue_length, wait))
+        assert len(live_queues) >= 2
+        assert all(wait > 0 for _queued, wait in live_queues)
+        result, _ = resume_run(tmp_path, checkpoint_every=3600.0)
         assert result_fingerprint(result) == expected
 
     def test_checkpointed_run_equals_plain_run(self, tmp_path):
