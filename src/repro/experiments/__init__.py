@@ -17,7 +17,6 @@ from repro.experiments.common import (
     DEFAULT_PROFILES,
     default_specs,
     default_workload,
-    thin_workload,
 )
 from repro.experiments.exp1_independent import experiment_1_scenario, run_experiment_1
 from repro.experiments.exp2_federation import experiment_2_scenario, run_experiment_2
@@ -39,7 +38,6 @@ __all__ = [
     "DEFAULT_PROFILES",
     "default_specs",
     "default_workload",
-    "thin_workload",
     "experiment_1_scenario",
     "experiment_2_scenario",
     "economy_profile_scenario",

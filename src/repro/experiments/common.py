@@ -11,7 +11,6 @@ from repro.workload.archive import (
     ArchiveResource,
     build_federation_specs,
     build_workload,
-    thin_workload,
 )
 from repro.workload.job import Job
 
@@ -41,8 +40,7 @@ def default_workload(
     thin:
         Keep every ``thin``-th job of each resource (1 = full workload).
     """
-    workload = build_workload(RandomStreams(seed), resources)
-    return thin_workload(workload, thin)
+    return build_workload(RandomStreams(seed), resources, thin=thin)
 
 
 def archive_resources() -> List[ArchiveResource]:

@@ -43,7 +43,7 @@ from repro.par.router import CrossShardMessage, MessageKind, decode_job, encode_
 from repro.scenario.scenario import Scenario
 from repro.sim.rng import RandomStreams
 from repro.workload.job import Job, reset_job_counter
-from repro.workload.archive import build_federation_specs, thin_workload
+from repro.workload.archive import build_federation_specs
 
 __all__ = [
     "RemoteClusterProxy",
@@ -385,10 +385,11 @@ def build_shard_federation(
     """Replicate the deterministic preparation and build one shard.
 
     Mirrors :func:`repro.scenario.runner.run_scenario`'s workload build
-    exactly (fresh job counter, seeded streams, thinning), so every shard —
-    and the serial oracle — sees identical specs and job ids.  Providers
-    that accept an ``only=`` keyword (the built-in ``archive``/``synthetic``
-    generators do) generate traces for the shard's *owned* clusters alone —
+    exactly (fresh job counter, seeded streams, the provider's own
+    thinning), so every shard — and the serial oracle — sees identical specs
+    and job ids.  Providers that accept an ``only=`` keyword (the built-in
+    ``archive``/``synthetic`` generators do) generate traces for the shard's
+    *owned* clusters alone —
     foreign clusters' jobs are never materialised here, only their id ranges
     are consumed, since a shard touches a foreign job solely through the
     serialised copy the owning shard sends across.  Providers without the
@@ -409,10 +410,9 @@ def build_shard_federation(
     assignment = shard_assignment([spec.name for spec in specs], workers)
     if "only" in inspect.signature(provider).parameters:
         owned = {name for name, shard in assignment.items() if shard == shard_index}
-        raw = provider(scenario, streams, archive, only=owned)
+        workload = provider(scenario, streams, archive, only=owned)
     else:
-        raw = provider(scenario, streams, archive)
-    workload = thin_workload(raw, scenario.thin)
+        workload = provider(scenario, streams, archive)
     return ShardFederation(
         specs,
         workload,

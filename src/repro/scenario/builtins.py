@@ -74,10 +74,11 @@ def _archive_workload(
 ) -> Dict[str, List[Job]]:
     """The calibrated two-day Table 1 workload (the paper's evaluation trace).
 
-    ``only`` restricts generation to the named resources (bit-identical jobs,
-    empty lists elsewhere) — the parallel engine's shard-local build.
+    Thinned by ``scenario.thin`` as it is generated.  ``only`` restricts
+    generation to the named resources (bit-identical jobs, empty lists
+    elsewhere) — the parallel engine's shard-local build.
     """
-    return build_workload(streams, resources, only=only)
+    return build_workload(streams, resources, only=only, thin=scenario.thin)
 
 
 @register_workload("synthetic")
@@ -88,7 +89,10 @@ def _synthetic_workload(
 
     Each resource keeps its Table 2/3 job count; shrinking or stretching the
     horizon changes the offered-load density, which makes this variant the
-    quick way to study over/under-subscription regimes.  ``only`` restricts
-    generation to the named resources (the parallel engine's shard build).
+    quick way to study over/under-subscription regimes.  Thinned by
+    ``scenario.thin`` as it is generated; ``only`` restricts generation to the
+    named resources (the parallel engine's shard build).
     """
-    return build_workload(streams, resources, horizon=scenario.horizon, only=only)
+    return build_workload(
+        streams, resources, horizon=scenario.horizon, only=only, thin=scenario.thin
+    )

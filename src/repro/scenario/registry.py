@@ -8,7 +8,8 @@ Three registries turn the repository's behavioural variants into *data*:
   that assemble the right :class:`~repro.core.federation.Federation`
   (sub)class for a scenario (``"static"``, ``"demand"``, ...);
 * the **workload** registry maps names to workload providers — callables
-  that generate the per-resource job lists (``"archive"``, ``"synthetic"``).
+  that generate the per-resource job lists (``"archive"``, ``"synthetic"``),
+  already thinned by ``scenario.thin``.
 
 Each entry may restrict the :class:`~repro.core.policies.SharingMode`\\ s it
 supports; :class:`~repro.scenario.scenario.Scenario` validation consults the
@@ -157,7 +158,11 @@ AGENT_REGISTRY = VariantRegistry("agent")
 #: Pricing variants: federation factories ``(scenario, specs, workload,
 #: config, agent_class) -> Federation``.
 PRICING_REGISTRY = VariantRegistry("pricing")
-#: Workload variants: providers ``(scenario, streams, resources) -> workload``.
+#: Workload variants: providers ``(scenario, streams, resources) -> workload``,
+#: which apply ``scenario.thin`` themselves (nothing thins their output
+#: afterwards).  A provider that also accepts ``only=`` (a set of resource
+#: names) generates just those resources' jobs, with the ids a full build
+#: gives them; the parallel engine's shards use it.
 WORKLOAD_REGISTRY = VariantRegistry("workload")
 #: Fault variants: plan factories ``(scenario, streams, specs) -> FaultPlan``.
 FAULT_REGISTRY = VariantRegistry("fault")

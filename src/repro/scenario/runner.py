@@ -41,7 +41,6 @@ from repro.workload.archive import (
     ArchiveResource,
     build_federation_specs,
     replicate_resources,
-    thin_workload,
 )
 from repro.workload.job import Job, reset_job_counter
 
@@ -249,7 +248,7 @@ def run_scenario(
         # how many jobs earlier runs of this process created.
         reset_job_counter()
         streams = RandomStreams(scenario.seed)
-        workload = thin_workload(provider(scenario, streams, archive), scenario.thin)
+        workload = provider(scenario, streams, archive)
     federation = federation_factory(
         scenario, specs, workload, scenario.to_config(), agent_class
     )

@@ -78,6 +78,8 @@ class Scenario:
         Table 1 clusters round-robin (``None`` = the eight Table 1 resources).
     thin:
         Keep every ``thin``-th job of each resource (1 = full workload).
+        The workload provider applies it while generating, so the dropped
+        jobs are never constructed.
     repricing_interval:
         Seconds between quote updates for demand-driven pricing variants.
     faults:

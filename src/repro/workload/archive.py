@@ -179,6 +179,7 @@ def build_workload(
     resources: Optional[Sequence[ArchiveResource]] = None,
     horizon: float = TWO_DAYS,
     only: Optional[Set[str]] = None,
+    thin: int = 1,
 ) -> Dict[str, List[Job]]:
     """Generate the calibrated synthetic workload for each resource.
 
@@ -199,6 +200,9 @@ def build_workload(
         needed), and the per-resource random streams are untouched — so the
         generated jobs are bit-identical to a full build.  This is how a
         parallel shard builds just its owned clusters' workloads.
+    thin:
+        Keep every ``thin``-th job of each resource (1 = the full trace);
+        see :meth:`SyntheticTraceGenerator.generate`.
 
     Returns
     -------
@@ -215,22 +219,13 @@ def build_workload(
             continue
         rng = streams.get(f"workload/{res.name}")
         generator = SyntheticTraceGenerator(params, rng)
-        workload[res.name] = generator.generate()
+        workload[res.name] = generator.generate(thin)
     return workload
 
 
 def combined_workload(workload: Mapping[str, Sequence[Job]]) -> List[Job]:
     """Flatten a per-resource workload into a single submit-time ordered list."""
     return merge_workloads(list(workload.values()))
-
-
-def thin_workload(workload: Dict[str, List[Job]], thin: int) -> Dict[str, List[Job]]:
-    """Keep every ``thin``-th job of each resource (1 = no thinning)."""
-    if thin < 1:
-        raise ValueError("thin must be at least 1")
-    if thin == 1:
-        return workload
-    return {name: jobs[::thin] for name, jobs in workload.items()}
 
 
 def replicate_resources(count: int, suffix: str = "#") -> List[ArchiveResource]:

@@ -22,11 +22,11 @@ synthetic ones everywhere in the library.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
-from repro.workload.job import Job
+from repro.workload.job import Job, advance_job_counter, job_counter_state
 
 
 @dataclass(frozen=True)
@@ -125,32 +125,47 @@ class SyntheticTraceGenerator:
     # ------------------------------------------------------------------ #
     # Public API
     # ------------------------------------------------------------------ #
-    def generate(self) -> List[Job]:
-        """Generate the synthetic job list, sorted by submission time."""
+    def generate(self, thin: int = 1) -> List[Job]:
+        """Generate the synthetic job list, sorted by submission time.
+
+        Only every ``thin``-th job of the full trace is constructed.  The
+        random draws (the offered-load rescale sums over all jobs) and the
+        job-id range still cover all ``num_jobs`` jobs, so each kept job is
+        identical, id included, to its copy in the unthinned trace.
+        """
+        if thin < 1:
+            raise ValueError(f"thin must be at least 1, got {thin}")
         p = self.params
-        submit_times = self._sample_arrival_times()
+        submit_times = self._sample_arrival_times()  # already sorted
         processors = self._sample_processor_counts()
         runtimes = self._sample_runtimes(processors)
         user_ids = self.rng.integers(0, p.num_users, size=p.num_jobs)
+        # Keep the factor order: reordering the products moves last bits,
+        # and with them every result digest.
+        length_mi = (1.0 - p.comm_fraction) * runtimes * p.mips * processors
+        comm_data_gb = p.comm_fraction * runtimes * p.bandwidth_gbps
 
-        jobs: List[Job] = []
-        for submit, procs, runtime, user in zip(submit_times, processors, runtimes, user_ids):
-            compute_share = (1.0 - p.comm_fraction) * runtime
-            comm_share = p.comm_fraction * runtime
-            length_mi = compute_share * p.mips * procs
-            comm_data_gb = comm_share * p.bandwidth_gbps
-            jobs.append(
-                Job(
-                    origin=p.resource_name,
-                    user_id=int(user),
-                    submit_time=float(submit),
-                    num_processors=int(procs),
-                    length_mi=float(length_mi),
-                    comm_data_gb=float(comm_data_gb),
-                )
+        first = job_counter_state()
+        advance_job_counter(p.num_jobs)
+        return [
+            Job(
+                origin=p.resource_name,
+                user_id=user,
+                submit_time=submit,
+                num_processors=procs,
+                length_mi=length,
+                comm_data_gb=comm,
+                job_id=job_id,
             )
-        jobs.sort(key=lambda j: j.submit_time)
-        return jobs
+            for job_id, submit, procs, length, comm, user in zip(
+                range(first, first + p.num_jobs, thin),
+                submit_times[::thin].tolist(),
+                processors[::thin].tolist(),
+                length_mi[::thin].tolist(),
+                comm_data_gb[::thin].tolist(),
+                user_ids[::thin].tolist(),
+            )
+        ]
 
     # ------------------------------------------------------------------ #
     # Sampling helpers
@@ -234,22 +249,3 @@ def merge_workloads(per_resource_jobs: Sequence[Sequence[Job]]) -> List[Job]:
     merged: List[Job] = [job for jobs in per_resource_jobs for job in jobs]
     merged.sort(key=lambda j: (j.submit_time, j.job_id))
     return merged
-
-
-def offered_load(jobs: Sequence[Job], capacity: int, horizon: float, mips: Optional[float] = None) -> float:
-    """Compute the offered load of a job list against a cluster of ``capacity`` CPUs.
-
-    If ``mips`` is given, job lengths are converted back to runtimes on that
-    speed; otherwise the jobs are assumed to carry origin-speed lengths and
-    the origin's speed must be homogeneous across the list.
-    """
-    if capacity < 1 or horizon <= 0:
-        raise ValueError("capacity must be >= 1 and horizon positive")
-    if mips is None:
-        raise ValueError("mips is required to convert job lengths to runtimes")
-    node_seconds = 0.0
-    for job in jobs:
-        compute = job.length_mi / (mips * job.num_processors)
-        comm = job.comm_data_gb  # divided by bandwidth later; ignore for load
-        node_seconds += (compute + 0.0 * comm) * job.num_processors
-    return node_seconds / (capacity * horizon)

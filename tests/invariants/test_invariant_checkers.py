@@ -193,7 +193,7 @@ class TestRuntimeValidator:
         from repro.scenario.registry import AGENT_REGISTRY, PRICING_REGISTRY, WORKLOAD_REGISTRY
         from repro.scenario.runner import resolve_resources
         from repro.sim.rng import RandomStreams
-        from repro.workload.archive import build_federation_specs, thin_workload
+        from repro.workload.archive import build_federation_specs
         from repro.workload.job import reset_job_counter
 
         scenario = EXPERIMENT_SHAPES["exp3_economy"]
@@ -201,10 +201,7 @@ class TestRuntimeValidator:
         specs = build_federation_specs(archive)
         reset_job_counter()
         streams = RandomStreams(scenario.seed)
-        workload = thin_workload(
-            WORKLOAD_REGISTRY.get(scenario.workload)(scenario, streams, archive),
-            scenario.thin,
-        )
+        workload = WORKLOAD_REGISTRY.get(scenario.workload)(scenario, streams, archive)
         federation = PRICING_REGISTRY.get(scenario.pricing)(
             scenario, specs, workload, scenario.to_config(), AGENT_REGISTRY.get(scenario.agent)
         )
@@ -221,7 +218,7 @@ class TestRuntimeValidator:
         from repro.scenario.registry import AGENT_REGISTRY, PRICING_REGISTRY, WORKLOAD_REGISTRY
         from repro.scenario.runner import resolve_resources
         from repro.sim.rng import RandomStreams
-        from repro.workload.archive import build_federation_specs, thin_workload
+        from repro.workload.archive import build_federation_specs
         from repro.workload.job import reset_job_counter
 
         scenario = EXPERIMENT_SHAPES["exp3_economy"]
@@ -229,10 +226,7 @@ class TestRuntimeValidator:
         specs = build_federation_specs(archive)
         reset_job_counter()
         streams = RandomStreams(scenario.seed)
-        workload = thin_workload(
-            WORKLOAD_REGISTRY.get(scenario.workload)(scenario, streams, archive),
-            scenario.thin,
-        )
+        workload = WORKLOAD_REGISTRY.get(scenario.workload)(scenario, streams, archive)
         federation = PRICING_REGISTRY.get(scenario.pricing)(
             scenario, specs, workload, scenario.to_config(), AGENT_REGISTRY.get(scenario.agent)
         )
@@ -247,17 +241,14 @@ class TestRuntimeValidator:
         from repro.scenario.registry import AGENT_REGISTRY, PRICING_REGISTRY, WORKLOAD_REGISTRY
         from repro.scenario.runner import resolve_resources
         from repro.sim.rng import RandomStreams
-        from repro.workload.archive import build_federation_specs, thin_workload
+        from repro.workload.archive import build_federation_specs
         from repro.workload.job import reset_job_counter
 
         archive = resolve_resources(scenario, None)
         specs = build_federation_specs(archive)
         reset_job_counter()
         streams = RandomStreams(scenario.seed)
-        workload = thin_workload(
-            WORKLOAD_REGISTRY.get(scenario.workload)(scenario, streams, archive),
-            scenario.thin,
-        )
+        workload = WORKLOAD_REGISTRY.get(scenario.workload)(scenario, streams, archive)
         federation = PRICING_REGISTRY.get(scenario.pricing)(
             scenario, specs, workload, scenario.to_config(), AGENT_REGISTRY.get(scenario.agent)
         )

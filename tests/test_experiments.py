@@ -17,26 +17,32 @@ from repro.experiments import (
     run_experiment_3,
     run_experiment_5,
 )
-from repro.experiments.common import default_workload, thin_workload
+from repro.experiments.common import default_workload
 from repro.experiments.exp4_messages import message_complexity_rows, run_experiment_4
 from repro.experiments.exp5_scalability import scalability_rows
 from repro.metrics.collectors import average_acceptance_rate
 from repro.workload.archive import ARCHIVE_RESOURCES
+from repro.workload.job import reset_job_counter
 
 SMALL = ARCHIVE_RESOURCES[:4]
 THIN = 6
 
 
 class TestThinning:
-    def test_thin_workload_keeps_every_nth_job(self):
+    def test_default_workload_keeps_every_nth_job(self):
+        reset_job_counter()
         full = default_workload(seed=1, resources=SMALL)
-        thinned = thin_workload(full, 3)
+        reset_job_counter()
+        thinned = default_workload(seed=1, resources=SMALL, thin=3)
+        assert set(thinned) == set(full)
         for name in full:
-            assert len(thinned[name]) == len(full[name][::3])
+            assert [(j.job_id, j.submit_time, j.length_mi) for j in thinned[name]] == [
+                (j.job_id, j.submit_time, j.length_mi) for j in full[name][::3]
+            ]
 
     def test_thin_must_be_positive(self):
         with pytest.raises(ValueError):
-            thin_workload({}, 0)
+            default_workload(seed=1, resources=SMALL, thin=0)
 
 
 class TestExperiment1And2:

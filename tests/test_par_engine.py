@@ -254,15 +254,12 @@ class TestShardBuild:
         from repro.par.shard import build_shard_federation
         from repro.scenario.registry import WORKLOAD_REGISTRY
         from repro.scenario.runner import resolve_resources
-        from repro.workload.archive import thin_workload
         from repro.workload.job import reset_job_counter
 
         archive = resolve_resources(ELIGIBLE, None)
         provider = WORKLOAD_REGISTRY.get(ELIGIBLE.workload)
         reset_job_counter()
-        serial = thin_workload(
-            provider(ELIGIBLE, RandomStreams(ELIGIBLE.seed), archive), ELIGIBLE.thin
-        )
+        serial = provider(ELIGIBLE, RandomStreams(ELIGIBLE.seed), archive)
         serial_ids = {
             name: [j.job_id for j in jobs] for name, jobs in serial.items()
         }

@@ -383,7 +383,7 @@ class TestRunnerIntegration:
         """The service-layer entry point used by the daemon."""
         from repro.scenario.registry import AGENT_REGISTRY, PRICING_REGISTRY, WORKLOAD_REGISTRY
         from repro.sim.rng import RandomStreams
-        from repro.workload.archive import build_federation_specs, thin_workload
+        from repro.workload.archive import build_federation_specs
         from repro.workload.job import reset_job_counter
 
         from repro.scenario.runner import resolve_resources
@@ -393,9 +393,7 @@ class TestRunnerIntegration:
         specs = build_federation_specs(archive)
         provider = WORKLOAD_REGISTRY.get(scenario.workload)
         reset_job_counter()
-        workload = thin_workload(
-            provider(scenario, RandomStreams(scenario.seed), archive), scenario.thin
-        )
+        workload = provider(scenario, RandomStreams(scenario.seed), archive)
         federation = PRICING_REGISTRY.get(scenario.pricing)(
             scenario, specs, workload, scenario.to_config(), AGENT_REGISTRY.get(scenario.agent)
         )

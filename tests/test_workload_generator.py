@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import List
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from repro.workload.generator import (
     WorkloadParameters,
     merge_workloads,
 )
+from repro.workload.job import Job, job_counter_state, reset_job_counter, restore_job_counter
 
 
 def make_params(**overrides) -> WorkloadParameters:
@@ -36,6 +39,42 @@ def make_params(**overrides) -> WorkloadParameters:
     )
     defaults.update(overrides)
     return WorkloadParameters(**defaults)
+
+
+def reference_generate(params: WorkloadParameters, rng: np.random.Generator) -> List[Job]:
+    """The full trace, one scalar step per job, as the generator once built it.
+
+    Same draws in the same order as :meth:`SyntheticTraceGenerator.generate`;
+    every job takes the next id from the global counter as it is constructed.
+    """
+    generator = SyntheticTraceGenerator(params, rng)
+    submit_times = generator._sample_arrival_times()
+    processors = generator._sample_processor_counts()
+    runtimes = generator._sample_runtimes(processors)
+    user_ids = rng.integers(0, params.num_users, size=params.num_jobs)
+    jobs: List[Job] = []
+    for submit, procs, runtime, user in zip(submit_times, processors, runtimes, user_ids):
+        compute_share = (1.0 - params.comm_fraction) * runtime
+        comm_share = params.comm_fraction * runtime
+        length_mi = compute_share * params.mips * procs
+        comm_data_gb = comm_share * params.bandwidth_gbps
+        jobs.append(
+            Job(
+                origin=params.resource_name,
+                user_id=int(user),
+                submit_time=float(submit),
+                num_processors=int(procs),
+                length_mi=float(length_mi),
+                comm_data_gb=float(comm_data_gb),
+            )
+        )
+    jobs.sort(key=lambda j: j.submit_time)
+    return jobs
+
+
+def job_fields(jobs: List[Job]) -> List[dict]:
+    """Every field of every job, with each value's type next to it."""
+    return [{name: (type(v), v) for name, v in vars(job).items()} for job in jobs]
 
 
 class TestWorkloadParameters:
@@ -124,6 +163,89 @@ class TestGenerator:
             assert 0 <= job.submit_time < params.horizon
 
 
+class TestThinnedGeneration:
+    """``generate(thin)`` builds only the kept jobs, exactly as the full trace has them."""
+
+    @given(
+        num_jobs=st.integers(min_value=1, max_value=500),
+        max_processors=st.integers(min_value=1, max_value=2048),
+        overrides=st.sampled_from([{}] + [res.workload_overrides for res in ARCHIVE_RESOURCES]),
+        horizon=st.sampled_from([4 * 3600.0, 6 * 3600.0, 86_400.0, TWO_DAYS, 3.5 * 86_400.0]),
+        offered_load=st.floats(min_value=0.05, max_value=3.0),
+        comm_fraction=st.sampled_from([0.0, 0.1, 0.35]),
+        mips=st.sampled_from([630.0, 850.0, 930.0]),
+        bandwidth_gbps=st.sampled_from([1.0, 1.6, 4.0]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        first_id=st.integers(min_value=1, max_value=10**6),
+        thin=st.integers(min_value=1, max_value=40),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_thinned_trace_equals_every_nth_job_of_the_reference(
+        self, num_jobs, max_processors, overrides, horizon, offered_load,
+        comm_fraction, mips, bandwidth_gbps, seed, first_id, thin,
+    ):
+        params = make_params(
+            num_jobs=num_jobs,
+            max_processors=max_processors,
+            horizon=horizon,
+            offered_load=offered_load,
+            comm_fraction=comm_fraction,
+            mips=mips,
+            bandwidth_gbps=bandwidth_gbps,
+            **overrides,
+        )
+        restore_job_counter(first_id)
+        reference = reference_generate(params, np.random.default_rng(seed))
+        reference_next_id = job_counter_state()
+        restore_job_counter(first_id)
+        jobs = SyntheticTraceGenerator(params, np.random.default_rng(seed)).generate(thin)
+
+        assert job_counter_state() == reference_next_id == first_id + num_jobs
+        assert jobs == reference[::thin]
+        assert job_fields(jobs) == job_fields(reference[::thin])
+
+    @given(
+        only=st.sets(st.sampled_from([res.name for res in replicate_resources(12)])),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        thin=st.integers(min_value=1, max_value=40),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_thinned_partial_build_keeps_the_full_build_ids(self, only, seed, thin):
+        resources = replicate_resources(12)
+        reset_job_counter()
+        full = build_workload(RandomStreams(seed), resources)
+        full_next_id = job_counter_state()
+        reset_job_counter()
+        thinned = build_workload(RandomStreams(seed), resources, only=only, thin=thin)
+
+        assert job_counter_state() == full_next_id
+        assert set(thinned) == set(full)
+        for name, jobs in thinned.items():
+            expected = full[name][::thin] if name in only else []
+            assert job_fields(jobs) == job_fields(expected)
+
+    @pytest.mark.parametrize("thin", [0, -3])
+    def test_thin_below_one_is_rejected(self, thin):
+        generator = SyntheticTraceGenerator(make_params(), np.random.default_rng(0))
+        with pytest.raises(ValueError, match="thin"):
+            generator.generate(thin)
+
+    def test_build_constructs_only_the_jobs_it_returns(self, monkeypatch):
+        constructed = []
+        original = Job.__post_init__
+
+        def counting_post_init(job):
+            constructed.append(job.job_id)
+            original(job)
+
+        monkeypatch.setattr(Job, "__post_init__", counting_post_init)
+        workload = build_workload(RandomStreams(42), thin=8)
+        returned = [job.job_id for jobs in workload.values() for job in jobs]
+
+        assert sorted(constructed) == sorted(returned)
+        assert len(returned) == sum(len(range(0, r.two_day_jobs, 8)) for r in ARCHIVE_RESOURCES)
+
+
 class TestMerge:
     def test_merge_sorts_by_submit_time(self):
         a = SyntheticTraceGenerator(make_params(resource_name="A"), np.random.default_rng(0)).generate()
@@ -180,8 +302,6 @@ class TestArchive:
         just its owned clusters must produce jobs identical — ids included —
         to the full replicated build.
         """
-        from repro.workload.job import job_counter_state, reset_job_counter
-
         keep = {"KTH SP2", "SDSC SP2"}
         reset_job_counter()
         full = build_workload(RandomStreams(7))
