@@ -25,7 +25,7 @@ from repro.core.federation import (
     run_federation,
 )
 from repro.core.gfa import GFAStatistics, GridFederationAgent
-from repro.core.messages import GFAMessageCounters, Message, MessageLog, MessageType
+from repro.core.messages import GFAMessageCounters, MessageLog, MessageType
 from repro.core.policies import SharingMode, rank_criterion_for
 from repro.core.users import UserPopulation, populations_from_workload
 
@@ -40,7 +40,6 @@ __all__ = [
     "GFAStatistics",
     "GridFederationAgent",
     "GFAMessageCounters",
-    "Message",
     "MessageLog",
     "MessageType",
     "SharingMode",

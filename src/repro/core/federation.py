@@ -57,8 +57,6 @@ class FederationConfig:
         observation period for utilisation statistics.
     seed:
         Root seed for every stochastic component of the run.
-    keep_message_records:
-        Retain individual message records (memory-heavier; useful in tests).
     transport:
         Topology/latency model key for the message fabric (``"uniform"``,
         ``"star"``, ``"ring"``, ``"two-tier-wan"``, or anything registered
@@ -83,7 +81,6 @@ class FederationConfig:
     lrms_policy: SchedulingPolicy = SchedulingPolicy.FCFS
     horizon: float = 2 * 86_400.0
     seed: int = 42
-    keep_message_records: bool = False
     transport: str = "uniform"
     directory_shards: int = 1
     resilience: str = "paper"
@@ -220,10 +217,9 @@ class Federation:
         self.streams = RandomStreams(self.config.seed)
         self.sim = Simulator()
         self.registry = EntityRegistry()
-        self.message_log = MessageLog(keep_records=self.config.keep_message_records)
-        # The message fabric: every cross-entity interaction rides it.  The
-        # MessageLog observes it, so Experiment 4/5 message accounting is
-        # derived from the traffic that actually flowed.
+        # The message fabric: every cross-entity interaction rides it, and
+        # its MessageLog is the run's one message ledger, so Experiment 4/5
+        # message accounting is derived from the traffic that actually flowed.
         topology = build_topology(
             self.config.transport,
             [spec.name for spec in self.specs],
@@ -232,7 +228,7 @@ class Federation:
         self.transport = Transport(
             self.sim, topology, rng=self.streams.get("net/latency")
         )
-        self.transport.add_observer(self.message_log)
+        self.message_log: MessageLog = self.transport.log
         self.bank: Optional[GridBank] = GridBank() if self.config.mode is SharingMode.ECONOMY else None
         self.directory: Optional[FederationDirectory] = None
         if self.config.mode is not SharingMode.INDEPENDENT:
@@ -264,12 +260,11 @@ class Federation:
             sim=self.sim,
             registry=self.registry,
             spec=spec,
-            message_log=self.message_log,
+            transport=self.transport,
             mode=self.config.mode,
             directory=self.directory,
             bank=self.bank,
             lrms_policy=self.config.lrms_policy,
-            transport=self.transport,
         )
         self.gfas[spec.name] = gfa
         population = UserPopulation(self.sim, self.registry, spec.name, self.workload[spec.name])

@@ -11,8 +11,9 @@ LRMS to the federation (Section 2.0.3).  It contains two functional units:
 
 Negotiation between GFAs is synchronous in simulated time (the paper's remote
 GFA "makes a decision immediately upon receiving a request"); every exchanged
-negotiate / reply / job-submission / job-completion message is recorded in the
-shared :class:`~repro.core.messages.MessageLog`.
+negotiate / reply / job-submission / job-completion message rides the shared
+:class:`~repro.net.transport.Transport`, which records it once in its
+:class:`~repro.core.messages.MessageLog`.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 from repro.cluster.lrms import SchedulingPolicy, SpaceSharedLRMS
 from repro.cluster.specs import ResourceSpec, execution_cost
 from repro.core.admission import AdmissionController, AdmissionDecision
-from repro.core.messages import MessageLog, MessageType
+from repro.core.messages import MessageType
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.faults.injector import FaultInjector
@@ -85,10 +86,11 @@ class GridFederationAgent(Entity):
         Simulation engine and entity registry shared by the federation.
     spec:
         The cluster's resource description and quote.
+    transport:
+        The federation's shared message fabric; its ``log`` is the run's
+        message ledger, in which the agent registers itself.
     directory:
         Shared federation directory (may be ``None`` in INDEPENDENT mode).
-    message_log:
-        Shared message accounting.
     bank:
         GridBank used to settle payments in ECONOMY mode (may be ``None``
         otherwise).
@@ -96,11 +98,6 @@ class GridFederationAgent(Entity):
         The :class:`~repro.core.policies.SharingMode` of the experiment.
     lrms_policy:
         Queueing policy of the local LRMS.
-    transport:
-        The federation's shared message fabric.  When ``None`` (hand-built
-        test worlds) a private zero-latency transport is created with the
-        message log as its observer — behaviourally identical to the shared
-        default transport.
     """
 
     def __init__(
@@ -108,22 +105,17 @@ class GridFederationAgent(Entity):
         sim: Simulator,
         registry: EntityRegistry,
         spec: ResourceSpec,
-        message_log: MessageLog,
+        transport: Transport,
         mode: SharingMode = SharingMode.ECONOMY,
         directory: Optional[FederationDirectory] = None,
         bank: Optional[GridBank] = None,
         lrms_policy: SchedulingPolicy = SchedulingPolicy.FCFS,
-        transport: Optional[Transport] = None,
     ):
         super().__init__(sim, spec.name, registry)
         self.spec = spec
         self.mode = mode
         self.directory = directory
         self.bank = bank
-        self.message_log = message_log
-        if transport is None:
-            transport = Transport(sim)
-            transport.add_observer(message_log)
         self.transport = transport
         self.lrms = SpaceSharedLRMS(sim, spec, policy=lrms_policy, on_job_complete=self._on_lrms_completion)
         self.admission = AdmissionController(self.lrms)
@@ -142,7 +134,7 @@ class GridFederationAgent(Entity):
         #: Closed ``(down_since, up_again)`` crash windows.
         self.downtime_intervals: List[Tuple[float, float]] = []
         self._down_since: Optional[float] = None
-        message_log.register_gfa(self.name)
+        transport.log.register_gfa(self.name)
         if mode is not SharingMode.INDEPENDENT:
             if directory is None:
                 raise ValueError(f"{mode.value} mode requires a federation directory")

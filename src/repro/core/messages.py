@@ -17,13 +17,17 @@ one job.  At the job's **origin** GFA it is a *local* message (sent/received to
 schedule one of its own users' jobs); at the **remote** GFA it is a *remote*
 message (work done on behalf of another site).  Messages are only exchanged
 between distinct GFAs — scheduling a job onto its own origin cluster is free.
+
+The :class:`MessageLog` is the one ledger of a run: the federation's
+:class:`~repro.net.transport.Transport` owns it and records every data-plane
+message into it exactly once.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List
 
 from repro.workload.job import Job
 
@@ -37,28 +41,19 @@ class MessageType(enum.Enum):
     JOB_COMPLETION = "job-completion"
 
 
+# Each member's slot in the ledger's per-type counter list: recording a
+# message indexes a list with it instead of hashing the Enum member.
+for _index, _mtype in enumerate(MessageType):
+    _mtype.index = _index
+del _index, _mtype
+
+
 @dataclass(frozen=True)
-class Message:
-    """One recorded inter-GFA message."""
-
-    mtype: MessageType
-    sender: str
-    receiver: str
-    origin_gfa: str
-    remote_gfa: str
-    job_id: int
-    time: float
-
-
-@dataclass
 class GFAMessageCounters:
-    """Per-GFA message counters."""
+    """One GFA's message counts."""
 
     local: int = 0
     remote: int = 0
-    sent: int = 0
-    received: int = 0
-    by_type: Dict[MessageType, int] = field(default_factory=lambda: {t: 0 for t in MessageType})
 
     @property
     def total(self) -> int:
@@ -67,56 +62,35 @@ class GFAMessageCounters:
 
 
 class MessageLog:
-    """Central accounting of all inter-GFA messages of one simulation run.
+    """The ledger of all inter-GFA messages of one simulation run.
 
-    The log keeps per-GFA counters, per-job counts (mirrored onto
-    ``Job.messages``) and, optionally, the individual message records for
-    detailed inspection in tests and reports.
+    Every GFA owns a slot in two flat lists — messages it exchanged for its
+    own jobs (``local``) and on behalf of other sites' jobs (``remote``) —
+    and each message type a slot in a per-type list.  Recording a message
+    bumps one entry of each list and the job's ``Job.messages``; nothing
+    else is kept.
     """
 
-    def __init__(self, keep_records: bool = False):
-        self._per_gfa: Dict[str, GFAMessageCounters] = {}
-        self._per_job: Dict[int, int] = {}
-        self._per_pair: Dict[Tuple[str, str], int] = {}
-        self._by_type: Dict[MessageType, int] = {t: 0 for t in MessageType}
-        self._records: List[Message] = []
-        self._keep_records = keep_records
-        self.total_messages = 0
-        # Fault accounting (zero on the fault-free path): enquiries whose
-        # round trip never completed, and job transfers lost on the wire.
-        # Kept outside the paper's message counters — a timeout is the
-        # *absence* of a REPLY, not a fifth message category.
-        self.negotiation_timeouts = 0
-        self.transit_losses = 0
+    def __init__(self) -> None:
+        self._slots: Dict[str, int] = {}
+        self._local: List[int] = []
+        self._remote: List[int] = []
+        self._by_type: List[int] = [0] * len(MessageType)
 
     # ------------------------------------------------------------------ #
     # Recording
     # ------------------------------------------------------------------ #
-    def record(
-        self,
-        mtype: MessageType,
-        sender: str,
-        receiver: str,
-        job: Job,
-        time: float = 0.0,
-        origin_gfa: Optional[str] = None,
-    ) -> Optional[Message]:
+    def record(self, mtype: MessageType, sender: str, receiver: str, job: Job) -> None:
         """Record one message exchanged while scheduling ``job``.
 
-        ``origin_gfa`` identifies the GFA that owns the job (defaults to the
-        GFA managing the job's origin cluster); the other endpoint is the
-        remote party.  Messages whose two endpoints are the same GFA are a
-        programming error — intra-GFA decisions are free.
-
-        This runs once per negotiate/reply/submission/completion message —
-        several times per scheduled job — so it only touches the per-GFA
-        counter objects of the two endpoints and builds a :class:`Message`
-        record solely when tracing (``keep_records=True``); the plain counting
-        path returns ``None``.
+        The GFA managing the job's origin cluster owns the job; the other
+        endpoint is the remote party.  Messages whose two endpoints are the
+        same GFA, or that do not involve the job's origin, are programming
+        errors — intra-GFA decisions are free.
         """
         if sender == receiver:
             raise ValueError("inter-GFA messages require two distinct endpoints")
-        origin = origin_gfa if origin_gfa is not None else job.origin
+        origin = job.origin
         if origin == sender:
             remote = receiver
         elif origin == receiver:
@@ -126,82 +100,47 @@ class MessageLog:
                 f"message endpoints ({sender!r}, {receiver!r}) do not include the "
                 f"job's origin GFA {origin!r}"
             )
-        per_gfa = self._per_gfa
-        origin_counters = per_gfa.get(origin)
-        if origin_counters is None:
-            origin_counters = per_gfa[origin] = GFAMessageCounters()
-        remote_counters = per_gfa.get(remote)
-        if remote_counters is None:
-            remote_counters = per_gfa[remote] = GFAMessageCounters()
-        origin_counters.local += 1
-        origin_counters.by_type[mtype] += 1
-        remote_counters.remote += 1
-        remote_counters.by_type[mtype] += 1
-        # sender/receiver are exactly {origin, remote}: reuse the two counter
-        # objects already in hand instead of two more dict lookups.
-        if sender == origin:
-            origin_counters.sent += 1
-            remote_counters.received += 1
-        else:
-            remote_counters.sent += 1
-            origin_counters.received += 1
-        self._by_type[mtype] += 1
-        job_id = job.job_id
-        per_job = self._per_job
-        per_job[job_id] = per_job.get(job_id, 0) + 1
-        pair = (origin, remote)
-        per_pair = self._per_pair
-        per_pair[pair] = per_pair.get(pair, 0) + 1
+        slots = self._slots
+        slot = slots.get(origin)
+        if slot is None:
+            slot = self._new_slot(origin)
+        self._local[slot] += 1
+        slot = slots.get(remote)
+        if slot is None:
+            slot = self._new_slot(remote)
+        self._remote[slot] += 1
+        self._by_type[mtype.index] += 1
         job.messages += 1
-        self.total_messages += 1
-        if self._keep_records:
-            message = Message(
-                mtype=mtype,
-                sender=sender,
-                receiver=receiver,
-                origin_gfa=origin,
-                remote_gfa=remote,
-                job_id=job_id,
-                time=time,
-            )
-            self._records.append(message)
-            return message
-        return None
 
-    def record_timeout(self, sender: str, receiver: str, job: Job) -> None:
-        """Note that a NEGOTIATE from ``sender`` to ``receiver`` got no REPLY.
-
-        The NEGOTIATE itself was recorded through :meth:`record`; this only
-        tracks the missing reply so fault reports can reconcile negotiation
-        counts against observed failures.
-        """
-        del sender, receiver, job  # identity is already captured by record()
-        self.negotiation_timeouts += 1
-
-    def record_transit_loss(self, sender: str, receiver: str, job: Job) -> None:
-        """Note that a JOB_SUBMISSION transfer was lost on the wire."""
-        del sender, receiver, job
-        self.transit_losses += 1
-
-    def _counters(self, gfa_name: str) -> GFAMessageCounters:
-        if gfa_name not in self._per_gfa:
-            self._per_gfa[gfa_name] = GFAMessageCounters()
-        return self._per_gfa[gfa_name]
+    def _new_slot(self, gfa_name: str) -> int:
+        slot = self._slots[gfa_name] = len(self._local)
+        self._local.append(0)
+        self._remote.append(0)
+        return slot
 
     def register_gfa(self, gfa_name: str) -> None:
         """Pre-register a GFA so zero-message agents appear in the reports."""
-        self._counters(gfa_name)
+        if gfa_name not in self._slots:
+            self._new_slot(gfa_name)
 
     # ------------------------------------------------------------------ #
     # Queries
     # ------------------------------------------------------------------ #
+    @property
+    def total_messages(self) -> int:
+        """All messages recorded (each once, whatever its type)."""
+        return sum(self._by_type)
+
     def counters(self, gfa_name: str) -> GFAMessageCounters:
         """Counters of one GFA (zeros if it never exchanged messages)."""
-        return self._per_gfa.get(gfa_name, GFAMessageCounters())
+        slot = self._slots.get(gfa_name)
+        if slot is None:
+            return GFAMessageCounters()
+        return GFAMessageCounters(self._local[slot], self._remote[slot])
 
     def gfa_names(self) -> List[str]:
         """All GFAs that appear in the log."""
-        return sorted(self._per_gfa)
+        return sorted(self._slots)
 
     def local_messages(self, gfa_name: str) -> int:
         """Messages attributed to scheduling ``gfa_name``'s local jobs."""
@@ -213,33 +152,7 @@ class MessageLog:
 
     def count_by_type(self, mtype: MessageType) -> int:
         """Total messages of one type."""
-        return self._by_type[mtype]
-
-    def messages_for_job(self, job_id: int) -> int:
-        """Messages exchanged while scheduling one particular job."""
-        return self._per_job.get(job_id, 0)
-
-    def per_job_counts(self) -> Dict[int, int]:
-        """Mapping job id → message count (jobs with zero messages excluded)."""
-        return dict(self._per_job)
-
-    def per_gfa_totals(self) -> Dict[str, int]:
-        """Mapping GFA name → total (local + remote) messages."""
-        return {name: counters.total for name, counters in self._per_gfa.items()}
-
-    def pair_counts(self) -> Dict[Tuple[str, str], int]:
-        """Mapping ``(origin GFA, remote GFA)`` → messages exchanged for that
-        pairing (directional: the origin is the GFA whose job was being
-        scheduled)."""
-        return dict(self._per_pair)
-
-    def messages_between(self, origin_gfa: str, remote_gfa: str) -> int:
-        """Messages spent scheduling ``origin_gfa``'s jobs on ``remote_gfa``."""
-        return self._per_pair.get((origin_gfa, remote_gfa), 0)
-
-    def records(self) -> List[Message]:
-        """Individual message records (only if ``keep_records=True``)."""
-        return list(self._records)
+        return self._by_type[mtype.index]
 
     # ------------------------------------------------------------------ #
     # Merging (parallel engine)
@@ -252,25 +165,14 @@ class MessageLog:
         recorded on exactly one shard (requests at the job's origin shard,
         completions at the executing shard), so summing never double-counts.
         """
-        for name, counters in other._per_gfa.items():
-            mine = self._counters(name)
-            mine.local += counters.local
-            mine.remote += counters.remote
-            mine.sent += counters.sent
-            mine.received += counters.received
-            for mtype, count in counters.by_type.items():
-                mine.by_type[mtype] += count
-        for job_id, count in other._per_job.items():
-            self._per_job[job_id] = self._per_job.get(job_id, 0) + count
-        for pair, count in other._per_pair.items():
-            self._per_pair[pair] = self._per_pair.get(pair, 0) + count
-        for mtype, count in other._by_type.items():
-            self._by_type[mtype] += count
-        self.total_messages += other.total_messages
-        self.negotiation_timeouts += other.negotiation_timeouts
-        self.transit_losses += other.transit_losses
-        if self._keep_records:
-            self._records.extend(other._records)
+        for name, theirs in other._slots.items():
+            mine = self._slots.get(name)
+            if mine is None:
+                mine = self._new_slot(name)
+            self._local[mine] += other._local[theirs]
+            self._remote[mine] += other._remote[theirs]
+        for index, count in enumerate(other._by_type):
+            self._by_type[index] += count
 
     def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
-        return f"MessageLog(total={self.total_messages}, gfas={len(self._per_gfa)})"
+        return f"MessageLog(total={self.total_messages}, gfas={len(self._slots)})"

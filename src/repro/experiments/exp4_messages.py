@@ -6,10 +6,10 @@ exchanged to schedule jobs, classified as *local* (scheduling the GFA's own
 users' jobs) or *remote* (work done for other sites' jobs).
 
 The counts are *derived from actual traffic*: every inter-GFA message rides
-the federation's :class:`~repro.net.transport.Transport`, which the
-:class:`~repro.core.messages.MessageLog` observes — nothing is instrumented
-at the call sites.  ``result.network`` carries the transport's own tallies
-(tested to agree job-for-job with the MessageLog on the default path), and
+the federation's :class:`~repro.net.transport.Transport`, which records it
+once in its :class:`~repro.core.messages.MessageLog` (``result.message_log``)
+— nothing is instrumented at the call sites.  ``result.network`` carries the
+transport's link-level tallies (volume, latency, timeouts, losses), and
 :func:`repro.metrics.collectors.network_summary` exposes them, directory
 control-plane fan-out included.
 """

@@ -191,8 +191,7 @@ def per_job_message_stats(result: FederationResult, include_message_free_jobs: b
     Jobs scheduled on their own origin cluster exchange no messages; they are
     included by default (the paper averages over all jobs in the system).
     """
-    log = result.message_log
-    values = [float(log.messages_for_job(job.job_id)) for job in result.jobs]
+    values = [float(job.messages) for job in result.jobs]
     if not include_message_free_jobs:
         values = [v for v in values if v > 0]
     return _distribution(values)
@@ -208,8 +207,8 @@ def network_summary(result: FederationResult) -> Dict[str, object]:
     """Transport-level traffic accounting of one run.
 
     The counts here are *derived* from the traffic that actually crossed the
-    message fabric (the MessageLog observes the same transport, so the
-    data-plane totals reconcile with the Fig. 9–11 collectors above); the
+    message fabric (the transport records into the same MessageLog the Fig.
+    9–11 collectors above read, so the data-plane totals reconcile); the
     control-plane entries expose the directory traffic — per shard under a
     sharded directory — that the paper's accounting deliberately excludes.
     """

@@ -9,10 +9,11 @@ negotiation and job migration, GFA↔directory control traffic, and the fault
 injector's network perturbations — flows through one :class:`~repro.net.
 transport.Transport` per federation.  The transport asks a
 :class:`~repro.net.topology.Topology` for the link profile of each
-``(src, dst)`` pair, applies fault-plan perturbation windows, notifies its
-observers (the :class:`~repro.core.messages.MessageLog` is one), and delivers:
-inline for zero-latency links (the paper's model, byte-identical to the
-pre-transport code paths) or via the simulator for links with real latency.
+``(src, dst)`` pair, applies fault-plan perturbation windows, records each
+data-plane message once in its :class:`~repro.core.messages.MessageLog`, and
+delivers: inline for zero-latency links (the paper's model, byte-identical to
+the pre-transport code paths) or via the simulator for links with real
+latency.
 
 Topology models are registered by name (``uniform``, ``star``, ``ring``,
 ``two-tier-wan``) and selected with ``Scenario(transport=...)`` or

@@ -16,10 +16,10 @@ One :class:`Transport` per federation routes
   quote / query messages, counted per directory node so scatter-gather over a
   sharded directory is honestly accounted.
 
-Observers (duck-typed on :class:`~repro.core.messages.MessageLog`'s
-``record`` / ``record_timeout`` / ``record_transit_loss`` methods) see every
-data-plane message, which is how Experiment 4/5 message counts are *derived*
-from actual traffic instead of being instrumented at call sites.
+The transport owns the run's one message ledger, :attr:`Transport.log` (a
+:class:`~repro.core.messages.MessageLog`), and records every data-plane
+message into it exactly once, which is how Experiment 4/5 message counts are
+*derived* from actual traffic instead of being instrumented at call sites.
 
 Determinism: the default ``uniform`` topology with no fault plan draws no
 random numbers and delivers everything inline, so the default path stays
@@ -30,21 +30,19 @@ link-loss draws come from the federation's ``"net/latency"`` stream.
 Fast path: when the topology is *free* (zero latency, infinite bandwidth, no
 loss — the paper's model) and no fault windows are installed, the data-plane
 methods short-circuit past link lookups, window scans, loss draws and latency
-accounting straight to the counter updates and observer hooks.  Every
-recorded count is identical to the slow path's — only per-message overhead
-(and the per-transfer fate-tuple allocation) disappears.  Set
-:attr:`Transport.fast_path` to ``False`` to benchmark the difference
-(``gridfed bench`` records the end-to-end ratio).
+accounting straight to the counter updates.  Every recorded count is
+identical to the slow path's — only per-message overhead (and the
+per-transfer fate-tuple allocation) disappears.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Dict, Optional, Sequence, Tuple, TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.messages import MessageType
+from repro.core.messages import MessageLog, MessageType
 from repro.net.topology import Topology, UniformTopology
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -64,18 +62,14 @@ JOB_PAYLOAD_MB = 8.0
 class TransportStats:
     """Traffic measured by one transport over one run.
 
-    Carried on :attr:`repro.core.federation.FederationResult.network`; the
-    per-job counters are the transport-derived Experiment 4 accounting, which
-    must (and, by test, does) agree with the legacy
-    :class:`~repro.core.messages.MessageLog` tallies on the default path.
+    Carried on :attr:`repro.core.federation.FederationResult.network`.  The
+    per-type, per-GFA and per-job message counts live in the transport's
+    :class:`~repro.core.messages.MessageLog`; these are the link-level
+    measurements around them.
     """
 
-    #: Data-plane messages carried (mirrors ``MessageLog.total_messages``).
+    #: Data-plane messages carried (equals ``MessageLog.total_messages``).
     messages: int = 0
-    #: Per :class:`MessageType` value counts.
-    by_type: Dict[str, int] = field(default_factory=dict)
-    #: Job id -> data-plane messages carried while scheduling it.
-    per_job: Dict[int, int] = field(default_factory=dict)
     #: Megabytes pushed over data-plane links.
     volume_mb: float = 0.0
     #: One-way link latency accumulated by delivered data-plane messages.
@@ -93,14 +87,6 @@ class TransportStats:
     control_by_kind: Dict[str, int] = field(default_factory=dict)
     control_by_node: Dict[str, int] = field(default_factory=dict)
 
-    def messages_for_job(self, job_id: int) -> int:
-        """Data-plane messages carried for one job (0 if it never migrated)."""
-        return self.per_job.get(job_id, 0)
-
-    def per_job_counts(self) -> Dict[int, int]:
-        """Copy of the job id -> message count mapping."""
-        return dict(self.per_job)
-
     def merge_from(self, other: "TransportStats") -> None:
         """Fold another transport's traffic into this one (purely additive).
 
@@ -116,10 +102,6 @@ class TransportStats:
         self.transit_losses += other.transit_losses
         self.delayed_deliveries += other.delayed_deliveries
         self.control_messages += other.control_messages
-        for key, count in other.by_type.items():
-            self.by_type[key] = self.by_type.get(key, 0) + count
-        for job_id, count in other.per_job.items():
-            self.per_job[job_id] = self.per_job.get(job_id, 0) + count
         for kind, count in other.control_by_kind.items():
             self.control_by_kind[kind] = self.control_by_kind.get(kind, 0) + count
         for node, count in other.control_by_node.items():
@@ -137,21 +119,14 @@ class Transport:
     Parameters
     ----------
     sim:
-        The federation's simulator (used to schedule delayed deliveries and
-        to timestamp observer records).
+        The federation's simulator (its clock decides which fault window is
+        active).
     topology:
         The link model; defaults to the free :class:`UniformTopology`.
     rng:
         Generator for *link-level* datagram loss draws (the federation passes
         its ``"net/latency"`` stream).  Never touched by loss-free topologies.
     """
-
-    #: Master switch for the free-topology short-circuit.  Class-level so the
-    #: benchmark suite can flip whole runs (``Transport.fast_path = False``)
-    #: without threading a flag through every constructor; assign on an
-    #: instance to override locally.  The flag is read at construction and at
-    #: :meth:`set_perturbations` time — flip it before building a federation.
-    fast_path: bool = True
 
     def __init__(
         self,
@@ -163,36 +138,18 @@ class Transport:
         self.topology = topology if topology is not None else UniformTopology()
         self._rng = rng
         self.stats = TransportStats()
-        self._observers: List[object] = []
-        # Hot-path dispatch tables: observer hooks are resolved once at
-        # add_observer time, so recording a message costs one list walk of
-        # bound methods instead of per-message getattr lookups.
-        self._record_hooks: List[object] = []
-        self._timeout_hooks: List[object] = []
-        self._transit_loss_hooks: List[object] = []
+        #: The run's one message ledger (Experiment 4/5 counts).
+        self.log = MessageLog()
         #: Fault-plan perturbation windows (installed by the fault injector).
         self._windows: Sequence["NetworkPerturbation"] = ()
         self._fault_rng: Optional[np.random.Generator] = None
         # The short-circuit is legal iff every link is free and no fault
         # window can ever perturb a message; recomputed when windows arrive.
-        self._fast = self.fast_path and self.topology.free
+        self._fast = self.topology.free
 
     # ------------------------------------------------------------------ #
     # Wiring
     # ------------------------------------------------------------------ #
-    def add_observer(self, observer: object) -> None:
-        """Attach a message observer (``record`` / ``record_timeout`` /
-        ``record_transit_loss``, all optional — missing hooks are skipped)."""
-        self._observers.append(observer)
-        for attr, hooks in (
-            ("record", self._record_hooks),
-            ("record_timeout", self._timeout_hooks),
-            ("record_transit_loss", self._transit_loss_hooks),
-        ):
-            hook = getattr(observer, attr, None)
-            if hook is not None:
-                hooks.append(hook)
-
     def set_perturbations(
         self, windows: Sequence["NetworkPerturbation"], rng: np.random.Generator
     ) -> None:
@@ -204,7 +161,7 @@ class Transport:
         """
         self._windows = tuple(windows)
         self._fault_rng = rng
-        self._fast = self.fast_path and self.topology.free and not self._windows
+        self._fast = self.topology.free and not self._windows
 
     # ------------------------------------------------------------------ #
     # Data plane
@@ -214,12 +171,10 @@ class Transport:
         src: str,
         dst: str,
         job: "Job",
-        request: MessageType = MessageType.NEGOTIATE,
-        reply: MessageType = MessageType.REPLY,
         responder_alive: bool = True,
         size_mb: float = CONTROL_MESSAGE_MB,
     ) -> bool:
-        """One request/reply exchange; ``True`` iff the round trip completes.
+        """One NEGOTIATE/REPLY exchange; ``True`` iff the round trip completes.
 
         The request is always recorded (it was sent).  The reply is recorded
         only when it arrives: a dead responder never answers, an active lossy
@@ -231,27 +186,27 @@ class Transport:
         if self._fast:
             # Free links, no windows: nothing can delay or lose the round
             # trip, so skip the link lookup and the window/loss machinery.
-            self._record(request, src, dst, job, size_mb, 0.0)
+            self._record(MessageType.NEGOTIATE, src, dst, job, size_mb, 0.0)
             if not responder_alive:
-                self._timeout(src, dst, job)
+                self.stats.timeouts += 1
                 return False
-            self._record(reply, dst, src, job, size_mb, 0.0)
+            self._record(MessageType.REPLY, dst, src, job, size_mb, 0.0)
             return True
         link = self.topology.link(src, dst)
-        self._record(request, src, dst, job, size_mb, link.latency_s)
+        self._record(MessageType.NEGOTIATE, src, dst, job, size_mb, link.latency_s)
         if not responder_alive:
-            self._timeout(src, dst, job)
+            self.stats.timeouts += 1
             return False
         window = self._window_at(self.sim.now)
         if window is not None and window.loss_rate > 0.0:
             if self._fault_rng.random() < window.loss_rate:
-                self._timeout(src, dst, job)
+                self.stats.timeouts += 1
                 return False
         if link.loss_rate > 0.0 and self._draw() < link.loss_rate:
             self.stats.link_losses += 1
-            self._timeout(src, dst, job)
+            self.stats.timeouts += 1
             return False
-        self._record(reply, dst, src, job, size_mb, link.latency_s)
+        self._record(MessageType.REPLY, dst, src, job, size_mb, link.latency_s)
         return True
 
     def transfer(
@@ -282,8 +237,6 @@ class Transport:
         if window is not None:
             if window.loss_rate > 0.0 and self._fault_rng.random() < window.loss_rate:
                 self.stats.transit_losses += 1
-                for hook in self._transit_loss_hooks:
-                    hook(src, dst, job)
                 return ("lost", 0.0)
             delay += window.submission_delay
         delay += link.transfer_seconds(size_mb)
@@ -312,10 +265,10 @@ class Transport:
     def control(self, node: str, kind: str, messages: int = 1) -> None:
         """Account ``messages`` control-plane messages against a directory node.
 
-        Control traffic is deliberately kept out of the observers: the paper
-        excludes directory messages from its Experiment 4/5 counts, so they
-        live in :class:`TransportStats` only — per node, which is what makes
-        scatter-gather fan-out over a sharded directory visible.
+        Control traffic is deliberately kept out of the message ledger: the
+        paper excludes directory messages from its Experiment 4/5 counts, so
+        they live in :class:`TransportStats` only — per node, which is what
+        makes scatter-gather fan-out over a sharded directory visible.
         """
         stats = self.stats
         stats.control_messages += messages
@@ -347,20 +300,9 @@ class Transport:
     ) -> None:
         stats = self.stats
         stats.messages += 1
-        key = mtype.value
-        stats.by_type[key] = stats.by_type.get(key, 0) + 1
-        job_id = job.job_id
-        stats.per_job[job_id] = stats.per_job.get(job_id, 0) + 1
         stats.volume_mb += size_mb
         stats.latency_s += latency_s
-        now = self.sim.now
-        for hook in self._record_hooks:
-            hook(mtype, sender, receiver, job, time=now)
-
-    def _timeout(self, src: str, dst: str, job: "Job") -> None:
-        self.stats.timeouts += 1
-        for hook in self._timeout_hooks:
-            hook(src, dst, job)
+        self.log.record(mtype, sender, receiver, job)
 
     def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
         return (

@@ -113,8 +113,6 @@ def _gate_reason(
         return "runtime validation requires the serial engine"
     if checkpointing:
         return "checkpoint/resume requires the serial engine"
-    if scenario.keep_message_records:
-        return "per-message records cannot be merged across shards"
     if scenario.pricing != "static":
         return f"dynamic pricing ({scenario.pricing!r}) requires the serial engine"
     if scenario.agent != "default":

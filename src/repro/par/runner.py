@@ -85,7 +85,7 @@ def merge_results(
     )
     observation_period = max(config.horizon, last_finish)
 
-    message_log = MessageLog(keep_records=False)
+    message_log = MessageLog()
     network = TransportStats()
     for harvest in harvests:
         message_log.merge_from(harvest.message_log)

@@ -230,12 +230,11 @@ class ShardFederation(Federation):
                 sim=self.sim,
                 registry=self.registry,
                 spec=spec,
-                message_log=self.message_log,
+                transport=self.transport,
                 mode=self.config.mode,
                 directory=self.directory,
                 bank=self.bank,
                 lrms_policy=self.config.lrms_policy,
-                transport=self.transport,
             )
             gfa.shard = self
             # A partial over a bound method (not a lambda): the hook must

@@ -19,9 +19,6 @@ the scheduling hot path are timed:
   :func:`~repro.scenario.runner.result_fingerprint` digests (the fast path may
   change *when* answers are computed, never the answers), and the wall-clock
   ratio is the end-to-end speedup.
-* **Transport fast path** — the same end-to-end run with the free-topology
-  short-circuit on and off (``Transport.fast_path``), fingerprints asserted
-  equal, ratio recorded.
 
 The ``xl`` scale pushes the directory benchmark to 512/1024 clusters (via
 Table-1 replication) and the end-to-end run to 1024 clusters — far beyond
@@ -53,7 +50,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.core.policies import SharingMode
-from repro.net.transport import Transport
 from repro.p2p.directory import FederationDirectory, RankCriterion
 from repro.scenario import Scenario, result_fingerprint, run_scenario
 from repro.sim.engine import Simulator
@@ -65,7 +61,6 @@ __all__ = [
     "bench_directory_queries",
     "bench_event_kernel",
     "bench_table3",
-    "bench_transport_fastpath",
     "bench_resilience_overhead",
     "bench_parallel_engine",
     "run_benchmarks",
@@ -148,8 +143,7 @@ BENCH_SCALES: Dict[str, BenchScale] = {
         par_thin=8,
         par_workers=(1, 2, 4),
     ),
-    # Scale-out tier: the paper's Experiment 5 stops at 64 clusters; this is
-    # where the transport fast path earns its keep.
+    # Scale-out tier: the paper's Experiment 5 stops at 64 clusters.
     "xl": BenchScale(
         "xl",
         sizes=(512, 1024),
@@ -385,73 +379,6 @@ def bench_table3(
 
 
 # --------------------------------------------------------------------------- #
-# Transport fast-path end-to-end benchmark
-# --------------------------------------------------------------------------- #
-def bench_transport_fastpath(
-    thin: int,
-    repeats: int = 1,
-    seed: int = 42,
-    system_sizes: Sequence[Optional[int]] = (None,),
-) -> List[Dict[str, object]]:
-    """Time the Table-3 run with the transport fast path on vs off.
-
-    The fast path may only change *when* accounting work happens, never what
-    is recorded: the two runs' result fingerprints (which cover every message
-    count) must be identical, and the wall-clock ratio is the end-to-end win
-    of skipping per-message link lookups, window scans and loss machinery on
-    the paper's free network.
-    """
-    rows: List[Dict[str, object]] = []
-    for size in system_sizes:
-        fingerprints: Dict[bool, str] = {}
-        timings: Dict[bool, float] = {}
-        stats: Dict[bool, Tuple[int, int]] = {}
-
-        def once(enabled: bool) -> float:
-            previous = Transport.fast_path
-            Transport.fast_path = enabled
-            try:
-                scenario = Scenario(
-                    mode=SharingMode.FEDERATION, seed=seed, thin=thin, system_size=size
-                )
-                start = time.perf_counter()
-                result = run_scenario(scenario)
-                elapsed = time.perf_counter() - start
-            finally:
-                Transport.fast_path = previous
-            fingerprints[enabled] = result_fingerprint(result)
-            stats[enabled] = (len(result.jobs), result.events_processed)
-            return elapsed
-
-        # One untimed warmup, then alternate the variants: the delta under
-        # measurement is a few percent, smaller than the systematic speedup
-        # later runs of an identical workload get from warm interpreter
-        # state — back-to-back blocks per variant would bias whichever ran
-        # second.
-        once(True)
-        for _ in range(max(1, repeats)):
-            for enabled in (True, False):
-                elapsed = once(enabled)
-                best = timings.get(enabled)
-                timings[enabled] = elapsed if best is None else min(best, elapsed)
-        jobs, events = stats[True]
-        rows.append(
-            {
-                "clusters": 8 if size is None else int(size),
-                "thin": int(thin),
-                "jobs": jobs,
-                "events": events,
-                "fast_s": timings[True],
-                "slow_s": timings[False],
-                "speedup": timings[False] / max(timings[True], 1e-12),
-                "outputs_identical": fingerprints[True] == fingerprints[False],
-                "fingerprint": fingerprints[True],
-            }
-        )
-    return rows
-
-
-# --------------------------------------------------------------------------- #
 # Resilience-layer overhead benchmark
 # --------------------------------------------------------------------------- #
 def bench_resilience_overhead(
@@ -491,9 +418,11 @@ def bench_resilience_overhead(
             stats[policy] = (len(result.jobs), result.events_processed)
             return elapsed
 
-        # Same protocol as the transport benchmark: one untimed warmup, then
-        # alternate the variants so warm-interpreter drift cannot bias
-        # whichever happens to run second.
+        # One untimed warmup, then alternate the variants: the delta under
+        # measurement is a few percent, smaller than the systematic speedup
+        # later runs of an identical workload get from warm interpreter
+        # state, so back-to-back blocks per variant would bias whichever ran
+        # second.
         once("paper")
         for _ in range(max(1, repeats)):
             for policy in ("paper", "noop"):
@@ -669,7 +598,7 @@ def bench_supervision_overhead(
         stats[supervised] = (len(result.jobs), result.events_processed)
         return elapsed
 
-    # Same protocol as the transport/resilience benchmarks: one untimed
+    # Same protocol as the resilience benchmark: one untimed
     # warmup, then alternate the variants so warm-interpreter drift cannot
     # bias whichever happens to run second.
     once(True)
@@ -729,16 +658,6 @@ def run_benchmarks(
             seed=seed,
             system_sizes=scale.table3_sizes,
             modes=table3_modes,
-        ),
-        "transport": bench_transport_fastpath(
-            scale.table3_thin,
-            # The on/off delta is a few percent of the run: noise suppression
-            # needs at least two repetitions per variant whatever the scale.
-            repeats=max(2, scale.repeats),
-            seed=seed,
-            # The largest end-to-end size of the scale: per-message overhead
-            # is proportional to traffic, so that is where the ratio shows.
-            system_sizes=(scale.table3_sizes[-1],),
         ),
         "resilience": bench_resilience_overhead(
             scale.table3_thin,
@@ -800,9 +719,6 @@ def _tracked_timings(report: Dict[str, object]) -> Dict[str, float]:
     for row in report.get("table3", []):
         key = f"table3/{row['clusters']}@thin{row['thin']}/session_s"
         tracked[key] = float(row["session_s"])
-    for row in report.get("transport", []):
-        key = f"transport/{row['clusters']}@thin{row['thin']}/fast_s"
-        tracked[key] = float(row["fast_s"])
     for row in report.get("resilience", []):
         key = f"resilience/{row['clusters']}@thin{row['thin']}/noop_s"
         tracked[key] = float(row["noop_s"])
@@ -852,12 +768,6 @@ def compare_to_baseline(
         if not row.get("outputs_identical", True):
             problems.append(
                 f"table3/{row['clusters']}: scan and session runs diverged (fingerprint mismatch)"
-            )
-    for row in report.get("transport", []):
-        if not row.get("outputs_identical", True):
-            problems.append(
-                f"transport/{row['clusters']}: fast-path and slow-path runs "
-                "diverged (fingerprint mismatch)"
             )
     for row in report.get("resilience", []):
         if not row.get("outputs_identical", True):
@@ -1026,25 +936,6 @@ def render_report(report: Dict[str, object]) -> str:
             title=f"Table-3 federation run end to end (thin={report['table3'][0]['thin']})",
         )
     )
-    rows = [
-        [
-            row["clusters"],
-            row["jobs"],
-            row["fast_s"],
-            row["slow_s"],
-            f"{row['speedup']:.2f}x",
-            "yes" if row["outputs_identical"] else "NO",
-        ]
-        for row in report.get("transport", [])
-    ]
-    if rows:
-        out.append(
-            render_table(
-                ["Clusters", "Jobs", "Fast s", "Slow s", "Speedup", "Identical"],
-                rows,
-                title="Transport fast path — free-topology short-circuit on vs off",
-            )
-        )
     rows = [
         [
             row["clusters"],

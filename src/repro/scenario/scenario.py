@@ -70,8 +70,7 @@ class Scenario:
         Key into the pricing registry (``"static"``, ``"demand"``).
     workload:
         Key into the workload registry (``"archive"``, ``"synthetic"``).
-    oft_fraction, budget_factor, deadline_factor, lrms_policy, horizon,
-    seed, keep_message_records:
+    oft_fraction, budget_factor, deadline_factor, lrms_policy, horizon, seed:
         As for :class:`~repro.core.federation.FederationConfig`.
     system_size:
         Number of resources in the federation, reached by replicating the
@@ -132,7 +131,6 @@ class Scenario:
     faults: str = "none"
     transport: str = "uniform"
     directory_shards: int = 1
-    keep_message_records: bool = False
     resilience: str = "paper"
     parallel: int = 0
 
@@ -206,7 +204,6 @@ class Scenario:
             lrms_policy=self.lrms_policy,
             horizon=self.horizon,
             seed=self.seed,
-            keep_message_records=self.keep_message_records,
             transport=self.transport,
             directory_shards=self.directory_shards,
             resilience=self.resilience,
@@ -274,7 +271,6 @@ def scenario_from_config(config: FederationConfig, **overrides) -> Scenario:
         lrms_policy=config.lrms_policy,
         horizon=config.horizon,
         seed=config.seed,
-        keep_message_records=config.keep_message_records,
         transport=config.transport,
         directory_shards=config.directory_shards,
         resilience=config.resilience,

@@ -30,7 +30,9 @@ from typing import Iterator
 __all__ = ["CACHE_FORMAT_VERSION", "PersistentResultCache"]
 
 #: Bump when the cached payload shape changes; older entries are evicted.
-CACHE_FORMAT_VERSION = 1
+#: v2: results carry the slot-list ``MessageLog`` and ``TransportStats``
+#: without ``by_type`` / ``per_job``.
+CACHE_FORMAT_VERSION = 2
 
 _SUFFIX = ".result.pkl"
 

@@ -64,8 +64,10 @@ __all__ = [
 #: and an int sequence counter, and user populations keep one pending
 #: arrival under reserved sequence numbers.  v3: each LRMS pickles its live
 #: admission profile, queue tail and predicted starts in place of the
-#: version-stamped profile cache.
-SNAPSHOT_FORMAT_VERSION = 3
+#: version-stamped profile cache.  v4: the message ledger is the transport's
+#: slot-list ``MessageLog`` (no per-job, per-pair or per-type maps, no
+#: observer hooks), and GFAs no longer hold a ``message_log``.
+SNAPSHOT_FORMAT_VERSION = 4
 
 _MAGIC = b"gridfed-snapshot\n"
 
@@ -272,8 +274,9 @@ def load_snapshot(
 #: Bumped independently of :data:`SNAPSHOT_FORMAT_VERSION` — the shard files
 #: themselves ride the ordinary snapshot format.  v2: shard harvests lost
 #: their ``engine`` field and shards pickle the v2 simulator and populations.
-#: v3: shards pickle the v3 LRMS (live admission profiles).
-PAR_CHECKPOINT_VERSION = 3
+#: v3: shards pickle the v3 LRMS (live admission profiles).  v4: shards and
+#: harvests pickle the v4 message ledger and transport stats.
+PAR_CHECKPOINT_VERSION = 4
 
 _PAR_MAGIC = b"gridfed-par-state\n"
 

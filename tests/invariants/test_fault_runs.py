@@ -41,8 +41,8 @@ class TestZeroFaultPath:
         result = run_scenario(ECONOMY)
         assert result.failed_jobs() == []
         assert all(job.resubmissions == 0 for job in result.jobs)
-        assert result.message_log.negotiation_timeouts == 0
-        assert result.message_log.transit_losses == 0
+        assert result.network.timeouts == 0
+        assert result.network.transit_losses == 0
 
 
 class TestCanonicalCrashPlanAcrossAllShapes:
@@ -67,7 +67,7 @@ class TestCanonicalCrashPlanAcrossAllShapes:
         assert any(job.resubmissions > 0 for job in result.jobs)
         # dead clusters were discovered through negotiation timeouts
         assert report.negotiation_timeouts > 0
-        assert result.message_log.negotiation_timeouts == report.negotiation_timeouts
+        assert result.network.timeouts == report.negotiation_timeouts
         # some jobs were attributably lost (crashed origin or transit loss)
         assert metrics.jobs_lost > 0
         assert all(job.failure for job in result.failed_jobs())

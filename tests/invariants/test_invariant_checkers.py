@@ -135,9 +135,28 @@ class TestMutationsAreCaught:
         job.messages += 1
         try:
             violations = check_message_accounting(economy_result)
-            assert any(f"job {job.job_id}" in v.message for v in violations)
+            assert any(f"GFA {job.origin} " in v.message for v in violations)
         finally:
             job.messages -= 1
+
+    def test_unbalanced_ledger_breaks_message_accounting(self, economy_result):
+        log = economy_result.message_log
+        slot = log._slots[log.gfa_names()[0]]
+        log._remote[slot] += 1
+        try:
+            violations = check_message_accounting(economy_result)
+            assert any("per-GFA sums" in v.message for v in violations)
+        finally:
+            log._remote[slot] -= 1
+
+    def test_uncarried_message_breaks_message_accounting(self, economy_result):
+        network = economy_result.network
+        network.messages -= 1
+        try:
+            violations = check_message_accounting(economy_result)
+            assert any("transport carried" in v.message for v in violations)
+        finally:
+            network.messages += 1
 
     def test_ghost_directory_member_breaks_consistency(self, economy_result):
         from repro.cluster.specs import ResourceSpec

@@ -62,6 +62,17 @@ class TestConstruction:
             assert all(job.strategy is QoSStrategy.NONE for job in jobs)
 
 
+    def test_message_log_is_the_transports_ledger(self):
+        specs, workload = small_setup()
+        federation = Federation(specs, workload, FederationConfig(mode=SharingMode.FEDERATION))
+        assert federation.message_log is federation.transport.log
+        assert federation.message_log.gfa_names() == sorted(spec.name for spec in specs)
+        result = federation.run()
+        assert result.message_log is federation.transport.log
+        assert result.network is federation.transport.stats
+        assert result.network.messages == result.message_log.total_messages > 0
+
+
 class TestLazyArrivals:
     def test_start_leaves_one_pending_arrival_per_population(self):
         """Each non-empty population queues only its next arrival; the fault
@@ -204,7 +215,7 @@ class TestRunInvariants:
         total_remote = sum(log.remote_messages(g) for g in log.gfa_names())
         assert total_local == log.total_messages
         assert total_remote == log.total_messages
-        per_job_total = sum(log.per_job_counts().values())
+        per_job_total = sum(job.messages for job in economy_result.jobs)
         assert per_job_total == log.total_messages
         # Migrated jobs exchange at least 4 messages (negotiate, reply,
         # submission, completion); locally placed jobs may have none.

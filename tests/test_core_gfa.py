@@ -11,11 +11,11 @@ import pytest
 from repro.cluster import ResourceSpec
 from repro.core import (
     GridFederationAgent,
-    MessageLog,
     MessageType,
     SharingMode,
 )
 from repro.economy.bank import GridBank
+from repro.net import Transport
 from repro.p2p import FederationDirectory
 from repro.sim import Simulator
 from repro.sim.entity import EntityRegistry
@@ -42,23 +42,24 @@ def make_job(origin, procs=4, runtime=100.0, mips=1000.0, deadline=None, budget=
 
 
 def build_world(specs, mode, bank=None):
+    """GFAs sharing one transport; its ``log`` is the world's message ledger."""
     sim = Simulator()
     registry = EntityRegistry()
-    log = MessageLog(keep_records=True)
+    transport = Transport(sim)
     directory = None if mode is SharingMode.INDEPENDENT else FederationDirectory()
     gfas = {
         spec.name: GridFederationAgent(
             sim=sim,
             registry=registry,
             spec=spec,
-            message_log=log,
+            transport=transport,
             mode=mode,
             directory=directory,
             bank=bank,
         )
         for spec in specs
     }
-    return sim, gfas, log, directory
+    return sim, gfas, transport.log, directory
 
 
 class TestIndependentMode:
@@ -110,7 +111,7 @@ class TestFederationMode:
         assert gfas["slow"].stats.migrated_out == 1
         assert gfas["fast"].stats.remote_received == 1
         # negotiate + reply + job-submission + job-completion
-        assert log.messages_for_job(overflow.job_id) == 4
+        assert overflow.messages == 4
         assert log.count_by_type(MessageType.NEGOTIATE) == 1
         assert log.count_by_type(MessageType.JOB_COMPLETION) == 1
 
@@ -127,7 +128,7 @@ class TestFederationMode:
         assert doomed.status is JobStatus.REJECTED
         # One failed negotiation with B (A's own feasibility is checked without
         # messages): negotiate + reply.
-        assert log.messages_for_job(doomed.job_id) == 2
+        assert doomed.messages == 2
 
     def test_local_execution_preferred_when_feasible(self):
         specs = [make_spec("A", mips=500.0), make_spec("B", mips=2000.0)]
@@ -229,7 +230,7 @@ class TestEconomyMode:
                 sim=sim,
                 registry=registry,
                 spec=make_spec("X"),
-                message_log=MessageLog(),
+                transport=Transport(sim),
                 mode=SharingMode.ECONOMY,
                 directory=None,
                 bank=GridBank(),
@@ -244,3 +245,23 @@ class TestEconomyMode:
         sim.run()
         assert gfas["B"].incentive_earned == pytest.approx(50.0)
         assert gfas["A"].incentive_earned == 0.0
+
+
+class TestLedgerWiring:
+    def test_transport_is_required(self):
+        """A hand-built agent cannot fall back to a private ledger."""
+        with pytest.raises(TypeError):
+            GridFederationAgent(
+                sim=Simulator(),
+                registry=EntityRegistry(),
+                spec=make_spec("X"),
+                mode=SharingMode.INDEPENDENT,
+            )
+
+    def test_agents_register_in_the_shared_ledger(self):
+        specs = [make_spec("C"), make_spec("A"), make_spec("B")]
+        _sim, gfas, log, _ = build_world(specs, SharingMode.FEDERATION)
+        assert all(gfa.transport.log is log for gfa in gfas.values())
+        # Zero-message agents still appear in the reports.
+        assert log.gfa_names() == ["A", "B", "C"]
+        assert all(log.counters(name).total == 0 for name in gfas)

@@ -231,19 +231,6 @@ class TestCLI:
         assert "Scenario sweep" in capsys.readouterr().out
 
 
-class TestMessageLogFaultCounters:
-    def test_counters_start_at_zero_and_track(self):
-        from repro.core.messages import MessageLog
-
-        log = MessageLog()
-        assert log.negotiation_timeouts == 0 and log.transit_losses == 0
-        log.record_timeout("A", "B", None)
-        log.record_transit_loss("A", "B", None)
-        assert log.negotiation_timeouts == 1 and log.transit_losses == 1
-        # fault counters never leak into the paper's message totals
-        assert log.total_messages == 0
-
-
 class TestDirectoryMembershipHelpers:
     def test_is_subscribed_and_member_names(self):
         from repro.p2p import FederationDirectory

@@ -3,8 +3,8 @@
 End-to-end behaviour (golden fingerprints, WAN runs, Experiment 4 parity)
 lives in ``tests/test_net_federation.py``; this module covers the pieces in
 isolation: the topology registry and link models, round-trip / transfer /
-notify semantics, perturbation windows, and the observer contract against
-the real :class:`~repro.core.messages.MessageLog`.
+notify semantics, perturbation windows, and what each message leaves in the
+transport's own :class:`~repro.core.messages.MessageLog`.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.messages import MessageLog, MessageType
+from repro.core.messages import MessageType
 from repro.faults.plan import NetworkPerturbation
 from repro.net import (
     LinkProfile,
@@ -140,27 +140,26 @@ class TestTopologyModels:
 class TestRoundtrip:
     def _transport(self, topology=None, rng=None):
         sim = Simulator()
-        log = MessageLog(keep_records=True)
         transport = Transport(sim, topology, rng=rng)
-        transport.add_observer(log)
-        return sim, log, transport
+        return sim, transport.log, transport
 
     def test_default_roundtrip_records_request_and_reply(self):
         _sim, log, transport = self._transport()
         job = make_job()
         assert transport.roundtrip("A", "B", job) is True
-        assert [m.mtype for m in log.records()] == [MessageType.NEGOTIATE, MessageType.REPLY]
-        assert log.messages_for_job(job.job_id) == 2
-        assert transport.stats.messages == 2
-        assert transport.stats.per_job[job.job_id] == 2
+        assert log.count_by_type(MessageType.NEGOTIATE) == 1
+        assert log.count_by_type(MessageType.REPLY) == 1
+        assert job.messages == 2
+        assert transport.stats.messages == log.total_messages == 2
         assert transport.stats.timeouts == 0
 
     def test_dead_responder_times_out_without_a_reply(self):
         _sim, log, transport = self._transport()
         job = make_job()
         assert transport.roundtrip("A", "B", job, responder_alive=False) is False
-        assert [m.mtype for m in log.records()] == [MessageType.NEGOTIATE]
-        assert log.negotiation_timeouts == 1
+        assert log.count_by_type(MessageType.NEGOTIATE) == 1
+        assert log.count_by_type(MessageType.REPLY) == 0
+        assert job.messages == 1
         assert transport.stats.timeouts == 1
 
     def test_lossy_link_can_drop_the_roundtrip(self):
@@ -171,7 +170,9 @@ class TestRoundtrip:
         lost = outcomes.count(False)
         assert transport.stats.link_losses == lost
         assert transport.stats.timeouts == lost
-        assert log.negotiation_timeouts == lost
+        # Every enquiry was sent; only the completed round trips replied.
+        assert log.count_by_type(MessageType.NEGOTIATE) == 200
+        assert log.count_by_type(MessageType.REPLY) == 200 - lost
 
     def test_uniform_default_never_touches_the_rng(self):
         class Exploding:
@@ -187,11 +188,9 @@ class TestRoundtrip:
 class TestPerturbationWindows:
     def _transport(self, windows, seed=0):
         sim = Simulator()
-        log = MessageLog()
         transport = Transport(sim, UniformTopology())
-        transport.add_observer(log)
         transport.set_perturbations(windows, np.random.default_rng(seed))
-        return sim, log, transport
+        return sim, transport.log, transport
 
     def test_loss_only_inside_the_window(self):
         window = NetworkPerturbation(start=100.0, end=200.0, loss_rate=0.999999)
@@ -223,16 +222,15 @@ class TestPerturbationWindows:
         sim.run()
         assert transport.transfer("A", "B", make_job()) == ("deliver", 0.0)
 
-    def test_lossy_window_destroys_transfers_and_notifies_observers(self):
+    def test_lossy_window_destroys_transfers_and_counts_the_loss(self):
         window = NetworkPerturbation(start=0.0, end=1e9, loss_rate=0.999999)
         _sim, log, transport = self._transport([window])
         job = make_job()
         fate, _delay = transport.transfer("A", "B", job)
         assert fate == "lost"
         assert transport.stats.transit_losses == 1
-        assert log.transit_losses == 1
         # The JOB_SUBMISSION itself was still accounted: it was sent.
-        assert log.total_messages == 1
+        assert log.count_by_type(MessageType.JOB_SUBMISSION) == log.total_messages == 1
 
 
 class TestTransferReliability:
@@ -258,13 +256,11 @@ class TestTransferReliability:
 
     def test_notify_is_one_way_and_always_delivered(self):
         sim = Simulator()
-        log = MessageLog()
         transport = Transport(sim, UniformTopology(loss_rate=0.9), rng=np.random.default_rng(0))
-        transport.add_observer(log)
         job = make_job()
         transport.notify("B", "A", MessageType.JOB_COMPLETION, job)
-        assert log.count_by_type(MessageType.JOB_COMPLETION) == 1
-        assert transport.stats.by_type[MessageType.JOB_COMPLETION.value] == 1
+        assert transport.log.count_by_type(MessageType.JOB_COMPLETION) == 1
+        assert transport.log.total_messages == transport.stats.messages == 1
 
 
 class TestControlPlane:
@@ -281,24 +277,55 @@ class TestControlPlane:
         assert stats.messages == 0
 
 
+class TestMerge:
+    def test_split_traffic_merges_to_one_transport(self):
+        """The parallel engine's sum: traffic split over two transports, with
+        stats and ledgers merged, equals one transport carrying all of it."""
+        topology = UniformTopology(latency_s=0.25, bandwidth_gbps=1.0)
+        jobs = {origin: make_job(origin=origin) for origin in ("A", "B", "C")}
+        traffic = [
+            lambda t: t.roundtrip("A", "B", jobs["A"]),
+            lambda t: t.roundtrip("B", "C", jobs["B"], responder_alive=False),
+            lambda t: t.transfer("A", "C", jobs["A"], size_mb=125.0),
+            lambda t: t.notify("C", "A", MessageType.JOB_COMPLETION, jobs["A"]),
+            lambda t: t.control("directory/shard0", "query"),
+            lambda t: t.roundtrip("C", "A", jobs["C"]),
+            lambda t: t.transfer("B", "A", jobs["B"]),
+            lambda t: t.control("directory/shard1", "subscribe", messages=2),
+            lambda t: t.notify("A", "B", MessageType.JOB_COMPLETION, jobs["B"]),
+        ]
+        whole = Transport(Simulator(), topology)
+        head, tail = Transport(Simulator(), topology), Transport(Simulator(), topology)
+        for index, send in enumerate(traffic):
+            send(whole)
+            send(head if index % 2 else tail)
+        head.stats.merge_from(tail.stats)
+        head.log.merge_from(tail.log)
+        merged, expected = head.stats, whole.stats
+        for name in (
+            "messages",
+            "timeouts",
+            "link_losses",
+            "transit_losses",
+            "delayed_deliveries",
+            "control_messages",
+            "control_by_kind",
+            "control_by_node",
+        ):
+            assert getattr(merged, name) == getattr(expected, name), name
+        assert merged.volume_mb == pytest.approx(expected.volume_mb)
+        assert merged.latency_s == pytest.approx(expected.latency_s)
+        assert expected.timeouts == 1 and expected.delayed_deliveries == 2
+        for mtype in MessageType:
+            assert head.log.count_by_type(mtype) == whole.log.count_by_type(mtype)
+        assert head.log.gfa_names() == whole.log.gfa_names() == ["A", "B", "C"]
+        for gfa in ("A", "B", "C"):
+            assert head.log.counters(gfa) == whole.log.counters(gfa)
+        assert merged.messages == head.log.total_messages == whole.log.total_messages
+
+
 class TestFastPath:
     """The free-topology short-circuit: identical accounting, fewer steps."""
-
-    def _worlds(self):
-        """Two transports over the same free topology, fast path on vs off."""
-        results = {}
-        previous = Transport.fast_path
-        try:
-            for enabled in (True, False):
-                Transport.fast_path = enabled
-                sim = Simulator()
-                log = MessageLog(keep_records=True)
-                transport = Transport(sim, UniformTopology())
-                transport.add_observer(log)
-                results[enabled] = (sim, log, transport)
-        finally:
-            Transport.fast_path = previous
-        return results
 
     def test_fast_flag_set_on_free_default_topology(self):
         transport = Transport(Simulator())
@@ -318,32 +345,28 @@ class TestFastPath:
         transport.set_perturbations([], np.random.default_rng(0))
         assert transport._fast is True
 
-    def test_class_level_opt_out_respected(self):
-        previous = Transport.fast_path
-        Transport.fast_path = False
-        try:
-            assert Transport(Simulator())._fast is False
-        finally:
-            Transport.fast_path = previous
-
     def test_fast_and_slow_paths_account_identically(self):
-        worlds = self._worlds()
-        jobs = {enabled: make_job() for enabled in worlds}
-        for enabled, (_sim, _log, transport) in worlds.items():
-            job = jobs[enabled]
+        fast = Transport(Simulator())
+        # An inert window (no loss, no delay) changes nothing a message
+        # meets, but installing any window forces the slow path.
+        slow = Transport(Simulator())
+        inert = NetworkPerturbation(start=0.0, end=1e12)
+        slow.set_perturbations([inert], np.random.default_rng(0))
+        assert fast._fast is True and slow._fast is False
+        for transport in (fast, slow):
+            job = make_job()
             assert transport.roundtrip("A", "B", job) is True
             assert transport.roundtrip("A", "B", job, responder_alive=False) is False
             assert transport.transfer("A", "B", job) == ("deliver", 0.0)
             transport.notify("B", "A", MessageType.JOB_COMPLETION, job)
-        fast_log, slow_log = worlds[True][1], worlds[False][1]
-        assert [m.mtype for m in fast_log.records()] == [m.mtype for m in slow_log.records()]
-        assert fast_log.negotiation_timeouts == slow_log.negotiation_timeouts
-        fast_stats, slow_stats = worlds[True][2].stats, worlds[False][2].stats
-        assert fast_stats.messages == slow_stats.messages
-        assert fast_stats.by_type == slow_stats.by_type
-        assert fast_stats.volume_mb == slow_stats.volume_mb
-        assert fast_stats.latency_s == slow_stats.latency_s == 0.0
-        assert fast_stats.timeouts == slow_stats.timeouts
+            assert job.messages == 5
+        for mtype in MessageType:
+            assert fast.log.count_by_type(mtype) == slow.log.count_by_type(mtype)
+        for gfa in ("A", "B"):
+            assert fast.log.counters(gfa) == slow.log.counters(gfa)
+        assert fast.stats == slow.stats
+        assert fast.stats.latency_s == 0.0
+        assert fast.stats.timeouts == 1
 
     def test_fast_transfer_reuses_the_shared_fate_tuple(self):
         transport = Transport(Simulator())

@@ -113,7 +113,6 @@ class TestEligibilityGate:
         "replace, needle",
         [
             (dict(faults="chaos"), "fault injection"),
-            (dict(keep_message_records=True), "per-message records"),
             (dict(pricing="demand"), "dynamic pricing"),
             (dict(agent="broadcast"), "agent variant"),
             (dict(resilience="noop"), "resilience policy"),

@@ -30,6 +30,7 @@ from repro.par.runner import try_parallel_run
 from repro.par.supervisor import ParallelRunFailed, SupervisionConfig
 from repro.scenario import Scenario, result_fingerprint, run_scenario
 from repro.service.snapshot import (
+    PAR_CHECKPOINT_VERSION,
     SnapshotMismatchError,
     load_par_state,
     write_par_state,
@@ -357,6 +358,24 @@ class TestParStateGuards:
                 expected_scenario=SCENARIO.replace(seed=7),
                 expected_workers=2,
             )
+
+    def test_previous_checkpoint_version_refused(self, tmp_path):
+        """A file in the previous layout is refused by its version before its
+        payload is read: here the payload is garbage, which would otherwise
+        surface as a corrupt-payload error."""
+        path = tmp_path / "par-state.bin"
+        write_par_state(str(path), scenario=SCENARIO, workers=2, window=60.0, payload={})
+        current = b'"par_checkpoint_version": %d' % PAR_CHECKPOINT_VERSION
+        previous = b'"par_checkpoint_version": %d' % (PAR_CHECKPOINT_VERSION - 1)
+        raw = path.read_bytes()
+        assert raw.count(current) == 1 and len(current) == len(previous)
+        header_end = raw.index(current) + raw[raw.index(current):].index(b"}") + 1
+        path.write_bytes(raw[:header_end].replace(current, previous) + b"not a pickle")
+        with pytest.raises(SnapshotMismatchError) as excinfo:
+            load_par_state(str(path), expected_scenario=SCENARIO, expected_workers=2)
+        message = str(excinfo.value)
+        assert str(PAR_CHECKPOINT_VERSION - 1) in message
+        assert str(PAR_CHECKPOINT_VERSION) in message
 
     def test_mismatched_checkpoint_restarts_from_scratch(self, tmp_path, undisturbed):
         """A stale/foreign state file is ignored, not fatal: the supervisor
