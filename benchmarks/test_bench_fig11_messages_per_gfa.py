@@ -8,14 +8,17 @@ resources become message hot-spots).
 
 from __future__ import annotations
 
-from repro.experiments import run_economy_profile
+from repro.experiments import economy_profile_scenario
 from repro.metrics.report import render_table
+from repro.scenario import run_scenario
 from repro.workload.archive import replicate_resources
 
 
 def test_bench_fig11_messages_per_gfa(benchmark, bench_scalability):
     benchmark.pedantic(
-        lambda: run_economy_profile(100, seed=42, resources=replicate_resources(10), thin=12),
+        lambda: run_scenario(
+            economy_profile_scenario(100, seed=42, thin=12), resources=replicate_resources(10)
+        ),
         rounds=1,
         iterations=1,
     )

@@ -10,13 +10,18 @@ spread incentive across every owner.
 
 from __future__ import annotations
 
-from repro.experiments import run_economy_profile
+from repro.experiments import economy_profile_scenario
 from repro.metrics.collectors import incentive_by_resource, remote_jobs_serviced
 from repro.metrics.report import render_table
+from repro.scenario import run_scenario
 
 
 def test_bench_fig3_owner_incentive(benchmark, bench_sweep):
-    benchmark.pedantic(lambda: run_economy_profile(30, seed=42, thin=12), rounds=1, iterations=1)
+    benchmark.pedantic(
+        lambda: run_scenario(economy_profile_scenario(30, seed=42, thin=12)),
+        rounds=1,
+        iterations=1,
+    )
 
     rows = []
     totals = {}

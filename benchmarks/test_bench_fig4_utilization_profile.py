@@ -7,12 +7,17 @@ as the OFT share grows the load spreads and every resource sees utilisation.
 
 from __future__ import annotations
 
-from repro.experiments import run_economy_profile
+from repro.experiments import economy_profile_scenario
 from repro.metrics.report import render_table
+from repro.scenario import run_scenario
 
 
 def test_bench_fig4_utilization_profile(benchmark, bench_sweep):
-    benchmark.pedantic(lambda: run_economy_profile(50, seed=42, thin=12), rounds=1, iterations=1)
+    benchmark.pedantic(
+        lambda: run_scenario(economy_profile_scenario(50, seed=42, thin=12)),
+        rounds=1,
+        iterations=1,
+    )
 
     rows = []
     for oft_pct, result in bench_sweep:

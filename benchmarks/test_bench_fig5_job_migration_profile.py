@@ -8,13 +8,18 @@ as OFT grows.
 
 from __future__ import annotations
 
-from repro.experiments import run_economy_profile
+from repro.experiments import economy_profile_scenario
 from repro.metrics.collectors import job_migration_counts
 from repro.metrics.report import render_table
+from repro.scenario import run_scenario
 
 
 def test_bench_fig5_job_migration_profile(benchmark, bench_sweep):
-    benchmark.pedantic(lambda: run_economy_profile(70, seed=42, thin=12), rounds=1, iterations=1)
+    benchmark.pedantic(
+        lambda: run_scenario(economy_profile_scenario(70, seed=42, thin=12)),
+        rounds=1,
+        iterations=1,
+    )
 
     rows = []
     for oft_pct, result in bench_sweep:

@@ -7,13 +7,18 @@ absorbs most of the load that individual resources would have turned away).
 
 from __future__ import annotations
 
-from repro.experiments import run_economy_profile
+from repro.experiments import economy_profile_scenario
 from repro.metrics.collectors import rejected_by_resource
 from repro.metrics.report import render_table
+from repro.scenario import run_scenario
 
 
 def test_bench_fig6_rejections_profile(benchmark, bench_sweep):
-    benchmark.pedantic(lambda: run_economy_profile(0, seed=42, thin=12), rounds=1, iterations=1)
+    benchmark.pedantic(
+        lambda: run_scenario(economy_profile_scenario(0, seed=42, thin=12)),
+        rounds=1,
+        iterations=1,
+    )
 
     rows = []
     totals = {}

@@ -8,13 +8,18 @@ pay more for it.
 
 from __future__ import annotations
 
-from repro.experiments import run_economy_profile
+from repro.experiments import economy_profile_scenario
 from repro.metrics.collectors import federation_wide_qos, user_qos_summary
 from repro.metrics.report import render_table
+from repro.scenario import run_scenario
 
 
 def test_bench_fig7_user_qos_excluding_rejected(benchmark, bench_sweep):
-    benchmark.pedantic(lambda: run_economy_profile(100, seed=42, thin=12), rounds=1, iterations=1)
+    benchmark.pedantic(
+        lambda: run_scenario(economy_profile_scenario(100, seed=42, thin=12)),
+        rounds=1,
+        iterations=1,
+    )
 
     rows = []
     overall = []

@@ -10,13 +10,18 @@ federation-wide averages improve.
 
 from __future__ import annotations
 
-from repro.experiments import run_economy_profile
+from repro.experiments import economy_profile_scenario
 from repro.metrics.collectors import federation_wide_qos, user_qos_summary
 from repro.metrics.report import render_table
+from repro.scenario import run_scenario
 
 
 def test_bench_fig8_user_qos_including_rejected(benchmark, bench_sweep, bench_independent):
-    benchmark.pedantic(lambda: run_economy_profile(30, seed=42, thin=12), rounds=1, iterations=1)
+    benchmark.pedantic(
+        lambda: run_scenario(economy_profile_scenario(30, seed=42, thin=12)),
+        rounds=1,
+        iterations=1,
+    )
 
     rows = []
     for oft_pct, result in bench_sweep:

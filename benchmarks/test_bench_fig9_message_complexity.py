@@ -9,13 +9,18 @@ OFC ones).
 
 from __future__ import annotations
 
-from repro.experiments import run_economy_profile
+from repro.experiments import economy_profile_scenario
 from repro.experiments.exp4_messages import message_complexity_rows
 from repro.metrics.report import render_table
+from repro.scenario import run_scenario
 
 
 def test_bench_fig9_message_complexity(benchmark, bench_sweep):
-    benchmark.pedantic(lambda: run_economy_profile(50, seed=42, thin=12), rounds=1, iterations=1)
+    benchmark.pedantic(
+        lambda: run_scenario(economy_profile_scenario(50, seed=42, thin=12)),
+        rounds=1,
+        iterations=1,
+    )
 
     headers, rows, totals = message_complexity_rows(bench_sweep)
     print()

@@ -3,11 +3,10 @@
 The paper assumes an ``O(log n)`` directory and never times it; these
 benchmarks measure the scheduling hot path directly:
 
-* resumable query sessions vs the legacy full-scan directory path (the
-  headline: >= 5x at 64 clusters, growing with system size),
+* resumable query sessions vs the version-stamped ranking cache, on
+  identical probe plans that both must answer identically,
 * raw event-kernel throughput of the slotted/tuple-heap simulator,
-* the full Table-3 federation run end to end under both query modes, with the
-  byte-identical-output guarantee re-asserted via result fingerprints.
+* the full Table-3 federation run end to end, with its result fingerprint.
 
 Run with ``pytest benchmarks/test_bench_perf_kernel.py -m benchmarks``; the
 JSON trajectory is produced by ``gridfed bench`` (see docs/PERFORMANCE.md).
@@ -23,12 +22,12 @@ from repro.perf import (
 )
 
 #: Micro-bench scale used here (kept small enough for the bench session while
-#: still covering the >= 64-cluster regime the speedup claim is made at).
+#: still reaching 128 clusters).
 SIZES = (16, 64, 128)
 PROBE_JOBS = 40
 
 
-def test_bench_directory_query_speedup(benchmark):
+def test_bench_directory_queries(benchmark):
     rows = benchmark.pedantic(
         lambda: bench_directory_queries(SIZES, PROBE_JOBS, repeats=2),
         rounds=1,
@@ -38,35 +37,21 @@ def test_bench_directory_query_speedup(benchmark):
     print()
     print(
         render_table(
-            ["Clusters", "Probes", "Scan ms", "Session ms", "Cached ms", "Speedup"],
+            ["Clusters", "Probes", "Session ms", "Cached ms"],
             [
-                [
-                    r["clusters"],
-                    r["probes"],
-                    1e3 * r["scan_s"],
-                    1e3 * r["session_s"],
-                    1e3 * r["cached_s"],
-                    r["speedup_session"],
-                ]
+                [r["clusters"], r["probes"], 1e3 * r["session_s"], 1e3 * r["cached_s"]]
                 for r in rows
             ],
-            title="Directory rank queries — legacy scan vs resumable session",
+            title="Directory rank queries — resumable session vs ranking cache",
         )
     )
 
     for row in rows:
-        # Correctness first: all three strategies answered identically.
+        # Correctness first: both strategies answered identically.
         assert row["results_identical"], row
-        benchmark.extra_info[f"speedup_session_{row['clusters']}"] = round(
-            row["speedup_session"], 2
+        benchmark.extra_info[f"session_ms_{row['clusters']}"] = round(
+            1e3 * row["session_s"], 3
         )
-    # The acceptance bar: >= 5x at 64+ clusters (typically 10-30x here).
-    for row in rows:
-        if row["clusters"] >= 64:
-            assert row["speedup_session"] >= 5.0, (
-                f"session speedup at {row['clusters']} clusters regressed to "
-                f"{row['speedup_session']:.1f}x (< 5x)"
-            )
 
 
 def test_bench_event_kernel_throughput(benchmark):
@@ -93,22 +78,11 @@ def test_bench_table3_end_to_end(benchmark):
     print()
     print(
         render_table(
-            ["Clusters", "Jobs", "Scan s", "Session s", "Speedup", "Identical"],
-            [
-                [
-                    r["clusters"],
-                    r["jobs"],
-                    r["scan_s"],
-                    r["session_s"],
-                    r["speedup"],
-                    "yes" if r["outputs_identical"] else "NO",
-                ]
-                for r in rows
-            ],
-            title="Table-3 federation run — legacy scan vs session query mode",
+            ["Clusters", "Jobs", "Events", "Seconds"],
+            [[r["clusters"], r["jobs"], r["events"], r["session_s"]] for r in rows],
+            title="Table-3 federation run end to end",
         )
     )
     for row in rows:
-        # The fast path must never change the experiment's answers.
-        assert row["outputs_identical"], row
-        benchmark.extra_info[f"speedup_{row['clusters']}"] = round(row["speedup"], 3)
+        assert row["jobs"] > 0 and row["events"] > 0, row
+        benchmark.extra_info[f"fingerprint_{row['clusters']}"] = row["fingerprint"][:16]

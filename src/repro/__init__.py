@@ -61,7 +61,6 @@ from repro.core import (
     MessageLog,
     MessageType,
     SharingMode,
-    run_federation,
 )
 from repro.cluster import ResourceSpec, SpaceSharedLRMS, SchedulingPolicy
 from repro.economy import GridBank, StaticPricingPolicy, DemandDrivenPricingPolicy
@@ -102,7 +101,6 @@ __all__ = [
     "MessageLog",
     "MessageType",
     "SharingMode",
-    "run_federation",
     "Scenario",
     "SweepResult",
     "SweepRunner",

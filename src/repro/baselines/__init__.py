@@ -12,12 +12,11 @@ The independent-resource and federation-without-economy baselines are the
 Experiment 1 and 2 drivers in :mod:`repro.experiments`.
 """
 
-from repro.baselines.broadcast import BroadcastGFA, run_broadcast_federation
+from repro.baselines.broadcast import BroadcastGFA
 from repro.baselines.catalogue import RELATED_SYSTEMS, RelatedSystem, related_systems_rows
 
 __all__ = [
     "BroadcastGFA",
-    "run_broadcast_federation",
     "RELATED_SYSTEMS",
     "RelatedSystem",
     "related_systems_rows",

@@ -16,12 +16,10 @@ approaches on identical workloads.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence
+from typing import Optional
 
-from repro.cluster.specs import ResourceSpec, execution_cost
-from repro.core.federation import Federation, FederationConfig, FederationResult
+from repro.cluster.specs import execution_cost
 from repro.core.gfa import GridFederationAgent
-from repro.core.policies import SharingMode
 from repro.workload.job import Job
 
 
@@ -75,33 +73,3 @@ class BroadcastGFA(GridFederationAgent):
             return
         self._migrate(self.directory.quote_of(best_name), job)
 
-
-def run_broadcast_federation(
-    specs: Sequence[ResourceSpec],
-    workload: Mapping[str, Sequence[Job]],
-    config: Optional[FederationConfig] = None,
-) -> FederationResult:
-    """Run a federation whose superschedulers use the broadcast protocol.
-
-    Everything except candidate selection — workload, QoS fabrication,
-    accounting — matches :func:`repro.core.federation.run_federation`, so the
-    results are directly comparable on identical inputs.
-
-    .. deprecated:: 2.0
-       Use ``run_scenario(Scenario(agent="broadcast", ...))`` instead.
-    """
-    import warnings
-
-    warnings.warn(
-        "run_broadcast_federation() is deprecated; use repro.scenario."
-        'run_scenario(Scenario(agent="broadcast", ...)) instead',
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    config = config or FederationConfig(mode=SharingMode.ECONOMY)
-    if config.mode is SharingMode.INDEPENDENT:
-        raise ValueError("the broadcast baseline needs a federated sharing mode")
-    from repro.scenario import run_scenario, scenario_from_config
-
-    scenario = scenario_from_config(config, agent="broadcast")
-    return run_scenario(scenario, specs=specs, workload=workload)

@@ -236,10 +236,6 @@ def _supervision_from_args(args):
     Returns ``None`` (= supervised with defaults) when no flag was given, so
     the plain-serial path never imports the parallel stack.
     """
-    if args.par_unsupervised:
-        from repro.par.supervisor import SupervisionConfig
-
-        return SupervisionConfig(enabled=False)
     overrides = {}
     if args.par_checkpoint is not None:
         overrides["checkpoint_dir"] = args.par_checkpoint
@@ -699,12 +695,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help="per-window worker reply deadline, scaled by window size "
         "(default 120; exceeding it counts as a hang and triggers a restart)",
-    )
-    run_parser.add_argument(
-        "--par-unsupervised",
-        action="store_true",
-        help="disable the parallel-engine supervisor (no deadlines, no "
-        "restarts — the raw PR-8 behaviour, for debugging)",
     )
 
     profile_parser = subparsers.add_parser(

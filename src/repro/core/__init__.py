@@ -22,7 +22,6 @@ from repro.core.federation import (
     FederationConfig,
     FederationResult,
     ResourceOutcome,
-    run_federation,
 )
 from repro.core.gfa import GFAStatistics, GridFederationAgent
 from repro.core.messages import GFAMessageCounters, MessageLog, MessageType
@@ -36,7 +35,6 @@ __all__ = [
     "FederationConfig",
     "FederationResult",
     "ResourceOutcome",
-    "run_federation",
     "GFAStatistics",
     "GridFederationAgent",
     "GFAMessageCounters",

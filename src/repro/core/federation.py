@@ -433,28 +433,3 @@ class Federation:
             self._validator.validate_end(self, result)
         return result
 
-
-def run_federation(
-    specs: Sequence[ResourceSpec],
-    workload: Mapping[str, Sequence[Job]],
-    config: Optional[FederationConfig] = None,
-) -> FederationResult:
-    """One-shot helper: build a :class:`Federation`, run it, return the result.
-
-    .. deprecated:: 2.0
-       Use :func:`repro.scenario.run_scenario` with a
-       :class:`repro.scenario.Scenario` instead; this shim delegates there.
-    """
-    import warnings
-
-    warnings.warn(
-        "run_federation() is deprecated; use repro.scenario.run_scenario("
-        "Scenario(...)) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.scenario.runner import run_scenario
-    from repro.scenario.scenario import scenario_from_config
-
-    scenario = scenario_from_config(config or FederationConfig())
-    return run_scenario(scenario, specs=specs, workload=workload)

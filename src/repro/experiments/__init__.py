@@ -8,9 +8,10 @@ One module per experiment:
 * :mod:`repro.experiments.exp4_messages`    — message complexity per profile (Fig. 9)
 * :mod:`repro.experiments.exp5_scalability` — message complexity vs system size (Figs. 10–11)
 
-Every driver accepts a ``thin`` parameter (keep every ``thin``-th job) so that
-benchmarks and examples can run reduced-scale versions of the same code path;
-``thin=1`` reproduces the full two-day workload used in EXPERIMENTS.md.
+Every scenario builder and sweep accepts a ``thin`` parameter (keep every
+``thin``-th job) so that benchmarks and examples can run reduced-scale versions
+of the same code path; ``thin=1`` reproduces the full two-day workload used in
+EXPERIMENTS.md.
 """
 
 from repro.experiments.common import (
@@ -18,19 +19,16 @@ from repro.experiments.common import (
     default_specs,
     default_workload,
 )
-from repro.experiments.exp1_independent import experiment_1_scenario, run_experiment_1
-from repro.experiments.exp2_federation import experiment_2_scenario, run_experiment_2
+from repro.experiments.exp1_independent import experiment_1_scenario
+from repro.experiments.exp2_federation import experiment_2_scenario
 from repro.experiments.exp3_economy import (
     ProfileSweepResult,
     economy_profile_scenario,
     economy_sweep,
-    run_economy_profile,
-    run_experiment_3,
 )
-from repro.experiments.exp4_messages import message_complexity_rows, run_experiment_4
+from repro.experiments.exp4_messages import message_complexity_rows
 from repro.experiments.exp5_scalability import (
     ScalabilityPoint,
-    run_experiment_5,
     scalability_sweep,
 )
 
@@ -43,13 +41,7 @@ __all__ = [
     "economy_profile_scenario",
     "economy_sweep",
     "scalability_sweep",
-    "run_experiment_1",
-    "run_experiment_2",
-    "run_economy_profile",
-    "run_experiment_3",
     "ProfileSweepResult",
     "message_complexity_rows",
-    "run_experiment_4",
-    "run_experiment_5",
     "ScalabilityPoint",
 ]

@@ -5,22 +5,15 @@ LRMS can complete it within its deadline, otherwise it is rejected outright.
 This is the control experiment that Table 2 reports and that Fig. 2 compares
 the federated runs against.
 
-The driver is a thin adapter over the Scenario API:
 ``experiment_1_scenario(...)`` builds the declarative description and
-:func:`repro.scenario.run_scenario` executes it; the legacy
-``run_experiment_1`` name is kept as a deprecation shim.
+:func:`repro.scenario.run_scenario` executes it.
 """
 
 from __future__ import annotations
 
-import warnings
-from typing import Optional, Sequence
-
 from repro.cluster.lrms import SchedulingPolicy
-from repro.core.federation import FederationResult
 from repro.core.policies import SharingMode
-from repro.scenario import Scenario, run_scenario
-from repro.workload.archive import ArchiveResource
+from repro.scenario import Scenario
 
 
 def experiment_1_scenario(
@@ -36,35 +29,3 @@ def experiment_1_scenario(
         lrms_policy=lrms_policy,
     )
 
-
-def run_experiment_1(
-    seed: int = 42,
-    resources: Optional[Sequence[ArchiveResource]] = None,
-    thin: int = 1,
-    lrms_policy: SchedulingPolicy = SchedulingPolicy.FCFS,
-) -> FederationResult:
-    """Run the independent-resource scenario and return its result.
-
-    .. deprecated:: 2.0
-       Use ``run_scenario(experiment_1_scenario(...))`` instead.
-
-    Parameters
-    ----------
-    seed:
-        Workload and simulation seed (the paper uses a single trace; a single
-        seed reproduces a single deterministic run).
-    resources:
-        Subset or replication of the Table 1 resources (default: all eight).
-    thin:
-        Keep every ``thin``-th job (1 = the full two-day workload).
-    lrms_policy:
-        Cluster-level queueing policy (FCFS in the paper's setup).
-    """
-    warnings.warn(
-        "run_experiment_1() is deprecated; use repro.scenario.run_scenario("
-        "experiment_1_scenario(...)) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    scenario = experiment_1_scenario(seed=seed, thin=thin, lrms_policy=lrms_policy)
-    return run_scenario(scenario, resources=resources)

@@ -4,20 +4,15 @@ Jobs that cannot meet their deadline locally are offered to the other clusters
 in decreasing order of computational speed; admission is negotiated with each
 candidate in turn.  Table 3 and Fig. 2 report the outcome.
 
-The driver is a thin adapter over the Scenario API; the legacy
-``run_experiment_2`` name is kept as a deprecation shim.
+``experiment_2_scenario(...)`` builds the declarative description and
+:func:`repro.scenario.run_scenario` executes it.
 """
 
 from __future__ import annotations
 
-import warnings
-from typing import Optional, Sequence
-
 from repro.cluster.lrms import SchedulingPolicy
-from repro.core.federation import FederationResult
 from repro.core.policies import SharingMode
-from repro.scenario import Scenario, run_scenario
-from repro.workload.archive import ArchiveResource
+from repro.scenario import Scenario
 
 
 def experiment_2_scenario(
@@ -33,23 +28,3 @@ def experiment_2_scenario(
         lrms_policy=lrms_policy,
     )
 
-
-def run_experiment_2(
-    seed: int = 42,
-    resources: Optional[Sequence[ArchiveResource]] = None,
-    thin: int = 1,
-    lrms_policy: SchedulingPolicy = SchedulingPolicy.FCFS,
-) -> FederationResult:
-    """Run the federation-without-economy scenario and return its result.
-
-    .. deprecated:: 2.0
-       Use ``run_scenario(experiment_2_scenario(...))`` instead.
-    """
-    warnings.warn(
-        "run_experiment_2() is deprecated; use repro.scenario.run_scenario("
-        "experiment_2_scenario(...)) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    scenario = experiment_2_scenario(seed=seed, thin=thin, lrms_policy=lrms_policy)
-    return run_scenario(scenario, resources=resources)

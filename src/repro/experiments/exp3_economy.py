@@ -7,15 +7,14 @@ each profile, the resource owners' incentives (Fig. 3), resource utilisation
 satisfaction (Figs. 7 and 8).  Experiment 4 reuses the same sweep for message
 complexity (Fig. 9).
 
-The sweep now rides on :class:`repro.scenario.SweepRunner`:
-:func:`economy_sweep` expands the profiles into scenarios and executes them —
-optionally across worker processes — while the legacy ``run_economy_profile``
-and ``run_experiment_3`` names remain as deprecation shims.
+The sweep rides on :class:`repro.scenario.SweepRunner`:
+:func:`economy_sweep` expands the profiles into scenarios and executes them,
+optionally across worker processes.  One profile alone is
+``run_scenario(economy_profile_scenario(...))``.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -23,7 +22,7 @@ from repro.cluster.lrms import SchedulingPolicy
 from repro.core.federation import FederationResult
 from repro.core.policies import SharingMode
 from repro.experiments.common import DEFAULT_PROFILES
-from repro.scenario import Scenario, SweepRunner, run_scenario
+from repro.scenario import Scenario, SweepRunner
 from repro.workload.archive import ArchiveResource
 
 
@@ -109,53 +108,3 @@ def economy_sweep(
     }
     return ProfileSweepResult(results=results)
 
-
-def run_economy_profile(
-    oft_pct: int,
-    seed: int = 42,
-    resources: Optional[Sequence[ArchiveResource]] = None,
-    thin: int = 1,
-    lrms_policy: SchedulingPolicy = SchedulingPolicy.FCFS,
-) -> FederationResult:
-    """Run the economy scenario for one user-population profile.
-
-    .. deprecated:: 2.0
-       Use ``run_scenario(economy_profile_scenario(...))`` instead.
-    """
-    warnings.warn(
-        "run_economy_profile() is deprecated; use repro.scenario.run_scenario("
-        "economy_profile_scenario(...)) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    scenario = economy_profile_scenario(
-        oft_pct, seed=seed, thin=thin, lrms_policy=lrms_policy
-    )
-    return run_scenario(scenario, resources=resources)
-
-
-def run_experiment_3(
-    profiles: Sequence[int] = DEFAULT_PROFILES,
-    seed: int = 42,
-    resources: Optional[Sequence[ArchiveResource]] = None,
-    thin: int = 1,
-    lrms_policy: SchedulingPolicy = SchedulingPolicy.FCFS,
-) -> ProfileSweepResult:
-    """Sweep the user-population profiles of Experiment 3.
-
-    .. deprecated:: 2.0
-       Use :func:`economy_sweep` (which can also parallelise) instead.
-    """
-    warnings.warn(
-        "run_experiment_3() is deprecated; use repro.experiments."
-        "economy_sweep(...) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return economy_sweep(
-        profiles=profiles,
-        seed=seed,
-        resources=resources,
-        thin=thin,
-        lrms_policy=lrms_policy,
-    )

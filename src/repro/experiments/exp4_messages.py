@@ -1,6 +1,7 @@
 """Experiment 4 — message complexity with respect to jobs (Fig. 9).
 
-The experiment re-uses the Experiment 3 population-profile sweep and counts,
+The experiment re-uses the Experiment 3 population-profile sweep
+(:func:`~repro.experiments.exp3_economy.economy_sweep`) and counts,
 per GFA, the negotiate / reply / job-submission / job-completion messages
 exchanged to schedule jobs, classified as *local* (scheduling the GFA's own
 users' jobs) or *remote* (work done for other sites' jobs).
@@ -16,39 +17,10 @@ control-plane fan-out included.
 
 from __future__ import annotations
 
-import warnings
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
-from repro.experiments.common import DEFAULT_PROFILES
-from repro.experiments.exp3_economy import ProfileSweepResult, economy_sweep
+from repro.experiments.exp3_economy import ProfileSweepResult
 from repro.metrics.collectors import message_summary
-from repro.workload.archive import ArchiveResource
-
-
-def run_experiment_4(
-    profiles: Sequence[int] = DEFAULT_PROFILES,
-    seed: int = 42,
-    resources: Optional[Sequence[ArchiveResource]] = None,
-    thin: int = 1,
-    sweep: Optional[ProfileSweepResult] = None,
-) -> ProfileSweepResult:
-    """Run (or reuse) the profile sweep whose message counts Fig. 9 reports.
-
-    Pass a previously computed ``sweep`` to avoid re-simulating — Experiment 4
-    measures the same runs as Experiment 3, just through a different lens.
-
-    .. deprecated:: 2.0
-       Use :func:`repro.experiments.economy_sweep` instead.
-    """
-    warnings.warn(
-        "run_experiment_4() is deprecated; use repro.experiments."
-        "economy_sweep(...) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    if sweep is not None:
-        return sweep
-    return economy_sweep(profiles=profiles, seed=seed, resources=resources, thin=thin)
 
 
 def message_complexity_rows(

@@ -8,13 +8,11 @@ GFA.
 
 :func:`scalability_sweep` expands the size × profile grid through
 :class:`repro.scenario.SweepRunner` (optionally in parallel, with
-memoisation); the legacy ``run_experiment_5`` name remains as a deprecation
-shim.
+memoisation).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -96,28 +94,6 @@ def scalability_sweep(
         oft_pct = int(round(scenario.oft_fraction * 100))
         points[(size, oft_pct)] = _scalability_point(result, size, oft_pct)
     return points
-
-
-def run_experiment_5(
-    system_sizes: Sequence[int] = DEFAULT_SYSTEM_SIZES,
-    profiles: Sequence[int] = DEFAULT_SCALABILITY_PROFILES,
-    seed: int = 42,
-    thin: int = 3,
-) -> Dict[Tuple[int, int], ScalabilityPoint]:
-    """Sweep system sizes and population profiles.
-
-    .. deprecated:: 2.0
-       Use :func:`scalability_sweep` (which can also parallelise) instead.
-    """
-    warnings.warn(
-        "run_experiment_5() is deprecated; use repro.experiments."
-        "scalability_sweep(...) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return scalability_sweep(
-        system_sizes=system_sizes, profiles=profiles, seed=seed, thin=thin
-    )
 
 
 def scalability_rows(

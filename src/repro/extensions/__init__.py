@@ -9,12 +9,10 @@
   Ablation C measures the message savings.
 """
 
-from repro.extensions.dynamic_pricing import DynamicPricingFederation, run_with_dynamic_pricing
-from repro.extensions.coordination import CoordinatedGFA, run_coordinated_federation
+from repro.extensions.dynamic_pricing import DynamicPricingFederation
+from repro.extensions.coordination import CoordinatedGFA
 
 __all__ = [
     "DynamicPricingFederation",
-    "run_with_dynamic_pricing",
     "CoordinatedGFA",
-    "run_coordinated_federation",
 ]

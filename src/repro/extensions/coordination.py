@@ -22,12 +22,8 @@ directory absorbed in exchange.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence
-
-from repro.cluster.specs import ResourceSpec, execution_time
-from repro.core.federation import Federation, FederationConfig, FederationResult
+from repro.cluster.specs import execution_time
 from repro.core.gfa import GridFederationAgent
-from repro.core.policies import SharingMode
 from repro.p2p.directory import DirectoryQuote
 from repro.workload.job import Job
 
@@ -69,29 +65,3 @@ class CoordinatedGFA(GridFederationAgent):
             return False
         return super()._negotiate(quote, job)
 
-
-def run_coordinated_federation(
-    specs: Sequence[ResourceSpec],
-    workload: Mapping[str, Sequence[Job]],
-    config: Optional[FederationConfig] = None,
-) -> FederationResult:
-    """Run a federation of :class:`CoordinatedGFA` agents.
-
-    .. deprecated:: 2.0
-       Use ``run_scenario(Scenario(agent="coordinated", ...))`` instead.
-    """
-    import warnings
-
-    warnings.warn(
-        "run_coordinated_federation() is deprecated; use repro.scenario."
-        'run_scenario(Scenario(agent="coordinated", ...)) instead',
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    config = config or FederationConfig(mode=SharingMode.ECONOMY)
-    if config.mode is SharingMode.INDEPENDENT:
-        raise ValueError("coordination requires a federated sharing mode")
-    from repro.scenario import run_scenario, scenario_from_config
-
-    scenario = scenario_from_config(config, agent="coordinated")
-    return run_scenario(scenario, specs=specs, workload=workload)

@@ -26,7 +26,7 @@ import dataclasses
 from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.cluster.specs import ResourceSpec
-from repro.core.federation import Federation, FederationConfig, FederationResult
+from repro.core.federation import Federation, FederationConfig
 from repro.core.gfa import GridFederationAgent
 from repro.core.policies import SharingMode
 from repro.economy.pricing import DemandDrivenPricingPolicy
@@ -113,43 +113,3 @@ class DynamicPricingFederation(Federation):
         if self.sim.pending > 0:
             self.sim.schedule(self.repricing_interval, self._reprice)
 
-
-def run_with_dynamic_pricing(
-    specs: Sequence[ResourceSpec],
-    workload: Mapping[str, Sequence[Job]],
-    config: Optional[FederationConfig] = None,
-    pricing_policy: Optional[DemandDrivenPricingPolicy] = None,
-    repricing_interval: float = 4 * 3600.0,
-) -> FederationResult:
-    """One-shot helper mirroring :func:`repro.core.federation.run_federation`.
-
-    .. deprecated:: 2.0
-       Use ``run_scenario(Scenario(pricing="demand", ...))`` instead.
-    """
-    import warnings
-
-    warnings.warn(
-        "run_with_dynamic_pricing() is deprecated; use repro.scenario."
-        'run_scenario(Scenario(pricing="demand", ...)) instead',
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    if pricing_policy is not None:
-        # A custom policy object is not expressible as registry data; run the
-        # federation class directly.
-        federation = DynamicPricingFederation(
-            specs,
-            workload,
-            config,
-            pricing_policy=pricing_policy,
-            repricing_interval=repricing_interval,
-        )
-        return federation.run()
-    from repro.scenario import run_scenario, scenario_from_config
-
-    scenario = scenario_from_config(
-        config or FederationConfig(mode=SharingMode.ECONOMY),
-        pricing="demand",
-        repricing_interval=repricing_interval,
-    )
-    return run_scenario(scenario, specs=specs, workload=workload)

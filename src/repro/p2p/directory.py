@@ -203,39 +203,6 @@ class DirectoryQuerySession(_ServeEachQuoteOnce):
         self._pos = 0
 
 
-class _ScanQuerySession(_ServeEachQuoteOnce):
-    """Session facade over the legacy full-scan query path.
-
-    Used when :attr:`FederationDirectory.query_mode` is ``"scan"`` — every
-    probe pays the original ``kth(position)``-per-position cost.  This is the
-    pre-optimisation hot path, kept callable so the benchmark suite can time
-    old against new on identical runs and tests can use it as an oracle.
-    """
-
-    __slots__ = ("_directory", "criterion", "min_processors", "_version", "_pos", "_yielded")
-
-    def __init__(
-        self,
-        directory: "FederationDirectory",
-        criterion: RankCriterion,
-        min_processors: int = 1,
-    ):
-        self._directory = directory
-        self.criterion = criterion
-        self.min_processors = min_processors
-        self._version = directory.version
-        self._pos = 0
-        self._yielded: set = set()
-
-    def kth(self, rank: int) -> Optional[DirectoryQuote]:
-        return self._directory.scan_query(self.criterion, rank, self.min_processors)
-
-    def _begin_resweep(self) -> None:
-        # scan_query is stateless, so the facade syncs its own version stamp.
-        self._version = self._directory.version
-        self._pos = 0
-
-
 class FederationDirectory:
     """Decentralised quote directory shared by all GFAs of a federation.
 
@@ -245,13 +212,6 @@ class FederationDirectory:
         Random generator for the overlay level assignment (inject a seeded
         stream for reproducible hop counts).
     """
-
-    #: How :meth:`open_session` answers rank probes: ``"session"`` (resumable
-    #: cursor sweep, the default) or ``"scan"`` (the legacy re-scan path, kept
-    #: for benchmarking and oracle testing).  Class attribute so a whole run
-    #: can be flipped without threading a flag through every constructor;
-    #: assign on an instance to override locally.
-    query_mode: str = "session"
 
     def __init__(self, rng: Optional[np.random.Generator] = None):
         rng = rng if rng is not None else np.random.default_rng()
@@ -329,8 +289,15 @@ class FederationDirectory:
     # ------------------------------------------------------------------ #
     # Publication interface (subscribe / quote / unsubscribe)
     # ------------------------------------------------------------------ #
-    def subscribe(self, gfa_name: str, spec: ResourceSpec) -> DirectoryQuote:
-        """Publish the initial quote of a GFA joining the federation."""
+    def subscribe(
+        self, gfa_name: str, spec: ResourceSpec, *, replica: bool = False
+    ) -> DirectoryQuote:
+        """Publish the initial quote of a GFA joining the federation.
+
+        ``replica=True`` mirrors a quote whose owner subscribes on another
+        parallel shard: the overlay state is the same, but no control
+        message is charged, so a merged run counts each subscribe once.
+        """
         if gfa_name in self._quotes:
             raise OverlayError(f"GFA already subscribed: {gfa_name!r}")
         quote = DirectoryQuote(gfa_name=gfa_name, spec=spec)
@@ -338,7 +305,8 @@ class FederationDirectory:
         self._by_price.insert((spec.price, gfa_name), quote)
         self._by_speed.insert((-spec.mips, gfa_name), quote)
         self._bump_version()
-        self._control("subscribe")
+        if not replica:
+            self._control("subscribe")
         return quote
 
     def update_quote(self, gfa_name: str, spec: ResourceSpec) -> DirectoryQuote:
@@ -473,45 +441,10 @@ class FederationDirectory:
         ranking = self._cached_ranking(criterion, min_processors)
         return ranking[rank - 1] if rank <= len(ranking) else None
 
-    def scan_query(
-        self,
-        criterion: RankCriterion,
-        rank: int,
-        min_processors: int = 1,
-    ) -> Optional[DirectoryQuote]:
-        """:meth:`query` answered by the legacy full-scan path.
-
-        This is the pre-cursor implementation — every position is located with
-        an independent ``O(log n)`` ``kth`` descent and re-filtered, so a rank-
-        ``k`` probe costs ``O(n log n)``.  Kept as the benchmark baseline and
-        as the oracle the session/cache paths are property-tested against.
-        """
-        if rank < 1:
-            raise ValueError(f"rank must be at least 1, got {rank}")
-        index = self._index_for(criterion)
-        self._account_query()
-
-        matched = 0
-        for position in range(1, len(index) + 1):
-            _key, quote = index.kth(position)
-            self._stats.measured_hops += index.last_hops
-            if quote.spec.num_processors >= min_processors:
-                matched += 1
-                if matched == rank:
-                    return quote
-        return None
-
     def open_session(
         self, criterion: RankCriterion, min_processors: int = 1
     ) -> "DirectoryQuerySession":
-        """Open a resumable rank-query session (one per job negotiation).
-
-        Honours :attr:`query_mode`: the default ``"session"`` returns the
-        cursor-backed :class:`DirectoryQuerySession`; ``"scan"`` returns a
-        facade over :meth:`scan_query` that reproduces the legacy cost model.
-        """
-        if self.query_mode == "scan":
-            return _ScanQuerySession(self, criterion, min_processors)
+        """Open a resumable rank-query session (one per job negotiation)."""
         return DirectoryQuerySession(self, criterion, min_processors)
 
     def _cached_ranking(

@@ -40,7 +40,6 @@ from repro.p2p.directory import (
     DirectoryQuerySession,
     FederationDirectory,
     RankCriterion,
-    _ScanQuerySession,
     _ServeEachQuoteOnce,
 )
 
@@ -162,23 +161,6 @@ class ShardedDirectory:
         (the federation derives them from ``"directory/overlay/shard{i}"``).
     """
 
-    @property
-    def query_mode(self) -> str:
-        """How :meth:`open_session` answers probes (see the same attribute on
-        :class:`FederationDirectory`).
-
-        Follows the class-level :attr:`FederationDirectory.query_mode` flip —
-        the documented way to switch a whole run to the legacy ``"scan"``
-        path, which the benchmark suite relies on — unless overridden on this
-        instance by plain assignment.
-        """
-        override = self.__dict__.get("_query_mode")
-        return FederationDirectory.query_mode if override is None else override
-
-    @query_mode.setter
-    def query_mode(self, value: str) -> None:
-        self.__dict__["_query_mode"] = value
-
     def __init__(self, rngs: Sequence[np.random.Generator]):
         if not rngs:
             raise ValueError("a sharded directory needs at least one shard rng")
@@ -216,8 +198,10 @@ class ShardedDirectory:
     # ------------------------------------------------------------------ #
     # Publication interface
     # ------------------------------------------------------------------ #
-    def subscribe(self, gfa_name: str, spec: ResourceSpec) -> DirectoryQuote:
-        return self._shard_of(gfa_name).subscribe(gfa_name, spec)
+    def subscribe(
+        self, gfa_name: str, spec: ResourceSpec, *, replica: bool = False
+    ) -> DirectoryQuote:
+        return self._shard_of(gfa_name).subscribe(gfa_name, spec, replica=replica)
 
     def unsubscribe(self, gfa_name: str) -> None:
         self._shard_of(gfa_name).unsubscribe(gfa_name)
@@ -302,33 +286,10 @@ class ShardedDirectory:
         ranking = self._merged_ranking(criterion, min_processors)
         return ranking[rank - 1] if rank <= len(ranking) else None
 
-    def scan_query(
-        self,
-        criterion: RankCriterion,
-        rank: int,
-        min_processors: int = 1,
-    ) -> Optional[DirectoryQuote]:
-        """:meth:`query` answered by each shard's legacy full-scan path."""
-        if rank < 1:
-            raise ValueError(f"rank must be at least 1, got {rank}")
-        merged: List[Tuple[Tuple[float, str], DirectoryQuote]] = []
-        for shard in self.shards:
-            position = 1
-            while True:
-                quote = shard.scan_query(criterion, position, min_processors)
-                if quote is None:
-                    break
-                merged.append((_ranking_key(criterion, quote), quote))
-                position += 1
-        merged.sort(key=lambda item: item[0])
-        return merged[rank - 1][1] if rank <= len(merged) else None
-
     def open_session(
         self, criterion: RankCriterion, min_processors: int = 1
-    ) -> _ServeEachQuoteOnce:
+    ) -> "ShardedQuerySession":
         """Open a scatter-gather rank-query session (one per job negotiation)."""
-        if self.query_mode == "scan":
-            return _ScanQuerySession(self, criterion, min_processors)
         return ShardedQuerySession(self, criterion, min_processors)
 
     def ranking(self, criterion: RankCriterion, min_processors: int = 1) -> List[DirectoryQuote]:

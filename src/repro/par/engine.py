@@ -330,9 +330,9 @@ class ProcessShardHandle:
     def _recv(self, timeout: Optional[float] = None):
         """Receive one reply, with an optional deadline and liveness checks.
 
-        ``timeout=None`` preserves the historical blocking behaviour *except*
-        that a dead worker is still detected (the pipe EOFs), so even the
-        unsupervised path can never block on a crashed shard forever.
+        ``timeout=None`` blocks without a deadline, but a dead worker is
+        still detected (the pipe EOFs), so no receive can block on a crashed
+        shard forever.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
@@ -499,9 +499,9 @@ class ParallelSimulator:
         self.lookahead = lookahead
         self.backend = backend
         self.profile_dir = profile_dir
-        #: A :class:`~repro.par.supervisor.SupervisionConfig` (or ``None``):
-        #: when enabled and the backend is ``process``, :meth:`run` delegates
-        #: to the supervisor for deadlines, restarts and degradation.
+        #: The :class:`~repro.par.supervisor.SupervisionConfig` the process
+        #: backend runs under (``None`` = the defaults); the oracle backend
+        #: has no processes to supervise and ignores it.
         self.supervision = supervision
 
     def _new_stats(self, supervised: bool = False) -> ParallelStats:
@@ -545,17 +545,13 @@ class ParallelSimulator:
     def run(self) -> Tuple[List[ShardHarvest], ParallelStats]:
         """Execute the sharded run to global quiescence and harvest.
 
-        With supervision enabled (and the multiprocess backend), delegates
-        to :class:`~repro.par.supervisor.ParallelSupervisor`: same model,
-        same results, plus deadlines, crash detection, window-boundary
-        restarts and bounded-degradation semantics.
+        The multiprocess backend always runs under
+        :class:`~repro.par.supervisor.ParallelSupervisor`: deadlines, crash
+        detection, window-boundary restarts and bounded degradation.  The
+        in-process oracle backend takes :meth:`_run_plain`.  Both produce
+        the same results.
         """
-        supervision = self.supervision
-        if (
-            supervision is not None
-            and getattr(supervision, "enabled", False)
-            and self.backend == "process"
-        ):
+        if self.backend == "process":
             # Imported lazily: the supervisor module imports this one.
             from repro.par.supervisor import ParallelSupervisor
 
@@ -563,7 +559,7 @@ class ParallelSimulator:
         return self._run_plain()
 
     def _run_plain(self) -> Tuple[List[ShardHarvest], ParallelStats]:
-        """The unsupervised path: no deadlines, no restarts (both backends)."""
+        """The oracle backend's path: in-process shards, so no deadlines or restarts."""
         stats = self._new_stats()
         handles = self._make_handles()
         try:

@@ -181,8 +181,7 @@ def try_parallel_run(
     restart exhaustion raises :class:`ParallelRunFailed` instead.
 
     ``supervision=None`` runs the multiprocess backend under the default
-    :class:`SupervisionConfig` — supervision is on unless explicitly
-    disabled (``SupervisionConfig(enabled=False)``).
+    :class:`SupervisionConfig`.
     """
     plan = parallel_plan(
         scenario,

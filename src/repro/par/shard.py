@@ -249,10 +249,11 @@ class ShardFederation(Federation):
         # Foreign cluster: keep the directory replica (and its skip-list rng
         # draws) identical to the serial build by subscribing in specs order,
         # then slot a proxy under the cluster's name so base-GFA negotiation
-        # and migration resolve it transparently.
+        # and migration resolve it transparently.  The owning shard charges
+        # the subscribe message; this replica copy charges none.
         self.message_log.register_gfa(spec.name)
         if self.directory is not None:
-            self.directory.subscribe(spec.name, spec)
+            self.directory.subscribe(spec.name, spec, replica=True)
         proxy = RemoteClusterProxy(spec.name, spec, self)
         self.registry.register(proxy)
         self._proxies[spec.name] = proxy

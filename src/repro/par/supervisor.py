@@ -92,11 +92,11 @@ class ParallelRunFailed(RuntimeError):
 class SupervisionConfig:
     """Knobs of the parallel-engine supervisor (all have safe defaults).
 
+    The multiprocess backend always runs under the supervisor; these
+    settings tune it, and ``supervision=None`` means ``SupervisionConfig()``.
+
     Attributes
     ----------
-    enabled:
-        Master switch; ``False`` reproduces the unsupervised PR-8 engine
-        (no deadlines, no restarts).
     step_timeout_s:
         Wall-clock budget for collecting one shard's window, *per window
         floor*: the effective deadline is
@@ -134,15 +134,15 @@ class SupervisionConfig:
     chaos:
         Test/smoke fault-injection hook, called as
         ``chaos(phase, window_index, handles)`` with ``phase`` in
-        ``("window", "harvest")`` — between dispatch and collect, where a
-        real mid-window fault would land.
+        ``("window", "harvest")``: a window's between dispatch and collect,
+        where a real mid-window fault would land; the harvest's before its
+        commands go out.
     on_boundary:
         Called as ``on_boundary(window_index)`` at every consistent cut —
         the daemon's cancellation seam.  Exceptions propagate (after the
         fleet is torn down cleanly).
     """
 
-    enabled: bool = True
     step_timeout_s: float = 120.0
     start_timeout_s: float = 600.0
     harvest_timeout_s: float = 600.0
@@ -182,6 +182,8 @@ class ParallelSupervisor:
 
     def __init__(self, simulator: ParallelSimulator):
         config = simulator.supervision
+        if config is None:
+            config = SupervisionConfig()
         if not isinstance(config, SupervisionConfig):
             raise TypeError(
                 "ParallelSupervisor requires simulator.supervision to be a "
@@ -250,10 +252,13 @@ class ParallelSupervisor:
     def _harvest_fleet(
         self, handles: Sequence[ProcessShardHandle], stats: ParallelStats
     ) -> List[ShardHarvest]:
-        for handle in handles:
-            handle.harvest_begin()
+        # The chaos hook fires before any harvest command is sent, so a
+        # victim killed here cannot reply before the signal lands and the
+        # kill always surfaces as a typed WorkerFailure.
         if self.config.chaos is not None:
             self.config.chaos("harvest", stats.windows, handles)
+        for handle in handles:
+            handle.harvest_begin()
         return [
             handle.harvest_finish(timeout=self.config.harvest_timeout_s)
             for handle in handles

@@ -5,20 +5,15 @@ module is the repository's measured performance trajectory.  These layers of
 the scheduling hot path are timed:
 
 * **Directory rank queries** — a simulated DBC negotiation probe schedule is
-  answered three ways on identical directories: the legacy full-scan path
-  (``O(n log n)`` per probe — the pre-optimisation implementation, kept as
-  :meth:`~repro.p2p.directory.FederationDirectory.scan_query`), the resumable
-  cursor session (``O(log n + k)`` per job) and the version-stamped ranking
-  cache (``O(1)`` amortised).  Every strategy must return the identical quote
-  sequence; the speedups are reported per system size.
+  answered two ways on identical directories: the resumable cursor session
+  (``O(log n + k)`` per job) and the version-stamped ranking cache (``O(1)``
+  amortised).  Both strategies must return the identical quote sequence.
 * **Event kernel** — schedule/cancel/fire throughput through the full
   :class:`~repro.sim.engine.Simulator`: its heap plus the engine's fixed
   per-event overhead.
 * **Table-3 federation run** — the full Experiment 2 simulation end to end,
-  executed once per directory query mode.  The two runs must produce equal
-  :func:`~repro.scenario.runner.result_fingerprint` digests (the fast path may
-  change *when* answers are computed, never the answers), and the wall-clock
-  ratio is the end-to-end speedup.
+  with its :func:`~repro.scenario.runner.result_fingerprint` recorded next
+  to the timing.
 
 The ``xl`` scale pushes the directory benchmark to 512/1024 clusters (via
 Table-1 replication) and the end-to-end run to 1024 clusters — far beyond
@@ -117,8 +112,7 @@ class BenchScale:
 
 
 BENCH_SCALES: Dict[str, BenchScale] = {
-    # CI smoke scale: a few seconds total, still >= 64 clusters so the
-    # headline directory speedup is exercised where the issue demands it.
+    # CI smoke scale: a few seconds total, still reaching 64 clusters.
     "smoke": BenchScale(
         "smoke",
         sizes=(16, 64),
@@ -209,14 +203,7 @@ def _run_probe_plan(
     """
     answers: List[Optional[str]] = []
     start = time.perf_counter()
-    if strategy == "scan":
-        for criterion, min_processors, depth in plan:
-            for rank in range(1, depth + 1):
-                quote = directory.scan_query(criterion, rank, min_processors)
-                answers.append(quote.gfa_name if quote is not None else None)
-                if quote is None:
-                    break
-    elif strategy == "session":
+    if strategy == "session":
         for criterion, min_processors, depth in plan:
             session = directory.open_session(criterion, min_processors)
             for rank in range(1, depth + 1):
@@ -239,32 +226,28 @@ def _run_probe_plan(
 def bench_directory_queries(
     sizes: Sequence[int], probe_jobs: int, repeats: int = 1, seed: int = 42
 ) -> List[Dict[str, object]]:
-    """Time the three query strategies on identical probe plans per size."""
+    """Time the session and cached strategies on identical probe plans per size."""
     rows: List[Dict[str, object]] = []
     for size in sizes:
         directory = _build_directory(size, seed=seed)
         plan = _probe_schedule(directory, probe_jobs)
         timings: Dict[str, float] = {}
         answer_sets: Dict[str, List[Optional[str]]] = {}
-        for strategy in ("scan", "session", "cached"):
+        for strategy in ("session", "cached"):
             def once(strategy: str = strategy) -> float:
                 seconds, answers = _run_probe_plan(directory, plan, strategy)
                 answer_sets[strategy] = answers
                 return seconds
 
             timings[strategy] = _best_of(repeats, once)
-        identical = answer_sets["scan"] == answer_sets["session"] == answer_sets["cached"]
         rows.append(
             {
                 "clusters": int(size),
                 "probe_jobs": int(probe_jobs),
-                "probes": len(answer_sets["scan"]),
-                "scan_s": timings["scan"],
+                "probes": len(answer_sets["session"]),
                 "session_s": timings["session"],
                 "cached_s": timings["cached"],
-                "speedup_session": timings["scan"] / max(timings["session"], 1e-12),
-                "speedup_cached": timings["scan"] / max(timings["cached"], 1e-12),
-                "results_identical": bool(identical),
+                "results_identical": answer_sets["session"] == answer_sets["cached"],
             }
         )
     return rows
@@ -311,68 +294,44 @@ def bench_event_kernel(events: int, repeats: int = 1, seed: int = 0) -> Dict[str
 # --------------------------------------------------------------------------- #
 # Table-3 end-to-end benchmark
 # --------------------------------------------------------------------------- #
-def _timed_table3(
-    query_mode: str, thin: int, seed: int, system_size: Optional[int]
-) -> Tuple[float, str, int, int]:
-    previous = FederationDirectory.query_mode
-    FederationDirectory.query_mode = query_mode
-    try:
-        scenario = Scenario(
-            mode=SharingMode.FEDERATION, seed=seed, thin=thin, system_size=system_size
-        )
-        start = time.perf_counter()
-        result = run_scenario(scenario)
-        elapsed = time.perf_counter() - start
-    finally:
-        FederationDirectory.query_mode = previous
-    return elapsed, result_fingerprint(result), len(result.jobs), result.events_processed
-
-
 def bench_table3(
     thin: int,
     repeats: int = 1,
     seed: int = 42,
     system_sizes: Sequence[Optional[int]] = (None,),
-    modes: Sequence[str] = ("scan", "session"),
 ) -> List[Dict[str, object]]:
-    """Time the full Table-3 federation run under the directory query modes.
+    """Time the full Table-3 federation run end to end.
 
     ``system_sizes`` entries are federation sizes via Table-1 replication;
-    ``None`` is the paper's own eight resources.  Fingerprints of all timed
-    modes must match — the report records the comparison so the byte-identical
-    guarantee is re-verified on every benchmark run.  The ``xl`` scale drops
-    the legacy ``scan`` mode: its ``O(k²·n log n)`` negotiation cost is
-    precisely the pathology the session path removed, and re-paying it at
-    1024 clusters would dwarf the whole suite.
+    ``None`` is the paper's own eight resources.  Each row records the run's
+    fingerprint next to its timing, which keeps the ``session_s`` key so
+    existing baselines stay comparable.
     """
     rows: List[Dict[str, object]] = []
     for size in system_sizes:
-        fingerprints: Dict[str, str] = {}
-        stats: Dict[str, Tuple[int, int]] = {}
-        timings: Dict[str, float] = {}
-        for mode in modes:
-            def once(mode: str = mode) -> float:
-                elapsed, digest, jobs, events = _timed_table3(mode, thin, seed, size)
-                fingerprints[mode] = digest
-                stats[mode] = (jobs, events)
-                return elapsed
+        scenario = Scenario(
+            mode=SharingMode.FEDERATION, seed=seed, thin=thin, system_size=size
+        )
+        outcome: Dict[str, object] = {}
 
-            timings[mode] = _best_of(repeats, once)
-        jobs, events = stats["session"]
-        scan_s = timings.get("scan")
+        def once() -> float:
+            start = time.perf_counter()
+            result = run_scenario(scenario)
+            elapsed = time.perf_counter() - start
+            outcome["jobs"] = len(result.jobs)
+            outcome["events"] = result.events_processed
+            outcome["fingerprint"] = result_fingerprint(result)
+            return elapsed
+
+        seconds = _best_of(repeats, once)
         rows.append(
             {
                 "clusters": 8 if size is None else int(size),
                 "thin": int(thin),
-                "jobs": jobs,
-                "events": events,
-                "scan_s": scan_s,
-                "session_s": timings["session"],
-                "speedup": (
-                    scan_s / max(timings["session"], 1e-12) if scan_s is not None else None
-                ),
-                "outputs_identical": len(set(fingerprints.values())) == 1,
-                "fingerprint": fingerprints["session"],
+                "jobs": outcome["jobs"],
+                "events": outcome["events"],
+                "session_s": seconds,
+                "fingerprint": outcome["fingerprint"],
             }
         )
     return rows
@@ -549,83 +508,6 @@ def bench_parallel_engine(
 
 
 # --------------------------------------------------------------------------- #
-# Parallel-supervision overhead benchmark
-# --------------------------------------------------------------------------- #
-def bench_supervision_overhead(
-    size: int,
-    thin: int,
-    workers: int = 2,
-    repeats: int = 1,
-    seed: int = 42,
-    topology: str = "two-tier-wan",
-) -> List[Dict[str, object]]:
-    """Time the supervised vs unsupervised parallel engine on a no-fault run.
-
-    Supervision arms a deadline + liveness poll around every pipe receive;
-    on a healthy fleet that is the *entire* cost (no checkpoints are written
-    without ``--par-checkpoint``, and restarts never trigger).  The
-    acceptance claim is that the supervised no-fault path stays within noise
-    of the unsupervised engine, so the ratio should sit at ~1.0x — and the
-    two runs must produce byte-identical fingerprints, re-proving on every
-    benchmark run that supervision is observationally free.
-    """
-    from repro.par.runner import try_parallel_run
-    from repro.par.supervisor import SupervisionConfig
-
-    rows: List[Dict[str, object]] = []
-    fingerprints: Dict[bool, str] = {}
-    timings: Dict[bool, float] = {}
-    stats: Dict[bool, Tuple[int, int]] = {}
-
-    def once(supervised: bool) -> float:
-        scenario = Scenario(
-            mode=SharingMode.ECONOMY,
-            oft_fraction=0.3,
-            seed=seed,
-            thin=thin,
-            system_size=size,
-            transport=topology,
-        )
-        supervision = (
-            SupervisionConfig() if supervised else SupervisionConfig(enabled=False)
-        )
-        start = time.perf_counter()
-        result, par = try_parallel_run(scenario, workers=workers, supervision=supervision)
-        elapsed = time.perf_counter() - start
-        if result is None:  # pragma: no cover - eligible by construction
-            raise RuntimeError(f"parallel dispatch declined: {par.fallback_reason}")
-        fingerprints[supervised] = result_fingerprint(result)
-        stats[supervised] = (len(result.jobs), result.events_processed)
-        return elapsed
-
-    # Same protocol as the resilience benchmark: one untimed
-    # warmup, then alternate the variants so warm-interpreter drift cannot
-    # bias whichever happens to run second.
-    once(True)
-    for _ in range(max(1, repeats)):
-        for supervised in (True, False):
-            elapsed = once(supervised)
-            best = timings.get(supervised)
-            timings[supervised] = elapsed if best is None else min(best, elapsed)
-    jobs, events = stats[True]
-    rows.append(
-        {
-            "clusters": int(size),
-            "thin": int(thin),
-            "workers": int(workers),
-            "jobs": jobs,
-            "events": events,
-            "supervised_s": timings[True],
-            "unsupervised_s": timings[False],
-            "overhead": timings[True] / max(timings[False], 1e-12),
-            "outputs_identical": fingerprints[True] == fingerprints[False],
-            "fingerprint": fingerprints[True],
-        }
-    )
-    return rows
-
-
-# --------------------------------------------------------------------------- #
 # Suite driver, report and regression gate
 # --------------------------------------------------------------------------- #
 def run_benchmarks(
@@ -639,9 +521,6 @@ def run_benchmarks(
             raise ValueError(
                 f"unknown bench scale {scale!r}; choose from {sorted(BENCH_SCALES)}"
             ) from None
-    # The legacy scan mode's O(k²·n log n) negotiation cost is intractable at
-    # the xl federation sizes (it is the pathology the session path removed).
-    table3_modes = ("scan", "session") if scale.name != "xl" else ("session",)
     return {
         "schema": REPORT_SCHEMA,
         "scale": scale.name,
@@ -657,7 +536,6 @@ def run_benchmarks(
             repeats=scale.repeats,
             seed=seed,
             system_sizes=scale.table3_sizes,
-            modes=table3_modes,
         ),
         "resilience": bench_resilience_overhead(
             scale.table3_thin,
@@ -674,15 +552,6 @@ def run_benchmarks(
             repeats=scale.repeats,
             seed=seed,
             parity_limit=scale.par_parity_limit,
-        ),
-        "par_supervision": bench_supervision_overhead(
-            scale.par_size,
-            scale.par_thin,
-            workers=max(w for w in scale.par_workers if w >= 2),
-            # The overhead under measurement is expected to be ~zero — noise
-            # suppression needs at least two repetitions per variant.
-            repeats=max(2, scale.repeats),
-            seed=seed,
         ),
     }
 
@@ -725,12 +594,6 @@ def _tracked_timings(report: Dict[str, object]) -> Dict[str, float]:
     for row in report.get("par", []):
         key = f"par/{row['clusters']}@thin{row['thin']}/w{row['workers']}/seconds"
         tracked[key] = float(row["seconds"])
-    for row in report.get("par_supervision", []):
-        key = (
-            f"par_supervision/{row['clusters']}@thin{row['thin']}"
-            f"/w{row['workers']}/supervised_s"
-        )
-        tracked[key] = float(row["supervised_s"])
     return tracked
 
 
@@ -744,30 +607,15 @@ def compare_to_baseline(
     A tracked timing regresses when it exceeds the baseline value by more than
     ``max_regression``×.  Metrics absent from the baseline are ignored (new
     benchmarks don't fail old baselines), as are baselines under 10 ms —
-    timings that small are scheduler noise on a shared CI runner.  The
-    directory micro-bench is instead gated on its *speedup ratio* (scan time
-    over session time), which cancels machine speed out: at 64+ clusters the
-    session path must stay >= 5x the legacy scan (the acceptance floor; it
-    measures 10-30x in practice).  Correctness flags in the *current* report
-    are also gated: a run whose strategies disagree fails regardless of
-    timing.
+    timings that small are scheduler noise on a shared CI runner.
+    Correctness flags in the *current* report are also gated: a run whose
+    strategies or backends disagree fails regardless of timing.
     """
     problems: List[str] = []
-    for row in report.get("directory_query", []):
-        if row["clusters"] >= 64 and float(row["speedup_session"]) < 5.0:
-            problems.append(
-                f"directory_query/{row['clusters']}: session speedup collapsed to "
-                f"{row['speedup_session']:.1f}x (floor: 5.0x over the legacy scan)"
-            )
     for row in report.get("directory_query", []):
         if not row.get("results_identical", True):
             problems.append(
                 f"directory_query/{row['clusters']}: strategies returned different quotes"
-            )
-    for row in report.get("table3", []):
-        if not row.get("outputs_identical", True):
-            problems.append(
-                f"table3/{row['clusters']}: scan and session runs diverged (fingerprint mismatch)"
             )
     for row in report.get("resilience", []):
         if not row.get("outputs_identical", True):
@@ -786,23 +634,6 @@ def compare_to_baseline(
             problems.append(
                 f"par/{row['clusters']}/w{row['workers']}: process and oracle "
                 "backends diverged (fingerprint mismatch)"
-            )
-    for row in report.get("par_supervision", []):
-        if not row.get("outputs_identical", True):
-            problems.append(
-                f"par_supervision/{row['clusters']}/w{row['workers']}: "
-                "supervised and unsupervised runs diverged (fingerprint mismatch)"
-            )
-        # The no-fault noise gate: supervision arms deadlines and liveness
-        # polls but must not change the hot path.  3x headroom matches the
-        # wall-clock regression gate — CI runners are noisy, and a genuine
-        # supervision tax would show up far beyond it.
-        overhead = float(row.get("overhead", 1.0))
-        if overhead > max_regression:
-            problems.append(
-                f"par_supervision/{row['clusters']}/w{row['workers']}: "
-                f"supervised no-fault run is {overhead:.2f}x the unsupervised "
-                f"baseline (gate: {max_regression:.1f}x)"
             )
     current = _tracked_timings(report)
     previous = _tracked_timings(baseline)
@@ -882,11 +713,8 @@ def render_report(report: Dict[str, object]) -> str:
         [
             row["clusters"],
             row["probes"],
-            1e3 * row["scan_s"],
             1e3 * row["session_s"],
             1e3 * row["cached_s"],
-            row["speedup_session"],
-            row["speedup_cached"],
             "yes" if row["results_identical"] else "NO",
         ]
         for row in report["directory_query"]
@@ -896,15 +724,12 @@ def render_report(report: Dict[str, object]) -> str:
             [
                 "Clusters",
                 "Probes",
-                "Scan ms",
                 "Session ms",
                 "Cached ms",
-                "Speedup (session)",
-                "Speedup (cached)",
                 "Identical",
             ],
             rows,
-            title=f"Directory rank queries — legacy scan vs resumable session ({report['scale']})",
+            title=f"Directory rank queries — resumable session vs ranking cache ({report['scale']})",
         )
     )
     out.append(
@@ -918,20 +743,12 @@ def render_report(report: Dict[str, object]) -> str:
         )
     )
     rows = [
-        [
-            row["clusters"],
-            row["jobs"],
-            row["events"],
-            "-" if row["scan_s"] is None else f"{row['scan_s']:.4f}",
-            row["session_s"],
-            "-" if row["speedup"] is None else f"{row['speedup']:.2f}x",
-            "yes" if row["outputs_identical"] else "NO",
-        ]
+        [row["clusters"], row["jobs"], row["events"], row["session_s"]]
         for row in report["table3"]
     ]
     out.append(
         render_table(
-            ["Clusters", "Jobs", "Events", "Scan s", "Session s", "Speedup", "Identical"],
+            ["Clusters", "Jobs", "Events", "Seconds"],
             rows,
             title=f"Table-3 federation run end to end (thin={report['table3'][0]['thin']})",
         )

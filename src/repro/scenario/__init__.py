@@ -1,9 +1,7 @@
 """Unified Scenario API: declarative runs, variant registries, parallel sweeps.
 
-This package replaces the repository's former per-variant entry-point zoo
-(``run_federation``, ``run_broadcast_federation``, ``run_with_dynamic_pricing``,
-``run_coordinated_federation``, five ``run_experiment_N`` drivers) with three
-composable pieces:
+Every run, whatever its agent, pricing, workload or experiment, goes
+through three composable pieces:
 
 * :class:`~repro.scenario.scenario.Scenario` — one simulation run as
   validated, hashable data;

@@ -7,8 +7,7 @@ registers the paper's agent, pricing and workload variants, so that
 >>> Scenario(pricing="demand", mode="economy")         # doctest: +SKIP
 >>> Scenario(workload="synthetic", horizon=86_400.0)   # doctest: +SKIP
 
-replace the former per-variant entry points (``run_broadcast_federation``,
-``run_with_dynamic_pricing``, ...).
+select a variant by name instead of through a per-variant entry point.
 """
 
 from __future__ import annotations

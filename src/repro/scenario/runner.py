@@ -61,9 +61,8 @@ def result_fingerprint(result: FederationResult) -> str:
     Two runs with equal fingerprints produce byte-identical experiment
     outputs: the digest covers every job's terminal state, placement, message
     and negotiation counts and cost, plus per-resource utilisation, incentive
-    and message totals.  Used by the perf benchmark suite to prove that the
-    fast query path changes *when* answers are computed but never the answers
-    themselves, and by tests comparing serial against parallel sweeps.
+    and message totals.  Used by the perf benchmark suites and by tests
+    comparing serial against parallel runs and sweeps.
 
     Floats are rounded to 9 decimals before hashing so the digest is stable
     across platforms with differing float repr, while still far below any
@@ -159,11 +158,10 @@ def run_scenario(
         The declarative run description.
     resources:
         Explicit archive resources, overriding the scenario's
-        ``system_size`` (used by the experiment drivers' resource subsets).
+        ``system_size`` (used for resource subsets and replications).
     specs, workload:
         Fully explicit resource specs and per-resource job lists; when given
-        the scenario's workload source is bypassed entirely (this is how the
-        legacy ``run_*(specs, workload)`` shims delegate here).  Supply both
+        the scenario's workload source is bypassed entirely.  Supply both
         or neither.
     fault_plan:
         An explicit :class:`~repro.faults.plan.FaultPlan` overriding the

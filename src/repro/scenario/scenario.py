@@ -260,8 +260,9 @@ def scenario_from_config(config: FederationConfig, **overrides) -> Scenario:
     """Lift a legacy :class:`FederationConfig` into a :class:`Scenario`.
 
     ``overrides`` set the scenario-only fields (``agent``, ``pricing``,
-    ``workload``, ``system_size``, ``thin``, ...); the deprecation shims use
-    this to funnel the old entry points through the new runner.
+    ``workload``, ``system_size``, ``thin``, ...).  Pair it with
+    ``run_scenario(..., specs=..., workload=...)`` to run explicit inputs
+    under a config.
     """
     base = dict(
         mode=config.mode,

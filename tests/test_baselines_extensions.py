@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.baselines import RELATED_SYSTEMS, related_systems_rows, run_broadcast_federation
-from repro.core import FederationConfig, SharingMode, run_federation
+from repro.baselines import RELATED_SYSTEMS, related_systems_rows
+from repro.core import FederationConfig, SharingMode
 from repro.economy.pricing import DemandDrivenPricingPolicy
-from repro.extensions import run_coordinated_federation, run_with_dynamic_pricing
 from repro.extensions.dynamic_pricing import DynamicPricingFederation
+from repro.scenario import run_scenario, scenario_from_config
 from repro.sim import RandomStreams
 from repro.workload import build_federation_specs, build_workload
 from repro.workload.archive import ARCHIVE_RESOURCES
@@ -44,8 +44,10 @@ class TestBroadcastBaseline:
         specs, workload_a = setup()
         _, workload_b = setup()
         config = FederationConfig(mode=SharingMode.ECONOMY, oft_fraction=0.3, seed=1)
-        ranked = run_federation(specs, workload_a, config)
-        broadcast = run_broadcast_federation(specs, workload_b, config)
+        ranked = run_scenario(scenario_from_config(config), specs=specs, workload=workload_a)
+        broadcast = run_scenario(
+            scenario_from_config(config, agent="broadcast"), specs=specs, workload=workload_b
+        )
         migrated_ranked = sum(o.stats.migrated_out for o in ranked.resources.values())
         migrated_broadcast = sum(o.stats.migrated_out for o in broadcast.resources.values())
         if migrated_broadcast and migrated_ranked:
@@ -55,17 +57,20 @@ class TestBroadcastBaseline:
 
     def test_broadcast_jobs_reach_terminal_states(self):
         specs, workload = setup()
-        result = run_broadcast_federation(
-            specs, workload, FederationConfig(mode=SharingMode.ECONOMY, seed=1)
+        result = run_scenario(
+            scenario_from_config(
+                FederationConfig(mode=SharingMode.ECONOMY, seed=1), agent="broadcast"
+            ),
+            specs=specs,
+            workload=workload,
         )
         assert all(j.status in (JobStatus.COMPLETED, JobStatus.REJECTED) for j in result.jobs)
         assert result.total_incentive() > 0
 
     def test_broadcast_rejects_independent_mode(self):
-        specs, workload = setup()
-        with pytest.raises(ValueError):
-            run_broadcast_federation(
-                specs, workload, FederationConfig(mode=SharingMode.INDEPENDENT)
+        with pytest.raises(ValueError, match="does not support mode"):
+            scenario_from_config(
+                FederationConfig(mode=SharingMode.INDEPENDENT), agent="broadcast"
             )
 
 
@@ -74,24 +79,29 @@ class TestCoordinationExtension:
         specs, workload_a = setup()
         _, workload_b = setup()
         config = FederationConfig(mode=SharingMode.ECONOMY, oft_fraction=0.3, seed=1)
-        base = run_federation(specs, workload_a, config)
-        coordinated = run_coordinated_federation(specs, workload_b, config)
+        base = run_scenario(scenario_from_config(config), specs=specs, workload=workload_a)
+        coordinated = run_scenario(
+            scenario_from_config(config, agent="coordinated"), specs=specs, workload=workload_b
+        )
         assert coordinated.message_log.total_messages <= base.message_log.total_messages
         # The directory actually absorbed load reports.
         assert coordinated.directory.load_updates > 0
 
     def test_coordination_preserves_terminal_states(self):
         specs, workload = setup()
-        result = run_coordinated_federation(
-            specs, workload, FederationConfig(mode=SharingMode.ECONOMY, seed=1)
+        result = run_scenario(
+            scenario_from_config(
+                FederationConfig(mode=SharingMode.ECONOMY, seed=1), agent="coordinated"
+            ),
+            specs=specs,
+            workload=workload,
         )
         assert all(j.status in (JobStatus.COMPLETED, JobStatus.REJECTED) for j in result.jobs)
 
     def test_coordination_rejects_independent_mode(self):
-        specs, workload = setup()
-        with pytest.raises(ValueError):
-            run_coordinated_federation(
-                specs, workload, FederationConfig(mode=SharingMode.INDEPENDENT)
+        with pytest.raises(ValueError, match="does not support mode"):
+            scenario_from_config(
+                FederationConfig(mode=SharingMode.INDEPENDENT), agent="coordinated"
             )
 
 
@@ -117,10 +127,14 @@ class TestDynamicPricingExtension:
         assert moved
         assert all(j.status in (JobStatus.COMPLETED, JobStatus.REJECTED) for j in result.jobs)
 
-    def test_helper_function_runs(self):
+    def test_demand_pricing_scenario_runs(self):
         specs, workload = setup(thin=8)
-        result = run_with_dynamic_pricing(
-            specs, workload, FederationConfig(mode=SharingMode.ECONOMY, seed=2)
+        result = run_scenario(
+            scenario_from_config(
+                FederationConfig(mode=SharingMode.ECONOMY, seed=2), pricing="demand"
+            ),
+            specs=specs,
+            workload=workload,
         )
         assert result.total_incentive() > 0
 

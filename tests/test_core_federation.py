@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import Federation, FederationConfig, SharingMode, run_federation
+from repro.core import Federation, FederationConfig, SharingMode
 from repro.core.users import UserPopulation
-from repro.scenario import run_scenario
+from repro.scenario import run_scenario, scenario_from_config
 from repro.sim import RandomStreams
 from repro.workload import build_federation_specs, build_workload
 from repro.workload.archive import ARCHIVE_RESOURCES
@@ -28,7 +28,7 @@ def small_setup(seed=7, n_resources=4):
 def economy_result():
     specs, workload = small_setup()
     config = FederationConfig(mode=SharingMode.ECONOMY, oft_fraction=0.3, seed=11)
-    return run_federation(specs, workload, config)
+    return run_scenario(scenario_from_config(config), specs=specs, workload=workload)
 
 
 class TestConstruction:
@@ -232,8 +232,8 @@ class TestRunInvariants:
         specs, workload_a = small_setup(seed=3, n_resources=3)
         _, workload_b = small_setup(seed=3, n_resources=3)
         config = FederationConfig(mode=SharingMode.ECONOMY, oft_fraction=0.5, seed=5)
-        res_a = run_federation(specs, workload_a, config)
-        res_b = run_federation(specs, workload_b, config)
+        res_a = run_scenario(scenario_from_config(config), specs=specs, workload=workload_a)
+        res_b = run_scenario(scenario_from_config(config), specs=specs, workload=workload_b)
         assert res_a.message_log.total_messages == res_b.message_log.total_messages
         assert res_a.total_incentive() == pytest.approx(res_b.total_incentive())
         placements_a = [(j.executed_on, j.status.name) for j in res_a.jobs]
@@ -246,17 +246,25 @@ class TestModeComparison:
         """The paper's core claim: federating increases the acceptance rate."""
         specs, workload_ind = small_setup(seed=13)
         _, workload_fed = small_setup(seed=13)
-        independent = run_federation(
-            specs, workload_ind, FederationConfig(mode=SharingMode.INDEPENDENT, seed=1)
+        independent = run_scenario(
+            scenario_from_config(FederationConfig(mode=SharingMode.INDEPENDENT, seed=1)),
+            specs=specs,
+            workload=workload_ind,
         )
-        federated = run_federation(
-            specs, workload_fed, FederationConfig(mode=SharingMode.FEDERATION, seed=1)
+        federated = run_scenario(
+            scenario_from_config(FederationConfig(mode=SharingMode.FEDERATION, seed=1)),
+            specs=specs,
+            workload=workload_fed,
         )
         assert len(federated.rejected_jobs()) <= len(independent.rejected_jobs())
         assert len(federated.completed_jobs()) >= len(independent.completed_jobs())
 
     def test_independent_mode_exchanges_no_messages(self):
         specs, workload = small_setup(seed=13)
-        res = run_federation(specs, workload, FederationConfig(mode=SharingMode.INDEPENDENT))
+        res = run_scenario(
+            scenario_from_config(FederationConfig(mode=SharingMode.INDEPENDENT)),
+            specs=specs,
+            workload=workload,
+        )
         assert res.message_log.total_messages == 0
         assert all(outcome.stats.migrated_out == 0 for outcome in res.resources.values())

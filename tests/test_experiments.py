@@ -1,6 +1,6 @@
-"""Tests for the experiment drivers (reduced-scale runs).
+"""Tests for the experiment scenarios and sweeps (reduced-scale runs).
 
-The drivers are exercised with a thinned workload and a resource subset so the
+The experiments are exercised with a thinned workload and a resource subset so the
 suite stays fast; the full-scale reproduction lives in benchmarks/ and
 EXPERIMENTS.md.
 """
@@ -11,16 +11,17 @@ import pytest
 
 from repro.core.policies import SharingMode
 from repro.experiments import (
-    run_economy_profile,
-    run_experiment_1,
-    run_experiment_2,
-    run_experiment_3,
-    run_experiment_5,
+    economy_profile_scenario,
+    economy_sweep,
+    experiment_1_scenario,
+    experiment_2_scenario,
+    scalability_sweep,
 )
 from repro.experiments.common import default_workload
-from repro.experiments.exp4_messages import message_complexity_rows, run_experiment_4
+from repro.experiments.exp4_messages import message_complexity_rows
 from repro.experiments.exp5_scalability import scalability_rows
 from repro.metrics.collectors import average_acceptance_rate
+from repro.scenario import run_scenario
 from repro.workload.archive import ARCHIVE_RESOURCES
 from repro.workload.job import reset_job_counter
 
@@ -47,14 +48,20 @@ class TestThinning:
 
 class TestExperiment1And2:
     def test_experiment1_runs_in_independent_mode(self):
-        result = run_experiment_1(seed=2, resources=SMALL, thin=THIN)
+        result = run_scenario(experiment_1_scenario(seed=2, thin=THIN), resources=SMALL)
         assert result.config.mode is SharingMode.INDEPENDENT
         assert result.message_log.total_messages == 0
         assert len(result.jobs) > 0
 
+    def test_experiment2_runs_in_federation_mode_without_a_bank(self):
+        result = run_scenario(experiment_2_scenario(seed=2, thin=THIN), resources=SMALL)
+        assert result.config.mode is SharingMode.FEDERATION
+        assert result.bank is None
+        assert len(result.jobs) > 0
+
     def test_experiment2_improves_acceptance_over_experiment1(self):
-        ind = run_experiment_1(seed=2, resources=SMALL, thin=2)
-        fed = run_experiment_2(seed=2, resources=SMALL, thin=2)
+        ind = run_scenario(experiment_1_scenario(seed=2, thin=2), resources=SMALL)
+        fed = run_scenario(experiment_2_scenario(seed=2, thin=2), resources=SMALL)
         assert average_acceptance_rate(fed) >= average_acceptance_rate(ind)
         # Federated sharing actually moves jobs around.
         assert sum(o.stats.migrated_out for o in fed.resources.values()) > 0
@@ -62,7 +69,7 @@ class TestExperiment1And2:
 
 class TestExperiment3:
     def test_profile_sweep_contains_requested_profiles(self):
-        sweep = run_experiment_3(profiles=(0, 100), seed=2, resources=SMALL, thin=THIN)
+        sweep = economy_sweep(profiles=(0, 100), seed=2, resources=SMALL, thin=THIN)
         assert sweep.profiles() == (0, 100)
         assert len(sweep) == 2
         for oft_pct, result in sweep:
@@ -71,22 +78,22 @@ class TestExperiment3:
 
     def test_invalid_profile_rejected(self):
         with pytest.raises(ValueError):
-            run_economy_profile(150, resources=SMALL, thin=THIN)
+            economy_profile_scenario(150, thin=THIN)
+
+    def test_economy_profile_run_keeps_its_oft_fraction(self):
+        result = run_scenario(economy_profile_scenario(30, seed=2, thin=THIN), resources=SMALL)
+        assert result.config.mode is SharingMode.ECONOMY
+        assert result.config.oft_fraction == pytest.approx(0.3)
 
     def test_economy_run_generates_incentives(self):
-        result = run_economy_profile(30, seed=2, resources=SMALL, thin=THIN)
+        result = run_scenario(economy_profile_scenario(30, seed=2, thin=THIN), resources=SMALL)
         assert result.total_incentive() > 0
         assert result.bank is not None
 
 
 class TestExperiment4:
-    def test_reuses_existing_sweep_without_resimulation(self):
-        sweep = run_experiment_3(profiles=(0,), seed=2, resources=SMALL, thin=THIN)
-        again = run_experiment_4(sweep=sweep)
-        assert again is sweep
-
     def test_message_rows_cover_every_profile_and_resource(self):
-        sweep = run_experiment_3(profiles=(0, 100), seed=2, resources=SMALL, thin=THIN)
+        sweep = economy_sweep(profiles=(0, 100), seed=2, resources=SMALL, thin=THIN)
         headers, rows, totals = message_complexity_rows(sweep)
         assert len(headers) == 5
         assert len(rows) == 2 * len(SMALL)
@@ -97,7 +104,7 @@ class TestExperiment4:
 
 class TestExperiment5:
     def test_scalability_points_and_rows(self):
-        points = run_experiment_5(system_sizes=(10,), profiles=(0, 100), seed=2, thin=25)
+        points = scalability_sweep(system_sizes=(10,), profiles=(0, 100), seed=2, thin=25)
         assert set(points) == {(10, 0), (10, 100)}
         for point in points.values():
             assert point.system_size == 10
@@ -108,6 +115,6 @@ class TestExperiment5:
         assert len(headers) == len(rows[0])
 
     def test_replicated_federation_larger_than_base(self):
-        points = run_experiment_5(system_sizes=(10,), profiles=(100,), seed=2, thin=25)
+        points = scalability_sweep(system_sizes=(10,), profiles=(100,), seed=2, thin=25)
         base_jobs = sum(len(jobs) for jobs in default_workload(seed=2, thin=25).values())
         assert points[(10, 100)].jobs > base_jobs

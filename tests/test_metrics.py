@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import FederationConfig, SharingMode, run_federation
+from repro.core import FederationConfig, SharingMode
 from repro.metrics.collectors import (
     average_acceptance_rate,
     federation_wide_qos,
@@ -19,6 +19,7 @@ from repro.metrics.collectors import (
     user_qos_summary,
 )
 from repro.metrics.report import render_table, to_csv
+from repro.scenario import run_scenario, scenario_from_config
 from repro.sim import RandomStreams
 from repro.workload import build_federation_specs, build_workload
 from repro.workload.archive import ARCHIVE_RESOURCES
@@ -30,7 +31,8 @@ def result():
     resources = ARCHIVE_RESOURCES[:4]
     specs = build_federation_specs(resources)
     workload = {n: jobs[::4] for n, jobs in build_workload(RandomStreams(5), resources).items()}
-    return run_federation(specs, workload, FederationConfig(mode=SharingMode.ECONOMY, oft_fraction=0.3, seed=3))
+    config = FederationConfig(mode=SharingMode.ECONOMY, oft_fraction=0.3, seed=3)
+    return run_scenario(scenario_from_config(config), specs=specs, workload=workload)
 
 
 class TestResourceTable:

@@ -4,8 +4,7 @@ The hot-path optimisations (cursor sessions, version-stamped ranking cache)
 must be *observationally invisible*: every probe answers exactly what the
 naive sorted-scan oracle — an independent re-sort of the live quotes — says,
 across arbitrary interleavings of subscribe / unsubscribe / update_quote /
-probe.  The legacy ``scan_query`` path is held to the same oracle, so all
-three implementations are pinned to one semantics.
+probe.
 """
 
 from __future__ import annotations
@@ -56,8 +55,8 @@ class TestSessionMatchesOracle:
     @given(ops=_ops, criterion=st.sampled_from(list(RankCriterion)))
     @settings(max_examples=120, deadline=None)
     def test_random_membership_churn(self, ops, criterion):
-        """Cached query, scan query and live sessions all match the oracle
-        across random subscribe/unsubscribe/update sequences."""
+        """Cached queries and live sessions both match the oracle across
+        random subscribe/unsubscribe/update sequences."""
         directory = FederationDirectory(rng=np.random.default_rng(0))
         # One long-lived session per processor filter: deliberately kept open
         # across membership churn to exercise the version-stamp restart.
@@ -81,10 +80,8 @@ class TestSessionMatchesOracle:
                     want = expected[rank - 1].gfa_name if rank <= len(expected) else None
                     got_session = session.kth(rank)
                     got_cached = directory.query(criterion, rank, min_processors)
-                    got_scan = directory.scan_query(criterion, rank, min_processors)
                     assert (got_session.gfa_name if got_session else None) == want
                     assert (got_cached.gfa_name if got_cached else None) == want
-                    assert (got_scan.gfa_name if got_scan else None) == want
 
     @given(
         prefix=st.integers(min_value=1, max_value=6),
@@ -161,6 +158,20 @@ class TestSessionIterationSurvivesUnsubscribe:
         assert session.next().gfa_name == "GFA-9"
         assert session.next().gfa_name == "GFA-1"
 
+    def test_departure_then_cheaper_newcomer_in_one_session(self):
+        """Two membership bumps in one session: each restart serves the
+        cheapest never-probed member, and nothing already served repeats."""
+        directory = self._directory()
+        session = directory.open_session(RankCriterion.CHEAPEST)
+        assert session.next().gfa_name == "GFA-0"
+        directory.unsubscribe("GFA-0")
+        assert session.next().gfa_name == "GFA-1"
+        directory.subscribe("GFA-9", make_spec("GFA-9", 0.5, 500.0, 4))
+        assert session.next().gfa_name == "GFA-9"
+        assert session.next().gfa_name == "GFA-2"
+        assert session.next().gfa_name == "GFA-3"
+        assert session.next() is None
+
     def test_exhausted_session_stays_exhausted_for_served_members(self):
         directory = self._directory()
         session = directory.open_session(RankCriterion.CHEAPEST)
@@ -172,17 +183,6 @@ class TestSessionIterationSurvivesUnsubscribe:
         # ...but a genuinely new member is still served.
         directory.subscribe("GFA-9", make_spec("GFA-9", 9.0, 500.0, 4))
         assert session.next().gfa_name == "GFA-9"
-
-    def test_scan_session_has_identical_churn_semantics(self):
-        directory = self._directory()
-        directory.query_mode = "scan"
-        session = directory.open_session(RankCriterion.CHEAPEST)
-        assert session.next().gfa_name == "GFA-0"
-        directory.unsubscribe("GFA-0")
-        assert session.next().gfa_name == "GFA-1"
-        directory.subscribe("GFA-9", make_spec("GFA-9", 0.5, 500.0, 4))
-        assert session.next().gfa_name == "GFA-9"
-        assert session.next().gfa_name == "GFA-2"
 
     @given(ops=_ops, criterion=st.sampled_from(list(RankCriterion)))
     @settings(max_examples=80, deadline=None)
@@ -367,38 +367,17 @@ class TestSkipListCursor:
 
 class TestSweepDeterminismOnSessionPath:
     def test_serial_equals_parallel_with_sessions(self):
-        """Serial and parallel sweeps fingerprint identically on the new
-        session query path (the default)."""
+        """Serial and parallel sweeps fingerprint identically on the session
+        query path."""
         from repro.scenario import Scenario, SweepRunner, result_fingerprint
         from repro.workload.archive import ARCHIVE_RESOURCES
 
-        assert FederationDirectory.query_mode == "session"
         small = ARCHIVE_RESOURCES[:4]
         scenarios = SweepRunner().sweep(Scenario(thin=12, seed=5), profiles=(0, 100))
         serial = SweepRunner().run(scenarios, resources=small)
         parallel = SweepRunner().run(scenarios, resources=small, workers=2)
         for left, right in zip(serial.points, parallel.points):
             assert result_fingerprint(left.result) == result_fingerprint(right.result)
-
-    def test_scan_and_session_modes_fingerprint_identically(self):
-        """The legacy scan mode and the session mode produce byte-identical
-        experiment results on a real (small) federation run."""
-        from repro.scenario import Scenario, result_fingerprint, run_scenario
-        from repro.workload.archive import ARCHIVE_RESOURCES
-
-        small = ARCHIVE_RESOURCES[:4]
-        scenario = Scenario(thin=12, seed=5)
-        digests = {}
-        previous = FederationDirectory.query_mode
-        try:
-            for mode in ("scan", "session"):
-                FederationDirectory.query_mode = mode
-                digests[mode] = result_fingerprint(
-                    run_scenario(scenario, resources=small)
-                )
-        finally:
-            FederationDirectory.query_mode = previous
-        assert digests["scan"] == digests["session"]
 
 
 class TestBatchUpdates:

@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.p2p import FederationDirectory
 from repro.par.runner import try_parallel_run
 from repro.scenario import Scenario, result_fingerprint, run_scenario
 from tests.test_golden_fingerprints import GOLDEN_FINGERPRINTS, GOLDEN_SCENARIOS
@@ -101,6 +102,50 @@ class TestOracleProcessParity:
         for outcome in result.resources.values():
             assert 0.0 <= outcome.utilisation <= 1.0
         assert result.events_processed > 0
+
+
+class TestMergedControlPlane:
+    """Every shard replicates the whole directory, but a merged run charges
+    each cluster's subscribe once: on the shard that owns the cluster."""
+
+    SHAPE = Scenario(
+        mode="economy",
+        oft_fraction=0.3,
+        system_size=32,
+        thin=16,
+        seed=42,
+        transport="two-tier-wan",
+    )
+
+    @pytest.mark.parametrize(
+        "backend, workers", [("oracle", 2), ("oracle", 4), ("process", 2)]
+    )
+    def test_merged_subscribes_equal_serial(self, backend, workers):
+        serial = run_scenario(self.SHAPE)
+        merged, stats = try_parallel_run(self.SHAPE, workers=workers, backend=backend)
+        assert stats.ran_parallel
+        assert serial.network.control_by_kind["subscribe"] == 32
+        assert merged.network.control_by_kind["subscribe"] == 32
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_replica_charges_add_one_subscribe_per_cluster_per_extra_shard(
+        self, monkeypatch, workers
+    ):
+        """Charging the replica subscribes too (each shard subscribing every
+        cluster) adds exactly one message per cluster per extra shard, and
+        nothing else."""
+        merged, _ = try_parallel_run(self.SHAPE, workers=workers, backend="oracle")
+        subscribe = FederationDirectory.subscribe
+
+        def charge_replicas(self, gfa_name, spec, *, replica=False):
+            return subscribe(self, gfa_name, spec)
+
+        monkeypatch.setattr(FederationDirectory, "subscribe", charge_replicas)
+        charged, _ = try_parallel_run(self.SHAPE, workers=workers, backend="oracle")
+        extra = 32 * (workers - 1)
+        assert charged.network.control_by_kind["subscribe"] == 32 + extra
+        assert charged.network.control_messages - merged.network.control_messages == extra
+        assert result_fingerprint(charged) == result_fingerprint(merged)
 
 
 class TestRandomScheduleOracle:

@@ -276,12 +276,29 @@ class TestKillParity:
         ]
         assert restart_points == [40]
 
-    def test_supervised_matches_unsupervised_without_faults(self, undisturbed):
-        result, stats = try_parallel_run(
-            SCENARIO, workers=2, supervision=SupervisionConfig(enabled=False)
-        )
-        assert not stats.supervised
-        assert result_fingerprint(result) == undisturbed(2)
+    def test_supervised_matches_in_process_oracle_without_faults(self):
+        """Fault-free, the supervisor restarts nothing, and its run matches
+        the in-process oracle backend, which has no supervisor, byte for byte."""
+        oracle, oracle_stats = try_parallel_run(SCENARIO, workers=2, backend="oracle")
+        supervised, stats = try_parallel_run(SCENARIO, workers=2)
+        assert not oracle_stats.supervised
+        assert stats.supervised
+        assert stats.restarts == 0
+        assert stats.worker_failures == 0
+        assert result_fingerprint(supervised) == result_fingerprint(oracle)
+
+
+class TestProcessBackendAlwaysSupervised:
+    """The process backend has one path, the supervised one; ``None`` means
+    the default :class:`SupervisionConfig`.  The in-process oracle backend
+    has no worker processes to supervise."""
+
+    @pytest.mark.parametrize("backend, supervised", [("process", True), ("oracle", False)])
+    def test_default_supervision_by_backend(self, backend, supervised):
+        simulator = ParallelSimulator(SCENARIO, 2, 60.0, backend=backend)
+        assert simulator.supervision is None
+        _, stats = simulator.run()
+        assert stats.supervised is supervised
 
 
 class TestDegradation:

@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import pickle
+import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.core.federation import FederationConfig
 from repro.core.gfa import GridFederationAgent
 from repro.core.policies import SharingMode
@@ -16,9 +21,13 @@ from repro.scenario import (
     Scenario,
     UnknownVariantError,
     WORKLOAD_REGISTRY,
+    run_scenario,
     scenario_from_config,
 )
 from repro.scenario.registry import VariantRegistry
+from repro.sim import RandomStreams
+from repro.workload import build_federation_specs, build_workload
+from repro.workload.archive import ARCHIVE_RESOURCES
 
 
 class TestRegistries:
@@ -187,6 +196,59 @@ class TestScenarioDerivedViews:
         assert clone == scenario
 
 
+class TestScenarioFromConfigRuns:
+    """A ``FederationConfig`` lifted by ``scenario_from_config`` and run on
+    explicit specs and workload, as the examples and the ablation benchmarks
+    do, runs like the equivalent Scenario building its own inputs."""
+
+    RESOURCES = ARCHIVE_RESOURCES[:4]
+    THIN = 8
+
+    def _explicit_inputs(self, seed):
+        specs = build_federation_specs(self.RESOURCES)
+        workload = {
+            name: jobs[:: self.THIN]
+            for name, jobs in build_workload(RandomStreams(seed), self.RESOURCES).items()
+        }
+        return specs, workload
+
+    @staticmethod
+    def _summary(result):
+        return (
+            len(result.jobs),
+            result.message_log.total_messages,
+            tuple(
+                (name, round(outcome.incentive, 9))
+                for name, outcome in sorted(result.resources.items())
+            ),
+        )
+
+    def test_runs_every_supplied_job_under_the_config_mode(self):
+        specs, workload = self._explicit_inputs(seed=9)
+        config = FederationConfig(mode=SharingMode.ECONOMY, seed=1)
+        result = run_scenario(scenario_from_config(config), specs=specs, workload=workload)
+        assert len(result.jobs) == sum(len(jobs) for jobs in workload.values())
+        assert result.config.mode is SharingMode.ECONOMY
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, {"agent": "broadcast"}, {"agent": "coordinated"}, {"pricing": "demand"}],
+        ids=["default", "broadcast", "coordinated", "demand"],
+    )
+    def test_explicit_inputs_run_like_the_built_scenario(self, overrides):
+        specs, workload = self._explicit_inputs(seed=3)
+        config = FederationConfig(mode=SharingMode.ECONOMY, seed=3)
+        lifted = run_scenario(
+            scenario_from_config(config, **overrides), specs=specs, workload=workload
+        )
+        built = run_scenario(
+            Scenario(mode=SharingMode.ECONOMY, seed=3, thin=self.THIN, **overrides),
+            resources=self.RESOURCES,
+        )
+        assert lifted.config.mode is SharingMode.ECONOMY
+        assert self._summary(lifted) == self._summary(built)
+
+
 class TestScenarioHash:
     def test_hash_is_hex_and_stable(self):
         a = Scenario(seed=1)
@@ -205,3 +267,35 @@ class TestScenarioHash:
     def test_hash_survives_replace_round_trip(self):
         base = Scenario()
         assert base.replace(seed=99).replace(seed=42).scenario_hash() == base.scenario_hash()
+
+
+class TestRemovedEntryPointsTable:
+    """The "Removed entry points" table in docs/API.md matches the package:
+    the old names are importable from nowhere, and every replacement is
+    importable from ``repro`` or ``repro.experiments``."""
+
+    PACKAGES = ("repro.core", "repro.experiments", "repro.baselines", "repro.extensions")
+
+    def _modules(self):
+        modules = [repro]
+        for name in self.PACKAGES:
+            package = importlib.import_module(name)
+            modules.append(package)
+            modules.extend(
+                importlib.import_module(info.name)
+                for info in pkgutil.iter_modules(package.__path__, name + ".")
+            )
+        return modules
+
+    def test_removed_names_are_gone_and_replacements_exist(self):
+        api = (Path(__file__).resolve().parents[1] / "docs" / "API.md").read_text()
+        section = api.split("## Removed entry points", 1)[1].split("\n## ", 1)[0]
+        rows = [line.split("|")[1:3] for line in section.splitlines() if line.startswith("| `")]
+        assert len(rows) == 9
+        modules = self._modules()
+        public = (repro, importlib.import_module("repro.experiments"))
+        for removed, replacement in rows:
+            for name in re.findall(r"(\w+)\(", removed):
+                assert not [m.__name__ for m in modules if hasattr(m, name)], name
+            for name in re.findall(r"(\w+)\(", replacement):
+                assert any(hasattr(m, name) for m in public), name

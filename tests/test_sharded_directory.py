@@ -145,7 +145,7 @@ class TestScatterGatherMatchesOracle:
     )
     @settings(max_examples=80, deadline=None)
     def test_random_membership_churn(self, ops, criterion, shards):
-        """Sharded query / scan / scatter-gather sessions all agree with a
+        """Sharded queries and scatter-gather sessions both agree with a
         single-directory oracle across random churn, long-lived sessions
         included (the aggregate version stamp forces transparent restarts)."""
         directory = sharded(shards)
@@ -174,10 +174,8 @@ class TestScatterGatherMatchesOracle:
                     want = expected[rank - 1].gfa_name if rank <= len(expected) else None
                     got_session = session.kth(rank)
                     got_query = directory.query(criterion, rank, procs)
-                    got_scan = directory.scan_query(criterion, rank, procs)
                     assert (got_session.gfa_name if got_session else None) == want
                     assert (got_query.gfa_name if got_query else None) == want
-                    assert (got_scan.gfa_name if got_scan else None) == want
 
     def test_ranking_merges_across_shards(self):
         directory = sharded(4)
@@ -216,6 +214,18 @@ class TestScatterGatherSessionChurnSemantics:
         assert session.next().gfa_name == "GFA-9"
         assert session.next().gfa_name == "GFA-1"
 
+    def test_departure_then_cheaper_newcomer_in_one_session(self):
+        directory = self._directory()
+        session = directory.open_session(RankCriterion.CHEAPEST)
+        assert session.next().gfa_name == "GFA-0"
+        directory.unsubscribe("GFA-0")
+        assert session.next().gfa_name == "GFA-1"
+        directory.subscribe("GFA-9", make_spec("GFA-9", 0.5, 500.0, 4))
+        assert session.next().gfa_name == "GFA-9"
+        assert session.next().gfa_name == "GFA-2"
+        assert session.next().gfa_name == "GFA-3"
+        assert session.next() is None
+
     def test_exhausted_session_stays_exhausted_for_served_members(self):
         directory = self._directory()
         session = directory.open_session(RankCriterion.CHEAPEST)
@@ -225,35 +235,6 @@ class TestScatterGatherSessionChurnSemantics:
         assert session.next() is None
         directory.subscribe("GFA-9", make_spec("GFA-9", 9.0, 500.0, 4))
         assert session.next().gfa_name == "GFA-9"
-
-    def test_scan_mode_facade_works_on_sharded(self):
-        directory = self._directory()
-        directory.query_mode = "scan"
-        session = directory.open_session(RankCriterion.CHEAPEST)
-        assert session.next().gfa_name == "GFA-0"
-        directory.unsubscribe("GFA-0")
-        assert session.next().gfa_name == "GFA-1"
-
-    def test_global_query_mode_flip_reaches_sharded_directories(self):
-        """The documented whole-run flip — assigning
-        ``FederationDirectory.query_mode`` — must govern sharded directories
-        too (the benchmark suite times the legacy path that way), while an
-        instance assignment still overrides locally."""
-        from repro.p2p.directory import _ScanQuerySession
-
-        directory = self._directory()
-        previous = FederationDirectory.query_mode
-        try:
-            FederationDirectory.query_mode = "scan"
-            assert directory.query_mode == "scan"
-            assert isinstance(
-                directory.open_session(RankCriterion.CHEAPEST), _ScanQuerySession
-            )
-        finally:
-            FederationDirectory.query_mode = previous
-        assert directory.query_mode == "session"
-        directory.query_mode = "scan"  # instance override wins
-        assert directory.query_mode == "scan"
 
     @given(ops=_ops, criterion=st.sampled_from(list(RankCriterion)))
     @settings(max_examples=50, deadline=None)
