@@ -50,10 +50,12 @@ scenarios from the shell::
 EXPERIMENTS.md record was produced with ``--thin 1`` (the default).
 ``--workers N`` runs sweep points across N processes — results are identical
 to the serial path (every point re-seeds from its own scenario).  On ``run``
-and ``profile`` it instead shards one federation across N worker processes
-(the conservative parallel engine); the run summary gains a ``par:`` line
-reporting windows, cross-shard traffic and per-worker load, or the fallback
-diagnostic when the scenario must run serially.
+and ``profile`` it is the scenario's ``parallel`` field instead: it shards
+one federation across N worker processes (the conservative parallel engine);
+the run summary gains a ``par:`` line reporting windows, cross-shard traffic
+and per-worker load, or the fallback diagnostic when the scenario must run
+serially.  ``--checkpoint``, ``--checkpoint-interval`` and ``--resume`` work
+the same way for sharded runs.
 """
 
 from __future__ import annotations
@@ -212,14 +214,15 @@ def cmd_figure10(args) -> str:
     return render_table(headers, rows, title="Figures 10 & 11 — message complexity vs system size")
 
 
-def _scenario_from_args(args, oft_pct: Optional[float] = None) -> Scenario:
-    oft = args.oft if oft_pct is None else oft_pct
+def _scenario_from_args(args) -> Scenario:
+    """The one scenario point ``run`` and ``profile`` describe; ``--workers``
+    is its ``parallel`` field, the worker count of the sharded engine."""
     return Scenario(
         mode=args.mode,
         agent=args.agent,
         pricing=args.pricing,
         workload=args.workload,
-        oft_fraction=oft / 100.0,
+        oft_fraction=args.oft / 100.0,
         seed=args.seed,
         thin=args.thin,
         system_size=args.size,
@@ -227,29 +230,8 @@ def _scenario_from_args(args, oft_pct: Optional[float] = None) -> Scenario:
         resilience=args.resilience,
         transport=args.topology,
         directory_shards=args.shards,
+        parallel=args.workers or 0,
     )
-
-
-def _supervision_from_args(args):
-    """Build the parallel-supervision config from ``run``'s ``--par-*`` flags.
-
-    Returns ``None`` (= supervised with defaults) when no flag was given, so
-    the plain-serial path never imports the parallel stack.
-    """
-    overrides = {}
-    if args.par_checkpoint is not None:
-        overrides["checkpoint_dir"] = args.par_checkpoint
-    if args.par_checkpoint_every is not None:
-        overrides["checkpoint_every_windows"] = args.par_checkpoint_every
-    if args.par_restarts is not None:
-        overrides["max_restarts"] = args.par_restarts
-    if args.par_timeout is not None:
-        overrides["step_timeout_s"] = args.par_timeout
-    if not overrides:
-        return None
-    from repro.par.supervisor import SupervisionConfig
-
-    return SupervisionConfig(**overrides)
 
 
 def cmd_run(args) -> str:
@@ -282,8 +264,6 @@ def cmd_run(args) -> str:
             validate=args.validate,
             checkpoint_dir=args.checkpoint,
             checkpoint_every=args.checkpoint_interval,
-            workers=args.workers,
-            supervision=_supervision_from_args(args),
         )
     table = render_table(
         _PROCESSING_HEADERS,
@@ -452,9 +432,7 @@ def cmd_profile(args) -> str:
     from repro.perf import profile_scenario
 
     scenario = _scenario_from_args(args)
-    return profile_scenario(
-        scenario, top=args.top, sort=args.sort, workers=args.workers
-    )
+    return profile_scenario(scenario, top=args.top, sort=args.sort)
 
 
 def cmd_daemon(args) -> str:
@@ -590,8 +568,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="worker processes: sweep points for sweep-style commands; "
-        "federation shards for run/profile via the conservative parallel "
-        "engine (ineligible scenarios fall back serially with a diagnostic)",
+        "for run/profile the scenario's parallel field, the shard count of "
+        "the conservative parallel engine (ineligible scenarios fall back "
+        "serially with a diagnostic)",
     )
 
     parser = argparse.ArgumentParser(
@@ -648,53 +627,25 @@ def build_parser() -> argparse.ArgumentParser:
         "--checkpoint",
         default=None,
         metavar="DIR",
-        help="write an atomic snapshot of the live run into DIR every "
-        "--checkpoint-interval simulated seconds",
+        help="write an atomic checkpoint of the live run (serial or "
+        "--workers) into DIR every --checkpoint-interval simulated seconds; "
+        "a run started over DIR's checkpoint of the same scenario continues "
+        "from it",
     )
     run_parser.add_argument(
         "--checkpoint-interval",
         type=float,
         default=None,
         metavar="SECONDS",
-        help="virtual seconds between snapshots (default 3600)",
+        help="virtual seconds between checkpoints (default 3600)",
     )
     run_parser.add_argument(
         "--resume",
         default=None,
         metavar="DIR",
-        help="resume a checkpointed run from the latest snapshot in DIR and "
-        "continue to completion (byte-identical to an uninterrupted run)",
-    )
-    run_parser.add_argument(
-        "--par-checkpoint",
-        default=None,
-        metavar="DIR",
-        help="with --workers: write fleet checkpoints (per-shard snapshots + "
-        "coordinator state) into DIR at window boundaries, so a worker crash "
-        "restarts from the last checkpoint instead of from scratch",
-    )
-    run_parser.add_argument(
-        "--par-checkpoint-every",
-        type=int,
-        default=None,
-        metavar="WINDOWS",
-        help="barrier windows between fleet checkpoints (default 64)",
-    )
-    run_parser.add_argument(
-        "--par-restarts",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker-failure restart attempts before degrading to a serial "
-        "re-run (default 2)",
-    )
-    run_parser.add_argument(
-        "--par-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-window worker reply deadline, scaled by window size "
-        "(default 120; exceeding it counts as a hang and triggers a restart)",
+        help="resume a checkpointed run, serial or sharded, from the latest "
+        "checkpoint in DIR and continue to completion (byte-identical to an "
+        "uninterrupted run)",
     )
 
     profile_parser = subparsers.add_parser(

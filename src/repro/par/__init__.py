@@ -26,7 +26,7 @@ re-run) without changing a single output byte — see
 
 from repro.par.engine import WorkerFailure
 from repro.par.partition import PartitionPlan, plan_partition
-from repro.par.runner import merge_results, parallel_plan, try_parallel_run
+from repro.par.runner import merge_results, try_parallel_run
 from repro.par.stats import ParallelStats
 from repro.par.supervisor import ParallelRunFailed, SupervisionConfig
 
@@ -37,7 +37,6 @@ __all__ = [
     "SupervisionConfig",
     "WorkerFailure",
     "merge_results",
-    "parallel_plan",
     "plan_partition",
     "try_parallel_run",
 ]

@@ -29,9 +29,12 @@ deadline and a liveness check, and any worker death, hang or worker-reported
 error surfaces as a typed :class:`WorkerFailure` naming the shard, the last
 command in flight and the exit signal — never a bare ``EOFError`` or an
 infinite block.  Because shards are barrier-synchronised, every window
-boundary is a consistent global cut; :class:`~repro.par.supervisor.
-ParallelSupervisor` exploits that to checkpoint and restart a failed fleet
-(see :mod:`repro.par.supervisor` for the restart ladder).
+boundary is a consistent global cut: the run's
+:class:`~repro.service.checkpoint.BoundaryPolicy` checkpoints, reports
+progress and cancels there, and :class:`~repro.par.supervisor.
+ParallelSupervisor` restarts a failed fleet from the last checkpoint (see
+:mod:`repro.par.supervisor` for the restart ladder).  A worker that outlives
+a killed coordinator sees its pipe reach EOF and exits.
 """
 
 from __future__ import annotations
@@ -186,9 +189,12 @@ class OracleShardHandle:
 
 
 def _shard_worker(
-    conn, scenario, shard_index, workers, window, profile_path, restore_path
+    conn, coordinator_conn, scenario, shard_index, workers, window, profile_path, restore_path
 ) -> None:
     """Worker-process loop: build (or restore) the shard, then serve commands."""
+    # The fork copied the coordinator's end of this worker's own pipe; while
+    # it stays open here, recv() never sees EOF when the coordinator dies.
+    coordinator_conn.close()
     profiler = None
     if profile_path is not None:
         import cProfile
@@ -200,11 +206,9 @@ def _shard_worker(
             # Window-boundary restart: adopt the snapshot wholesale — the
             # federation arrives started, mid-run, with this worker's global
             # job/event id counters restored alongside it.
-            from repro.service.snapshot import load_shard_snapshot
+            from repro.service.snapshot import load_snapshot
 
-            _, federation, _ = load_shard_snapshot(
-                restore_path, expected_scenario=scenario
-            )
+            _, federation, _ = load_snapshot(restore_path, expected_scenario=scenario)
         else:
             federation = build_shard_federation(scenario, shard_index, workers, window)
             federation.start()
@@ -215,10 +219,14 @@ def _shard_worker(
                 _, end, injections, loads = command
                 conn.send(("ok", federation.step(end, injections, loads)))
             elif command[0] == "snapshot":
-                from repro.service.snapshot import write_shard_snapshot
+                # Written here, in the worker, so the payload carries this
+                # process's own global job/event id counters.
+                from repro.service.snapshot import write_snapshot
 
-                write_shard_snapshot(command[1], federation, scenario)
+                write_snapshot(command[1], federation, scenario)
                 conn.send(("ok", None))
+            elif command[0] == "progress":
+                conn.send(("ok", federation.progress()))
             elif command[0] == "harvest":
                 if profiler is not None:
                     profiler.disable()
@@ -269,6 +277,7 @@ class ProcessShardHandle:
             target=_shard_worker,
             args=(
                 worker_conn,
+                self._conn,
                 scenario,
                 shard_index,
                 workers,
@@ -398,6 +407,12 @@ class ProcessShardHandle:
     def snapshot_finish(self, timeout: Optional[float] = None) -> None:
         self._recv(timeout=timeout)
 
+    def progress_begin(self) -> None:
+        self._send(("progress",))
+
+    def progress_finish(self, timeout: Optional[float] = None) -> Tuple[int, int, int, int]:
+        return self._recv(timeout=timeout)
+
     def harvest_begin(self) -> None:
         self._send(("harvest",))
 
@@ -488,6 +503,7 @@ class ParallelSimulator:
         backend: str = "process",
         profile_dir: Optional[str] = None,
         supervision: Optional[object] = None,
+        boundary: Optional[object] = None,
     ):
         if workers < 2:
             raise ValueError(f"parallel execution needs >= 2 workers, got {workers}")
@@ -503,6 +519,13 @@ class ParallelSimulator:
         #: backend runs under (``None`` = the defaults); the oracle backend
         #: has no processes to supervise and ignores it.
         self.supervision = supervision
+        #: The run's :class:`~repro.service.checkpoint.BoundaryPolicy`
+        #: (``None`` = no checkpoints, progress or cancellation).  It needs
+        #: worker processes: in-process shards share one set of global id
+        #: counters, which a shard snapshot cannot restore.
+        if boundary is not None and backend != "process":
+            raise ValueError("checkpoints, progress and cancellation need the 'process' backend")
+        self.boundary = boundary
 
     def _new_stats(self, supervised: bool = False) -> ParallelStats:
         return ParallelStats(
@@ -575,6 +598,26 @@ class ParallelSimulator:
                 handle.close()
         return harvests, stats
 
+    def _progress(self, handles, state: CoordinatorState, timeout=None):
+        """The fleet's :class:`~repro.service.checkpoint.RunProgress` at a
+        cut: each shard counts its own jobs and events."""
+        from repro.service.checkpoint import RunProgress
+
+        for handle in handles:
+            handle.progress_begin()
+        counts = [handle.progress_finish(timeout=timeout) for handle in handles]
+        jobs, completed, fired, pending = (sum(column) for column in zip(*counts))
+        return RunProgress(
+            sim_time=state.start,
+            horizon=self.scenario.to_config().horizon,
+            jobs_total=jobs,
+            jobs_completed=completed,
+            events_processed=fired,
+            # Cross-shard messages wait in the coordinator between windows.
+            pending_events=pending + sum(map(len, state.pending.values())),
+            done=False,
+        )
+
     def _drive(
         self,
         handles: Sequence[object],
@@ -582,18 +625,22 @@ class ParallelSimulator:
         stats: ParallelStats,
         *,
         timeout: Optional[float] = None,
-        on_boundary: Optional[Callable[[], None]] = None,
+        checkpoint: Optional[Callable[[], None]] = None,
         chaos: Optional[Callable] = None,
     ) -> None:
         """Run barrier windows from ``state`` until global quiescence.
 
         Mutates ``state`` in place; after every barrier (stats updated,
         pending traffic routed, next window start chosen) ``state`` is a
-        consistent global cut and ``on_boundary`` is invoked — the
-        supervisor's checkpoint/cancellation seam.  ``timeout`` is the
+        consistent global cut, handed to the boundary policy — which, once
+        a mark has passed, writes a fleet checkpoint through ``checkpoint``
+        (the supervisor's), then reports progress and may cancel the run.  ``timeout`` is the
         wall-clock deadline per window collect; ``chaos`` is a fault-
         injection hook (tests, smoke) called between dispatch and collect.
         """
+        boundary = self.boundary
+        if boundary is not None:
+            boundary.start(state.start)
         workers = self.workers
         window = self.window
         pending = state.pending
@@ -657,5 +704,9 @@ class ParallelSimulator:
                 # deliver-time arithmetic stays exact.
                 earliest = min(next_times)
                 state.start = max(end, int(earliest // window) * window)
-            if on_boundary is not None:
-                on_boundary()
+            if boundary is not None:
+                boundary.act(
+                    state.start,
+                    checkpoint,
+                    lambda: self._progress(handles, state, timeout),
+                )

@@ -102,7 +102,6 @@ def _gate_reason(
     explicit_inputs: bool,
     explicit_fault_plan: bool,
     validate: bool,
-    checkpointing: bool,
 ) -> Optional[str]:
     """The scenario-level half of the gate (no topology needed)."""
     if explicit_inputs:
@@ -111,8 +110,6 @@ def _gate_reason(
         return "fault injection requires the serial engine"
     if validate:
         return "runtime validation requires the serial engine"
-    if checkpointing:
-        return "checkpoint/resume requires the serial engine"
     if scenario.pricing != "static":
         return f"dynamic pricing ({scenario.pricing!r}) requires the serial engine"
     if scenario.agent != "default":
@@ -130,7 +127,6 @@ def plan_partition(
     explicit_inputs: bool = False,
     explicit_fault_plan: bool = False,
     validate: bool = False,
-    checkpointing: bool = False,
 ) -> PartitionPlan:
     """Decide whether (and how) a scenario can run on the parallel engine.
 
@@ -146,7 +142,6 @@ def plan_partition(
         explicit_inputs=explicit_inputs,
         explicit_fault_plan=explicit_fault_plan,
         validate=validate,
-        checkpointing=checkpointing,
     )
     if reason is not None:
         return PartitionPlan(workers, reason)

@@ -6,7 +6,10 @@ qualifies, and merges the per-shard harvests back into one ordinary
 :class:`~repro.core.federation.FederationResult` — the same type, carrying
 the same accounting, as a serial run.  On an ineligible scenario it returns
 ``(None, stats)`` with the fallback diagnostic so the caller can continue on
-the serial path and attach the record to its result.
+the serial path and attach the record to its result.  Fleet checkpoints,
+progress reports and cancellation follow the run's
+:class:`~repro.service.checkpoint.BoundaryPolicy`, the same one the scenario
+runner drives a serial run with.
 """
 
 from __future__ import annotations
@@ -19,44 +22,15 @@ from repro.core.policies import SharingMode
 from repro.economy.bank import GridBank
 from repro.net.transport import TransportStats
 from repro.par.engine import ParallelSimulator
-from repro.par.partition import PartitionPlan, plan_partition
+from repro.par.partition import plan_partition
 from repro.par.shard import ShardHarvest
 from repro.par.stats import ParallelStats
-from repro.par.supervisor import ParallelRunFailed, SupervisionConfig
+from repro.par.supervisor import ParallelRunFailed, SupervisionConfig, discard_fleet_checkpoint
 from repro.scenario.scenario import Scenario
 from repro.workload.archive import build_federation_specs
 from repro.workload.job import JobStatus
 
-__all__ = ["merge_results", "parallel_plan", "try_parallel_run"]
-
-
-def parallel_plan(
-    scenario: Scenario,
-    workers: int,
-    *,
-    explicit_inputs: bool = False,
-    explicit_fault_plan: bool = False,
-    validate: bool = False,
-    checkpointing: bool = False,
-) -> PartitionPlan:
-    """Evaluate the parallel-eligibility gate without running anything.
-
-    Callers that must choose *before* dispatch — e.g. the daemon deciding
-    whether a submission goes through serial checkpointing or supervised
-    parallel execution — probe the gate with this.
-    """
-    from repro.scenario.runner import resolve_resources
-
-    specs = build_federation_specs(resolve_resources(scenario, None))
-    return plan_partition(
-        scenario,
-        workers,
-        [spec.name for spec in specs],
-        explicit_inputs=explicit_inputs,
-        explicit_fault_plan=explicit_fault_plan,
-        validate=validate,
-        checkpointing=checkpointing,
-    )
+__all__ = ["merge_results", "try_parallel_run"]
 
 
 def merge_results(
@@ -167,8 +141,8 @@ def try_parallel_run(
     explicit_inputs: bool = False,
     explicit_fault_plan: bool = False,
     validate: bool = False,
-    checkpointing: bool = False,
     supervision: Optional[SupervisionConfig] = None,
+    boundary: Optional[object] = None,
 ) -> Tuple[Optional[FederationResult], ParallelStats]:
     """Run a scenario on the parallel engine if it qualifies.
 
@@ -181,15 +155,24 @@ def try_parallel_run(
     restart exhaustion raises :class:`ParallelRunFailed` instead.
 
     ``supervision=None`` runs the multiprocess backend under the default
-    :class:`SupervisionConfig`.
+    :class:`SupervisionConfig`.  ``boundary`` is the run's
+    :class:`~repro.service.checkpoint.BoundaryPolicy` (fleet checkpoints,
+    progress, cancellation; the ``process`` backend only), which
+    :func:`~repro.scenario.runner.run_scenario` passes down; ``None`` runs
+    one uninterrupted window loop.  A degraded run deletes its fleet
+    checkpoint, so a resume finds the serial re-run's own checkpoint.
     """
-    plan = parallel_plan(
+    # Imported here: repro.scenario.runner imports this package lazily.
+    from repro.scenario.runner import resolve_resources
+
+    specs = build_federation_specs(resolve_resources(scenario, None))
+    plan = plan_partition(
         scenario,
         workers,
+        [spec.name for spec in specs],
         explicit_inputs=explicit_inputs,
         explicit_fault_plan=explicit_fault_plan,
         validate=validate,
-        checkpointing=checkpointing,
     )
     if not plan.eligible:
         return None, ParallelStats(
@@ -205,12 +188,17 @@ def try_parallel_run(
         backend=backend,
         profile_dir=profile_dir,
         supervision=supervision,
+        boundary=boundary,
     )
     try:
         harvests, stats = simulator.run()
     except ParallelRunFailed as failed:
         if not supervision.degrade:
             raise
+        if boundary is not None and boundary.checkpoint_dir is not None:
+            # The caller's serial re-run checkpoints into the same
+            # directory, and a fleet checkpoint left there would win a resume.
+            discard_fleet_checkpoint(boundary.checkpoint_dir)
         stats = failed.stats
         stats.degraded = True
         stats.fallback_reason = (
@@ -218,4 +206,7 @@ def try_parallel_run(
             f"attempt(s); degraded to serial ({failed.failure.summary()})"
         )
         return None, stats
-    return merge_results(scenario, harvests, stats), stats
+    result = merge_results(scenario, harvests, stats)
+    if boundary is not None:
+        boundary.finish(result, max(harvest.sim_time for harvest in harvests))
+    return result, stats

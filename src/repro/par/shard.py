@@ -42,7 +42,7 @@ from repro.par.partition import shard_assignment
 from repro.par.router import CrossShardMessage, MessageKind, decode_job, encode_job
 from repro.scenario.scenario import Scenario
 from repro.sim.rng import RandomStreams
-from repro.workload.job import Job, reset_job_counter
+from repro.workload.job import Job, JobStatus, reset_job_counter
 from repro.workload.archive import build_federation_specs
 
 __all__ = [
@@ -180,6 +180,8 @@ class ShardHarvest:
     #: GridBank ledger entries settled on this shard (empty outside ECONOMY).
     ledger: List[Transaction] = field(default_factory=list)
     events_processed: int = 0
+    #: The shard's clock at harvest: the end of the last window it ran.
+    sim_time: float = 0.0
 
 
 class ShardFederation(Federation):
@@ -347,6 +349,13 @@ class ShardFederation(Federation):
             next_time=self.sim.next_event_time(),
         )
 
+    def progress(self) -> Tuple[int, int, int, int]:
+        """``(jobs, completed, events fired, events pending)`` over this
+        shard's own jobs: a scan, asked for only at reporting boundaries."""
+        jobs = self._jobs_by_id.values()
+        completed = sum(1 for job in jobs if job.status is JobStatus.COMPLETED)
+        return len(jobs), completed, self.sim.events_processed, self.sim.pending
+
     def _deliver_cross(self, msg: CrossShardMessage) -> None:
         job = decode_job(msg.payload)
         if msg.kind is MessageKind.JOB_ARRIVAL:
@@ -376,6 +385,7 @@ class ShardFederation(Federation):
             network=self.transport.stats,
             ledger=self.bank.ledger() if self.bank is not None else [],
             events_processed=self.sim.events_processed,
+            sim_time=self.sim.now,
         )
 
 

@@ -14,9 +14,10 @@ multiprocess backend survive real process faults:
   survivors and walks a bounded restart ladder —
 
   1. **restore** the fleet from the last fleet checkpoint (per-shard
-     :func:`~repro.service.snapshot.write_shard_snapshot` files plus the
-     coordinator's pending cross-shard traffic, written every K windows
-     when checkpointing is on) and resume at that boundary;
+     snapshots plus the coordinator's pending cross-shard traffic, written
+     at the cadence of the run's
+     :class:`~repro.service.checkpoint.BoundaryPolicy` when the run has a
+     checkpoint directory) and resume at that boundary;
   2. without a usable checkpoint, **rebuild** the fleet from scratch — the
      shard build is a pure function of ``(scenario, workers, window)``, so
      a from-scratch re-run is itself a window-0 boundary restart;
@@ -33,10 +34,18 @@ The parity contract is non-negotiable and tested: a run that survives any
 number of injected worker kills produces a fingerprint byte-identical to
 the undisturbed run, because restores happen only at boundary cuts and the
 rebuilt shards replay exactly the traffic the checkpoint recorded.
+
+The supervisor owns only that ladder and the fleet checkpoint's write,
+restore and discard.  When to checkpoint, progress reports and
+cancellation belong to the boundary policy, which the window loop
+consults.  A fresh run over a directory that holds a usable fleet
+checkpoint for the same scenario, worker count and window starts from it
+(the continue rule).
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import time
 from dataclasses import dataclass
@@ -54,19 +63,32 @@ from repro.par.stats import ParallelStats
 from repro.sim.rng import RandomStreams
 
 __all__ = [
-    "DEFAULT_CHECKPOINT_EVERY_WINDOWS",
     "ParallelRunFailed",
     "ParallelSupervisor",
     "SupervisionConfig",
+    "discard_fleet_checkpoint",
 ]
 
-#: Default fleet-checkpoint cadence, in barrier windows, when a checkpoint
-#: directory is configured.  At the 60 s window floor over the two-day
-#: experiment horizon (~2.9k windows) this writes ~45 checkpoints per run.
-DEFAULT_CHECKPOINT_EVERY_WINDOWS = 64
 
-#: File name of the coordinator-state half of a fleet checkpoint.
-_STATE_FILE = "par-state.bin"
+def _prune_snapshots(directory: str, keep: set) -> None:
+    """Delete the shard snapshots in ``directory`` not named in ``keep``."""
+    for name in os.listdir(directory):
+        if name.startswith("shard-") and name.endswith(".snap") and name not in keep:
+            try:
+                os.unlink(os.path.join(directory, name))
+            except OSError:  # pragma: no cover - concurrent cleanup
+                pass
+
+
+def discard_fleet_checkpoint(directory: str) -> None:
+    """Delete the fleet checkpoint in ``directory``, commit point first, so
+    an interruption part-way never leaves one naming deleted shards."""
+    from repro.service.checkpoint import PAR_STATE_FILENAME
+
+    state_path = os.path.join(directory, PAR_STATE_FILENAME)
+    if os.path.exists(state_path):
+        os.unlink(state_path)
+        _prune_snapshots(directory, keep=set())
 
 
 class ParallelRunFailed(RuntimeError):
@@ -124,11 +146,6 @@ class SupervisionConfig:
         (annotated on the result); ``False`` raises
         :class:`ParallelRunFailed` instead (the daemon's choice — a failed
         record beats a silently-serial run that takes 8x the budget).
-    checkpoint_dir:
-        Directory for fleet checkpoints (``--par-checkpoint``).  ``None``
-        disables periodic snapshots; restarts then rebuild from scratch.
-    checkpoint_every_windows:
-        Fleet-checkpoint cadence in barrier windows.
     close_grace_s:
         Per-rung join timeout of the teardown escalation ladder.
     chaos:
@@ -137,10 +154,6 @@ class SupervisionConfig:
         ``("window", "harvest")``: a window's between dispatch and collect,
         where a real mid-window fault would land; the harvest's before its
         commands go out.
-    on_boundary:
-        Called as ``on_boundary(window_index)`` at every consistent cut —
-        the daemon's cancellation seam.  Exceptions propagate (after the
-        fleet is torn down cleanly).
     """
 
     step_timeout_s: float = 120.0
@@ -152,11 +165,8 @@ class SupervisionConfig:
     backoff_cap_s: float = 2.0
     backoff_jitter: float = 0.5
     degrade: bool = True
-    checkpoint_dir: Optional[str] = None
-    checkpoint_every_windows: int = DEFAULT_CHECKPOINT_EVERY_WINDOWS
     close_grace_s: float = 5.0
     chaos: Optional[Callable] = None
-    on_boundary: Optional[Callable[[int], None]] = None
 
     def __post_init__(self) -> None:
         if self.step_timeout_s <= 0:
@@ -170,11 +180,6 @@ class SupervisionConfig:
             raise ValueError("backoff delays must be non-negative")
         if not 0.0 <= self.backoff_jitter <= 1.0:
             raise ValueError(f"backoff_jitter must lie in [0, 1], got {self.backoff_jitter}")
-        if self.checkpoint_every_windows < 1:
-            raise ValueError(
-                f"checkpoint_every_windows must be at least 1, "
-                f"got {self.checkpoint_every_windows}"
-            )
 
 
 class ParallelSupervisor:
@@ -199,6 +204,9 @@ class ParallelSupervisor:
         #: must never perturb the simulation's own RNG draws.
         self._rng = RandomStreams(self.scenario.seed).get("supervisor/backoff")
         self.failures: List[WorkerFailure] = []
+        boundary = simulator.boundary
+        #: Where fleet checkpoints go (``None``: restarts rebuild from scratch).
+        self.checkpoint_dir = None if boundary is None else boundary.checkpoint_dir
 
     # ------------------------------------------------------------------ #
     # The restart ladder
@@ -224,7 +232,9 @@ class ParallelSupervisor:
                     state,
                     stats,
                     timeout=step_timeout,
-                    on_boundary=self._boundary_hook(handles, state, stats),
+                    checkpoint=functools.partial(
+                        self._write_checkpoint, handles, state, stats
+                    ),
                     chaos=config.chaos,
                 )
                 harvests = self._harvest_fleet(handles, stats)
@@ -277,30 +287,11 @@ class ParallelSupervisor:
     # Fleet checkpoints (per-shard snapshots + coordinator state)
     # ------------------------------------------------------------------ #
     def _state_path(self) -> Optional[str]:
-        if self.config.checkpoint_dir is None:
+        if self.checkpoint_dir is None:
             return None
-        return os.path.join(self.config.checkpoint_dir, _STATE_FILE)
+        from repro.service.checkpoint import PAR_STATE_FILENAME
 
-    def _boundary_hook(
-        self,
-        handles: Sequence[ProcessShardHandle],
-        state: CoordinatorState,
-        stats: ParallelStats,
-    ) -> Optional[Callable[[], None]]:
-        config = self.config
-        if config.on_boundary is None and config.checkpoint_dir is None:
-            return None
-
-        def hook() -> None:
-            if config.on_boundary is not None:
-                config.on_boundary(stats.windows)
-            if (
-                config.checkpoint_dir is not None
-                and stats.windows % config.checkpoint_every_windows == 0
-            ):
-                self._write_checkpoint(handles, state, stats)
-
-        return hook
+        return os.path.join(self.checkpoint_dir, PAR_STATE_FILENAME)
 
     def _write_checkpoint(
         self,
@@ -318,8 +309,7 @@ class ParallelSupervisor:
         """
         from repro.service.snapshot import write_par_state
 
-        directory = self.config.checkpoint_dir
-        assert directory is not None
+        directory = self.checkpoint_dir
         os.makedirs(directory, exist_ok=True)
         generation = stats.windows
         shard_files = [
@@ -352,19 +342,7 @@ class ParallelSupervisor:
             window=self.simulator.window,
             payload=payload,
         )
-        self._prune_stale_snapshots(directory, keep=set(shard_files))
-
-    def _prune_stale_snapshots(self, directory: str, keep: set) -> None:
-        for name in os.listdir(directory):
-            if (
-                name.startswith("shard-")
-                and name.endswith(".snap")
-                and name not in keep
-            ):
-                try:
-                    os.unlink(os.path.join(directory, name))
-                except OSError:  # pragma: no cover - concurrent cleanup
-                    pass
+        _prune_snapshots(directory, keep=set(shard_files))
 
     def _load_checkpoint(self) -> Optional[dict]:
         """The newest usable fleet checkpoint, or ``None`` (→ scratch).
@@ -389,7 +367,7 @@ class ParallelSupervisor:
             return None
         if payload["header"].get("window") != self.simulator.window:
             return None
-        directory = self.config.checkpoint_dir
+        directory = self.checkpoint_dir
         for name in payload["shard_files"]:
             if not os.path.exists(os.path.join(directory, name)):
                 return None
@@ -400,8 +378,9 @@ class ParallelSupervisor:
     ) -> Optional[List[Optional[str]]]:
         if checkpoint is None:
             return None
-        directory = self.config.checkpoint_dir
-        return [os.path.join(directory, name) for name in checkpoint["shard_files"]]
+        return [
+            os.path.join(self.checkpoint_dir, name) for name in checkpoint["shard_files"]
+        ]
 
     def _restore_state(
         self, checkpoint: Optional[dict], stats: ParallelStats

@@ -435,22 +435,22 @@ def bench_parallel_engine(
     """
     rows: List[Dict[str, object]] = []
     serial_s: Optional[float] = None
+    scenario = Scenario(
+        mode=SharingMode.ECONOMY,
+        oft_fraction=0.3,
+        seed=seed,
+        thin=thin,
+        system_size=size,
+        transport=topology,
+    )
     for workers in worker_counts:
         state: Dict[str, object] = {}
 
         def once(workers: int = workers) -> float:
-            scenario = Scenario(
-                mode=SharingMode.ECONOMY,
-                oft_fraction=0.3,
-                seed=seed,
-                thin=thin,
-                system_size=size,
-                transport=topology,
-            )
             start = time.perf_counter()
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
-                result = run_scenario(scenario, workers=workers)
+                result = run_scenario(scenario.replace(parallel=workers))
             elapsed = time.perf_counter() - start
             state["fingerprint"] = result_fingerprint(result)
             state["jobs"] = len(result.jobs)
@@ -465,14 +465,6 @@ def bench_parallel_engine(
         if ran_parallel and size <= parity_limit:
             from repro.par.runner import try_parallel_run
 
-            scenario = Scenario(
-                mode=SharingMode.ECONOMY,
-                oft_fraction=0.3,
-                seed=seed,
-                thin=thin,
-                system_size=size,
-                transport=topology,
-            )
             oracle_result, _ = try_parallel_run(
                 scenario, workers=workers, backend="oracle"
             )
@@ -848,7 +840,6 @@ def profile_scenario(
     scenario: Scenario,
     top: int = 25,
     sort: str = "cumulative",
-    workers: Optional[int] = None,
 ) -> str:
     """Run one scenario under cProfile and render its hotspot table.
 
@@ -857,8 +848,8 @@ def profile_scenario(
     subcalls), cumulative time, and the function's location.  This is the
     starting point the perf PRs work from — measure, then optimise.
 
-    With ``workers >= 2`` the scenario runs on the parallel engine with one
-    cProfile per worker process; the per-shard profiles are merged
+    With ``scenario.parallel >= 2`` the scenario runs on the parallel engine
+    with one cProfile per worker process; the per-shard profiles are merged
     (:meth:`pstats.Stats.add`) into a single federation-wide hotspot table,
     and the summary carries the engine's ``par:`` line.  An ineligible
     scenario falls back to the serial profile with the fallback diagnostic
@@ -869,13 +860,13 @@ def profile_scenario(
     if top < 1:
         raise ValueError(f"top must be at least 1, got {top}")
     par_note = ""
-    if workers is not None and workers >= 2:
+    if scenario.parallel >= 2:
         from repro.par.runner import try_parallel_run
 
         with tempfile.TemporaryDirectory(prefix="gridfed-profile-") as tmp:
             start = time.perf_counter()
             result, par_stats = try_parallel_run(
-                scenario, workers=workers, profile_dir=tmp
+                scenario, workers=scenario.parallel, profile_dir=tmp
             )
             elapsed = time.perf_counter() - start
             if result is not None:
@@ -897,7 +888,7 @@ def profile_scenario(
     profiler = cProfile.Profile()
     start = time.perf_counter()
     profiler.enable()
-    result = run_scenario(scenario)
+    result = run_scenario(scenario.replace(parallel=0))
     profiler.disable()
     elapsed = time.perf_counter() - start
     summary = (

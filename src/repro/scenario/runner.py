@@ -147,10 +147,16 @@ def run_scenario(
     checkpoint_dir: Optional[str] = None,
     checkpoint_every: Optional[float] = None,
     on_progress=None,
-    workers: Optional[int] = None,
     supervision=None,
 ) -> FederationResult:
     """Build and run the federation a scenario describes.
+
+    This is the one driver for every run.  ``scenario.parallel`` alone sets
+    the worker count: 0 or 1 runs the serial engine; ``N >= 2`` dispatches
+    eligible scenarios to the sharded engine (:func:`repro.par.
+    try_parallel_run`), while ineligible ones (uniform zero-latency
+    topologies, fault plans, dynamic pricing, …) warn and run serially,
+    with the fallback diagnostic on ``result.parallel``.
 
     Parameters
     ----------
@@ -173,49 +179,49 @@ def run_scenario(
         result before returning (raising
         :class:`~repro.validate.InvariantViolation` on any breach).
     checkpoint_dir, checkpoint_every, on_progress:
-        When any is set the run is driven through
-        :func:`repro.service.checkpoint.run_checkpointed`: the simulation
-        advances in bounded virtual-time chunks, writing an atomic snapshot
-        into ``checkpoint_dir`` every ``checkpoint_every`` seconds (from
-        which ``gridfed run --resume`` continues byte-identically) and
-        reporting a :class:`~repro.service.checkpoint.RunProgress` to
-        ``on_progress`` after every chunk.  The chunking never changes the
-        result: fingerprints match the plain path exactly.
-    workers:
-        Worker count for the conservative parallel engine, overriding the
-        scenario's ``parallel`` field (``None`` = use the field; 0 or 1 =
-        plain serial).  Eligible scenarios are dispatched to
-        :func:`repro.par.try_parallel_run`; ineligible ones (uniform
-        zero-latency topologies, fault plans, dynamic pricing, …) warn and
-        fall back to the serial path, attaching the fallback diagnostic to
-        ``result.parallel``.
+        When any is set the run follows a
+        :class:`~repro.service.checkpoint.BoundaryPolicy`, serial or
+        sharded alike: every ``checkpoint_every`` simulated seconds
+        (default 3600) it writes an atomic checkpoint into
+        ``checkpoint_dir`` and reports a
+        :class:`~repro.service.checkpoint.RunProgress` to ``on_progress``,
+        which may raise :class:`~repro.service.checkpoint.CancelledRun` to
+        stop the run; a final ``done`` report follows completion.  The
+        stepping never changes the result.  When ``checkpoint_dir`` already
+        holds a checkpoint of this scenario, the run continues from it —
+        unless explicit ``resources``, ``specs``, ``workload`` or
+        ``fault_plan`` are given or ``validate`` is on, inputs the
+        checkpoint's scenario guard cannot see.
     supervision:
-        A :class:`~repro.par.supervisor.SupervisionConfig` for the parallel
-        dispatch (``None`` = supervised with defaults).  A supervised run
-        that exhausts its restart budget degrades to the serial path here,
+        A :class:`~repro.par.supervisor.SupervisionConfig` for a sharded
+        run (``None`` = supervised with defaults).  A supervised run that
+        exhausts its restart budget degrades to the serial path here,
         annotated on ``result.parallel`` (``degraded=True``).
     """
     if (specs is None) != (workload is None):
         raise ValueError("pass both specs and workload, or neither")
-    effective_workers = workers if workers is not None else scenario.parallel
+    explicit = resources is not None or workload is not None
+    policy = None
+    if checkpoint_dir is not None or checkpoint_every is not None or on_progress is not None:
+        # Imported lazily: repro.service sits above this module in the layer
+        # stack, and the plain path must not pay for it.
+        from repro.service.checkpoint import BoundaryPolicy, continue_serial, drive
+
+        policy = BoundaryPolicy(checkpoint_dir, checkpoint_every, on_progress)
     fallback_stats = None
-    if effective_workers >= 2:
+    if scenario.parallel >= 2:
         # Imported lazily: repro.par sits above this module in the layer
         # stack, and the serial path must not pay for it.
         from repro.par.runner import try_parallel_run
 
         result, par_stats = try_parallel_run(
             scenario,
-            workers=effective_workers,
-            explicit_inputs=resources is not None or workload is not None,
+            workers=scenario.parallel,
+            explicit_inputs=explicit,
             explicit_fault_plan=fault_plan is not None,
             validate=validate,
-            checkpointing=(
-                checkpoint_dir is not None
-                or checkpoint_every is not None
-                or on_progress is not None
-            ),
             supervision=supervision,
+            boundary=policy,
         )
         if result is not None:
             return result
@@ -236,6 +242,27 @@ def run_scenario(
                 stacklevel=2,
             )
         fallback_stats = par_stats
+    if policy is None:
+        result = _build_federation(
+            scenario, resources, specs, workload, fault_plan, validate
+        ).run()
+    else:
+        federation = None
+        if checkpoint_dir is not None and not (explicit or fault_plan is not None or validate):
+            federation = continue_serial(checkpoint_dir, scenario)
+        if federation is None:
+            federation = _build_federation(
+                scenario, resources, specs, workload, fault_plan, validate
+            )
+            federation.start()
+        result = drive(federation, scenario, policy)
+    if fallback_stats is not None:
+        result.parallel = fallback_stats
+    return result
+
+
+def _build_federation(scenario, resources, specs, workload, fault_plan, validate):
+    """The serial federation a scenario describes, ready to start."""
     agent_class = AGENT_REGISTRY.get(scenario.agent)
     federation_factory = PRICING_REGISTRY.get(scenario.pricing)
     if workload is None:
@@ -260,23 +287,7 @@ def run_scenario(
         federation.install_resilience(policy)
     if validate:
         federation.install_validator()
-    if checkpoint_dir is not None or checkpoint_every is not None or on_progress is not None:
-        # Imported lazily: repro.service sits above this module in the layer
-        # stack, and the plain path must not pay for it.
-        from repro.service.checkpoint import run_checkpointed
-
-        result = run_checkpointed(
-            federation,
-            scenario,
-            checkpoint_dir=checkpoint_dir,
-            checkpoint_every=checkpoint_every,
-            on_progress=on_progress,
-        )
-    else:
-        result = federation.run()
-    if fallback_stats is not None:
-        result.parallel = fallback_stats
-    return result
+    return federation
 
 
 # --------------------------------------------------------------------------- #

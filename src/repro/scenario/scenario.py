@@ -106,13 +106,13 @@ class Scenario:
         per-peer circuit breakers and quote-TTL eviction to the negotiation
         path (see :mod:`repro.resilience`).
     parallel:
-        Worker count for the conservative parallel engine (0 or 1 = the
-        plain single-process run; ``N >= 2`` shards the federation across N
-        workers, synchronised in lookahead windows — see :mod:`repro.par`).
-        Values 0 and 1 are hash-transparent: they do not change
-        :meth:`scenario_hash`, because the parallel engine is required to
-        produce byte-identical result fingerprints and a worker knob must
-        never invalidate a sweep memo.
+        Worker count for the conservative parallel engine, and the only
+        place a run's worker count is set.  0 and 1 run the same serial
+        path, so both are hash-transparent: they do not change
+        :meth:`scenario_hash`.  ``N >= 2`` runs the sharded model: the
+        federation is split across N workers synchronised in lookahead
+        windows (see :mod:`repro.par`), whose results differ from the
+        serial run's — which is why those values are hashed.
     """
 
     mode: SharingMode = SharingMode.ECONOMY
@@ -224,10 +224,10 @@ class Scenario:
         for field in dataclasses.fields(self):
             value = getattr(self, field.name)
             if field.name == "parallel" and value in (0, 1):
-                # Worker counts <= 1 run the identical single-process path,
-                # and >= 2 is fingerprint-identical by construction — keep
-                # the degenerate values out of the hash so pre-parallel
-                # sweep memos stay valid.
+                # Worker counts 0 and 1 run the identical serial path: keep
+                # them out of the hash so pre-parallel sweep memos stay
+                # valid.  N >= 2 runs the sharded model, whose results
+                # differ, so those counts are hashed.
                 continue
             if isinstance(value, enum.Enum):
                 value = f"{type(value).__name__}.{value.name}"

@@ -6,8 +6,10 @@ scenario → service) and adds three capabilities:
 * :mod:`repro.service.snapshot` — versioned, atomic snapshots of a live
   federation (clock, event queue, entities, RNG streams, global counters)
   with fail-fast compatibility guards;
-* :mod:`repro.service.checkpoint` — chunked execution writing periodic
-  snapshots, and byte-identical resume from the latest one;
+* :mod:`repro.service.checkpoint` — the step-boundary policy every run
+  with a checkpoint or progress hook follows (periodic checkpoints,
+  progress, cancellation), and byte-identical resume from the latest
+  checkpoint, serial or sharded;
 * :mod:`repro.service.daemon` / :mod:`repro.service.client` — a long-lived
   ``gridfed daemon`` serving scenario submissions over local HTTP, with a
   disk-persistent memo cache (:mod:`repro.service.cache`) shared with
@@ -21,7 +23,6 @@ from repro.service.checkpoint import (
     CancelledRun,
     RunProgress,
     resume_run,
-    run_checkpointed,
     snapshot_path,
 )
 from repro.service.client import DaemonClient, DaemonError, DaemonUnavailable
@@ -50,7 +51,6 @@ __all__ = [
     "CancelledRun",
     "RunProgress",
     "resume_run",
-    "run_checkpointed",
     "snapshot_path",
     "DaemonClient",
     "DaemonError",

@@ -1,30 +1,43 @@
-"""Checkpointed execution: chunked runs, periodic snapshots, exact resume.
+"""The step-boundary policy: checkpoints, progress and cancellation.
 
-The driver advances a started federation in bounded chunks of virtual time
-(``sim.run(until=...)``) and writes an atomic snapshot between chunks.  The
-chunking is invisible to results: no events are injected, the sequence
-counter is untouched, and the clock only ever advances to timestamps the
-run would have reached anyway — so a checkpointed run, an uninterrupted run
-and an interrupted-then-resumed run all produce byte-identical
+A run with any of :func:`~repro.scenario.runner.run_scenario`'s hooks set
+(``checkpoint_dir``, ``checkpoint_every``, ``on_progress``) advances in
+bounded steps — a serial run in chunks of virtual time (:func:`drive`), a
+sharded run in barrier windows (:meth:`repro.par.engine.ParallelSimulator.
+_drive`) — and both loops hand each step boundary to one
+:class:`BoundaryPolicy`.  It owns the cadence (a boundary acts once
+``checkpoint_every`` simulated seconds have passed since the run started or
+last acted), the checkpoint (a serial run's rolling ``latest.ckpt``, or a
+sharded run's fleet checkpoint committed by ``par-state.bin``), the
+:class:`RunProgress` report that follows it, and cancellation (a
+:class:`CancelledRun` raised by ``on_progress`` stops the run and keeps that
+checkpoint).
+
+The stepping is invisible to results: a checkpointed, an uninterrupted and
+an interrupted-then-resumed run produce byte-identical
 :func:`~repro.scenario.runner.result_fingerprint` digests (the resume
-oracle pinned by ``tests/test_service_resume.py`` across all five golden
-experiment shapes).
-
-The checkpoint directory holds one rolling ``latest.ckpt``; every write is
-temp-then-rename, so a SIGKILL at any instant leaves a complete snapshot
-from which :func:`resume_run` continues.
+oracles in ``tests/test_service_resume.py`` and
+``tests/test_par_supervisor.py``).  Every write is temp-then-rename, so a
+SIGKILL at any instant leaves a complete checkpoint.
+``run_scenario(checkpoint_dir=D)`` continues from D's checkpoint when D
+holds one for the same scenario; :func:`resume_run` is the strict form
+behind ``gridfed run --resume``.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 from repro.core.federation import Federation, FederationResult
+from repro.scenario.runner import run_scenario
 from repro.scenario.scenario import Scenario
 from repro.service.snapshot import (
     SnapshotError,
+    SnapshotMismatchError,
+    load_par_state,
     load_snapshot,
     write_snapshot,
 )
@@ -33,31 +46,37 @@ from repro.workload.job import JobStatus
 __all__ = [
     "DEFAULT_CHECKPOINT_INTERVAL",
     "SNAPSHOT_FILENAME",
+    "PAR_STATE_FILENAME",
+    "BoundaryPolicy",
     "CancelledRun",
     "RunProgress",
+    "checked_interval",
     "snapshot_path",
-    "run_checkpointed",
     "resume_run",
 ]
 
-#: Virtual-time seconds between snapshots when the caller names none.
+#: Virtual-time seconds between checkpoints when the caller names none.
 DEFAULT_CHECKPOINT_INTERVAL = 3600.0
 
-#: The rolling snapshot inside a checkpoint directory.
+#: The rolling snapshot of a serial run inside a checkpoint directory.
 SNAPSHOT_FILENAME = "latest.ckpt"
+
+#: The coordinator state of a sharded run's fleet checkpoint: written last,
+#: it is the commit point naming the shard snapshots it pairs with.
+PAR_STATE_FILENAME = "par-state.bin"
 
 
 class CancelledRun(RuntimeError):
-    """Raised by a progress callback to abort a run between chunks.
+    """Raised by a progress callback to abort a run at a step boundary.
 
-    The daemon uses this for cooperative cancellation: the last snapshot
+    The daemon uses this for cooperative cancellation: the last checkpoint
     stays on disk, so a cancelled run can even be resumed later.
     """
 
 
 @dataclass(frozen=True)
 class RunProgress:
-    """One progress observation, reported between chunks and at completion."""
+    """One progress observation, reported at step boundaries and at completion."""
 
     sim_time: float
     horizon: float
@@ -81,12 +100,80 @@ class RunProgress:
 ProgressCallback = Callable[[RunProgress], None]
 
 
+def checked_interval(seconds: float) -> float:
+    """``seconds`` as a checkpoint interval: finite and positive, or ValueError."""
+    interval = float(seconds)
+    if not (math.isfinite(interval) and interval > 0):
+        raise ValueError(
+            f"checkpoint interval must be a finite positive number of seconds, "
+            f"got {seconds}"
+        )
+    return interval
+
+
+class BoundaryPolicy:
+    """What a run does at its step boundaries (see the module docstring).
+
+    ``checkpoint_every`` must be a finite, positive number of simulated
+    seconds (``None`` = :data:`DEFAULT_CHECKPOINT_INTERVAL`).
+    """
+
+    def __init__(
+        self,
+        checkpoint_dir: Optional[str | os.PathLike] = None,
+        checkpoint_every: Optional[float] = None,
+        on_progress: Optional[ProgressCallback] = None,
+    ):
+        self.interval = checked_interval(
+            DEFAULT_CHECKPOINT_INTERVAL if checkpoint_every is None else checkpoint_every
+        )
+        self.checkpoint_dir = None if checkpoint_dir is None else os.fspath(checkpoint_dir)
+        self.on_progress = on_progress
+        #: Simulated time from which the next boundary acts.
+        self.next_mark = self.interval
+
+    def start(self, now: float) -> None:
+        """Arm the cadence for a run (or restored run) beginning at ``now``."""
+        self.next_mark = now + self.interval
+
+    def act(
+        self,
+        now: float,
+        checkpoint: Callable[[], None],
+        progress: Callable[[], RunProgress],
+    ) -> None:
+        """At a step boundary ``now`` on or past the next mark: checkpoint,
+        then report progress (which may raise :class:`CancelledRun`)."""
+        if now < self.next_mark:
+            return
+        self.next_mark = now + self.interval
+        if self.checkpoint_dir is not None:
+            checkpoint()
+        if self.on_progress is not None:
+            self.on_progress(progress())
+
+    def finish(self, result: FederationResult, sim_time: float) -> None:
+        """Report the final, ``done`` observation of a finished run."""
+        if self.on_progress is not None:
+            self.on_progress(
+                RunProgress(
+                    sim_time=sim_time,
+                    horizon=result.config.horizon,
+                    jobs_total=len(result.jobs),
+                    jobs_completed=len(result.completed_jobs()),
+                    events_processed=result.events_processed,
+                    pending_events=0,
+                    done=True,
+                )
+            )
+
+
 def snapshot_path(checkpoint_dir: str | os.PathLike) -> str:
     """The rolling snapshot file inside a checkpoint directory."""
     return os.path.join(os.fspath(checkpoint_dir), SNAPSHOT_FILENAME)
 
 
-def _progress(federation: Federation, done: bool) -> RunProgress:
+def _progress(federation: Federation) -> RunProgress:
     jobs = federation._all_jobs
     return RunProgress(
         sim_time=federation.sim.now,
@@ -95,56 +182,51 @@ def _progress(federation: Federation, done: bool) -> RunProgress:
         jobs_completed=sum(1 for job in jobs if job.status is JobStatus.COMPLETED),
         events_processed=federation.sim.events_processed,
         pending_events=federation.sim.pending,
-        done=done,
+        done=False,
     )
 
 
-def _drive(
-    federation: Federation,
-    scenario: Scenario,
-    checkpoint_dir: Optional[str | os.PathLike],
-    checkpoint_every: Optional[float],
-    on_progress: Optional[ProgressCallback],
+def drive(
+    federation: Federation, scenario: Scenario, policy: BoundaryPolicy
 ) -> FederationResult:
-    """Advance a *started* federation chunk by chunk until the queue drains."""
-    interval = (
-        DEFAULT_CHECKPOINT_INTERVAL if checkpoint_every is None else checkpoint_every
-    )
-    if interval <= 0:
-        raise ValueError(f"checkpoint interval must be positive, got {interval}")
-    path = snapshot_path(checkpoint_dir) if checkpoint_dir is not None else None
+    """The serial chunk loop: advance a *started* federation to completion.
+
+    Each chunk ends at the policy's next mark, so every chunk boundary
+    acts.  Equivalent to ``federation.run()``'s remainder in every
+    observable result.
+    """
+    path = None if policy.checkpoint_dir is None else snapshot_path(policy.checkpoint_dir)
     sim = federation.sim
+    policy.start(sim.now)
     while sim.pending > 0:
-        sim.run(until=sim.now + interval)
+        sim.run(until=policy.next_mark)
         if sim.pending == 0:
             break
-        if path is not None:
-            write_snapshot(path, federation, scenario)
-        if on_progress is not None:
-            on_progress(_progress(federation, done=False))
+        policy.act(
+            sim.now,
+            lambda: write_snapshot(path, federation, scenario),
+            lambda: _progress(federation),
+        )
     result = federation.collect()
-    if on_progress is not None:
-        on_progress(_progress(federation, done=True))
+    policy.finish(result, sim.now)
     return result
 
 
-def run_checkpointed(
-    federation: Federation,
-    scenario: Scenario,
-    *,
-    checkpoint_dir: Optional[str | os.PathLike] = None,
-    checkpoint_every: Optional[float] = None,
-    on_progress: Optional[ProgressCallback] = None,
-) -> FederationResult:
-    """Run a freshly built federation with periodic snapshots and progress.
+def continue_serial(
+    checkpoint_dir: str | os.PathLike, scenario: Scenario
+) -> Optional[Federation]:
+    """The started federation a directory's snapshot holds for ``scenario``.
 
-    Equivalent to ``federation.run()`` in every observable result — the
-    chunked clock advance is invisible — plus a snapshot in
-    ``checkpoint_dir`` every ``checkpoint_every`` virtual seconds and an
-    ``on_progress`` observation after every chunk.
+    ``None`` when there is no snapshot, or it is unreadable, from another
+    format version or for another scenario: the caller then starts fresh.
     """
-    federation.start()
-    return _drive(federation, scenario, checkpoint_dir, checkpoint_every, on_progress)
+    try:
+        _header, federation, _scenario = load_snapshot(
+            snapshot_path(checkpoint_dir), expected_scenario=scenario
+        )
+    except SnapshotError:
+        return None
+    return federation
 
 
 def resume_run(
@@ -154,22 +236,47 @@ def resume_run(
     checkpoint_every: Optional[float] = None,
     on_progress: Optional[ProgressCallback] = None,
 ) -> Tuple[FederationResult, Scenario]:
-    """Resume from the latest snapshot in ``checkpoint_dir`` to completion.
+    """Resume the run checkpointed in ``checkpoint_dir`` to completion.
 
-    Verifies the snapshot's format version and scenario hash (against
-    ``expected_scenario`` when given) before unpickling anything; a mismatch
-    raises :class:`~repro.service.snapshot.SnapshotMismatchError` instead of
-    corrupting the run.  Returns the result together with the snapshot's own
-    scenario, and keeps checkpointing into the same directory while it runs.
+    The strict form of the continue rule: the checkpoint's own scenario is
+    adopted, and a missing checkpoint, or one whose format version or
+    scenario hash (against ``expected_scenario`` when given) does not match,
+    raises :class:`~repro.service.snapshot.SnapshotError` (the mismatch
+    cases :class:`~repro.service.snapshot.SnapshotMismatchError`) before
+    anything runs.  A sharded run's fleet checkpoint continues on the
+    sharded engine; a serial snapshot continues serially.  Returns the
+    result with the adopted scenario, and keeps checkpointing into the same
+    directory while it runs.
     """
-    path = snapshot_path(checkpoint_dir)
+    policy = BoundaryPolicy(checkpoint_dir, checkpoint_every, on_progress)
+    directory = policy.checkpoint_dir
+    state_path = os.path.join(directory, PAR_STATE_FILENAME)
+    if os.path.exists(state_path):
+        state = load_par_state(state_path, expected_scenario=expected_scenario)
+        scenario = state["scenario"]
+        if scenario.parallel != state["header"]["workers"]:
+            raise SnapshotMismatchError(
+                f"the fleet checkpoint in {directory!r} was not written for its "
+                "scenario's worker count; resume it through the engine call that wrote it"
+            )
+        files = [os.path.join(directory, name) for name in state["shard_files"]]
+        if not all(map(os.path.exists, files)):
+            raise SnapshotError(f"the fleet checkpoint in {directory!r} is incomplete")
+        result = run_scenario(
+            scenario,
+            checkpoint_dir=directory,
+            checkpoint_every=policy.interval,
+            on_progress=on_progress,
+        )
+        return result, scenario
+    path = snapshot_path(directory)
     if not os.path.exists(path):
         raise SnapshotError(
-            f"no snapshot to resume: {path!r} does not exist — was the run "
+            f"no snapshot to resume: {directory!r} holds neither "
+            f"{SNAPSHOT_FILENAME} nor {PAR_STATE_FILENAME} — was the run "
             "started with --checkpoint/checkpoint_dir pointing here?"
         )
     _header, federation, scenario = load_snapshot(
         path, expected_scenario=expected_scenario
     )
-    result = _drive(federation, scenario, checkpoint_dir, checkpoint_every, on_progress)
-    return result, scenario
+    return drive(federation, scenario, policy), scenario

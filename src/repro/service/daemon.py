@@ -14,14 +14,19 @@ Durability model (all under the daemon's state directory)::
     jobs/<id>.json         submission record (scenario, status, fingerprint)
     results/<id>.json      result summary, written on completion
     progress/<id>.json     latest RunProgress observation
-    checkpoints/<id>/      rolling snapshot of the in-flight run
+    checkpoints/<id>/      checkpoint of the in-flight run: a serial run's
+                           latest.ckpt, or a sharded run's shard snapshots
+                           committed by par-state.bin
     cancel/<id>            cooperative-cancellation marker
     cache/                 the persistent memo cache (shared with sweeps)
 
-Every in-flight run checkpoints periodically, so a daemon killed (even with
-SIGKILL) and restarted re-enqueues its queued and running submissions and
-resumes the interrupted run from its last snapshot — byte-identically, by
-the same resume oracle that covers ``gridfed run --resume``.
+Every submission, serial or sharded (``parallel >= 2``), is one
+:func:`~repro.scenario.runner.run_scenario` call with its checkpoint
+directory and a progress callback that also carries cancellation.  A daemon
+killed (even with SIGKILL) and restarted re-enqueues its queued and running
+submissions, and each interrupted run continues from its last checkpoint —
+byte-identically, by the same resume oracles that cover
+``gridfed run --resume``.
 
 Worker model: with ``workers == 1`` (the default) submissions execute on a
 dedicated thread inside the daemon process; with ``workers > 1`` they fan
@@ -43,7 +48,7 @@ Endpoints (all JSON)::
     GET  /jobs/<id>/progress        latest progress; ?stream=1 streams
                                     JSON lines until the run terminates
     POST /shutdown                  clean shutdown (in-flight runs are
-                                    requeued at the next chunk boundary)
+                                    requeued at the next step boundary)
 """
 
 from __future__ import annotations
@@ -69,8 +74,7 @@ from repro.service.checkpoint import (
     DEFAULT_CHECKPOINT_INTERVAL,
     CancelledRun,
     RunProgress,
-    resume_run,
-    snapshot_path,
+    checked_interval,
 )
 
 __all__ = [
@@ -277,54 +281,6 @@ def _update_record(state: DaemonState, sid: str, **changes) -> Dict[str, object]
     return record
 
 
-def _execute_parallel(
-    state: DaemonState,
-    sid: str,
-    scenario: Scenario,
-    should_stop: Optional[Callable[[], bool]],
-):
-    """Run an eligible parallel submission under supervision.
-
-    Returns the merged :class:`~repro.core.federation.FederationResult`.
-    Raises :class:`CancelledRun` on cancellation/shutdown (checked at every
-    window boundary) and :class:`~repro.par.supervisor.ParallelRunFailed`
-    when the restart budget is exhausted — the caller turns the latter into
-    a ``failed`` record carrying the :class:`~repro.par.engine.WorkerFailure`
-    detail, never a hung worker thread.
-
-    Fleet checkpoints land under ``checkpoints/<sid>/par``: a daemon killed
-    mid-run re-adopts the submission and the supervisor resumes from the
-    last window-boundary cut instead of replaying from scratch.
-    """
-    from repro.par.runner import try_parallel_run
-    from repro.par.supervisor import SupervisionConfig
-
-    def on_boundary(window: int) -> None:
-        if state.cancel_requested(sid):
-            raise CancelledRun(f"submission {sid} cancelled")
-        if should_stop is not None and should_stop():
-            raise CancelledRun(f"daemon shutting down; {sid} requeued")
-
-    supervision = SupervisionConfig(
-        degrade=False,  # exhaustion must fail the record, not go serial
-        checkpoint_dir=os.path.join(state.checkpoint_dir(sid), "par"),
-        on_boundary=on_boundary,
-    )
-    from repro.par.supervisor import ParallelRunFailed
-
-    try:
-        result, par_stats = try_parallel_run(
-            scenario, workers=scenario.parallel, supervision=supervision
-        )
-    except ParallelRunFailed as failed:
-        # The stats (restarts, worker_failures, failure_detail) outlive the
-        # failed run: the record explains *why* before the caller marks it.
-        _update_record(state, sid, parallel=failed.stats.to_json())
-        raise
-    _update_record(state, sid, parallel=par_stats.to_json())
-    return result
-
-
 def execute_submission(
     state_dir: str,
     sid: str,
@@ -335,16 +291,17 @@ def execute_submission(
 
     Module-level so a :class:`ProcessPoolExecutor` worker can run it as well
     as an in-daemon thread.  Checks the memo cache first (instant completion
-    for duplicates), resumes from the submission's checkpoint when one exists
-    (daemon restarted mid-run), checkpoints periodically while running, and
-    honours cooperative cancellation (marker file) and daemon shutdown (the
-    run is requeued so the next daemon start resumes it).
+    for duplicates), then makes one :func:`~repro.scenario.runner.
+    run_scenario` call with the submission's checkpoint directory: the run
+    continues from the checkpoint there when one exists (daemon restarted
+    mid-run), checkpoints and reports progress periodically while running,
+    and honours cooperative cancellation (marker file) and daemon shutdown
+    (the run is requeued so the next daemon start resumes it).
 
-    A submission whose scenario requests parallel execution
-    (``parallel >= 2``) and passes the eligibility gate runs on the
-    supervised parallel engine instead of the serial checkpointed path;
-    its record gains a ``parallel`` stats block, and a run that exhausts
-    its restart budget lands as ``failed`` with the worker-failure detail.
+    Serial and sharded (``parallel >= 2``) submissions take the same path.
+    A sharded run's record gains a ``parallel`` stats block, and a run that
+    exhausts its restart budget lands as ``failed`` with the worker-failure
+    detail instead of degrading to a serial re-run.
     """
     state = DaemonState(state_dir)
     record = state.load_record(sid)
@@ -383,46 +340,51 @@ def execute_submission(
             if should_stop is not None and should_stop():
                 raise CancelledRun(f"daemon shutting down; {sid} requeued")
 
-    _update_record(state, sid, status="running")
-    checkpoint_dir = state.checkpoint_dir(sid)
-    parallel_eligible = False
-    if scenario.parallel >= 2 and not os.path.exists(snapshot_path(checkpoint_dir)):
-        from repro.par.runner import parallel_plan
+    supervision = None
+    if scenario.parallel >= 2:
+        # Imported only for sharded submissions: serial ones never load the
+        # parallel engine.
+        from repro.par.supervisor import SupervisionConfig
 
-        parallel_eligible = parallel_plan(scenario, scenario.parallel).eligible
+        # Exhaustion must fail the record, not go serial.
+        supervision = SupervisionConfig(degrade=False)
+    _update_record(state, sid, status="running")
+    changes: Dict[str, object] = {}
     try:
-        if parallel_eligible:
-            result = _execute_parallel(state, sid, scenario, should_stop)
-        elif os.path.exists(snapshot_path(checkpoint_dir)):
-            result, _ = resume_run(
-                checkpoint_dir,
-                expected_scenario=scenario,
-                checkpoint_every=checkpoint_interval,
-                on_progress=on_progress,
-            )
-        else:
-            result = run_scenario(
-                scenario,
-                checkpoint_dir=checkpoint_dir,
-                checkpoint_every=checkpoint_interval,
-                on_progress=on_progress,
-            )
+        result = run_scenario(
+            scenario,
+            checkpoint_dir=state.checkpoint_dir(sid),
+            checkpoint_every=checkpoint_interval,
+            on_progress=on_progress,
+            supervision=supervision,
+        )
     except CancelledRun:
         if state.cancel_requested(sid):
             _update_record(state, sid, status="cancelled")
         else:
-            # Shutdown interruption: back to the queue, snapshot retained —
+            # Shutdown interruption: back to the queue, checkpoint retained —
             # the next daemon start resumes from it.
             _update_record(state, sid, status="queued")
         return
     except Exception as exc:  # noqa: BLE001 - a failed run must not kill the pool
-        _update_record(state, sid, status="failed", error=f"{type(exc).__name__}: {exc}")
+        if supervision is not None:
+            from repro.par.supervisor import ParallelRunFailed
+
+            if isinstance(exc, ParallelRunFailed):
+                # The stats (restarts, worker_failures, failure_detail)
+                # outlive the failed run: the record explains *why*.
+                changes["parallel"] = exc.stats.to_json()
+        _update_record(
+            state, sid, status="failed", error=f"{type(exc).__name__}: {exc}", **changes
+        )
         return
     fingerprint = result_fingerprint(result)
     cache[key] = result
     state.save_result_summary(sid, result_summary(result, fingerprint))
+    if result.parallel is not None and result.parallel.ran_parallel:
+        changes["parallel"] = result.parallel.to_json()
     _update_record(
-        state, sid, status="completed", cached=False, fingerprint=fingerprint
+        state, sid, status="completed", cached=False, fingerprint=fingerprint, **changes
     )
     state.drop_checkpoints(sid)
 
@@ -442,10 +404,7 @@ class GridfedDaemon:
     ):
         if workers < 1:
             raise ValueError(f"workers must be at least 1, got {workers}")
-        if checkpoint_interval <= 0:
-            raise ValueError(
-                f"checkpoint interval must be positive, got {checkpoint_interval}"
-            )
+        checked_interval(checkpoint_interval)
         if max_pending < 1:
             raise ValueError(f"max_pending must be at least 1, got {max_pending}")
         if request_deadline <= 0:
@@ -582,10 +541,8 @@ class GridfedDaemon:
         checkpoint_interval: Optional[float] = None,
     ) -> Dict[str, object]:
         scenario = scenario_from_fields(fields)  # raises on invalid input
-        if checkpoint_interval is not None and float(checkpoint_interval) <= 0:
-            raise ValueError(
-                f"checkpoint_interval must be positive, got {checkpoint_interval}"
-            )
+        if checkpoint_interval is not None:
+            checked_interval(checkpoint_interval)  # HTTP 400 before queuing
         key = scenario.scenario_hash()
         with self._lock:
             pending = self._pending_count()

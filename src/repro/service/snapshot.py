@@ -36,7 +36,7 @@ import json
 import os
 import pickle
 import tempfile
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple, TypeVar
 
 from repro.core.federation import Federation
 from repro.scenario.scenario import Scenario
@@ -52,8 +52,6 @@ __all__ = [
     "write_snapshot",
     "read_header",
     "load_snapshot",
-    "write_shard_snapshot",
-    "load_shard_snapshot",
     "write_par_state",
     "load_par_state",
 ]
@@ -70,6 +68,9 @@ __all__ = [
 SNAPSHOT_FORMAT_VERSION = 4
 
 _MAGIC = b"gridfed-snapshot\n"
+_WHAT = "gridfed snapshot"
+
+T = TypeVar("T")
 
 
 class SnapshotError(RuntimeError):
@@ -137,26 +138,16 @@ def _build_header(federation: Federation, scenario: Scenario) -> SnapshotHeader:
     )
 
 
-def write_snapshot(
-    path: str | os.PathLike, federation: Federation, scenario: Scenario
-) -> SnapshotHeader:
-    """Atomically write a snapshot of a paused (between-events) federation.
+def _write_framed(path: str, magic: bytes, header_json: str, payload: dict) -> None:
+    """Atomically write ``magic | header length | JSON header | pickle``.
 
     The temporary file lives in the destination directory so the final
     ``os.replace`` is a same-filesystem rename; a crash at any point leaves
-    either the previous snapshot or the new one, never a torn file.
+    either the previous file or the new one, never a torn file.
     """
-    path = os.fspath(path)
-    header = _build_header(federation, scenario)
-    payload = {
-        "federation": federation,
-        "scenario": scenario,
-        "job_counter": job_counter_state(),
-        "event_counter": event_counter_state(),
-    }
     buffer = io.BytesIO()
-    buffer.write(_MAGIC)
-    header_bytes = header.to_json().encode("utf-8")
+    buffer.write(magic)
+    header_bytes = header_json.encode("utf-8")
     buffer.write(len(header_bytes).to_bytes(4, "big"))
     buffer.write(header_bytes)
     pickle.dump(payload, buffer, protocol=pickle.HIGHEST_PROTOCOL)
@@ -175,31 +166,64 @@ def write_snapshot(
         except OSError:
             pass
         raise
-    return header
 
 
-def _read_preamble(handle) -> SnapshotHeader:
-    magic = handle.read(len(_MAGIC))
-    if magic != _MAGIC:
-        raise SnapshotError(
-            "not a gridfed snapshot (bad magic); expected a file written by "
-            "write_snapshot / 'gridfed run --checkpoint'"
-        )
+def _read_frame_header(handle, magic: bytes, what: str) -> str:
+    """Read a framed file's magic and JSON header (never the payload)."""
+    if handle.read(len(magic)) != magic:
+        raise SnapshotError(f"not a {what} (bad magic)")
     raw_length = handle.read(4)
     if len(raw_length) != 4:
-        raise SnapshotError("truncated snapshot (header length missing)")
+        raise SnapshotError(f"truncated {what} (header length missing)")
     length = int.from_bytes(raw_length, "big")
     header_bytes = handle.read(length)
     if len(header_bytes) != length:
-        raise SnapshotError("truncated snapshot (incomplete header)")
-    return SnapshotHeader.from_json(header_bytes.decode("utf-8"))
+        raise SnapshotError(f"truncated {what} (incomplete header)")
+    try:
+        return header_bytes.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SnapshotError(f"corrupt {what} header: {exc}") from None
+
+
+def _read_framed(path: str, magic: bytes, what: str, parse: Callable[[str], T]) -> Tuple[T, dict]:
+    """Read a framed file; ``parse`` checks the header before any unpickling."""
+    try:
+        with open(path, "rb") as handle:
+            header = parse(_read_frame_header(handle, magic, what))
+            try:
+                payload = pickle.load(handle)
+            except Exception as exc:
+                raise SnapshotError(f"corrupt {what} payload in {path!r}: {exc}") from None
+    except OSError as exc:
+        raise SnapshotError(f"cannot read {what} {path!r}: {exc}") from None
+    return header, payload
+
+
+def write_snapshot(
+    path: str | os.PathLike, federation: Federation, scenario: Scenario
+) -> SnapshotHeader:
+    """Atomically write a snapshot of a paused (between-events) federation.
+
+    A parallel shard is an ordinary :class:`Federation` too: each worker
+    snapshots its own shard, so the payload carries that worker's global
+    job/event id counters.
+    """
+    header = _build_header(federation, scenario)
+    payload = {
+        "federation": federation,
+        "scenario": scenario,
+        "job_counter": job_counter_state(),
+        "event_counter": event_counter_state(),
+    }
+    _write_framed(os.fspath(path), _MAGIC, header.to_json(), payload)
+    return header
 
 
 def read_header(path: str | os.PathLike) -> SnapshotHeader:
     """Read only the JSON header of a snapshot (no unpickling)."""
     try:
         with open(path, "rb") as handle:
-            return _read_preamble(handle)
+            return SnapshotHeader.from_json(_read_frame_header(handle, _MAGIC, _WHAT))
     except OSError as exc:
         raise SnapshotError(f"cannot read snapshot {os.fspath(path)!r}: {exc}") from None
 
@@ -245,19 +269,12 @@ def load_snapshot(
     counters — useful for read-only inspection of a snapshot while another
     run is in flight in the same process.
     """
-    path = os.fspath(path)
-    try:
-        with open(path, "rb") as handle:
-            header = _read_preamble(handle)
-            verify_compatible(header, expected_scenario=expected_scenario)
-            try:
-                payload = pickle.load(handle)
-            except Exception as exc:
-                raise SnapshotError(
-                    f"corrupt snapshot payload in {path!r}: {exc}"
-                ) from None
-    except OSError as exc:
-        raise SnapshotError(f"cannot read snapshot {path!r}: {exc}") from None
+    def parse(blob: str) -> SnapshotHeader:
+        header = SnapshotHeader.from_json(blob)
+        verify_compatible(header, expected_scenario=expected_scenario)
+        return header
+
+    header, payload = _read_framed(os.fspath(path), _MAGIC, _WHAT, parse)
     federation = payload["federation"]
     scenario = payload["scenario"]
     if restore_counters:
@@ -275,43 +292,14 @@ def load_snapshot(
 #: themselves ride the ordinary snapshot format.  v2: shard harvests lost
 #: their ``engine`` field and shards pickle the v2 simulator and populations.
 #: v3: shards pickle the v3 LRMS (live admission profiles).  v4: shards and
-#: harvests pickle the v4 message ledger and transport stats.
-PAR_CHECKPOINT_VERSION = 4
+#: harvests pickle the v4 message ledger and transport stats.  v5: the
+#: coordinator state records its scenario, so a fleet checkpoint can be
+#: resumed without naming the scenario again, and the header's version key
+#: is ``version``.
+PAR_CHECKPOINT_VERSION = 5
 
 _PAR_MAGIC = b"gridfed-par-state\n"
-
-
-def write_shard_snapshot(
-    path: str | os.PathLike, federation, scenario: Scenario
-) -> SnapshotHeader:
-    """Snapshot one live :class:`~repro.par.shard.ShardFederation`.
-
-    A shard federation is an ordinary :class:`Federation` (proxies, outbox
-    and cross-shard bookkeeping included in its pickle graph), so the capture
-    is the standard :func:`write_snapshot` — called *inside the worker
-    process* so the shard's own global job/event id counters land in the
-    payload.  The supervisor restores the file with :func:`load_shard_snapshot`
-    in a fresh worker after killing a failed fleet.
-    """
-    return write_snapshot(path, federation, scenario)
-
-
-def load_shard_snapshot(
-    path: str | os.PathLike,
-    *,
-    expected_scenario: Optional[Scenario] = None,
-):
-    """Restore a shard federation snapshot inside a fresh worker process.
-
-    Restores the worker-process global job/event counters along with the
-    federation (each worker owns its own counter state), and verifies the
-    scenario hash before unpickling — a restarted fleet must never mix
-    snapshots from different runs.
-    """
-    header, federation, scenario = load_snapshot(
-        path, expected_scenario=expected_scenario, restore_counters=True
-    )
-    return header, federation, scenario
+_PAR_WHAT = "parallel checkpoint state file"
 
 
 def write_par_state(
@@ -326,39 +314,24 @@ def write_par_state(
 
     ``payload`` is the coordinator's boundary state: pending cross-shard
     traffic, pending load snapshots, per-shard next-event times, the next
-    window start and the stats counters accumulated so far.  Everything is
-    pickled behind a JSON guard header (checkpoint version, scenario hash,
-    worker count, window), so :func:`load_par_state` can refuse a mismatched
-    restore before any payload code runs.
+    window start and the stats counters accumulated so far.  The scenario
+    is pickled alongside it (so :func:`~repro.service.checkpoint.resume_run`
+    can adopt it), behind a JSON guard header (checkpoint version, scenario
+    hash, worker count, window), so :func:`load_par_state` can refuse a
+    mismatched restore before any payload code runs.
     """
-    path = os.fspath(path)
     header = {
-        "par_checkpoint_version": PAR_CHECKPOINT_VERSION,
+        "version": PAR_CHECKPOINT_VERSION,
         "scenario_hash": scenario.scenario_hash(),
         "workers": int(workers),
         "window": float(window),
     }
-    buffer = io.BytesIO()
-    buffer.write(_PAR_MAGIC)
-    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    buffer.write(len(header_bytes).to_bytes(4, "big"))
-    buffer.write(header_bytes)
-    pickle.dump(payload, buffer, protocol=pickle.HIGHEST_PROTOCOL)
-    directory = os.path.dirname(path) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".par-state-", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(buffer.getvalue())
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_path, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
-        raise
+    _write_framed(
+        os.fspath(path),
+        _PAR_MAGIC,
+        json.dumps(header, sort_keys=True),
+        {**payload, "scenario": scenario},
+    )
 
 
 def load_par_state(
@@ -372,53 +345,36 @@ def load_par_state(
     Raises :class:`SnapshotMismatchError` on a version, scenario-hash or
     worker-count mismatch and :class:`SnapshotError` on corruption — the
     supervisor treats either as "no usable checkpoint" and restarts the
-    fleet from scratch instead.
+    fleet from scratch instead.  The returned payload carries the parsed
+    ``header`` and the ``scenario`` the checkpoint was written for.
     """
-    path = os.fspath(path)
-    try:
-        with open(path, "rb") as handle:
-            magic = handle.read(len(_PAR_MAGIC))
-            if magic != _PAR_MAGIC:
-                raise SnapshotError(
-                    f"{path!r} is not a parallel checkpoint state file (bad magic)"
-                )
-            raw_length = handle.read(4)
-            if len(raw_length) != 4:
-                raise SnapshotError("truncated parallel checkpoint (header length)")
-            length = int.from_bytes(raw_length, "big")
-            header_bytes = handle.read(length)
-            if len(header_bytes) != length:
-                raise SnapshotError("truncated parallel checkpoint (incomplete header)")
-            try:
-                header = json.loads(header_bytes.decode("utf-8"))
-            except ValueError as exc:
-                raise SnapshotError(f"corrupt parallel checkpoint header: {exc}") from None
-            if header.get("par_checkpoint_version") != PAR_CHECKPOINT_VERSION:
-                raise SnapshotMismatchError(
-                    f"parallel checkpoint version {header.get('par_checkpoint_version')} "
-                    f"is not supported (this build reads {PAR_CHECKPOINT_VERSION})"
-                )
-            if (
-                expected_scenario is not None
-                and expected_scenario.scenario_hash() != header.get("scenario_hash")
-            ):
-                raise SnapshotMismatchError(
-                    "parallel checkpoint belongs to a different scenario "
-                    f"({header.get('scenario_hash', '?')[:12]}…); restart from scratch"
-                )
-            if expected_workers is not None and header.get("workers") != expected_workers:
-                raise SnapshotMismatchError(
-                    f"parallel checkpoint was taken with {header.get('workers')} "
-                    f"workers but the restart requested {expected_workers}; the "
-                    "shard partition is a function of the worker count"
-                )
-            try:
-                payload = pickle.load(handle)
-            except Exception as exc:
-                raise SnapshotError(
-                    f"corrupt parallel checkpoint payload in {path!r}: {exc}"
-                ) from None
-    except OSError as exc:
-        raise SnapshotError(f"cannot read parallel checkpoint {path!r}: {exc}") from None
+
+    def parse(blob: str) -> dict:
+        try:
+            header = json.loads(blob)
+        except ValueError as exc:
+            raise SnapshotError(f"corrupt parallel checkpoint header: {exc}") from None
+        if header.get("version") != PAR_CHECKPOINT_VERSION:
+            raise SnapshotMismatchError(
+                f"parallel checkpoint version {header.get('version', 'unknown')} "
+                f"is not supported (this build reads {PAR_CHECKPOINT_VERSION})"
+            )
+        if (
+            expected_scenario is not None
+            and expected_scenario.scenario_hash() != header.get("scenario_hash")
+        ):
+            raise SnapshotMismatchError(
+                "parallel checkpoint belongs to a different scenario "
+                f"({header.get('scenario_hash', '?')[:12]}…); restart from scratch"
+            )
+        if expected_workers is not None and header.get("workers") != expected_workers:
+            raise SnapshotMismatchError(
+                f"parallel checkpoint was taken with {header.get('workers')} "
+                f"workers but the restart requested {expected_workers}; the "
+                "shard partition is a function of the worker count"
+            )
+        return header
+
+    header, payload = _read_framed(os.fspath(path), _PAR_MAGIC, _PAR_WHAT, parse)
     payload["header"] = header
     return payload

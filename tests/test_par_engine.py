@@ -13,7 +13,6 @@ The end-to-end parity guarantees built on these pieces live in
 from __future__ import annotations
 
 import math
-import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -101,7 +100,6 @@ class TestEligibilityGate:
             (dict(explicit_inputs=True), "explicit specs/workload"),
             (dict(explicit_fault_plan=True), "fault injection"),
             (dict(validate=True), "validation"),
-            (dict(checkpointing=True), "checkpoint"),
         ],
     )
     def test_run_level_gates(self, kwargs, needle):
@@ -313,7 +311,7 @@ class TestRunnerDispatch:
     def test_run_scenario_attaches_fallback_stats(self):
         scenario = ELIGIBLE.replace(transport="uniform")
         with pytest.warns(RuntimeWarning, match="parallel engine unavailable"):
-            result = run_scenario(scenario, workers=2)
+            result = run_scenario(scenario.replace(parallel=2))
         assert result.parallel is not None
         assert not result.parallel.ran_parallel
         assert "zero cross-shard latency" in result.parallel.fallback_reason
@@ -324,11 +322,9 @@ class TestRunnerDispatch:
         assert result.parallel.ran_parallel
         assert result.parallel.workers == 2
 
-    def test_workers_argument_overrides_scenario_field(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            result = run_scenario(ELIGIBLE.replace(parallel=2), workers=1)
-        assert result.parallel is None  # 1 worker = the plain serial path
+    def test_one_worker_is_the_plain_serial_path(self):
+        result = run_scenario(ELIGIBLE.replace(parallel=1))
+        assert result.parallel is None  # no dispatch, no fallback record
 
     def test_hash_transparent_for_trivial_worker_counts(self):
         base = Scenario()

@@ -45,7 +45,7 @@ def test_golden_shapes_fall_back_to_byte_identical_serial(name, workers):
     path and the result is byte-identical to the pinned golden digest."""
     scenario = GOLDEN_SCENARIOS[name]
     with pytest.warns(RuntimeWarning, match="parallel engine unavailable"):
-        result = run_scenario(scenario, workers=workers)
+        result = run_scenario(scenario.replace(parallel=workers))
     assert result.parallel is not None
     assert not result.parallel.ran_parallel
     assert result.parallel.requested_workers == workers
@@ -84,8 +84,9 @@ class TestOracleProcessParity:
         assert result_fingerprint(first) == result_fingerprint(second)
 
     def test_run_scenario_dispatch_matches_engine(self):
-        """``run_scenario(..., workers=N)`` is exactly the engine-level run."""
-        via_runner = run_scenario(PARALLEL_SCENARIO, workers=2)
+        """``run_scenario`` of a ``parallel=N`` scenario is exactly the
+        engine-level run."""
+        via_runner = run_scenario(PARALLEL_SCENARIO.replace(parallel=2))
         direct, _ = try_parallel_run(PARALLEL_SCENARIO, workers=2)
         assert via_runner.parallel is not None
         assert via_runner.parallel.ran_parallel

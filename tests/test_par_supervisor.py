@@ -1,6 +1,6 @@
 """Supervised parallel execution under real process faults.
 
-Three layers of guarantees are pinned here:
+Four layers of guarantees are pinned here:
 
 * **Typed failures** — without supervision semantics in play, a killed,
   stopped or misbehaving worker surfaces as a :class:`WorkerFailure` naming
@@ -15,12 +15,20 @@ Three layers of guarantees are pinned here:
   and degrades to a serial re-run that matches the plain serial result
   (CLI semantics), or raises :class:`ParallelRunFailed` (daemon semantics:
   a ``failed`` job record carrying the worker-failure detail).
+* **One driver** — ``run_scenario``'s checkpoint, progress and cancel hooks
+  work for sharded runs as for serial ones: an interrupted sharded run
+  resumes byte-identically, daemon submissions report progress and cancel
+  cleanly, and no worker outlives a SIGKILLed coordinator.
 """
 
 from __future__ import annotations
 
 import os
+import shutil
 import signal
+import subprocess
+import sys
+import textwrap
 import time
 
 import pytest
@@ -29,8 +37,10 @@ from repro.par.engine import ParallelSimulator, WorkerFailure
 from repro.par.runner import try_parallel_run
 from repro.par.supervisor import ParallelRunFailed, SupervisionConfig
 from repro.scenario import Scenario, result_fingerprint, run_scenario
+from repro.service.checkpoint import CancelledRun, resume_run
 from repro.service.snapshot import (
     PAR_CHECKPOINT_VERSION,
+    SnapshotError,
     SnapshotMismatchError,
     load_par_state,
     write_par_state,
@@ -39,7 +49,7 @@ from repro.service.snapshot import (
 #: Eligible shape: active economy federation on the two-tier WAN, thinned
 #: hard so every fault test stays in seconds (same shape the hypothesis
 #: parity sweep uses).
-SCENARIO = Scenario(
+SCENARIO_FIELDS = dict(
     mode="economy",
     oft_fraction=0.3,
     workload="synthetic",
@@ -48,6 +58,9 @@ SCENARIO = Scenario(
     seed=42,
     transport="two-tier-wan",
 )
+SCENARIO = Scenario(**SCENARIO_FIELDS)
+
+_REPO_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +90,41 @@ def kill_once(victim: int, at_window: int, sig=signal.SIGKILL, phase="window"):
         os.kill(handles[victim % len(handles)].pid, sig)
 
     chaos.fired = False
+    return chaos
+
+
+#: Fleet-checkpoint cadence of the checkpointed tests: eight 60 s windows.
+CHECKPOINT_EVERY_S = 480.0
+
+
+def kill_after_checkpoints(count: int):
+    """A chaos hook that SIGKILLs shard 0 two windows after the ``count``-th
+    fleet checkpoint; its ``on_progress`` records the window count at each
+    checkpoint (progress is reported right after the checkpoint commits)."""
+
+    def chaos(phase, window, handles):
+        if phase != "window":
+            return
+        chaos.windows_seen.append(window)
+        if (
+            not chaos.fired
+            and len(chaos.checkpoints) >= count
+            and window == chaos.checkpoints[-1] + 2
+        ):
+            chaos.fired = True
+            chaos.checkpoints_at_kill = list(chaos.checkpoints)
+            os.kill(handles[0].pid, signal.SIGKILL)
+
+    def on_progress(progress):
+        if not progress.done:
+            # The boundary after window w is a cut at w + 1 windows run.
+            chaos.checkpoints.append(chaos.windows_seen[-1] + 1)
+
+    chaos.fired = False
+    chaos.windows_seen = []
+    chaos.checkpoints = []
+    chaos.checkpoints_at_kill = []
+    chaos.on_progress = on_progress
     return chaos
 
 
@@ -230,16 +278,15 @@ class TestKillParity:
     def test_checkpointed_restart_resumes_from_boundary(self, tmp_path, undisturbed):
         """With fleet checkpoints on, a late kill restarts from the last
         checkpoint (not from scratch) and still matches byte-for-byte."""
-        chaos = kill_once(victim=0, at_window=40)
-        result, stats = try_parallel_run(
-            SCENARIO,
-            workers=2,
-            supervision=SupervisionConfig(
-                chaos=chaos,
-                checkpoint_dir=str(tmp_path),
-                checkpoint_every_windows=8,
-            ),
+        chaos = kill_after_checkpoints(2)
+        result = run_scenario(
+            SCENARIO.replace(parallel=2),
+            checkpoint_dir=tmp_path,
+            checkpoint_every=CHECKPOINT_EVERY_S,
+            on_progress=chaos.on_progress,
+            supervision=SupervisionConfig(chaos=chaos),
         )
+        stats = result.parallel
         assert chaos.fired
         assert stats.restarts == 1
         assert result_fingerprint(result) == undisturbed(2)
@@ -249,32 +296,27 @@ class TestKillParity:
         assert sum(name.endswith(".snap") for name in names) == 2
 
     def test_checkpoint_resume_skips_completed_windows(self, tmp_path, undisturbed):
-        """A fresh supervised run over a directory holding a mid-run
-        checkpoint adopts it: same bytes, fewer windows executed — the
-        daemon's crash-recovery path."""
-        first = kill_once(victim=0, at_window=40)
-        windows_seen = []
-
-        def counting(phase, window, handles):
-            if phase == "window":
-                windows_seen.append(window)
-            first(phase, window, handles)
-
-        config = SupervisionConfig(
-            chaos=counting, checkpoint_dir=str(tmp_path), checkpoint_every_windows=8
+        """The restarted attempt begins at the last fleet checkpoint, not at
+        window 0: same bytes, fewer windows executed."""
+        chaos = kill_after_checkpoints(2)
+        result = run_scenario(
+            SCENARIO.replace(parallel=2),
+            checkpoint_dir=tmp_path,
+            checkpoint_every=CHECKPOINT_EVERY_S,
+            on_progress=chaos.on_progress,
+            supervision=SupervisionConfig(chaos=chaos),
         )
-        result, stats = try_parallel_run(SCENARIO, workers=2, supervision=config)
         assert result_fingerprint(result) == undisturbed(2)
-        # The restarted attempt began at the window-40 checkpoint, not 0.
-        # SIGKILL is asynchronous: the victim may flush its window-40 reply
-        # before dying, surfacing the failure one window later, so locate the
-        # restart as the one point where the window sequence stops advancing.
+        # SIGKILL is asynchronous: the victim may flush its reply before
+        # dying, surfacing the failure a window later, so locate the restart
+        # as the one point where the window sequence stops advancing.
+        seen = chaos.windows_seen
         restart_points = [
-            after
-            for before, after in zip(windows_seen, windows_seen[1:])
-            if after <= before
+            after for before, after in zip(seen, seen[1:]) if after <= before
         ]
-        assert restart_points == [40]
+        last_checkpoint = chaos.checkpoints_at_kill[-1]
+        assert last_checkpoint > 0
+        assert restart_points == [last_checkpoint]
 
     def test_supervised_matches_in_process_oracle_without_faults(self):
         """Fault-free, the supervisor restarts nothing, and its run matches
@@ -316,7 +358,7 @@ class TestDegradation:
         serial = result_fingerprint(run_scenario(SCENARIO))
         config = SupervisionConfig(chaos=self.persistent_fault(), max_restarts=1)
         with pytest.warns(RuntimeWarning, match="degraded to serial"):
-            result = run_scenario(SCENARIO, workers=2, supervision=config)
+            result = run_scenario(SCENARIO.replace(parallel=2), supervision=config)
         stats = result.parallel
         assert stats is not None
         assert stats.degraded
@@ -325,6 +367,41 @@ class TestDegradation:
         assert stats.worker_failures == 2
         assert "SIGKILL" in stats.failure_detail
         assert "degraded" in stats.describe()
+        assert result_fingerprint(result) == serial
+
+    def test_degraded_run_resumes_its_serial_checkpoint(self, tmp_path):
+        """A degraded run discards its fleet checkpoint: resuming its
+        interrupted serial re-run reproduces the serial digest."""
+        serial = result_fingerprint(run_scenario(SCENARIO))
+        killed = set()
+
+        def chaos(phase, window, handles):
+            # Every fleet dies once a fleet checkpoint exists.
+            pid = handles[0].pid
+            if phase == "window" and (tmp_path / "par-state.bin").exists():
+                if pid not in killed:
+                    killed.add(pid)
+                    os.kill(pid, signal.SIGKILL)
+
+        def cancel_serial(progress):
+            if len(killed) == 2:  # both attempts died: the serial re-run reports
+                raise CancelledRun("interrupted by test")
+
+        config = SupervisionConfig(chaos=chaos, max_restarts=1)
+        with pytest.warns(RuntimeWarning, match="degraded to serial"):
+            with pytest.raises(CancelledRun):
+                run_scenario(
+                    SCENARIO.replace(parallel=2),
+                    checkpoint_dir=tmp_path,
+                    checkpoint_every=CHECKPOINT_EVERY_S,
+                    on_progress=cancel_serial,
+                    supervision=config,
+                )
+        assert len(killed) == 2
+        assert os.listdir(tmp_path) == ["latest.ckpt"]
+        result, adopted = resume_run(tmp_path)
+        assert adopted == SCENARIO.replace(parallel=2)
+        assert result.parallel is None
         assert result_fingerprint(result) == serial
 
     def test_degrade_disabled_raises_parallel_run_failed(self):
@@ -382,8 +459,8 @@ class TestParStateGuards:
         surface as a corrupt-payload error."""
         path = tmp_path / "par-state.bin"
         write_par_state(str(path), scenario=SCENARIO, workers=2, window=60.0, payload={})
-        current = b'"par_checkpoint_version": %d' % PAR_CHECKPOINT_VERSION
-        previous = b'"par_checkpoint_version": %d' % (PAR_CHECKPOINT_VERSION - 1)
+        current = b'"version": %d' % PAR_CHECKPOINT_VERSION
+        previous = b'"version": %d' % (PAR_CHECKPOINT_VERSION - 1)
         raw = path.read_bytes()
         assert raw.count(current) == 1 and len(current) == len(previous)
         header_end = raw.index(current) + raw[raw.index(current):].index(b"}") + 1
@@ -399,12 +476,12 @@ class TestParStateGuards:
         falls back to a scratch restart and parity still holds."""
         (tmp_path / "par-state.bin").write_bytes(b"garbage, not a checkpoint")
         chaos = kill_once(victim=0, at_window=2)
-        result, stats = try_parallel_run(
-            SCENARIO,
-            workers=2,
-            supervision=SupervisionConfig(chaos=chaos, checkpoint_dir=str(tmp_path)),
+        result = run_scenario(
+            SCENARIO.replace(parallel=2),
+            checkpoint_dir=tmp_path,
+            supervision=SupervisionConfig(chaos=chaos),
         )
-        assert stats.restarts == 1
+        assert result.parallel.restarts == 1
         assert result_fingerprint(result) == undisturbed(2)
 
 
@@ -451,6 +528,49 @@ class TestDaemonSupervision:
         assert health["parallel"]["runs"] == 1
         assert health["parallel"]["failed"] == 0
 
+    def test_parallel_submission_reports_progress(self, client, daemon):
+        sid = client.submit(dict(self.FIELDS), checkpoint_interval=1800.0)
+        record = client.wait(sid, timeout=180.0)
+        assert record["status"] == "completed", record.get("error")
+        progress = daemon.state.load_progress(sid)
+        assert progress is not None
+        assert progress["done"] is True
+        assert progress["percent"] == 100.0
+        assert progress["jobs_completed"] > 0
+        assert progress["jobs_total"] >= progress["jobs_completed"]
+
+    def test_cancel_mid_run_leaves_no_workers(self, client, daemon, monkeypatch):
+        """A cancel lands at the next boundary that reports progress: the
+        record ends ``cancelled`` and the fleet's worker processes are gone."""
+        import dataclasses
+        import threading
+
+        import repro.par.runner as par_runner
+
+        real = par_runner.try_parallel_run
+        reached, release = threading.Event(), threading.Event()
+        workers = []
+
+        def chaos(phase, window, handles):
+            if phase == "window" and window == 3 and not reached.is_set():
+                workers.extend(handle.pid for handle in handles)
+                reached.set()
+                release.wait(timeout=60.0)
+
+        def held(scenario, **kwargs):
+            kwargs["supervision"] = dataclasses.replace(kwargs["supervision"], chaos=chaos)
+            return real(scenario, **kwargs)
+
+        monkeypatch.setattr(par_runner, "try_parallel_run", held)
+        sid = client.submit(dict(self.FIELDS), checkpoint_interval=600.0)
+        assert reached.wait(timeout=120.0), "the sharded run never reached window 3"
+        client.cancel(sid)
+        release.set()
+        record = client.wait(sid, timeout=120.0)
+        assert record["status"] == "cancelled"
+        assert len(workers) == 2
+        assert wait_until_gone(workers, timeout=30.0) == []
+
     def test_exhausted_restarts_land_as_failed_record(
         self, client, daemon, monkeypatch
     ):
@@ -491,6 +611,163 @@ class TestDaemonSupervision:
         assert health["parallel"]["worker_failures"] == 1
 
 
+class TestShardedCheckpoints:
+    """Checkpoint, resume, progress and cancellation work for sharded runs
+    exactly as for serial ones: the boundary policy drives both loops."""
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_interrupted_run_resumes_byte_identical(self, workers, tmp_path, undisturbed):
+        """The sharded resume oracle: cancel after the first fleet
+        checkpoint, then ``resume_run`` and a repeated ``run_scenario`` over
+        a copy of the directory each reproduce the uninterrupted digest."""
+        scenario = SCENARIO.replace(parallel=workers)
+        first, second = tmp_path / "first", tmp_path / "second"
+        reports = []
+
+        def interrupt(progress):
+            reports.append(progress)
+            raise CancelledRun("interrupted by test")
+
+        with pytest.raises(CancelledRun):
+            run_scenario(
+                scenario, checkpoint_dir=first, checkpoint_every=1800.0, on_progress=interrupt
+            )
+        names = os.listdir(first)
+        assert "par-state.bin" in names
+        assert sum(name.endswith(".snap") for name in names) == workers
+        shutil.copytree(first, second)
+
+        result, adopted = resume_run(first, checkpoint_every=1800.0)
+        assert adopted == scenario
+        assert result.parallel.ran_parallel
+        assert result_fingerprint(result) == undisturbed(workers)
+
+        continued = []
+        again = run_scenario(
+            scenario, checkpoint_dir=second, checkpoint_every=1800.0, on_progress=continued.append
+        )
+        assert again.parallel.ran_parallel
+        assert result_fingerprint(again) == undisturbed(workers)
+        # The continue rule adopted the checkpoint: no boundary repeats.
+        assert continued[0].sim_time > reports[0].sim_time
+
+    def test_progress_reports_like_a_serial_run(self):
+        serial, sharded = [], []
+        plain = run_scenario(SCENARIO, checkpoint_every=1800.0, on_progress=serial.append)
+        result = run_scenario(
+            SCENARIO.replace(parallel=2), checkpoint_every=1800.0, on_progress=sharded.append
+        )
+        assert len(sharded) > 2
+        assert [p.done for p in sharded] == [False] * (len(sharded) - 1) + [True]
+        assert sharded[-1].percent == 100.0
+        times = [p.sim_time for p in sharded]
+        assert times == sorted(times)
+        final = sharded[-1]
+        assert final.jobs_total == serial[-1].jobs_total == len(plain.jobs)
+        assert final.jobs_completed == len(result.completed_jobs())
+        assert final.events_processed == result.events_processed
+        assert final.pending_events == 0
+
+    @pytest.mark.parametrize("with_directory", [False, True])
+    def test_oracle_backend_refuses_a_boundary_policy(self, with_directory, tmp_path):
+        from repro.service.checkpoint import BoundaryPolicy
+
+        policy = BoundaryPolicy(
+            tmp_path if with_directory else None, on_progress=lambda progress: None
+        )
+        with pytest.raises(ValueError, match="process"):
+            try_parallel_run(SCENARIO, workers=2, backend="oracle", boundary=policy)
+
+    def test_resume_refuses_a_mismatched_fleet_checkpoint(self, tmp_path):
+        with pytest.raises(CancelledRun):
+            run_scenario(
+                SCENARIO.replace(parallel=2),
+                checkpoint_dir=tmp_path,
+                checkpoint_every=1800.0,
+                on_progress=_cancel,
+            )
+        with pytest.raises(SnapshotMismatchError):
+            resume_run(tmp_path, expected_scenario=SCENARIO.replace(parallel=2, seed=7))
+        for name in os.listdir(tmp_path):
+            if name.endswith(".snap"):
+                os.unlink(tmp_path / name)
+        with pytest.raises(SnapshotError, match="incomplete"):
+            resume_run(tmp_path)
+
+
+def _cancel(progress):
+    raise CancelledRun("interrupted by test")
+
+
+def _pid_alive(pid: int) -> bool:
+    """Whether ``pid`` runs (a zombie awaiting its reaper does not)."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except (OSError, IndexError):
+        return False
+
+
+def wait_until_gone(pids, timeout: float):
+    """Poll until none of ``pids`` runs or ``timeout`` passes; the survivors."""
+    deadline = time.monotonic() + timeout
+    alive = list(pids)
+    while alive and time.monotonic() < deadline:
+        time.sleep(0.05)
+        alive = [pid for pid in alive if _pid_alive(pid)]
+    return alive
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+class TestCoordinatorDeath:
+    """Shard workers must not outlive a SIGKILLed coordinator: each one sees
+    its pipe reach EOF and exits."""
+
+    def test_workers_exit_when_the_coordinator_is_sigkilled(self, tmp_path):
+        pid_file = tmp_path / "worker-pids"
+        script = textwrap.dedent(
+            f"""
+            import os, time
+            from repro.par.runner import try_parallel_run
+            from repro.par.supervisor import SupervisionConfig
+            from repro.scenario import Scenario
+
+            def chaos(phase, window, handles):
+                if phase == "window" and window == 1:
+                    with open({str(pid_file) + ".tmp"!r}, "w") as handle:
+                        handle.write(" ".join(str(h.pid) for h in handles))
+                    os.replace({str(pid_file) + ".tmp"!r}, {str(pid_file)!r})
+                    time.sleep(600)
+
+            try_parallel_run(
+                Scenario(**{SCENARIO_FIELDS!r}),
+                workers=2,
+                supervision=SupervisionConfig(chaos=chaos),
+            )
+            """
+        )
+        env = dict(os.environ, PYTHONPATH=_REPO_SRC)
+        coordinator = subprocess.Popen([sys.executable, "-c", script], env=env)
+        workers = []
+        try:
+            deadline = time.monotonic() + 120.0
+            while not pid_file.exists():
+                assert coordinator.poll() is None, "the coordinator exited early"
+                assert time.monotonic() < deadline, "the run never reached window 1"
+                time.sleep(0.05)
+            workers = [int(pid) for pid in pid_file.read_text().split()]
+            assert len(workers) == 2
+            coordinator.kill()
+            coordinator.wait(timeout=30.0)
+            assert wait_until_gone(workers, timeout=30.0) == []
+        finally:
+            if coordinator.poll() is None:
+                coordinator.kill()
+                coordinator.wait(timeout=30.0)
+            for pid in wait_until_gone(workers, timeout=0.0):
+                os.kill(pid, signal.SIGKILL)
+
+
 class TestConfigValidation:
     @pytest.mark.parametrize(
         "kwargs",
@@ -499,7 +776,6 @@ class TestConfigValidation:
             {"start_timeout_s": -1.0},
             {"max_restarts": -1},
             {"backoff_jitter": 1.5},
-            {"checkpoint_every_windows": 0},
         ],
     )
     def test_bad_values_rejected(self, kwargs):

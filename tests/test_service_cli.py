@@ -9,6 +9,7 @@ import signal
 import subprocess
 import sys
 import time
+import warnings
 
 import pytest
 
@@ -59,6 +60,41 @@ class TestRunFlags:
         err = capsys.readouterr().err
         assert "scenario mismatch" in err
         assert "seed=99" in err
+
+    def test_sharded_checkpoint_then_resume_matches(self, tmp_path, capsys):
+        """--checkpoint and --resume serve --workers runs: the run stays
+        sharded, leaves a fleet checkpoint, and resumes to the same digest."""
+        sharded = ["run", *_FAST_ARGS, "--topology", "two-tier-wan", "--workers", "2"]
+        assert main(sharded) == 0
+        out = capsys.readouterr().out
+        assert "par: 2 workers (process)" in out
+        plain = _fingerprint(out)
+        ckpt = tmp_path / "ckpt"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no serial-fallback RuntimeWarning
+            assert main([*sharded, "--checkpoint", str(ckpt), "--checkpoint-interval", "1800"]) == 0
+        out = capsys.readouterr().out
+        assert "par: 2 workers (process)" in out
+        assert _fingerprint(out) == plain
+        assert (ckpt / "par-state.bin").exists()
+        assert main(["run", "--resume", str(ckpt)]) == 0
+        out = capsys.readouterr().out
+        assert "par: 2 workers (process)" in out
+        assert _fingerprint(out) == plain
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", *_FAST_ARGS, "--checkpoint-interval", "nan"],
+            ["run", *_FAST_ARGS, "--checkpoint-interval", "inf"],
+            ["daemon", "--state", "{tmp}", "--checkpoint-interval", "inf"],
+        ],
+        ids=["run-nan", "run-inf", "daemon-inf"],
+    )
+    def test_non_finite_checkpoint_interval_is_exit_2(self, tmp_path, capsys, argv):
+        argv = [arg.replace("{tmp}", str(tmp_path / "state")) for arg in argv]
+        assert main(argv) == 2
+        assert "finite positive" in capsys.readouterr().err
 
     def test_parser_knows_daemon_command(self):
         args = build_parser().parse_args(

@@ -11,6 +11,7 @@ error responses, and the durable-queue recovery path.
 from __future__ import annotations
 
 import json
+import math
 import threading
 import time
 import urllib.request
@@ -176,10 +177,17 @@ class TestServingLoop:
             urllib.request.urlopen(request, timeout=5.0)
         assert excinfo.value.code == 404
 
-    def test_checkpoint_interval_validation(self, client):
+    @pytest.mark.parametrize("interval", [-5.0, math.nan, math.inf])
+    def test_checkpoint_interval_validation(self, client, interval):
         with pytest.raises(DaemonError) as excinfo:
-            client.submit(_fast(), checkpoint_interval=-5.0)
+            client.submit(_fast(), checkpoint_interval=interval)
         assert excinfo.value.status == 400
+        assert client.jobs() == []  # refused before anything was queued
+
+    @pytest.mark.parametrize("interval", [0.0, math.nan, math.inf])
+    def test_daemon_interval_validation(self, tmp_path, interval):
+        with pytest.raises(ValueError, match="finite positive"):
+            GridfedDaemon(tmp_path / "state", port=0, checkpoint_interval=interval)
 
 
 class TestBackpressure:

@@ -10,6 +10,7 @@ any payload unpickling.
 
 from __future__ import annotations
 
+import math
 import pickle
 import pickletools
 
@@ -20,7 +21,6 @@ from repro.service.checkpoint import (
     CancelledRun,
     RunProgress,
     resume_run,
-    run_checkpointed,
     snapshot_path,
 )
 from repro.service.snapshot import (
@@ -366,11 +366,58 @@ class TestSnapshotFormat:
 
 
 class TestRunnerIntegration:
-    def test_run_checkpointed_requires_positive_interval(self, tmp_path):
-        from repro.scenario.runner import run_scenario as rs
+    @pytest.mark.parametrize("interval", [0.0, -600.0, math.nan, math.inf])
+    def test_checkpoint_interval_must_be_finite_and_positive(self, tmp_path, interval):
+        with pytest.raises(ValueError, match="finite positive"):
+            run_scenario(_FAST, checkpoint_dir=tmp_path, checkpoint_every=interval)
+        assert list(tmp_path.iterdir()) == []
 
-        with pytest.raises(ValueError):
-            rs(_FAST, checkpoint_dir=tmp_path, checkpoint_every=0.0)
+    def test_rerun_over_a_checkpoint_continues_from_it(self, tmp_path):
+        """The continue rule: a run over a directory that holds this
+        scenario's snapshot adopts it — later boundaries, the same bytes."""
+        expected = result_fingerprint(run_scenario(_FAST))
+        _write_fast_snapshot(tmp_path)
+        assert read_header(snapshot_path(tmp_path)).sim_time == 600.0
+        reports = []
+        result = run_scenario(
+            _FAST, checkpoint_dir=tmp_path, checkpoint_every=600.0, on_progress=reports.append
+        )
+        assert reports[0].sim_time == 1200.0
+        assert result_fingerprint(result) == expected
+
+    @pytest.mark.parametrize(
+        "case", ["other-scenario", "unreadable", "bad-header", "validate", "fault-plan"]
+    )
+    def test_checkpoint_not_adopted_starts_fresh(self, tmp_path, case):
+        """A snapshot of another scenario, an unreadable one, or a run with
+        inputs the snapshot guard cannot see: the run starts from zero."""
+        from repro.faults.plan import FaultPlan
+
+        path = _write_fast_snapshot(tmp_path)
+        scenario, kwargs = _FAST, {}
+        if case == "other-scenario":
+            scenario = _FAST.replace(seed=8)
+        elif case == "unreadable":
+            with open(path, "wb") as handle:
+                handle.write(b"not a snapshot")
+        elif case == "bad-header":
+            with open(path, "wb") as handle:
+                handle.write(b"gridfed-snapshot\n" + (2).to_bytes(4, "big") + b"\xff\xfe")
+        elif case == "validate":
+            kwargs = {"validate": True}
+        else:
+            kwargs = {"fault_plan": FaultPlan()}
+        reports = []
+        result = run_scenario(
+            scenario,
+            checkpoint_dir=tmp_path,
+            checkpoint_every=600.0,
+            on_progress=reports.append,
+            **kwargs,
+        )
+        assert reports[0].sim_time == 600.0
+        assert result_fingerprint(result) == result_fingerprint(run_scenario(scenario))
+        assert read_header(path).scenario_hash == scenario.scenario_hash()
 
     def test_on_progress_alone_enables_chunked_path(self):
         """No checkpoint dir: progress reporting alone must not change results."""
@@ -378,26 +425,3 @@ class TestRunnerIntegration:
         result = run_scenario(_FAST, on_progress=observations.append)
         assert observations[-1].done
         assert result_fingerprint(result) == result_fingerprint(run_scenario(_FAST))
-
-    def test_run_checkpointed_direct_api(self, tmp_path):
-        """The service-layer entry point used by the daemon."""
-        from repro.scenario.registry import AGENT_REGISTRY, PRICING_REGISTRY, WORKLOAD_REGISTRY
-        from repro.sim.rng import RandomStreams
-        from repro.workload.archive import build_federation_specs
-        from repro.workload.job import reset_job_counter
-
-        from repro.scenario.runner import resolve_resources
-
-        scenario = _FAST
-        archive = resolve_resources(scenario, None)
-        specs = build_federation_specs(archive)
-        provider = WORKLOAD_REGISTRY.get(scenario.workload)
-        reset_job_counter()
-        workload = provider(scenario, RandomStreams(scenario.seed), archive)
-        federation = PRICING_REGISTRY.get(scenario.pricing)(
-            scenario, specs, workload, scenario.to_config(), AGENT_REGISTRY.get(scenario.agent)
-        )
-        result = run_checkpointed(
-            federation, scenario, checkpoint_dir=tmp_path, checkpoint_every=600.0
-        )
-        assert result_fingerprint(result) == result_fingerprint(run_scenario(scenario))
