@@ -3,10 +3,13 @@
 The paper assumes an ``O(log n)`` directory and never times it; these
 benchmarks measure the scheduling hot path directly:
 
-* resumable query sessions vs the version-stamped ranking cache, on
-  identical probe plans that both must answer identically,
+* resumable directory query sessions on a DBC-like probe plan (every rank
+  a negotiation walks, the exhausted probe included),
 * raw event-kernel throughput of the slotted/tuple-heap simulator,
 * the full Table-3 federation run end to end, with its result fingerprint.
+
+Each call returns ``gridfed bench`` rows: a ``key``, the timed ``seconds``
+and the row's ``problem`` (``None`` when its check passed).
 
 Run with ``pytest benchmarks/test_bench_perf_kernel.py -m benchmarks``; the
 JSON trajectory is produced by ``gridfed bench`` (see docs/PERFORMANCE.md).
@@ -37,20 +40,18 @@ def test_bench_directory_queries(benchmark):
     print()
     print(
         render_table(
-            ["Clusters", "Probes", "Session ms", "Cached ms"],
-            [
-                [r["clusters"], r["probes"], 1e3 * r["session_s"], 1e3 * r["cached_s"]]
-                for r in rows
-            ],
-            title="Directory rank queries — resumable session vs ranking cache",
+            ["Clusters", "Probes", "Session ms"],
+            [[r["clusters"], r["probes"], 1e3 * r["seconds"]] for r in rows],
+            title="Directory rank queries — resumable sessions",
         )
     )
 
     for row in rows:
-        # Correctness first: both strategies answered identically.
-        assert row["results_identical"], row
+        assert row["problem"] is None, row
+        # Every job probes at least once, the exhausted probe included.
+        assert row["probes"] >= PROBE_JOBS, row
         benchmark.extra_info[f"session_ms_{row['clusters']}"] = round(
-            1e3 * row["session_s"], 3
+            1e3 * row["seconds"], 3
         )
 
 
@@ -79,7 +80,7 @@ def test_bench_table3_end_to_end(benchmark):
     print(
         render_table(
             ["Clusters", "Jobs", "Events", "Seconds"],
-            [[r["clusters"], r["jobs"], r["events"], r["session_s"]] for r in rows],
+            [[r["clusters"], r["jobs"], r["events"], r["seconds"]] for r in rows],
             title="Table-3 federation run end to end",
         )
     )

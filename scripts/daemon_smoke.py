@@ -8,8 +8,11 @@ served instantly from the persistent result cache, and shuts the daemon
 down cleanly.  A second phase exercises backpressure end to end: a
 ``max_pending=1`` daemon is saturated, the overflow submission is refused
 with 429 + ``Retry-After``, and a patient client backs off through the 429
-window until the slot frees and its submission completes.  Exits non-zero
-on any failure.
+window until the slot frees and its submission completes.  A third phase
+runs a ``workers=2`` (process-pool) daemon: ``POST /shutdown`` while a
+submission of a few seconds is running must leave its record ``queued`` and
+no pool process alive, and a restarted daemon must complete it to the
+fingerprint of a direct ``run_scenario``.  Exits non-zero on any failure.
 
 Usage::
 
@@ -18,12 +21,13 @@ Usage::
 
 from __future__ import annotations
 
+import multiprocessing
 import sys
 import tempfile
 import threading
 import time
 
-from repro.scenario import Scenario
+from repro.scenario import Scenario, result_fingerprint, run_scenario
 from repro.service import DaemonClient, DaemonError, GridfedDaemon
 
 
@@ -79,10 +83,11 @@ def main() -> int:
             client.shutdown()
         finally:
             daemon.stop()
-    status = backpressure_phase()
+    status = backpressure_phase() or pool_shutdown_phase()
     if status != 0:
         return status
-    print("[daemon-smoke] OK: serve loop, cache hit, backpressure and clean shutdown")
+    print("[daemon-smoke] OK: serve loop, cache hit, backpressure, clean shutdown "
+          "and pool shutdown requeue")
     return 0
 
 
@@ -130,6 +135,56 @@ def backpressure_phase() -> int:
                   f"{time.perf_counter() - t0:.2f}s", flush=True)
         finally:
             daemon.stop()
+    return 0
+
+
+def pool_shutdown_phase() -> int:
+    """workers=2: POST /shutdown requeues the running submission, leaves no
+    pool process behind, and a restarted daemon completes it."""
+    # About three seconds under the ten-minute checkpoint cadence.
+    scenario = Scenario(workload="synthetic", horizon=24 * 3600.0, thin=2, seed=31)
+    with tempfile.TemporaryDirectory(prefix="gridfed-daemon-pool-") as state_dir:
+        daemon = GridfedDaemon(state_dir, port=0, workers=2, checkpoint_interval=600.0)
+        daemon.start()
+        client = DaemonClient(daemon.address, timeout=10.0)
+        try:
+            sid = client.submit(scenario)
+            deadline = time.monotonic() + 60.0
+            while not client.status(sid).get("progress"):
+                if time.monotonic() > deadline:
+                    print(f"[daemon-smoke] FAIL: {sid} reported no progress",
+                          file=sys.stderr)
+                    return 1
+                time.sleep(0.05)
+            client.shutdown()
+        finally:
+            daemon.stop()  # returns once the shutdown has finished
+        status = daemon.state.load_record(sid)["status"]
+        if status != "queued":
+            print(f"[daemon-smoke] FAIL: shutdown left {sid} {status}, "
+                  "not queued", file=sys.stderr)
+            return 1
+        alive = multiprocessing.active_children()
+        if alive:
+            print(f"[daemon-smoke] FAIL: pool processes survived shutdown: "
+                  f"{alive}", file=sys.stderr)
+            return 1
+        print(f"[daemon-smoke] workers=2 shutdown requeued {sid}, no pool "
+              "process left", flush=True)
+        revived = GridfedDaemon(state_dir, port=0, workers=2, checkpoint_interval=600.0)
+        revived.start()
+        try:
+            record = DaemonClient(revived.address, timeout=10.0).wait(sid, timeout=600)
+        finally:
+            revived.stop()
+        expected = result_fingerprint(run_scenario(scenario))
+        if record["status"] != "completed" or record["fingerprint"] != expected:
+            print(f"[daemon-smoke] FAIL: resumed {sid} ended {record['status']} "
+                  f"with fingerprint {record.get('fingerprint')}, expected "
+                  f"{expected}", file=sys.stderr)
+            return 1
+        print(f"[daemon-smoke] restarted daemon completed {sid} "
+              f"fingerprint={expected[:16]}…", flush=True)
     return 0
 
 

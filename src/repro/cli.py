@@ -387,21 +387,11 @@ def _load_baseline(path: str):
 
 
 def cmd_bench(args) -> str:
-    from repro.perf import (
-        compare_to_baseline,
-        render_comparison,
-        render_report,
-        run_benchmarks,
-        write_report,
-    )
+    from repro.perf import render_comparison, render_report, run_benchmarks, write_report
 
     # Validate the baseline up front: a missing or stale-schema file should
     # fail in milliseconds, not after minutes of benchmarking.
-    baseline = None
-    if args.compare:
-        baseline = _load_baseline(args.compare)
-    elif args.baseline:
-        baseline = _load_baseline(args.baseline)
+    baseline = _load_baseline(args.compare) if args.compare else None
     report = run_benchmarks(args.scale, seed=args.seed)
     path = write_report(report, args.out)
     output = render_report(report) + f"\nreport written to {path}\n"
@@ -417,14 +407,6 @@ def cmd_bench(args) -> str:
                 + "\n  ".join(problems)
             )
         output += "\n" + table
-    elif args.baseline:
-        problems = compare_to_baseline(report, baseline, max_regression=args.max_regression)
-        if problems:
-            raise ValueError(
-                "performance regression vs "
-                f"{args.baseline}:\n  " + "\n  ".join(problems)
-            )
-        output += f"baseline check passed ({args.baseline}, max {args.max_regression:.1f}x)\n"
     return output
 
 
@@ -487,7 +469,7 @@ _COMMAND_HELP = {
     "run": "run any registered scenario and print its processing table",
     "sweep": "run a profile/size sweep of a registered scenario (parallelisable)",
     "bench": "hot-path perf benchmarks; writes benchmarks/BENCH_perf.json, "
-    "optional regression gate (--baseline / --compare)",
+    "optional regression gate (--compare)",
     "profile": "cProfile one scenario run and print its top-N hotspot table",
     "daemon": "serve scenario submissions over local HTTP with a persistent "
     "memo cache and checkpointed, kill-survivable runs",
@@ -759,16 +741,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="path of the JSON report to write (git-ignored by default)",
     )
     bench_parser.add_argument(
-        "--baseline",
-        default=None,
-        help="baseline BENCH_perf.json to gate against (exit 2 on regression)",
-    )
-    bench_parser.add_argument(
         "--compare",
         default=None,
         metavar="BASELINE",
-        help="like --baseline, but prints a per-benchmark ratio table with "
-        "pass/fail against the regression gate",
+        help="baseline BENCH_perf.json to gate against: prints a per-benchmark "
+        "ratio table with pass/fail (exit 2 on regression)",
     )
     bench_parser.add_argument(
         "--max-regression",

@@ -89,9 +89,8 @@ class DynamicPricingFederation(Federation):
             self._last_enquiries[name] = total
         total_enquiries = sum(enquiry_deltas.values())
         # The whole repricing tick is one same-timestamp quote-refresh storm:
-        # batching it costs every version-stamped consumer (ranking caches,
-        # open query sessions) a single invalidation instead of one per
-        # re-quoted cluster.
+        # batching it costs every open query session a single invalidation
+        # instead of one per re-quoted cluster.
         with self.directory.batch_updates():
             for name, gfa in self.gfas.items():
                 if not gfa.alive or not self.directory.is_subscribed(name):

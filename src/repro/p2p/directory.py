@@ -3,9 +3,11 @@
 Every GFA publishes a *quote* — its resource description ``R_i`` and access
 price ``c_i`` — into the directory and queries it for the k-th cheapest or
 k-th fastest cluster while scheduling (Fig. 1).  The directory is backed by
-one :class:`~repro.p2p.overlay.SkipListIndex` per ranking criterion, so rank
-queries take ``O(log n)`` hops; the measured hop counts are recorded next to
-the paper's assumed ``ceil(log2 n)`` cost so the assumption can be audited.
+one :class:`~repro.p2p.overlay.SkipListIndex` per ranking criterion, and a
+job's probes ``k = 1, 2, 3, ...`` are answered by one resumable
+:class:`DirectoryQuerySession` (``open_session(criterion,
+min_processors).kth(k)``); the measured hop counts are recorded next to the
+paper's assumed ``ceil(log2 n)`` cost so the assumption can be audited.
 
 The directory also accepts *load reports* (expected queue wait per resource).
 The base Grid-Federation protocol never reads them; the coordination extension
@@ -19,7 +21,7 @@ import enum
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional
 
 import numpy as np
 
@@ -126,10 +128,9 @@ class DirectoryQuerySession(_ServeEachQuoteOnce):
     Sessions are *version-stamped*: any subscribe / unsubscribe /
     ``update_quote`` bumps the directory version and the next probe
     transparently restarts its sweep, so results always equal what a fresh
-    :meth:`FederationDirectory.query` would return (dynamic pricing stays
-    correct).  Query accounting (query count, assumed ``O(log n)`` message
-    cost, measured overlay hops) is identical in structure to the one-shot
-    path: one probe equals one query.
+    session's ``kth`` would return (dynamic pricing stays correct).  Query
+    accounting: one probe is one query (its count, its assumed ``O(log n)``
+    message cost, and the overlay hops it actually walked).
     """
 
     __slots__ = (
@@ -171,9 +172,10 @@ class DirectoryQuerySession(_ServeEachQuoteOnce):
     def kth(self, rank: int) -> Optional[DirectoryQuote]:
         """The ``rank``-th matching quote (1-based), or ``None`` when exhausted.
 
-        Same contract as :meth:`FederationDirectory.query`, but consecutive
-        calls resume the sweep from the last matched rank instead of
-        re-scanning.
+        ``rank`` counts only the clusters that pass the session's processor
+        filter; ``None`` (fewer than ``rank`` match) is the signal that the
+        DBC iteration is exhausted.  Consecutive calls resume the sweep from
+        the last matched rank instead of re-scanning.
         """
         if rank < 1:
             raise ValueError(f"rank must be at least 1, got {rank}")
@@ -222,20 +224,18 @@ class FederationDirectory:
         self._stats = _QueryStats()
         self.load_updates: int = 0
         #: Membership/quote version: bumped by subscribe, unsubscribe and
-        #: update_quote.  Stamps the ranking cache and open query sessions.
+        #: update_quote.  Stamps open query sessions.
         self._version: int = 0
         # Batch state: while a batch_updates() block is open, membership
         # changes set the dirty flag instead of bumping the version, so a
         # same-timestamp storm of quote refreshes (dynamic pricing reprices
-        # every cluster in one tick) invalidates the ranking caches and
-        # restarts open sessions exactly once.
+        # every cluster in one tick) restarts open sessions exactly once.
         self._batch_depth: int = 0
         self._batch_dirty: bool = False
         # Optional hook fired on every version bump; a ShardedDirectory
         # installs one so its aggregate version stays an O(1) counter instead
         # of an O(shards) sum recomputed on every session probe.
         self._on_version_bump = None
-        self._ranking_cache: Dict[Tuple[RankCriterion, int], Tuple[int, List[DirectoryQuote]]] = {}
         # Control-plane accounting: when a transport is attached (the
         # federation does it), every subscribe / quote / query RPC is counted
         # against this directory node in the transport's stats.
@@ -265,17 +265,17 @@ class FederationDirectory:
 
         Subscribes / unsubscribes / quote updates inside the block are
         applied to the overlay immediately, but the version is bumped *once*
-        at the outermost exit — so version-stamped consumers (ranking caches,
-        open query sessions, sharded merge sessions) pay one invalidation for
-        the whole storm instead of one per call.  This is what keeps the
+        at the outermost exit — so version-stamped consumers (open query
+        sessions, sharded merge sessions) pay one invalidation for the whole
+        storm instead of one per call.  This is what keeps the
         dynamic-pricing repricing tick (every cluster re-quotes at the same
         timestamp) from restarting every open negotiation sweep n times.
 
         Rank queries are forbidden inside the block (they raise
         :class:`~repro.p2p.overlay.OverlayError`): with the bump deferred, a
-        mid-batch query could cache a half-applied ranking against the old
-        version.  Publication-side reads (``quote_of``, membership tests)
-        remain legal.
+        session probed mid-batch would keep a half-applied ranking stamped
+        with the old version.  Publication-side reads (``quote_of``,
+        membership tests) remain legal.
         """
         self._batch_depth += 1
         try:
@@ -361,7 +361,7 @@ class FederationDirectory:
     # ------------------------------------------------------------------ #
     @property
     def version(self) -> int:
-        """Current membership/quote version (see sessions and ranking cache)."""
+        """Current membership/quote version (see :class:`DirectoryQuerySession`)."""
         return self._version
 
     def _index_for(self, criterion: RankCriterion) -> SkipListIndex:
@@ -400,81 +400,23 @@ class FederationDirectory:
         """Latest load report for a GFA (0.0 if it never reported)."""
         return self._load_reports.get(gfa_name, 0.0)
 
-    def query(
-        self,
-        criterion: RankCriterion,
-        rank: int,
-        min_processors: int = 1,
-    ) -> Optional[DirectoryQuote]:
-        """Return the ``rank``-th cluster under ``criterion`` (1-based).
+    def open_session(
+        self, criterion: RankCriterion, min_processors: int = 1
+    ) -> "DirectoryQuerySession":
+        """Open a resumable rank-query session (one per job negotiation).
 
         Parameters
         ----------
         criterion:
             ``CHEAPEST`` ranks by ascending price, ``FASTEST`` by descending
             MIPS rating.
-        rank:
-            1-based rank among the clusters that satisfy the processor filter.
         min_processors:
             Only clusters with at least this many processors are considered;
             the DBC algorithm uses it to skip clusters that can never fit the
             job (their resource description is in the directory, so no
             negotiation message is needed to exclude them).
-
-        Returns
-        -------
-        DirectoryQuote or None
-            ``None`` when fewer than ``rank`` clusters satisfy the filter —
-            the signal that the DBC iteration is exhausted.
-
-        Notes
-        -----
-        One-shot queries are served from the version-stamped ranking cache:
-        the first probe under a ``(criterion, min_processors)`` filter since
-        the last membership change walks the overlay once, every further probe
-        is an ``O(1)`` list lookup.  Negotiation loops should prefer
-        :meth:`open_session`, which resumes instead of caching.
         """
-        if rank < 1:
-            raise ValueError(f"rank must be at least 1, got {rank}")
-        self._account_query()
-        ranking = self._cached_ranking(criterion, min_processors)
-        return ranking[rank - 1] if rank <= len(ranking) else None
-
-    def open_session(
-        self, criterion: RankCriterion, min_processors: int = 1
-    ) -> "DirectoryQuerySession":
-        """Open a resumable rank-query session (one per job negotiation)."""
         return DirectoryQuerySession(self, criterion, min_processors)
-
-    def _cached_ranking(
-        self, criterion: RankCriterion, min_processors: int
-    ) -> List[DirectoryQuote]:
-        """The filtered ranking, rebuilt only after a membership change.
-
-        The rebuild's single level-0 sweep is charged to the measured hop
-        count; cache hits cost no hops, which is exactly the point.
-        """
-        if self._batch_depth:
-            raise OverlayError(
-                "rankings are not available inside batch_updates() — the "
-                "deferred version bump would let them cache half-applied state"
-            )
-        key = (criterion, min_processors)
-        entry = self._ranking_cache.get(key)
-        if entry is not None and entry[0] == self._version:
-            return entry[1]
-        index = self._index_for(criterion)
-        ranking = [
-            quote for _key, quote in index.items() if quote.spec.num_processors >= min_processors
-        ]
-        self._stats.measured_hops += len(index)
-        self._ranking_cache[key] = (self._version, ranking)
-        return ranking
-
-    def ranking(self, criterion: RankCriterion, min_processors: int = 1) -> List[DirectoryQuote]:
-        """Full ranking under a criterion (used by reports and baselines)."""
-        return list(self._cached_ranking(criterion, min_processors))
 
     # ------------------------------------------------------------------ #
     # Accounting

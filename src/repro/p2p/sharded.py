@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import zlib
 from contextlib import ExitStack, contextmanager
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -150,7 +150,7 @@ class ShardedDirectory:
     """A federation directory partitioned across ``k`` shard peers.
 
     Implements the same public surface as :class:`FederationDirectory`
-    (publication, membership, rank queries, resumable sessions, accounting),
+    (publication, membership, resumable rank-query sessions, accounting),
     so GFAs, the fault injector, the validators and the extensions are
     oblivious to the sharding.
 
@@ -173,9 +173,6 @@ class ShardedDirectory:
         self._version: int = 0
         for shard in self.shards:
             shard._on_version_bump = self._note_shard_bump
-        self._merged_cache: Dict[
-            Tuple[RankCriterion, int], Tuple[int, List[DirectoryQuote]]
-        ] = {}
 
     def _note_shard_bump(self) -> None:
         self._version += 1
@@ -267,52 +264,14 @@ class ShardedDirectory:
     # ------------------------------------------------------------------ #
     # Query interface
     # ------------------------------------------------------------------ #
-    def query(
-        self,
-        criterion: RankCriterion,
-        rank: int,
-        min_processors: int = 1,
-    ) -> Optional[DirectoryQuote]:
-        """The ``rank``-th cluster across all shards (scatter-gather probe).
-
-        Every shard is charged one query — the scatter cost a real
-        deployment would pay — and the gather is served from a merged,
-        version-stamped ranking cache.
-        """
-        if rank < 1:
-            raise ValueError(f"rank must be at least 1, got {rank}")
-        for shard in self.shards:
-            shard._account_query()
-        ranking = self._merged_ranking(criterion, min_processors)
-        return ranking[rank - 1] if rank <= len(ranking) else None
-
     def open_session(
         self, criterion: RankCriterion, min_processors: int = 1
     ) -> "ShardedQuerySession":
-        """Open a scatter-gather rank-query session (one per job negotiation)."""
+        """Open a scatter-gather rank-query session (one per job negotiation).
+
+        Parameters as :meth:`FederationDirectory.open_session`.
+        """
         return ShardedQuerySession(self, criterion, min_processors)
-
-    def ranking(self, criterion: RankCriterion, min_processors: int = 1) -> List[DirectoryQuote]:
-        """Full merged ranking under a criterion."""
-        return list(self._merged_ranking(criterion, min_processors))
-
-    def _merged_ranking(
-        self, criterion: RankCriterion, min_processors: int
-    ) -> List[DirectoryQuote]:
-        key = (criterion, min_processors)
-        entry = self._merged_cache.get(key)
-        version = self.version
-        if entry is not None and entry[0] == version:
-            return entry[1]
-        merged = [
-            (_ranking_key(criterion, quote), quote)
-            for shard in self.shards
-            for quote in shard.ranking(criterion, min_processors)
-        ]
-        merged.sort(key=lambda item: item[0])
-        ranking = [quote for _key, quote in merged]
-        self._merged_cache[key] = (version, ranking)
-        return ranking
 
     # ------------------------------------------------------------------ #
     # Accounting

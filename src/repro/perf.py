@@ -4,27 +4,32 @@ The paper *assumes* an ``O(log n)``-cost directory and never measures it; this
 module is the repository's measured performance trajectory.  These layers of
 the scheduling hot path are timed:
 
-* **Directory rank queries** — a simulated DBC negotiation probe schedule is
-  answered two ways on identical directories: the resumable cursor session
-  (``O(log n + k)`` per job) and the version-stamped ranking cache (``O(1)``
-  amortised).  Both strategies must return the identical quote sequence.
+* **Directory rank queries** — a simulated DBC negotiation probe schedule
+  answered by resumable cursor sessions (``O(log n + k)`` per job).
 * **Event kernel** — schedule/cancel/fire throughput through the full
   :class:`~repro.sim.engine.Simulator`: its heap plus the engine's fixed
   per-event overhead.
 * **Table-3 federation run** — the full Experiment 2 simulation end to end,
   with its :func:`~repro.scenario.runner.result_fingerprint` recorded next
   to the timing.
+* **Resilience overhead** — the Table-3 run with no policy vs the inert one.
+* **Parallel engine** — the Exp-5 economy shape per worker count.
 
 The ``xl`` scale pushes the directory benchmark to 512/1024 clusters (via
 Table-1 replication) and the end-to-end run to 1024 clusters — far beyond
 the paper's 64-cluster Experiment 5.
 
-:func:`run_benchmarks` executes everything at a named scale and returns a JSON-
-serialisable report; :func:`write_report` emits ``benchmarks/BENCH_perf.json``
-(git-ignored); :func:`compare_to_baseline` implements the CI regression gate
-(fail when any tracked timing exceeds the checked-in baseline by more than a
-factor) and :func:`render_comparison` prints it as a per-benchmark ratio
-table (``gridfed bench --compare``).  :func:`profile_scenario` backs the
+Every benchmark row carries the same three fields, and nothing downstream
+reads any other: its tracked ``key`` (which embeds the workload parameters,
+so only like-for-like runs compare), its gated wall-clock ``seconds``, and a
+``problem`` — ``None``, or why the row's own correctness check failed.  The
+other fields of a row describe its run for readers of the JSON report.
+:func:`run_benchmarks` executes every section at a named scale and returns
+the report; :func:`write_report` emits ``benchmarks/BENCH_perf.json``
+(git-ignored); :func:`render_comparison` is the CI regression gate (fail on
+any row's ``problem``, or when a tracked timing exceeds the checked-in
+baseline by more than a factor) and prints it as a per-benchmark ratio table
+(``gridfed bench --compare``).  :func:`profile_scenario` backs the
 ``gridfed profile`` subcommand: one cProfile'd scenario run rendered as a
 top-N cumulative-time hotspot table, so future perf work starts from data.
 """
@@ -60,7 +65,6 @@ __all__ = [
     "bench_parallel_engine",
     "run_benchmarks",
     "write_report",
-    "compare_to_baseline",
     "render_comparison",
     "render_report",
     "profile_scenario",
@@ -71,12 +75,20 @@ __all__ = [
 #: ``transport`` fast-path section replaced the single v1 kernel record.
 #: v3: ``queue_kernel`` is gone and ``event_kernel`` holds one row (the one
 #: event kernel), keyed without a backend.
-REPORT_SCHEMA = "gridfed-bench/3"
+#: v4: one ``rows`` list replaces the per-section lists; every row carries
+#: ``key``, ``seconds`` and ``problem``.
+REPORT_SCHEMA = "gridfed-bench/4"
 
 #: Baselines under this many seconds are scheduler noise on shared CI runners:
 #: excluded from the wall-clock regression gate and labelled "noise" in the
 #: --compare table (one constant so the verdict and the table never drift).
 NOISE_FLOOR_S = 1e-2
+
+#: Largest federation size where each parallel row also runs the in-process
+#: oracle backend and checks fingerprint equality (beyond it the doubled
+#: wall-clock isn't worth re-proving what the test suite already covers at
+#: small sizes).
+PAR_PARITY_LIMIT = 256
 
 
 @dataclass(frozen=True)
@@ -104,11 +116,6 @@ class BenchScale:
     #: Worker counts timed by the parallel-engine benchmark (1 = the serial
     #: baseline the speedup column is relative to).
     par_workers: Tuple[int, ...] = (1, 2)
-    #: Largest federation size where each parallel row also runs the
-    #: in-process oracle backend and asserts fingerprint equality (beyond it
-    #: the doubled wall-clock isn't worth re-proving what the test suite
-    #: already covers at small sizes).
-    par_parity_limit: int = 256
 
 
 BENCH_SCALES: Dict[str, BenchScale] = {
@@ -158,6 +165,17 @@ def _best_of(repeats: int, fn: Callable[[], float]) -> float:
     return min(fn() for _ in range(max(1, repeats)))
 
 
+def _row(
+    key: str, seconds: float, problem: Optional[str] = None, **details
+) -> Dict[str, object]:
+    """One benchmark row: the three fields the gate reads, then ``details``.
+
+    ``key`` is relative to the row's section; :func:`run_benchmarks`
+    prefixes the section name.
+    """
+    return {"key": key, "seconds": seconds, "problem": problem, **details}
+
+
 # --------------------------------------------------------------------------- #
 # Directory rank-query micro-benchmark
 # --------------------------------------------------------------------------- #
@@ -191,64 +209,43 @@ def _probe_schedule(
 
 
 def _run_probe_plan(
-    directory: FederationDirectory,
-    plan: Sequence[Tuple[RankCriterion, int, int]],
-    strategy: str,
-) -> Tuple[float, List[Optional[str]]]:
-    """Answer the probe plan with one strategy; return (seconds, answers).
-
-    ``answers`` is the flat sequence of quoted GFA names (None for exhausted
-    probes) — identical across strategies by construction, asserted by the
-    caller.
-    """
-    answers: List[Optional[str]] = []
+    directory: FederationDirectory, plan: Sequence[Tuple[RankCriterion, int, int]]
+) -> Tuple[float, int]:
+    """Answer the probe plan, one session per job; return (seconds, probes)."""
+    probes = 0
     start = time.perf_counter()
-    if strategy == "session":
-        for criterion, min_processors, depth in plan:
-            session = directory.open_session(criterion, min_processors)
-            for rank in range(1, depth + 1):
-                quote = session.kth(rank)
-                answers.append(quote.gfa_name if quote is not None else None)
-                if quote is None:
-                    break
-    elif strategy == "cached":
-        for criterion, min_processors, depth in plan:
-            for rank in range(1, depth + 1):
-                quote = directory.query(criterion, rank, min_processors)
-                answers.append(quote.gfa_name if quote is not None else None)
-                if quote is None:
-                    break
-    else:  # pragma: no cover - defensive
-        raise ValueError(f"unknown strategy {strategy!r}")
-    return time.perf_counter() - start, answers
+    for criterion, min_processors, depth in plan:
+        session = directory.open_session(criterion, min_processors)
+        for rank in range(1, depth + 1):
+            probes += 1
+            if session.kth(rank) is None:
+                break
+    return time.perf_counter() - start, probes
 
 
 def bench_directory_queries(
     sizes: Sequence[int], probe_jobs: int, repeats: int = 1, seed: int = 42
 ) -> List[Dict[str, object]]:
-    """Time the session and cached strategies on identical probe plans per size."""
+    """Time resumable query sessions on a DBC-like probe plan per size."""
     rows: List[Dict[str, object]] = []
     for size in sizes:
         directory = _build_directory(size, seed=seed)
         plan = _probe_schedule(directory, probe_jobs)
-        timings: Dict[str, float] = {}
-        answer_sets: Dict[str, List[Optional[str]]] = {}
-        for strategy in ("session", "cached"):
-            def once(strategy: str = strategy) -> float:
-                seconds, answers = _run_probe_plan(directory, plan, strategy)
-                answer_sets[strategy] = answers
-                return seconds
+        outcome: Dict[str, int] = {}
 
-            timings[strategy] = _best_of(repeats, once)
+        def once() -> float:
+            seconds, outcome["probes"] = _run_probe_plan(directory, plan)
+            return seconds
+
+        seconds = _best_of(repeats, once)
         rows.append(
-            {
-                "clusters": int(size),
-                "probe_jobs": int(probe_jobs),
-                "probes": len(answer_sets["session"]),
-                "session_s": timings["session"],
-                "cached_s": timings["cached"],
-                "results_identical": answer_sets["session"] == answer_sets["cached"],
-            }
+            _row(
+                f"{size}x{probe_jobs}/session_s",
+                seconds,
+                clusters=int(size),
+                probe_jobs=int(probe_jobs),
+                probes=outcome["probes"],
+            )
         )
     return rows
 
@@ -283,12 +280,13 @@ def bench_event_kernel(events: int, repeats: int = 1, seed: int = 0) -> Dict[str
 
     seconds = _best_of(repeats, once)
     fired = int(events - int(cancel_mask.sum()))
-    return {
-        "events_scheduled": int(events),
-        "events_fired": fired,
-        "seconds": seconds,
-        "events_per_s": fired / max(seconds, 1e-12),
-    }
+    return _row(
+        f"{events}/seconds",
+        seconds,
+        events_scheduled=int(events),
+        events_fired=fired,
+        events_per_s=fired / max(seconds, 1e-12),
+    )
 
 
 # --------------------------------------------------------------------------- #
@@ -304,8 +302,8 @@ def bench_table3(
 
     ``system_sizes`` entries are federation sizes via Table-1 replication;
     ``None`` is the paper's own eight resources.  Each row records the run's
-    fingerprint next to its timing, which keeps the ``session_s`` key so
-    existing baselines stay comparable.
+    fingerprint next to its timing; its key keeps the ``session_s`` suffix
+    so existing baselines stay comparable.
     """
     rows: List[Dict[str, object]] = []
     for size in system_sizes:
@@ -324,15 +322,17 @@ def bench_table3(
             return elapsed
 
         seconds = _best_of(repeats, once)
+        clusters = 8 if size is None else int(size)
         rows.append(
-            {
-                "clusters": 8 if size is None else int(size),
-                "thin": int(thin),
-                "jobs": outcome["jobs"],
-                "events": outcome["events"],
-                "session_s": seconds,
-                "fingerprint": outcome["fingerprint"],
-            }
+            _row(
+                f"{clusters}@thin{thin}/session_s",
+                seconds,
+                clusters=clusters,
+                thin=int(thin),
+                jobs=outcome["jobs"],
+                events=outcome["events"],
+                fingerprint=outcome["fingerprint"],
+            )
         )
     return rows
 
@@ -351,10 +351,11 @@ def bench_resilience_overhead(
     ``paper`` installs nothing; ``noop`` installs the inert policy, so every
     hot-path ``gfa.resilience is not None`` guard takes the instrumented
     branch without a single retry, breaker trip or eviction firing.  On a
-    fault-free run the two must produce identical result fingerprints, and
-    the wall-clock ratio bounds the cost the policy plumbing adds to the
-    negotiation hot path — the acceptance claim is "no measurable overhead",
-    so the ratio should sit at ~1.0x within noise.
+    fault-free run the two must produce identical result fingerprints (the
+    row's check), and the wall-clock ratio bounds the cost the policy
+    plumbing adds to the negotiation hot path — the acceptance claim is "no
+    measurable overhead", so the ratio should sit at ~1.0x within noise.
+    The gated timing is the ``noop`` run's.
     """
     rows: List[Dict[str, object]] = []
     for size in system_sizes:
@@ -389,18 +390,22 @@ def bench_resilience_overhead(
                 best = timings.get(policy)
                 timings[policy] = elapsed if best is None else min(best, elapsed)
         jobs, events = stats["paper"]
+        clusters = 8 if size is None else int(size)
         rows.append(
-            {
-                "clusters": 8 if size is None else int(size),
-                "thin": int(thin),
-                "jobs": jobs,
-                "events": events,
-                "paper_s": timings["paper"],
-                "noop_s": timings["noop"],
-                "overhead": timings["noop"] / max(timings["paper"], 1e-12),
-                "outputs_identical": fingerprints["paper"] == fingerprints["noop"],
-                "fingerprint": fingerprints["paper"],
-            }
+            _row(
+                f"{clusters}@thin{thin}/noop_s",
+                timings["noop"],
+                None
+                if fingerprints["paper"] == fingerprints["noop"]
+                else "paper and inert-policy runs diverged (fingerprint mismatch)",
+                clusters=clusters,
+                thin=int(thin),
+                jobs=jobs,
+                events=events,
+                paper_s=timings["paper"],
+                overhead=timings["noop"] / max(timings["paper"], 1e-12),
+                fingerprint=fingerprints["paper"],
+            )
         )
     return rows
 
@@ -415,7 +420,6 @@ def bench_parallel_engine(
     repeats: int = 1,
     seed: int = 42,
     topology: str = "two-tier-wan",
-    parity_limit: int = 256,
 ) -> List[Dict[str, object]]:
     """Time the Exp-5 economy shape under the conservative parallel engine.
 
@@ -425,13 +429,14 @@ def bench_parallel_engine(
     worker count is timed end to end through :func:`run_scenario`; ``1`` is
     the serial baseline every ``speedup_vs_serial`` column is relative to.
 
-    Two correctness columns ride along: ``fallback`` records the engine's
-    diagnostic if a parallel row silently degraded to the serial path (the
-    regression gate fails on it — a benchmark that isn't measuring what its
-    label claims is worse than no benchmark), and up to ``parity_limit``
-    clusters each parallel row re-runs the identical sharded model on the
-    in-process oracle backend and asserts the two fingerprints are equal —
-    the serial-parity guarantee re-proven on every benchmark run.
+    Each parallel row is checked two ways.  A row that silently degraded to
+    the serial path reports the engine's fallback diagnostic as its
+    ``problem`` (a benchmark that isn't measuring what its label claims is
+    worse than no benchmark); and up to :data:`PAR_PARITY_LIMIT` clusters it
+    re-runs the identical sharded model on the in-process oracle backend,
+    and a fingerprint that differs from the process backend's is its
+    ``problem`` — the oracle ≡ process guarantee re-proven on every
+    benchmark run.
     """
     rows: List[Dict[str, object]] = []
     serial_s: Optional[float] = None
@@ -461,40 +466,44 @@ def bench_parallel_engine(
         seconds = _best_of(repeats, once)
         par = state["parallel"]
         ran_parallel = par is not None and par.ran_parallel
-        parity_ok: Optional[bool] = None
-        if ran_parallel and size <= parity_limit:
+        problem: Optional[str] = None
+        if workers > 1 and par is not None and not ran_parallel:
+            problem = (
+                f"parallel row fell back to the serial path ({par.fallback_reason})"
+                " — the timing does not measure the parallel engine"
+            )
+        elif ran_parallel and size <= PAR_PARITY_LIMIT:
             from repro.par.runner import try_parallel_run
 
             oracle_result, _ = try_parallel_run(
                 scenario, workers=workers, backend="oracle"
             )
-            parity_ok = (
-                oracle_result is not None
-                and result_fingerprint(oracle_result) == state["fingerprint"]
-            )
+            if (
+                oracle_result is None
+                or result_fingerprint(oracle_result) != state["fingerprint"]
+            ):
+                problem = "process and oracle backends diverged (fingerprint mismatch)"
         if serial_s is None and workers <= 1:
             serial_s = seconds
         rows.append(
-            {
-                "workers": int(workers),
-                "clusters": int(size),
-                "thin": int(thin),
-                "jobs": state["jobs"],
-                "events": state["events"],
-                "seconds": seconds,
-                "speedup_vs_serial": (
+            _row(
+                f"{size}@thin{thin}/w{workers}/seconds",
+                seconds,
+                problem,
+                workers=int(workers),
+                clusters=int(size),
+                thin=int(thin),
+                jobs=state["jobs"],
+                events=state["events"],
+                speedup_vs_serial=(
                     serial_s / max(seconds, 1e-12)
                     if serial_s is not None and workers > 1
                     else None
                 ),
-                "windows": par.windows if ran_parallel else None,
-                "cross_messages": par.cross_messages if ran_parallel else None,
-                "fallback": (
-                    par.fallback_reason if par is not None and not ran_parallel else None
-                ),
-                "parity_ok": parity_ok,
-                "fingerprint": state["fingerprint"],
-            }
+                windows=par.windows if ran_parallel else None,
+                cross_messages=par.cross_messages if ran_parallel else None,
+                fingerprint=state["fingerprint"],
+            )
         )
     return rows
 
@@ -505,7 +514,11 @@ def bench_parallel_engine(
 def run_benchmarks(
     scale: Union[str, BenchScale] = "smoke", seed: int = 42
 ) -> Dict[str, object]:
-    """Run the full suite at a scale; return the JSON-serialisable report."""
+    """Run every section at a scale; return the JSON-serialisable report.
+
+    The report's ``rows`` hold every section's rows in order, each key
+    prefixed with its section name.
+    """
     if isinstance(scale, str):
         try:
             scale = BENCH_SCALES[scale]
@@ -513,23 +526,18 @@ def run_benchmarks(
             raise ValueError(
                 f"unknown bench scale {scale!r}; choose from {sorted(BENCH_SCALES)}"
             ) from None
-    return {
-        "schema": REPORT_SCHEMA,
-        "scale": scale.name,
-        "seed": seed,
-        "python": platform.python_version(),
-        "platform": platform.platform(),
-        "directory_query": bench_directory_queries(
+    sections: Dict[str, Callable[[], List[Dict[str, object]]]] = {
+        "directory_query": lambda: bench_directory_queries(
             scale.sizes, scale.probe_jobs, repeats=scale.repeats, seed=seed
         ),
-        "event_kernel": [bench_event_kernel(scale.events, repeats=scale.repeats)],
-        "table3": bench_table3(
+        "event_kernel": lambda: [bench_event_kernel(scale.events, repeats=scale.repeats)],
+        "table3": lambda: bench_table3(
             scale.table3_thin,
             repeats=scale.repeats,
             seed=seed,
             system_sizes=scale.table3_sizes,
         ),
-        "resilience": bench_resilience_overhead(
+        "resilience": lambda: bench_resilience_overhead(
             scale.table3_thin,
             # The overhead under measurement is expected to be ~zero — noise
             # suppression needs at least two repetitions per variant.
@@ -537,14 +545,25 @@ def run_benchmarks(
             seed=seed,
             system_sizes=(scale.table3_sizes[-1],),
         ),
-        "par": bench_parallel_engine(
+        "par": lambda: bench_parallel_engine(
             scale.par_size,
             scale.par_thin,
             worker_counts=scale.par_workers,
             repeats=scale.repeats,
             seed=seed,
-            parity_limit=scale.par_parity_limit,
         ),
+    }
+    return {
+        "schema": REPORT_SCHEMA,
+        "scale": scale.name,
+        "seed": seed,
+        "python": platform.python_version(),
+        "platform": platform.platform(),
+        "rows": [
+            {**row, "key": f"{section}/{row['key']}"}
+            for section, bench in sections.items()
+            for row in bench()
+        ],
     }
 
 
@@ -570,82 +589,7 @@ def _tracked_timings(report: Dict[str, object]) -> Dict[str, float]:
     so only like-for-like runs compare — gating a full-scale report against a
     smoke baseline simply finds no common metrics instead of false alarms.
     """
-    tracked: Dict[str, float] = {}
-    for row in report.get("directory_query", []):
-        key = f"directory_query/{row['clusters']}x{row['probe_jobs']}/session_s"
-        tracked[key] = float(row["session_s"])
-    for row in report.get("event_kernel", []):
-        key = f"event_kernel/{row['events_scheduled']}/seconds"
-        tracked[key] = float(row["seconds"])
-    for row in report.get("table3", []):
-        key = f"table3/{row['clusters']}@thin{row['thin']}/session_s"
-        tracked[key] = float(row["session_s"])
-    for row in report.get("resilience", []):
-        key = f"resilience/{row['clusters']}@thin{row['thin']}/noop_s"
-        tracked[key] = float(row["noop_s"])
-    for row in report.get("par", []):
-        key = f"par/{row['clusters']}@thin{row['thin']}/w{row['workers']}/seconds"
-        tracked[key] = float(row["seconds"])
-    return tracked
-
-
-def compare_to_baseline(
-    report: Dict[str, object],
-    baseline: Dict[str, object],
-    max_regression: float = 3.0,
-) -> List[str]:
-    """Return regression messages (empty = pass).
-
-    A tracked timing regresses when it exceeds the baseline value by more than
-    ``max_regression``×.  Metrics absent from the baseline are ignored (new
-    benchmarks don't fail old baselines), as are baselines under 10 ms —
-    timings that small are scheduler noise on a shared CI runner.
-    Correctness flags in the *current* report are also gated: a run whose
-    strategies or backends disagree fails regardless of timing.
-    """
-    problems: List[str] = []
-    for row in report.get("directory_query", []):
-        if not row.get("results_identical", True):
-            problems.append(
-                f"directory_query/{row['clusters']}: strategies returned different quotes"
-            )
-    for row in report.get("resilience", []):
-        if not row.get("outputs_identical", True):
-            problems.append(
-                f"resilience/{row['clusters']}: paper and inert-policy runs "
-                "diverged (fingerprint mismatch)"
-            )
-    for row in report.get("par", []):
-        if row["workers"] > 1 and row.get("fallback"):
-            problems.append(
-                f"par/{row['clusters']}/w{row['workers']}: parallel row fell "
-                f"back to the serial path ({row['fallback']}) — the timing "
-                "does not measure the parallel engine"
-            )
-        if row.get("parity_ok") is False:
-            problems.append(
-                f"par/{row['clusters']}/w{row['workers']}: process and oracle "
-                "backends diverged (fingerprint mismatch)"
-            )
-    current = _tracked_timings(report)
-    previous = _tracked_timings(baseline)
-    compared = 0
-    for key, value in current.items():
-        base = previous.get(key)
-        if base is None or base < NOISE_FLOOR_S:
-            continue
-        compared += 1
-        if value > base * max_regression:
-            problems.append(
-                f"{key}: {value:.4f}s exceeds {max_regression:.1f}x baseline ({base:.4f}s)"
-            )
-    if compared == 0 and not problems:
-        problems.append(
-            "no comparable metrics between report and baseline "
-            f"(report scale {report.get('scale')!r} vs baseline scale "
-            f"{baseline.get('scale')!r}) — regenerate the baseline at the same scale"
-        )
-    return problems
+    return {row["key"]: float(row["seconds"]) for row in report["rows"]}
 
 
 def render_comparison(
@@ -653,38 +597,59 @@ def render_comparison(
     baseline: Dict[str, object],
     max_regression: float = 3.0,
 ) -> Tuple[str, List[str]]:
-    """Per-benchmark ratio table against a baseline, plus the gate verdict.
+    """The regression gate: a per-benchmark ratio table plus its problems.
 
-    Returns ``(table_text, problems)`` where ``problems`` is exactly what
-    :func:`compare_to_baseline` reports (empty = gate passed).  Every tracked
-    timing gets one row: baseline seconds, current seconds, the current/
-    baseline ratio and a status — ``ok`` (within the gate), ``FAIL`` (beyond
-    it), ``noise`` (baseline under the 10 ms floor, not gated) or ``new``
-    (absent from the baseline).  This is what ``gridfed bench --compare``
-    prints, so a red CI run shows the whole picture instead of one assert.
+    Returns ``(table_text, problems)``; an empty ``problems`` list means the
+    gate passed.  A row fails when its own check reported a ``problem``
+    (regardless of timing), or when its timing exceeds the baseline's by
+    more than ``max_regression``×.  Every tracked timing gets one table row:
+    baseline seconds, current seconds, the current/baseline ratio and a
+    status — ``ok`` (within the gate), ``FAIL`` (beyond it, or its check
+    failed), ``noise`` (baseline under the 10 ms floor: scheduler noise on a
+    shared CI runner, not gated), ``new`` (absent from the baseline, so new
+    benchmarks don't fail old baselines) or ``absent`` (in the baseline
+    only).  A report that shares no gated timing with the baseline fails
+    too.  This is what ``gridfed bench --compare`` prints, so a red CI run
+    shows the whole picture instead of one assert.
     """
     from repro.metrics.report import render_table
 
     current = _tracked_timings(report)
     previous = _tracked_timings(baseline)
+    checks = {row["key"]: row["problem"] for row in report["rows"]}
     rows: List[List[object]] = []
+    problems: List[str] = []
+    compared = 0
     for key in sorted(current):
-        value = current[key]
-        base = previous.get(key)
+        value, base = current[key], previous.get(key)
         if base is None:
-            rows.append([key, "-", f"{value:.4f}", "-", "new"])
-            continue
-        ratio = value / max(base, 1e-12)
-        if base < NOISE_FLOOR_S:
+            status = "new"
+        elif base < NOISE_FLOOR_S:
             status = "noise"
-        elif ratio > max_regression:
-            status = "FAIL"
         else:
+            compared += 1
             status = "ok"
-        rows.append([key, f"{base:.4f}", f"{value:.4f}", f"{ratio:.2f}x", status])
+            if value > base * max_regression:
+                status = "FAIL"
+                problems.append(
+                    f"{key}: {value:.4f}s exceeds {max_regression:.1f}x baseline ({base:.4f}s)"
+                )
+        if checks[key]:
+            status = "FAIL"
+            problems.append(f"{key}: {checks[key]}")
+        if base is None:
+            rows.append([key, "-", f"{value:.4f}", "-", status])
+        else:
+            ratio = value / max(base, 1e-12)
+            rows.append([key, f"{base:.4f}", f"{value:.4f}", f"{ratio:.2f}x", status])
     for key in sorted(set(previous) - set(current)):
         rows.append([key, f"{previous[key]:.4f}", "-", "-", "absent"])
-    problems = compare_to_baseline(report, baseline, max_regression=max_regression)
+    if compared == 0 and not problems:
+        problems.append(
+            "no comparable metrics between report and baseline "
+            f"(report scale {report.get('scale')!r} vs baseline scale "
+            f"{baseline.get('scale')!r}) — regenerate the baseline at the same scale"
+        )
     table = render_table(
         ["Benchmark", "Baseline s", "Current s", "Ratio", "Status"],
         rows,
@@ -700,114 +665,14 @@ def render_report(report: Dict[str, object]) -> str:
     """Human-readable summary of a benchmark report (for the CLI)."""
     from repro.metrics.report import render_table
 
-    out: List[str] = []
-    rows = [
+    return render_table(
+        ["Benchmark", "Seconds", "Check"],
         [
-            row["clusters"],
-            row["probes"],
-            1e3 * row["session_s"],
-            1e3 * row["cached_s"],
-            "yes" if row["results_identical"] else "NO",
-        ]
-        for row in report["directory_query"]
-    ]
-    out.append(
-        render_table(
-            [
-                "Clusters",
-                "Probes",
-                "Session ms",
-                "Cached ms",
-                "Identical",
-            ],
-            rows,
-            title=f"Directory rank queries — resumable session vs ranking cache ({report['scale']})",
-        )
+            [row["key"], f"{row['seconds']:.4f}", row["problem"] or "ok"]
+            for row in report["rows"]
+        ],
+        title=f"gridfed bench — {report['scale']} scale, seed {report['seed']}",
     )
-    out.append(
-        render_table(
-            ["Events fired", "Seconds", "Events/s"],
-            [
-                [row["events_fired"], row["seconds"], row["events_per_s"]]
-                for row in report["event_kernel"]
-            ],
-            title="Event kernel throughput (full Simulator)",
-        )
-    )
-    rows = [
-        [row["clusters"], row["jobs"], row["events"], row["session_s"]]
-        for row in report["table3"]
-    ]
-    out.append(
-        render_table(
-            ["Clusters", "Jobs", "Events", "Seconds"],
-            rows,
-            title=f"Table-3 federation run end to end (thin={report['table3'][0]['thin']})",
-        )
-    )
-    rows = [
-        [
-            row["clusters"],
-            row["jobs"],
-            row["paper_s"],
-            row["noop_s"],
-            f"{row['overhead']:.2f}x",
-            "yes" if row["outputs_identical"] else "NO",
-        ]
-        for row in report.get("resilience", [])
-    ]
-    if rows:
-        out.append(
-            render_table(
-                ["Clusters", "Jobs", "Paper s", "Noop s", "Overhead", "Identical"],
-                rows,
-                title="Resilience layer — no policy vs inert policy installed",
-            )
-        )
-    rows = [
-        [
-            row["workers"],
-            row["clusters"],
-            row["jobs"],
-            f"{row['seconds']:.4f}",
-            (
-                f"{row['speedup_vs_serial']:.2f}x"
-                if row["speedup_vs_serial"] is not None
-                else "-"
-            ),
-            row["windows"] if row["windows"] is not None else "-",
-            row["cross_messages"] if row["cross_messages"] is not None else "-",
-            (
-                "unchecked"
-                if row["parity_ok"] is None
-                else ("yes" if row["parity_ok"] else "NO")
-            ),
-            row["fallback"] or "-",
-        ]
-        for row in report.get("par", [])
-    ]
-    if rows:
-        out.append(
-            render_table(
-                [
-                    "Workers",
-                    "Clusters",
-                    "Jobs",
-                    "Seconds",
-                    "vs serial",
-                    "Windows",
-                    "Cross msgs",
-                    "Parity",
-                    "Fallback",
-                ],
-                rows,
-                title=(
-                    "Parallel engine — Exp-5 economy shape on the two-tier WAN "
-                    f"(thin={report['par'][0]['thin']})"
-                ),
-            )
-        )
-    return "\n".join(out)
 
 
 # --------------------------------------------------------------------------- #

@@ -18,6 +18,8 @@ Durability model (all under the daemon's state directory)::
                            latest.ckpt, or a sharded run's shard snapshots
                            committed by par-state.bin
     cancel/<id>            cooperative-cancellation marker
+    stop                   shutdown marker, written by stop(), cleared by
+                           start()
     cache/                 the persistent memo cache (shared with sweeps)
 
 Every submission, serial or sharded (``parallel >= 2``), is one
@@ -32,7 +34,11 @@ Worker model: with ``workers == 1`` (the default) submissions execute on a
 dedicated thread inside the daemon process; with ``workers > 1`` they fan
 out across a ``ProcessPoolExecutor`` exactly like a parallel sweep.  Both
 paths run the same :func:`execute_submission` function, which operates
-purely on the disk state — that is what makes crash recovery trivial.
+purely on the disk state — that is what makes crash recovery trivial — and
+both stop the same way: :meth:`GridfedDaemon.stop` writes the shutdown
+marker, each in-flight run sees it at its next step boundary (where it
+checks its cancel marker) and goes back to ``queued`` with its checkpoint
+kept, and ``stop`` returns once the worker thread or the pool has exited.
 
 Endpoints (all JSON)::
 
@@ -64,7 +70,7 @@ import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 from urllib.parse import parse_qs, urlsplit
 
 from repro.scenario import UnknownVariantError, result_fingerprint, run_scenario
@@ -252,7 +258,7 @@ class DaemonState:
         except (OSError, ValueError):
             return None
 
-    # --------------------------- cancellation --------------------------- #
+    # --------------------- cancellation and shutdown -------------------- #
     def _cancel_path(self, sid: str) -> str:
         return os.path.join(self.directory, "cancel", sid)
 
@@ -262,6 +268,22 @@ class DaemonState:
 
     def cancel_requested(self, sid: str) -> bool:
         return os.path.exists(self._cancel_path(sid))
+
+    def _stop_path(self) -> str:
+        return os.path.join(self.directory, "stop")
+
+    def request_stop(self) -> None:
+        with open(self._stop_path(), "w", encoding="utf-8"):
+            pass
+
+    def clear_stop(self) -> None:
+        try:
+            os.unlink(self._stop_path())
+        except FileNotFoundError:
+            pass
+
+    def stop_requested(self) -> bool:
+        return os.path.exists(self._stop_path())
 
     # --------------------------- checkpoints ----------------------------- #
     def checkpoint_dir(self, sid: str) -> str:
@@ -281,12 +303,7 @@ def _update_record(state: DaemonState, sid: str, **changes) -> Dict[str, object]
     return record
 
 
-def execute_submission(
-    state_dir: str,
-    sid: str,
-    checkpoint_interval: float,
-    should_stop: Optional[Callable[[], bool]] = None,
-) -> None:
+def execute_submission(state_dir: str, sid: str, checkpoint_interval: float) -> None:
     """Run one submission to a terminal state, operating purely on disk.
 
     Module-level so a :class:`ProcessPoolExecutor` worker can run it as well
@@ -295,8 +312,9 @@ def execute_submission(
     run_scenario` call with the submission's checkpoint directory: the run
     continues from the checkpoint there when one exists (daemon restarted
     mid-run), checkpoints and reports progress periodically while running,
-    and honours cooperative cancellation (marker file) and daemon shutdown
-    (the run is requeued so the next daemon start resumes it).
+    and honours cooperative cancellation and daemon shutdown (marker files
+    in the state directory, checked at every step boundary; on shutdown the
+    run is requeued so the next daemon start resumes it).
 
     Serial and sharded (``parallel >= 2``) submissions take the same path.
     A sharded run's record gains a ``parallel`` stats block, and a run that
@@ -310,6 +328,8 @@ def execute_submission(
     if state.cancel_requested(sid):
         _update_record(state, sid, status="cancelled")
         return
+    if state.stop_requested():
+        return  # still queued: the next daemon start runs it
     try:
         scenario = scenario_from_fields(record["scenario"])
     except (ValueError, UnknownVariantError, UnicodeError) as exc:
@@ -337,7 +357,7 @@ def execute_submission(
         if not progress.done:
             if state.cancel_requested(sid):
                 raise CancelledRun(f"submission {sid} cancelled")
-            if should_stop is not None and should_stop():
+            if state.stop_requested():
                 raise CancelledRun(f"daemon shutting down; {sid} requeued")
 
     supervision = None
@@ -419,6 +439,7 @@ class GridfedDaemon:
         self.request_deadline = request_deadline
         self._tasks: "queue_module.Queue[str]" = queue_module.Queue()
         self._lock = threading.Lock()
+        self._stop_lock = threading.Lock()
         self._stopping = threading.Event()
         self._threads: List[threading.Thread] = []
         self._httpd = _DaemonHTTPServer((host, port), _DaemonRequestHandler)
@@ -449,6 +470,7 @@ class GridfedDaemon:
 
     def start(self) -> None:
         """Start the worker pool and serve HTTP on a background thread."""
+        self.state.clear_stop()
         if self.workers > 1:
             pool = ProcessPoolExecutor(max_workers=self.workers)
             self._pool = pool
@@ -482,16 +504,23 @@ class GridfedDaemon:
             self.stop()
 
     def stop(self) -> None:
-        """Clean shutdown: stop accepting, requeue in-flight, stop serving."""
-        self._stopping.set()
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        for thread in self._threads:
-            if thread is not threading.current_thread():
-                thread.join(timeout=30.0)
-        pool = getattr(self, "_pool", None)
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
+        """Clean shutdown: stop accepting, requeue in-flight, stop serving.
+
+        Returns once every in-flight run has been requeued at its next step
+        boundary and the worker thread or pool has exited; a second call
+        waits for the first.
+        """
+        with self._stop_lock:
+            self.state.request_stop()
+            self._stopping.set()
+            self._httpd.shutdown()
+            self._httpd.server_close()
+            for thread in self._threads:
+                if thread is not threading.current_thread():
+                    thread.join(timeout=30.0)
+            pool = getattr(self, "_pool", None)
+            if pool is not None:
+                pool.shutdown(wait=True, cancel_futures=True)
 
     # ------------------------------------------------------------------ #
     # Worker pool
@@ -506,12 +535,7 @@ class GridfedDaemon:
         while not self._stopping.is_set():
             sid = self._next_task()
             if sid is not None:
-                execute_submission(
-                    self.state.directory,
-                    sid,
-                    self.checkpoint_interval,
-                    should_stop=self._stopping.is_set,
-                )
+                execute_submission(self.state.directory, sid, self.checkpoint_interval)
 
     def _dispatch_to_pool(self) -> None:
         while not self._stopping.is_set():

@@ -1,4 +1,8 @@
-"""Tests for the federation directory (subscribe / quote / unsubscribe / query)."""
+"""Tests for the federation directory (subscribe / quote / unsubscribe / query).
+
+Rank queries go through :meth:`FederationDirectory.open_session`; a fresh
+session's ``kth(rank)`` is the one-off probe.
+"""
 
 from __future__ import annotations
 
@@ -11,6 +15,11 @@ from repro.cluster.specs import ResourceSpec
 from repro.p2p import FederationDirectory, RankCriterion, theoretical_query_messages
 from repro.p2p.overlay import OverlayError
 from repro.workload.archive import ARCHIVE_RESOURCES, build_federation_specs
+
+
+def kth(directory, criterion, rank, min_processors=1):
+    """One probe of a fresh session: the ``rank``-th match, or ``None``."""
+    return directory.open_session(criterion, min_processors).kth(rank)
 
 
 @pytest.fixture()
@@ -35,7 +44,7 @@ class TestPublication:
         assert len(directory) == 7
         with pytest.raises(OverlayError):
             directory.unsubscribe("GFA-3")
-        names = [q.gfa_name for q in directory.ranking(RankCriterion.CHEAPEST)]
+        names = [q.gfa_name for q in directory.open_session(RankCriterion.CHEAPEST)]
         assert "GFA-3" not in names
 
     def test_update_quote_changes_price_ranking(self, directory):
@@ -48,7 +57,7 @@ class TestPublication:
             price=0.01,
         )
         directory.update_quote("GFA-5", cheaper)
-        cheapest = directory.query(RankCriterion.CHEAPEST, 1)
+        cheapest = kth(directory, RankCriterion.CHEAPEST, 1)
         assert cheapest.gfa_name == "GFA-5"
 
     def test_quote_of_unknown_raises(self, directory):
@@ -58,18 +67,18 @@ class TestPublication:
 
 class TestQueries:
     def test_first_cheapest_is_lanl_origin(self, directory):
-        quote = directory.query(RankCriterion.CHEAPEST, 1)
+        quote = kth(directory, RankCriterion.CHEAPEST, 1)
         assert quote.spec.name == "LANL Origin"
         assert quote.price == pytest.approx(3.59)
 
     def test_first_fastest_is_nasa_ipsc(self, directory):
-        quote = directory.query(RankCriterion.FASTEST, 1)
+        quote = kth(directory, RankCriterion.FASTEST, 1)
         assert quote.spec.name == "NASA iPSC"
         assert quote.mips == pytest.approx(930.0)
 
     def test_rank_sequences_match_table1_orderings(self, directory):
         cheapest_order = [
-            directory.query(RankCriterion.CHEAPEST, r).spec.name for r in range(1, 9)
+            kth(directory, RankCriterion.CHEAPEST, r).spec.name for r in range(1, 9)
         ]
         assert cheapest_order == [
             "LANL Origin",
@@ -82,7 +91,7 @@ class TestQueries:
             "NASA iPSC",
         ]
         fastest_order = [
-            directory.query(RankCriterion.FASTEST, r).spec.name for r in range(1, 9)
+            kth(directory, RankCriterion.FASTEST, r).spec.name for r in range(1, 9)
         ]
         assert fastest_order == [
             "NASA iPSC",
@@ -96,23 +105,23 @@ class TestQueries:
         ]
 
     def test_rank_beyond_federation_returns_none(self, directory):
-        assert directory.query(RankCriterion.CHEAPEST, 9) is None
+        assert kth(directory, RankCriterion.CHEAPEST, 9) is None
 
     def test_processor_filter_skips_small_clusters(self, directory):
         # Only LANL CM5 (1024), LANL Origin (2048) and SDSC Blue (1152) have
         # 1024+ processors.
-        quote = directory.query(RankCriterion.FASTEST, 1, min_processors=1024)
+        quote = kth(directory, RankCriterion.FASTEST, 1, min_processors=1024)
         assert quote.spec.name == "SDSC Blue"
-        quote = directory.query(RankCriterion.CHEAPEST, 1, min_processors=1024)
+        quote = kth(directory, RankCriterion.CHEAPEST, 1, min_processors=1024)
         assert quote.spec.name == "LANL Origin"
-        assert directory.query(RankCriterion.CHEAPEST, 4, min_processors=1024) is None
+        assert kth(directory, RankCriterion.CHEAPEST, 4, min_processors=1024) is None
 
     def test_invalid_rank_rejected(self, directory):
         with pytest.raises(ValueError):
-            directory.query(RankCriterion.CHEAPEST, 0)
+            kth(directory, RankCriterion.CHEAPEST, 0)
 
-    def test_ranking_helper_matches_queries(self, directory):
-        ranking = directory.ranking(RankCriterion.CHEAPEST)
+    def test_session_iterates_the_whole_ranking(self, directory):
+        ranking = list(directory.open_session(RankCriterion.CHEAPEST))
         assert [q.spec.name for q in ranking][:2] == ["LANL Origin", "LANL CM5"]
         assert len(ranking) == 8
 
@@ -120,8 +129,8 @@ class TestQueries:
 class TestAccounting:
     def test_query_statistics_accumulate(self, directory):
         before = directory.query_count
-        directory.query(RankCriterion.CHEAPEST, 1)
-        directory.query(RankCriterion.FASTEST, 3)
+        kth(directory, RankCriterion.CHEAPEST, 1)
+        kth(directory, RankCriterion.FASTEST, 3)
         assert directory.query_count == before + 2
         assert directory.assumed_query_messages >= 2 * theoretical_query_messages(8)
         assert directory.measured_overlay_hops > 0

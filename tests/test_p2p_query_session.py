@@ -1,8 +1,8 @@
-"""Property tests for the resumable directory query sessions and ranking cache.
+"""Property tests for the resumable directory query sessions.
 
-The hot-path optimisations (cursor sessions, version-stamped ranking cache)
-must be *observationally invisible*: every probe answers exactly what the
-naive sorted-scan oracle — an independent re-sort of the live quotes — says,
+The hot-path optimisation (version-stamped cursor sessions) must be
+*observationally invisible*: every probe answers exactly what the naive
+sorted-scan oracle — an independent re-sort of the live quotes — says,
 across arbitrary interleavings of subscribe / unsubscribe / update_quote /
 probe.
 """
@@ -55,8 +55,8 @@ class TestSessionMatchesOracle:
     @given(ops=_ops, criterion=st.sampled_from(list(RankCriterion)))
     @settings(max_examples=120, deadline=None)
     def test_random_membership_churn(self, ops, criterion):
-        """Cached queries and live sessions both match the oracle across
-        random subscribe/unsubscribe/update sequences."""
+        """Live sessions match the oracle across random
+        subscribe/unsubscribe/update sequences."""
         directory = FederationDirectory(rng=np.random.default_rng(0))
         # One long-lived session per processor filter: deliberately kept open
         # across membership churn to exercise the version-stamp restart.
@@ -79,9 +79,7 @@ class TestSessionMatchesOracle:
                 for rank in range(1, len(expected) + 2):
                     want = expected[rank - 1].gfa_name if rank <= len(expected) else None
                     got_session = session.kth(rank)
-                    got_cached = directory.query(criterion, rank, min_processors)
                     assert (got_session.gfa_name if got_session else None) == want
-                    assert (got_cached.gfa_name if got_cached else None) == want
 
     @given(
         prefix=st.integers(min_value=1, max_value=6),
@@ -211,24 +209,15 @@ class TestSessionIterationSurvivesUnsubscribe:
         assert len(served) == len(set(served))
 
 
-class TestRankingCache:
-    def test_cache_hit_serves_without_overlay_hops(self):
-        directory = FederationDirectory(rng=np.random.default_rng(0))
-        for i in range(16):
-            directory.subscribe(f"GFA-{i}", make_spec(f"GFA-{i}", 1.0 + i, 500.0, 4))
-        directory.query(RankCriterion.CHEAPEST, 1)  # builds the cache
-        hops_after_build = directory.measured_overlay_hops
-        for rank in range(1, 17):
-            directory.query(RankCriterion.CHEAPEST, rank)
-        assert directory.measured_overlay_hops == hops_after_build  # pure hits
-
-    def test_cache_invalidated_by_quote_update(self):
+class TestVersionStamp:
+    def test_open_session_sees_quote_update(self):
         directory = FederationDirectory(rng=np.random.default_rng(0))
         for i in range(4):
             directory.subscribe(f"GFA-{i}", make_spec(f"GFA-{i}", 1.0 + i, 500.0, 4))
-        assert directory.query(RankCriterion.CHEAPEST, 1).gfa_name == "GFA-0"
+        session = directory.open_session(RankCriterion.CHEAPEST)
+        assert session.kth(1).gfa_name == "GFA-0"
         directory.update_quote("GFA-3", make_spec("GFA-3", 0.01, 500.0, 4))
-        assert directory.query(RankCriterion.CHEAPEST, 1).gfa_name == "GFA-3"
+        assert session.kth(1).gfa_name == "GFA-3"
 
     def test_version_counts_membership_changes(self):
         directory = FederationDirectory(rng=np.random.default_rng(0))
@@ -421,9 +410,7 @@ class TestBatchUpdates:
         with directory.batch_updates():
             directory.update_quote("GFA-0", make_spec("GFA-0", 9.0, 500.0, 4))
             with pytest.raises(OverlayError, match="batch_updates"):
-                directory.query(RankCriterion.CHEAPEST, 1)
-            with pytest.raises(OverlayError, match="batch_updates"):
-                directory.ranking(RankCriterion.CHEAPEST)
+                directory.open_session(RankCriterion.CHEAPEST).kth(1)
 
     def test_post_batch_queries_see_the_new_quotes(self):
         directory = self._directory()
@@ -434,7 +421,7 @@ class TestBatchUpdates:
         # The storm bumped the version once; the session resweeps and the
         # best-ranked unseen candidate is the re-quoted cluster.
         assert session.next().gfa_name == "GFA-5"
-        assert directory.query(RankCriterion.CHEAPEST, 1).gfa_name == "GFA-5"
+        assert directory.open_session(RankCriterion.CHEAPEST).kth(1).gfa_name == "GFA-5"
 
     def test_batch_exception_still_closes_and_bumps(self):
         directory = self._directory()
@@ -444,4 +431,4 @@ class TestBatchUpdates:
                 directory.update_quote("GFA-0", make_spec("GFA-0", 9.0, 500.0, 4))
                 raise RuntimeError("boom")
         assert directory.version == v0 + 1
-        assert directory.query(RankCriterion.CHEAPEST, 1) is not None
+        assert directory.open_session(RankCriterion.CHEAPEST).kth(1) is not None

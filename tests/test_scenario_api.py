@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import dataclasses
 import importlib
+import inspect
 import pickle
 import pkgutil
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import repro
@@ -299,3 +301,56 @@ class TestRemovedEntryPointsTable:
                 assert not [m.__name__ for m in modules if hasattr(m, name)], name
             for name in re.findall(r"(\w+)\(", replacement):
                 assert any(hasattr(m, name) for m in public), name
+
+
+class TestRemovedParametersTable:
+    """Every name the "Removed parameters and flags" table in docs/API.md
+    spells out is gone: ``Owner.member`` attributes, ``function(...,
+    name=...)`` keyword parameters and ``gridfed <command> --flag``
+    options."""
+
+    #: Where the owners and functions the table names live.
+    MODULES = ("repro", "repro.p2p", "repro.perf", "repro.service.daemon")
+
+    def _removed_cells(self):
+        api = (Path(__file__).resolve().parents[1] / "docs" / "API.md").read_text()
+        section = api.split("## Removed parameters and flags", 1)[1].split("\n## ", 1)[0]
+        return " ".join(
+            line.split("|")[1] for line in section.splitlines() if line.startswith("| `")
+        )
+
+    def _lookup(self, name):
+        for module in map(importlib.import_module, self.MODULES):
+            if hasattr(module, name):
+                return getattr(module, name)
+        raise AssertionError(f"{name} is defined in none of {self.MODULES}")
+
+    def test_members_are_gone(self):
+        members = re.findall(r"`(\w+)\.(\w+)`", self._removed_cells())
+        assert len(members) == 5
+        for owner, member in members:
+            assert not hasattr(self._lookup(owner), member), f"{owner}.{member}"
+
+    def test_keyword_parameters_are_gone(self):
+        parameters = re.findall(r"`(\w+)\(\.\.\., (\w+)=[^`]*\)`", self._removed_cells())
+        assert len(parameters) == 3
+        for function, name in parameters:
+            signature = inspect.signature(self._lookup(function))
+            assert name not in signature.parameters, f"{function}({name}=)"
+
+    def test_flags_are_gone(self, capsys):
+        from repro.cli import build_parser
+
+        flags = re.findall(r"`gridfed (\w+) (--[\w-]+)`", self._removed_cells())
+        assert len(flags) == 1
+        for command, flag in flags:
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([command, flag, "x"])
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    def test_directories_hold_no_cache(self):
+        from repro.p2p import FederationDirectory, ShardedDirectory
+
+        rng = np.random.default_rng(0)
+        for directory in (FederationDirectory(rng=rng), ShardedDirectory([rng, rng])):
+            assert not [name for name in vars(directory) if "cache" in name]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import multiprocessing
 import threading
 import time
 import urllib.request
@@ -337,35 +338,43 @@ class TestDurableQueue:
         finally:
             revived.stop()
 
-    def test_shutdown_requeues_in_flight_run(self, tmp_path):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_shutdown_requeues_in_flight_run(self, tmp_path, workers):
         """A clean shutdown puts the in-flight run back to 'queued' with its
-        checkpoint retained, ready for the next daemon life."""
+        checkpoint retained, ready for the next daemon life.  The thread
+        (``workers=1``) and process-pool (``workers=2``) models share one
+        stop marker, and ``stop()`` leaves no pool process behind."""
         state = tmp_path / "state"
+        scenario = _fast(seed=31, thin=2, horizon=24 * 3600.0)
         daemon = GridfedDaemon(
-            state, port=0, workers=1, checkpoint_interval=600.0
+            state, port=0, workers=workers, checkpoint_interval=600.0
         )
         daemon.start()
         client = DaemonClient(daemon.address, timeout=10.0)
-        sid = client.submit(_fast(seed=31, thin=2, horizon=24 * 3600.0))
-        # Wait until it is actually running, then stop the daemon.
+        sid = client.submit(scenario)
+        # Wait until it has reported progress (so a checkpoint exists), then
+        # stop the daemon.
         deadline = time.monotonic() + 60.0
         while time.monotonic() < deadline:
-            if client.status(sid)["status"] == "running":
+            if client.status(sid).get("progress"):
                 break
             time.sleep(0.05)
+        children = multiprocessing.active_children()
         daemon.stop()
+        assert not [child for child in children if child.is_alive()]
         status = daemon.state.load_record(sid)["status"]
         assert status in ("queued", "completed")
         if status == "completed":
             pytest.skip("run finished before shutdown could interrupt it")
-        revived = GridfedDaemon(state, port=0, workers=1, checkpoint_interval=600.0)
+        assert (state / "checkpoints" / sid / "latest.ckpt").exists()
+        revived = GridfedDaemon(
+            state, port=0, workers=workers, checkpoint_interval=600.0
+        )
         revived.start()
         try:
             fresh = DaemonClient(revived.address, timeout=10.0)
             final = fresh.wait(sid, timeout=240.0)
             assert final["status"] == "completed", final.get("error")
-            assert final["fingerprint"] == result_fingerprint(
-                run_scenario(_fast(seed=31, thin=2, horizon=24 * 3600.0))
-            )
+            assert final["fingerprint"] == result_fingerprint(run_scenario(scenario))
         finally:
             revived.stop()

@@ -109,8 +109,8 @@ class TestCreateDirectory:
             spec = make_spec(f"GFA-{i}", 1.0 + i, 500.0, 4)
             directory.subscribe(f"GFA-{i}", spec)
             legacy.subscribe(f"GFA-{i}", spec)
-        directory.query(RankCriterion.CHEAPEST, 32)
-        legacy.query(RankCriterion.CHEAPEST, 32)
+        directory.open_session(RankCriterion.CHEAPEST).kth(32)
+        legacy.open_session(RankCriterion.CHEAPEST).kth(32)
         assert directory.measured_overlay_hops == legacy.measured_overlay_hops
 
     def test_multi_shard_builds_sharded(self):
@@ -145,9 +145,9 @@ class TestScatterGatherMatchesOracle:
     )
     @settings(max_examples=80, deadline=None)
     def test_random_membership_churn(self, ops, criterion, shards):
-        """Sharded queries and scatter-gather sessions both agree with a
-        single-directory oracle across random churn, long-lived sessions
-        included (the aggregate version stamp forces transparent restarts)."""
+        """Scatter-gather sessions agree with a single-directory oracle
+        across random churn, long-lived sessions included (the aggregate
+        version stamp forces transparent restarts)."""
         directory = sharded(shards)
         oracle = FederationDirectory(rng=np.random.default_rng(99))
         open_sessions = {}
@@ -173,18 +173,17 @@ class TestScatterGatherMatchesOracle:
                 for rank in range(1, len(expected) + 2):
                     want = expected[rank - 1].gfa_name if rank <= len(expected) else None
                     got_session = session.kth(rank)
-                    got_query = directory.query(criterion, rank, procs)
                     assert (got_session.gfa_name if got_session else None) == want
-                    assert (got_query.gfa_name if got_query else None) == want
 
-    def test_ranking_merges_across_shards(self):
+    def test_session_merges_across_shards(self):
         directory = sharded(4)
         for i in range(16):
             directory.subscribe(f"GFA-{i}", make_spec(f"GFA-{i}", 16.0 - i, 100.0 * i + 1, 4))
-        cheapest = [q.gfa_name for q in directory.ranking(RankCriterion.CHEAPEST)]
-        assert cheapest == [f"GFA-{i}" for i in range(15, -1, -1)]
-        fastest = [q.gfa_name for q in directory.ranking(RankCriterion.FASTEST)]
-        assert fastest == [f"GFA-{i}" for i in range(15, -1, -1)]
+        for criterion in (RankCriterion.CHEAPEST, RankCriterion.FASTEST):
+            session = directory.open_session(criterion)
+            merged = [session.kth(rank).gfa_name for rank in range(1, 17)]
+            assert merged == [f"GFA-{i}" for i in range(15, -1, -1)]
+            assert session.kth(17) is None
 
 
 class TestScatterGatherSessionChurnSemantics:
@@ -270,24 +269,18 @@ class TestScatterAccounting:
         # The initial scatter probes every shard at least once.
         assert directory.query_count >= before + len(directory.shards)
 
-    def test_one_shot_query_charges_every_shard(self):
-        directory = sharded(4)
-        for i in range(8):
-            directory.subscribe(f"GFA-{i}", make_spec(f"GFA-{i}", 1.0 + i, 500.0, 4))
-        before = directory.query_count
-        directory.query(RankCriterion.CHEAPEST, 1)
-        assert directory.query_count == before + 4
-
     def test_attached_transport_sees_per_shard_control_traffic(self):
         directory = sharded(2)
         transport = Transport(Simulator())
         directory.attach_transport(transport)
         directory.subscribe("A", make_spec("A", 1.0, 500.0, 4))
         directory.subscribe("B", make_spec("B", 2.0, 500.0, 4))
-        directory.query(RankCriterion.CHEAPEST, 1)
+        directory.open_session(RankCriterion.CHEAPEST).kth(1)
         stats = transport.stats
         assert stats.control_by_kind.get("subscribe") == 2
-        assert stats.control_by_kind.get("query") == 2  # one per shard (scatter)
+        # One per shard (the scatter), plus one refilling the head the
+        # first answer consumed.
+        assert stats.control_by_kind.get("query") == 3
         assert all(node.startswith("directory/shard") for node in stats.control_by_node)
 
 
