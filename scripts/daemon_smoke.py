@@ -12,7 +12,10 @@ window until the slot frees and its submission completes.  A third phase
 runs a ``workers=2`` (process-pool) daemon: ``POST /shutdown`` while a
 submission of a few seconds is running must leave its record ``queued`` and
 no pool process alive, and a restarted daemon must complete it to the
-fingerprint of a direct ``run_scenario``.  Exits non-zero on any failure.
+fingerprint of a direct ``run_scenario``.  The blocker of the second phase
+and the run of the third are sized to outlast what interrupts them (a
+cancel after 1 s, a shutdown once the record reads ``running``).  Exits
+non-zero on any failure.
 
 Usage::
 
@@ -33,6 +36,11 @@ from repro.service import DaemonClient, DaemonError, GridfedDaemon
 
 def _fast(seed: int) -> Scenario:
     return Scenario(workload="synthetic", horizon=4 * 3600.0, thin=20, seed=seed)
+
+
+def _long(seed: int) -> Scenario:
+    """About 2.6 s of run time (28 clusters, the full two-day workload)."""
+    return Scenario(workload="synthetic", thin=1, system_size=28, seed=seed)
 
 
 def main() -> int:
@@ -101,9 +109,7 @@ def backpressure_phase() -> int:
             daemon.address, timeout=10.0, retries=60, backoff_base=0.1, backoff_cap=0.5
         )
         try:
-            blocker = impatient.submit(
-                Scenario(workload="synthetic", horizon=72 * 3600.0, thin=1, seed=10)
-            )
+            blocker = impatient.submit(_long(10))
             try:
                 impatient.submit(_fast(11))
             except DaemonError as exc:
@@ -141,8 +147,7 @@ def backpressure_phase() -> int:
 def pool_shutdown_phase() -> int:
     """workers=2: POST /shutdown requeues the running submission, leaves no
     pool process behind, and a restarted daemon completes it."""
-    # About three seconds under the ten-minute checkpoint cadence.
-    scenario = Scenario(workload="synthetic", horizon=24 * 3600.0, thin=2, seed=31)
+    scenario = _long(31)
     with tempfile.TemporaryDirectory(prefix="gridfed-daemon-pool-") as state_dir:
         daemon = GridfedDaemon(state_dir, port=0, workers=2, checkpoint_interval=600.0)
         daemon.start()
@@ -150,12 +155,12 @@ def pool_shutdown_phase() -> int:
         try:
             sid = client.submit(scenario)
             deadline = time.monotonic() + 60.0
-            while not client.status(sid).get("progress"):
+            while client.status(sid)["status"] != "running":
                 if time.monotonic() > deadline:
-                    print(f"[daemon-smoke] FAIL: {sid} reported no progress",
+                    print(f"[daemon-smoke] FAIL: {sid} never started running",
                           file=sys.stderr)
                     return 1
-                time.sleep(0.05)
+                time.sleep(0.02)
             client.shutdown()
         finally:
             daemon.stop()  # returns once the shutdown has finished

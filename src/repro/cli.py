@@ -703,7 +703,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=3600.0,
         metavar="SECONDS",
-        help="virtual seconds between snapshots of in-flight runs",
+        help="virtual seconds between step boundaries of in-flight runs, where "
+        "they check for cancel and shutdown and snapshot at most once a second",
     )
     daemon_parser.add_argument(
         "--max-pending",

@@ -634,7 +634,8 @@ class ParallelSimulator:
         pending traffic routed, next window start chosen) ``state`` is a
         consistent global cut, handed to the boundary policy — which, once
         a mark has passed, writes a fleet checkpoint through ``checkpoint``
-        (the supervisor's), then reports progress and may cancel the run.  ``timeout`` is the
+        (the supervisor's) as its wall-clock floor allows, then reports
+        progress and may cancel the run.  ``timeout`` is the
         wall-clock deadline per window collect; ``chaos`` is a fault-
         injection hook (tests, smoke) called between dispatch and collect.
         """

@@ -14,6 +14,8 @@ the scheduling hot path are timed:
   to the timing.
 * **Resilience overhead** — the Table-3 run with no policy vs the inert one.
 * **Parallel engine** — the Exp-5 economy shape per worker count.
+* **Service** — fresh daemon submissions run through the daemon's worker
+  function, against the same runs with no hooks.
 
 The ``xl`` scale pushes the directory benchmark to 512/1024 clusters (via
 Table-1 replication) and the end-to-end run to 1024 clusters — far beyond
@@ -63,6 +65,7 @@ __all__ = [
     "bench_table3",
     "bench_resilience_overhead",
     "bench_parallel_engine",
+    "bench_service",
     "run_benchmarks",
     "write_report",
     "render_comparison",
@@ -116,6 +119,8 @@ class BenchScale:
     #: Worker counts timed by the parallel-engine benchmark (1 = the serial
     #: baseline the speedup column is relative to).
     par_workers: Tuple[int, ...] = (1, 2)
+    #: Fresh submissions timed by the service benchmark.
+    service_runs: int = 10
 
 
 BENCH_SCALES: Dict[str, BenchScale] = {
@@ -131,6 +136,7 @@ BENCH_SCALES: Dict[str, BenchScale] = {
         par_size=64,
         par_thin=4,
         par_workers=(1, 2),
+        service_runs=10,
     ),
     "full": BenchScale(
         "full",
@@ -143,6 +149,7 @@ BENCH_SCALES: Dict[str, BenchScale] = {
         par_size=256,
         par_thin=8,
         par_workers=(1, 2, 4),
+        service_runs=40,
     ),
     # Scale-out tier: the paper's Experiment 5 stops at 64 clusters.
     "xl": BenchScale(
@@ -156,6 +163,7 @@ BENCH_SCALES: Dict[str, BenchScale] = {
         par_size=4096,
         par_thin=32,
         par_workers=(1, 8),
+        service_runs=40,
     ),
 }
 
@@ -509,6 +517,84 @@ def bench_parallel_engine(
 
 
 # --------------------------------------------------------------------------- #
+# Service benchmark
+# --------------------------------------------------------------------------- #
+def bench_service(
+    runs: int, thin: int = 30, repeats: int = 1, seed: int = 42
+) -> List[Dict[str, object]]:
+    """Time ``runs`` fresh daemon submissions against the same runs plain.
+
+    The scenarios are the daemon workload's shape: the paper's federation
+    at ``thin``, one seed each.  Each is queued as a record in a temporary
+    :class:`~repro.service.daemon.DaemonState` and run by
+    :func:`~repro.service.daemon.execute_submission` — what a daemon worker
+    does for a fresh submission: record updates, the memo-cache check and
+    write, the hourly boundaries with their progress reports and
+    checkpoints, and the result summary.  The gated timing is that total;
+    ``plain_s`` is the same runs through :func:`run_scenario` with no hooks,
+    and ``overhead`` their ratio.  The row's check fails when a record does
+    not end ``completed`` or its fingerprint differs from the plain run's.
+    """
+    from repro.service.checkpoint import DEFAULT_CHECKPOINT_INTERVAL
+    from repro.service.daemon import DaemonState, execute_submission, scenario_to_fields
+
+    scenarios = [
+        Scenario(mode=SharingMode.FEDERATION, thin=thin, seed=seed + index)
+        for index in range(runs)
+    ]
+    sids = [f"job-{order:06d}" for order in range(1, runs + 1)]
+    plain: List[str] = []
+    records: List[Optional[Dict[str, object]]] = []
+
+    def run_plain() -> float:
+        start = time.perf_counter()
+        plain[:] = [result_fingerprint(run_scenario(scenario)) for scenario in scenarios]
+        return time.perf_counter() - start
+
+    def run_service() -> float:
+        with tempfile.TemporaryDirectory(prefix="gridfed-bench-service-") as directory:
+            state = DaemonState(directory)
+            for order, (sid, scenario) in enumerate(zip(sids, scenarios), 1):
+                state.save_record(
+                    {
+                        "id": sid,
+                        "order": order,
+                        "scenario": scenario_to_fields(scenario),
+                        "status": "queued",
+                    }
+                )
+            start = time.perf_counter()
+            for sid in sids:
+                execute_submission(directory, sid, DEFAULT_CHECKPOINT_INTERVAL)
+            elapsed = time.perf_counter() - start
+            records[:] = [state.load_record(sid) for sid in sids]
+        return elapsed
+
+    plain_s = _best_of(repeats, run_plain)
+    seconds = _best_of(repeats, run_service)
+    problem: Optional[str] = None
+    for sid, record, fingerprint in zip(sids, records, plain):
+        record = record or {}
+        if record.get("status") != "completed":
+            problem = f"{sid} ended {record.get('status')}: {record.get('error')}"
+            break
+        if record.get("fingerprint") != fingerprint:
+            problem = f"{sid}'s fingerprint differs from its plain run's"
+            break
+    return [
+        _row(
+            f"{runs}@thin{thin}/seconds",
+            seconds,
+            problem,
+            runs=int(runs),
+            thin=int(thin),
+            plain_s=plain_s,
+            overhead=seconds / max(plain_s, 1e-12),
+        )
+    ]
+
+
+# --------------------------------------------------------------------------- #
 # Suite driver, report and regression gate
 # --------------------------------------------------------------------------- #
 def run_benchmarks(
@@ -551,6 +637,9 @@ def run_benchmarks(
             worker_counts=scale.par_workers,
             repeats=scale.repeats,
             seed=seed,
+        ),
+        "service": lambda: bench_service(
+            scale.service_runs, repeats=scale.repeats, seed=seed
         ),
     }
     return {

@@ -147,6 +147,7 @@ def run_scenario(
     checkpoint_dir: Optional[str] = None,
     checkpoint_every: Optional[float] = None,
     on_progress=None,
+    checkpoint_floor_s: float = 0.0,
     supervision=None,
 ) -> FederationResult:
     """Build and run the federation a scenario describes.
@@ -183,7 +184,7 @@ def run_scenario(
         :class:`~repro.service.checkpoint.BoundaryPolicy`, serial or
         sharded alike: every ``checkpoint_every`` simulated seconds
         (default 3600) it writes an atomic checkpoint into
-        ``checkpoint_dir`` and reports a
+        ``checkpoint_dir`` (as ``checkpoint_floor_s`` allows) and reports a
         :class:`~repro.service.checkpoint.RunProgress` to ``on_progress``,
         which may raise :class:`~repro.service.checkpoint.CancelledRun` to
         stop the run; a final ``done`` report follows completion.  The
@@ -192,6 +193,13 @@ def run_scenario(
         unless explicit ``resources``, ``specs``, ``workload`` or
         ``fault_plan`` are given or ``validate`` is on, inputs the
         checkpoint's scenario guard cannot see.
+    checkpoint_floor_s:
+        Wall-clock seconds that must pass since the run started or last
+        checkpointed before a step boundary writes its checkpoint (progress
+        is still reported at every boundary).  A boundary whose progress
+        report raises ``CancelledRun`` checkpoints regardless, so only a
+        crash loses work, at most about this many seconds plus one step.
+        The default 0 checkpoints at every boundary.
     supervision:
         A :class:`~repro.par.supervisor.SupervisionConfig` for a sharded
         run (``None`` = supervised with defaults).  A supervised run that
@@ -207,7 +215,9 @@ def run_scenario(
         # stack, and the plain path must not pay for it.
         from repro.service.checkpoint import BoundaryPolicy, continue_serial, drive
 
-        policy = BoundaryPolicy(checkpoint_dir, checkpoint_every, on_progress)
+        policy = BoundaryPolicy(
+            checkpoint_dir, checkpoint_every, on_progress, floor_s=checkpoint_floor_s
+        )
     fallback_stats = None
     if scenario.parallel >= 2:
         # Imported lazily: repro.par sits above this module in the layer

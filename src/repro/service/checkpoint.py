@@ -5,13 +5,22 @@ A run with any of :func:`~repro.scenario.runner.run_scenario`'s hooks set
 bounded steps — a serial run in chunks of virtual time (:func:`drive`), a
 sharded run in barrier windows (:meth:`repro.par.engine.ParallelSimulator.
 _drive`) — and both loops hand each step boundary to one
-:class:`BoundaryPolicy`.  It owns the cadence (a boundary acts once
+:class:`BoundaryPolicy`.  It owns the cadence (a boundary falls once
 ``checkpoint_every`` simulated seconds have passed since the run started or
-last acted), the checkpoint (a serial run's rolling ``latest.ckpt``, or a
-sharded run's fleet checkpoint committed by ``par-state.bin``), the
+the last boundary), the checkpoint (a serial run's rolling ``latest.ckpt``,
+or a sharded run's fleet checkpoint committed by ``par-state.bin``), the
 :class:`RunProgress` report that follows it, and cancellation (a
-:class:`CancelledRun` raised by ``on_progress`` stops the run and keeps that
-checkpoint).
+:class:`CancelledRun` raised by ``on_progress`` stops the run at that
+boundary).
+
+Every boundary reports progress, but a boundary writes its checkpoint only
+once the policy's wall-clock floor (``floor_s``, ``run_scenario``'s
+``checkpoint_floor_s``) has passed since the run started or last
+checkpointed; the default floor of 0 checkpoints at every boundary.  A
+boundary whose progress report raises :class:`CancelledRun` always leaves
+its checkpoint, so a cancel or a daemon shutdown keeps the exact boundary it
+stopped at whatever the floor, and only a crash can lose work: at most about
+``floor_s`` wall seconds plus one step.
 
 The stepping is invisible to results: a checkpointed, an uninterrupted and
 an interrupted-then-resumed run produce byte-identical
@@ -28,6 +37,7 @@ from __future__ import annotations
 
 import math
 import os
+import time
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
@@ -115,7 +125,11 @@ class BoundaryPolicy:
     """What a run does at its step boundaries (see the module docstring).
 
     ``checkpoint_every`` must be a finite, positive number of simulated
-    seconds (``None`` = :data:`DEFAULT_CHECKPOINT_INTERVAL`).
+    seconds (``None`` = :data:`DEFAULT_CHECKPOINT_INTERVAL`); it places the
+    boundaries.  ``floor_s`` (non-negative wall-clock seconds) is the least
+    time between two checkpoints, counted from :meth:`start` and from the
+    end of each write; a boundary that falls sooner skips its checkpoint
+    unless its progress report cancels the run.  0 writes at every boundary.
     """
 
     def __init__(
@@ -123,18 +137,28 @@ class BoundaryPolicy:
         checkpoint_dir: Optional[str | os.PathLike] = None,
         checkpoint_every: Optional[float] = None,
         on_progress: Optional[ProgressCallback] = None,
+        floor_s: float = 0.0,
     ):
         self.interval = checked_interval(
             DEFAULT_CHECKPOINT_INTERVAL if checkpoint_every is None else checkpoint_every
         )
+        self.floor_s = float(floor_s)
+        if not self.floor_s >= 0.0:
+            raise ValueError(
+                f"checkpoint floor must be a non-negative number of seconds, got {floor_s}"
+            )
         self.checkpoint_dir = None if checkpoint_dir is None else os.fspath(checkpoint_dir)
         self.on_progress = on_progress
         #: Simulated time from which the next boundary acts.
         self.next_mark = self.interval
+        #: Wall clock (``time.monotonic``) of the start or the last checkpoint.
+        self.last_write = time.monotonic()
 
     def start(self, now: float) -> None:
-        """Arm the cadence for a run (or restored run) beginning at ``now``."""
+        """Arm the cadence and the floor for a run (or restored run)
+        beginning at ``now``."""
         self.next_mark = now + self.interval
+        self.last_write = time.monotonic()
 
     def act(
         self,
@@ -142,15 +166,24 @@ class BoundaryPolicy:
         checkpoint: Callable[[], None],
         progress: Callable[[], RunProgress],
     ) -> None:
-        """At a step boundary ``now`` on or past the next mark: checkpoint,
-        then report progress (which may raise :class:`CancelledRun`)."""
+        """At a step boundary ``now`` on or past the next mark: checkpoint if
+        the floor has passed, then report progress; a :class:`CancelledRun`
+        from the report writes a skipped checkpoint before it propagates."""
         if now < self.next_mark:
             return
         self.next_mark = now + self.interval
-        if self.checkpoint_dir is not None:
+        unwritten = self.checkpoint_dir is not None
+        if unwritten and time.monotonic() - self.last_write >= self.floor_s:
             checkpoint()
+            self.last_write = time.monotonic()
+            unwritten = False
         if self.on_progress is not None:
-            self.on_progress(progress())
+            try:
+                self.on_progress(progress())
+            except CancelledRun:
+                if unwritten:
+                    checkpoint()
+                raise
 
     def finish(self, result: FederationResult, sim_time: float) -> None:
         """Report the final, ``done`` observation of a finished run."""

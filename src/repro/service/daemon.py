@@ -24,11 +24,24 @@ Durability model (all under the daemon's state directory)::
 
 Every submission, serial or sharded (``parallel >= 2``), is one
 :func:`~repro.scenario.runner.run_scenario` call with its checkpoint
-directory and a progress callback that also carries cancellation.  A daemon
-killed (even with SIGKILL) and restarted re-enqueues its queued and running
-submissions, and each interrupted run continues from its last checkpoint —
-byte-identically, by the same resume oracles that cover
-``gridfed run --resume``.
+directory and a progress callback that also carries cancellation.  The
+callback checks the cancel and stop markers at every step boundary, but a
+run's checkpoint and its progress file are each written at most once per
+:data:`CHECKPOINT_FLOOR_S` wall seconds (plus the final ``done`` report), so
+a run shorter than the floor writes no snapshot.  A graceful interruption
+(cancel, :meth:`GridfedDaemon.stop`, ``POST /shutdown``) always checkpoints
+the boundary it stops at.  A daemon killed (even with SIGKILL) and
+restarted re-enqueues its queued and running submissions, and each
+interrupted run continues from its last checkpoint — byte-identically, by
+the same resume oracles that cover ``gridfed run --resume`` — having lost at
+most about a second of run time plus one step.
+
+The records on disk are the durable copy.  The daemon also keeps an
+in-memory index of them — the next order number, the queued and running
+ids, per-status counts and the parallel-run counters — which ``_recover``
+rebuilds from disk at start and every transition the daemon makes or sees
+moves, so submit and ``/health`` cost the same however many jobs the
+daemon has served; ``GET /jobs`` and the per-submission endpoints read disk.
 
 Worker model: with ``workers == 1`` (the default) submissions execute on a
 dedicated thread inside the daemon process; with ``workers > 1`` they fan
@@ -54,7 +67,8 @@ Endpoints (all JSON)::
     GET  /jobs/<id>/progress        latest progress; ?stream=1 streams
                                     JSON lines until the run terminates
     POST /shutdown                  clean shutdown (in-flight runs are
-                                    requeued at the next step boundary)
+                                    checkpointed and requeued at the next
+                                    step boundary)
 """
 
 from __future__ import annotations
@@ -98,6 +112,10 @@ DEFAULT_MAX_PENDING = 256
 
 #: Default wall-clock budget for reading one HTTP request (seconds).
 DEFAULT_REQUEST_DEADLINE = 30.0
+
+#: Least wall-clock seconds between two checkpoints, or two progress-file
+#: writes, of one run (``run_scenario``'s ``checkpoint_floor_s``).
+CHECKPOINT_FLOOR_S = 1.0
 
 
 class QueueFullError(RuntimeError):
@@ -223,11 +241,6 @@ class DaemonState:
         records.sort(key=lambda record: record.get("order", 0))
         return records
 
-    def allocate_id(self) -> str:
-        orders = [record.get("order", 0) for record in self.list_records()]
-        order = (max(orders) + 1) if orders else 1
-        return f"job-{order:06d}"
-
     # ------------------------------ results ----------------------------- #
     def _result_path(self, sid: str) -> str:
         return os.path.join(self.directory, "results", f"{sid}.json")
@@ -311,10 +324,12 @@ def execute_submission(state_dir: str, sid: str, checkpoint_interval: float) -> 
     for duplicates), then makes one :func:`~repro.scenario.runner.
     run_scenario` call with the submission's checkpoint directory: the run
     continues from the checkpoint there when one exists (daemon restarted
-    mid-run), checkpoints and reports progress periodically while running,
-    and honours cooperative cancellation and daemon shutdown (marker files
-    in the state directory, checked at every step boundary; on shutdown the
-    run is requeued so the next daemon start resumes it).
+    mid-run), checkpoints and writes its progress file at most once per
+    :data:`CHECKPOINT_FLOOR_S` while running, and honours cooperative
+    cancellation and daemon shutdown (marker files in the state directory,
+    checked at every step boundary; the boundary a run stops at is always
+    checkpointed, and on shutdown the run is requeued so the next daemon
+    start resumes it from there).
 
     Serial and sharded (``parallel >= 2``) submissions take the same path.
     A sharded run's record gains a ``parallel`` stats block, and a run that
@@ -352,8 +367,13 @@ def execute_submission(state_dir: str, sid: str, checkpoint_interval: float) -> 
         )
         return
 
+    last_report = time.monotonic()
+
     def on_progress(progress: RunProgress) -> None:
-        state.save_progress(sid, progress)
+        nonlocal last_report
+        if progress.done or time.monotonic() - last_report >= CHECKPOINT_FLOOR_S:
+            state.save_progress(sid, progress)
+            last_report = time.monotonic()
         if not progress.done:
             if state.cancel_requested(sid):
                 raise CancelledRun(f"submission {sid} cancelled")
@@ -376,6 +396,7 @@ def execute_submission(state_dir: str, sid: str, checkpoint_interval: float) -> 
             checkpoint_dir=state.checkpoint_dir(sid),
             checkpoint_every=checkpoint_interval,
             on_progress=on_progress,
+            checkpoint_floor_s=CHECKPOINT_FLOOR_S,
             supervision=supervision,
         )
     except CancelledRun:
@@ -438,10 +459,18 @@ class GridfedDaemon:
         self.max_pending = max_pending
         self.request_deadline = request_deadline
         self._tasks: "queue_module.Queue[str]" = queue_module.Queue()
+        #: Guards the record index below and the record writes that move it.
         self._lock = threading.Lock()
         self._stop_lock = threading.Lock()
         self._stopping = threading.Event()
         self._threads: List[threading.Thread] = []
+        #: Pool submissions in flight: at most ``workers``, so each is running.
+        self._slots = threading.Semaphore(workers)
+        # The record index (see the module docstring), built by _recover().
+        self._next_order = 1
+        self._active: Dict[str, str] = {}
+        self._counts: Dict[str, int] = {}
+        self._parallel = {"runs": 0, "restarts": 0, "worker_failures": 0, "failed": 0}
         self._httpd = _DaemonHTTPServer((host, port), _DaemonRequestHandler)
         self._httpd.daemon_ref = self
         self._recover()
@@ -458,15 +487,39 @@ class GridfedDaemon:
     # Life cycle
     # ------------------------------------------------------------------ #
     def _recover(self) -> None:
-        """Re-enqueue submissions a previous daemon life left unfinished."""
+        """Build the record index from disk, re-enqueueing the submissions a
+        previous daemon life left unfinished."""
         for record in self.state.list_records():
             sid = str(record["id"])
+            self._next_order = max(self._next_order, int(record.get("order", 0)) + 1)
             if record.get("status") in _ACTIVE:
                 if self.state.cancel_requested(sid):
-                    _update_record(self.state, sid, status="cancelled")
+                    record = _update_record(self.state, sid, status="cancelled")
                 else:
-                    _update_record(self.state, sid, status="queued")
+                    record = _update_record(self.state, sid, status="queued")
                     self._tasks.put(sid)
+            self._index(sid, str(record.get("status")), record)
+
+    def _index(
+        self, sid: str, status: str, record: Optional[Dict[str, object]] = None
+    ) -> None:
+        """Move ``sid`` to ``status`` in the record index (lock held or not
+        yet shared).  ``record``, given with a terminal status, feeds the
+        parallel-run counters."""
+        previous = self._active.pop(sid, None)
+        if previous is not None:
+            self._counts[previous] -= 1
+        self._counts[status] = self._counts.get(status, 0) + 1
+        if status in _ACTIVE:
+            self._active[sid] = status
+            return
+        par = None if record is None else record.get("parallel")
+        if isinstance(par, dict):
+            self._parallel["runs"] += 1
+            self._parallel["restarts"] += int(par.get("restarts") or 0)
+            self._parallel["worker_failures"] += int(par.get("worker_failures") or 0)
+            if status == "failed":
+                self._parallel["failed"] += 1
 
     def start(self) -> None:
         """Start the worker pool and serve HTTP on a background thread."""
@@ -507,13 +560,17 @@ class GridfedDaemon:
         """Clean shutdown: stop accepting, requeue in-flight, stop serving.
 
         Returns once every in-flight run has been requeued at its next step
-        boundary and the worker thread or pool has exited; a second call
-        waits for the first.
+        boundary, with that boundary checkpointed, and the worker thread or
+        pool has exited; a second call waits for the first.  On a daemon
+        whose :meth:`start` never ran it only closes the listening socket.
         """
         with self._stop_lock:
             self.state.request_stop()
             self._stopping.set()
-            self._httpd.shutdown()
+            if self._threads:
+                # Only start() runs the serve loop; shutdown() would wait
+                # forever for one that never started.
+                self._httpd.shutdown()
             self._httpd.server_close()
             for thread in self._threads:
                 if thread is not threading.current_thread():
@@ -526,39 +583,54 @@ class GridfedDaemon:
     # Worker pool
     # ------------------------------------------------------------------ #
     def _next_task(self) -> Optional[str]:
+        """The next queued submission, now indexed as running (``None`` when
+        none arrived in time or the one taken was cancelled while queued)."""
         try:
-            return self._tasks.get(timeout=0.2)
+            sid = self._tasks.get(timeout=0.2)
         except queue_module.Empty:
             return None
+        with self._lock:
+            if self._active.get(sid) != "queued":
+                return None
+            self._index(sid, "running")
+        return sid
+
+    def _finished(self, sid: str) -> None:
+        """Index the end of one execution from its record on disk."""
+        record = self.state.load_record(sid)
+        with self._lock:
+            if record is not None and sid in self._active:
+                self._index(sid, str(record.get("status")), record)
 
     def _work_in_process(self) -> None:
         while not self._stopping.is_set():
             sid = self._next_task()
             if sid is not None:
                 execute_submission(self.state.directory, sid, self.checkpoint_interval)
+                self._finished(sid)
 
     def _dispatch_to_pool(self) -> None:
         while not self._stopping.is_set():
+            # A slot per pool worker: a dispatched submission is a running
+            # one.  The timed wait keeps stop() from blocking on a full pool.
+            if not self._slots.acquire(timeout=0.2):
+                continue
             sid = self._next_task()
-            if sid is not None:
-                self._pool.submit(
-                    execute_submission,
-                    self.state.directory,
-                    sid,
-                    self.checkpoint_interval,
-                )
+            if sid is None:
+                self._slots.release()
+                continue
+            future = self._pool.submit(
+                execute_submission, self.state.directory, sid, self.checkpoint_interval
+            )
+            future.add_done_callback(lambda _future, sid=sid: self._pool_done(sid))
+
+    def _pool_done(self, sid: str) -> None:
+        self._finished(sid)
+        self._slots.release()
 
     # ------------------------------------------------------------------ #
     # Operations called by the HTTP handler
     # ------------------------------------------------------------------ #
-    def _pending_count(self) -> int:
-        """Queued + running submissions (the backpressure measure)."""
-        return sum(
-            1
-            for record in self.state.list_records()
-            if record.get("status") in _ACTIVE
-        )
-
     def submit(
         self,
         fields: Dict[str, object],
@@ -569,14 +641,15 @@ class GridfedDaemon:
             checked_interval(checkpoint_interval)  # HTTP 400 before queuing
         key = scenario.scenario_hash()
         with self._lock:
-            pending = self._pending_count()
+            pending = len(self._active)
             if pending >= self.max_pending:
                 # Bounded admission: shed load instead of queueing without
                 # limit.  Memoised duplicates are shed too — serving them
                 # would still read the whole cache under a saturated daemon.
                 raise QueueFullError(pending, self.max_pending)
-            sid = self.state.allocate_id()
-            order = int(sid.split("-")[1])
+            order = self._next_order
+            self._next_order += 1
+            sid = f"job-{order:06d}"
             record: Dict[str, object] = {
                 "id": sid,
                 "order": order,
@@ -599,8 +672,10 @@ class GridfedDaemon:
                 record.update(status="completed", cached=True, fingerprint=fingerprint)
                 self.state.save_record(record)
                 self.state.save_result_summary(sid, result_summary(result, fingerprint))
+                self._index(sid, "completed", record)
                 return record
             self.state.save_record(record)
+            self._index(sid, "queued")
         self._tasks.put(sid)
         return record
 
@@ -611,8 +686,11 @@ class GridfedDaemon:
         if record.get("status") in _TERMINAL:
             return record
         self.state.request_cancel(sid)
-        if record.get("status") == "queued":
-            record = _update_record(self.state, sid, status="cancelled")
+        with self._lock:
+            if self._active.get(sid) == "queued":
+                # No worker holds it; a running one sees the marker instead.
+                record = _update_record(self.state, sid, status="cancelled")
+                self._index(sid, "cancelled", record)
         return record
 
     def status(self, sid: str) -> Dict[str, object]:
@@ -626,19 +704,10 @@ class GridfedDaemon:
         return record
 
     def health(self) -> Dict[str, object]:
-        counts: Dict[str, int] = {}
-        par_runs = par_restarts = par_failures = par_failed = 0
-        for record in self.state.list_records():
-            status = str(record.get("status"))
-            counts[status] = counts.get(status, 0) + 1
-            par = record.get("parallel")
-            if isinstance(par, dict):
-                par_runs += 1
-                par_restarts += int(par.get("restarts") or 0)
-                par_failures += int(par.get("worker_failures") or 0)
-                if status == "failed":
-                    par_failed += 1
-        pending = counts.get("queued", 0) + counts.get("running", 0)
+        with self._lock:
+            counts = {status: n for status, n in self._counts.items() if n}
+            pending = len(self._active)
+            parallel = dict(self._parallel)
         # Graceful degradation reporting: "degraded" from 80% capacity —
         # load balancers can drain early instead of slamming into 429s.
         status = "ok"
@@ -655,12 +724,7 @@ class GridfedDaemon:
             "capacity": self.max_pending,
             # Supervision counters: why parallel submissions got slower (or
             # failed) — restarts and worker faults across all records.
-            "parallel": {
-                "runs": par_runs,
-                "restarts": par_restarts,
-                "worker_failures": par_failures,
-                "failed": par_failed,
-            },
+            "parallel": parallel,
         }
 
 

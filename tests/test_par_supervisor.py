@@ -651,6 +651,32 @@ class TestShardedCheckpoints:
         # The continue rule adopted the checkpoint: no boundary repeats.
         assert continued[0].sim_time > reports[0].sim_time
 
+    def test_cancel_under_a_floor_checkpoints_the_cancelled_window(
+        self, tmp_path, undisturbed
+    ):
+        """The wall-clock floor skips fleet checkpoints as it skips serial
+        ones, and a cancel still commits the boundary it stops at."""
+        scenario = SCENARIO.replace(parallel=2)
+        reports = []
+
+        def cancel_second(progress):
+            reports.append(progress)
+            if len(reports) == 2:
+                raise CancelledRun("interrupted by test")
+
+        with pytest.raises(CancelledRun):
+            run_scenario(
+                scenario,
+                checkpoint_dir=tmp_path,
+                checkpoint_every=1800.0,
+                on_progress=cancel_second,
+                checkpoint_floor_s=3600.0,
+            )
+        state = load_par_state(tmp_path / "par-state.bin")
+        assert state["start"] == reports[1].sim_time > reports[0].sim_time
+        result, _ = resume_run(tmp_path, checkpoint_every=1800.0)
+        assert result_fingerprint(result) == undisturbed(2)
+
     def test_progress_reports_like_a_serial_run(self):
         serial, sharded = [], []
         plain = run_scenario(SCENARIO, checkpoint_every=1800.0, on_progress=serial.append)

@@ -19,6 +19,7 @@ from repro.perf import (
     _tracked_timings,
     bench_directory_queries,
     bench_parallel_engine,
+    bench_service,
     bench_table3,
     render_comparison,
     render_report,
@@ -36,6 +37,7 @@ BASELINE_KEYS = {
     "resilience/8@thin4/noop_s",
     "par/64@thin4/w1/seconds",
     "par/64@thin4/w2/seconds",
+    "service/10@thin30/seconds",
 }
 
 #: The three fields every row carries and the gate reads.
@@ -75,6 +77,37 @@ def test_a_parallel_row_that_fell_back_reports_it():
     assert row["key"] == "8@thin40/w2/seconds"
     assert "fell back to the serial path" in row["problem"]
     assert row["windows"] is None
+
+
+def test_service_row_runs_fresh_daemon_submissions():
+    (row,) = bench_service(runs=2, thin=40)
+    assert row["key"] == "2@thin40/seconds"
+    assert set(row) == ROW_CONTRACT | {"runs", "thin", "plain_s", "overhead"}
+    assert row["problem"] is None
+    assert row["seconds"] > 0 and row["plain_s"] > 0
+    assert row["overhead"] == row["seconds"] / row["plain_s"]
+
+
+@pytest.mark.parametrize(
+    "outcome, problem",
+    [
+        ({"status": "failed", "error": "boom"}, "job-000001 ended failed: boom"),
+        (
+            {"status": "completed", "fingerprint": "0" * 64},
+            "job-000001's fingerprint differs from its plain run's",
+        ),
+    ],
+    ids=["failed", "fingerprint"],
+)
+def test_a_service_row_reports_a_wrong_record(monkeypatch, outcome, problem):
+    import repro.service.daemon as daemon_module
+
+    def execute(state_dir, sid, checkpoint_interval):
+        daemon_module._update_record(daemon_module.DaemonState(state_dir), sid, **outcome)
+
+    monkeypatch.setattr(daemon_module, "execute_submission", execute)
+    (row,) = bench_service(runs=1, thin=40)
+    assert row["problem"] == problem
 
 
 # --------------------------------------------------------------------------- #

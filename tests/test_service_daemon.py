@@ -5,14 +5,26 @@ loopback port through the stdlib :class:`DaemonClient` — real sockets, real
 JSON, the same code path as ``gridfed daemon``.  Covered: submission of
 several scenarios, instant memoised duplicates (including across a daemon
 restart, via the persistent cache), cancellation, progress reporting,
-error responses, and the durable-queue recovery path.
+error responses, the durable-queue recovery path, and a real SIGKILL of a
+``gridfed daemon`` subprocess.
+
+Two patterns keep the timing-sensitive tests deterministic.  A test that
+needs a submission to stay *queued* submits to a daemon that has not been
+started yet.  A test that needs a run *in flight* waits for the record's
+``running`` status (the progress file appears only once the daemon's
+one-second floor has passed) and uses :func:`_long`, a run of well over
+two seconds, which the test then cancels or stops.
 """
 
 from __future__ import annotations
 
+import collections
 import json
 import math
 import multiprocessing
+import os
+import subprocess
+import sys
 import threading
 import time
 import urllib.request
@@ -22,6 +34,10 @@ import pytest
 from repro.scenario import Scenario, result_fingerprint, run_scenario
 from repro.service import DaemonClient, DaemonError, GridfedDaemon
 from repro.service.daemon import QueueFullError, scenario_from_fields, scenario_to_fields
+from repro.service.snapshot import read_header
+
+_REPO_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
 
 #: Small-but-active scenarios: the compressed synthetic horizon keeps each
 #: run well under a second while still migrating and settling payments.
@@ -29,6 +45,25 @@ def _fast(seed=7, **overrides):
     fields = dict(workload="synthetic", horizon=4 * 3600.0, thin=20, seed=seed)
     fields.update(overrides)
     return Scenario(**fields)
+
+
+#: A run that lasts ~2.6 s with no checkpoints (28 clusters, the full
+#: two-day synthetic workload): long enough to be cancelled or stopped
+#: mid-run on purpose, which is what the tests using it do.
+def _long(seed, system_size=28):
+    return Scenario(workload="synthetic", thin=1, system_size=system_size, seed=seed)
+
+
+def _wait_running(client, sid, timeout=60.0):
+    """Poll until ``sid``'s record reads ``running`` (a worker has it)."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        status = client.status(sid)["status"]
+        if status == "running":
+            return
+        assert status == "queued", f"{sid} went {status} before it was seen running"
+        time.sleep(0.02)
+    raise AssertionError(f"{sid} never started running")
 
 
 @pytest.fixture
@@ -117,18 +152,28 @@ class TestServingLoop:
         finally:
             revived.stop()
 
-    def test_cancel_queued_submission(self, daemon, client):
-        # Fill the single worker with a long run, then cancel one behind it.
-        blocker = client.submit(_fast(seed=20, thin=4, horizon=12 * 3600.0))
-        victim = client.submit(_fast(seed=21, thin=4, horizon=12 * 3600.0))
-        record = client.cancel(victim)
-        assert record["status"] == "cancelled"
-        assert client.wait(victim, timeout=10.0)["status"] == "cancelled"
-        client.cancel(blocker)  # cooperative: between chunks
-        assert client.wait(blocker, timeout=120.0)["status"] in (
-            "cancelled",
-            "completed",  # may have finished before the marker was seen
+    def test_cancel_queued_submission(self, tmp_path):
+        # Not started yet: both submissions stay queued, so the victim is
+        # cancelled while queued and the blocker then runs.
+        daemon = GridfedDaemon(
+            tmp_path / "state", port=0, workers=1, checkpoint_interval=1800.0
         )
+        blocker = daemon.submit(scenario_to_fields(_long(seed=20)))["id"]
+        victim = daemon.submit(scenario_to_fields(_long(seed=21)))["id"]
+        record = daemon.cancel(victim)
+        assert record["status"] == "cancelled"
+        daemon.start()
+        try:
+            client = DaemonClient(daemon.address, timeout=10.0)
+            assert client.wait(victim, timeout=10.0)["status"] == "cancelled"
+            _wait_running(client, blocker)
+            client.cancel(blocker)  # cooperative: between chunks
+            assert client.wait(blocker, timeout=120.0)["status"] in (
+                "cancelled",
+                "completed",  # may have finished before the marker was seen
+            )
+        finally:
+            daemon.stop()
 
     def test_progress_endpoint(self, client):
         sid = client.submit(_fast(seed=22))
@@ -164,7 +209,7 @@ class TestServingLoop:
         assert excinfo.value.status == 404
 
     def test_result_before_completion_is_409(self, daemon, client):
-        sid = client.submit(_fast(seed=24, thin=4, horizon=12 * 3600.0))
+        sid = client.submit(_long(seed=24))
         try:
             with pytest.raises(DaemonError) as excinfo:
                 client.result(sid)
@@ -198,7 +243,7 @@ class TestBackpressure:
         daemon.start()
         impatient = DaemonClient(daemon.address, timeout=10.0, retries=0)
         try:
-            blocker = impatient.submit(_fast(seed=40, thin=1, horizon=72 * 3600.0))
+            blocker = impatient.submit(_long(seed=40))
             with pytest.raises(DaemonError) as excinfo:
                 impatient.submit(_fast(seed=41))
             assert excinfo.value.status == 429
@@ -227,7 +272,7 @@ class TestBackpressure:
             daemon.address, timeout=10.0, retries=40, backoff_base=0.05, backoff_cap=0.25
         )
         try:
-            blocker = impatient.submit(_fast(seed=43, thin=1, horizon=72 * 3600.0))
+            blocker = impatient.submit(_long(seed=43))
             with pytest.raises(DaemonError):
                 impatient.submit(_fast(seed=44))  # saturated right now
             # Free the slot shortly; the patient client retries through the
@@ -256,7 +301,7 @@ class TestBackpressure:
             assert excinfo.value.pending == 5
             assert excinfo.value.retry_after > 0
         finally:
-            daemon._httpd.server_close()
+            daemon.stop()
 
     def test_max_pending_validation(self, tmp_path):
         with pytest.raises(ValueError):
@@ -282,13 +327,9 @@ class TestKillRestartMidWait:
         client = DaemonClient(
             daemon.address, timeout=5.0, retries=2, backoff_base=0.05, backoff_cap=0.25
         )
-        scenario = _fast(seed=60, thin=1, horizon=72 * 3600.0)
+        scenario = _long(seed=60)
         sid = client.submit(scenario)
-        deadline = time.monotonic() + 60.0
-        while time.monotonic() < deadline:
-            if client.status(sid)["status"] == "running":
-                break
-            time.sleep(0.02)
+        _wait_running(client, sid)
         outcome = {}
 
         def waiter():
@@ -324,7 +365,7 @@ class TestDurableQueue:
         # daemon had been killed right after accepting the submission.
         record = first.submit(scenario_to_fields(_fast(seed=30)))
         assert record["status"] == "queued"
-        first._httpd.server_close()
+        first.stop()
 
         revived = GridfedDaemon(state, port=0, workers=1)
         revived.start()
@@ -345,20 +386,16 @@ class TestDurableQueue:
         (``workers=1``) and process-pool (``workers=2``) models share one
         stop marker, and ``stop()`` leaves no pool process behind."""
         state = tmp_path / "state"
-        scenario = _fast(seed=31, thin=2, horizon=24 * 3600.0)
+        scenario = _long(seed=31)
         daemon = GridfedDaemon(
             state, port=0, workers=workers, checkpoint_interval=600.0
         )
         daemon.start()
         client = DaemonClient(daemon.address, timeout=10.0)
         sid = client.submit(scenario)
-        # Wait until it has reported progress (so a checkpoint exists), then
-        # stop the daemon.
-        deadline = time.monotonic() + 60.0
-        while time.monotonic() < deadline:
-            if client.status(sid).get("progress"):
-                break
-            time.sleep(0.05)
+        # Stop the daemon mid-run: the boundary the run stops at is
+        # checkpointed however little wall time has passed.
+        _wait_running(client, sid)
         children = multiprocessing.active_children()
         daemon.stop()
         assert not [child for child in children if child.is_alive()]
@@ -378,3 +415,176 @@ class TestDurableQueue:
             assert final["fingerprint"] == result_fingerprint(run_scenario(scenario))
         finally:
             revived.stop()
+
+
+class TestUnstartedDaemon:
+    def test_stop_returns_on_a_daemon_that_never_started(self, tmp_path):
+        daemon = GridfedDaemon(tmp_path / "state", port=0)
+        stopper = threading.Thread(target=daemon.stop, daemon=True)
+        stopper.start()
+        stopper.join(timeout=10.0)
+        assert not stopper.is_alive(), "stop() hung on a daemon that never started"
+
+
+class TestBoundaryWrites:
+    def test_a_run_shorter_than_the_floor_writes_only_its_done_report(
+        self, tmp_path, monkeypatch
+    ):
+        """Boundaries every ten simulated minutes, but a run well under the
+        one-second floor: no snapshot, and one progress write (``done``)."""
+        import repro.service.checkpoint as checkpoint_module
+        import repro.service.daemon as daemon_module
+
+        reports, snapshots = [], []
+        save_progress = daemon_module.DaemonState.save_progress
+        write_snapshot = checkpoint_module.write_snapshot
+
+        def counting_progress(self, sid, progress):
+            reports.append(progress.done)
+            save_progress(self, sid, progress)
+
+        def counting_snapshot(*args):
+            snapshots.append(args[0])
+            write_snapshot(*args)
+
+        monkeypatch.setattr(daemon_module.DaemonState, "save_progress", counting_progress)
+        monkeypatch.setattr(checkpoint_module, "write_snapshot", counting_snapshot)
+        state = tmp_path / "state"
+        daemon = GridfedDaemon(state, port=0)  # never started: this test runs it
+        try:
+            fields = scenario_to_fields(_fast(seed=70))
+            sid = daemon.submit(fields, checkpoint_interval=600.0)["id"]
+            daemon_module.execute_submission(str(state), sid, 600.0)
+        finally:
+            daemon.stop()
+        assert daemon.state.load_record(sid)["status"] == "completed"
+        assert reports == [True]
+        assert snapshots == []
+
+
+class TestRecordIndex:
+    def test_health_and_ids_follow_the_records_across_a_restart(self, tmp_path):
+        """The in-memory index answers /health and numbers submissions as
+        the records on disk would, and is rebuilt from them on restart."""
+        state = tmp_path / "state"
+        daemon = GridfedDaemon(state, port=0, workers=1)
+        daemon.start()
+        try:
+            client = DaemonClient(daemon.address, timeout=10.0)
+            done = client.submit(_fast(seed=50))
+            client.wait(done, timeout=120.0)
+            cached = client.submit(_fast(seed=50))
+            health = client.health()
+            assert health["jobs"] == {"completed": 2}
+            assert health["pending"] == 0
+        finally:
+            daemon.stop()
+        # Queued submissions of a daemon that never runs them, then cancel one.
+        idle = GridfedDaemon(state, port=0, workers=1)
+        queued = idle.submit(scenario_to_fields(_fast(seed=51)))["id"]
+        victim = idle.submit(scenario_to_fields(_fast(seed=52)))["id"]
+        idle.cancel(victim)
+        expected = {"completed": 2, "queued": 1, "cancelled": 1}
+        assert idle.health()["jobs"] == expected
+        assert idle.health()["pending"] == 1
+        idle.stop()
+        revived = GridfedDaemon(state, port=0, workers=1)
+        try:
+            assert revived.health()["jobs"] == expected
+            assert revived.health()["pending"] == 1
+            orders = [record["order"] for record in revived.state.list_records()]
+            assert [done, cached, queued, victim] == [
+                f"job-{order:06d}" for order in orders
+            ]
+            fresh = revived.submit(scenario_to_fields(_fast(seed=53)))
+            assert fresh["id"] == f"job-{max(orders) + 1:06d}"
+        finally:
+            revived.stop()
+
+
+    def test_racing_submits_and_cancels_keep_the_index_exact(self, tmp_path):
+        """Submits and queued cancels on more threads than cores, with a
+        short switch interval forcing interleavings, leave the ids unique
+        and dense and the index's counts equal to the records on disk."""
+        daemon = GridfedDaemon(tmp_path / "state", port=0, max_pending=1000)
+        threads, per_thread = 8, 6
+        ids, errors = [], []
+
+        def client(offset):
+            try:
+                for k in range(per_thread):
+                    fields = scenario_to_fields(_fast(seed=1000 + offset * per_thread + k))
+                    sid = daemon.submit(fields)["id"]
+                    ids.append(sid)
+                    if k % 2:
+                        daemon.cancel(sid)
+            except Exception as exc:  # noqa: BLE001 - surfaced by the assert
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            clients = [threading.Thread(target=client, args=(i,)) for i in range(threads)]
+            for thread in clients:
+                thread.start()
+            for thread in clients:
+                thread.join(timeout=60.0)
+            assert not any(thread.is_alive() for thread in clients)
+        finally:
+            sys.setswitchinterval(interval)
+            daemon.stop()
+        assert errors == []
+        total = threads * per_thread
+        assert sorted(ids) == [f"job-{order:06d}" for order in range(1, total + 1)]
+        on_disk = collections.Counter(
+            record["status"] for record in daemon.state.list_records()
+        )
+        assert on_disk == {"queued": total // 2, "cancelled": total // 2}
+        health = daemon.health()
+        assert health["jobs"] == dict(on_disk)
+        assert health["pending"] == total // 2
+
+
+class TestSigkillDurability:
+    def test_sigkilled_daemon_resumes_from_its_last_checkpoint(self, tmp_path):
+        """``gridfed daemon`` SIGKILLed mid-run: the checkpoint the floor let
+        through survives, and a fresh daemon completes the submission to the
+        direct ``run_scenario`` fingerprint."""
+        state = tmp_path / "state"
+        # ~3.9 s of run time: the one-second floor passes several times.
+        scenario = _long(seed=61, system_size=32)
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro.cli", "daemon", "--state", str(state),
+                "--port", "0", "--checkpoint-interval", "600",
+            ],
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+            env=dict(os.environ, PYTHONPATH=_REPO_SRC),
+        )
+        try:
+            address_file = state / "daemon.address"
+            deadline = time.monotonic() + 60.0
+            while not (address_file.exists() and address_file.read_text().endswith("\n")):
+                assert time.monotonic() < deadline, "the daemon never wrote its address"
+                time.sleep(0.02)
+            client = DaemonClient(address_file.read_text().strip(), timeout=10.0)
+            sid = client.submit(scenario)
+            snapshot = state / "checkpoints" / sid / "latest.ckpt"
+            deadline = time.monotonic() + 120.0
+            while not snapshot.exists():
+                assert time.monotonic() < deadline, "no checkpoint was ever written"
+                time.sleep(0.02)
+            # SIGKILL — no cleanup handlers, exactly like a crash or OOM kill.
+            proc.kill()
+        finally:
+            proc.wait(timeout=30.0)
+        assert read_header(snapshot).sim_time > 0
+        revived = GridfedDaemon(state, port=0, workers=1, checkpoint_interval=600.0)
+        revived.start()
+        try:
+            final = DaemonClient(revived.address, timeout=10.0).wait(sid, timeout=240.0)
+        finally:
+            revived.stop()
+        assert final["status"] == "completed", final.get("error")
+        assert final["fingerprint"] == result_fingerprint(run_scenario(scenario))

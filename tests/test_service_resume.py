@@ -17,7 +17,9 @@ import pickletools
 import pytest
 
 from repro.scenario import Scenario, result_fingerprint, run_scenario
+import repro.service.checkpoint as checkpoint_module
 from repro.service.checkpoint import (
+    BoundaryPolicy,
     CancelledRun,
     RunProgress,
     resume_run,
@@ -425,3 +427,163 @@ class TestRunnerIntegration:
         result = run_scenario(_FAST, on_progress=observations.append)
         assert observations[-1].done
         assert result_fingerprint(result) == result_fingerprint(run_scenario(_FAST))
+
+
+class _FakeClock:
+    """Stands in for the ``time`` module inside ``repro.service.checkpoint``."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def monotonic(self) -> float:
+        return self.now
+
+
+def _report(now: float) -> RunProgress:
+    return RunProgress(
+        sim_time=now,
+        horizon=100.0,
+        jobs_total=1,
+        jobs_completed=0,
+        events_processed=0,
+        pending_events=1,
+        done=False,
+    )
+
+
+class TestBoundaryPolicyFloor:
+    """The wall-clock floor on checkpoints and the checkpoint at every
+    interruption, on the policy alone (a fake clock) and on real runs."""
+
+    @pytest.fixture
+    def clock(self, monkeypatch):
+        clock = _FakeClock()
+        monkeypatch.setattr(checkpoint_module, "time", clock)
+        return clock
+
+    @staticmethod
+    def _drive(policy, clock, wall_per_boundary, cancel_at=None):
+        """Act on boundaries 10, 20, ..., 80, each ``wall_per_boundary``
+        fake seconds after the last; return (writes, reports, cancelled)."""
+        writes, reports = [], []
+
+        def on_progress(progress):
+            reports.append(progress.sim_time)
+            if progress.sim_time == cancel_at:
+                raise CancelledRun("interrupted by test")
+
+        policy.on_progress = on_progress
+        policy.start(0.0)
+        try:
+            for now in range(10, 90, 10):
+                clock.now += wall_per_boundary
+                policy.act(
+                    float(now),
+                    lambda now=now: writes.append(float(now)),
+                    lambda now=now: _report(float(now)),
+                )
+        except CancelledRun:
+            return writes, reports, True
+        return writes, reports, False
+
+    def test_zero_floor_checkpoints_at_every_boundary(self, tmp_path, clock):
+        # The clock never moves: a zero floor still writes each boundary.
+        writes, reports, _ = self._drive(BoundaryPolicy(tmp_path, 10.0), clock, 0.0)
+        assert writes == reports == [10.0, 20.0, 30.0, 40.0, 50.0, 60.0, 70.0, 80.0]
+
+    def test_floor_spaces_checkpoints_in_wall_time(self, tmp_path, clock):
+        policy = BoundaryPolicy(tmp_path, 10.0, floor_s=1.0)
+        writes, reports, _ = self._drive(policy, clock, 0.4)
+        # 0.4 s of wall time per boundary: every third one passes the floor.
+        assert writes == [30.0, 60.0]
+        assert reports == [10.0, 20.0, 30.0, 40.0, 50.0, 60.0, 70.0, 80.0]
+
+    def test_floor_longer_than_the_run_writes_nothing(self, tmp_path, clock):
+        policy = BoundaryPolicy(tmp_path, 10.0, floor_s=3600.0)
+        writes, reports, _ = self._drive(policy, clock, 1.0)
+        assert writes == []
+        assert len(reports) == 8
+
+    @pytest.mark.parametrize(
+        "floor, expected",
+        # 0.4 s per boundary: a floor of 1.0 writes 30 on its own, and the
+        # cancel at 40 adds that boundary; one of 0.3 already wrote 40, so
+        # the cancel must not write it twice.
+        [(3600.0, [40.0]), (1.0, [30.0, 40.0]), (0.3, [10.0, 20.0, 30.0, 40.0])],
+    )
+    def test_cancel_checkpoints_the_boundary_it_stops_at(self, tmp_path, clock, floor, expected):
+        policy = BoundaryPolicy(tmp_path, 10.0, floor_s=floor)
+        writes, reports, cancelled = self._drive(policy, clock, 0.4, cancel_at=40.0)
+        assert cancelled
+        assert writes == expected
+        assert reports == [10.0, 20.0, 30.0, 40.0]
+
+    def test_no_checkpoint_dir_never_writes(self, clock):
+        writes, _, _ = self._drive(BoundaryPolicy(None, 10.0), clock, 0.0)
+        assert writes == []
+        policy = BoundaryPolicy(None, 10.0, floor_s=5.0)
+        writes, _, cancelled = self._drive(policy, clock, 0.0, cancel_at=30.0)
+        assert cancelled and writes == []
+
+    @pytest.mark.parametrize("floor", [-1.0, math.nan])
+    def test_floor_must_be_non_negative(self, tmp_path, floor):
+        with pytest.raises(ValueError, match="non-negative"):
+            BoundaryPolicy(tmp_path, 600.0, floor_s=floor)
+
+    def test_run_shorter_than_the_floor_writes_no_snapshot(self, tmp_path):
+        reports = []
+        result = run_scenario(
+            _FAST,
+            checkpoint_dir=tmp_path,
+            checkpoint_every=600.0,
+            on_progress=reports.append,
+            checkpoint_floor_s=3600.0,
+        )
+        assert list(tmp_path.iterdir()) == []
+        assert len(reports) > 2 and reports[-1].done
+        assert result_fingerprint(result) == result_fingerprint(run_scenario(_FAST))
+
+    def test_cancel_at_boundary_k_leaves_boundary_k(self, tmp_path):
+        """A cancelled run under a floor it never passed still leaves the
+        checkpoint of the boundary it stopped at, and resumes from it."""
+        reports = []
+
+        def cancel_third(progress):
+            reports.append(progress)
+            if len(reports) == 3:
+                raise CancelledRun("interrupted by test")
+
+        with pytest.raises(CancelledRun):
+            run_scenario(
+                _FAST,
+                checkpoint_dir=tmp_path,
+                checkpoint_every=600.0,
+                on_progress=cancel_third,
+                checkpoint_floor_s=3600.0,
+            )
+        assert read_header(snapshot_path(tmp_path)).sim_time == reports[2].sim_time == 1800.0
+        result, _ = resume_run(tmp_path, checkpoint_every=600.0)
+        assert result_fingerprint(result) == result_fingerprint(run_scenario(_FAST))
+
+    def test_zero_floor_writes_at_every_boundary_of_a_run(self, tmp_path, monkeypatch):
+        """``checkpoint_floor_s=0`` (the default) writes a snapshot at each
+        boundary, before its progress report, as the policy always has."""
+        events = []
+        real = checkpoint_module.write_snapshot
+
+        def recording(path, federation, scenario):
+            events.append(("write", federation.sim.now))
+            real(path, federation, scenario)
+
+        monkeypatch.setattr(checkpoint_module, "write_snapshot", recording)
+
+        def on_progress(progress):
+            if not progress.done:
+                events.append(("report", progress.sim_time))
+
+        run_scenario(_FAST, checkpoint_dir=tmp_path, checkpoint_every=600.0, on_progress=on_progress)
+        boundaries = [now for kind, now in events if kind == "report"]
+        assert boundaries == [600.0 * k for k in range(1, len(boundaries) + 1)]
+        assert events == [
+            event for now in boundaries for event in (("write", now), ("report", now))
+        ]
