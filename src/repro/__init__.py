@@ -43,10 +43,10 @@ New variants register in ten lines — see ``docs/API.md``::
 
     run_scenario(Scenario(agent="mine"))
 
-Every cross-entity message rides a pluggable transport; topologies and a
-sharded directory are scenario data too — see ``docs/ARCHITECTURE.md``::
+Every cross-entity message rides a pluggable transport, and its topology is
+scenario data too — see ``docs/ARCHITECTURE.md``::
 
-    result = run_scenario(Scenario(transport="two-tier-wan", directory_shards=4))
+    result = run_scenario(Scenario(transport="two-tier-wan"))
     print(result.network.messages, result.network.latency_s)
 
 See ``DESIGN.md`` for the system inventory and ``EXPERIMENTS.md`` for the
@@ -65,7 +65,7 @@ from repro.core import (
 from repro.cluster import ResourceSpec, SpaceSharedLRMS, SchedulingPolicy
 from repro.economy import GridBank, StaticPricingPolicy, DemandDrivenPricingPolicy
 from repro.net import Transport, TransportStats, available_topologies, register_topology
-from repro.p2p import FederationDirectory, RankCriterion, ShardedDirectory
+from repro.p2p import FederationDirectory, RankCriterion
 from repro.faults import FaultPlan, random_fault_plan
 from repro.scenario import (
     Scenario,
@@ -126,7 +126,6 @@ __all__ = [
     "DemandDrivenPricingPolicy",
     "FederationDirectory",
     "RankCriterion",
-    "ShardedDirectory",
     "Transport",
     "TransportStats",
     "available_topologies",

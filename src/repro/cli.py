@@ -27,8 +27,8 @@ scenarios from the shell::
     gridfed run --size 256 --thin 16 --validate
     gridfed profile --size 64 --thin 10 --top 20
 
-    # the message fabric: WAN topologies and a sharded directory:
-    gridfed run --topology two-tier-wan --shards 4 --thin 10 --validate
+    # the message fabric: WAN topologies:
+    gridfed run --topology two-tier-wan --thin 10 --validate
 
     # the conservative parallel engine: shard the federation across worker
     # processes with lookahead-window synchronisation (needs a topology with
@@ -229,7 +229,6 @@ def _scenario_from_args(args) -> Scenario:
         faults=args.faults,
         resilience=args.resilience,
         transport=args.topology,
-        directory_shards=args.shards,
         parallel=args.workers or 0,
     )
 
@@ -297,9 +296,9 @@ def cmd_run(args) -> str:
             f"backoff_wait={rm.backoff_wait_s:.0f}s\n"
         )
     net = result.network
-    if net is not None and (scenario.transport != "uniform" or scenario.directory_shards != 1):
+    if net is not None and scenario.transport != "uniform":
         summary += (
-            f"net: topology={scenario.transport} shards={scenario.directory_shards} "
+            f"net: topology={scenario.transport} "
             f"messages={net.messages} volume={net.volume_mb:.1f}MB "
             f"latency={net.latency_s:.1f}s timeouts={net.timeouts} "
             f"delayed={net.delayed_deliveries} directory_msgs={net.control_messages}\n"
@@ -322,7 +321,6 @@ def cmd_sweep(args) -> str:
         faults=args.faults,
         resilience=args.resilience,
         transport=args.topology,
-        directory_shards=args.shards,
     )
     if args.clear_cache and args.cache_dir is None:
         raise ValueError("--clear-cache requires --cache-dir (nothing to clear)")
@@ -516,12 +514,6 @@ def _add_scenario_options(parser: argparse.ArgumentParser) -> None:
         "--topology",
         default="uniform",
         help=f"transport topology ({', '.join(available_topologies())})",
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="directory shard count (1 = single shared directory)",
     )
 
 

@@ -22,7 +22,6 @@ from repro.economy.bank import GridBank
 from repro.net.topology import build_topology
 from repro.net.transport import Transport, TransportStats
 from repro.p2p.directory import FederationDirectory
-from repro.p2p.sharded import create_directory
 from repro.sim.engine import Simulator
 from repro.sim.entity import EntityRegistry
 from repro.sim.rng import RandomStreams
@@ -63,9 +62,6 @@ class FederationConfig:
         via :func:`repro.net.register_topology`).  The default ``"uniform"``
         is the paper's zero-latency model and keeps runs byte-identical to
         the pre-transport code paths.
-    directory_shards:
-        Number of directory peer shards the quotes are partitioned across
-        (1 = the historical single shared directory).
     resilience:
         Resilience-policy registry key this run was configured with
         (``"paper"`` = the bare negotiation path, nothing installed).  The
@@ -82,7 +78,6 @@ class FederationConfig:
     horizon: float = 2 * 86_400.0
     seed: int = 42
     transport: str = "uniform"
-    directory_shards: int = 1
     resilience: str = "paper"
 
     def __post_init__(self) -> None:
@@ -98,10 +93,6 @@ class FederationConfig:
             )
         if self.horizon <= 0:
             raise ValueError(f"horizon must be positive, got {self.horizon}")
-        if self.directory_shards < 1:
-            raise ValueError(
-                f"directory_shards must be at least 1, got {self.directory_shards}"
-            )
         if not self.resilience or not isinstance(self.resilience, str):
             raise ValueError(
                 f"resilience must be a registry key string, got {self.resilience!r}"
@@ -232,8 +223,8 @@ class Federation:
         self.bank: Optional[GridBank] = GridBank() if self.config.mode is SharingMode.ECONOMY else None
         self.directory: Optional[FederationDirectory] = None
         if self.config.mode is not SharingMode.INDEPENDENT:
-            self.directory = create_directory(
-                self.streams, self.config.directory_shards
+            self.directory = FederationDirectory(
+                rng=self.streams.get("directory/overlay")
             )
             self.directory.attach_transport(self.transport)
 

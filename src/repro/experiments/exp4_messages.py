@@ -12,7 +12,7 @@ once in its :class:`~repro.core.messages.MessageLog` (``result.message_log``)
 — nothing is instrumented at the call sites.  ``result.network`` carries the
 transport's link-level tallies (volume, latency, timeouts, losses), and
 :func:`repro.metrics.collectors.network_summary` exposes them, directory
-control-plane fan-out included.
+control-plane traffic included.
 """
 
 from __future__ import annotations

@@ -209,8 +209,8 @@ def network_summary(result: FederationResult) -> Dict[str, object]:
     The counts here are *derived* from the traffic that actually crossed the
     message fabric (the transport records into the same MessageLog the Fig.
     9–11 collectors above read, so the data-plane totals reconcile); the
-    control-plane entries expose the directory traffic — per shard under a
-    sharded directory — that the paper's accounting deliberately excludes.
+    control-plane entry exposes the directory traffic that the paper's
+    accounting deliberately excludes.
     """
     net = result.network
     if net is None:
@@ -224,7 +224,6 @@ def network_summary(result: FederationResult) -> Dict[str, object]:
         "transit_losses": net.transit_losses,
         "delayed_deliveries": net.delayed_deliveries,
         "directory_messages": net.control_messages,
-        "directory_by_node": dict(net.control_by_node),
     }
     if result.resilience is not None:
         summary["resilience"] = resilience_summary(result)

@@ -13,8 +13,7 @@ One :class:`Transport` per federation routes
 * GFA↔GFA **completion notifications** (:meth:`Transport.notify`) — one-way,
   always delivered;
 * GFA↔directory **control traffic** (:meth:`Transport.control`) — subscribe /
-  quote / query messages, counted per directory node so scatter-gather over a
-  sharded directory is honestly accounted.
+  quote / query messages, counted per kind.
 
 The transport owns the run's one message ledger, :attr:`Transport.log` (a
 :class:`~repro.core.messages.MessageLog`), and records every data-plane
@@ -82,10 +81,9 @@ class TransportStats:
     transit_losses: int = 0
     #: Transfers that arrived later than they were sent (latency or windows).
     delayed_deliveries: int = 0
-    #: Control-plane (directory) messages, total and per kind / node.
+    #: Control-plane (directory) messages, total and per kind.
     control_messages: int = 0
     control_by_kind: Dict[str, int] = field(default_factory=dict)
-    control_by_node: Dict[str, int] = field(default_factory=dict)
 
     def merge_from(self, other: "TransportStats") -> None:
         """Fold another transport's traffic into this one (purely additive).
@@ -104,8 +102,6 @@ class TransportStats:
         self.control_messages += other.control_messages
         for kind, count in other.control_by_kind.items():
             self.control_by_kind[kind] = self.control_by_kind.get(kind, 0) + count
-        for node, count in other.control_by_node.items():
-            self.control_by_node[node] = self.control_by_node.get(node, 0) + count
 
 
 #: Shared fate tuple returned by every fast-path transfer: the default path
@@ -262,18 +258,16 @@ class Transport:
     # ------------------------------------------------------------------ #
     # Control plane (directory traffic)
     # ------------------------------------------------------------------ #
-    def control(self, node: str, kind: str, messages: int = 1) -> None:
-        """Account ``messages`` control-plane messages against a directory node.
+    def control(self, kind: str, messages: int = 1) -> None:
+        """Account ``messages`` control-plane messages of one ``kind``.
 
         Control traffic is deliberately kept out of the message ledger: the
         paper excludes directory messages from its Experiment 4/5 counts, so
-        they live in :class:`TransportStats` only — per node, which is what
-        makes scatter-gather fan-out over a sharded directory visible.
+        they live in :class:`TransportStats` only.
         """
         stats = self.stats
         stats.control_messages += messages
         stats.control_by_kind[kind] = stats.control_by_kind.get(kind, 0) + messages
-        stats.control_by_node[node] = stats.control_by_node.get(node, 0) + messages
 
     # ------------------------------------------------------------------ #
     # Internals

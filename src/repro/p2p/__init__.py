@@ -13,10 +13,7 @@ rather than assuming it:
   ``subscribe / quote / unsubscribe / query`` interface of Fig. 1, maintaining
   one overlay per ranking criterion (cheapest by quoted price, fastest by MIPS
   rating) plus optional load reports used by the coordination extension.
-* :class:`~repro.p2p.sharded.ShardedDirectory` — the same interface with the
-  quotes partitioned across ``k`` directory peers by consistent key hashing
-  and rank queries answered by scatter-gather merge over per-shard resumable
-  sessions (``Scenario(directory_shards=k)`` / ``gridfed run --shards k``).
+  A federation has exactly one, shared by all its GFAs.
 """
 
 from repro.p2p.overlay import SkipListCursor, SkipListIndex, OverlayError
@@ -27,12 +24,6 @@ from repro.p2p.directory import (
     RankCriterion,
     theoretical_query_messages,
 )
-from repro.p2p.sharded import (
-    ShardedDirectory,
-    ShardedQuerySession,
-    create_directory,
-    shard_for,
-)
 
 __all__ = [
     "SkipListCursor",
@@ -42,9 +33,5 @@ __all__ = [
     "DirectoryQuerySession",
     "FederationDirectory",
     "RankCriterion",
-    "ShardedDirectory",
-    "ShardedQuerySession",
-    "create_directory",
-    "shard_for",
     "theoretical_query_messages",
 ]

@@ -70,51 +70,7 @@ def theoretical_query_messages(system_size: int) -> int:
     return max(1, math.ceil(math.log2(system_size))) if system_size > 1 else 1
 
 
-class _ServeEachQuoteOnce:
-    """Shared ``next()``/iteration semantics for query sessions.
-
-    While membership is stable this is exactly "rank ``n`` on the ``n``-th
-    call".  After a membership change (a dead member's quote invalidated by
-    :meth:`FederationDirectory.unsubscribe`, a new subscriber, a re-quote),
-    positional continuation would be wrong — ranks shift, so continuing at
-    the old position silently *skips* live candidates the caller never
-    probed, or *re-serves* quotes it already consumed.  Instead the sweep
-    restarts from rank 1 and quotes already yielded are skipped by name, so
-    the caller always gets the best-ranked candidate it has not seen — the
-    semantics a negotiation loop needs to survive churn.
-
-    Subclasses provide ``kth`` (positional, fresh-query semantics), the
-    ``_directory``/``_version``/``_pos``/``_yielded`` state, and
-    ``_begin_resweep`` (how a restart syncs their version stamp).
-    """
-
-    __slots__ = ()
-
-    def _begin_resweep(self) -> None:  # pragma: no cover - overridden
-        raise NotImplementedError
-
-    def next(self) -> Optional[DirectoryQuote]:
-        """The next matching quote this session has not yet served."""
-        if self._version != self._directory.version:
-            self._begin_resweep()
-        while True:
-            quote = self.kth(self._pos + 1)
-            if quote is None:
-                return None
-            self._pos += 1
-            if quote.gfa_name not in self._yielded:
-                self._yielded.add(quote.gfa_name)
-                return quote
-
-    def __iter__(self) -> Iterator[DirectoryQuote]:
-        while True:
-            quote = self.next()
-            if quote is None:
-                return
-            yield quote
-
-
-class DirectoryQuerySession(_ServeEachQuoteOnce):
+class DirectoryQuerySession:
     """A resumable per-job rank-query session.
 
     The DBC superscheduler probes the directory for ranks ``1, 2, 3, ...``
@@ -199,10 +155,38 @@ class DirectoryQuerySession(_ServeEachQuoteOnce):
             directory._stats.measured_hops += cursor.hops - hops_before
         return matched[rank - 1] if rank <= len(matched) else None
 
-    def _begin_resweep(self) -> None:
-        # kth() itself restarts the cursor sweep and syncs the version stamp
-        # on its next probe; only the serve position needs resetting here.
-        self._pos = 0
+    def next(self) -> Optional[DirectoryQuote]:
+        """The next matching quote this session has not yet served.
+
+        While membership is stable this is exactly "rank ``n`` on the
+        ``n``-th call".  After a membership change (a dead member's quote
+        invalidated by :meth:`FederationDirectory.unsubscribe`, a new
+        subscriber, a re-quote), positional continuation would be wrong —
+        ranks shift, so continuing at the old position silently *skips* live
+        candidates the caller never probed, or *re-serves* quotes it already
+        consumed.  Instead the sweep restarts from rank 1 (:meth:`kth`
+        restarts the cursor and syncs the version stamp on its next probe)
+        and quotes already served are skipped by name, so the caller always
+        gets the best-ranked candidate it has not seen — the semantics a
+        negotiation loop needs to survive churn.
+        """
+        if self._version != self._directory.version:
+            self._pos = 0
+        while True:
+            quote = self.kth(self._pos + 1)
+            if quote is None:
+                return None
+            self._pos += 1
+            if quote.gfa_name not in self._yielded:
+                self._yielded.add(quote.gfa_name)
+                return quote
+
+    def __iter__(self) -> Iterator[DirectoryQuote]:
+        while True:
+            quote = self.next()
+            if quote is None:
+                return
+            yield quote
 
 
 class FederationDirectory:
@@ -232,32 +216,24 @@ class FederationDirectory:
         # every cluster in one tick) restarts open sessions exactly once.
         self._batch_depth: int = 0
         self._batch_dirty: bool = False
-        # Optional hook fired on every version bump; a ShardedDirectory
-        # installs one so its aggregate version stays an O(1) counter instead
-        # of an O(shards) sum recomputed on every session probe.
-        self._on_version_bump = None
         # Control-plane accounting: when a transport is attached (the
         # federation does it), every subscribe / quote / query RPC is counted
-        # against this directory node in the transport's stats.
+        # in the transport's stats.
         self._transport = None
-        self._node = "directory"
 
-    def attach_transport(self, transport, node: str = "directory") -> None:
+    def attach_transport(self, transport) -> None:
         """Route this directory's control-traffic accounting through ``transport``."""
         self._transport = transport
-        self._node = node
 
     def _control(self, kind: str) -> None:
         if self._transport is not None:
-            self._transport.control(self._node, kind)
+            self._transport.control(kind)
 
     def _bump_version(self) -> None:
         if self._batch_depth:
             self._batch_dirty = True
             return
         self._version += 1
-        if self._on_version_bump is not None:
-            self._on_version_bump()
 
     @contextmanager
     def batch_updates(self):
@@ -266,8 +242,8 @@ class FederationDirectory:
         Subscribes / unsubscribes / quote updates inside the block are
         applied to the overlay immediately, but the version is bumped *once*
         at the outermost exit — so version-stamped consumers (open query
-        sessions, sharded merge sessions) pay one invalidation for the whole
-        storm instead of one per call.  This is what keeps the
+        sessions) pay one invalidation for the whole storm instead of one per
+        call.  This is what keeps the
         dynamic-pricing repricing tick (every cluster re-quotes at the same
         timestamp) from restarting every open negotiation sweep n times.
 

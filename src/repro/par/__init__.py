@@ -1,8 +1,8 @@
 """Conservative parallel-DES engine: shard the federation across cores.
 
 The parallel engine partitions the federation's clusters (GFA + LRMS + event
-streams) across N worker shards using the same crc32 key the sharded
-directory uses, runs each shard as an ordinary :class:`repro.sim.engine.
+streams) across N worker shards by a stable crc32 key of the cluster
+name, runs each shard as an ordinary :class:`repro.sim.engine.
 Simulator`, and synchronises the shards in **lookahead windows** derived from
 the topology's minimum cross-shard link latency.  Cross-shard traffic (job
 migrations, completion hand-backs, load snapshots) is serialised through a

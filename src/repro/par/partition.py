@@ -1,9 +1,9 @@
 """Shard assignment, lookahead windows and the parallel eligibility gate.
 
-Clusters are assigned to worker shards with the same stable crc32 key the
-sharded directory uses (:func:`repro.p2p.sharded.shard_for`), so ownership is
-a pure function of the cluster name and the worker count — identical in the
-coordinator, in every worker process and across runs.
+Clusters are assigned to worker shards by a stable crc32 key of their name
+(:func:`shard_for`), so ownership is a pure function of the cluster name and
+the worker count — identical in the coordinator, in every worker process and
+across runs.
 
 The barrier window is derived from the topology's minimum **cross-shard**
 link latency: within one window no shard can observe another shard's events,
@@ -20,11 +20,11 @@ fall back to the serial engine with a diagnostic.
 from __future__ import annotations
 
 import math
+import zlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.net.topology import build_topology
-from repro.p2p.sharded import shard_for
 from repro.scenario.scenario import Scenario
 from repro.sim.rng import RandomStreams
 
@@ -34,6 +34,7 @@ __all__ = [
     "plan_partition",
     "sample_lookahead",
     "shard_assignment",
+    "shard_for",
 ]
 
 #: Minimum barrier window, in simulated seconds.  Real WAN/LAN latencies are
@@ -51,6 +52,13 @@ WINDOW_FLOOR_S = 60.0
 #: homogeneous enough that scanning every pair of a 4096-cluster federation
 #: would only rediscover the same site-level minima).
 _LOOKAHEAD_SAMPLE = 64
+
+
+def shard_for(gfa_name: str, shards: int) -> int:
+    """The shard owning ``gfa_name`` (stable across processes and runs)."""
+    if shards < 1:
+        raise ValueError(f"shards must be at least 1, got {shards}")
+    return zlib.crc32(gfa_name.encode("utf-8")) % shards
 
 
 def shard_assignment(names: Sequence[str], workers: int) -> Dict[str, int]:

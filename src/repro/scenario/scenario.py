@@ -93,10 +93,6 @@ class Scenario:
         via :func:`repro.net.register_topology`).  ``"uniform"`` — the
         default — is the paper's zero-latency network and keeps runs
         byte-identical to the pre-transport code.
-    directory_shards:
-        Number of directory peers the federation's quotes are partitioned
-        across by consistent key hashing (1 = the single shared directory;
-        rank queries over more shards run scatter-gather merge sessions).
     resilience:
         Key into the resilience registry (``"paper"``, ``"noop"``,
         ``"retry"``, ``"retry-breaker"``, or anything registered via
@@ -130,7 +126,6 @@ class Scenario:
     repricing_interval: float = 4 * 3600.0
     faults: str = "none"
     transport: str = "uniform"
-    directory_shards: int = 1
     resilience: str = "paper"
     parallel: int = 0
 
@@ -161,10 +156,6 @@ class Scenario:
         if self.repricing_interval <= 0:
             raise ValueError(
                 f"repricing_interval must be positive, got {self.repricing_interval}"
-            )
-        if self.directory_shards < 1:
-            raise ValueError(
-                f"directory_shards must be at least 1, got {self.directory_shards}"
             )
         if self.parallel < 0:
             raise ValueError(f"parallel must be non-negative, got {self.parallel}")
@@ -205,7 +196,6 @@ class Scenario:
             horizon=self.horizon,
             seed=self.seed,
             transport=self.transport,
-            directory_shards=self.directory_shards,
             resilience=self.resilience,
         )
 
@@ -249,8 +239,6 @@ class Scenario:
             summary += f" resilience={self.resilience}"
         if self.transport != "uniform":
             summary += f" transport={self.transport}"
-        if self.directory_shards != 1:
-            summary += f" shards={self.directory_shards}"
         if self.parallel >= 2:
             summary += f" parallel={self.parallel}"
         return summary
@@ -273,7 +261,6 @@ def scenario_from_config(config: FederationConfig, **overrides) -> Scenario:
         horizon=config.horizon,
         seed=config.seed,
         transport=config.transport,
-        directory_shards=config.directory_shards,
         resilience=config.resilience,
     )
     base.update(overrides)

@@ -2,9 +2,8 @@
 
 A snapshot captures *everything* a run needs to continue byte-identically:
 the :class:`~repro.sim.engine.Simulator` clock, sequence counter and pending
-event heap, every entity (GFAs, LRMS queues, directory or
-sharded directory, GridBank, MessageLog, transport state, fault-injector
-state), every named RNG stream, and the global job/event id counters that
+event heap, every entity (GFAs, LRMS queues, directory, GridBank,
+MessageLog, transport state, fault-injector state), every named RNG stream, and the global job/event id counters that
 mid-run fault events consume.  The capture is a whole-object-graph pickle of
 the :class:`~repro.core.federation.Federation`: all scheduled callbacks are
 bound methods of entities inside that graph, so the pickle memo preserves

@@ -6,10 +6,9 @@ paper: a small, deterministic, single-threaded discrete-event simulator with
 * one event kernel (:class:`~repro.sim.engine.Simulator`: a binary heap
   ordered by ``(time, priority, seq)``, driven by one loop),
 * named simulation entities that exchange timestamped events
-  (:class:`~repro.sim.entity.Entity`),
+  (:class:`~repro.sim.entity.Entity`), and
 * reproducible, independently-seeded random streams
-  (:class:`~repro.sim.rng.RandomStreams`), and
-* light-weight process helpers (:mod:`repro.sim.process`).
+  (:class:`~repro.sim.rng.RandomStreams`).
 
 Everything else in :mod:`repro` (clusters, GFAs, the federation directory)
 is built on top of these primitives.
@@ -19,7 +18,6 @@ from repro.sim.engine import Simulator, ScheduledEvent, SimulationError
 from repro.sim.entity import Entity
 from repro.sim.events import Event, EventType
 from repro.sim.rng import RandomStreams
-from repro.sim.process import Process, Timeout
 
 __all__ = [
     "Simulator",
@@ -29,6 +27,4 @@ __all__ = [
     "Event",
     "EventType",
     "RandomStreams",
-    "Process",
-    "Timeout",
 ]

@@ -15,9 +15,7 @@ seq-less heap, whose equal-key pop order depends on push/pop history).
 
 The engine is deliberately callback-based rather than coroutine-based: the
 Grid-Federation entities (GFAs, LRMSes, user populations) are reactive state
-machines, and callbacks keep the hot path free of generator overhead.  A thin
-coroutine layer is provided separately in :mod:`repro.sim.process` for code
-that reads more naturally as a process.
+machines, and callbacks keep the hot path free of generator overhead.
 
 Three hot-path details worth knowing:
 

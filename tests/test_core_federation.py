@@ -6,6 +6,7 @@ import pytest
 
 from repro.core import Federation, FederationConfig, SharingMode
 from repro.core.users import UserPopulation
+from repro.p2p import FederationDirectory
 from repro.scenario import run_scenario, scenario_from_config
 from repro.sim import RandomStreams
 from repro.workload import build_federation_specs, build_workload
@@ -71,6 +72,39 @@ class TestConstruction:
         assert result.message_log is federation.transport.log
         assert result.network is federation.transport.stats
         assert result.network.messages == result.message_log.total_messages > 0
+
+    def test_federation_builds_one_plain_directory(self):
+        """A federated run has one plain directory on the run's transport:
+        building the federation subscribes each cluster once, and that is
+        all the control traffic before the run starts.  Independent mode
+        has no directory and no control traffic."""
+        specs, workload = small_setup()
+        federation = Federation(specs, workload, FederationConfig(mode=SharingMode.FEDERATION))
+        assert type(federation.directory) is FederationDirectory
+        assert federation.directory.member_names() == sorted(spec.name for spec in specs)
+        assert federation.transport.stats.control_by_kind == {"subscribe": len(specs)}
+        independent = Federation(
+            specs, workload, FederationConfig(mode=SharingMode.INDEPENDENT)
+        )
+        assert independent.directory is None
+        assert independent.transport.stats.control_messages == 0
+
+    def test_directory_draws_its_overlay_levels_from_the_overlay_stream(self):
+        """The one directory a federation builds draws its skip-list levels
+        from the ``directory/overlay`` stream: after the members subscribe,
+        that stream sits exactly where a reference directory seeded from it
+        and fed the same subscriptions leaves its own copy."""
+        specs, workload = small_setup()
+        federation = Federation(
+            specs, workload, FederationConfig(mode=SharingMode.FEDERATION, seed=42)
+        )
+        stream = RandomStreams(42).get("directory/overlay")
+        reference = FederationDirectory(rng=stream)
+        for spec in specs:
+            reference.subscribe(spec.name, spec)
+        drawn = federation.streams.get("directory/overlay").bit_generator.state
+        assert drawn == stream.bit_generator.state
+        assert drawn != RandomStreams(42).get("directory/overlay").bit_generator.state
 
 
 class TestLazyArrivals:

@@ -2,16 +2,16 @@
 
 Three guarantees are pinned here:
 
-1. **Byte-identity of the default path** — ``transport="uniform"`` with
-   ``directory_shards=1`` reproduces the PR-3 golden fingerprints exactly
-   (the transport refactor changed *where* messages flow, never the results).
+1. **Byte-identity of the default path** — ``transport="uniform"``
+   reproduces the golden fingerprints exactly (the transport changed *where*
+   messages flow, never the results).
 2. **Derived message accounting** — the Experiment 4/5 counts are recorded
    by the transport into its :class:`~repro.core.messages.MessageLog`.  The
    result fingerprint covers the per-GFA and per-job counts but no per-type
    count and no transport fault counter, so those are pinned here.
-3. **WAN + sharding actually work** — ``--topology two-tier-wan --shards 4``
-   completes every experiment shape with the full invariant suite clean, and
-   is deterministic per seed.
+3. **WAN actually works** — ``--topology two-tier-wan`` completes every
+   experiment shape with the full invariant suite clean, and is
+   deterministic per seed.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.messages import MessageType
+from repro.metrics import network_summary
 from repro.scenario import Scenario, result_fingerprint, run_scenario
 from repro.validate import assert_valid
 
@@ -29,12 +30,10 @@ from test_golden_fingerprints import GOLDEN_FINGERPRINTS, GOLDEN_SCENARIOS
 
 class TestDefaultPathByteIdentity:
     @pytest.mark.parametrize("name", ["exp2_federation", "exp4_messages"])
-    def test_explicit_uniform_one_shard_reproduces_goldens(self, name):
-        """Spelling the defaults out must be the defaults: the golden digests
-        hold with ``transport``/``directory_shards`` passed explicitly."""
-        scenario = GOLDEN_SCENARIOS[name].replace(
-            transport="uniform", directory_shards=1
-        )
+    def test_explicit_uniform_reproduces_goldens(self, name):
+        """Spelling the default out must be the default: the golden digests
+        hold with ``transport`` passed explicitly."""
+        scenario = GOLDEN_SCENARIOS[name].replace(transport="uniform")
         result = run_scenario(scenario)
         assert result_fingerprint(result) == GOLDEN_FINGERPRINTS[name]
 
@@ -81,25 +80,55 @@ class TestDerivedMessageAccounting:
         # ...without contaminating the paper's inter-GFA message totals.
         assert net.messages == result.message_log.total_messages
 
+    def test_network_summary_reports_the_directory_total(self):
+        result = run_scenario(GOLDEN_SCENARIOS["exp2_federation"])
+        net = result.network
+        summary = network_summary(result)
+        assert summary["directory_messages"] == net.control_messages
+        assert net.control_messages == sum(net.control_by_kind.values())
+        assert summary["messages"] == net.messages
+        assert set(summary) == {
+            "messages",
+            "volume_mb",
+            "latency_s",
+            "timeouts",
+            "link_losses",
+            "transit_losses",
+            "delayed_deliveries",
+            "directory_messages",
+        }
 
-class TestWanShardedRuns:
+    @pytest.mark.parametrize("faults", ["crash-recover", "churn", "chaos"])
+    def test_membership_is_subscribes_less_unsubscribes(self, faults):
+        """Under membership faults every quote is published and withdrawn
+        through charged control messages: the directory ends the run with
+        exactly the subscribe count less the unsubscribe count."""
+        scenario = Scenario(workload="synthetic", thin=20, seed=42, faults=faults)
+        result = run_scenario(scenario, validate=True)
+        kinds = result.network.control_by_kind
+        assert kinds.get("unsubscribe", 0) > 0
+        assert kinds["subscribe"] - kinds["unsubscribe"] == len(result.directory)
+
+
+class TestWanRuns:
     @pytest.mark.parametrize("name", sorted(GOLDEN_SCENARIOS))
     def test_all_experiment_shapes_complete_with_invariants_clean(self, name):
         """The acceptance gate: every experiment shape runs to completion on
-        ``two-tier-wan`` with 4 directory shards, with the full invariant
-        suite (job conservation, accounting, directory consistency) clean."""
-        scenario = GOLDEN_SCENARIOS[name].replace(
-            transport="two-tier-wan",
-            directory_shards=1 if scenario_is_independent(name) else 4,
-        )
+        ``two-tier-wan``, with the full invariant suite (job conservation,
+        accounting, directory consistency) clean."""
+        scenario = GOLDEN_SCENARIOS[name].replace(transport="two-tier-wan")
         result = run_scenario(scenario, validate=True)
         assert_valid(result)  # belt and braces: re-run the result-level suite
         assert result.network is not None
 
+    def test_directory_lists_every_resource_once(self):
+        scenario = GOLDEN_SCENARIOS["exp3_economy"].replace(transport="two-tier-wan")
+        result = run_scenario(scenario, validate=True)
+        assert result.directory.member_names() == sorted(result.resource_names())
+        assert result.network.control_by_kind["subscribe"] == len(result.resource_names())
+
     def test_wan_run_is_deterministic_per_seed(self):
-        scenario = GOLDEN_SCENARIOS["exp2_federation"].replace(
-            transport="two-tier-wan", directory_shards=4
-        )
+        scenario = GOLDEN_SCENARIOS["exp2_federation"].replace(transport="two-tier-wan")
         a = result_fingerprint(run_scenario(scenario))
         b = result_fingerprint(run_scenario(scenario))
         assert a == b
@@ -111,42 +140,24 @@ class TestWanShardedRuns:
         if net.messages > 0:
             assert net.latency_s > 0.0
 
-    def test_sharded_uniform_matches_directory_membership(self):
-        scenario = GOLDEN_SCENARIOS["exp3_economy"].replace(directory_shards=4)
-        result = run_scenario(scenario, validate=True)
-        assert result.directory.member_names() == sorted(result.resource_names())
-        assert len(result.directory.shards) == 4
-
-
-def scenario_is_independent(name: str) -> bool:
-    """Independent-mode shapes have no directory, so sharding is moot."""
-    return GOLDEN_SCENARIOS[name].mode.value == "independent"
-
 
 class TestScenarioSurface:
     def test_new_fields_participate_in_the_hash(self):
         base = Scenario()
         assert base.scenario_hash() != base.replace(transport="star").scenario_hash()
-        assert base.scenario_hash() != base.replace(directory_shards=2).scenario_hash()
 
     def test_describe_mentions_non_default_fabric(self):
-        described = Scenario(transport="ring", directory_shards=3).describe()
+        described = Scenario(transport="ring").describe()
         assert "transport=ring" in described
-        assert "shards=3" in described
         assert "transport=" not in Scenario().describe()
 
     def test_unknown_transport_rejected_at_construction(self):
         with pytest.raises(ValueError, match="unknown transport topology"):
             Scenario(transport="carrier-pigeon")
 
-    def test_bad_shard_count_rejected(self):
-        with pytest.raises(ValueError, match="directory_shards"):
-            Scenario(directory_shards=0)
-
     def test_to_config_carries_the_fabric_fields(self):
-        config = Scenario(transport="star", directory_shards=2).to_config()
+        config = Scenario(transport="star").to_config()
         assert config.transport == "star"
-        assert config.directory_shards == 2
 
     def test_aliases_normalise_to_canonical_keys(self):
         """Alias and canonical spellings are the same scenario: same field
@@ -172,15 +183,13 @@ class TestScenarioSurface:
 
 
 class TestCLISurface:
-    def test_run_accepts_topology_and_shards_and_prints_net_line(self, capsys):
+    def test_run_accepts_topology_and_prints_net_line(self, capsys):
         from repro.cli import main as cli_main
 
-        rc = cli_main(
-            ["run", "--topology", "two-tier-wan", "--shards", "2", "--thin", "40", "--validate"]
-        )
+        rc = cli_main(["run", "--topology", "two-tier-wan", "--thin", "40", "--validate"])
         out = capsys.readouterr().out
         assert rc == 0
-        assert "net: topology=two-tier-wan shards=2" in out
+        assert "net: topology=two-tier-wan messages=" in out
         assert "invariants: all checks passed" in out
 
     def test_unknown_topology_is_a_clean_cli_error(self, capsys):

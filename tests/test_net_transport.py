@@ -264,15 +264,14 @@ class TestTransferReliability:
 
 
 class TestControlPlane:
-    def test_control_counts_per_kind_and_node(self):
+    def test_control_counts_per_kind(self):
         transport = Transport(Simulator())
-        transport.control("directory/shard0", "query")
-        transport.control("directory/shard1", "query")
-        transport.control("directory/shard0", "subscribe")
+        transport.control("query")
+        transport.control("query")
+        transport.control("subscribe")
         stats = transport.stats
         assert stats.control_messages == 3
         assert stats.control_by_kind == {"query": 2, "subscribe": 1}
-        assert stats.control_by_node == {"directory/shard0": 2, "directory/shard1": 1}
         # Control traffic never leaks into the paper's data-plane counters.
         assert stats.messages == 0
 
@@ -288,10 +287,10 @@ class TestMerge:
             lambda t: t.roundtrip("B", "C", jobs["B"], responder_alive=False),
             lambda t: t.transfer("A", "C", jobs["A"], size_mb=125.0),
             lambda t: t.notify("C", "A", MessageType.JOB_COMPLETION, jobs["A"]),
-            lambda t: t.control("directory/shard0", "query"),
+            lambda t: t.control("query"),
             lambda t: t.roundtrip("C", "A", jobs["C"]),
             lambda t: t.transfer("B", "A", jobs["B"]),
-            lambda t: t.control("directory/shard1", "subscribe", messages=2),
+            lambda t: t.control("subscribe", messages=2),
             lambda t: t.notify("A", "B", MessageType.JOB_COMPLETION, jobs["B"]),
         ]
         whole = Transport(Simulator(), topology)
@@ -310,7 +309,6 @@ class TestMerge:
             "delayed_deliveries",
             "control_messages",
             "control_by_kind",
-            "control_by_node",
         ):
             assert getattr(merged, name) == getattr(expected, name), name
         assert merged.volume_mb == pytest.approx(expected.volume_mb)

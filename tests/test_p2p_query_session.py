@@ -9,6 +9,8 @@ probe.
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -207,6 +209,60 @@ class TestSessionIterationSurvivesUnsubscribe:
                     assert quote.gfa_name in live
                     served.append(quote.gfa_name)
         assert len(served) == len(set(served))
+
+
+class TestSessionIterationSurvivesRequotes:
+    """``next()`` under the other churn a negotiation sees: re-quotes, a
+    faster newcomer, and newcomers the processor filter rules out.  A
+    re-quoted member keeps its name, so a session never serves it twice, and
+    the filter reads each quote as it stands at the probe."""
+
+    def _directory(self, procs=(4, 4, 4, 4)):
+        directory = FederationDirectory(rng=np.random.default_rng(0))
+        for i, (price, cpus) in enumerate(zip([1.0, 2.0, 3.0, 4.0], procs)):
+            directory.subscribe(
+                f"GFA-{i}", make_spec(f"GFA-{i}", price, 100.0 * (i + 1), cpus)
+            )
+        return directory
+
+    def test_requote_of_served_member_is_not_served_again(self):
+        directory = self._directory()
+        session = directory.open_session(RankCriterion.CHEAPEST)
+        assert session.next().gfa_name == "GFA-0"
+        assert session.next().gfa_name == "GFA-1"
+        # GFA-1 re-quotes to rank first; it was served, so it is skipped.
+        directory.update_quote("GFA-1", make_spec("GFA-1", 0.5, 200.0, 4))
+        assert session.next().gfa_name == "GFA-2"
+        assert session.next().gfa_name == "GFA-3"
+        assert session.next() is None
+
+    def test_new_fastest_subscriber_is_served_not_a_repeat(self):
+        directory = self._directory()
+        session = directory.open_session(RankCriterion.FASTEST)
+        assert session.next().gfa_name == "GFA-3"
+        directory.subscribe("GFA-9", make_spec("GFA-9", 9.0, 900.0, 4))
+        assert session.next().gfa_name == "GFA-9"
+        assert session.next().gfa_name == "GFA-2"
+
+    def test_filtered_session_skips_a_small_newcomer(self):
+        directory = self._directory(procs=(64, 4, 64, 64))
+        session = directory.open_session(RankCriterion.CHEAPEST, min_processors=64)
+        assert session.next().gfa_name == "GFA-0"
+        directory.subscribe("GFA-8", make_spec("GFA-8", 0.1, 500.0, 4))
+        directory.subscribe("GFA-9", make_spec("GFA-9", 0.2, 500.0, 64))
+        assert session.next().gfa_name == "GFA-9"
+        assert session.next().gfa_name == "GFA-2"  # GFA-1 is too small
+        assert session.next().gfa_name == "GFA-3"
+        assert session.next() is None
+
+    def test_requote_below_the_filter_drops_an_unserved_member(self):
+        directory = self._directory(procs=(64, 64, 64, 64))
+        session = directory.open_session(RankCriterion.CHEAPEST, min_processors=64)
+        assert session.next().gfa_name == "GFA-0"
+        directory.update_quote("GFA-1", make_spec("GFA-1", 2.0, 200.0, 4))
+        assert session.next().gfa_name == "GFA-2"
+        assert session.next().gfa_name == "GFA-3"
+        assert session.next() is None
 
 
 class TestVersionStamp:
@@ -422,6 +478,31 @@ class TestBatchUpdates:
         # best-ranked unseen candidate is the re-quoted cluster.
         assert session.next().gfa_name == "GFA-5"
         assert directory.open_session(RankCriterion.CHEAPEST).kth(1).gfa_name == "GFA-5"
+
+    @given(blocks=st.lists(st.tuples(st.booleans(), _ops), min_size=1, max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_version_counts_changes_and_non_empty_batches(self, blocks):
+        """Outside a batch every membership change bumps the version once;
+        a batch bumps it once if anything inside it changed, else not at all."""
+        directory = FederationDirectory(rng=np.random.default_rng(0))
+        expected = 0
+        for batched, ops in blocks:
+            changed = 0
+            with directory.batch_updates() if batched else contextlib.nullcontext():
+                for kind, idx, price, mips, procs in ops:
+                    name = f"GFA-{idx}"
+                    spec = make_spec(name, round(price, 3), round(mips, 1), procs)
+                    if kind == "subscribe" and not directory.is_subscribed(name):
+                        directory.subscribe(name, spec)
+                    elif kind == "unsubscribe" and directory.is_subscribed(name):
+                        directory.unsubscribe(name)
+                    elif kind == "update" and directory.is_subscribed(name):
+                        directory.update_quote(name, spec)
+                    else:
+                        continue
+                    changed += 1
+            expected += min(changed, 1) if batched else changed
+            assert directory.version == expected
 
     def test_batch_exception_still_closes_and_bumps(self):
         directory = self._directory()

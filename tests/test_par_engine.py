@@ -12,17 +12,25 @@ The end-to-end parity guarantees built on these pieces live in
 
 from __future__ import annotations
 
+import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.net.topology import build_topology
-from repro.p2p.sharded import shard_for
 from repro.par import ParallelStats, plan_partition
 from repro.par.engine import ParallelSimulator
-from repro.par.partition import WINDOW_FLOOR_S, sample_lookahead, shard_assignment
+from repro.par.partition import (
+    WINDOW_FLOOR_S,
+    sample_lookahead,
+    shard_assignment,
+    shard_for,
+)
 from repro.par.router import (
     CrossShardMessage,
     MessageKind,
@@ -44,10 +52,41 @@ ELIGIBLE = Scenario(
 
 
 class TestPartition:
-    def test_assignment_matches_directory_shard_function(self):
+    def test_shard_for_is_stable_and_bounded(self):
+        for shards in (1, 2, 4, 7):
+            for i in range(32):
+                shard = shard_for(f"GFA-{i}", shards)
+                assert 0 <= shard < shards
+                assert shard == shard_for(f"GFA-{i}", shards)
+
+    def test_shard_for_rejects_bad_counts(self):
+        with pytest.raises(ValueError):
+            shard_for("A", 0)
+
+    def test_assignment_matches_shard_function(self):
         assignment = shard_assignment(NAMES, 4)
         assert assignment == {name: shard_for(name, 4) for name in NAMES}
         assert set(assignment.values()) <= set(range(4))
+
+    def test_assignment_is_the_same_in_a_fresh_interpreter(self):
+        """The coordinator and every worker process must agree on ownership:
+        an interpreter with another string-hash seed assigns the same shards."""
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        code = (
+            "import json, sys\n"
+            "from repro.par.partition import shard_assignment\n"
+            "print(json.dumps(shard_assignment(json.loads(sys.argv[1]), 4)))\n"
+        )
+        env = dict(os.environ, PYTHONHASHSEED="12345", PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", code, json.dumps(NAMES)],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=60,
+        )
+        assert json.loads(out.stdout) == shard_assignment(NAMES, 4)
 
     def test_assignment_occupies_multiple_shards(self):
         # 16 clusters over 2 shards: the crc32 key must actually split them.

@@ -276,7 +276,14 @@ class TestRemovedEntryPointsTable:
     the old names are importable from nowhere, and every replacement is
     importable from ``repro`` or ``repro.experiments``."""
 
-    PACKAGES = ("repro.core", "repro.experiments", "repro.baselines", "repro.extensions")
+    PACKAGES = (
+        "repro.core",
+        "repro.experiments",
+        "repro.baselines",
+        "repro.extensions",
+        "repro.p2p",
+        "repro.sim",
+    )
 
     def _modules(self):
         modules = [repro]
@@ -293,7 +300,7 @@ class TestRemovedEntryPointsTable:
         api = (Path(__file__).resolve().parents[1] / "docs" / "API.md").read_text()
         section = api.split("## Removed entry points", 1)[1].split("\n## ", 1)[0]
         rows = [line.split("|")[1:3] for line in section.splitlines() if line.startswith("| `")]
-        assert len(rows) == 9
+        assert len(rows) == 11
         modules = self._modules()
         public = (repro, importlib.import_module("repro.experiments"))
         for removed, replacement in rows:
@@ -305,9 +312,9 @@ class TestRemovedEntryPointsTable:
 
 class TestRemovedParametersTable:
     """Every name the "Removed parameters and flags" table in docs/API.md
-    spells out is gone: ``Owner.member`` attributes, ``function(...,
-    name=...)`` keyword parameters and ``gridfed <command> --flag``
-    options."""
+    spells out is gone: ``Owner.member`` attributes and dataclass fields,
+    ``function(..., name=...)`` and ``Owner.method(..., name=...)``
+    parameters, and ``gridfed <command> --flag`` options."""
 
     #: Where the owners and functions the table names live.
     MODULES = ("repro", "repro.p2p", "repro.perf", "repro.service.daemon")
@@ -327,30 +334,53 @@ class TestRemovedParametersTable:
 
     def test_members_are_gone(self):
         members = re.findall(r"`(\w+)\.(\w+)`", self._removed_cells())
-        assert len(members) == 5
+        assert len(members) == 6
         for owner, member in members:
-            assert not hasattr(self._lookup(owner), member), f"{owner}.{member}"
+            cls = self._lookup(owner)
+            assert not hasattr(cls, member), f"{owner}.{member}"
+            # A dataclass field with a default factory is no class attribute.
+            if dataclasses.is_dataclass(cls):
+                assert member not in {f.name for f in dataclasses.fields(cls)}, member
 
     def test_keyword_parameters_are_gone(self):
-        parameters = re.findall(r"`(\w+)\(\.\.\., (\w+)=[^`]*\)`", self._removed_cells())
-        assert len(parameters) == 3
-        for function, name in parameters:
-            signature = inspect.signature(self._lookup(function))
+        parameters = re.findall(
+            r"`(?:(\w+)\.)?(\w+)\(\.\.\., (\w+)=[^`]*\)`", self._removed_cells()
+        )
+        assert len(parameters) == 5
+        for owner, function, name in parameters:
+            target = getattr(self._lookup(owner), function) if owner else self._lookup(function)
+            signature = inspect.signature(target)
             assert name not in signature.parameters, f"{function}({name}=)"
 
     def test_flags_are_gone(self, capsys):
         from repro.cli import build_parser
 
         flags = re.findall(r"`gridfed (\w+) (--[\w-]+)`", self._removed_cells())
-        assert len(flags) == 1
+        assert len(flags) == 4
         for command, flag in flags:
             with pytest.raises(SystemExit):
                 build_parser().parse_args([command, flag, "x"])
             assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
-    def test_directories_hold_no_cache(self):
-        from repro.p2p import FederationDirectory, ShardedDirectory
+    def test_removed_scenario_fields_are_refused_as_unknown(self):
+        """The table's promise for daemon input: a submission or record that
+        still names a removed ``Scenario`` field is refused by the
+        unknown-field check, alongside fields that are still valid."""
+        from repro.service.daemon import scenario_from_fields, scenario_to_fields
 
-        rng = np.random.default_rng(0)
-        for directory in (FederationDirectory(rng=rng), ShardedDirectory([rng, rng])):
-            assert not [name for name in vars(directory) if "cache" in name]
+        removed = [
+            member
+            for owner, member in re.findall(r"`(\w+)\.(\w+)`", self._removed_cells())
+            if owner == "Scenario"
+        ]
+        assert removed
+        for name in removed:
+            fields = dict(scenario_to_fields(Scenario()), **{name: 1})
+            with pytest.raises(ValueError, match=f"unknown scenario fields: {name};"):
+                scenario_from_fields(fields)
+
+    def test_directories_hold_no_cache(self):
+        from repro.p2p import FederationDirectory
+
+        directory = FederationDirectory(rng=np.random.default_rng(0))
+        assert not [name for name in vars(directory) if "cache" in name]

@@ -33,7 +33,12 @@ import pytest
 
 from repro.scenario import Scenario, result_fingerprint, run_scenario
 from repro.service import DaemonClient, DaemonError, GridfedDaemon
-from repro.service.daemon import QueueFullError, scenario_from_fields, scenario_to_fields
+from repro.service.daemon import (
+    QueueFullError,
+    execute_submission,
+    scenario_from_fields,
+    scenario_to_fields,
+)
 from repro.service.snapshot import read_header
 
 _REPO_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -221,6 +226,7 @@ class TestServingLoop:
         request = urllib.request.Request(daemon.address + "/frobnicate")
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=5.0)
+        excinfo.value.close()  # the error holds the response's socket
         assert excinfo.value.code == 404
 
     @pytest.mark.parametrize("interval", [-5.0, math.nan, math.inf])
@@ -460,6 +466,39 @@ class TestBoundaryWrites:
         assert daemon.state.load_record(sid)["status"] == "completed"
         assert reports == [True]
         assert snapshots == []
+
+
+class TestUnknownFields:
+    def test_refused_submission_writes_no_record(self, tmp_path):
+        daemon = GridfedDaemon(tmp_path / "state", port=0)  # never started
+        try:
+            with pytest.raises(ValueError, match="unknown scenario fields: frobnicate"):
+                daemon.submit({"frobnicate": True})
+            assert daemon.state.list_records() == []
+            accepted = daemon.submit(scenario_to_fields(_fast(seed=72)))["id"]
+            assert daemon.health()["jobs"] == {"queued": 1}
+        finally:
+            daemon.stop()
+        assert [record["id"] for record in daemon.state.list_records()] == [accepted]
+
+    def test_queued_record_naming_an_unknown_field_lands_failed(self, tmp_path):
+        """A queued record whose scenario names a field this version does not
+        know, as one written before the field was removed does, fails with
+        the unknown-field error instead of running."""
+        state = tmp_path / "state"
+        daemon = GridfedDaemon(state, port=0)  # never started: this test runs it
+        try:
+            sid = daemon.submit(scenario_to_fields(_fast(seed=71)))["id"]
+            record = daemon.state.load_record(sid)
+            record["scenario"]["frobnicate"] = 4
+            daemon.state.save_record(record)
+            execute_submission(str(state), sid, 600.0)
+        finally:
+            daemon.stop()
+        record = daemon.state.load_record(sid)
+        assert record["status"] == "failed"
+        assert "unknown scenario fields: frobnicate" in record["error"]
+        assert record["fingerprint"] is None
 
 
 class TestRecordIndex:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import pickle
 import pickletools
+from pathlib import Path
 
 import pytest
 
@@ -231,7 +232,7 @@ class TestMismatchGuards:
     def test_format_version_mismatch_from_file(self, tmp_path):
         """A rewritten on-disk header is refused before any unpickling."""
         path = _write_fast_snapshot(tmp_path)
-        raw = open(path, "rb").read()
+        raw = Path(path).read_bytes()
         magic = b"gridfed-snapshot\n"
         length = int.from_bytes(raw[len(magic) : len(magic) + 4], "big")
         header_start = len(magic) + 4
@@ -253,7 +254,7 @@ class TestMismatchGuards:
         """A mismatched snapshot with a *corrupt* payload still raises the
         mismatch error: the guard never touches the pickle."""
         path = _write_fast_snapshot(tmp_path)
-        raw = open(path, "rb").read()
+        raw = Path(path).read_bytes()
         magic = b"gridfed-snapshot\n"
         length = int.from_bytes(raw[len(magic) : len(magic) + 4], "big")
         with open(path, "wb") as handle:
@@ -266,7 +267,7 @@ class TestMismatchGuards:
         """A version-1 header still names the dropped ``engine`` field; it
         must reach the version guard rather than fail to parse."""
         path = _write_fast_snapshot(tmp_path)
-        raw = open(path, "rb").read()
+        raw = Path(path).read_bytes()
         magic = b"gridfed-snapshot\n"
         length = int.from_bytes(raw[len(magic) : len(magic) + 4], "big")
         header_start = len(magic) + 4
@@ -297,7 +298,7 @@ class TestSnapshotFormat:
 
     def test_truncated_snapshot_refused(self, tmp_path):
         path = _write_fast_snapshot(tmp_path)
-        raw = open(path, "rb").read()
+        raw = Path(path).read_bytes()
         with open(path, "wb") as handle:
             handle.write(raw[:20])
         with pytest.raises(SnapshotError):
@@ -305,7 +306,7 @@ class TestSnapshotFormat:
 
     def test_corrupt_payload_refused(self, tmp_path):
         path = _write_fast_snapshot(tmp_path)
-        raw = open(path, "rb").read()
+        raw = Path(path).read_bytes()
         with open(path, "wb") as handle:
             handle.write(raw[: len(raw) // 2])
         # Header is intact, payload is torn.
@@ -343,7 +344,7 @@ class TestSnapshotFormat:
                 checkpoint_every=600.0,
                 on_progress=_interrupt_after_first_chunk(),
             )
-        raw = open(snapshot_path(tmp_path), "rb").read()
+        raw = Path(snapshot_path(tmp_path)).read_bytes()
         magic = b"gridfed-snapshot\n"
         length = int.from_bytes(raw[len(magic) : len(magic) + 4], "big")
         payload = raw[len(magic) + 4 + length :]

@@ -91,6 +91,54 @@ class TestScheduling:
         assert sim.now == pytest.approx(5.0)
 
 
+class TestCallbackChains:
+    """A wait is a callback that schedules its own continuation, the way
+    every entity waits: there is no coroutine layer on top of the queue."""
+
+    def test_rescheduling_callback_advances_the_clock_between_steps(self):
+        sim = Simulator()
+        times = []
+
+        def step(remaining):
+            times.append(sim.now)
+            if remaining > 1:
+                sim.schedule(10.0, step, remaining - 1)
+
+        sim.schedule(0.0, step, 3)
+        sim.run()
+        assert times == [0.0, 10.0, 20.0]
+        assert sim.now == pytest.approx(20.0)
+
+    def test_two_chains_interleave_in_time_order(self):
+        sim = Simulator()
+        order = []
+
+        def chain(name, period, remaining):
+            order.append((name, sim.now))
+            if remaining > 1:
+                sim.schedule(period, chain, name, period, remaining - 1)
+
+        sim.schedule(0.0, chain, "fast", 1.0, 2)
+        sim.schedule(0.0, chain, "slow", 3.0, 2)
+        sim.run()
+        assert order == [("fast", 0.0), ("slow", 0.0), ("fast", 1.0), ("slow", 3.0)]
+
+    def test_chain_end_runs_its_completion_callback_once(self):
+        sim = Simulator()
+        done = []
+
+        def step(remaining, on_finish):
+            if remaining:
+                sim.schedule(1.0, step, remaining - 1, on_finish)
+            else:
+                on_finish(sim.now)
+
+        sim.schedule(0.0, step, 2, done.append)
+        sim.run()
+        assert done == [2.0]
+        assert sim.events_processed == 3
+
+
 class TestCancellation:
     def test_cancelled_event_does_not_fire(self):
         sim = Simulator()
