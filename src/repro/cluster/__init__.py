@@ -7,7 +7,8 @@ or SGE.  This package provides that substrate:
 * :class:`~repro.cluster.specs.ResourceSpec` — the advertised resource set
   ``R_i = (p_i, mu_i, gamma_i)`` plus the owner's access price ``c_i``;
 * :mod:`repro.cluster.specs` — the paper's cost/time model (Eqs. 1–4);
-* :class:`~repro.cluster.machine.NodePool` — allocation of individual nodes;
+* :class:`~repro.cluster.machine.NodePool` — allocation of individual nodes,
+  held as sorted runs of free node ids and each job's tuple of runs;
 * :class:`~repro.cluster.profile.AvailabilityProfile` — processor availability
   over time, used for completion-time estimation and backfilling;
 * :class:`~repro.cluster.lrms.SpaceSharedLRMS` — FCFS / EASY-backfilling

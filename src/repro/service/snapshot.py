@@ -63,8 +63,10 @@ __all__ = [
 #: admission profile, queue tail and predicted starts in place of the
 #: version-stamped profile cache.  v4: the message ledger is the transport's
 #: slot-list ``MessageLog`` (no per-job, per-pair or per-type maps, no
-#: observer hooks), and GFAs no longer hold a ``message_log``.
-SNAPSHOT_FORMAT_VERSION = 4
+#: observer hooks), and GFAs no longer hold a ``message_log``.  v5: each
+#: LRMS's ``NodePool`` pickles its free nodes as sorted runs, a free-node
+#: counter and each job's tuple of runs in place of per-node lists and sets.
+SNAPSHOT_FORMAT_VERSION = 5
 
 _MAGIC = b"gridfed-snapshot\n"
 _WHAT = "gridfed snapshot"
@@ -294,8 +296,8 @@ def load_snapshot(
 #: harvests pickle the v4 message ledger and transport stats.  v5: the
 #: coordinator state records its scenario, so a fleet checkpoint can be
 #: resumed without naming the scenario again, and the header's version key
-#: is ``version``.
-PAR_CHECKPOINT_VERSION = 5
+#: is ``version``.  v6: shards pickle the v5 LRMS (node pools as runs).
+PAR_CHECKPOINT_VERSION = 6
 
 _PAR_MAGIC = b"gridfed-par-state\n"
 _PAR_WHAT = "parallel checkpoint state file"

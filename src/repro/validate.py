@@ -406,9 +406,11 @@ class RuntimeValidator:
     * :meth:`after_fault` — called by the fault injector after every applied
       fault event; checks the *runtime* invariants that are only observable
       mid-run (directory membership vs. ground truth, dead clusters hold no
-      work, node accounting);
+      work, every live cluster's free plus running processors equal its
+      size);
     * :meth:`validate_end` — called by ``Federation.run`` on the assembled
-      result; runs the full result-level suite.
+      result; checks that every cluster's node pool is wholly free again,
+      then runs the full result-level suite.
 
     Raises :class:`InvariantViolation` at the first breached checkpoint.
     """
@@ -452,11 +454,37 @@ class RuntimeValidator:
                             f"dead cluster {name} still has nodes allocated",
                         )
                     )
+                continue
+            # Node conservation: every processor is free or held by a running
+            # job (load-spike background jobs run through the LRMS too).
+            free = gfa.lrms.free_processors
+            held = sum(job.num_processors for job in gfa.lrms.running_jobs())
+            if free + held != gfa.spec.num_processors:
+                violations.append(
+                    Violation(
+                        "runtime-nodes",
+                        f"cluster {name}: {free} free + {held} held by running "
+                        f"jobs != {gfa.spec.num_processors} processors",
+                    )
+                )
         self.fault_events_checked += 1
         if violations:
             raise InvariantViolation(violations)
 
     def validate_end(self, federation: "Federation", result: FederationResult) -> None:
-        """Run the full result-level invariant suite."""
+        """Check that every node pool drained, then run the result-level suite."""
         self.results_validated += 1
+        violations = []
+        for name, gfa in federation.gfas.items():
+            free = gfa.lrms.nodes.free_runs()
+            if free != ((0, gfa.spec.num_processors),):
+                violations.append(
+                    Violation(
+                        "drained-nodes",
+                        f"cluster {name}: free runs {free} after the run drained, "
+                        f"not all {gfa.spec.num_processors} processors",
+                    )
+                )
+        if violations:
+            raise InvariantViolation(violations)
         assert_valid(result)

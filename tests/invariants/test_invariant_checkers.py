@@ -27,6 +27,25 @@ from repro.validate import (
 from repro.workload.job import JobStatus
 
 
+def _federation(scenario: Scenario):
+    """A built, unstarted federation for ``scenario``, as ``run_scenario``
+    would build it, without faults or a validator."""
+    from repro.scenario.registry import AGENT_REGISTRY, PRICING_REGISTRY, WORKLOAD_REGISTRY
+    from repro.scenario.runner import resolve_resources
+    from repro.sim.rng import RandomStreams
+    from repro.workload.archive import build_federation_specs
+    from repro.workload.job import reset_job_counter
+
+    archive = resolve_resources(scenario, None)
+    specs = build_federation_specs(archive)
+    reset_job_counter()
+    streams = RandomStreams(scenario.seed)
+    workload = WORKLOAD_REGISTRY.get(scenario.workload)(scenario, streams, archive)
+    return PRICING_REGISTRY.get(scenario.pricing)(
+        scenario, specs, workload, scenario.to_config(), AGENT_REGISTRY.get(scenario.agent)
+    )
+
+
 @pytest.fixture(scope="module")
 def economy_result():
     return run_scenario(EXPERIMENT_SHAPES["exp3_economy"])
@@ -209,21 +228,7 @@ class TestRuntimeValidator:
         assert result.faults.crashes == 2
 
     def test_runtime_validator_counts_checkpoints(self, crash_plan):
-        from repro.scenario.registry import AGENT_REGISTRY, PRICING_REGISTRY, WORKLOAD_REGISTRY
-        from repro.scenario.runner import resolve_resources
-        from repro.sim.rng import RandomStreams
-        from repro.workload.archive import build_federation_specs
-        from repro.workload.job import reset_job_counter
-
-        scenario = EXPERIMENT_SHAPES["exp3_economy"]
-        archive = resolve_resources(scenario, None)
-        specs = build_federation_specs(archive)
-        reset_job_counter()
-        streams = RandomStreams(scenario.seed)
-        workload = WORKLOAD_REGISTRY.get(scenario.workload)(scenario, streams, archive)
-        federation = PRICING_REGISTRY.get(scenario.pricing)(
-            scenario, specs, workload, scenario.to_config(), AGENT_REGISTRY.get(scenario.agent)
-        )
+        federation = _federation(EXPERIMENT_SHAPES["exp3_economy"])
         federation.install_faults(crash_plan)
         validator = federation.install_validator()
         federation.run()
@@ -234,43 +239,46 @@ class TestRuntimeValidator:
     def test_runtime_validator_raises_on_planted_runtime_breach(self, crash_plan):
         """Sabotage the injector's ground truth: the very next fault event
         checkpoint must blow up, proving the runtime hooks actually check."""
-        from repro.scenario.registry import AGENT_REGISTRY, PRICING_REGISTRY, WORKLOAD_REGISTRY
-        from repro.scenario.runner import resolve_resources
-        from repro.sim.rng import RandomStreams
-        from repro.workload.archive import build_federation_specs
-        from repro.workload.job import reset_job_counter
-
-        scenario = EXPERIMENT_SHAPES["exp3_economy"]
-        archive = resolve_resources(scenario, None)
-        specs = build_federation_specs(archive)
-        reset_job_counter()
-        streams = RandomStreams(scenario.seed)
-        workload = WORKLOAD_REGISTRY.get(scenario.workload)(scenario, streams, archive)
-        federation = PRICING_REGISTRY.get(scenario.pricing)(
-            scenario, specs, workload, scenario.to_config(), AGENT_REGISTRY.get(scenario.agent)
-        )
+        federation = _federation(EXPERIMENT_SHAPES["exp3_economy"])
         injector = federation.install_faults(crash_plan)
         federation.install_validator()
         injector._expected.discard("CTC SP2")  # claim a live member was delisted
         with pytest.raises(InvariantViolation):
             federation.run()
 
+    def test_nodes_released_behind_the_lrms_back_are_caught(self, crash_plan):
+        """A live cluster whose pool frees a running job's nodes without the
+        LRMS knowing breaks node conservation at the next fault checkpoint."""
+        federation = _federation(EXPERIMENT_SHAPES["exp3_economy"])
+        injector = federation.install_faults(crash_plan)
+        validator = federation.install_validator()
+        federation.start()
+        federation.sim.run(until=4_000.0)
+        event = crash_plan.scheduled()[0]
+        validator.after_fault(injector, event)  # consistent so far
+        lrms, job = next(
+            (gfa.lrms, job)
+            for gfa in federation.gfas.values()
+            if gfa.alive
+            for job in gfa.lrms.running_jobs()
+        )
+        lrms.nodes.release(job.job_id)
+        with pytest.raises(InvariantViolation, match="runtime-nodes"):
+            validator.after_fault(injector, event)
+
+    def test_undrained_pool_at_the_end_is_caught(self):
+        scenario = Scenario(mode="federation", workload="synthetic", horizon=6 * 3600.0, thin=40, seed=7)
+        federation = _federation(scenario)
+        validator = federation.install_validator()
+        result = federation.run()
+        assert validator.results_validated == 1
+        next(iter(federation.gfas.values())).lrms.nodes.allocate(job_id=-1, count=1)
+        with pytest.raises(InvariantViolation, match="drained-nodes"):
+            validator.validate_end(federation, result)
+
     def test_validator_rejects_installation_after_run(self):
         scenario = Scenario(mode="economy", workload="synthetic", horizon=6 * 3600.0, thin=40, seed=7)
-        from repro.scenario.registry import AGENT_REGISTRY, PRICING_REGISTRY, WORKLOAD_REGISTRY
-        from repro.scenario.runner import resolve_resources
-        from repro.sim.rng import RandomStreams
-        from repro.workload.archive import build_federation_specs
-        from repro.workload.job import reset_job_counter
-
-        archive = resolve_resources(scenario, None)
-        specs = build_federation_specs(archive)
-        reset_job_counter()
-        streams = RandomStreams(scenario.seed)
-        workload = WORKLOAD_REGISTRY.get(scenario.workload)(scenario, streams, archive)
-        federation = PRICING_REGISTRY.get(scenario.pricing)(
-            scenario, specs, workload, scenario.to_config(), AGENT_REGISTRY.get(scenario.agent)
-        )
+        federation = _federation(scenario)
         federation.run()
         with pytest.raises(RuntimeError):
             federation.install_validator(RuntimeValidator())

@@ -202,6 +202,25 @@ def _write_fast_snapshot(tmp_path):
     return snapshot_path(tmp_path)
 
 
+def _rewrite_format_version(path, version: int) -> None:
+    """Make a snapshot's on-disk header claim format ``version``."""
+    raw = Path(path).read_bytes()
+    magic = b"gridfed-snapshot\n"
+    length = int.from_bytes(raw[len(magic) : len(magic) + 4], "big")
+    header_start = len(magic) + 4
+    header = raw[header_start : header_start + length]
+    rewritten = header.replace(
+        b'"format_version": %d' % SNAPSHOT_FORMAT_VERSION,
+        b'"format_version": %d' % version,
+    )
+    assert rewritten != header, "header rewrite did not take"
+    with open(path, "wb") as handle:
+        handle.write(magic)
+        handle.write(len(rewritten).to_bytes(4, "big"))
+        handle.write(rewritten)
+        handle.write(raw[header_start + length :])
+
+
 class TestMismatchGuards:
     def test_scenario_hash_mismatch_fails_fast(self, tmp_path):
         _write_fast_snapshot(tmp_path)
@@ -232,21 +251,7 @@ class TestMismatchGuards:
     def test_format_version_mismatch_from_file(self, tmp_path):
         """A rewritten on-disk header is refused before any unpickling."""
         path = _write_fast_snapshot(tmp_path)
-        raw = Path(path).read_bytes()
-        magic = b"gridfed-snapshot\n"
-        length = int.from_bytes(raw[len(magic) : len(magic) + 4], "big")
-        header_start = len(magic) + 4
-        header = raw[header_start : header_start + length]
-        bumped = header.replace(
-            b'"format_version": %d' % SNAPSHOT_FORMAT_VERSION,
-            b'"format_version": %d' % (SNAPSHOT_FORMAT_VERSION + 7),
-        )
-        assert bumped != header, "header rewrite did not take"
-        with open(path, "wb") as handle:
-            handle.write(magic)
-            handle.write(len(bumped).to_bytes(4, "big"))
-            handle.write(bumped)
-            handle.write(raw[header_start + length :])
+        _rewrite_format_version(path, SNAPSHOT_FORMAT_VERSION + 7)
         with pytest.raises(SnapshotMismatchError):
             load_snapshot(path)
 
@@ -389,10 +394,12 @@ class TestRunnerIntegration:
         assert result_fingerprint(result) == expected
 
     @pytest.mark.parametrize(
-        "case", ["other-scenario", "unreadable", "bad-header", "validate", "fault-plan"]
+        "case",
+        ["other-scenario", "previous-format", "unreadable", "bad-header", "validate", "fault-plan"],
     )
     def test_checkpoint_not_adopted_starts_fresh(self, tmp_path, case):
-        """A snapshot of another scenario, an unreadable one, or a run with
+        """A snapshot of another scenario, one an older build wrote (as a
+        daemon upgraded mid-run finds), an unreadable one, or a run with
         inputs the snapshot guard cannot see: the run starts from zero."""
         from repro.faults.plan import FaultPlan
 
@@ -400,6 +407,8 @@ class TestRunnerIntegration:
         scenario, kwargs = _FAST, {}
         if case == "other-scenario":
             scenario = _FAST.replace(seed=8)
+        elif case == "previous-format":
+            _rewrite_format_version(path, SNAPSHOT_FORMAT_VERSION - 1)
         elif case == "unreadable":
             with open(path, "wb") as handle:
                 handle.write(b"not a snapshot")
