@@ -26,7 +26,7 @@ from repro.core.federation import (
 from repro.core.gfa import GFAStatistics, GridFederationAgent
 from repro.core.messages import GFAMessageCounters, MessageLog, MessageType
 from repro.core.policies import SharingMode, rank_criterion_for
-from repro.core.users import UserPopulation, populations_from_workload
+from repro.core.users import UserPopulation
 
 __all__ = [
     "AdmissionController",
@@ -43,5 +43,4 @@ __all__ = [
     "SharingMode",
     "rank_criterion_for",
     "UserPopulation",
-    "populations_from_workload",
 ]

@@ -223,9 +223,7 @@ class Federation:
         self.bank: Optional[GridBank] = GridBank() if self.config.mode is SharingMode.ECONOMY else None
         self.directory: Optional[FederationDirectory] = None
         if self.config.mode is not SharingMode.INDEPENDENT:
-            self.directory = FederationDirectory(
-                rng=self.streams.get("directory/overlay")
-            )
+            self.directory = FederationDirectory()
             self.directory.attach_transport(self.transport)
 
         self._prepare_jobs()
@@ -258,8 +256,7 @@ class Federation:
             lrms_policy=self.config.lrms_policy,
         )
         self.gfas[spec.name] = gfa
-        population = UserPopulation(self.sim, self.registry, spec.name, self.workload[spec.name])
-        self.populations[spec.name] = population
+        self.populations[spec.name] = UserPopulation(self.sim, gfa, self.workload[spec.name])
 
     # ------------------------------------------------------------------ #
     # Fault injection and runtime validation (both opt-in)

@@ -34,8 +34,7 @@ from repro.economy.bank import GridBank
 from repro.net.transport import Transport
 from repro.p2p.directory import DirectoryQuote, FederationDirectory
 from repro.sim.engine import Simulator
-from repro.sim.entity import Entity, EntityRegistry
-from repro.sim.events import Event, EventType
+from repro.sim.entity import EntityRegistry
 from repro.workload.job import Job, JobStatus
 
 
@@ -77,8 +76,11 @@ class GFAStatistics:
         return self.rejected / self.submitted_local
 
 
-class GridFederationAgent(Entity):
+class GridFederationAgent:
     """The per-cluster federation agent.
+
+    The agent is named after its cluster and registers itself in the
+    federation's registry, through which peers resolve it by that name.
 
     Parameters
     ----------
@@ -111,7 +113,10 @@ class GridFederationAgent(Entity):
         bank: Optional[GridBank] = None,
         lrms_policy: SchedulingPolicy = SchedulingPolicy.FCFS,
     ):
-        super().__init__(sim, spec.name, registry)
+        self.sim = sim
+        self.name = spec.name
+        self.registry = registry
+        registry.register(self)
         self.spec = spec
         self.mode = mode
         self.directory = directory
@@ -140,15 +145,6 @@ class GridFederationAgent(Entity):
                 raise ValueError(f"{mode.value} mode requires a federation directory")
             directory.subscribe(self.name, spec)
             self.joined = True
-
-    # ------------------------------------------------------------------ #
-    # Event interface (used by UserPopulation entities)
-    # ------------------------------------------------------------------ #
-    def handle_event(self, event: Event) -> None:
-        if event.etype is EventType.JOB_SUBMIT:
-            self.submit_local_job(event.payload)
-        else:
-            raise ValueError(f"{self.name}: unexpected event {event.etype}")
 
     # ------------------------------------------------------------------ #
     # Local superscheduling (jobs submitted by the local user population)

@@ -1,55 +1,51 @@
 """Local user populations.
 
 Each cluster has a local population of users that submits the (trace-driven or
-synthetic) workload to the cluster's GFA.  Modelling the population as its own
-simulation entity keeps the submission path identical to the paper's model
-(user → GFA → LRMS / federation) and gives a single place to attach
-per-population bookkeeping.
+synthetic) workload to the cluster's GFA, keeping the submission path of the
+paper's model (user → GFA → LRMS / federation) and giving a single place to
+attach per-population bookkeeping.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import TYPE_CHECKING, List, Sequence
 
 from repro.sim.engine import Simulator
-from repro.sim.entity import Entity, EntityRegistry
-from repro.sim.events import Event, EventType
 from repro.workload.job import Job
 
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.core.gfa import GridFederationAgent
 
-class UserPopulation(Entity):
+
+class UserPopulation:
     """The user community local to one cluster.
 
     Parameters
     ----------
-    sim, registry:
-        Simulation engine and shared entity registry.
-    gfa_name:
-        Name of the GFA that receives this population's jobs.
+    sim:
+        Simulation engine.
+    gfa:
+        The GFA that receives this population's jobs (anything with a
+        ``name`` and a ``submit_local_job(job)`` method).
     jobs:
         The population's workload; each job is submitted at its
         ``submit_time`` once :meth:`start` has been called.
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        registry: EntityRegistry,
-        gfa_name: str,
-        jobs: Sequence[Job],
-    ):
-        super().__init__(sim, f"users@{gfa_name}", registry)
-        self.gfa_name = gfa_name
+    def __init__(self, sim: Simulator, gfa: "GridFederationAgent", jobs: Sequence[Job]):
+        self.sim = sim
+        self.gfa = gfa
+        self.name = f"users@{gfa.name}"
         self._jobs: List[Job] = sorted(jobs, key=lambda j: (j.submit_time, j.job_id))
         self.submitted = 0
         self._started = False
         #: Sequence number reserved for the first job's arrival (set by start).
         self._first_seq = 0
         for job in self._jobs:
-            if job.origin != gfa_name:
+            if job.origin != gfa.name:
                 raise ValueError(
                     f"job {job.job_id} originates at {job.origin!r}, cannot be "
-                    f"submitted by the population of {gfa_name!r}"
+                    f"submitted by the population of {gfa.name!r}"
                 )
 
     # ------------------------------------------------------------------ #
@@ -81,11 +77,11 @@ class UserPopulation(Entity):
         job = self._jobs[self.submitted]
         self.submitted += 1
         self._schedule_next()
-        self.send(self.gfa_name, EventType.JOB_SUBMIT, payload=job)
-
-    def handle_event(self, event: Event) -> None:
-        # User populations only emit events; nothing addresses them directly.
-        raise ValueError(f"{self.name}: unexpected event {event.etype}")
+        # The zero-delay hop takes a fresh sequence number, so an event
+        # already scheduled for this instant (a job finish) runs before the
+        # GFA schedules the arriving job.  Calling the GFA directly here
+        # would keep the digests but change that tie rule.
+        self.sim.schedule(0.0, self.gfa.submit_local_job, job)
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -101,13 +97,4 @@ class UserPopulation(Entity):
         return sorted({job.user_id for job in self._jobs})
 
     def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
-        return f"UserPopulation({self.gfa_name!r}, jobs={len(self._jobs)})"
-
-
-def populations_from_workload(
-    sim: Simulator,
-    registry: EntityRegistry,
-    workload: Iterable[tuple[str, Sequence[Job]]],
-) -> List[UserPopulation]:
-    """Create one :class:`UserPopulation` per (gfa name, job list) pair."""
-    return [UserPopulation(sim, registry, name, jobs) for name, jobs in workload]
+        return f"UserPopulation({self.gfa.name!r}, jobs={len(self._jobs)})"

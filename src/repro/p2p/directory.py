@@ -2,12 +2,12 @@
 
 Every GFA publishes a *quote* — its resource description ``R_i`` and access
 price ``c_i`` — into the directory and queries it for the k-th cheapest or
-k-th fastest cluster while scheduling (Fig. 1).  The directory is backed by
-one :class:`~repro.p2p.overlay.SkipListIndex` per ranking criterion, and a
-job's probes ``k = 1, 2, 3, ...`` are answered by one resumable
-:class:`DirectoryQuerySession` (``open_session(criterion,
-min_processors).kth(k)``); the measured hop counts are recorded next to the
-paper's assumed ``ceil(log2 n)`` cost so the assumption can be audited.
+k-th fastest cluster while scheduling (Fig. 1).  The directory keeps one
+sorted ranking per criterion, and a job's probes ``k = 1, 2, 3, ...`` are
+answered by one resumable :class:`DirectoryQuerySession`
+(``open_session(criterion, min_processors).kth(k)``).  The paper assumes a
+peer-to-peer directory whose queries cost ``O(log n)`` messages; each probe
+is charged that assumed cost (:func:`theoretical_query_messages`).
 
 The directory also accepts *load reports* (expected queue wait per resource).
 The base Grid-Federation protocol never reads them; the coordination extension
@@ -19,14 +19,17 @@ from __future__ import annotations
 
 import enum
 import math
+from bisect import bisect_left, insort
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional
-
-import numpy as np
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.cluster.specs import ResourceSpec
-from repro.p2p.overlay import OverlayError, SkipListCursor, SkipListIndex
+
+
+class OverlayError(RuntimeError):
+    """Raised on invalid directory operations (duplicate or unknown GFAs,
+    rank queries inside :meth:`FederationDirectory.batch_updates`)."""
 
 
 class RankCriterion(enum.Enum):
@@ -59,8 +62,17 @@ class DirectoryQuote:
 @dataclass
 class _QueryStats:
     queries: int = 0
-    measured_hops: int = 0
     assumed_messages: int = 0
+
+
+#: One ranking: ``(key, quote)`` pairs in ascending key order, where the key
+#: is ``(price, name)`` or ``(-mips, name)`` and so unique per GFA.
+_Ranking = List[Tuple[tuple, DirectoryQuote]]
+
+
+def _remove(ranking: _Ranking, key: tuple) -> None:
+    """Delete the pair keyed ``key`` (``(key,)`` sorts just before it)."""
+    del ranking[bisect_left(ranking, (key,))]
 
 
 def theoretical_query_messages(system_size: int) -> int:
@@ -75,29 +87,28 @@ class DirectoryQuerySession:
 
     The DBC superscheduler probes the directory for ranks ``1, 2, 3, ...``
     under one ``(criterion, min_processors)`` filter while negotiating a
-    single job.  Answering each probe independently re-walks the overlay from
-    rank 1 (``O(k² · n)`` over a ``k``-round negotiation); a session instead
-    keeps a :class:`~repro.p2p.overlay.SkipListCursor` and the list of
-    filter-matching quotes seen so far, so the whole probe sequence costs one
-    forward sweep — ``O(log n + n)`` worst case, ``O(log n + k)`` typical.
+    single job.  Answering each probe independently would re-walk the ranking
+    from rank 1 (``O(k · n)`` over a ``k``-round negotiation); a session
+    instead keeps its position in the ranking and the list of filter-matching
+    quotes seen so far, so the whole probe sequence costs one forward sweep —
+    ``O(n)`` worst case, ``O(k)`` typical.
 
     Sessions are *version-stamped*: any subscribe / unsubscribe /
     ``update_quote`` bumps the directory version and the next probe
     transparently restarts its sweep, so results always equal what a fresh
     session's ``kth`` would return (dynamic pricing stays correct).  Query
-    accounting: one probe is one query (its count, its assumed ``O(log n)``
-    message cost, and the overlay hops it actually walked).
+    accounting: one probe is one query (its count and its assumed
+    ``O(log n)`` message cost).
     """
 
     __slots__ = (
         "_directory",
-        "_index",
+        "_ranking",
         "criterion",
         "min_processors",
         "_matched",
-        "_cursor",
+        "_scan",
         "_version",
-        "_exhausted",
         "_pos",
         "_yielded",
     )
@@ -113,7 +124,9 @@ class DirectoryQuerySession:
         self._directory = directory
         self.criterion = criterion
         self.min_processors = min_processors
-        self._index = directory._index_for(criterion)
+        # The directory's own list, changed in place: the version stamp
+        # tells the session when its position no longer holds.
+        self._ranking: _Ranking = directory._ranking_for(criterion)
         self._matched: List[DirectoryQuote] = []
         self._pos = 0
         self._yielded: set = set()
@@ -121,9 +134,9 @@ class DirectoryQuerySession:
 
     def _restart(self) -> None:
         self._version = self._directory.version
-        self._cursor: SkipListCursor = self._index.cursor()
+        #: Position in the ranking of the next quote the sweep examines.
+        self._scan = 0
         self._matched.clear()
-        self._exhausted = False
 
     def kth(self, rank: int) -> Optional[DirectoryQuote]:
         """The ``rank``-th matching quote (1-based), or ``None`` when exhausted.
@@ -140,19 +153,17 @@ class DirectoryQuerySession:
         if self._version != directory.version:
             self._restart()
         matched = self._matched
-        if len(matched) < rank and not self._exhausted:
-            cursor = self._cursor
-            hops_before = cursor.hops
+        if len(matched) < rank:
+            ranking = self._ranking
+            end = len(ranking)
+            scan = self._scan
             min_processors = self.min_processors
-            while len(matched) < rank:
-                item = cursor.advance()
-                if item is None:
-                    self._exhausted = True
-                    break
-                quote = item[1]
+            while len(matched) < rank and scan < end:
+                quote = ranking[scan][1]
+                scan += 1
                 if quote.spec.num_processors >= min_processors:
                     matched.append(quote)
-            directory._stats.measured_hops += cursor.hops - hops_before
+            self._scan = scan
         return matched[rank - 1] if rank <= len(matched) else None
 
     def next(self) -> Optional[DirectoryQuote]:
@@ -165,7 +176,7 @@ class DirectoryQuerySession:
         ranks shift, so continuing at the old position silently *skips* live
         candidates the caller never probed, or *re-serves* quotes it already
         consumed.  Instead the sweep restarts from rank 1 (:meth:`kth`
-        restarts the cursor and syncs the version stamp on its next probe)
+        restarts the sweep and syncs the version stamp on its next probe)
         and quotes already served are skipped by name, so the caller always
         gets the best-ranked candidate it has not seen — the semantics a
         negotiation loop needs to survive churn.
@@ -192,17 +203,13 @@ class DirectoryQuerySession:
 class FederationDirectory:
     """Decentralised quote directory shared by all GFAs of a federation.
 
-    Parameters
-    ----------
-    rng:
-        Random generator for the overlay level assignment (inject a seeded
-        stream for reproducible hop counts).
+    Each ranking is a sorted list of ``(key, quote)`` pairs, changed in place
+    by subscribe and unsubscribe (open sessions hold the lists).
     """
 
-    def __init__(self, rng: Optional[np.random.Generator] = None):
-        rng = rng if rng is not None else np.random.default_rng()
-        self._by_price: SkipListIndex = SkipListIndex(rng=rng)
-        self._by_speed: SkipListIndex = SkipListIndex(rng=rng)
+    def __init__(self) -> None:
+        self._by_price: _Ranking = []
+        self._by_speed: _Ranking = []
         self._quotes: Dict[str, DirectoryQuote] = {}
         self._load_reports: Dict[str, float] = {}
         self._stats = _QueryStats()
@@ -240,7 +247,7 @@ class FederationDirectory:
         """Coalesce a storm of membership changes into one version bump.
 
         Subscribes / unsubscribes / quote updates inside the block are
-        applied to the overlay immediately, but the version is bumped *once*
+        applied to the rankings immediately, but the version is bumped *once*
         at the outermost exit — so version-stamped consumers (open query
         sessions) pay one invalidation for the whole storm instead of one per
         call.  This is what keeps the
@@ -248,9 +255,9 @@ class FederationDirectory:
         timestamp) from restarting every open negotiation sweep n times.
 
         Rank queries are forbidden inside the block (they raise
-        :class:`~repro.p2p.overlay.OverlayError`): with the bump deferred, a
-        session probed mid-batch would keep a half-applied ranking stamped
-        with the old version.  Publication-side reads (``quote_of``,
+        :class:`OverlayError`): with the bump deferred, a session probed
+        mid-batch would keep a half-applied ranking stamped with the old
+        version.  Publication-side reads (``quote_of``,
         membership tests) remain legal.
         """
         self._batch_depth += 1
@@ -271,15 +278,15 @@ class FederationDirectory:
         """Publish the initial quote of a GFA joining the federation.
 
         ``replica=True`` mirrors a quote whose owner subscribes on another
-        parallel shard: the overlay state is the same, but no control
+        parallel shard: the rankings are the same, but no control
         message is charged, so a merged run counts each subscribe once.
         """
         if gfa_name in self._quotes:
             raise OverlayError(f"GFA already subscribed: {gfa_name!r}")
         quote = DirectoryQuote(gfa_name=gfa_name, spec=spec)
         self._quotes[gfa_name] = quote
-        self._by_price.insert((spec.price, gfa_name), quote)
-        self._by_speed.insert((-spec.mips, gfa_name), quote)
+        insort(self._by_price, ((spec.price, gfa_name), quote))
+        insort(self._by_speed, ((-spec.mips, gfa_name), quote))
         self._bump_version()
         if not replica:
             self._control("subscribe")
@@ -316,8 +323,8 @@ class FederationDirectory:
         quote = self._quotes.pop(gfa_name, None)
         if quote is None:
             raise OverlayError(f"GFA not subscribed: {gfa_name!r}")
-        self._by_price.remove((quote.spec.price, gfa_name))
-        self._by_speed.remove((-quote.spec.mips, gfa_name))
+        _remove(self._by_price, (quote.spec.price, gfa_name))
+        _remove(self._by_speed, (-quote.spec.mips, gfa_name))
         self._load_reports.pop(gfa_name, None)
         self._bump_version()
         self._control("unsubscribe")
@@ -340,7 +347,7 @@ class FederationDirectory:
         """Current membership/quote version (see :class:`DirectoryQuerySession`)."""
         return self._version
 
-    def _index_for(self, criterion: RankCriterion) -> SkipListIndex:
+    def _ranking_for(self, criterion: RankCriterion) -> _Ranking:
         return self._by_price if criterion is RankCriterion.CHEAPEST else self._by_speed
 
     def _account_query(self) -> None:
@@ -406,11 +413,6 @@ class FederationDirectory:
     def assumed_query_messages(self) -> int:
         """Total directory messages under the paper's O(log n) assumption."""
         return self._stats.assumed_messages
-
-    @property
-    def measured_overlay_hops(self) -> int:
-        """Total links actually traversed in the overlay while serving queries."""
-        return self._stats.measured_hops
 
     def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
         return f"FederationDirectory(quotes={len(self._quotes)}, queries={self._stats.queries})"

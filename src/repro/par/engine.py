@@ -205,7 +205,7 @@ def _shard_worker(
         if restore_path is not None:
             # Window-boundary restart: adopt the snapshot wholesale — the
             # federation arrives started, mid-run, with this worker's global
-            # job/event id counters restored alongside it.
+            # job-id counter restored alongside it.
             from repro.service.snapshot import load_snapshot
 
             _, federation, _ = load_snapshot(restore_path, expected_scenario=scenario)
@@ -220,7 +220,7 @@ def _shard_worker(
                 conn.send(("ok", federation.step(end, injections, loads)))
             elif command[0] == "snapshot":
                 # Written here, in the worker, so the payload carries this
-                # process's own global job/event id counters.
+                # process's own global job-id counter.
                 from repro.service.snapshot import write_snapshot
 
                 write_snapshot(command[1], federation, scenario)

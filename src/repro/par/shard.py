@@ -245,14 +245,14 @@ class ShardFederation(Federation):
             gfa.lrms.on_state_change = functools.partial(self._mark_dirty, spec.name)
             self.gfas[spec.name] = gfa
             self.populations[spec.name] = UserPopulation(
-                self.sim, self.registry, spec.name, self.workload[spec.name]
+                self.sim, gfa, self.workload[spec.name]
             )
             return
-        # Foreign cluster: keep the directory replica (and its skip-list rng
-        # draws) identical to the serial build by subscribing in specs order,
-        # then slot a proxy under the cluster's name so base-GFA negotiation
-        # and migration resolve it transparently.  The owning shard charges
-        # the subscribe message; this replica copy charges none.
+        # Foreign cluster: keep the directory replica identical to the serial
+        # build by subscribing in specs order, then slot a proxy under the
+        # cluster's name so base-GFA negotiation and migration resolve it
+        # transparently.  The owning shard charges the subscribe message;
+        # this replica copy charges none.
         self.message_log.register_gfa(spec.name)
         if self.directory is not None:
             self.directory.subscribe(spec.name, spec, replica=True)

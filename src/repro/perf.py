@@ -187,8 +187,8 @@ def _row(
 # --------------------------------------------------------------------------- #
 # Directory rank-query micro-benchmark
 # --------------------------------------------------------------------------- #
-def _build_directory(num_clusters: int, seed: int = 42) -> FederationDirectory:
-    directory = FederationDirectory(rng=np.random.default_rng(seed))
+def _build_directory(num_clusters: int) -> FederationDirectory:
+    directory = FederationDirectory()
     for spec in build_federation_specs(replicate_resources(num_clusters)):
         directory.subscribe(spec.name, spec)
     return directory
@@ -232,12 +232,12 @@ def _run_probe_plan(
 
 
 def bench_directory_queries(
-    sizes: Sequence[int], probe_jobs: int, repeats: int = 1, seed: int = 42
+    sizes: Sequence[int], probe_jobs: int, repeats: int = 1
 ) -> List[Dict[str, object]]:
     """Time resumable query sessions on a DBC-like probe plan per size."""
     rows: List[Dict[str, object]] = []
     for size in sizes:
-        directory = _build_directory(size, seed=seed)
+        directory = _build_directory(size)
         plan = _probe_schedule(directory, probe_jobs)
         outcome: Dict[str, int] = {}
 
@@ -614,7 +614,7 @@ def run_benchmarks(
             ) from None
     sections: Dict[str, Callable[[], List[Dict[str, object]]]] = {
         "directory_query": lambda: bench_directory_queries(
-            scale.sizes, scale.probe_jobs, repeats=scale.repeats, seed=seed
+            scale.sizes, scale.probe_jobs, repeats=scale.repeats
         ),
         "event_kernel": lambda: [bench_event_kernel(scale.events, repeats=scale.repeats)],
         "table3": lambda: bench_table3(

@@ -105,9 +105,12 @@ class DaemonClient:
         path: str,
         payload: Optional[Dict[str, object]] = None,
         retries: Optional[int] = None,
+        prefer: Optional[str] = None,
     ) -> Dict[str, object]:
         data = None
         headers = {"Accept": "application/json"}
+        if prefer is not None:
+            headers["Prefer"] = prefer
         if payload is not None:
             data = json.dumps(payload).encode("utf-8")
             headers["Content-Type"] = "application/json"
@@ -216,6 +219,12 @@ class DaemonClient:
     ) -> Dict[str, object]:
         """Poll until the submission reaches a terminal state; return it.
 
+        Each poll asks the daemon to hold its answer until the submission
+        settles (``Prefer: wait``, for at most half the socket timeout), so
+        a completion is seen when it happens, not up to ``poll`` seconds
+        later.  An answer that comes back unsettled is followed by the
+        usual ``poll``-second sleep.
+
         Survives a daemon kill + restart mid-wait: unreachable-daemon
         windows (:class:`DaemonUnavailable`) are absorbed and polling
         continues until ``timeout``, because the durable queue re-adopts
@@ -225,7 +234,12 @@ class DaemonClient:
         record: Optional[Dict[str, object]] = None
         while True:
             try:
-                record = self.status(sid)
+                hold = deadline - time.monotonic()
+                if self.timeout is not None:
+                    hold = min(hold, self.timeout / 2)
+                record = self._request(
+                    "GET", f"/jobs/{sid}", prefer=f"wait={max(int(hold), 0)}"
+                )
                 if record.get("status") in ("completed", "failed", "cancelled"):
                     return record
             except DaemonUnavailable:

@@ -61,7 +61,11 @@ Endpoints (all JSON)::
     POST /jobs                      {"scenario": {...}} -> record  (submit);
                                     429 + Retry-After once queued+running
                                     reaches the --max-pending bound
-    GET  /jobs/<id>                 record + latest progress       (status)
+    GET  /jobs/<id>                 record + latest progress       (status);
+                                    with a ``Prefer: wait=N`` header
+                                    (RFC 7240) the answer waits up to N
+                                    seconds for a queued or running
+                                    submission to settle
     GET  /jobs/<id>/result          result summary (409 until completed)
     POST /jobs/<id>/cancel          cooperative cancel
     GET  /jobs/<id>/progress        latest progress; ?stream=1 streams
@@ -139,6 +143,18 @@ _SCENARIO_FIELDS = {f.name for f in dataclasses.fields(Scenario)}
 #: Submission life-cycle states.
 _ACTIVE = ("queued", "running")
 _TERMINAL = ("completed", "failed", "cancelled")
+
+
+def _preferred_wait(prefer: Optional[str]) -> float:
+    """The seconds a ``Prefer: wait=N`` request header asks for, else 0."""
+    for preference in (prefer or "").split(","):
+        name, _, value = preference.split(";")[0].partition("=")
+        if name.strip().lower() == "wait":
+            try:
+                return max(0.0, float(value.strip().strip('"')))
+            except ValueError:
+                return 0.0
+    return 0.0
 
 
 def scenario_to_fields(scenario: Scenario) -> Dict[str, object]:
@@ -461,6 +477,9 @@ class GridfedDaemon:
         self._tasks: "queue_module.Queue[str]" = queue_module.Queue()
         #: Guards the record index below and the record writes that move it.
         self._lock = threading.Lock()
+        #: Notified (under ``_lock``) when a submission leaves queued/running
+        #: and when the daemon stops: wakes ``Prefer: wait`` status requests.
+        self._settled = threading.Condition(self._lock)
         self._stop_lock = threading.Lock()
         self._stopping = threading.Event()
         self._threads: List[threading.Thread] = []
@@ -505,7 +524,8 @@ class GridfedDaemon:
     ) -> None:
         """Move ``sid`` to ``status`` in the record index (lock held or not
         yet shared).  ``record``, given with a terminal status, feeds the
-        parallel-run counters."""
+        parallel-run counters.  An active submission that settles wakes the
+        status requests waiting on it."""
         previous = self._active.pop(sid, None)
         if previous is not None:
             self._counts[previous] -= 1
@@ -513,6 +533,8 @@ class GridfedDaemon:
         if status in _ACTIVE:
             self._active[sid] = status
             return
+        if previous is not None:
+            self._settled.notify_all()
         par = None if record is None else record.get("parallel")
         if isinstance(par, dict):
             self._parallel["runs"] += 1
@@ -567,6 +589,8 @@ class GridfedDaemon:
         with self._stop_lock:
             self.state.request_stop()
             self._stopping.set()
+            with self._settled:
+                self._settled.notify_all()
             if self._threads:
                 # Only start() runs the serve loop; shutdown() would wait
                 # forever for one that never started.
@@ -693,6 +717,15 @@ class GridfedDaemon:
                 self._index(sid, "cancelled", record)
         return record
 
+    def _await_settled(self, sid: str, seconds: float) -> None:
+        """Block up to ``seconds`` (at most the request deadline) while
+        ``sid`` is queued or running and the daemon is not stopping."""
+        with self._settled:
+            self._settled.wait_for(
+                lambda: sid not in self._active or self._stopping.is_set(),
+                timeout=min(seconds, self.request_deadline),
+            )
+
     def status(self, sid: str) -> Dict[str, object]:
         record = self.state.load_record(sid)
         if record is None:
@@ -790,6 +823,9 @@ class _DaemonRequestHandler(BaseHTTPRequestHandler):
             elif parts == ["jobs"]:
                 self._send_json({"jobs": daemon.state.list_records()})
             elif len(parts) == 2 and parts[0] == "jobs":
+                hold = _preferred_wait(self.headers.get("Prefer"))
+                if hold > 0:
+                    daemon._await_settled(parts[1], hold)
                 self._send_json(daemon.status(parts[1]))
             elif len(parts) == 3 and parts[0] == "jobs" and parts[2] == "result":
                 self._get_result(daemon, parts[1])

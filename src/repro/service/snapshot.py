@@ -3,12 +3,14 @@
 A snapshot captures *everything* a run needs to continue byte-identically:
 the :class:`~repro.sim.engine.Simulator` clock, sequence counter and pending
 event heap, every entity (GFAs, LRMS queues, directory, GridBank,
-MessageLog, transport state, fault-injector state), every named RNG stream, and the global job/event id counters that
-mid-run fault events consume.  The capture is a whole-object-graph pickle of
-the :class:`~repro.core.federation.Federation`: all scheduled callbacks are
-bound methods of entities inside that graph, so the pickle memo preserves
-every shared reference (e.g. the directory indexes' shared level generator)
-and a restored federation is indistinguishable from the original.
+MessageLog, transport state, fault-injector state), every named RNG stream,
+and the global job-id counter that mid-run load spikes consume.  The
+capture is a whole-object-graph pickle of the
+:class:`~repro.core.federation.Federation`: all scheduled callbacks are bound
+methods of objects inside that graph, so the pickle memo preserves every
+shared reference (e.g. the directory's rankings, held by its open query
+sessions too) and a restored federation is indistinguishable from the
+original.
 
 File format (version :data:`SNAPSHOT_FORMAT_VERSION`)::
 
@@ -39,7 +41,6 @@ from typing import Callable, Optional, Tuple, TypeVar
 
 from repro.core.federation import Federation
 from repro.scenario.scenario import Scenario
-from repro.sim.events import event_counter_state, restore_event_counter
 from repro.workload.job import JobStatus, job_counter_state, restore_job_counter
 
 __all__ = [
@@ -66,7 +67,10 @@ __all__ = [
 #: observer hooks), and GFAs no longer hold a ``message_log``.  v5: each
 #: LRMS's ``NodePool`` pickles its free nodes as sorted runs, a free-node
 #: counter and each job's tuple of runs in place of per-node lists and sets.
-SNAPSHOT_FORMAT_VERSION = 5
+#: v6: the directory keeps sorted ``(key, quote)`` lists in place of skip
+#: lists, arrivals call ``submit_local_job`` without an event envelope, and
+#: the payload carries no event-id counter.
+SNAPSHOT_FORMAT_VERSION = 6
 
 _MAGIC = b"gridfed-snapshot\n"
 _WHAT = "gridfed snapshot"
@@ -207,14 +211,13 @@ def write_snapshot(
 
     A parallel shard is an ordinary :class:`Federation` too: each worker
     snapshots its own shard, so the payload carries that worker's global
-    job/event id counters.
+    job-id counter.
     """
     header = _build_header(federation, scenario)
     payload = {
         "federation": federation,
         "scenario": scenario,
         "job_counter": job_counter_state(),
-        "event_counter": event_counter_state(),
     }
     _write_framed(os.fspath(path), _MAGIC, header.to_json(), payload)
     return header
@@ -264,10 +267,10 @@ def load_snapshot(
     expected_scenario: Optional[Scenario] = None,
     restore_counters: bool = True,
 ) -> Tuple[SnapshotHeader, Federation, Scenario]:
-    """Load a snapshot, verify compatibility, and restore global counters.
+    """Load a snapshot, verify compatibility, and restore the job-id counter.
 
-    ``restore_counters=False`` skips re-installing the global job/event id
-    counters — useful for read-only inspection of a snapshot while another
+    ``restore_counters=False`` skips re-installing the global job-id
+    counter — useful for read-only inspection of a snapshot while another
     run is in flight in the same process.
     """
     def parse(blob: str) -> SnapshotHeader:
@@ -280,7 +283,6 @@ def load_snapshot(
     scenario = payload["scenario"]
     if restore_counters:
         restore_job_counter(payload["job_counter"])
-        restore_event_counter(payload["event_counter"])
     return header, federation, scenario
 
 
@@ -297,7 +299,9 @@ def load_snapshot(
 #: coordinator state records its scenario, so a fleet checkpoint can be
 #: resumed without naming the scenario again, and the header's version key
 #: is ``version``.  v6: shards pickle the v5 LRMS (node pools as runs).
-PAR_CHECKPOINT_VERSION = 6
+#: v7: shards pickle the v6 snapshot graph (sorted-list directory, no event
+#: envelope, no event-id counter).
+PAR_CHECKPOINT_VERSION = 7
 
 _PAR_MAGIC = b"gridfed-par-state\n"
 _PAR_WHAT = "parallel checkpoint state file"

@@ -4,9 +4,10 @@ This package is the substrate that replaces the GridSim toolkit used in the
 paper: a small, deterministic, single-threaded discrete-event simulator with
 
 * one event kernel (:class:`~repro.sim.engine.Simulator`: a binary heap
-  ordered by ``(time, priority, seq)``, driven by one loop),
-* named simulation entities that exchange timestamped events
-  (:class:`~repro.sim.entity.Entity`), and
+  ordered by ``(time, priority, seq)``, driven by one loop, whose events are
+  plain callbacks),
+* the name → agent map GFAs address each other through
+  (:class:`~repro.sim.entity.EntityRegistry`), and
 * reproducible, independently-seeded random streams
   (:class:`~repro.sim.rng.RandomStreams`).
 
@@ -15,16 +16,11 @@ is built on top of these primitives.
 """
 
 from repro.sim.engine import Simulator, ScheduledEvent, SimulationError
-from repro.sim.entity import Entity
-from repro.sim.events import Event, EventType
 from repro.sim.rng import RandomStreams
 
 __all__ = [
     "Simulator",
     "ScheduledEvent",
     "SimulationError",
-    "Entity",
-    "Event",
-    "EventType",
     "RandomStreams",
 ]

@@ -8,10 +8,9 @@ essential for reproducible experiments: two runs with the same seeds produce
 bit-identical schedules.  This is a *contract*, not an implementation detail:
 latency-bearing transports routinely land independent messages on the same
 timestamp, and their delivery order must be schedule order — never a heap
-insertion accident.  :mod:`repro.sim.entity` mirrors the sequence number on
-``Event.seq`` so the order is observable at the message layer, and
-``tests/test_delivery_order.py`` pins the guarantee (the tests fail against a
-seq-less heap, whose equal-key pop order depends on push/pop history).
+insertion accident.  ``tests/test_delivery_order.py`` pins the guarantee
+(the tests fail against a seq-less heap, whose equal-key pop order depends
+on push/pop history).
 
 The engine is deliberately callback-based rather than coroutine-based: the
 Grid-Federation entities (GFAs, LRMSes, user populations) are reactive state

@@ -1,36 +1,33 @@
-"""Simulation entities.
+"""The name → agent map of one simulation.
 
-An :class:`Entity` is a named, reactive object attached to a
-:class:`~repro.sim.engine.Simulator`.  Entities communicate by sending
-:class:`~repro.sim.events.Event` objects to each other through the simulator,
-optionally with a transmission delay.  Delivery is performed by scheduling a
-callback that invokes the receiver's :meth:`Entity.handle_event`.
-
-The entity registry lives on the simulator side of the API (in
-:class:`EntityRegistry`) so that entities can address each other by name —
-exactly how GFAs address remote GFAs in the paper.
+GFAs address each other by name, exactly as in the paper: negotiation,
+migration, resilience and the broadcast baseline resolve a peer with
+:meth:`EntityRegistry.lookup`, and a parallel shard registers a proxy under
+each foreign cluster's name so the same lookups reach it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional
+from typing import Any, Dict, Iterator
 
-from repro.sim.engine import ScheduledEvent, SimulationError, Simulator
-from repro.sim.events import Event, EventType
+from repro.sim.engine import SimulationError
 
 
 class EntityRegistry:
-    """Name → entity lookup shared by all entities of one simulation."""
+    """Name → agent lookup shared by all agents of one simulation.
+
+    Anything with a ``name`` attribute can register; names are unique.
+    """
 
     def __init__(self) -> None:
-        self._entities: Dict[str, "Entity"] = {}
+        self._entities: Dict[str, Any] = {}
 
-    def register(self, entity: "Entity") -> None:
+    def register(self, entity: Any) -> None:
         if entity.name in self._entities:
             raise SimulationError(f"duplicate entity name: {entity.name!r}")
         self._entities[entity.name] = entity
 
-    def lookup(self, name: str) -> "Entity":
+    def lookup(self, name: str) -> Any:
         try:
             return self._entities[name]
         except KeyError:
@@ -39,106 +36,8 @@ class EntityRegistry:
     def __contains__(self, name: str) -> bool:
         return name in self._entities
 
-    def __iter__(self) -> Iterator["Entity"]:
+    def __iter__(self) -> Iterator[Any]:
         return iter(self._entities.values())
 
     def __len__(self) -> int:
         return len(self._entities)
-
-
-class Entity:
-    """Base class for all simulation actors (GFAs, LRMSes, user populations).
-
-    Subclasses override :meth:`handle_event` to react to incoming events and
-    use :meth:`send` / :meth:`schedule` to produce new ones.
-
-    Parameters
-    ----------
-    sim:
-        The simulator driving this entity.
-    name:
-        Globally unique entity name.
-    registry:
-        The shared :class:`EntityRegistry`; entities created through
-        :class:`repro.core.federation.Federation` share a single registry.
-    """
-
-    def __init__(self, sim: Simulator, name: str, registry: EntityRegistry):
-        self.sim = sim
-        self.name = name
-        self.registry = registry
-        registry.register(self)
-
-    # ------------------------------------------------------------------ #
-    # Messaging
-    # ------------------------------------------------------------------ #
-    def send(
-        self,
-        target: str,
-        etype: EventType,
-        payload: object = None,
-        delay: float = 0.0,
-        priority: int = 0,
-    ) -> Event:
-        """Send an event to another entity after ``delay`` time units.
-
-        Returns the :class:`Event` so that callers can log or inspect it.
-        Delivery order is fully deterministic: events scheduled for the same
-        timestamp and priority arrive in send order (the simulator's sequence
-        number, mirrored on :attr:`Event.seq`, is the explicit tie-break), so
-        transport-level reordering can never depend on heap internals.
-        """
-        event = Event(etype=etype, source=self.name, target=target, payload=payload)
-        receiver = self.registry.lookup(target)
-        handle = self.sim.schedule(delay, self._deliver, receiver, event, priority=priority)
-        event.seq = handle.seq
-        return event
-
-    def schedule(
-        self,
-        delay: float,
-        etype: EventType = EventType.TIMER,
-        payload: object = None,
-        priority: int = 0,
-    ) -> ScheduledEvent:
-        """Schedule an event to self (an internal timer)."""
-        event = Event(etype=etype, source=self.name, target=self.name, payload=payload)
-        handle = self.sim.schedule(delay, self._deliver, self, event, priority=priority)
-        event.seq = handle.seq
-        return handle
-
-    def _deliver(self, receiver: "Entity", event: Event) -> None:
-        event.time = self.sim.now
-        receiver.handle_event(event)
-
-    # ------------------------------------------------------------------ #
-    # Behaviour
-    # ------------------------------------------------------------------ #
-    def handle_event(self, event: Event) -> None:  # pragma: no cover - abstract
-        """React to an incoming event.  Subclasses must override."""
-        raise NotImplementedError(f"{type(self).__name__} does not handle events")
-
-    def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
-        return f"{type(self).__name__}({self.name!r})"
-
-
-class RecordingEntity(Entity):
-    """An entity that records every event it receives.
-
-    Useful in tests as a sink / probe.
-    """
-
-    def __init__(self, sim: Simulator, name: str, registry: EntityRegistry):
-        super().__init__(sim, name, registry)
-        self.received: list[Event] = []
-
-    def handle_event(self, event: Event) -> None:
-        self.received.append(event)
-
-    def events_of(self, etype: EventType) -> list[Event]:
-        """Return the received events of a particular type."""
-        return [ev for ev in self.received if ev.etype is etype]
-
-    def last(self) -> Optional[Event]:
-        """Return the most recently received event, if any."""
-        return self.received[-1] if self.received else None

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core import Federation, FederationConfig, SharingMode
 from repro.core.users import UserPopulation
-from repro.p2p import FederationDirectory
+from repro.p2p import FederationDirectory, RankCriterion
 from repro.scenario import run_scenario, scenario_from_config
 from repro.sim import RandomStreams
 from repro.workload import build_federation_specs, build_workload
@@ -89,22 +89,36 @@ class TestConstruction:
         assert independent.directory is None
         assert independent.transport.stats.control_messages == 0
 
-    def test_directory_draws_its_overlay_levels_from_the_overlay_stream(self):
-        """The one directory a federation builds draws its skip-list levels
-        from the ``directory/overlay`` stream: after the members subscribe,
-        that stream sits exactly where a reference directory seeded from it
-        and fed the same subscriptions leaves its own copy."""
+    def test_directory_draws_nothing_from_the_federation_streams(self):
+        """The directory's rankings are a pure function of the quotes: the
+        federation opens no ``directory/`` stream, and two seeds build the
+        same rankings."""
         specs, workload = small_setup()
-        federation = Federation(
-            specs, workload, FederationConfig(mode=SharingMode.FEDERATION, seed=42)
-        )
-        stream = RandomStreams(42).get("directory/overlay")
-        reference = FederationDirectory(rng=stream)
+        directories = []
+        for seed in (42, 43):
+            federation = Federation(
+                specs, workload, FederationConfig(mode=SharingMode.FEDERATION, seed=seed)
+            )
+            assert not any(key.startswith("directory/") for key in federation.streams._cache)
+            directories.append(federation.directory)
+        for criterion in RankCriterion:
+            first, second = (d._ranking_for(criterion) for d in directories)
+            assert [q.gfa_name for _k, q in first] == [q.gfa_name for _k, q in second]
+
+    def test_federation_builds_one_population_per_member(self):
+        """Each cluster gets one population that holds the cluster's GFA and
+        the cluster's workload."""
+        specs, workload = small_setup()
+        federation = Federation(specs, workload, FederationConfig(mode=SharingMode.FEDERATION))
+        assert list(federation.populations) == [spec.name for spec in specs]
         for spec in specs:
-            reference.subscribe(spec.name, spec)
-        drawn = federation.streams.get("directory/overlay").bit_generator.state
-        assert drawn == stream.bit_generator.state
-        assert drawn != RandomStreams(42).get("directory/overlay").bit_generator.state
+            population = federation.populations[spec.name]
+            assert type(population) is UserPopulation
+            assert population.gfa is federation.gfas[spec.name]
+            assert population.name == f"users@{spec.name}"
+            assert sorted(j.job_id for j in population.jobs) == sorted(
+                j.job_id for j in federation.workload[spec.name]
+            )
 
 
 class TestLazyArrivals:

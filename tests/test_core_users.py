@@ -4,10 +4,10 @@ A population keeps exactly one arrival pending: :meth:`UserPopulation.start`
 reserves one sequence number per job, and each arrival schedules the next
 job under its reserved number.  The contract these tests pin is that this
 is indistinguishable from queueing the whole workload up front — same
-arrival times, same ``(time, priority, seq)`` keys, same seqs on the
-``JOB_SUBMIT`` messages the arrivals send — while the heap holds at most one
+arrival times, and the same order of the GFA calls among themselves and
+among other events of the same instant — while the heap holds at most one
 arrival per population.  The eager form lives on here as a test-only
-reference (:class:`_EagerPopulation`).
+reference (:class:`_EagerPopulation`); a stub stands in for each GFA.
 """
 
 from __future__ import annotations
@@ -18,10 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.users import UserPopulation, populations_from_workload
+from repro.core.users import UserPopulation
 from repro.sim.engine import SimulationError, Simulator
-from repro.sim.entity import EntityRegistry, RecordingEntity
-from repro.sim.events import EventType
 from repro.workload.job import Job
 
 
@@ -51,6 +49,18 @@ def _pending_arrivals(sim, population=None):
     return count
 
 
+class _StubGFA:
+    """Stands in for a GFA: logs each job handed to ``submit_local_job``."""
+
+    def __init__(self, sim, name, log):
+        self.sim = sim
+        self.name = name
+        self.log = log
+
+    def submit_local_job(self, job):
+        self.log.append((self.name, self.sim.now, job.job_id))
+
+
 class _EagerPopulation(UserPopulation):
     """The historical form: every arrival queued up front in one batch."""
 
@@ -62,22 +72,21 @@ class _EagerPopulation(UserPopulation):
 
     def _submit_job(self, job: Job) -> None:
         self.submitted += 1
-        self.send(self.gfa_name, EventType.JOB_SUBMIT, payload=job)
+        self.sim.schedule(0.0, self.gfa.submit_local_job, job)
 
 
-def _world(times_by_gfa, population_class=UserPopulation):
-    """A simulator, one population per GFA name, and a recording sink per GFA."""
+def _world(times_by_gfa, population_class=UserPopulation, log=None):
+    """A simulator, one population per GFA name, and the log every stub GFA
+    appends its ``(name, time, job id)`` calls to."""
     sim = Simulator()
-    registry = EntityRegistry()
-    sinks, populations = {}, []
+    log = [] if log is None else log
+    populations = []
     first_id = 1
     for name, times in times_by_gfa.items():
-        sinks[name] = RecordingEntity(sim, name, registry)
-        populations.append(
-            population_class(sim, registry, name, _jobs(name, times, first_id))
-        )
+        gfa = _StubGFA(sim, name, log)
+        populations.append(population_class(sim, gfa, _jobs(name, times, first_id)))
         first_id += len(times)
-    return sim, populations, sinks
+    return sim, populations, log
 
 
 class TestStart:
@@ -109,54 +118,52 @@ class TestStart:
 
     def test_arrival_before_the_clock_is_rejected_at_start(self):
         sim = Simulator(start_time=10.0)
-        registry = EntityRegistry()
-        RecordingEntity(sim, "gfa", registry)
-        population = UserPopulation(sim, registry, "gfa", _jobs("gfa", [5.0, 20.0]))
+        gfa = _StubGFA(sim, "gfa", [])
+        population = UserPopulation(sim, gfa, _jobs("gfa", [5.0, 20.0]))
         with pytest.raises(SimulationError, match="in the past"):
             population.start()
 
     def test_foreign_job_rejected(self):
         sim = Simulator()
-        registry = EntityRegistry()
         with pytest.raises(ValueError, match="originates at"):
-            UserPopulation(sim, registry, "gfa", _jobs("elsewhere", [1.0]))
+            UserPopulation(sim, _StubGFA(sim, "gfa", []), _jobs("elsewhere", [1.0]))
 
 
 class TestArrivals:
     def test_jobs_are_submitted_at_their_submit_times_in_order(self):
-        sim, (population,), sinks = _world({"gfa": [4.0, 1.0, 2.5]})
+        sim, (population,), log = _world({"gfa": [4.0, 1.0, 2.5]})
         population.start()
         sim.run()
-        received = sinks["gfa"].events_of(EventType.JOB_SUBMIT)
-        assert [(ev.time, ev.payload.submit_time) for ev in received] == [
-            (1.0, 1.0),
-            (2.5, 2.5),
-            (4.0, 4.0),
-        ]
+        # Sorted by submit time, the jobs are 2 (t=1.0), 3 (2.5) and 1 (4.0).
+        assert log == [("gfa", 1.0, 2), ("gfa", 2.5, 3), ("gfa", 4.0, 1)]
         assert population.submitted == 3
 
     def test_equal_submit_times_arrive_in_job_id_order(self):
         sim = Simulator()
-        registry = EntityRegistry()
-        sink = RecordingEntity(sim, "gfa", registry)
+        log = []
         jobs = _jobs("gfa", [2.0, 2.0, 2.0, 1.0])
-        population = UserPopulation(sim, registry, "gfa", list(reversed(jobs)))
+        population = UserPopulation(sim, _StubGFA(sim, "gfa", log), list(reversed(jobs)))
         population.start()
         sim.run()
-        assert [ev.payload.job_id for ev in sink.received] == [4, 1, 2, 3]
+        assert [job_id for _name, _time, job_id in log] == [4, 1, 2, 3]
+
+    def test_the_gfa_gets_a_job_after_events_already_due_at_its_arrival(self):
+        """The zero-delay hop between an arrival and its GFA: an event
+        scheduled for the arrival instant after the population started (a
+        job finish, say) runs before the GFA is handed the arriving job."""
+        sim, (population,), log = _world({"gfa": [5.0]})
+        population.start()
+        sim.schedule_at(5.0, log.append, "finish")
+        sim.run()
+        assert log == ["finish", ("gfa", 5.0, 1)]
 
     def test_populations_interleave_by_time_then_start_order(self):
-        sim, populations, sinks = _world({"a": [1.0, 2.0, 3.0], "b": [1.0, 2.0]})
+        sim, populations, log = _world({"a": [1.0, 2.0, 3.0], "b": [1.0, 2.0]})
         for population in populations:
             population.start()
         sim.run()
-        arrivals = sorted(
-            (ev.seq, name, ev.payload.submit_time)
-            for name, sink in sinks.items()
-            for ev in sink.received
-        )
         # Population "a" reserved its block first, so it wins every tie.
-        assert [(name, time) for _seq, name, time in arrivals] == [
+        assert [(name, time) for name, time, _job_id in log] == [
             ("a", 1.0),
             ("b", 1.0),
             ("a", 2.0),
@@ -192,25 +199,12 @@ class TestArrivals:
         assert worst == {"users@a": 1, "users@b": 1, "users@c": 1}
 
     def test_last_arrival_leaves_nothing_pending(self):
-        sim, (population,), sinks = _world({"gfa": [1.0, 2.0]})
+        sim, (population,), log = _world({"gfa": [1.0, 2.0]})
         population.start()
         sim.run()
         assert _pending_arrivals(sim) == 0
         assert sim.pending == 0
-        assert len(sinks["gfa"].received) == 2
-
-    def test_populations_from_workload_builds_one_population_per_pair(self):
-        sim = Simulator()
-        registry = EntityRegistry()
-        for name in ("a", "b"):
-            RecordingEntity(sim, name, registry)
-        populations = populations_from_workload(
-            sim, registry, [("a", _jobs("a", [1.0])), ("b", _jobs("b", [2.0, 3.0], 2))]
-        )
-        assert [(p.gfa_name, len(p.jobs)) for p in populations] == [("a", 1), ("b", 2)]
-        for population in populations:
-            population.start()
-        assert sim.pending == 2
+        assert len(log) == 2
 
 
 class TestEagerEquivalence:
@@ -218,8 +212,10 @@ class TestEagerEquivalence:
 
     @staticmethod
     def _transcript(times_by_gfa, noise, population_class):
-        sim, populations, sinks = _world(times_by_gfa, population_class)
+        # Stub GFAs log into the same list as the noise events, so the
+        # transcript fixes where each GFA call falls among them.
         fired = []
+        sim, populations, _log = _world(times_by_gfa, population_class, fired)
         # Events scheduled before the populations start (faults, the pricing
         # ticker) and from inside the run both compete with arrivals for
         # equal timestamps.
@@ -230,14 +226,10 @@ class TestEagerEquivalence:
         for time in noise:
             sim.schedule_at(time, lambda t=time: sim.schedule(0.0, fired.append, ("echo", t)))
         sim.run()
-        received = [
-            (name, ev.time, ev.seq, ev.payload.job_id)
-            for name, sink in sinks.items()
-            for ev in sink.received
-        ]
-        return fired, sorted(received, key=lambda row: row[2]), sim.events_processed
+        next_seq = sim.schedule(0.0, lambda: None).seq
+        return fired, sim.events_processed, next_seq
 
-    def test_send_seqs_match_the_eager_form(self):
+    def test_gfa_calls_match_the_eager_form(self):
         times = {"a": [1.0, 1.0, 3.0], "b": [1.0, 2.0]}
         lazy = self._transcript(times, [1.0, 2.0], UserPopulation)
         eager = self._transcript(times, [1.0, 2.0], _EagerPopulation)
@@ -260,20 +252,12 @@ class TestEagerEquivalence:
 
 class TestPickling:
     def test_population_resumes_from_a_pickle_mid_chain(self):
-        sim, populations, sinks = _world({"a": [1.0, 2.0, 3.0, 3.0], "b": [2.0, 5.0]})
+        sim, populations, log = _world({"a": [1.0, 2.0, 3.0, 3.0], "b": [2.0, 5.0]})
         for population in populations:
             population.start()
         sim.run(until=2.0)
-        clone_sim, clone_sinks = pickle.loads(pickle.dumps((sim, sinks)))
+        clone_sim, clone_log = pickle.loads(pickle.dumps((sim, log)))
         sim.run()
         clone_sim.run()
-
-        def rows(sink_map):
-            return [
-                (name, ev.time, ev.seq, ev.payload.job_id)
-                for name, sink in sink_map.items()
-                for ev in sink.received
-            ]
-
-        assert rows(clone_sinks) == rows(sinks)
+        assert clone_log == log
         assert clone_sim.now == sim.now

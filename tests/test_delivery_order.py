@@ -8,8 +8,7 @@ pushing ``(time, priority, event)`` tuples falls back to comparing event
 objects (or worse, raises), and the pop order of equal keys depends on the
 push/pop history.  These tests fail against such a seq-less engine: they pin
 strict FIFO among equal ``(time, priority)`` events across heap-churning
-interleavings, and the ``Event.seq`` stamp that makes the order observable
-at the entity/transport layer.
+interleavings.
 """
 
 from __future__ import annotations
@@ -18,8 +17,6 @@ import numpy as np
 import pytest
 
 from repro.sim.engine import ScheduledEvent, Simulator
-from repro.sim.entity import Entity, EntityRegistry, RecordingEntity
-from repro.sim.events import EventType
 
 
 class TestEngineTieBreak:
@@ -64,6 +61,38 @@ class TestEngineTieBreak:
         sim.run()
         assert fired == [i for i in range(200) if i not in set(cancelled)]
 
+    def test_converging_delays_fire_in_schedule_order_at_collision(self):
+        """Events scheduled at different times with different delays that land
+        on one timestamp fire in schedule (seq) order: the earlier-scheduled
+        wins the tie, whatever the queue held in between."""
+        sim = Simulator()
+        fired = []
+        sim.schedule(10.0, fired.append, "scheduled-first")
+        sim.schedule(7.0, lambda: sim.schedule(3.0, fired.append, "scheduled-later"))
+        sim.run()
+        assert fired == ["scheduled-first", "scheduled-later"]
+        assert sim.now == 10.0
+
+    def test_zero_delay_event_goes_behind_events_already_due(self):
+        """A callback that schedules with zero delay queues behind everything
+        already due at that instant: a fresh seq, not a jump ahead."""
+        sim = Simulator()
+        fired = []
+        sim.schedule(5.0, lambda: sim.schedule(0.0, fired.append, "hop"))
+        sim.schedule(5.0, fired.append, "due-a")
+        sim.schedule(5.0, fired.append, "due-b")
+        sim.run()
+        assert fired == ["due-a", "due-b", "hop"]
+
+    def test_schedule_and_schedule_at_share_one_sequence(self):
+        sim = Simulator(start_time=1.0)
+        fired = []
+        sim.schedule_at(5.0, fired.append, "a")
+        sim.schedule(4.0, fired.append, "b")
+        sim.schedule_at(5.0, fired.append, "c")
+        sim.run()
+        assert fired == ["a", "b", "c"]
+
     def test_seq_is_strictly_increasing_per_schedule_call(self):
         sim = Simulator()
         handles = [sim.schedule(1.0, lambda: None) for _ in range(10)]
@@ -76,60 +105,3 @@ class TestEngineTieBreak:
         handle: events must not need (or define) ordering."""
         with pytest.raises(TypeError):
             ScheduledEvent(1.0, 0, 0, print) < ScheduledEvent(1.0, 0, 1, print)
-
-
-class _Sender(Entity):
-    def handle_event(self, event):  # pragma: no cover - never receives
-        raise AssertionError
-
-
-class TestEntityDeliveryOrder:
-    def _world(self):
-        sim = Simulator()
-        registry = EntityRegistry()
-        sender_a = _Sender(sim, "a", registry)
-        sender_b = _Sender(sim, "b", registry)
-        sink = RecordingEntity(sim, "sink", registry)
-        return sim, sender_a, sender_b, sink
-
-    def test_same_delay_messages_arrive_in_send_order(self):
-        sim, a, b, sink = self._world()
-        a.send("sink", EventType.NEGOTIATE, payload=1, delay=5.0)
-        b.send("sink", EventType.NEGOTIATE, payload=2, delay=5.0)
-        a.send("sink", EventType.NEGOTIATE, payload=3, delay=5.0)
-        sim.run()
-        assert [ev.payload for ev in sink.received] == [1, 2, 3]
-
-    def test_event_seq_is_stamped_and_ordered(self):
-        sim, a, b, sink = self._world()
-        first = a.send("sink", EventType.NEGOTIATE, delay=5.0)
-        second = b.send("sink", EventType.REPLY, delay=5.0)
-        assert first.seq is not None and second.seq is not None
-        assert first.seq < second.seq
-        sim.run()
-        assert [ev.seq for ev in sink.received] == sorted(
-            ev.seq for ev in sink.received
-        )
-
-    def test_converging_delays_deliver_by_send_order_at_collision(self):
-        """Messages sent at different times with different delays that land on
-        one timestamp deliver in send (seq) order — the transport-reordering
-        guarantee: earlier-sent wins ties, regardless of queue history."""
-        sim, a, b, sink = self._world()
-
-        def late_send():
-            b.send("sink", EventType.REPLY, payload="sent-later", delay=3.0)
-
-        a.send("sink", EventType.NEGOTIATE, payload="sent-first", delay=10.0)
-        sim.schedule(7.0, late_send)
-        sim.run()
-        assert [ev.payload for ev in sink.received] == ["sent-first", "sent-later"]
-        assert sink.received[0].time == sink.received[1].time == 10.0
-
-    def test_self_timer_stamps_seq_too(self):
-        sim = Simulator()
-        registry = EntityRegistry()
-        sink = RecordingEntity(sim, "sink", registry)
-        handle = sink.schedule(1.0)
-        sim.run()
-        assert sink.received[0].seq == handle.seq

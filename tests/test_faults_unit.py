@@ -8,7 +8,6 @@ bookkeeping, and the CLI surface.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.cli import main as cli_main
@@ -235,7 +234,7 @@ class TestDirectoryMembershipHelpers:
     def test_is_subscribed_and_member_names(self):
         from repro.p2p import FederationDirectory
 
-        directory = FederationDirectory(rng=np.random.default_rng(0))
+        directory = FederationDirectory()
         directory.subscribe("B", make_spec("B"))
         directory.subscribe("A", make_spec("A"))
         assert directory.is_subscribed("A")

@@ -9,17 +9,21 @@ control message of its kind, and a call that fails charges nothing.
 from __future__ import annotations
 
 import collections
+import itertools
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.specs import ResourceSpec
 from repro.net import Transport
-from repro.p2p import FederationDirectory, RankCriterion, theoretical_query_messages
-from repro.p2p.overlay import OverlayError
+from repro.p2p import (
+    FederationDirectory,
+    OverlayError,
+    RankCriterion,
+    theoretical_query_messages,
+)
 from repro.sim.engine import Simulator
 from repro.workload.archive import ARCHIVE_RESOURCES, build_federation_specs
 
@@ -37,7 +41,7 @@ def make_spec(name: str, price: float, mips: float = 500.0, procs: int = 4) -> R
 
 @pytest.fixture()
 def directory():
-    d = FederationDirectory(rng=np.random.default_rng(0))
+    d = FederationDirectory()
     for i, spec in enumerate(build_federation_specs()):
         d.subscribe(f"GFA-{i+1}", spec)
     return d
@@ -78,7 +82,7 @@ class TestPublication:
             directory.quote_of("nope")
 
     def test_membership_ops_track_members(self):
-        directory = FederationDirectory(rng=np.random.default_rng(0))
+        directory = FederationDirectory()
         for i in range(16):
             directory.subscribe(f"GFA-{i}", make_spec(f"GFA-{i}", 1.0 + i))
         assert len(directory) == 16
@@ -158,15 +162,14 @@ class TestQueries:
 
     def test_equal_keys_rank_by_gfa_name(self):
         """Both orders are total: equal prices (or speeds) rank by GFA name,
-        whatever overlay levels the directory drew."""
+        whatever order the members subscribed in."""
         names = ["GFA-c", "GFA-a", "GFA-d", "GFA-b"]
-        for seed in range(3):
-            directory = FederationDirectory(rng=np.random.default_rng(seed))
-            for name in names:
-                directory.subscribe(name, make_spec(name, 2.0))
-            for criterion in RankCriterion:
-                ranked = [quote.gfa_name for quote in directory.open_session(criterion)]
-                assert ranked == sorted(names), (seed, criterion)
+        directory = FederationDirectory()
+        for name in names:
+            directory.subscribe(name, make_spec(name, 2.0))
+        for criterion in RankCriterion:
+            ranked = [quote.gfa_name for quote in directory.open_session(criterion)]
+            assert ranked == sorted(names), criterion
 
 
 class TestAccounting:
@@ -176,12 +179,11 @@ class TestAccounting:
         kth(directory, RankCriterion.FASTEST, 3)
         assert directory.query_count == before + 2
         assert directory.assumed_query_messages >= 2 * theoretical_query_messages(8)
-        assert directory.measured_overlay_hops > 0
 
     def test_assumed_cost_follows_the_live_membership(self):
         """Each probe is charged ``ceil(log2 n)`` for the membership at the
         time of the probe, not at the time the session opened."""
-        directory = FederationDirectory(rng=np.random.default_rng(0))
+        directory = FederationDirectory()
         for i in range(16):
             directory.subscribe(f"GFA-{i}", make_spec(f"GFA-{i}", 1.0 + i))
         session = directory.open_session(RankCriterion.CHEAPEST)
@@ -225,7 +227,7 @@ class TestControlAccounting:
     """The directory's control plane, counted on an attached transport."""
 
     def _attached(self, n=2):
-        directory = FederationDirectory(rng=np.random.default_rng(0))
+        directory = FederationDirectory()
         transport = Transport(Simulator())
         directory.attach_transport(transport)
         for i in range(n):
@@ -321,7 +323,7 @@ class TestControlAccounting:
         """Over random calls, some of which fail, the per-kind counts equal a
         tally of the calls that succeeded, and the version moved once per
         successful membership change."""
-        directory = FederationDirectory(rng=np.random.default_rng(0))
+        directory = FederationDirectory()
         transport = Transport(Simulator())
         directory.attach_transport(transport)
         tally = collections.Counter()
@@ -350,3 +352,202 @@ class TestControlAccounting:
         assert transport.stats.control_messages == sum(tally.values())
         assert directory.query_count == tally["query"]
         assert directory.version == changes
+
+
+def names_in(directory, criterion):
+    """GFA names of one ranking list, in list order."""
+    return [quote.gfa_name for _key, quote in directory._ranking_for(criterion)]
+
+
+class TestRankingLists:
+    """The two sorted ``(key, quote)`` lists the sessions walk by position."""
+
+    def test_subscribe_puts_one_shared_quote_in_each_ranking(self):
+        directory = FederationDirectory()
+        quotes = {
+            name: directory.subscribe(name, make_spec(name, price, mips))
+            for name, price, mips in [("B", 3.0, 100.0), ("A", 1.0, 300.0), ("C", 2.0, 200.0)]
+        }
+        assert names_in(directory, RankCriterion.CHEAPEST) == ["A", "C", "B"]
+        assert names_in(directory, RankCriterion.FASTEST) == ["A", "C", "B"]
+        for criterion in RankCriterion:
+            for _key, quote in directory._ranking_for(criterion):
+                assert quote is quotes[quote.gfa_name] is directory.quote_of(quote.gfa_name)
+
+    def test_rankings_do_not_depend_on_subscribe_order(self):
+        members = [
+            ("GFA-a", 2.0, 400.0),
+            ("GFA-b", 1.0, 400.0),
+            ("GFA-c", 2.0, 900.0),
+            ("GFA-d", 1.0, 100.0),
+        ]
+        rankings = set()
+        for order in itertools.permutations(members):
+            directory = FederationDirectory()
+            for name, price, mips in order:
+                directory.subscribe(name, make_spec(name, price, mips))
+            rankings.add(
+                tuple(tuple(directory._ranking_for(criterion)) for criterion in RankCriterion)
+            )
+        assert len(rankings) == 1
+        [(cheapest, fastest)] = rankings
+        assert [q.gfa_name for _k, q in cheapest] == ["GFA-b", "GFA-d", "GFA-a", "GFA-c"]
+        assert [q.gfa_name for _k, q in fastest] == ["GFA-c", "GFA-a", "GFA-b", "GFA-d"]
+
+    def test_rejected_duplicate_leaves_the_rankings_untouched(self):
+        directory = FederationDirectory()
+        original = directory.subscribe("A", make_spec("A", 2.0, 500.0))
+        directory.subscribe("B", make_spec("B", 3.0, 400.0))
+        before = [list(directory._ranking_for(c)) for c in RankCriterion]
+        version = directory.version
+        with pytest.raises(OverlayError):
+            directory.subscribe("A", make_spec("A", 1.0, 900.0))
+        assert [list(directory._ranking_for(c)) for c in RankCriterion] == before
+        assert directory.version == version
+        assert directory.quote_of("A") is original
+
+    def test_unsubscribe_removes_its_own_pair_among_ties(self):
+        """Equal prices and speeds share a key's first field, so removal must
+        find the pair by the full ``(field, name)`` key."""
+        directory = FederationDirectory()
+        for name in ["GFA-1", "GFA-2", "GFA-3"]:
+            directory.subscribe(name, make_spec(name, 2.0, 500.0))
+        directory.unsubscribe("GFA-2")
+        for criterion in RankCriterion:
+            assert names_in(directory, criterion) == ["GFA-1", "GFA-3"]
+        with pytest.raises(OverlayError):
+            directory.unsubscribe("GFA-2")
+        for criterion in RankCriterion:
+            assert names_in(directory, criterion) == ["GFA-1", "GFA-3"]
+
+    def test_rejected_unknown_member_calls_leave_the_rankings_untouched(self):
+        directory = FederationDirectory()
+        for i in range(4):
+            directory.subscribe(f"GFA-{i}", make_spec(f"GFA-{i}", 1.0 + i))
+        before = [list(directory._ranking_for(c)) for c in RankCriterion]
+        with pytest.raises(OverlayError):
+            directory.unsubscribe("ghost")
+        with pytest.raises(OverlayError):
+            directory.update_quote("ghost", make_spec("ghost", 0.5))
+        with pytest.raises(OverlayError):
+            directory.report_load("ghost", 1.0)
+        with pytest.raises(KeyError):
+            directory.quote_of("ghost")
+        assert [list(directory._ranking_for(c)) for c in RankCriterion] == before
+
+    def test_kth_returns_sorted_positions(self):
+        directory = FederationDirectory()
+        members = [("v50", 5.0, 100.0), ("v10", 1.0, 500.0), ("v40", 4.0, 200.0),
+                   ("v20", 2.0, 400.0), ("v30", 3.0, 300.0)]
+        for name, price, mips in members:
+            directory.subscribe(name, make_spec(name, price, mips))
+        by_price = [name for name, _p, _m in sorted(members, key=lambda m: m[1])]
+        by_speed = [name for name, _p, _m in sorted(members, key=lambda m: -m[2])]
+        for criterion, expected in [
+            (RankCriterion.CHEAPEST, by_price),
+            (RankCriterion.FASTEST, by_speed),
+        ]:
+            for rank, name in enumerate(expected, start=1):
+                assert kth(directory, criterion, rank).gfa_name == name
+
+    def test_list_position_is_the_served_rank(self):
+        """An unfiltered session's rank ``k`` is the list's entry ``k - 1``."""
+        directory = FederationDirectory()
+        for i, spec in enumerate(build_federation_specs()):
+            directory.subscribe(f"GFA-{i}", spec)
+        for criterion in RankCriterion:
+            ranking = directory._ranking_for(criterion)
+            session = directory.open_session(criterion)
+            for index, (_key, quote) in enumerate(ranking):
+                assert session.kth(index + 1) is quote
+
+    def test_update_quote_moves_only_its_own_pair(self):
+        directory = FederationDirectory()
+        for i in range(6):
+            directory.subscribe(f"GFA-{i}", make_spec(f"GFA-{i}", 1.0 + i, 100.0 * (i + 1)))
+        speed_before = names_in(directory, RankCriterion.FASTEST)
+        directory.update_quote("GFA-0", make_spec("GFA-0", 9.0, 100.0))
+        assert names_in(directory, RankCriterion.CHEAPEST) == [
+            "GFA-1", "GFA-2", "GFA-3", "GFA-4", "GFA-5", "GFA-0"
+        ]
+        assert names_in(directory, RankCriterion.FASTEST) == speed_before
+        assert len(directory._ranking_for(RankCriterion.CHEAPEST)) == 6
+
+    def test_probes_past_the_end_answer_none_and_are_charged(self):
+        directory = FederationDirectory()
+        for i in range(8):
+            directory.subscribe(f"GFA-{i}", make_spec(f"GFA-{i}", 1.0 + i))
+        session = directory.open_session(RankCriterion.CHEAPEST)
+        assert session.kth(9) is None
+        assert session.kth(20) is None
+        assert directory.query_count == 2
+        assert directory.assumed_query_messages == 2 * theoretical_query_messages(8)
+        with pytest.raises(ValueError):
+            session.kth(0)
+        assert directory.query_count == 2
+
+    def test_probe_cost_does_not_depend_on_how_far_it_walks(self):
+        """A probe is charged the assumed ``O(log n)`` cost whether it reads
+        the first entry or walks to the last one."""
+        directory = FederationDirectory()
+        for i in range(64):
+            directory.subscribe(f"GFA-{i:02d}", make_spec(f"GFA-{i:02d}", 1.0 + i))
+        charges = []
+        for rank in (1, 64):
+            before = directory.assumed_query_messages
+            assert kth(directory, RankCriterion.CHEAPEST, rank).gfa_name == f"GFA-{rank - 1:02d}"
+            charges.append(directory.assumed_query_messages - before)
+        assert charges == [6, 6]
+        assert directory.query_count == 2
+
+    def test_assumed_messages_scale_logarithmically(self):
+        """64 times the members costs 2.5 times the messages per probe."""
+        per_probe = {}
+        for size in (16, 1024):
+            directory = FederationDirectory()
+            for i in range(size):
+                directory.subscribe(f"GFA-{i}", make_spec(f"GFA-{i}", 1.0 + i))
+            session = directory.open_session(RankCriterion.FASTEST)
+            for rank in range(1, 17):
+                session.kth(rank)
+            per_probe[size] = directory.assumed_query_messages / directory.query_count
+        assert per_probe == {16: 4.0, 1024: 10.0}
+
+    @given(
+        operations=st.lists(
+            st.tuples(
+                st.sampled_from(["subscribe", "unsubscribe"]),
+                st.integers(min_value=0, max_value=12),
+                st.integers(min_value=1, max_value=4),
+            ),
+            max_size=80,
+        )
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_rankings_match_a_reference_dict(self, operations):
+        """Under random subscribes and unsubscribes the directory refuses
+        exactly the calls a reference dict says are invalid, and both lists
+        and a fresh session's walk follow the sorted reference."""
+        directory = FederationDirectory()
+        reference: dict = {}
+        for op, idx, price in operations:
+            name = f"GFA-{idx:02d}"
+            if op == "subscribe":
+                if name in reference:
+                    with pytest.raises(OverlayError):
+                        directory.subscribe(name, make_spec(name, float(price)))
+                else:
+                    directory.subscribe(name, make_spec(name, float(price)))
+                    reference[name] = float(price)
+            elif name in reference:
+                directory.unsubscribe(name)
+                del reference[name]
+            else:
+                with pytest.raises(OverlayError):
+                    directory.unsubscribe(name)
+        expected = sorted(reference, key=lambda name: (reference[name], name))
+        assert len(directory) == len(reference)
+        assert names_in(directory, RankCriterion.CHEAPEST) == expected
+        assert names_in(directory, RankCriterion.FASTEST) == sorted(reference)
+        walked = [q.gfa_name for q in directory.open_session(RankCriterion.CHEAPEST)]
+        assert walked == expected

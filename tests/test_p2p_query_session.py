@@ -1,6 +1,6 @@
 """Property tests for the resumable directory query sessions.
 
-The hot-path optimisation (version-stamped cursor sessions) must be
+The hot-path optimisation (version-stamped resumable sessions) must be
 *observationally invisible*: every probe answers exactly what the naive
 sorted-scan oracle — an independent re-sort of the live quotes — says,
 across arbitrary interleavings of subscribe / unsubscribe / update_quote /
@@ -10,15 +10,15 @@ probe.
 from __future__ import annotations
 
 import contextlib
+import pickle
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.specs import ResourceSpec
-from repro.p2p import FederationDirectory, RankCriterion
-from repro.p2p.overlay import OverlayError, SkipListIndex
+from repro.p2p import FederationDirectory, OverlayError, RankCriterion
+from repro.workload.archive import build_federation_specs, replicate_resources
 
 
 def make_spec(name: str, price: float, mips: float, procs: int) -> ResourceSpec:
@@ -59,7 +59,7 @@ class TestSessionMatchesOracle:
     def test_random_membership_churn(self, ops, criterion):
         """Live sessions match the oracle across random
         subscribe/unsubscribe/update sequences."""
-        directory = FederationDirectory(rng=np.random.default_rng(0))
+        directory = FederationDirectory()
         # One long-lived session per processor filter: deliberately kept open
         # across membership churn to exercise the version-stamp restart.
         open_sessions = {}
@@ -91,7 +91,7 @@ class TestSessionMatchesOracle:
     def test_session_survives_mid_iteration_churn(self, prefix, criterion):
         """A session probed, invalidated by churn, then probed again answers
         like a fresh query (the version stamp forces a transparent restart)."""
-        directory = FederationDirectory(rng=np.random.default_rng(1))
+        directory = FederationDirectory()
         for i in range(8):
             directory.subscribe(f"GFA-{i}", make_spec(f"GFA-{i}", 1.0 + i, 900.0 - 100 * i, 2**i))
         session = directory.open_session(criterion)
@@ -120,7 +120,7 @@ class TestSessionIterationSurvivesUnsubscribe:
     """
 
     def _directory(self):
-        directory = FederationDirectory(rng=np.random.default_rng(0))
+        directory = FederationDirectory()
         for i, price in enumerate([1.0, 2.0, 3.0, 4.0]):
             directory.subscribe(f"GFA-{i}", make_spec(f"GFA-{i}", price, 500.0, 4))
         return directory
@@ -189,7 +189,7 @@ class TestSessionIterationSurvivesUnsubscribe:
     def test_iteration_serves_each_live_candidate_at_most_once(self, ops, criterion):
         """Under arbitrary churn, ``next()`` never repeats a name and every
         quote it serves was live (present in the oracle) at serving time."""
-        directory = FederationDirectory(rng=np.random.default_rng(3))
+        directory = FederationDirectory()
         session = directory.open_session(criterion)
         served = []
         for kind, idx, price, mips, procs in ops:
@@ -218,7 +218,7 @@ class TestSessionIterationSurvivesRequotes:
     the filter reads each quote as it stands at the probe."""
 
     def _directory(self, procs=(4, 4, 4, 4)):
-        directory = FederationDirectory(rng=np.random.default_rng(0))
+        directory = FederationDirectory()
         for i, (price, cpus) in enumerate(zip([1.0, 2.0, 3.0, 4.0], procs)):
             directory.subscribe(
                 f"GFA-{i}", make_spec(f"GFA-{i}", price, 100.0 * (i + 1), cpus)
@@ -267,7 +267,7 @@ class TestSessionIterationSurvivesRequotes:
 
 class TestVersionStamp:
     def test_open_session_sees_quote_update(self):
-        directory = FederationDirectory(rng=np.random.default_rng(0))
+        directory = FederationDirectory()
         for i in range(4):
             directory.subscribe(f"GFA-{i}", make_spec(f"GFA-{i}", 1.0 + i, 500.0, 4))
         session = directory.open_session(RankCriterion.CHEAPEST)
@@ -276,7 +276,7 @@ class TestVersionStamp:
         assert session.kth(1).gfa_name == "GFA-3"
 
     def test_version_counts_membership_changes(self):
-        directory = FederationDirectory(rng=np.random.default_rng(0))
+        directory = FederationDirectory()
         v0 = directory.version
         directory.subscribe("A", make_spec("A", 1.0, 500.0, 4))
         assert directory.version == v0 + 1
@@ -292,7 +292,7 @@ class TestUpdateQuoteLoadReport:
     def test_update_quote_preserves_load_report(self):
         """Re-quoting a GFA (dynamic pricing) must not drop its load report —
         the coordination + dynamic-pricing combination depends on it."""
-        directory = FederationDirectory(rng=np.random.default_rng(0))
+        directory = FederationDirectory()
         directory.subscribe("A", make_spec("A", 1.0, 500.0, 4))
         directory.report_load("A", 120.0)
         directory.update_quote("A", make_spec("A", 2.0, 500.0, 4))
@@ -300,7 +300,7 @@ class TestUpdateQuoteLoadReport:
         assert directory.load_updates == 1  # a re-quote is not a new report
 
     def test_unsubscribe_still_clears_load_report(self):
-        directory = FederationDirectory(rng=np.random.default_rng(0))
+        directory = FederationDirectory()
         directory.subscribe("A", make_spec("A", 1.0, 500.0, 4))
         directory.report_load("A", 60.0)
         directory.unsubscribe("A")
@@ -308,106 +308,169 @@ class TestUpdateQuoteLoadReport:
         assert directory.load_of("A") == 0.0
 
 
-class TestSkipListCursor:
-    def test_cursor_walks_in_order_and_counts_hops(self):
-        index = SkipListIndex(rng=np.random.default_rng(0))
-        for i in range(32):
-            index.insert(i, f"v{i}")
-        cursor = index.cursor()
-        seen = []
-        while True:
-            item = cursor.advance()
-            if item is None:
-                break
-            seen.append(item[0])
-        assert seen == list(range(32))
-        assert cursor.hops == 32  # one level-0 link per element from the head
+class TestRankings:
+    @given(
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(["subscribe", "unsubscribe", "update"]),
+                st.integers(min_value=0, max_value=7),
+                st.sampled_from([1.0, 2.0]),
+                st.sampled_from([500.0, 900.0]),
+            ),
+            min_size=1,
+            max_size=60,
+        )
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_rankings_hold_the_live_quotes_in_key_order(self, ops):
+        """The sorted lists the sessions walk hold each live quote once, in
+        ``(price, name)`` and ``(-mips, name)`` order, after every subscribe,
+        unsubscribe and re-quote.  Two prices and two speeds make most keys
+        tie on their first field, so each removal has to find its pair
+        among same-price neighbours."""
+        directory = FederationDirectory()
+        keys = {
+            RankCriterion.CHEAPEST: lambda q: (q.price, q.gfa_name),
+            RankCriterion.FASTEST: lambda q: (-q.mips, q.gfa_name),
+        }
+        for kind, idx, price, mips in ops:
+            name = f"GFA-{idx}"
+            spec = make_spec(name, price, mips, 4)
+            if kind == "subscribe" and not directory.is_subscribed(name):
+                directory.subscribe(name, spec)
+            elif kind == "unsubscribe" and directory.is_subscribed(name):
+                directory.unsubscribe(name)
+            elif kind == "update" and directory.is_subscribed(name):
+                directory.update_quote(name, spec)
+            for criterion, key in keys.items():
+                ranking = directory._ranking_for(criterion)
+                expected = sorted((key(q), q.gfa_name) for q in directory.quotes())
+                assert [(k, q.gfa_name) for k, q in ranking] == expected
+                assert all(q is directory.quote_of(q.gfa_name) for _k, q in ranking)
 
-    def test_cursor_seek_matches_kth(self):
-        index = SkipListIndex(rng=np.random.default_rng(0))
-        for i in range(64):
-            index.insert(i, i)
-        for start in (1, 2, 17, 40, 64):
-            cursor = index.cursor(start_rank=start)
-            key, _value = cursor.advance()
-            assert key == index.kth(start)[0]
-        assert index.cursor(start_rank=65).advance() is None
 
-    def test_cursor_invalidated_by_mutation(self):
-        index = SkipListIndex(rng=np.random.default_rng(0))
-        for i in range(8):
-            index.insert(i, i)
-        cursor = index.cursor()
-        cursor.advance()
-        index.remove(4)
-        assert not cursor.valid
-        with pytest.raises(OverlayError):
-            cursor.advance()
+class TestPositionalSweep:
+    """A session walks the directory's ranking list by integer position."""
+
+    def _directory(self, n, procs=lambda i: 4):
+        directory = FederationDirectory()
+        for i in range(n):
+            name = f"GFA-{i:02d}"
+            directory.subscribe(name, make_spec(name, 1.0 + i, 100.0 * (i + 1), procs(i)))
+        return directory
+
+    def test_session_walks_the_ranking_in_order(self):
+        directory = self._directory(32)
+        cheapest = [q.gfa_name for q in directory.open_session(RankCriterion.CHEAPEST)]
+        assert cheapest == [f"GFA-{i:02d}" for i in range(32)]
+        # One query per served quote plus the probe that finds none left.
+        assert directory.query_count == 33
+        fastest = [q.gfa_name for q in directory.open_session(RankCriterion.FASTEST)]
+        assert fastest == cheapest[::-1]
+
+    def test_resumed_probes_match_fresh_sessions(self):
+        """Probing ranks in increasing order resumes the sweep where the last
+        probe stopped; each answer equals a fresh session's, with and without
+        a processor filter that skips every other list entry."""
+        directory = self._directory(64, procs=lambda i: 8 if i % 2 else 2)
+        for min_processors, size in ((1, 64), (4, 32)):
+            resumed = directory.open_session(RankCriterion.CHEAPEST, min_processors)
+            for rank in (1, 2, 17, size - 1, size):
+                fresh = directory.open_session(RankCriterion.CHEAPEST, min_processors)
+                assert resumed.kth(rank) is fresh.kth(rank)
+            assert resumed.kth(size + 1) is None
+        assert directory.open_session(RankCriterion.CHEAPEST, 4).kth(1).gfa_name == "GFA-01"
+
+    def test_insert_ahead_of_the_sweep_restarts_it(self):
+        """A subscribe that lands before the sweep's position shifts every
+        later list index by one; the version stamp restarts the sweep, so the
+        session neither repeats nor skips a rank."""
+        directory = self._directory(8)
+        session = directory.open_session(RankCriterion.CHEAPEST)
+        assert session.kth(3).gfa_name == "GFA-02"
+        directory.subscribe("GFA-new", make_spec("GFA-new", 0.5, 50.0, 4))
+        assert [session.kth(rank).gfa_name for rank in (1, 3, 4)] == [
+            "GFA-new", "GFA-01", "GFA-02"
+        ]
+        directory.unsubscribe("GFA-new")
+        directory.unsubscribe("GFA-00")
+        assert session.kth(3).gfa_name == "GFA-03"
 
     @given(
-        keys=st.lists(st.integers(min_value=0, max_value=500), min_size=1, max_size=80, unique=True),
+        prices=st.lists(st.integers(min_value=0, max_value=500), min_size=1, max_size=80, unique=True),
         start=st.integers(min_value=1, max_value=80),
     )
     @settings(max_examples=60, deadline=None)
-    def test_cursor_equals_sorted_tail(self, keys, start):
-        index = SkipListIndex(rng=np.random.default_rng(2))
-        for key in keys:
-            index.insert(key, key)
-        cursor = index.cursor(start_rank=start)
+    def test_session_equals_sorted_tail(self, prices, start):
+        directory = FederationDirectory()
+        for price in prices:
+            directory.subscribe(f"p{price}", make_spec(f"p{price}", float(price), 500.0, 4))
+        session = directory.open_session(RankCriterion.CHEAPEST)
         walked = []
-        while True:
-            item = cursor.advance()
-            if item is None:
-                break
-            walked.append(item[0])
-        assert walked == sorted(keys)[start - 1 :]
+        rank = start
+        while (quote := session.kth(rank)) is not None:
+            walked.append(int(quote.price))
+            rank += 1
+        assert walked == sorted(prices)[start - 1 :]
 
     @given(
-        keys=st.lists(
-            st.integers(min_value=0, max_value=500), min_size=2, max_size=60, unique=True
-        ),
-        advances=st.integers(min_value=0, max_value=60),
-        delete_pick=st.integers(min_value=0, max_value=59),
+        prices=st.lists(st.integers(min_value=0, max_value=500), min_size=2, max_size=60, unique=True),
+        served=st.integers(min_value=0, max_value=60),
+        victim=st.integers(min_value=0, max_value=59),
     )
     @settings(max_examples=80, deadline=None)
-    def test_deletion_invalidates_open_cursor_and_reseek_is_exact(
-        self, keys, advances, delete_pick
+    def test_deletion_mid_walk_serves_exactly_the_unserved_remainder(
+        self, prices, served, victim
     ):
-        """Node *deletion* during an open cursor: the mutation stamp must
-        invalidate the cursor immediately (its node references may now point
-        into the removed chain), every further ``advance`` must raise, and a
-        re-seek from the cursor's last confirmed rank must walk exactly the
-        sorted remainder — the oracle a resumable directory sweep relies on."""
-        index = SkipListIndex(rng=np.random.default_rng(4))
-        for key in keys:
-            index.insert(key, key)
-        cursor = index.cursor()
-        walked = []
-        for _ in range(min(advances, len(keys))):
-            item = cursor.advance()
-            if item is None:
-                break
-            walked.append(item[0])
-        victim = sorted(keys)[delete_pick % len(keys)]
-        index.remove(victim)
-        assert not cursor.valid
-        with pytest.raises(OverlayError):
-            cursor.advance()
-        with pytest.raises(OverlayError):
-            cursor.advance()  # stays dead: no accidental resurrection
-        # Re-seek: continue after the last element the dead cursor confirmed,
-        # skipping the victim if it was not consumed yet.
-        remaining = [k for k in sorted(keys) if k != victim and (not walked or k > walked[-1])]
-        fresh = index.cursor(start_rank=1)
-        replay = []
-        while True:
-            item = fresh.advance()
-            if item is None:
-                break
-            replay.append(item[0])
-        assert replay == [k for k in sorted(keys) if k != victim]
-        tail = [k for k in replay if not walked or k > walked[-1]]
-        assert tail == remaining
+        """Unsubscribing a member while a session is part-way through its walk
+        deletes a list entry under the session's position; the rest of the
+        walk serves every remaining member it has not served, in order."""
+        directory = FederationDirectory()
+        for price in prices:
+            directory.subscribe(f"p{price}", make_spec(f"p{price}", float(price), 500.0, 4))
+        session = directory.open_session(RankCriterion.CHEAPEST)
+        walked = [session.next().gfa_name for _ in range(min(served, len(prices)))]
+        gone = f"p{sorted(prices)[victim % len(prices)]}"
+        directory.unsubscribe(gone)
+        rest = [quote.gfa_name for quote in session]
+        assert rest == [
+            f"p{price}"
+            for price in sorted(prices)
+            if f"p{price}" != gone and f"p{price}" not in walked
+        ]
+
+
+class TestPickling:
+    def test_large_directory_round_trips_with_its_open_sessions(self):
+        """Snapshots pickle the live directory together with the sessions
+        that hold its rankings: at 4,096 members (replicas tie on price and
+        speed, so names break the ties) the copy has the same rankings,
+        answers fresh and resumed sessions like the original, and its
+        sessions still follow its own membership changes."""
+        directory = FederationDirectory()
+        for spec in build_federation_specs(replicate_resources(4096)):
+            directory.subscribe(spec.name, spec)
+        sessions = {}
+        for criterion in RankCriterion:
+            sessions[criterion] = directory.open_session(criterion, min_processors=512)
+            sessions[criterion].kth(100)
+        clone, clone_sessions = pickle.loads(pickle.dumps((directory, sessions)))
+        for criterion in RankCriterion:
+            assert clone._ranking_for(criterion) == directory._ranking_for(criterion)
+            for min_processors in (1, 1024):
+                expected = [q.gfa_name for q in oracle_ranking(directory, criterion, min_processors)]
+                for copy in (directory, clone):
+                    session = copy.open_session(criterion, min_processors)
+                    assert [q.gfa_name for q in session] == expected
+            resumed = [
+                [s.kth(rank).gfa_name for rank in (100, 101, 1500)]
+                for s in (sessions[criterion], clone_sessions[criterion])
+            ]
+            assert resumed[0] == resumed[1]
+        leader = clone_sessions[RankCriterion.CHEAPEST].kth(1).gfa_name
+        clone.unsubscribe(leader)
+        assert clone_sessions[RankCriterion.CHEAPEST].kth(1).gfa_name != leader
+        assert sessions[RankCriterion.CHEAPEST].kth(1).gfa_name == leader
 
 
 class TestSweepDeterminismOnSessionPath:
@@ -429,7 +492,7 @@ class TestBatchUpdates:
     """batch_updates(): one version bump per quote-refresh storm."""
 
     def _directory(self, n=6):
-        directory = FederationDirectory(rng=np.random.default_rng(0))
+        directory = FederationDirectory()
         for i in range(n):
             directory.subscribe(f"GFA-{i}", make_spec(f"GFA-{i}", 1.0 + i, 500.0, 4))
         return directory
@@ -484,7 +547,7 @@ class TestBatchUpdates:
     def test_version_counts_changes_and_non_empty_batches(self, blocks):
         """Outside a batch every membership change bumps the version once;
         a batch bumps it once if anything inside it changed, else not at all."""
-        directory = FederationDirectory(rng=np.random.default_rng(0))
+        directory = FederationDirectory()
         expected = 0
         for batched, ops in blocks:
             changed = 0

@@ -316,6 +316,26 @@ class TestShardBuild:
         assert set(seen) == set(serial_ids)
 
     @pytest.mark.parametrize("shard_index", [0, 1])
+    def test_shard_registry_resolves_every_cluster_name(self, shard_index):
+        """Owned clusters resolve to their GFAs and foreign ones to proxies,
+        so base negotiation reaches either by name; nothing else registers."""
+        from repro.par.shard import RemoteClusterProxy, ShardGFA, build_shard_federation
+
+        shard = build_shard_federation(ELIGIBLE, shard_index, 2, 60.0)
+        assert len(shard.registry) == len(shard.specs)
+        kinds = set()
+        for spec in shard.specs:
+            agent = shard.registry.lookup(spec.name)
+            if shard.owns(spec.name):
+                assert type(agent) is ShardGFA
+                assert agent is shard.gfas[spec.name]
+            else:
+                assert type(agent) is RemoteClusterProxy
+                assert spec.name not in shard.gfas
+            kinds.add(type(agent))
+        assert kinds == {ShardGFA, RemoteClusterProxy}
+
+    @pytest.mark.parametrize("shard_index", [0, 1])
     def test_shard_start_queues_one_arrival_per_owned_population(self, shard_index):
         """Shards build their populations like the serial federation does, so
         each owned, non-empty population holds exactly one pending arrival."""
@@ -328,9 +348,8 @@ class TestShardBuild:
         for _time, _priority, _seq, event in shard.sim._heap:
             callback = event.callback
             if getattr(callback, "__func__", None) is UserPopulation._submit:
-                arrivals[callback.__self__.gfa_name] = (
-                    arrivals.get(callback.__self__.gfa_name, 0) + 1
-                )
+                name = callback.__self__.gfa.name
+                arrivals[name] = arrivals.get(name, 0) + 1
         owned = {spec.name for spec in shard.owned_specs if shard.workload[spec.name]}
         assert owned
         assert arrivals == {name: 1 for name in owned}

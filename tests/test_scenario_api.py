@@ -10,7 +10,6 @@ import pkgutil
 import re
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import repro
@@ -300,7 +299,7 @@ class TestRemovedEntryPointsTable:
         api = (Path(__file__).resolve().parents[1] / "docs" / "API.md").read_text()
         section = api.split("## Removed entry points", 1)[1].split("\n## ", 1)[0]
         rows = [line.split("|")[1:3] for line in section.splitlines() if line.startswith("| `")]
-        assert len(rows) == 11
+        assert len(rows) == 20
         modules = self._modules()
         public = (repro, importlib.import_module("repro.experiments"))
         for removed, replacement in rows:
@@ -334,7 +333,7 @@ class TestRemovedParametersTable:
 
     def test_members_are_gone(self):
         members = re.findall(r"`(\w+)\.(\w+)`", self._removed_cells())
-        assert len(members) == 6
+        assert len(members) == 7
         for owner, member in members:
             cls = self._lookup(owner)
             assert not hasattr(cls, member), f"{owner}.{member}"
@@ -346,7 +345,7 @@ class TestRemovedParametersTable:
         parameters = re.findall(
             r"`(?:(\w+)\.)?(\w+)\(\.\.\., (\w+)=[^`]*\)`", self._removed_cells()
         )
-        assert len(parameters) == 5
+        assert len(parameters) == 7
         for owner, function, name in parameters:
             target = getattr(self._lookup(owner), function) if owner else self._lookup(function)
             signature = inspect.signature(target)
@@ -382,5 +381,5 @@ class TestRemovedParametersTable:
     def test_directories_hold_no_cache(self):
         from repro.p2p import FederationDirectory
 
-        directory = FederationDirectory(rng=np.random.default_rng(0))
+        directory = FederationDirectory()
         assert not [name for name in vars(directory) if "cache" in name]

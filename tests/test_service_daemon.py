@@ -35,6 +35,7 @@ from repro.scenario import Scenario, result_fingerprint, run_scenario
 from repro.service import DaemonClient, DaemonError, GridfedDaemon
 from repro.service.daemon import (
     QueueFullError,
+    _preferred_wait,
     execute_submission,
     scenario_from_fields,
     scenario_to_fields,
@@ -69,6 +70,14 @@ def _wait_running(client, sid, timeout=60.0):
         assert status == "queued", f"{sid} went {status} before it was seen running"
         time.sleep(0.02)
     raise AssertionError(f"{sid} never started running")
+
+
+def _all_joined(threads, within):
+    """Join every thread by one shared deadline; True if all have ended."""
+    deadline = time.monotonic() + within
+    for thread in threads:
+        thread.join(timeout=max(0.0, deadline - time.monotonic()))
+    return not any(thread.is_alive() for thread in threads)
 
 
 @pytest.fixture
@@ -423,6 +432,45 @@ class TestDurableQueue:
             revived.stop()
 
 
+class TestHeldStatus:
+    """``GET /jobs/<id>`` with ``Prefer: wait=N`` answers once the
+    submission settles (or after N seconds, or when the daemon stops), so
+    ``wait()`` sees a completion when it happens instead of a poll later."""
+
+    @pytest.mark.parametrize(
+        "header, seconds",
+        [
+            ("wait=5", 5.0),
+            ("respond-async, wait=10", 10.0),
+            (" WAIT = 3 ", 3.0),
+            ("wait=soon", 0.0),
+            ("handling=lenient", 0.0),
+            (None, 0.0),
+        ],
+    )
+    def test_prefer_header_parsing(self, header, seconds):
+        assert _preferred_wait(header) == seconds
+
+    def test_hold_ends_at_its_timeout(self, tmp_path):
+        # Never started, so the submission stays queued; the racing test in
+        # TestRecordIndex covers the wake-ups by cancel and by stop().
+        daemon = GridfedDaemon(tmp_path / "state", port=0, workers=1)
+        sid = daemon.submit(scenario_to_fields(_fast(seed=40)))["id"]
+        started = time.monotonic()
+        daemon._await_settled(sid, 0.2)
+        assert 0.2 <= time.monotonic() - started < 5.0
+        assert daemon.status(sid)["status"] == "queued"
+        daemon.stop()
+
+    def test_wait_returns_at_completion_not_a_poll_later(self, client):
+        sid = client.submit(_fast(seed=42))
+        started = time.monotonic()
+        # A plain poller would sleep a minute after its first unsettled poll.
+        record = client.wait(sid, timeout=120.0, poll=60.0)
+        assert record["status"] == "completed"
+        assert time.monotonic() - started < 30.0
+
+
 class TestUnstartedDaemon:
     def test_stop_returns_on_a_daemon_that_never_started(self, tmp_path):
         daemon = GridfedDaemon(tmp_path / "state", port=0)
@@ -544,10 +592,12 @@ class TestRecordIndex:
     def test_racing_submits_and_cancels_keep_the_index_exact(self, tmp_path):
         """Submits and queued cancels on more threads than cores, with a
         short switch interval forcing interleavings, leave the ids unique
-        and dense and the index's counts equal to the records on disk."""
+        and dense and the index's counts equal to the records on disk.  A
+        held status request on each submission is woken by its cancel, or
+        by the stop, never lost."""
         daemon = GridfedDaemon(tmp_path / "state", port=0, max_pending=1000)
         threads, per_thread = 8, 6
-        ids, errors = [], []
+        ids, errors, cancelled, held = [], [], [], {}
 
         def client(offset):
             try:
@@ -555,8 +605,13 @@ class TestRecordIndex:
                     fields = scenario_to_fields(_fast(seed=1000 + offset * per_thread + k))
                     sid = daemon.submit(fields)["id"]
                     ids.append(sid)
+                    held[sid] = threading.Thread(
+                        target=daemon._await_settled, args=(sid, 60.0)
+                    )
+                    held[sid].start()
                     if k % 2:
                         daemon.cancel(sid)
+                        cancelled.append(sid)
             except Exception as exc:  # noqa: BLE001 - surfaced by the assert
                 errors.append(exc)
 
@@ -569,9 +624,12 @@ class TestRecordIndex:
             for thread in clients:
                 thread.join(timeout=60.0)
             assert not any(thread.is_alive() for thread in clients)
+            # One deadline for all: a hold that nothing wakes lasts 30 s.
+            assert _all_joined([held[sid] for sid in cancelled], within=10.0)
         finally:
             sys.setswitchinterval(interval)
             daemon.stop()
+        assert _all_joined(held.values(), within=10.0)
         assert errors == []
         total = threads * per_thread
         assert sorted(ids) == [f"job-{order:06d}" for order in range(1, total + 1)]
