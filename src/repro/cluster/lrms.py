@@ -16,9 +16,10 @@ submitted now?"* (:meth:`SpaceSharedLRMS.estimate_completion_time`), based on
 an :class:`~repro.cluster.profile.AvailabilityProfile` of running and queued
 work.  The profile is maintained rather than rebuilt: under FCFS with exact
 runtimes a queued job starts exactly in the slot reserved for it (Mu'alem &
-Feitelson, IEEE TPDS 2001), so each submit adds one reservation, and only a
-start the profile did not predict (an EASY backfill) or a crash makes the
-next estimate rebuild it.
+Feitelson, IEEE TPDS 2001), so each submit adds one reservation (in the
+slot its admission estimate at that instant found), and only a start the
+profile did not predict (an EASY backfill) or a crash makes the next
+estimate rebuild it.
 """
 
 from __future__ import annotations
@@ -80,10 +81,15 @@ class SpaceSharedLRMS:
         # The live admission profile: running work plus a reservation for
         # every queued job, or None until the next estimate rebuilds it.
         self._profile: Optional[AvailabilityProfile] = None
-        # Predicted start of each queued job while the profile is live...
-        self._predicted: Dict[int, float] = {}
-        # ...and of the last one reserved (the FCFS queue tail).
+        # Predicted (start, runtime) of each queued job while the profile is
+        # live...
+        self._predicted: Dict[int, Tuple[float, float]] = {}
+        # ...and the start of the last one reserved (the FCFS queue tail).
         self._tail: float = 0.0
+        # The last admission estimate, as (job, now, start, runtime): the
+        # slot a submit of that job at that instant reserves, until the next
+        # reservation or dropped profile changes what the estimate saw.
+        self._estimate: Optional[Tuple[Job, float, float, float]] = None
         # Accounting
         self.busy_node_seconds: float = 0.0
         self.jobs_submitted: int = 0
@@ -206,14 +212,19 @@ class SpaceSharedLRMS:
         return shadow, extra
 
     def _start(self, job: Job) -> None:
-        if self._profile is not None and self._predicted.pop(job.job_id, None) != self.sim.now:
-            # A start the profile did not predict (an EASY backfill): its
-            # reservations no longer describe the cluster.
-            self._drop_profile()
-        runtime = self.runtime_of(job)
+        now = self.sim.now
+        predicted = self._predicted.pop(job.job_id, None)
+        if predicted is not None and predicted[0] == now:
+            runtime = predicted[1]
+        else:
+            if self._profile is not None:
+                # A start the profile did not predict (an EASY backfill): its
+                # reservations no longer describe the cluster.
+                self._drop_profile()
+            runtime = self.runtime_of(job)
         self.nodes.allocate(job.job_id, job.num_processors)
-        job.mark_running(self.sim.now)
-        finish = self.sim.now + runtime
+        job.mark_running(now)
+        finish = now + runtime
         self._running[job.job_id] = (job, finish)
         self._finish_events[job.job_id] = self.sim.schedule(runtime, self._finish, job.job_id)
 
@@ -276,7 +287,8 @@ class SpaceSharedLRMS:
         usually improves on but can in rare cases exceed (a backfilled narrow
         job may delay a mid-queue job).  Deadline guarantees in the paper's
         sense therefore hold exactly for the FCFS policy used in the
-        experiments.
+        experiments.  The slot found is recorded, so submitting the job at
+        the same instant reserves it without searching the profile again.
         """
         if not self.spec.can_run(job):
             raise ValueError(f"{self.spec.name} cannot run job {job.job_id}")
@@ -285,8 +297,11 @@ class SpaceSharedLRMS:
         # A newly submitted job joins the back of the queue: under FCFS it can
         # never overtake the jobs already waiting, so its start is bounded
         # below by the last queued job's predicted start.
-        earliest = max(self.sim.now, queue_tail_start)
-        start = profile.earliest_start(job.num_processors, runtime, earliest=earliest)
+        now = self.sim.now
+        start = profile.earliest_start(
+            job.num_processors, runtime, earliest=max(now, queue_tail_start)
+        )
+        self._estimate = (job, now, start, runtime)
         return start + runtime
 
     def _estimation_profile(self) -> Tuple[AvailabilityProfile, float]:
@@ -323,19 +338,31 @@ class SpaceSharedLRMS:
 
     def _reserve(self, job: Job) -> None:
         """Reserve queued ``job``'s FCFS slot in the live profile and record
-        its predicted start."""
-        runtime = self.runtime_of(job)
-        # FCFS: a queued job starts no earlier than the one before it.
-        start = self._profile.earliest_start(
-            job.num_processors, runtime, earliest=max(self.sim.now, self._tail)
-        )
+        its predicted start and runtime.
+
+        An estimate of the same job at the same instant already found that
+        slot: nothing has changed the profile or the tail since, because
+        every reservation and every dropped profile clears the record.
+        """
+        now = self.sim.now
+        record = self._estimate
+        self._estimate = None
+        if record is not None and record[0] is job and record[1] == now:
+            start, runtime = record[2], record[3]
+        else:
+            runtime = self.runtime_of(job)
+            # FCFS: a queued job starts no earlier than the one before it.
+            start = self._profile.earliest_start(
+                job.num_processors, runtime, earliest=max(now, self._tail)
+            )
         self._profile.reserve(start, runtime, job.num_processors)
-        self._predicted[job.job_id] = start
+        self._predicted[job.job_id] = (start, runtime)
         self._tail = start
 
     def _drop_profile(self) -> None:
         self._profile = None
         self._predicted.clear()
+        self._estimate = None
 
     def expected_wait(self) -> float:
         """Predicted queueing delay currently faced by a new arrival.

@@ -182,25 +182,45 @@ class AvailabilityProfile:
         ------
         ProfileError
             If the reservation would drive availability negative anywhere in
-            the interval.
+            the interval; the profile is then left unchanged.
         """
         if procs < 1:
             raise ProfileError("must reserve at least one processor")
         if duration <= 0:
             raise ProfileError("duration must be positive")
-        if start < self._times[0]:
+        times, avail = self._times, self._avail
+        if start < times[0]:
             raise ProfileError(f"reservation start {start} precedes profile start")
         end = start + duration
-        if self.min_free(start, end) < procs:
+        if end <= start:
+            raise ProfileError("interval must have positive length")
+        # One walk from the segment holding ``start`` to the first breakpoint
+        # at or after ``end``, taking the minimum free count on the way, so
+        # nothing changes before the capacity check has passed.
+        first = bisect.bisect_right(times, start) - 1
+        lowest = avail[first]
+        stop = first + 1
+        n = len(times)
+        while stop < n and times[stop] < end:
+            if avail[stop] < lowest:
+                lowest = avail[stop]
+            stop += 1
+        if lowest < procs:
             raise ProfileError(
                 f"cannot reserve {procs} processors over [{start}, {end}): insufficient capacity"
             )
-        self._insert_breakpoint(start)
-        self._insert_breakpoint(end)
-        i = self._segment_index(start)
-        while i < len(self._times) and self._times[i] < end:
-            self._avail[i] -= procs
-            i += 1
+        # Split at ``end``, then at ``start`` (which shifts ``end`` right),
+        # and subtract over the segments in between.
+        if stop == n or times[stop] != end:
+            times.insert(stop, end)
+            avail.insert(stop, avail[stop - 1])
+        if times[first] != start:
+            first += 1
+            times.insert(first, start)
+            avail.insert(first, avail[first - 1])
+            stop += 1
+        for i in range(first, stop):
+            avail[i] -= procs
 
     def trim(self, time: float) -> None:
         """Drop the profile before ``time``, which becomes its start.
@@ -223,14 +243,6 @@ class AvailabilityProfile:
     def _segment_index(self, time: float) -> int:
         """Index of the segment containing ``time``."""
         return max(bisect.bisect_right(self._times, time) - 1, 0)
-
-    def _insert_breakpoint(self, time: float) -> None:
-        """Ensure ``time`` is a breakpoint (no-op if it already is)."""
-        idx = self._segment_index(time)
-        if self._times[idx] == time:
-            return
-        self._times.insert(idx + 1, time)
-        self._avail.insert(idx + 1, self._avail[idx])
 
     def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
         return f"AvailabilityProfile(capacity={self._capacity}, segments={len(self._times)})"

@@ -77,11 +77,12 @@ class UserPopulation:
         job = self._jobs[self.submitted]
         self.submitted += 1
         self._schedule_next()
-        # The zero-delay hop takes a fresh sequence number, so an event
-        # already scheduled for this instant (a job finish) runs before the
-        # GFA schedules the arriving job.  Calling the GFA directly here
-        # would keep the digests but change that tie rule.
-        self.sim.schedule(0.0, self.gfa.submit_local_job, job)
+        # The GFA takes the job at the arrival's own key, (time, 0, the seq
+        # reserved by start()): an event due at this instant that was
+        # scheduled before the population started (a fault, the pricing
+        # ticker) has already run, and one scheduled after it (a job finish)
+        # runs once the GFA has the job.
+        self.gfa.submit_local_job(job)
 
     # ------------------------------------------------------------------ #
     # Introspection

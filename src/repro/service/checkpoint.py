@@ -208,11 +208,12 @@ def snapshot_path(checkpoint_dir: str | os.PathLike) -> str:
 
 def _progress(federation: Federation) -> RunProgress:
     jobs = federation._all_jobs
+    done = JobStatus.COMPLETED  # one enum lookup, not one per job
     return RunProgress(
         sim_time=federation.sim.now,
         horizon=federation.config.horizon,
         jobs_total=len(jobs),
-        jobs_completed=sum(1 for job in jobs if job.status is JobStatus.COMPLETED),
+        jobs_completed=sum(1 for job in jobs if job.status is done),
         events_processed=federation.sim.events_processed,
         pending_events=federation.sim.pending,
         done=False,

@@ -83,6 +83,7 @@ import json
 import os
 import queue as queue_module
 import shutil
+import socketserver
 import tempfile
 import threading
 import time
@@ -765,6 +766,15 @@ class _DaemonHTTPServer(ThreadingHTTPServer):
     daemon_threads = True
     allow_reuse_address = True
     daemon_ref: "GridfedDaemon"
+
+    def server_bind(self) -> None:
+        # HTTPServer's own server_bind names the server with a reverse DNS
+        # lookup (socket.getfqdn), which can stall startup and which nothing
+        # here reads; the bound host serves as the name.
+        socketserver.TCPServer.server_bind(self)
+        host, port = self.server_address[:2]
+        self.server_name = host
+        self.server_port = port
 
 
 class _DaemonRequestHandler(BaseHTTPRequestHandler):

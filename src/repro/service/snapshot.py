@@ -69,8 +69,10 @@ __all__ = [
 #: counter and each job's tuple of runs in place of per-node lists and sets.
 #: v6: the directory keeps sorted ``(key, quote)`` lists in place of skip
 #: lists, arrivals call ``submit_local_job`` without an event envelope, and
-#: the payload carries no event-id counter.
-SNAPSHOT_FORMAT_VERSION = 6
+#: the payload carries no event-id counter.  v7: each LRMS pickles its last
+#: admission estimate ``(job, now, start, runtime)`` and keeps a
+#: ``(start, runtime)`` pair per predicted job in place of a start.
+SNAPSHOT_FORMAT_VERSION = 7
 
 _MAGIC = b"gridfed-snapshot\n"
 _WHAT = "gridfed snapshot"
@@ -129,7 +131,8 @@ class SnapshotHeader:
 
 def _build_header(federation: Federation, scenario: Scenario) -> SnapshotHeader:
     jobs = federation._all_jobs
-    completed = sum(1 for job in jobs if job.status is JobStatus.COMPLETED)
+    done = JobStatus.COMPLETED  # one enum lookup, not one per job
+    completed = sum(1 for job in jobs if job.status is done)
     return SnapshotHeader(
         format_version=SNAPSHOT_FORMAT_VERSION,
         scenario_hash=scenario.scenario_hash(),
@@ -300,8 +303,9 @@ def load_snapshot(
 #: resumed without naming the scenario again, and the header's version key
 #: is ``version``.  v6: shards pickle the v5 LRMS (node pools as runs).
 #: v7: shards pickle the v6 snapshot graph (sorted-list directory, no event
-#: envelope, no event-id counter).
-PAR_CHECKPOINT_VERSION = 7
+#: envelope, no event-id counter).  v8: shards pickle the v7 LRMS (the
+#: estimate record and ``(start, runtime)`` predictions).
+PAR_CHECKPOINT_VERSION = 8
 
 _PAR_MAGIC = b"gridfed-par-state\n"
 _PAR_WHAT = "parallel checkpoint state file"

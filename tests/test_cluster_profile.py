@@ -157,6 +157,84 @@ class TestProperties:
                 assert profile.min_free(t, t + duration) < procs
 
 
+def _naive_segments(capacity, start_time, holds):
+    """``(start, end, free)`` of a step function kept as a plain list of
+    ``(start, end, procs)`` holds, split at every hold's start and end."""
+    points = sorted({start_time} | {t for start, end, _ in holds for t in (start, end)})
+    return [
+        (t, end, capacity - sum(procs for start, stop, procs in holds if start <= t < stop))
+        for t, end in zip(points, points[1:] + [math.inf])
+    ]
+
+
+def _naive_min_free(capacity, holds, start, end):
+    points = {start} | {t for s, e, _ in holds for t in (s, e) if start < t < end}
+    return min(
+        capacity - sum(procs for s, e, procs in holds if s <= t < e) for t in points
+    )
+
+
+class TestReserveAgainstNaiveModel:
+    """``reserve`` against the step function of its accepted reservations,
+    rebuilt from a plain list after every call: starts on and off existing
+    breakpoints, ends inside the profile and past its last breakpoint."""
+
+    @given(
+        capacity=st.integers(min_value=1, max_value=16),
+        start_time=st.sampled_from([0.0, 12_345.678]),
+        ops=st.lists(
+            st.tuples(
+                st.one_of(
+                    st.tuples(st.just("on"), st.integers(min_value=0, max_value=64)),
+                    st.tuples(st.just("off"), st.floats(min_value=0.0, max_value=500.0)),
+                ),
+                st.one_of(
+                    st.tuples(st.just("for"), st.floats(min_value=0.01, max_value=200.0)),
+                    st.tuples(st.just("past"), st.floats(min_value=0.01, max_value=50.0)),
+                ),
+                st.integers(min_value=1, max_value=16),
+            ),
+            max_size=30,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_reserve_matches_the_naive_step_function(self, capacity, start_time, ops):
+        profile = AvailabilityProfile(capacity, start_time)
+        holds = []
+        for (where, at), (length, amount), procs in ops:
+            breakpoints = [t for t, _end, _free in profile.segments()]
+            start = breakpoints[at % len(breakpoints)] if where == "on" else start_time + at
+            if length == "for":
+                duration = amount
+            else:  # end past the last breakpoint
+                duration = max(breakpoints[-1] - start, 0.0) + amount
+            end = start + duration
+            before = profile.segments()
+            if _naive_min_free(capacity, holds, start, end) >= procs:
+                profile.reserve(start, duration, procs)
+                holds.append((start, end, procs))
+            else:
+                with pytest.raises(ProfileError, match="insufficient capacity"):
+                    profile.reserve(start, duration, procs)
+                assert profile.segments() == before
+            assert profile.segments() == _naive_segments(capacity, start_time, holds)
+
+    def test_a_refused_reservation_changes_nothing(self):
+        profile = AvailabilityProfile(8, 0.0)
+        profile.reserve(2.0, 4.0, 5)
+        before = profile.segments()
+        # Fits over [1, 2) and [6, ...) but not over the hold in between.
+        with pytest.raises(ProfileError, match="insufficient capacity"):
+            profile.reserve(1.0, 10.0, 4)
+        assert profile.segments() == before
+
+    def test_an_interval_that_rounds_to_nothing_is_refused(self):
+        profile = AvailabilityProfile(8, 2e7)
+        with pytest.raises(ProfileError, match="positive length"):
+            profile.reserve(2e7, 1e-12, 1)
+        assert profile.segments() == [(2e7, math.inf, 8)]
+
+
 class TestTrimAndUntilReleased:
     def test_trim_keeps_availability_from_the_new_start(self):
         profile = AvailabilityProfile(8, 0.0)

@@ -142,6 +142,23 @@ class TestLazyArrivals:
         assert federation.sim.pending == populations + len(plan.scheduled()) + ticker
 
 
+class TestEventCount:
+    @pytest.mark.parametrize("mode", list(SharingMode))
+    def test_a_uniform_fault_free_run_fires_an_arrival_per_job_and_a_finish_per_start(
+        self, mode
+    ):
+        """An arrival hands its job to the GFA in the same event: on the
+        zero-latency transport with no faults, the only events are one
+        arrival per job and one finish per job that started."""
+        specs, workload = small_setup()
+        federation = Federation(specs, workload, FederationConfig(mode=mode))
+        federation.run()
+        jobs = [job for jobs in federation.workload.values() for job in jobs]
+        started = sum(1 for job in jobs if job.start_time is not None)
+        assert 0 < started <= len(jobs)
+        assert federation.sim.events_processed == len(jobs) + started
+
+
 def _arrivals_by_population(sim):
     """Live pending arrivals in the heap, counted per population."""
     counts = {}

@@ -72,7 +72,7 @@ class _EagerPopulation(UserPopulation):
 
     def _submit_job(self, job: Job) -> None:
         self.submitted += 1
-        self.sim.schedule(0.0, self.gfa.submit_local_job, job)
+        self.gfa.submit_local_job(job)
 
 
 def _world(times_by_gfa, population_class=UserPopulation, log=None):
@@ -147,15 +147,19 @@ class TestArrivals:
         sim.run()
         assert [job_id for _name, _time, job_id in log] == [4, 1, 2, 3]
 
-    def test_the_gfa_gets_a_job_after_events_already_due_at_its_arrival(self):
-        """The zero-delay hop between an arrival and its GFA: an event
-        scheduled for the arrival instant after the population started (a
-        job finish, say) runs before the GFA is handed the arriving job."""
+    def test_the_gfa_gets_a_job_at_the_arrivals_own_key(self):
+        """The arrival calls its GFA directly, at the ``(time, 0, seq)`` key
+        reserved by ``start()``: an event due at the arrival instant that
+        was scheduled before the population started (a fault, the pricing
+        ticker) runs first, and one scheduled after it (a job finish) runs
+        once the GFA has the job."""
         sim, (population,), log = _world({"gfa": [5.0]})
+        sim.schedule_at(5.0, log.append, "before start")
         population.start()
-        sim.schedule_at(5.0, log.append, "finish")
+        sim.schedule_at(5.0, log.append, "after start")
         sim.run()
-        assert log == ["finish", ("gfa", 5.0, 1)]
+        assert log == ["before start", ("gfa", 5.0, 1), "after start"]
+        assert sim.events_processed == 3
 
     def test_populations_interleave_by_time_then_start_order(self):
         sim, populations, log = _world({"a": [1.0, 2.0, 3.0], "b": [1.0, 2.0]})

@@ -70,20 +70,26 @@ def assert_matches_reference(lrms: SpaceSharedLRMS) -> None:
 
 
 @contextlib.contextmanager
-def counted_profile_builds():
-    """Count every :class:`AvailabilityProfile` constructed inside the block."""
-    builds = []
-    original = AvailabilityProfile.__init__
+def counted_calls(method: str):
+    """Record the arguments of every ``AvailabilityProfile.<method>`` call
+    made inside the block."""
+    calls = []
+    original = getattr(AvailabilityProfile, method)
 
     def counting(self, *args, **kwargs):
-        builds.append(args)
-        original(self, *args, **kwargs)
+        calls.append(args)
+        return original(self, *args, **kwargs)
 
-    AvailabilityProfile.__init__ = counting
+    setattr(AvailabilityProfile, method, counting)
     try:
-        yield builds
+        yield calls
     finally:
-        AvailabilityProfile.__init__ = original
+        setattr(AvailabilityProfile, method, original)
+
+
+def counted_profile_builds():
+    """Count every :class:`AvailabilityProfile` constructed inside the block."""
+    return counted_calls("__init__")
 
 
 def _next_finish(lrms: SpaceSharedLRMS) -> float:
@@ -92,12 +98,21 @@ def _next_finish(lrms: SpaceSharedLRMS) -> float:
 
 _runtime = st.floats(min_value=0.5, max_value=400.0, allow_nan=False, allow_infinity=False)
 _job = st.tuples(st.integers(min_value=1, max_value=CAPACITY), _runtime)
-_op = st.one_of(
+_arrival = st.one_of(
     st.tuples(st.just("submit"), _job),
+    # The GFA's local path: estimate a job, then submit it at the same
+    # instant (the submit reserves the slot the estimate found).
+    st.tuples(st.just("estimate-submit"), _job),
+    # Estimate job A, submit job B, then submit A: B's reservation
+    # overtakes A's estimate, so A's submit must search again.
+    st.tuples(st.just("estimate-a-submit-b-a"), st.tuples(_job, _job)),
+)
+_op = st.one_of(
+    _arrival,
     st.tuples(st.just("advance"), st.floats(min_value=0.0, max_value=300.0)),
     # Act at the instant the next running job finishes, before its finish
-    # event fires: probe only, or submit a job first.
-    st.tuples(st.just("at-finish"), st.none() | _job),
+    # event fires: probe only, or make an arrival first.
+    st.tuples(st.just("at-finish"), st.none() | _arrival),
     st.tuples(st.just("probe"), st.none()),
     st.tuples(st.just("fail-all"), st.none()),
 )
@@ -116,20 +131,33 @@ class TestMaintainedProfileOracle:
         lrms = SpaceSharedLRMS(sim, spec, policy=policy)
         sim.run(until=t0)
 
-        def submit(job_shape):
+        def job_of(job_shape):
             procs, runtime = job_shape
-            lrms.submit(make_job(procs=procs, runtime=runtime, spec=spec, submit=sim.now))
+            return make_job(procs=procs, runtime=runtime, spec=spec, submit=sim.now)
+
+        def arrive(kind, arg):
+            if kind == "submit":
+                lrms.submit(job_of(arg))
+            elif kind == "estimate-submit":
+                job = job_of(arg)
+                lrms.estimate_completion_time(job)
+                lrms.submit(job)
+            else:
+                job_a, job_b = job_of(arg[0]), job_of(arg[1])
+                lrms.estimate_completion_time(job_a)
+                lrms.submit(job_b)
+                lrms.submit(job_a)
 
         for kind, arg in ops:
-            if kind == "submit":
-                submit(arg)
+            if kind in ("submit", "estimate-submit", "estimate-a-submit-b-a"):
+                arrive(kind, arg)
             elif kind == "advance":
                 sim.run(until=sim.now + arg)
             elif kind == "at-finish" and lrms.running_count:
 
-                def act(job_shape=arg):
-                    if job_shape is not None:
-                        submit(job_shape)
+                def act(arrival=arg):
+                    if arrival is not None:
+                        arrive(*arrival)
                     assert_matches_reference(lrms)
 
                 finish = _next_finish(lrms)
@@ -170,6 +198,59 @@ class TestMaintainedProfileOracle:
             sim.run()
         assert len(builds) <= 1
         assert [job.finish_time for job in jobs] == [estimates[job.job_id] for job in jobs]
+
+
+class TestEstimateRecord:
+    """A submit reuses the slot its job's estimate found only at the same
+    instant, with no reservation and no dropped profile in between."""
+
+    @staticmethod
+    def _busy_cluster():
+        sim = Simulator()
+        spec = make_spec(procs=CAPACITY)
+        lrms = SpaceSharedLRMS(sim, spec)
+        lrms.submit(make_job(procs=CAPACITY, runtime=10.0, spec=spec))  # busy until 10
+        return sim, spec, lrms
+
+    def test_a_submit_after_its_estimate_searches_nothing(self):
+        _sim, spec, lrms = self._busy_cluster()
+        job = make_job(procs=4, runtime=5.0, spec=spec)
+        with counted_calls("earliest_start") as searches:
+            assert lrms.estimate_completion_time(job) == 15.0
+            lrms.submit(job)
+        assert len(searches) == 1
+        assert_matches_reference(lrms)
+
+    def test_another_submit_in_between_makes_the_submit_search_again(self):
+        _sim, spec, lrms = self._busy_cluster()
+        job_a = make_job(procs=CAPACITY, runtime=5.0, spec=spec)
+        job_b = make_job(procs=CAPACITY, runtime=3.0, spec=spec)
+        with counted_calls("earliest_start") as searches:
+            assert lrms.estimate_completion_time(job_a) == 15.0
+            lrms.submit(job_b)
+            lrms.submit(job_a)
+        assert len(searches) == 3
+        assert lrms.expected_wait() == 13.0
+        assert_matches_reference(lrms)
+
+    def test_an_estimate_is_not_reused_at_a_later_instant(self):
+        sim, spec, lrms = self._busy_cluster()
+        job = make_job(procs=4, runtime=5.0, spec=spec)
+        assert lrms.estimate_completion_time(job) == 15.0
+        sim.run(until=12.0)
+        lrms.submit(job)
+        assert job.start_time == 12.0
+        assert_matches_reference(lrms)
+
+    def test_a_crash_between_estimate_and_submit_forgets_the_estimate(self):
+        _sim, spec, lrms = self._busy_cluster()
+        job = make_job(procs=CAPACITY, runtime=5.0, spec=spec)
+        assert lrms.estimate_completion_time(job) == 15.0
+        assert len(lrms.fail_all()) == 1
+        lrms.submit(make_job(procs=CAPACITY, runtime=20.0, spec=spec))  # busy until 20
+        lrms.submit(job)  # queued; the next estimate rebuilds the profile
+        assert_matches_reference(lrms)
+        assert lrms.expected_wait() == 20.0
 
 
 class TestFallbackRebuilds:

@@ -23,6 +23,7 @@ import json
 import math
 import multiprocessing
 import os
+import socket
 import subprocess
 import sys
 import threading
@@ -478,6 +479,25 @@ class TestUnstartedDaemon:
         stopper.start()
         stopper.join(timeout=10.0)
         assert not stopper.is_alive(), "stop() hung on a daemon that never started"
+
+
+class TestNoNameLookup:
+    def test_daemon_starts_and_serves_without_a_reverse_lookup(self, tmp_path, monkeypatch):
+        """Binding names the server after its bound host: a daemon starts,
+        answers /health and stops even where ``socket.getfqdn`` fails."""
+
+        def no_dns(*_args, **_kwargs):
+            raise AssertionError("socket.getfqdn called")
+
+        monkeypatch.setattr(socket, "getfqdn", no_dns)
+        daemon = GridfedDaemon(tmp_path / "state", port=0)
+        daemon.start()
+        try:
+            host, port = daemon._httpd.server_address[:2]
+            assert (daemon._httpd.server_name, daemon._httpd.server_port) == (host, port)
+            assert DaemonClient(daemon.address, timeout=10.0).health()["status"] == "ok"
+        finally:
+            daemon.stop()
 
 
 class TestBoundaryWrites:
