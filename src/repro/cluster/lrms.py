@@ -14,12 +14,16 @@ Besides executing jobs the LRMS answers the admission-control question used by
 the Grid-Federation negotiation protocol: *"by when could this job complete if
 submitted now?"* (:meth:`SpaceSharedLRMS.estimate_completion_time`), based on
 an :class:`~repro.cluster.profile.AvailabilityProfile` of running and queued
-work.  The profile is maintained rather than rebuilt: under FCFS with exact
-runtimes a queued job starts exactly in the slot reserved for it (Mu'alem &
-Feitelson, IEEE TPDS 2001), so each submit adds one reservation (in the
-slot its admission estimate at that instant found), and only a start the
-profile did not predict (an EASY backfill) or a crash makes the next
-estimate rebuild it.
+work.  A job that finds no job waiting and enough free processors starts at
+once, under either policy, and neither its estimate nor its submit touches
+the profile: running jobs only release processors, so any profile search
+would put it at now.  The profile describes the waiting work and is
+maintained rather than rebuilt: under FCFS with exact runtimes a queued job
+starts exactly in the slot reserved for it (Mu'alem & Feitelson, IEEE TPDS
+2001), so each submit that queues a job adds one reservation (in the slot
+its admission estimate at that instant found).  A start the profile did not
+predict (an idle start or an EASY backfill) or a crash drops it, and the
+next estimate that faces a wait rebuilds it once from the running jobs.
 """
 
 from __future__ import annotations
@@ -79,7 +83,8 @@ class SpaceSharedLRMS:
         #: at every barrier); ``None`` costs one attribute check.
         self.on_state_change: Optional[Callable[[], None]] = None
         # The live admission profile: running work plus a reservation for
-        # every queued job, or None until the next estimate rebuilds it.
+        # every queued job, or None until the next estimate facing a wait
+        # rebuilds it.
         self._profile: Optional[AvailabilityProfile] = None
         # Predicted (start, runtime) of each queued job while the profile is
         # live...
@@ -87,8 +92,9 @@ class SpaceSharedLRMS:
         # ...and the start of the last one reserved (the FCFS queue tail).
         self._tail: float = 0.0
         # The last admission estimate, as (job, now, start, runtime): the
-        # slot a submit of that job at that instant reserves, until the next
-        # reservation or dropped profile changes what the estimate saw.
+        # slot a submit of that job at that instant reserves or starts it
+        # in, until the next reservation or dropped profile (every start the
+        # profile did not predict drops it) changes what the estimate saw.
         self._estimate: Optional[Tuple[Job, float, float, float]] = None
         # Accounting
         self.busy_node_seconds: float = 0.0
@@ -138,7 +144,8 @@ class SpaceSharedLRMS:
     # Submission and execution
     # ------------------------------------------------------------------ #
     def submit(self, job: Job) -> None:
-        """Accept ``job`` into the queue and start it as soon as possible."""
+        """Accept ``job``: start it now if no job waits and it fits, else
+        queue it and start it as soon as the policy allows."""
         if not self.spec.can_run(job):
             raise ValueError(
                 f"{self.spec.name} cannot run job {job.job_id}: needs "
@@ -147,6 +154,9 @@ class SpaceSharedLRMS:
         job.mark_queued(self.spec.name)
         self.jobs_submitted += 1
         self._touch()
+        if not self._queue and job.num_processors <= self.nodes.free_count:
+            self._start(job)
+            return
         self._queue.append(job)
         if self._profile is not None:
             self._profile.trim(self.sim.now)
@@ -217,16 +227,21 @@ class SpaceSharedLRMS:
         if predicted is not None and predicted[0] == now:
             runtime = predicted[1]
         else:
-            if self._profile is not None:
-                # A start the profile did not predict (an EASY backfill): its
-                # reservations no longer describe the cluster.
-                self._drop_profile()
-            runtime = self.runtime_of(job)
+            # A start the profile did not predict (an idle start or an EASY
+            # backfill): its reservations, if any, and the estimate record no
+            # longer describe the cluster.  The record still gives the
+            # runtime if it is this job's at this instant.
+            record = self._estimate
+            self._drop_profile()
+            if record is not None and record[0] is job and record[1] == now:
+                runtime = record[3]
+            else:
+                runtime = self.runtime_of(job)
         self.nodes.allocate(job.job_id, job.num_processors)
         job.mark_running(now)
         finish = now + runtime
         self._running[job.job_id] = (job, finish)
-        self._finish_events[job.job_id] = self.sim.schedule(runtime, self._finish, job.job_id)
+        self._finish_events[job.job_id] = self.sim.schedule_at(finish, self._finish, job.job_id)
 
     def _finish(self, job_id: int) -> None:
         self._touch()
@@ -239,7 +254,8 @@ class SpaceSharedLRMS:
         job.mark_completed(self.sim.now)
         self.jobs_completed += 1
         self.last_finish_time = max(self.last_finish_time, self.sim.now)
-        self._dispatch()
+        if self._queue:
+            self._dispatch()
         if self.on_job_complete is not None:
             self.on_job_complete(job)
 
@@ -279,28 +295,36 @@ class SpaceSharedLRMS:
     def estimate_completion_time(self, job: Job) -> float:
         """Estimated absolute completion time of ``job`` if submitted now.
 
-        The estimate builds an availability profile from the running jobs'
-        expected finish times, reserves capacity for the already-queued jobs
-        in FCFS order (no overtaking), and then finds the earliest feasible
-        slot for ``job`` behind the queue tail.  It is exact under FCFS; under
-        EASY backfilling it predicts the FCFS completion, which backfilling
+        If no job waits and ``job`` fits in the free processors, it would
+        start now, and the answer is ``now + runtime`` without touching the
+        profile: with an empty queue the profile holds only running jobs,
+        which only release processors, and the FCFS tail is at or before
+        now, so a search would find the same slot.  Otherwise the estimate
+        uses an availability profile of the running jobs' expected finish
+        times with capacity reserved for the already-queued jobs in FCFS
+        order (no overtaking), and finds the earliest feasible slot for
+        ``job`` behind the queue tail.  It is exact under FCFS; under EASY
+        backfilling it predicts the FCFS completion, which backfilling
         usually improves on but can in rare cases exceed (a backfilled narrow
         job may delay a mid-queue job).  Deadline guarantees in the paper's
         sense therefore hold exactly for the FCFS policy used in the
         experiments.  The slot found is recorded, so submitting the job at
-        the same instant reserves it without searching the profile again.
+        the same instant reserves it (or starts it) without searching again.
         """
         if not self.spec.can_run(job):
             raise ValueError(f"{self.spec.name} cannot run job {job.job_id}")
-        profile, queue_tail_start = self._estimation_profile()
-        runtime = self.runtime_of(job)
-        # A newly submitted job joins the back of the queue: under FCFS it can
-        # never overtake the jobs already waiting, so its start is bounded
-        # below by the last queued job's predicted start.
         now = self.sim.now
-        start = profile.earliest_start(
-            job.num_processors, runtime, earliest=max(now, queue_tail_start)
-        )
+        runtime = self.runtime_of(job)
+        if not self._queue and job.num_processors <= self.nodes.free_count:
+            start = now
+        else:
+            profile, queue_tail_start = self._estimation_profile()
+            # A newly submitted job joins the back of the queue: under FCFS it
+            # can never overtake the jobs already waiting, so its start is
+            # bounded below by the last queued job's predicted start.
+            start = profile.earliest_start(
+                job.num_processors, runtime, earliest=max(now, queue_tail_start)
+            )
         self._estimate = (job, now, start, runtime)
         return start + runtime
 
@@ -313,9 +337,10 @@ class SpaceSharedLRMS:
         slot in it, a finishing job's reservation already ends at its finish
         time, and a job that starts when predicted already sits where it
         runs, so an estimate only trims it to now.  A start it did not
-        predict (an EASY backfill) or a crash drops it; the next estimate
-        then rebuilds it from the running jobs' exact ends, replaying the
-        queue in FCFS order, which gives the same profile bit for bit.
+        predict (an idle start or an EASY backfill) or a crash drops it; the
+        next estimate facing a wait then rebuilds it from the running jobs'
+        exact ends, replaying the queue in FCFS order, which gives the same
+        profile bit for bit.
         """
         now = self.sim.now
         profile = self._profile
@@ -369,8 +394,12 @@ class SpaceSharedLRMS:
 
         This is the FCFS queue-tail start time minus "now" — the quantity a
         coordinated GFA publishes to the federation directory so that other
-        sites can rule it out without a negotiation round trip.
+        sites can rule it out without a negotiation round trip.  With no job
+        waiting the tail is at or before now, so the answer is 0 and no
+        profile is built.
         """
+        if not self._queue:
+            return 0.0
         _profile, queue_tail_start = self._estimation_profile()
         return max(queue_tail_start - self.sim.now, 0.0)
 
@@ -378,12 +407,14 @@ class SpaceSharedLRMS:
         """Cheap work-conserving estimate of the current queueing delay.
 
         Outstanding node-seconds (remaining running work plus the whole
-        queue) divided by the cluster's capacity — a lower bound on the FCFS
-        queue-tail wait that ignores fragmentation, at a fraction of
-        :meth:`expected_wait`'s cost (no availability profile is built).  The
-        parallel engine publishes this as the per-window load snapshot, where
-        the value is approximate by design anyway (a snapshot is stale by up
-        to one barrier window before any proxy reads it).
+        queue) divided by the cluster's capacity — a lower bound on the time
+        until all outstanding work drains, which ignores fragmentation, at a
+        fraction of :meth:`expected_wait`'s cost (no availability profile is
+        built).  It bounds the FCFS queue-tail wait neither way: a queued
+        narrow job adds its whole runtime.  The parallel engine publishes
+        this as the per-window load snapshot, where the value is approximate
+        by design anyway (a snapshot is stale by up to one barrier window
+        before any proxy reads it).
         """
         now = self.sim.now
         node_seconds = sum(

@@ -20,10 +20,11 @@ the next one (the last entry extends to infinity).  Operations:
   jobs), with those ends exact.
 
 Queries and reservations are O(number of breakpoints).  The LRMS keeps one
-profile per cluster alive and adds one reservation per submitted job instead
-of rebuilding the profile for every admission estimate; trimmed to the work
-ahead, a profile holds tens of breakpoints, where a scan over two lists is
-cheap.
+profile per cluster alive while jobs wait and adds one reservation per job
+it queues instead of rebuilding the profile for every admission estimate; a
+job that starts at once on an idle enough cluster needs no profile at all.
+Trimmed to the work ahead, a profile holds tens of breakpoints, where a scan
+over two lists is cheap.
 """
 
 from __future__ import annotations

@@ -306,10 +306,11 @@ class ShardFederation(Federation):
         work-conserving :meth:`~repro.cluster.lrms.SpaceSharedLRMS.
         queue_tail_hint`), so a proxy holding a stale snapshot decays
         naturally as its own clock advances past the tail.  The hint is a
-        lower bound on the exact FCFS tail (:meth:`~repro.cluster.lrms.
-        SpaceSharedLRMS.expected_wait`), which the LRMS's live admission
-        profile now answers cheaply too; publishing the exact tail instead
-        would change the sharded model's fingerprints.
+        lower bound on the time until all of the cluster's outstanding work
+        drains, not on the exact FCFS tail (:meth:`~repro.cluster.lrms.
+        SpaceSharedLRMS.expected_wait`), which it can exceed: a queued
+        narrow job counts its whole runtime.  Publishing the exact tail
+        instead would change the sharded model's fingerprints.
         """
         if not self._dirty_loads:
             return []

@@ -294,13 +294,30 @@ class TestQueueTailHint:
         assert before == pytest.approx(100.0)
         assert after == pytest.approx(60.0)
 
-    def test_hint_never_exceeds_the_exact_fcfs_wait(self, world):
-        """Work-conservation lower-bounds the fragmentation-aware estimate."""
+    def test_hint_lower_bounds_the_drain_time(self, world):
+        """Work conservation: the outstanding node-seconds cannot all run
+        before the last job ends.  Here the 9-processor job waits until 100
+        and the 16-processor one until 130, so the work drains at 150."""
         sim, spec, lrms = world
         lrms.submit(make_job(procs=10, runtime=100.0, spec=spec))
         lrms.submit(make_job(procs=9, runtime=30.0, spec=spec))
         lrms.submit(make_job(procs=16, runtime=20.0, spec=spec))
-        assert lrms.queue_tail_hint() <= lrms.expected_wait() + 1e-9
+        # (10 * 100 + 9 * 30 + 16 * 20) / 16 processors.
+        assert lrms.queue_tail_hint() == pytest.approx(99.375)
+        assert lrms.expected_wait() == 130.0
+        assert lrms.queue_tail_hint() <= 150.0
+
+    def test_hint_is_not_a_lower_bound_on_the_tail_wait(self):
+        """A narrow queued job behind a short wide one: the hint counts its
+        whole runtime, the tail wait only the time until it starts."""
+        sim = Simulator()
+        spec = make_spec(procs=10)
+        lrms = SpaceSharedLRMS(sim, spec)
+        lrms.submit(make_job(procs=10, runtime=100.0, spec=spec))
+        lrms.submit(make_job(procs=1, runtime=1000.0, spec=spec))
+        # (10 * 100 + 1 * 1000) / 10 processors against a start at 100.
+        assert lrms.queue_tail_hint() == 200.0
+        assert lrms.expected_wait() == 100.0
 
 
 class TestProperties:

@@ -7,12 +7,16 @@ shapes actually migrate, negotiate and settle payments).  Any refactor that
 silently changes a job placement, a message count, a price or a utilisation
 figure flips the digest and fails here.
 
+One more digest, outside the five, pins the Experiment-3 shape under EASY
+backfilling (:data:`EASY_SCENARIO`): no other golden or benchmark digest
+runs a federation under ``lrms_policy="easy"``.
+
 If a change is *meant* to alter results, regenerate the constants with::
 
     PYTHONPATH=src python -c "
-    from tests.test_golden_fingerprints import GOLDEN_SCENARIOS
+    from tests.test_golden_fingerprints import GOLDEN_SCENARIOS, EASY_SCENARIO
     from repro.scenario import run_scenario, result_fingerprint
-    for name, scenario in GOLDEN_SCENARIOS.items():
+    for name, scenario in {**GOLDEN_SCENARIOS, 'easy': EASY_SCENARIO}.items():
         print(name, result_fingerprint(run_scenario(scenario)))"
 
 and say why in the commit message.
@@ -22,6 +26,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cluster import SpaceSharedLRMS
 from repro.scenario import Scenario, result_fingerprint, run_scenario
 
 #: Compressed submission window: ~2x over-subscription of the Table 1 trace.
@@ -63,6 +68,12 @@ GOLDEN_FINGERPRINTS = {
 }
 
 
+#: The Experiment-3 shape with every LRMS under EASY backfilling.
+EASY_SCENARIO = GOLDEN_SCENARIOS["exp3_economy"].replace(lrms_policy="easy")
+
+EASY_FINGERPRINT = "50a133f4d8209711dabee23fbaa6fd5c643750d357031f57516227c6e1a2ce75"
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_SCENARIOS))
 def test_golden_fingerprint(name):
     result = run_scenario(GOLDEN_SCENARIOS[name])
@@ -84,3 +95,26 @@ def test_golden_shapes_are_active():
     result = run_scenario(GOLDEN_SCENARIOS["exp2_federation"])
     assert sum(1 for job in result.jobs if job.was_migrated) > 0
     assert result.message_log.total_messages > 0
+
+
+def test_easy_backfill_golden_fingerprint(monkeypatch):
+    """The EASY shape is pinned, and it really backfills: some job starts
+    while a job queued ahead of it on the same cluster still waits."""
+    backfills = []
+    dispatch = SpaceSharedLRMS._dispatch_easy
+
+    def counting_dispatch(lrms):
+        before = list(lrms._queue)
+        dispatch(lrms)
+        waiting = {id(job) for job in lrms._queue}
+        ahead = False
+        for job in before:
+            if id(job) in waiting:
+                ahead = True
+            elif ahead:
+                backfills.append(job)
+
+    monkeypatch.setattr(SpaceSharedLRMS, "_dispatch_easy", counting_dispatch)
+    result = run_scenario(EASY_SCENARIO)
+    assert result_fingerprint(result) == EASY_FINGERPRINT
+    assert backfills

@@ -1,13 +1,15 @@
 """The LRMS's maintained admission profile against a from-scratch rebuild.
 
-``SpaceSharedLRMS`` keeps one availability profile alive: each submit adds
-one reservation, and a start the profile did not predict (an EASY backfill)
-or a crash drops it, to be rebuilt by the next estimate.  The oracle here is
-the rebuild itself, done the naive way: every running job holds its
-processors over ``[now, finish)``, the queue is replayed in FCFS order
-behind the tail, and the earliest start is found by checking the free count
-at every breakpoint of a plain list of intervals.  The LRMS's answers must
-equal it bit for bit after every operation of a random mix.
+``SpaceSharedLRMS`` keeps one availability profile alive while jobs wait: a
+job that finds no job waiting and enough free processors starts at once
+without touching it, each submit that queues a job adds one reservation,
+and a start the profile did not predict (an idle start or an EASY backfill)
+or a crash drops it, to be rebuilt by the next estimate that faces a wait.
+The oracle here is the rebuild itself, done the naive way: every running
+job holds its processors over ``[now, finish)``, the queue is replayed in
+FCFS order behind the tail, and the earliest start is found by checking the
+free count at every breakpoint of a plain list of intervals.  The LRMS's
+answers must equal it bit for bit after every operation of a random mix.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import contextlib
 from typing import List, Tuple
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -67,6 +70,10 @@ def assert_matches_reference(lrms: SpaceSharedLRMS) -> None:
         expected = _earliest(holds, procs, runtime, max(now, tail)) + runtime
         assert lrms.estimate_completion_time(probe) == expected
     assert lrms.expected_wait() == tail - now
+    # The work-conserving hint lower-bounds the time until all outstanding
+    # work drains (not the queue-tail wait, which it can exceed).
+    drain_end = max((end for _start, end, _procs in holds), default=now)
+    assert lrms.queue_tail_hint() <= drain_end - now + 1e-9 * max(1.0, drain_end)
 
 
 @contextlib.contextmanager
@@ -176,14 +183,21 @@ class TestMaintainedProfileOracle:
     @settings(max_examples=80, deadline=None)
     def test_fcfs_estimate_before_submit_is_the_finish_time(self, arrivals, t0):
         """Fault-free FCFS: the estimate taken just before each submit is
-        that job's finish time exactly, and the profile is built once."""
+        that job's finish time exactly, and a profile is built only by an
+        arrival that must wait while none is live: the first arrival, or
+        one right after an arrival that started at once (an idle start
+        drops the profile, and nothing else does here)."""
         sim = Simulator()
         spec = make_spec(procs=CAPACITY)
         lrms = SpaceSharedLRMS(sim, spec)
         sim.run(until=t0)
         estimates = {}
+        starts_at_once = []
 
         def arrive(job):
+            starts_at_once.append(
+                lrms.queue_length == 0 and job.num_processors <= lrms.free_processors
+            )
             estimates[job.job_id] = lrms.estimate_completion_time(job)
             lrms.submit(job)
 
@@ -196,7 +210,12 @@ class TestMaintainedProfileOracle:
             sim.schedule_at(clock, arrive, job)
         with counted_profile_builds() as builds:
             sim.run()
-        assert len(builds) <= 1
+        expected_builds = sum(
+            1
+            for i, at_once in enumerate(starts_at_once)
+            if not at_once and (i == 0 or starts_at_once[i - 1])
+        )
+        assert len(builds) == expected_builds
         assert [job.finish_time for job in jobs] == [estimates[job.job_id] for job in jobs]
 
 
@@ -251,6 +270,68 @@ class TestEstimateRecord:
         lrms.submit(job)  # queued; the next estimate rebuilds the profile
         assert_matches_reference(lrms)
         assert lrms.expected_wait() == 20.0
+
+
+class TestIdleStart:
+    """A job that finds no job waiting and enough free processors starts at
+    once: its estimate and submit touch no profile, and the start drops the
+    profile, so the next wait rebuilds it once from the running jobs."""
+
+    @pytest.mark.parametrize("policy", list(SchedulingPolicy))
+    def test_an_idle_estimate_and_submit_touch_no_profile(self, policy):
+        sim = Simulator()
+        spec = make_spec(procs=CAPACITY)
+        lrms = SpaceSharedLRMS(sim, spec, policy=policy)
+        sim.run(until=5.0)
+        job = make_job(procs=4, runtime=7.5, spec=spec, submit=5.0)
+        with contextlib.ExitStack() as stack:
+            calls = [
+                stack.enter_context(counted_calls(method))
+                for method in ("__init__", "earliest_start", "reserve", "trim")
+            ]
+            finish = lrms.estimate_completion_time(job)
+            lrms.submit(job)
+        assert calls == [[], [], [], []]
+        assert finish == 12.5
+        assert job.start_time == finish - lrms.runtime_of(job) == 5.0
+        sim.run()
+        assert job.finish_time == finish
+
+    def test_expected_wait_with_no_job_waiting_builds_nothing(self):
+        sim = Simulator()
+        spec = make_spec(procs=CAPACITY)
+        lrms = SpaceSharedLRMS(sim, spec)
+        for procs in (6, 4):
+            lrms.submit(make_job(procs=procs, runtime=50.0, spec=spec))
+        sim.run(until=10.0)
+        assert lrms.running_count == 2 and lrms.queue_length == 0
+        with counted_profile_builds() as builds:
+            assert lrms.expected_wait() == 0.0
+        assert builds == []
+
+    def test_a_wait_rebuilds_once_and_the_next_idle_start_drops_the_profile(self):
+        sim = Simulator()
+        spec = make_spec(procs=CAPACITY)
+        lrms = SpaceSharedLRMS(sim, spec)
+        first = make_job(procs=10, runtime=100.0, spec=spec)
+        assert lrms.estimate_completion_time(first) == 100.0
+        lrms.submit(first)  # an idle start
+        waiting = make_job(procs=8, runtime=20.0, spec=spec)
+        with counted_profile_builds() as builds:
+            assert lrms.estimate_completion_time(waiting) == 120.0
+            lrms.submit(waiting)  # queued behind ``first``, predicted at 100
+            assert lrms.expected_wait() == 100.0
+            assert_matches_reference(lrms)
+        assert len(builds) == 1
+        sim.run(until=100.0)  # ``first`` finishes; ``waiting`` starts as predicted
+        assert waiting.start_time == 100.0 and lrms.queue_length == 0
+        late = make_job(procs=4, runtime=5.0, spec=spec, submit=100.0)
+        assert lrms.estimate_completion_time(late) == 105.0
+        lrms.submit(late)  # the next idle start
+        assert late.start_time == 100.0
+        assert lrms._profile is None
+        assert lrms._predicted == {} and lrms._estimate is None
+        assert_matches_reference(lrms)
 
 
 class TestFallbackRebuilds:
