@@ -311,20 +311,17 @@ class SpaceSharedLRMS:
         experiments.  The slot found is recorded, so submitting the job at
         the same instant reserves it (or starts it) without searching again.
         """
-        if not self.spec.can_run(job):
-            raise ValueError(f"{self.spec.name} cannot run job {job.job_id}")
+        runtime = execution_time(job, self.spec)  # ValueError if too wide
         now = self.sim.now
-        runtime = self.runtime_of(job)
         if not self._queue and job.num_processors <= self.nodes.free_count:
             start = now
         else:
             profile, queue_tail_start = self._estimation_profile()
             # A newly submitted job joins the back of the queue: under FCFS it
             # can never overtake the jobs already waiting, so its start is
-            # bounded below by the last queued job's predicted start.
-            start = profile.earliest_start(
-                job.num_processors, runtime, earliest=max(now, queue_tail_start)
-            )
+            # bounded below by the last queued job's predicted start (which
+            # the profile already clamps to now).
+            start = profile.earliest_start(job.num_processors, runtime, queue_tail_start)
         self._estimate = (job, now, start, runtime)
         return start + runtime
 

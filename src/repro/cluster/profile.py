@@ -147,16 +147,17 @@ class AvailabilityProfile:
             )
         if duration <= 0:
             raise ProfileError("duration must be positive")
-        lower = self._times[0] if earliest is None else max(earliest, self._times[0])
+        times, avail = self._times, self._avail
+        start = times[0]
+        if earliest is not None and earliest > start:
+            start = earliest
 
         # Availability only changes at breakpoints, so the earliest feasible
         # start is either the lower bound itself or a breakpoint after it.
         # Sweep forward: whenever a segment inside the candidate window lacks
         # capacity, restart the window at the end of that blocking segment.
-        times, avail = self._times, self._avail
         n = len(times)
-        start = lower
-        idx = self._segment_index(start)
+        idx = bisect.bisect_right(times, start) - 1
         while True:
             end = start + duration
             blocked_at = None

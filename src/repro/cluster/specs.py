@@ -89,6 +89,13 @@ def transfer_volume_gb(alpha: float, origin_bandwidth_gbps: float) -> float:
     return alpha * origin_bandwidth_gbps
 
 
+def _infeasible(job: "Job", spec: ResourceSpec) -> ValueError:
+    return ValueError(
+        f"job {job.job_id} needs {job.num_processors} processors but "
+        f"{spec.name} only has {spec.num_processors}"
+    )
+
+
 def compute_time(job: "Job", spec: ResourceSpec) -> float:
     """Computation part of Eq. 2: ``l / (mu_m * p)``.
 
@@ -98,11 +105,8 @@ def compute_time(job: "Job", spec: ResourceSpec) -> float:
         If the resource does not have enough processors for the job
         (the paper's model is only defined for feasible placements).
     """
-    if not spec.can_run(job):
-        raise ValueError(
-            f"job {job.job_id} needs {job.num_processors} processors but "
-            f"{spec.name} only has {spec.num_processors}"
-        )
+    if job.num_processors > spec.num_processors:
+        raise _infeasible(job, spec)
     return job.length_mi / (spec.mips * job.num_processors)
 
 
@@ -112,8 +116,11 @@ def communication_time(job: "Job", spec: ResourceSpec) -> float:
 
 
 def execution_time(job: "Job", spec: ResourceSpec) -> float:
-    """Total unloaded execution time ``D(J, R_m)`` (Eqs. 2–3)."""
-    return compute_time(job, spec) + communication_time(job, spec)
+    """Total unloaded execution time ``D(J, R_m)`` (Eqs. 2–3): compute plus
+    communication time, in one call; raises as :func:`compute_time` does."""
+    if job.num_processors > spec.num_processors:
+        raise _infeasible(job, spec)
+    return job.length_mi / (spec.mips * job.num_processors) + job.comm_data_gb / spec.bandwidth_gbps
 
 
 def execution_cost(job: "Job", spec: ResourceSpec) -> float:

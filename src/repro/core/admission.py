@@ -13,20 +13,44 @@ refusal statistics reported by the metrics package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.cluster.lrms import SpaceSharedLRMS
 from repro.workload.job import Job
 
+#: Refusal reasons, formatted only when a decision's ``reason`` is read.
+TOO_WIDE = "requires {} > {} processors"
+TOO_LATE = "estimated completion {:.1f} exceeds deadline {:.1f}"
 
-@dataclass
+
 class AdmissionDecision:
-    """Outcome of one admission-control evaluation."""
+    """Outcome of one admission-control evaluation.
 
-    accepted: bool
-    estimated_completion: Optional[float]
-    reason: str
+    ``reason`` may be a ``str.format`` template filled from ``values`` when
+    the reason is read: most refusals are never explained to anyone, so a
+    refusal stores its numbers instead of formatting them.
+    """
+
+    __slots__ = ("accepted", "estimated_completion", "_reason", "_values")
+
+    def __init__(
+        self, accepted: bool, estimated_completion: Optional[float], reason: str, *values
+    ) -> None:
+        self.accepted = accepted
+        self.estimated_completion = estimated_completion
+        self._reason = reason
+        self._values = values
+
+    @property
+    def reason(self) -> str:
+        """Why the enquiry was answered this way."""
+        return self._reason.format(*self._values) if self._values else self._reason
+
+    def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
+        return (
+            f"AdmissionDecision(accepted={self.accepted}, "
+            f"estimated_completion={self.estimated_completion}, reason={self.reason!r})"
+        )
 
 
 class AdmissionController:
@@ -52,29 +76,18 @@ class AdmissionController:
         refused.
         """
         self.enquiries += 1
-        spec = self.lrms.spec
+        lrms = self.lrms
+        spec = lrms.spec
         if not spec.can_run(job):
             self.refused += 1
-            return AdmissionDecision(
-                accepted=False,
-                estimated_completion=None,
-                reason=f"requires {job.num_processors} > {spec.num_processors} processors",
-            )
-        estimate = self.lrms.estimate_completion_time(job)
+            return AdmissionDecision(False, None, TOO_WIDE, job.num_processors, spec.num_processors)
+        estimate = lrms.estimate_completion_time(job)
         deadline = job.absolute_deadline
         if deadline is not None and estimate > deadline + 1e-9:
             self.refused += 1
-            return AdmissionDecision(
-                accepted=False,
-                estimated_completion=estimate,
-                reason=f"estimated completion {estimate:.1f} exceeds deadline {deadline:.1f}",
-            )
+            return AdmissionDecision(False, estimate, TOO_LATE, estimate, deadline)
         self.accepted += 1
-        return AdmissionDecision(
-            accepted=True,
-            estimated_completion=estimate,
-            reason="deadline guarantee granted",
-        )
+        return AdmissionDecision(True, estimate, "deadline guarantee granted")
 
     @property
     def acceptance_ratio(self) -> float:

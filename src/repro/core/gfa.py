@@ -242,25 +242,29 @@ class GridFederationAgent:
             else:
                 self._reject(job)
             return
-        if self.resilience is not None:
-            self.resilience.evict_stale_quotes(self)
+        resilience = self.resilience
+        if resilience is not None:
+            resilience.evict_stale_quotes(self)
         session = self.directory.open_session(
             rank_criterion_for(job), min_processors=job.num_processors
         )
+        # Per-job constants, read once for the whole DBC loop.
+        name = self.name
+        budget = job.budget
+        limit = None if budget is None else budget + 1e-9
         for quote in session:
             job.negotiation_rounds += 1
             # Budget feasibility is checked from the published quote alone —
             # no message is needed to rule a candidate out on cost.
-            if job.budget is not None and execution_cost(job, quote.spec) > job.budget + 1e-9:
+            if limit is not None and execution_cost(job, quote.spec) > limit:
                 continue
-            if quote.gfa_name == self.name:
+            candidate = quote.gfa_name
+            if candidate == name:
                 if self.lrms.can_meet_deadline(job):
                     self._accept_locally(job)
                     return
                 continue
-            if self.resilience is not None and not self.resilience.allow_candidate(
-                self.name, quote.gfa_name
-            ):
+            if resilience is not None and not resilience.allow_candidate(name, candidate):
                 continue  # circuit open: stop hammering a dead/flapping peer
             if self._negotiate(quote, job):
                 self._migrate(quote, job)

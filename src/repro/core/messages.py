@@ -46,6 +46,7 @@ class MessageType(enum.Enum):
 for _index, _mtype in enumerate(MessageType):
     _mtype.index = _index
 del _index, _mtype
+_REPLY = MessageType.REPLY.index
 
 
 @dataclass(frozen=True)
@@ -80,13 +81,17 @@ class MessageLog:
     # ------------------------------------------------------------------ #
     # Recording
     # ------------------------------------------------------------------ #
-    def record(self, mtype: MessageType, sender: str, receiver: str, job: Job) -> None:
+    def record(
+        self, mtype: MessageType, sender: str, receiver: str, job: Job, replied: bool = False
+    ) -> None:
         """Record one message exchanged while scheduling ``job``.
 
         The GFA managing the job's origin cluster owns the job; the other
         endpoint is the remote party.  Messages whose two endpoints are the
         same GFA, or that do not involve the job's origin, are programming
-        errors — intra-GFA decisions are free.
+        errors — intra-GFA decisions are free.  ``replied=True`` also
+        records the REPLY ``receiver`` sent back, so a completed round trip
+        is booked, and its endpoints checked, in one call.
         """
         if sender == receiver:
             raise ValueError("inter-GFA messages require two distinct endpoints")
@@ -100,17 +105,20 @@ class MessageLog:
                 f"message endpoints ({sender!r}, {receiver!r}) do not include the "
                 f"job's origin GFA {origin!r}"
             )
+        count = 2 if replied else 1
         slots = self._slots
         slot = slots.get(origin)
         if slot is None:
             slot = self._new_slot(origin)
-        self._local[slot] += 1
+        self._local[slot] += count
         slot = slots.get(remote)
         if slot is None:
             slot = self._new_slot(remote)
-        self._remote[slot] += 1
+        self._remote[slot] += count
         self._by_type[mtype.index] += 1
-        job.messages += 1
+        if replied:
+            self._by_type[_REPLY] += 1
+        job.messages += count
 
     def _new_slot(self, gfa_name: str) -> int:
         slot = self._slots[gfa_name] = len(self._local)

@@ -266,10 +266,17 @@ class TwoTierWanTopology(Topology):
     def link(self, src: str, dst: str) -> LinkProfile:
         if src == dst:
             return LOOPBACK
-        a, b = self.site_of(src), self.site_of(dst)
+        # Members resolve by one dict lookup each; only strangers hash.
+        site_of = self._site_of
+        a = site_of.get(src)
+        if a is None:
+            a = self.site_of(src)
+        b = site_of.get(dst)
+        if b is None:
+            b = self.site_of(dst)
         if a == b:
             return self._lan
-        return self._wan[(min(a, b), max(a, b))]
+        return self._wan[(a, b) if a < b else (b, a)]
 
     def describe(self) -> str:
         worst = max((p.latency_s for p in self._wan.values()), default=0.0)

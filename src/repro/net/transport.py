@@ -178,32 +178,40 @@ class Transport:
         link (WAN topologies) drops the datagram with the link's rate.
         Latency is charged to the accounting, not to the simulation clock —
         the paper models negotiation as instantaneous in simulated time.
+        The fate is decided first (no draw once it is lost); then one ledger
+        call books the NEGOTIATE and any REPLY, and the sums add them in
+        that order.
         """
+        replied = responder_alive
+        link_lost = False
         if self._fast:
             # Free links, no windows: nothing can delay or lose the round
             # trip, so skip the link lookup and the window/loss machinery.
-            self._record(MessageType.NEGOTIATE, src, dst, job, size_mb, 0.0)
-            if not responder_alive:
-                self.stats.timeouts += 1
-                return False
-            self._record(MessageType.REPLY, dst, src, job, size_mb, 0.0)
+            latency_s = 0.0
+        else:
+            link = self.topology.link(src, dst)
+            latency_s = link.latency_s
+            if replied and self._windows:
+                window = self._window_at(self.sim.now)
+                if window is not None and window.loss_rate > 0.0:
+                    replied = not (self._fault_rng.random() < window.loss_rate)
+            link_lost = replied and link.loss_rate > 0.0 and self._draw() < link.loss_rate
+            if link_lost:
+                replied = False
+        self.log.record(MessageType.NEGOTIATE, src, dst, job, replied)
+        stats = self.stats
+        stats.volume_mb += size_mb
+        stats.latency_s += latency_s
+        if replied:
+            stats.messages += 2
+            stats.volume_mb += size_mb
+            stats.latency_s += latency_s
             return True
-        link = self.topology.link(src, dst)
-        self._record(MessageType.NEGOTIATE, src, dst, job, size_mb, link.latency_s)
-        if not responder_alive:
-            self.stats.timeouts += 1
-            return False
-        window = self._window_at(self.sim.now)
-        if window is not None and window.loss_rate > 0.0:
-            if self._fault_rng.random() < window.loss_rate:
-                self.stats.timeouts += 1
-                return False
-        if link.loss_rate > 0.0 and self._draw() < link.loss_rate:
-            self.stats.link_losses += 1
-            self.stats.timeouts += 1
-            return False
-        self._record(MessageType.REPLY, dst, src, job, size_mb, link.latency_s)
-        return True
+        stats.messages += 1
+        stats.timeouts += 1
+        if link_lost:
+            stats.link_losses += 1
+        return False
 
     def transfer(
         self,
@@ -229,7 +237,7 @@ class Transport:
         link = self.topology.link(src, dst)
         self._record(MessageType.JOB_SUBMISSION, src, dst, job, size_mb, link.latency_s)
         delay = 0.0
-        window = self._window_at(self.sim.now)
+        window = self._window_at(self.sim.now) if self._windows else None
         if window is not None:
             if window.loss_rate > 0.0 and self._fault_rng.random() < window.loss_rate:
                 self.stats.transit_losses += 1

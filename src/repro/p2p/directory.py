@@ -7,7 +7,8 @@ sorted ranking per criterion, and a job's probes ``k = 1, 2, 3, ...`` are
 answered by one resumable :class:`DirectoryQuerySession`
 (``open_session(criterion, min_processors).kth(k)``).  The paper assumes a
 peer-to-peer directory whose queries cost ``O(log n)`` messages; each probe
-is charged that assumed cost (:func:`theoretical_query_messages`).
+is charged that assumed cost (:func:`theoretical_query_messages`), priced
+once per membership change rather than per probe.
 
 The directory also accepts *load reports* (expected queue wait per resource).
 The base Grid-Federation protocol never reads them; the coordination extension
@@ -149,8 +150,18 @@ class DirectoryQuerySession:
         if rank < 1:
             raise ValueError(f"rank must be at least 1, got {rank}")
         directory = self._directory
-        directory._account_query()
-        if self._version != directory.version:
+        if directory._batch_depth:
+            raise OverlayError(
+                "rank queries are not allowed inside batch_updates() — the "
+                "deferred version bump would let them cache half-applied state"
+            )
+        stats = directory._stats
+        stats.queries += 1
+        stats.assumed_messages += directory._query_charge
+        transport = directory._transport
+        if transport is not None:
+            transport.control("query")
+        if self._version != directory._version:
             self._restart()
         matched = self._matched
         if len(matched) < rank:
@@ -181,7 +192,7 @@ class DirectoryQuerySession:
         gets the best-ranked candidate it has not seen — the semantics a
         negotiation loop needs to survive churn.
         """
-        if self._version != self._directory.version:
+        if self._version != self._directory._version:
             self._pos = 0
         while True:
             quote = self.kth(self._pos + 1)
@@ -213,6 +224,9 @@ class FederationDirectory:
         self._quotes: Dict[str, DirectoryQuote] = {}
         self._load_reports: Dict[str, float] = {}
         self._stats = _QueryStats()
+        #: What one probe is charged: the paper's assumed cost at the
+        #: current membership size, re-priced by subscribe and unsubscribe.
+        self._query_charge: int = theoretical_query_messages(1)
         self.load_updates: int = 0
         #: Membership/quote version: bumped by subscribe, unsubscribe and
         #: update_quote.  Stamps open query sessions.
@@ -235,6 +249,9 @@ class FederationDirectory:
     def _control(self, kind: str) -> None:
         if self._transport is not None:
             self._transport.control(kind)
+
+    def _reprice_query(self) -> None:
+        self._query_charge = theoretical_query_messages(max(len(self._quotes), 1))
 
     def _bump_version(self) -> None:
         if self._batch_depth:
@@ -287,6 +304,7 @@ class FederationDirectory:
         self._quotes[gfa_name] = quote
         insort(self._by_price, ((spec.price, gfa_name), quote))
         insort(self._by_speed, ((-spec.mips, gfa_name), quote))
+        self._reprice_query()
         self._bump_version()
         if not replica:
             self._control("subscribe")
@@ -326,6 +344,7 @@ class FederationDirectory:
         _remove(self._by_price, (quote.spec.price, gfa_name))
         _remove(self._by_speed, (-quote.spec.mips, gfa_name))
         self._load_reports.pop(gfa_name, None)
+        self._reprice_query()
         self._bump_version()
         self._control("unsubscribe")
 
@@ -349,16 +368,6 @@ class FederationDirectory:
 
     def _ranking_for(self, criterion: RankCriterion) -> _Ranking:
         return self._by_price if criterion is RankCriterion.CHEAPEST else self._by_speed
-
-    def _account_query(self) -> None:
-        if self._batch_depth:
-            raise OverlayError(
-                "rank queries are not allowed inside batch_updates() — the "
-                "deferred version bump would let them cache half-applied state"
-            )
-        self._stats.queries += 1
-        self._stats.assumed_messages += theoretical_query_messages(max(len(self._quotes), 1))
-        self._control("query")
 
     def __len__(self) -> int:
         return len(self._quotes)

@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from dataclasses import dataclass, field
 
 from repro.cluster.specs import ResourceSpec, execution_time
-from repro.core.admission import AdmissionDecision
+from repro.core.admission import TOO_WIDE, AdmissionDecision
 from repro.core.federation import Federation, FederationConfig
 from repro.core.gfa import GFAStatistics, GridFederationAgent
 from repro.core.messages import MessageLog
@@ -69,6 +69,10 @@ _FINAL_FIELDS = (
 )
 
 
+#: A proxy's refusal reason, formatted only when read.
+_SNAPSHOT_LATE = "snapshot estimate {:.1f} exceeds deadline {:.1f}"
+
+
 class RemoteClusterProxy:
     """Stand-in for a cluster owned by another shard.
 
@@ -100,31 +104,17 @@ class RemoteClusterProxy:
         """O(1) snapshot admission (the proxy half of the negotiation)."""
         spec = self.spec
         if not spec.can_run(job):
-            return AdmissionDecision(
-                accepted=False,
-                estimated_completion=None,
-                reason=f"requires {job.num_processors} > {spec.num_processors} processors",
-            )
+            return AdmissionDecision(False, None, TOO_WIDE, job.num_processors, spec.num_processors)
         now = self.shard.sim.now
         runtime = execution_time(job, spec)
         estimate = max(now, self._tail) + self._bump + runtime
         deadline = job.absolute_deadline
         if deadline is not None and estimate > deadline + 1e-9:
-            return AdmissionDecision(
-                accepted=False,
-                estimated_completion=estimate,
-                reason=(
-                    f"snapshot estimate {estimate:.1f} exceeds deadline {deadline:.1f}"
-                ),
-            )
+            return AdmissionDecision(False, estimate, _SNAPSHOT_LATE, estimate, deadline)
         # Charge the job's share of the cluster so that several acceptances
         # within one window stack up instead of all seeing the same snapshot.
         self._bump += runtime * job.num_processors / spec.num_processors
-        return AdmissionDecision(
-            accepted=True,
-            estimated_completion=estimate,
-            reason="snapshot admission granted",
-        )
+        return AdmissionDecision(True, estimate, "snapshot admission granted")
 
     def receive_remote_job(self, job: Job, origin_gfa: str) -> None:
         """Queue the migrated job for cross-shard delivery to its owner."""

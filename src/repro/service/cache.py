@@ -32,8 +32,9 @@ __all__ = ["CACHE_FORMAT_VERSION", "PersistentResultCache"]
 #: Bump when the cached payload shape changes; older entries are evicted.
 #: v2: results carry the slot-list ``MessageLog`` and ``TransportStats``
 #: without ``by_type`` / ``per_job``.  v3: a result's live directory pickles
-#: sorted ``(key, quote)`` lists in place of skip lists.
-CACHE_FORMAT_VERSION = 3
+#: sorted ``(key, quote)`` lists in place of skip lists.  v4: it also
+#: pickles its per-probe query charge.
+CACHE_FORMAT_VERSION = 4
 
 _SUFFIX = ".result.pkl"
 

@@ -71,8 +71,9 @@ __all__ = [
 #: lists, arrivals call ``submit_local_job`` without an event envelope, and
 #: the payload carries no event-id counter.  v7: each LRMS pickles its last
 #: admission estimate ``(job, now, start, runtime)`` and keeps a
-#: ``(start, runtime)`` pair per predicted job in place of a start.
-SNAPSHOT_FORMAT_VERSION = 7
+#: ``(start, runtime)`` pair per predicted job in place of a start.  v8: the
+#: directory pickles its per-probe query charge (``_query_charge``).
+SNAPSHOT_FORMAT_VERSION = 8
 
 _MAGIC = b"gridfed-snapshot\n"
 _WHAT = "gridfed snapshot"
@@ -304,8 +305,9 @@ def load_snapshot(
 #: is ``version``.  v6: shards pickle the v5 LRMS (node pools as runs).
 #: v7: shards pickle the v6 snapshot graph (sorted-list directory, no event
 #: envelope, no event-id counter).  v8: shards pickle the v7 LRMS (the
-#: estimate record and ``(start, runtime)`` predictions).
-PAR_CHECKPOINT_VERSION = 8
+#: estimate record and ``(start, runtime)`` predictions).  v9: shards pickle
+#: the v8 directory (its query charge).
+PAR_CHECKPOINT_VERSION = 9
 
 _PAR_MAGIC = b"gridfed-par-state\n"
 _PAR_WHAT = "parallel checkpoint state file"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import bisect
+import contextlib
 import math
 
 import pytest
@@ -265,3 +267,90 @@ class TestTrimAndUntilReleased:
     def test_until_released_refuses_more_than_capacity(self):
         with pytest.raises(ProfileError):
             AvailabilityProfile.until_released(4, 0.0, [(5.0, 3), (6.0, 2)])
+
+
+def parent_earliest_start(profile, procs, duration, earliest=None):
+    """``earliest_start`` before it bisected inline: the lower bound through
+    ``max`` and the first segment through ``_segment_index``."""
+    if procs < 1:
+        raise ProfileError("must request at least one processor")
+    if procs > profile._capacity:
+        raise ProfileError(f"request for {procs} processors exceeds capacity {profile._capacity}")
+    if duration <= 0:
+        raise ProfileError("duration must be positive")
+    lower = profile._times[0] if earliest is None else max(earliest, profile._times[0])
+    times, avail = profile._times, profile._avail
+    n = len(times)
+    start = lower
+    idx = max(bisect.bisect_right(profile._times, start) - 1, 0)
+    while True:
+        end = start + duration
+        blocked_at = None
+        j = idx
+        while j < n and times[j] < end:
+            if avail[j] < procs:
+                blocked_at = j
+                break
+            j += 1
+        if blocked_at is None:
+            return start
+        idx = blocked_at + 1
+        start = times[idx]
+
+
+class TestEarliestStartOracle:
+    @given(
+        capacity=st.integers(min_value=1, max_value=16),
+        start_time=st.sampled_from([0.0, 12_345.678]),
+        reservations=st.lists(
+            st.tuples(
+                st.floats(min_value=0.0, max_value=500.0),
+                st.floats(min_value=0.01, max_value=200.0),
+                st.integers(min_value=1, max_value=16),
+            ),
+            max_size=20,
+        ),
+        trim=st.floats(min_value=0.0, max_value=300.0),
+        queries=st.lists(
+            st.tuples(
+                st.integers(min_value=1, max_value=16),
+                st.floats(min_value=0.01, max_value=300.0),
+                st.one_of(
+                    st.none(),
+                    st.just("start"),
+                    st.just("breakpoint"),
+                    st.floats(min_value=-100.0, max_value=800.0),
+                ),
+                st.integers(min_value=0, max_value=40),
+            ),
+            min_size=1,
+            max_size=10,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_max_and_segment_index_version(
+        self, capacity, start_time, reservations, trim, queries
+    ):
+        """The same start, bit for bit, with no lower bound, one before the
+        profile, one on its start, one on a breakpoint and one between
+        breakpoints, on profiles trimmed to start between breakpoints."""
+        profile = AvailabilityProfile(capacity, start_time)
+        for start, duration, procs in reservations:
+            with contextlib.suppress(ProfileError):
+                profile.reserve(start_time + start, duration, procs)
+        profile.trim(start_time + trim)
+        breakpoints = [t for t, _end, _free in profile.segments()]
+        for procs, duration, earliest, at in queries:
+            if earliest == "start":
+                earliest = profile.start_time
+            elif earliest == "breakpoint":
+                earliest = breakpoints[at % len(breakpoints)]
+            elif earliest is not None:
+                earliest += start_time
+            if procs > capacity:
+                with pytest.raises(ProfileError, match="exceeds capacity"):
+                    profile.earliest_start(procs, duration, earliest)
+                continue
+            assert profile.earliest_start(procs, duration, earliest) == parent_earliest_start(
+                profile, procs, duration, earliest
+            )

@@ -151,3 +151,52 @@ class TestModelRelationships:
         one = make_job(num_processors=1, comm_data_gb=0.0)
         many = make_job(num_processors=procs, comm_data_gb=0.0)
         assert compute_time(many, spec) <= compute_time(one, spec)
+
+
+def parent_compute_time(job, spec):
+    if not spec.can_run(job):
+        raise ValueError(
+            f"job {job.job_id} needs {job.num_processors} processors but "
+            f"{spec.name} only has {spec.num_processors}"
+        )
+    return job.length_mi / (spec.mips * job.num_processors)
+
+
+def parent_communication_time(job, spec):
+    return job.comm_data_gb / spec.bandwidth_gbps
+
+
+def parent_execution_time(job, spec):
+    """``execution_time`` as the two calls it folds (copied)."""
+    return parent_compute_time(job, spec) + parent_communication_time(job, spec)
+
+
+class TestExecutionTimeOracle:
+    """``execution_time`` in one call against the two calls it folds."""
+
+    @given(
+        length=st.floats(min_value=1.0, max_value=1e12),
+        procs=st.integers(min_value=1, max_value=128),
+        cluster=st.integers(min_value=1, max_value=64),
+        mips=st.floats(min_value=1.0, max_value=5000.0),
+        bandwidth=st.floats(min_value=0.01, max_value=100.0),
+        comm=st.floats(min_value=0.0, max_value=1e4),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_execution_time_is_compute_plus_communication_bit_for_bit(
+        self, length, procs, cluster, mips, bandwidth, comm
+    ):
+        spec = make_spec(num_processors=cluster, mips=mips, bandwidth_gbps=bandwidth)
+        job = make_job(length_mi=length, num_processors=procs, comm_data_gb=comm)
+        if procs > cluster:
+            with pytest.raises(ValueError) as raised:
+                execution_time(job, spec)
+            with pytest.raises(ValueError) as expected:
+                parent_execution_time(job, spec)
+            assert str(raised.value) == str(expected.value)
+            with pytest.raises(ValueError) as raised:
+                compute_time(job, spec)
+            assert str(raised.value) == str(expected.value)
+            return
+        assert execution_time(job, spec) == parent_execution_time(job, spec)
+        assert compute_time(job, spec) == parent_compute_time(job, spec)

@@ -271,3 +271,106 @@ class TestOracle:
         head.merge_from(tail)
         assert _queries(head, names) == _queries(ledger, names)
         assert [job.messages for job in twins] == [job.messages for job in jobs]
+
+
+# --------------------------------------------------------------------------- #
+# Oracle: a round trip booked in one call against the two calls it replaced
+# --------------------------------------------------------------------------- #
+class TwoCallLedger(MessageLog):
+    """The ledger before round trips were booked in one call: ``record``
+    copied from it, and a round trip as a NEGOTIATE ``record`` followed, if
+    the responder answered, by a REPLY ``record`` with the endpoints
+    swapped."""
+
+    def record(self, mtype, sender, receiver, job) -> None:  # type: ignore[override]
+        if sender == receiver:
+            raise ValueError("inter-GFA messages require two distinct endpoints")
+        origin = job.origin
+        if origin == sender:
+            remote = receiver
+        elif origin == receiver:
+            remote = sender
+        else:
+            raise ValueError(
+                f"message endpoints ({sender!r}, {receiver!r}) do not include the "
+                f"job's origin GFA {origin!r}"
+            )
+        slots = self._slots
+        slot = slots.get(origin)
+        if slot is None:
+            slot = self._new_slot(origin)
+        self._local[slot] += 1
+        slot = slots.get(remote)
+        if slot is None:
+            slot = self._new_slot(remote)
+        self._remote[slot] += 1
+        self._by_type[mtype.index] += 1
+        job.messages += 1
+
+    def roundtrip(self, sender, receiver, job, replied) -> None:
+        self.record(MessageType.NEGOTIATE, sender, receiver, job)
+        if replied:
+            self.record(MessageType.REPLY, receiver, sender, job)
+
+
+@st.composite
+def roundtrip_streams(draw):
+    """Round trips in both directions, answered or not, plus strays whose
+    endpoints repeat or miss the job's origin, interleaved with
+    registrations."""
+    names = [f"GFA-{i}" for i in range(draw(st.integers(2, 6)))]
+    origins = draw(st.lists(st.sampled_from(names), min_size=1, max_size=5))
+    trip = st.tuples(
+        st.just("trip"),
+        st.integers(0, len(origins) - 1),
+        st.sampled_from(names),
+        st.sampled_from(names),
+        st.sampled_from(["out", "back", "stray"]),
+        st.booleans(),
+    )
+    register = st.tuples(st.just("register"), st.sampled_from(names))
+    return names, origins, draw(st.lists(st.one_of(trip, trip, trip, register), max_size=60))
+
+
+def _outcome(book) -> str:
+    try:
+        book()
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+    return "ok"
+
+
+class TestRoundTripOracle:
+    @given(stream=roundtrip_streams())
+    @settings(max_examples=200, deadline=None)
+    def test_one_call_round_trip_matches_two_records(self, stream):
+        """Every query, every ``Job.messages`` and every ``ValueError`` of
+        ``record(NEGOTIATE, ..., replied)`` equal the two-call ledger's, and
+        a refused call leaves the ledger exactly as it was."""
+        names, origins, ops = stream
+        jobs = [make_job(origin=origin) for origin in origins]
+        twins = [make_job(origin=origin) for origin in origins]
+        ledger, reference = MessageLog(), TwoCallLedger()
+        for op in ops:
+            if op[0] == "register":
+                ledger.register_gfa(op[1])
+                reference.register_gfa(op[1])
+                continue
+            _kind, index, peer, other, shape, replied = op
+            origin = origins[index]
+            sender, receiver = {
+                "out": (origin, peer),
+                "back": (peer, origin),
+                "stray": (peer, other),
+            }[shape]
+            before = _queries(ledger, names)
+            outcome = _outcome(
+                lambda: ledger.record(MessageType.NEGOTIATE, sender, receiver, jobs[index], replied)
+            )
+            assert outcome == _outcome(
+                lambda: reference.roundtrip(sender, receiver, twins[index], replied)
+            )
+            if outcome != "ok":
+                assert _queries(ledger, names) == before
+            assert _queries(ledger, names) == _queries(reference, names)
+            assert [job.messages for job in jobs] == [job.messages for job in twins]

@@ -20,6 +20,7 @@ import pytest
 
 from repro.core.messages import MessageType
 from repro.metrics import network_summary
+from repro.net.transport import TransportStats
 from repro.scenario import Scenario, result_fingerprint, run_scenario
 from repro.validate import assert_valid
 
@@ -108,6 +109,70 @@ class TestDerivedMessageAccounting:
         kinds = result.network.control_by_kind
         assert kinds.get("unsubscribe", 0) > 0
         assert kinds["subscribe"] - kinds["unsubscribe"] == len(result.directory)
+
+
+class TestWanAccountingPinned:
+    """Every ``TransportStats`` field, the directory's query totals and the
+    per-type counts of one WAN economy run, with and without a chaos plan,
+    compared with ``==`` (floats included).  The fingerprint hashes none of
+    these, so a reordered float sum, a misbooked REPLY or a changed query
+    charge would pass every digest; the chaos run reaches window loss, link
+    loss, transit loss and membership churn."""
+
+    PINNED = {
+        "none": dict(
+            fingerprint="c37ac2892724797ff5fde4e0a20c7456d1642003d24bb7a6c5199d76907edd28",
+            network=TransportStats(
+                messages=6801,
+                volume_mb=9987.108000001339,
+                latency_s=144.97311932828632,
+                timeouts=11,
+                link_losses=11,
+                transit_losses=0,
+                delayed_deliveries=1247,
+                control_messages=2363,
+                control_by_kind={"query": 2331, "subscribe": 32},
+            ),
+            queries=(2331, 11655),
+            per_type=[2159, 2148, 1247, 1247],
+        ),
+        "chaos": dict(
+            fingerprint="7d8bdd7135959a398856b59a6fe02dde5cfa8583264bce6f381d41e1ef1fe82b",
+            network=TransportStats(
+                messages=5774,
+                volume_mb=9049.288000001023,
+                latency_s=125.11271667579196,
+                timeouts=37,
+                link_losses=13,
+                transit_losses=18,
+                delayed_deliveries=1112,
+                control_messages=1989,
+                control_by_kind={"query": 1939, "subscribe": 41, "unsubscribe": 9},
+            ),
+            queries=(1939, 9695),
+            per_type=[1786, 1749, 1130, 1109],
+        ),
+    }
+
+    @pytest.mark.parametrize("faults", sorted(PINNED))
+    def test_wan_economy_accounting_is_pinned(self, faults):
+        pinned = self.PINNED[faults]
+        scenario = Scenario(
+            mode="economy",
+            oft_fraction=0.3,
+            system_size=32,
+            thin=8,
+            transport="two-tier-wan",
+            seed=42,
+            faults=faults,
+        )
+        result = run_scenario(scenario)
+        assert result_fingerprint(result) == pinned["fingerprint"]
+        assert result.network == pinned["network"]
+        directory = result.directory
+        assert (directory.query_count, directory.assumed_query_messages) == pinned["queries"]
+        per_type = [result.message_log.count_by_type(mtype) for mtype in MessageType]
+        assert per_type == pinned["per_type"]
 
 
 class TestWanRuns:

@@ -9,10 +9,14 @@ transport's own :class:`~repro.core.messages.MessageLog`.
 
 from __future__ import annotations
 
+import copy
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.messages import MessageType
 from repro.faults.plan import NetworkPerturbation
@@ -27,6 +31,7 @@ from repro.net import (
     build_topology,
     register_topology,
 )
+from repro.net.topology import LOOPBACK
 from repro.sim.engine import Simulator
 from repro.workload.job import Job
 
@@ -372,3 +377,189 @@ class TestFastPath:
         second = transport.transfer("A", "B", make_job())
         assert first == ("deliver", 0.0)
         assert first is second  # no per-transfer allocation on the fast path
+
+
+# --------------------------------------------------------------------------- #
+# Oracles: the one-pass round trip and link lookup against the code they
+# replaced, copied here
+# --------------------------------------------------------------------------- #
+class TwoCallTransport(Transport):
+    """The round trip before it was booked in one ledger call: ``roundtrip``
+    and ``_record`` copied from it."""
+
+    def roundtrip(self, src, dst, job, responder_alive=True, size_mb=0.002):
+        if self._fast:
+            self._record(MessageType.NEGOTIATE, src, dst, job, size_mb, 0.0)
+            if not responder_alive:
+                self.stats.timeouts += 1
+                return False
+            self._record(MessageType.REPLY, dst, src, job, size_mb, 0.0)
+            return True
+        link = self.topology.link(src, dst)
+        self._record(MessageType.NEGOTIATE, src, dst, job, size_mb, link.latency_s)
+        if not responder_alive:
+            self.stats.timeouts += 1
+            return False
+        window = self._window_at(self.sim.now)
+        if window is not None and window.loss_rate > 0.0:
+            if self._fault_rng.random() < window.loss_rate:
+                self.stats.timeouts += 1
+                return False
+        if link.loss_rate > 0.0 and self._draw() < link.loss_rate:
+            self.stats.link_losses += 1
+            self.stats.timeouts += 1
+            return False
+        self._record(MessageType.REPLY, dst, src, job, size_mb, link.latency_s)
+        return True
+
+    def _record(self, mtype, sender, receiver, job, size_mb, latency_s):
+        stats = self.stats
+        stats.messages += 1
+        stats.volume_mb += size_mb
+        stats.latency_s += latency_s
+        self.log.record(mtype, sender, receiver, job)
+
+
+def parent_wan_link(topology: TwoTierWanTopology, src: str, dst: str) -> LinkProfile:
+    """``TwoTierWanTopology.link`` before it resolved sites by dict lookup."""
+    if src == dst:
+        return LOOPBACK
+    a, b = topology.site_of(src), topology.site_of(dst)
+    if a == b:
+        return topology._lan
+    return topology._wan[(min(a, b), max(a, b))]
+
+
+#: Members, a stranger and the entity names that repeat in the streams.
+_ORACLE_NAMES = [f"GFA-{i}" for i in range(6)]
+
+
+@st.composite
+def roundtrip_worlds(draw):
+    """A topology (free, lossy uniform or lossy WAN), loss windows over the
+    stream's first minutes, and a stream of round trips a few seconds apart
+    between members and a stranger, from or to the job's origin; it may end
+    with a stray: an entity enquiring of itself, or a pair that misses the
+    job's origin."""
+    kind = draw(st.sampled_from(["free", "uniform", "uniform", "wan", "wan"]))
+    loss = draw(st.sampled_from([0.0, 0.3, 0.7]))
+    windows = draw(
+        st.lists(
+            st.tuples(st.integers(0, 20), st.integers(10, 60), st.sampled_from([0.0, 0.5, 0.9])),
+            max_size=3,
+        )
+    )
+    names = _ORACLE_NAMES + ["stranger"]
+    trips = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, 2),
+                st.integers(0, len(names) - 1),
+                st.integers(1, len(names) - 1),
+                st.booleans(),
+                st.sampled_from(["out", "back"]),
+            ),
+            max_size=40,
+        )
+    )
+    stray = draw(st.sampled_from([None, None, "self", "foreign"]))
+    if stray is not None:
+        trips.append((1, 0, 1, True, stray))
+    stream = []
+    for step, index, offset, alive, shape in trips:
+        src, dst = names[index], names[(index + offset) % len(names)]
+        origin = {"out": src, "back": dst, "self": src, "foreign": "nobody"}[shape]
+        stream.append((step, src, src if shape == "self" else dst, alive, origin))
+    return kind, loss, windows, stream, draw(st.integers(0, 2**16))
+
+
+def _world_transport(cls, kind, loss, windows, seed):
+    if kind == "free":
+        topology = UniformTopology()
+    elif kind == "uniform":
+        topology = UniformTopology(latency_s=0.013, loss_rate=loss)
+    else:
+        topology = TwoTierWanTopology(
+            _ORACLE_NAMES,
+            rng=np.random.default_rng(seed),
+            sites=3,
+            wan_loss_range=(loss, loss + 0.05),
+        )
+    transport = cls(SimpleNamespace(now=0.0), topology, rng=np.random.default_rng(seed + 1))
+    if windows:
+        perturbations = [
+            NetworkPerturbation(start=float(start), end=float(start + length), loss_rate=rate)
+            for start, length, rate in windows
+        ]
+        transport.set_perturbations(perturbations, np.random.default_rng(seed + 2))
+    return transport
+
+
+class TestRoundTripOracle:
+    @given(world=roundtrip_worlds())
+    @settings(max_examples=200, deadline=None)
+    def test_one_pass_round_trip_matches_the_two_call_one(self, world):
+        """Same answers, same ``TransportStats`` (floats compared with
+        ``==``, so the NEGOTIATE-then-REPLY sum order counts), same ledger,
+        same ``Job.messages``, and both random streams left in the same
+        state: no extra, missing or reordered draw.  A self-addressed or
+        origin-less enquiry raises the same ``ValueError`` in both and ends
+        the stream; the one-pass round trip raises it before counting
+        anything, where the two-call one had added its NEGOTIATE to the
+        stats (its fate draws come first, so the streams are not compared
+        after one)."""
+        kind, loss, windows, trips, seed = world
+        new, old = (
+            _world_transport(cls, kind, loss, windows, seed) for cls in (Transport, TwoCallTransport)
+        )
+        now = 0.0
+        failed = False
+        for step, src, dst, alive, origin in trips:
+            now += step * 5.0
+            before = copy.deepcopy(new.stats)
+            outcomes = []
+            for transport in (new, old):
+                transport.sim.now = now
+                job = make_job(origin=origin)
+                try:
+                    outcomes.append((transport.roundtrip(src, dst, job, alive), job.messages))
+                except ValueError as exc:
+                    outcomes.append(("ValueError", str(exc)))
+            assert outcomes[0] == outcomes[1]
+            if outcomes[0][0] == "ValueError":
+                assert new.stats == before
+                failed = True
+                break
+        for mtype in MessageType:
+            assert new.log.count_by_type(mtype) == old.log.count_by_type(mtype)
+        assert new.log.gfa_names() == old.log.gfa_names()
+        for name in new.log.gfa_names():
+            assert new.log.counters(name) == old.log.counters(name)
+        if not failed:
+            assert new.stats == old.stats
+            assert new._rng.bit_generator.state == old._rng.bit_generator.state
+            if windows:
+                assert new._fault_rng.bit_generator.state == old._fault_rng.bit_generator.state
+
+
+class TestWanLinkOracle:
+    @given(
+        seed=st.integers(0, 2**16),
+        sites=st.integers(1, 5),
+        pairs=st.lists(
+            st.tuples(
+                st.sampled_from(_ORACLE_NAMES + ["stranger", "other stranger"]),
+                st.sampled_from(_ORACLE_NAMES + ["stranger", "other stranger"]),
+            ),
+            min_size=1,
+            max_size=30,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_link_matches_the_site_of_min_max_lookup(self, seed, sites, pairs):
+        """The same profile object for members, strangers and self-links,
+        in both directions."""
+        topology = TwoTierWanTopology(_ORACLE_NAMES, rng=np.random.default_rng(seed), sites=sites)
+        for src, dst in pairs:
+            assert topology.link(src, dst) is parent_wan_link(topology, src, dst)
+            assert topology.link(dst, src) is parent_wan_link(topology, dst, src)

@@ -9,6 +9,7 @@ control message of its kind, and a call that fails charges nothing.
 from __future__ import annotations
 
 import collections
+import contextlib
 import itertools
 import math
 
@@ -194,6 +195,79 @@ class TestAccounting:
         assert session.kth(1).gfa_name == "GFA-14"
         assert directory.assumed_query_messages == 4 + theoretical_query_messages(2)
         assert directory.query_count == 2
+
+    _CHANGE = st.tuples(
+        st.sampled_from(["subscribe", "subscribe", "replica", "unsubscribe", "update-quote"]),
+        st.integers(min_value=0, max_value=9),
+        st.floats(min_value=0.5, max_value=9.5),
+    )
+
+    @given(
+        ops=st.lists(
+            st.one_of(
+                _CHANGE,
+                st.tuples(st.sampled_from(["probe", "next"]), st.integers(0, 9), st.just(0.0)),
+                st.tuples(st.just("batch"), st.lists(_CHANGE, min_size=1, max_size=4)),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_each_probe_is_charged_the_live_membership(self, ops):
+        """After any mix of subscribes (charged or replica), unsubscribes,
+        quote updates and batched storms of them, each probe adds exactly
+        the assumed cost of the membership at that probe, computed as the
+        per-probe formula did; a probe inside a batch is refused and
+        charges nothing.  Long-lived sessions and fresh ones alike."""
+
+        def per_probe_charge(system_size: int) -> int:
+            if system_size < 1:
+                raise ValueError("system size must be at least 1")
+            return max(1, math.ceil(math.log2(system_size))) if system_size > 1 else 1
+
+        directory = FederationDirectory()
+        sessions = [directory.open_session(criterion) for criterion in RankCriterion]
+
+        def change(kind, idx, price):
+            name = f"GFA-{idx}"
+            with contextlib.suppress(OverlayError):
+                if kind == "subscribe":
+                    directory.subscribe(name, make_spec(name, price))
+                elif kind == "replica":
+                    directory.subscribe(name, make_spec(name, price), replica=True)
+                elif kind == "unsubscribe":
+                    directory.unsubscribe(name)
+                else:
+                    directory.update_quote(name, make_spec(name, price))
+
+        for op in ops:
+            kind = op[0]
+            if kind == "batch":
+                with directory.batch_updates():
+                    for inner in op[1]:
+                        change(*inner)
+                    charged = directory.assumed_query_messages
+                    with pytest.raises(OverlayError):
+                        sessions[0].kth(1)
+                    assert directory.assumed_query_messages == charged
+            elif kind in ("probe", "next"):
+                idx = op[1]
+                charged = directory.assumed_query_messages
+                queries = directory.query_count
+                expected = per_probe_charge(max(len(directory), 1))
+                if kind == "next":
+                    sessions[idx % 2].next()
+                elif idx % 3 == 0:
+                    sessions[idx % 2].kth(idx // 3 + 1)
+                else:
+                    kth(directory, RankCriterion.CHEAPEST, idx + 1)
+                # next() probes once more per quote it skips as already served.
+                probes = directory.query_count - queries
+                assert probes >= 1
+                assert directory.assumed_query_messages - charged == probes * expected
+            else:
+                change(*op)
 
     def test_theoretical_query_messages(self):
         assert theoretical_query_messages(1) == 1
