@@ -49,8 +49,10 @@ scenario data too — see ``docs/ARCHITECTURE.md``::
     result = run_scenario(Scenario(transport="two-tier-wan"))
     print(result.network.messages, result.network.latency_s)
 
-See ``DESIGN.md`` for the system inventory and ``EXPERIMENTS.md`` for the
-paper-versus-measured record of every table and figure.
+See ``docs/ARCHITECTURE.md`` for the system inventory.
+``scripts/generate_experiments_md.py`` writes ``EXPERIMENTS.md``, the
+paper-versus-measured record of every table and figure; that file is not
+checked in.
 """
 
 from repro.core import (

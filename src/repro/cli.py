@@ -47,7 +47,9 @@ scenarios from the shell::
     gridfed daemon --state state/daemon --port 8414
 
 ``--thin N`` keeps every N-th job and makes exploratory runs fast; the
-EXPERIMENTS.md record was produced with ``--thin 1`` (the default).
+paper-versus-measured record (``EXPERIMENTS.md``, which
+``scripts/generate_experiments_md.py`` writes; it is not checked in) runs
+Experiments 1-4 at ``--thin 1`` (the default).
 ``--workers N`` runs sweep points across N processes — results are identical
 to the serial path (every point re-seeds from its own scenario).  On ``run``
 and ``profile`` it is the scenario's ``parallel`` field instead: it shards

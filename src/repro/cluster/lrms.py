@@ -34,7 +34,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.cluster.machine import NodePool
 from repro.cluster.profile import AvailabilityProfile
 from repro.cluster.specs import ResourceSpec, execution_time
-from repro.sim.engine import ScheduledEvent, Simulator
+from repro.sim.engine import Simulator
 from repro.workload.job import Job, JobStatus
 
 
@@ -74,10 +74,9 @@ class SpaceSharedLRMS:
         self.on_job_complete = on_job_complete
         self.nodes = NodePool(spec.num_processors)
         self._queue: List[Job] = []
-        self._running: Dict[int, Tuple[Job, float]] = {}  # job_id -> (job, finish time)
-        # Finish-event handles so a crash (fail_all) can cancel in-flight
-        # completions; empty overhead on the no-fault path.
-        self._finish_events: Dict[int, "ScheduledEvent"] = {}
+        # job_id -> (job, finish time, finish event's seq); the seq lets a
+        # crash (fail_all) cancel the in-flight completion.
+        self._running: Dict[int, Tuple[Job, float, int]] = {}
         #: Optional hook fired on every state change (the parallel engine
         #: sets it to maintain a dirty set instead of scanning every cluster
         #: at every barrier); ``None`` costs one attribute check.
@@ -135,11 +134,6 @@ class SpaceSharedLRMS:
             raise ValueError("observation period must be positive")
         return self.busy_node_seconds / (self.spec.num_processors * period)
 
-    def _touch(self) -> None:
-        """Notify the observer, if any, of a queue/running-set change."""
-        if self.on_state_change is not None:
-            self.on_state_change()
-
     # ------------------------------------------------------------------ #
     # Submission and execution
     # ------------------------------------------------------------------ #
@@ -153,7 +147,8 @@ class SpaceSharedLRMS:
             )
         job.mark_queued(self.spec.name)
         self.jobs_submitted += 1
-        self._touch()
+        if self.on_state_change is not None:
+            self.on_state_change()
         if not self._queue and job.num_processors <= self.nodes.free_count:
             self._start(job)
             return
@@ -223,7 +218,9 @@ class SpaceSharedLRMS:
 
     def _start(self, job: Job) -> None:
         now = self.sim.now
-        predicted = self._predicted.pop(job.job_id, None)
+        # Only a live profile predicts starts, so with none there is nothing
+        # to pop.
+        predicted = self._predicted.pop(job.job_id, None) if self._predicted else None
         if predicted is not None and predicted[0] == now:
             runtime = predicted[1]
         else:
@@ -232,28 +229,35 @@ class SpaceSharedLRMS:
             # longer describe the cluster.  The record still gives the
             # runtime if it is this job's at this instant.
             record = self._estimate
-            self._drop_profile()
+            self._estimate = None
+            if self._profile is not None:
+                self._profile = None
+                self._predicted.clear()
             if record is not None and record[0] is job and record[1] == now:
                 runtime = record[3]
             else:
-                runtime = self.runtime_of(job)
+                runtime = execution_time(job, self.spec)
         self.nodes.allocate(job.job_id, job.num_processors)
         job.mark_running(now)
         finish = now + runtime
-        self._running[job.job_id] = (job, finish)
-        self._finish_events[job.job_id] = self.sim.schedule_at(finish, self._finish, job.job_id)
+        self._running[job.job_id] = (
+            job,
+            finish,
+            self.sim.schedule_at(finish, self._finish, job.job_id),
+        )
 
     def _finish(self, job_id: int) -> None:
-        self._touch()
-        self._finish_events.pop(job_id, None)
-        job, _finish = self._running.pop(job_id)
+        if self.on_state_change is not None:
+            self.on_state_change()
+        job = self._running.pop(job_id)[0]
         self.nodes.release(job_id)
-        started = job.start_time if job.start_time is not None else self.sim.now
-        elapsed = self.sim.now - started
-        self.busy_node_seconds += job.num_processors * elapsed
-        job.mark_completed(self.sim.now)
+        now = self.sim.now
+        started = job.start_time if job.start_time is not None else now
+        self.busy_node_seconds += job.num_processors * (now - started)
+        job.mark_completed(now)
         self.jobs_completed += 1
-        self.last_finish_time = max(self.last_finish_time, self.sim.now)
+        if now > self.last_finish_time:
+            self.last_finish_time = now
         if self._queue:
             self._dispatch()
         if self.on_job_complete is not None:
@@ -274,10 +278,8 @@ class SpaceSharedLRMS:
         """
         now = self.sim.now
         killed: List[Job] = []
-        for job_id, (job, _finish) in self._running.items():
-            handle = self._finish_events.pop(job_id, None)
-            if handle is not None and not handle.cancelled:
-                self.sim.cancel(handle)
+        for job_id, (job, _finish, seq) in self._running.items():
+            self.sim.cancel(seq)
             self.nodes.release(job_id)
             started = job.start_time if job.start_time is not None else now
             self.busy_node_seconds += job.num_processors * (now - started)
@@ -286,7 +288,8 @@ class SpaceSharedLRMS:
         killed.extend(self._queue)
         self._queue.clear()
         self._drop_profile()
-        self._touch()
+        if self.on_state_change is not None:
+            self.on_state_change()
         return killed
 
     # ------------------------------------------------------------------ #
@@ -355,7 +358,7 @@ class SpaceSharedLRMS:
         return AvailabilityProfile.until_released(
             self.spec.num_processors,
             self.sim.now,
-            [(finish, job.num_processors) for job, finish in self._running.values()],
+            [(finish, job.num_processors) for job, finish, _seq in self._running.values()],
         )
 
     def _reserve(self, job: Job) -> None:
@@ -416,7 +419,7 @@ class SpaceSharedLRMS:
         now = self.sim.now
         node_seconds = sum(
             (finish - now) * job.num_processors
-            for job, finish in self._running.values()
+            for job, finish, _seq in self._running.values()
         )
         for job in self._queue:
             node_seconds += self.runtime_of(job) * job.num_processors
@@ -424,19 +427,19 @@ class SpaceSharedLRMS:
 
     def can_meet_deadline(self, job: Job) -> bool:
         """True if the job's absolute deadline can (still) be met here."""
-        deadline = job.absolute_deadline
+        deadline = job.deadline
         if deadline is None:
             return True
-        if not self.spec.can_run(job):
+        if job.num_processors > self.spec.num_processors:
             return False
-        return self.estimate_completion_time(job) <= deadline + 1e-9
+        return self.estimate_completion_time(job) <= (job.submit_time + deadline) + 1e-9
 
     # ------------------------------------------------------------------ #
     # Test helpers
     # ------------------------------------------------------------------ #
     def running_jobs(self) -> List[Job]:
         """Snapshot of the currently executing jobs."""
-        return [job for job, _ in self._running.values()]
+        return [job for job, _finish, _seq in self._running.values()]
 
     def queued_jobs(self) -> List[Job]:
         """Snapshot of the queued (not yet started) jobs."""

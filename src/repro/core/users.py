@@ -64,25 +64,23 @@ class UserPopulation:
             raise RuntimeError(f"{self.name}: population already started")
         self._started = True
         self._first_seq = self.sim.reserve_seqs(len(self._jobs))
-        self._schedule_next()
-
-    def _schedule_next(self) -> None:
-        index = self.submitted
-        if index < len(self._jobs):
-            self.sim.schedule_reserved(
-                self._first_seq + index, self._jobs[index].submit_time, self._submit
-            )
+        if self._jobs:
+            self.sim.schedule_reserved(self._first_seq, self._jobs[0].submit_time, self._submit)
 
     def _submit(self) -> None:
-        job = self._jobs[self.submitted]
-        self.submitted += 1
-        self._schedule_next()
+        jobs = self._jobs
+        index = self.submitted
+        self.submitted = index + 1
+        if index + 1 < len(jobs):
+            self.sim.schedule_reserved(
+                self._first_seq + index + 1, jobs[index + 1].submit_time, self._submit
+            )
         # The GFA takes the job at the arrival's own key, (time, 0, the seq
         # reserved by start()): an event due at this instant that was
         # scheduled before the population started (a fault, the pricing
         # ticker) has already run, and one scheduled after it (a job finish)
         # runs once the GFA has the job.
-        self.gfa.submit_local_job(job)
+        self.gfa.submit_local_job(jobs[index])
 
     # ------------------------------------------------------------------ #
     # Introspection

@@ -11,7 +11,8 @@ One module per experiment:
 Every scenario builder and sweep accepts a ``thin`` parameter (keep every
 ``thin``-th job) so that benchmarks and examples can run reduced-scale versions
 of the same code path; ``thin=1`` reproduces the full two-day workload used in
-EXPERIMENTS.md.
+``EXPERIMENTS.md``, which ``scripts/generate_experiments_md.py`` writes (the
+file is not checked in).
 """
 
 from repro.experiments.common import (

@@ -3,7 +3,8 @@
 The benchmark harnesses print the same rows the paper reports; these helpers
 keep that formatting in one place (aligned ASCII columns, stable float
 formatting) so the output of ``pytest benchmarks/ --benchmark-only`` and of
-the ``gridfed`` CLI is easy to diff against EXPERIMENTS.md.
+the ``gridfed`` CLI is easy to diff against ``EXPERIMENTS.md``, which
+``scripts/generate_experiments_md.py`` writes (the file is not checked in).
 """
 
 from __future__ import annotations

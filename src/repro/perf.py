@@ -264,9 +264,10 @@ def bench_directory_queries(
 def bench_event_kernel(events: int, repeats: int = 1, seed: int = 0) -> Dict[str, object]:
     """Schedule/cancel/fire ``events`` callbacks; report events per second.
 
-    Every event is scheduled up front at a random time and ~5% of handles
-    are cancelled before firing.  Runs through the full :class:`Simulator`,
-    so it includes the engine's fixed per-event overhead.
+    Every event is scheduled up front at a random time and ~5% of them are
+    cancelled, by the sequence number ``schedule`` returned, before firing.
+    Runs through the full :class:`Simulator`, so it includes the engine's
+    fixed per-event overhead: one heap tuple and one live-set entry each.
     """
     rng = np.random.default_rng(seed)
     delays = rng.random(events) * 1_000.0
@@ -276,11 +277,10 @@ def bench_event_kernel(events: int, repeats: int = 1, seed: int = 0) -> Dict[str
         sim = Simulator()
         sink: List[float] = []
         start = time.perf_counter()
-        handles = [sim.schedule(float(delay), sink.append, float(delay)) for delay in delays]
-        for handle, cancel in zip(handles, cancel_mask):
+        seqs = [sim.schedule(float(delay), sink.append, float(delay)) for delay in delays]
+        for seq, cancel in zip(seqs, cancel_mask):
             if cancel:
-                sim.cancel(handle)
-        del handles
+                sim.cancel(seq)
         sim.run()
         elapsed = time.perf_counter() - start
         assert sim.pending == 0

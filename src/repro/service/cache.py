@@ -33,8 +33,10 @@ __all__ = ["CACHE_FORMAT_VERSION", "PersistentResultCache"]
 #: v2: results carry the slot-list ``MessageLog`` and ``TransportStats``
 #: without ``by_type`` / ``per_job``.  v3: a result's live directory pickles
 #: sorted ``(key, quote)`` lists in place of skip lists.  v4: it also
-#: pickles its per-probe query charge.
-CACHE_FORMAT_VERSION = 4
+#: pickles its per-probe query charge.  v5: the simulator a result reaches
+#: through its directory's transport pickles plain heap tuples and live seqs
+#: in place of event handles.
+CACHE_FORMAT_VERSION = 5
 
 _SUFFIX = ".result.pkl"
 

@@ -72,8 +72,12 @@ __all__ = [
 #: the payload carries no event-id counter.  v7: each LRMS pickles its last
 #: admission estimate ``(job, now, start, runtime)`` and keeps a
 #: ``(start, runtime)`` pair per predicted job in place of a start.  v8: the
-#: directory pickles its per-probe query charge (``_query_charge``).
-SNAPSHOT_FORMAT_VERSION = 8
+#: directory pickles its per-probe query charge (``_query_charge``).  v9:
+#: the simulator's heap holds ``(time, priority, seq, callback, args)``
+#: tuples and a set of live seqs (no event handles, pool or pending
+#: counter), and each LRMS keeps its finish event's seq in ``_running`` in
+#: place of a ``_finish_events`` map.
+SNAPSHOT_FORMAT_VERSION = 9
 
 _MAGIC = b"gridfed-snapshot\n"
 _WHAT = "gridfed snapshot"
@@ -306,8 +310,9 @@ def load_snapshot(
 #: v7: shards pickle the v6 snapshot graph (sorted-list directory, no event
 #: envelope, no event-id counter).  v8: shards pickle the v7 LRMS (the
 #: estimate record and ``(start, runtime)`` predictions).  v9: shards pickle
-#: the v8 directory (its query charge).
-PAR_CHECKPOINT_VERSION = 9
+#: the v8 directory (its query charge).  v10: shards pickle the v9 simulator
+#: and LRMS (plain heap tuples, live seqs, no event handles).
+PAR_CHECKPOINT_VERSION = 10
 
 _PAR_MAGIC = b"gridfed-par-state\n"
 _PAR_WHAT = "parallel checkpoint state file"

@@ -1,16 +1,17 @@
 """Core discrete-event simulation engine.
 
 The :class:`Simulator` keeps scheduled callbacks in one binary heap
-(``heapq`` over bare ``(time, priority, seq, event)`` tuples) ordered by
-(time, priority, sequence-number).  The sequence number guarantees a stable,
-deterministic ordering for events scheduled at identical timestamps, which is
-essential for reproducible experiments: two runs with the same seeds produce
-bit-identical schedules.  This is a *contract*, not an implementation detail:
-latency-bearing transports routinely land independent messages on the same
-timestamp, and their delivery order must be schedule order — never a heap
-insertion accident.  ``tests/test_delivery_order.py`` pins the guarantee
-(the tests fail against a seq-less heap, whose equal-key pop order depends
-on push/pop history).
+(``heapq`` over plain ``(time, priority, seq, callback, args)`` tuples)
+ordered by (time, priority, sequence-number).  The sequence number guarantees
+a stable, deterministic ordering for events scheduled at identical
+timestamps, which is essential for reproducible experiments: two runs with
+the same seeds produce bit-identical schedules.  This is a *contract*, not an
+implementation detail: latency-bearing transports routinely land independent
+messages on the same timestamp, and their delivery order must be schedule
+order — never a heap insertion accident.  ``tests/test_delivery_order.py``
+pins the guarantee (the tests fail against a seq-less heap, whose equal-key
+pop order depends on push/pop history).  Because every seq is unique, a
+tuple comparison never reaches the callback.
 
 The engine is deliberately callback-based rather than coroutine-based: the
 Grid-Federation entities (GFAs, LRMSes, user populations) are reactive state
@@ -21,91 +22,40 @@ Three hot-path details worth knowing:
 * **One loop** — :meth:`Simulator.step`, :meth:`Simulator.run` and
   :meth:`Simulator.run_window` all fire events through the same private
   loop, which pops while the heap head lies inside an end bound.
-* **Handle pooling** — fired :class:`ScheduledEvent` handles that nobody else
-  references (checked by refcount) are recycled into the next ``schedule``
-  call instead of being reallocated; handles a caller retains are simply
-  never pooled, so the optimisation is invisible.
+* **Events are their sequence numbers** — every ``schedule*`` call returns
+  the event's ``seq``, and the simulator keeps the set of live (scheduled,
+  not yet fired, drained or cancelled) seqs.  :meth:`Simulator.cancel`
+  takes a seq out of that set; :attr:`Simulator.pending` is its size.
+  Nothing is allocated per event beyond its heap tuple.
 * **Cancellation compaction** — a heap cannot delete from the middle, so a
-  cancelled event stays put until it surfaces; the heap is compacted once
-  dead entries outnumber live ones, so churn-heavy runs keep its length
-  proportional to the *live* event population instead of growing without
-  bound.
+  cancelled entry stays put until it surfaces, where the loop drops it; the
+  heap is compacted in place once dead entries outnumber live ones, so
+  churn-heavy runs keep its length proportional to the *live* event
+  population instead of growing without bound.
 """
 
 from __future__ import annotations
 
 import math
 from heapq import heapify, heappop, heappush
-from sys import getrefcount
-from typing import Any, Callable, Iterator, List, Optional, Tuple
-
-#: Fired handles kept for reuse; beyond this, handles are left to the GC.
-_POOL_MAX = 512
+from typing import Any, Callable, Iterator, List, NoReturn, Optional, Set, Tuple
 
 #: Dead heap entries tolerated before compaction (and the floor below which
 #: compaction is never worth the rebuild).
 _COMPACT_MIN_DEAD = 64
+
+_INF = math.inf
+
+#: A heap entry: ``(time, priority, seq, callback, args)``.
+HeapEntry = Tuple[float, int, int, Callable[..., None], tuple]
 
 
 class SimulationError(RuntimeError):
     """Raised when the simulator is used incorrectly.
 
     Examples: scheduling an event in the past, running a simulator that has
-    already been stopped, or cancelling an event twice.
+    already been stopped, or cancelling an event that is not pending.
     """
-
-
-class ScheduledEvent:
-    """A handle to a scheduled callback.
-
-    Events are ordered by ``(time, priority, seq)``; the heap stores bare
-    tuples carrying those primitives so ordering comparisons never touch the
-    event object (the unique ``seq`` guarantees it).  The handle is slotted
-    and pooled: federations schedule one event per job arrival and per job
-    completion, so allocation cost and footprint are on the hot path.
-
-    Attributes
-    ----------
-    time:
-        Absolute simulation time at which the callback fires.
-    priority:
-        Tie-breaker for events at the same timestamp; lower fires first.
-    seq:
-        Monotonically increasing sequence number (second tie-breaker).
-    callback:
-        The callable invoked when the event fires.
-    args:
-        Positional arguments passed to the callback.
-    cancelled:
-        True once :meth:`Simulator.cancel` has been called on this handle.
-    """
-
-    __slots__ = ("time", "priority", "seq", "callback", "args", "cancelled", "_queued")
-
-    def __init__(
-        self,
-        time: float,
-        priority: int,
-        seq: int,
-        callback: Callable[..., None],
-        args: tuple = (),
-        cancelled: bool = False,
-    ):
-        self.time = time
-        self.priority = priority
-        self.seq = seq
-        self.callback = callback
-        self.args = args
-        self.cancelled = cancelled
-        # True while the event sits unfired in the heap; the live pending
-        # counter only moves for events in this state.
-        self._queued = True
-
-    def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
-        return (
-            f"ScheduledEvent(time={self.time}, priority={self.priority}, "
-            f"seq={self.seq}, cancelled={self.cancelled})"
-        )
 
 
 class Simulator:
@@ -140,14 +90,13 @@ class Simulator:
         if not math.isfinite(start_time):
             raise SimulationError("start_time must be finite")
         self._now: float = float(start_time)
-        self._heap: List[Tuple[float, int, int, ScheduledEvent]] = []
+        self._heap: List[HeapEntry] = []
+        self._live: Set[int] = set()  # seqs scheduled, not fired/drained/cancelled
         self._seq = 0  # the next sequence number to hand out
         self._running = False
         self._stopped = False
         self._events_processed = 0
-        self._pending = 0  # live (scheduled, not fired, not cancelled) events
         self._trace = trace
-        self._pool: list[ScheduledEvent] = []
 
     # ------------------------------------------------------------------ #
     # Clock and introspection
@@ -166,10 +115,10 @@ class Simulator:
     def pending(self) -> int:
         """Number of live (non-cancelled) events still waiting in the heap.
 
-        Maintained as a counter on schedule/cancel/fire, so reading it is
-        ``O(1)`` — entities may poll it every event (dynamic pricing does).
+        The size of the live-seq set, so reading it is ``O(1)`` — entities
+        may poll it every event (dynamic pricing does).
         """
-        return self._pending
+        return len(self._live)
 
     @property
     def queue_size(self) -> int:
@@ -181,7 +130,7 @@ class Simulator:
         return len(self._heap)
 
     def __len__(self) -> int:
-        return self.pending
+        return len(self._live)
 
     # ------------------------------------------------------------------ #
     # Scheduling
@@ -192,7 +141,7 @@ class Simulator:
         callback: Callable[..., None],
         *args: Any,
         priority: int = 0,
-    ) -> ScheduledEvent:
+    ) -> int:
         """Schedule ``callback(*args)`` to fire ``delay`` time units from now.
 
         Parameters
@@ -206,8 +155,8 @@ class Simulator:
 
         Returns
         -------
-        ScheduledEvent
-            A handle that can be passed to :meth:`cancel`.
+        int
+            The event's sequence number, which :meth:`cancel` takes.
         """
         if delay < 0 or not math.isfinite(delay):
             raise SimulationError(f"delay must be finite and non-negative, got {delay!r}")
@@ -219,13 +168,16 @@ class Simulator:
         callback: Callable[..., None],
         *args: Any,
         priority: int = 0,
-    ) -> ScheduledEvent:
-        """Schedule ``callback(*args)`` at an absolute simulation time."""
-        event = self._handle(time, priority, self._seq, callback, args)
-        self._seq += 1
-        heappush(self._heap, (event.time, priority, event.seq, event))
-        self._pending += 1
-        return event
+    ) -> int:
+        """Schedule ``callback(*args)`` at an absolute simulation time; return
+        the event's sequence number."""
+        if not (self._now <= time < _INF and callable(callback)):
+            self._reject(time, callback)
+        seq = self._seq
+        self._seq = seq + 1
+        heappush(self._heap, (float(time), priority, seq, callback, args))
+        self._live.add(seq)
+        return seq
 
     def reserve_seqs(self, count: int) -> int:
         """Reserve ``count`` consecutive sequence numbers; return the first.
@@ -249,28 +201,35 @@ class Simulator:
         time: float,
         callback: Callable[..., None],
         *args: Any,
-    ) -> ScheduledEvent:
-        """Schedule ``callback(*args)`` at ``time`` under a reserved ``seq``.
+    ) -> int:
+        """Schedule ``callback(*args)`` at ``time`` under a reserved ``seq``;
+        return ``seq``.
 
         ``seq`` must come from :meth:`reserve_seqs`, and each reserved number
-        may be used once; the event has the default priority 0.  The sequence
-        counter does not move, so the next ordinary ``schedule`` draws the
-        number it would have drawn anyway.
+        may be used once; the event has the default priority 0.  A seq that
+        is already pending is refused: the live set names an event by its
+        seq, so a second entry under it would be dropped unfired.  The
+        sequence counter does not move, so the next ordinary ``schedule``
+        draws the number it would have drawn anyway.
         """
-        if not 0 <= seq < self._seq:
-            raise SimulationError(f"sequence number {seq} was never reserved")
-        event = self._handle(time, 0, seq, callback, args)
-        heappush(self._heap, (event.time, 0, seq, event))
-        self._pending += 1
-        return event
+        if not 0 <= seq < self._seq or seq in self._live:
+            raise SimulationError(
+                f"sequence number {seq} was never reserved or is already pending"
+            )
+        if not (self._now <= time < _INF and callable(callback)):
+            self._reject(time, callback)
+        heappush(self._heap, (float(time), 0, seq, callback, args))
+        self._live.add(seq)
+        return seq
 
     def schedule_at_many(
         self,
         items,
         *,
         priority: int = 0,
-    ) -> list[ScheduledEvent]:
-        """Schedule a batch of ``(time, callback, args)`` triples in one call.
+    ) -> List[int]:
+        """Schedule a batch of ``(time, callback, args)`` triples in one call;
+        return their sequence numbers.
 
         Sequence numbers are assigned in iteration order, so the delivery
         order is exactly what the equivalent :meth:`schedule_at` loop would
@@ -278,12 +237,16 @@ class Simulator:
         spikes, cross-shard window injection) pay one heapify instead of one
         sift per event when the burst is large next to the heap.
         """
-        handles: list[ScheduledEvent] = []
+        now = self._now
+        first = seq = self._seq
+        entries: List[HeapEntry] = []
         for time, callback, args in items:
-            handles.append(self._handle(time, priority, self._seq, callback, tuple(args)))
-            self._seq += 1
+            if not (now <= time < _INF and callable(callback)):
+                self._reject(time, callback)
+            entries.append((float(time), priority, seq, callback, tuple(args)))
+            seq += 1
+        self._seq = seq
         heap = self._heap
-        entries = [(event.time, priority, event.seq, event) for event in handles]
         # Below a quarter of the heap size, k sifts (O(k log n)) beat the
         # O(n + k) rebuild; above it, extend + heapify wins.
         if len(entries) * 4 < len(heap):
@@ -292,70 +255,51 @@ class Simulator:
         else:
             heap.extend(entries)
             heapify(heap)
-        self._pending += len(handles)
-        return handles
+        seqs = range(first, seq)
+        self._live.update(seqs)
+        return list(seqs)
 
-    def _handle(
-        self,
-        time: float,
-        priority: int,
-        seq: int,
-        callback: Callable[..., None],
-        args: tuple,
-    ) -> ScheduledEvent:
-        """Validate one event and return its (pooled, when possible) handle."""
+    def _reject(self, time: float, callback: Callable[..., None]) -> NoReturn:
+        """Raise the error that disqualifies an event: a non-finite time, a
+        time in the past or a callback that cannot be called."""
         if not math.isfinite(time):
             raise SimulationError(f"event time must be finite, got {time!r}")
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule event in the past (now={self._now}, requested={time})"
             )
-        if not callable(callback):
-            raise SimulationError("callback must be callable")
-        pool = self._pool
-        if not pool:
-            return ScheduledEvent(float(time), priority, seq, callback, args)
-        event = pool.pop()
-        event.time = float(time)
-        event.priority = priority
-        event.seq = seq
-        event.callback = callback
-        event.args = args
-        event.cancelled = False
-        event._queued = True
-        return event
+        raise SimulationError("callback must be callable")
 
-    def cancel(self, event: ScheduledEvent) -> None:
-        """Cancel a previously scheduled event.
+    def cancel(self, seq: int) -> None:
+        """Cancel the pending event scheduled under sequence number ``seq``.
 
-        Cancelling the same handle twice raises :class:`SimulationError` to
-        surface double-cancellation bugs early.  Cancelling an event that has
-        already fired (or been drained) is a harmless no-op on the pending
-        count, as it always was.
+        Only a pending event can be cancelled: a seq whose event already
+        fired, was drained or cancelled, or that was never scheduled raises
+        :class:`SimulationError` and changes nothing, which surfaces
+        double-cancellation and stale-seq bugs early.
 
         The cancelled entry stays in the heap until it surfaces; once dead
         entries outnumber live ones the heap is compacted, so its length
         stays bounded under cancellation churn.
         """
-        if event.cancelled:
-            raise SimulationError("event already cancelled")
-        event.cancelled = True
-        if event._queued:
-            self._pending -= 1
-            dead = len(self._heap) - self._pending
-            if dead > _COMPACT_MIN_DEAD and dead > self._pending:
-                self._compact()
+        live = self._live
+        try:
+            live.remove(seq)
+        except KeyError:
+            raise SimulationError(
+                f"event {seq!r} is not pending (fired, drained, cancelled or never scheduled)"
+            ) from None
+        dead = len(self._heap) - len(live)
+        if dead > _COMPACT_MIN_DEAD and dead > len(live):
+            self._compact()
 
     def _compact(self) -> None:
-        """Drop every cancelled entry from the heap."""
-        live = []
-        for entry in self._heap:
-            if entry[3].cancelled:
-                entry[3]._queued = False
-            else:
-                live.append(entry)
-        heapify(live)
-        self._heap = live
+        """Drop every cancelled entry from the heap, in place: a run in
+        progress keeps firing from the same list."""
+        live = self._live
+        heap = self._heap
+        heap[:] = [entry for entry in heap if entry[2] in live]
+        heapify(heap)
 
     # ------------------------------------------------------------------ #
     # Execution
@@ -366,7 +310,7 @@ class Simulator:
         Returns ``True`` if an event fired and ``False`` if the heap held no
         live event.
         """
-        return self._fire(math.inf, 1) == 1
+        return self._fire(_INF, 1) == 1
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Run until the heap drains, ``until`` is reached, or ``max_events`` fire.
@@ -384,7 +328,7 @@ class Simulator:
             raise SimulationError(f"until={until} is in the past (now={self._now})")
         if max_events is not None and max_events < 1:
             raise SimulationError(f"max_events must be positive, got {max_events}")
-        self._drive(math.inf if until is None else until, until, max_events)
+        self._drive(_INF if until is None else until, until, max_events)
 
     def run_window(self, end: float) -> int:
         """Fire every pending event strictly before ``end``, then land on it.
@@ -402,7 +346,7 @@ class Simulator:
             )
         # The largest float below ``end`` turns the exclusive bound into the
         # loop's inclusive one.
-        return self._drive(math.nextafter(end, -math.inf), end, None)
+        return self._drive(math.nextafter(end, -_INF), end, None)
 
     def _drive(self, bound: float, land: Optional[float], budget: Optional[int]) -> int:
         """Run :meth:`_fire` as a top-level run, then land the clock on ``land``.
@@ -430,19 +374,18 @@ class Simulator:
         federation runs, so it works on the heap directly.
         """
         heap = self._heap
-        pool = self._pool
+        live = self._live
         trace = self._trace
         fired = 0
         while heap:
-            time, _, _, event = heap[0]
-            if event.cancelled:
-                heappop(heap)
-                event._queued = False
+            time, _, seq, callback, args = heap[0]
+            if seq not in live:
+                heappop(heap)  # cancelled: dropped as it surfaces
                 continue
             if time > bound:
                 break
             heappop(heap)
-            event._queued = False
+            live.remove(seq)
             if time < self._now:
                 raise SimulationError(
                     f"event at {time} surfaced after the clock reached {self._now} "
@@ -450,17 +393,10 @@ class Simulator:
                 )
             self._now = time
             self._events_processed += 1
-            self._pending -= 1
             fired += 1
             if trace is not None:
-                trace(time, getattr(event.callback, "__qualname__", repr(event.callback)))
-            event.callback(*event.args)
-            if len(pool) < _POOL_MAX and getrefcount(event) == 2:
-                # Nobody kept the handle: recycle it (drop payload refs so
-                # pooled handles never pin callbacks or arguments alive).
-                event.callback = None
-                event.args = ()
-                pool.append(event)
+                trace(time, getattr(callback, "__qualname__", repr(callback)))
+            callback(*args)
             if fired == budget or self._stopped:
                 break
         return fired
@@ -473,44 +409,44 @@ class Simulator:
         event anywhere in the federation).
         """
         heap = self._heap
-        while heap and heap[0][3].cancelled:
-            heappop(heap)[3]._queued = False
+        live = self._live
+        while heap and heap[0][2] not in live:
+            heappop(heap)
         return heap[0][0] if heap else None
 
     def stop(self) -> None:
         """Request that :meth:`run` return after the current event."""
         self._stopped = True
 
-    def drain(self) -> Iterator[ScheduledEvent]:
-        """Pop and yield all remaining (non-cancelled) events without firing them.
+    def drain(self) -> Iterator[HeapEntry]:
+        """Pop and yield all remaining live events without firing them.
 
-        Mainly useful for inspecting the end-of-run state in tests.
+        Each is yielded as its ``(time, priority, seq, callback, args)``
+        heap entry, in delivery order.  Mainly useful for inspecting the
+        end-of-run state in tests.
         """
         heap = self._heap
+        live = self._live
         while heap:
-            event = heappop(heap)[3]
-            event._queued = False
-            if not event.cancelled:
-                self._pending -= 1
-                yield event
+            entry = heappop(heap)
+            if entry[2] in live:
+                live.remove(entry[2])
+                yield entry
 
     # ------------------------------------------------------------------ #
     # Pickling (checkpoint/resume support)
     # ------------------------------------------------------------------ #
     def __getstate__(self) -> dict:
-        """Snapshot the simulator without its transient accelerators.
+        """Snapshot the simulator without its trace hook.
 
-        The handle pool holds dead, payload-stripped handles — recycling is
-        behaviourally invisible, so a restored simulator simply starts with
-        an empty pool.  The trace hook is a debugging callable that may not
-        pickle (and a resumed run attaches its own); it is dropped likewise.
-        A simulator cannot be snapshotted mid-``run()``: the checkpoint
-        driver only pickles between events, where ``_running`` is False.
+        The trace hook is a debugging callable that may not pickle (and a
+        resumed run attaches its own), so it is dropped.  A simulator cannot
+        be snapshotted mid-``run()``: the checkpoint driver only pickles
+        between events, where ``_running`` is False.
         """
         if self._running:
             raise SimulationError("cannot pickle a simulator while it is running")
         state = self.__dict__.copy()
-        state["_pool"] = []
         state["_trace"] = None
         return state
 

@@ -162,9 +162,8 @@ class TestEventCount:
 def _arrivals_by_population(sim):
     """Live pending arrivals in the heap, counted per population."""
     counts = {}
-    for _time, _priority, _seq, event in sim._heap:
-        callback = event.callback
-        if not event.cancelled and getattr(callback, "__func__", None) is UserPopulation._submit:
+    for _time, _priority, seq, callback, _args in sim._heap:
+        if seq in sim._live and getattr(callback, "__func__", None) is UserPopulation._submit:
             counts[callback.__self__.name] = counts.get(callback.__self__.name, 0) + 1
     return counts
 

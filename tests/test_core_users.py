@@ -40,9 +40,8 @@ def _jobs(origin, times, first_id=1):
 def _pending_arrivals(sim, population=None):
     """Live heap entries that are population arrivals (of ``population``)."""
     count = 0
-    for _time, _priority, _seq, event in sim._heap:
-        callback = event.callback
-        if event.cancelled or getattr(callback, "__func__", None) is not UserPopulation._submit:
+    for _time, _priority, seq, callback, _args in sim._heap:
+        if seq not in sim._live or getattr(callback, "__func__", None) is not UserPopulation._submit:
             continue
         if population is None or callback.__self__ is population:
             count += 1
@@ -102,13 +101,13 @@ class TestStart:
         sim.schedule(0.5, lambda: None)  # seq 0
         population.start()  # reserves 1, 2, 3
         assert population._first_seq == 1
-        assert sim.schedule(9.0, lambda: None).seq == 4
+        assert sim.schedule(9.0, lambda: None) == 4
 
     def test_empty_population_schedules_and_reserves_nothing(self):
         sim, (population,), _ = _world({"gfa": []})
         population.start()
         assert sim.pending == 0
-        assert sim.schedule(1.0, lambda: None).seq == 0
+        assert sim.schedule(1.0, lambda: None) == 0
 
     def test_start_twice_raises(self):
         _sim, (population,), _ = _world({"gfa": [1.0]})
@@ -230,7 +229,7 @@ class TestEagerEquivalence:
         for time in noise:
             sim.schedule_at(time, lambda t=time: sim.schedule(0.0, fired.append, ("echo", t)))
         sim.run()
-        next_seq = sim.schedule(0.0, lambda: None).seq
+        next_seq = sim.schedule(0.0, lambda: None)
         return fired, sim.events_processed, next_seq
 
     def test_gfa_calls_match_the_eager_form(self):

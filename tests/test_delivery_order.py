@@ -4,8 +4,8 @@ With a latency-bearing transport, independent messages routinely collide on
 the same simulated timestamp.  Their relative order must then be a *defined*
 property — schedule order, witnessed by the engine's sequence number — and
 never an accident of queue layout.  ``heapq`` alone gives no such guarantee:
-pushing ``(time, priority, event)`` tuples falls back to comparing event
-objects (or worse, raises), and the pop order of equal keys depends on the
+pushing ``(time, priority, callback, args)`` tuples falls back to comparing
+callbacks (which raises), and the pop order of equal keys depends on the
 push/pop history.  These tests fail against such a seq-less engine: they pin
 strict FIFO among equal ``(time, priority)`` events across heap-churning
 interleavings.
@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.sim.engine import ScheduledEvent, Simulator
+from repro.sim.engine import Simulator
 
 
 class TestEngineTieBreak:
@@ -45,7 +45,7 @@ class TestEngineTieBreak:
         rng = np.random.default_rng(0)
         sim = Simulator()
         fired = []
-        cancelled = []
+        cancelled = set()
         batch = []
         for i in range(200):
             batch.append(sim.schedule(100.0, fired.append, i))
@@ -54,12 +54,12 @@ class TestEngineTieBreak:
             if rng.random() < 0.5:
                 sim.cancel(noise)
             if rng.random() < 0.25:
-                victim = batch[int(rng.integers(len(batch)))]
-                if not victim.cancelled:
-                    sim.cancel(victim)
-                    cancelled.append(victim.args[0])
+                victim = int(rng.integers(len(batch)))
+                if victim not in cancelled:
+                    sim.cancel(batch[victim])
+                    cancelled.add(victim)
         sim.run()
-        assert fired == [i for i in range(200) if i not in set(cancelled)]
+        assert fired == [i for i in range(200) if i not in cancelled]
 
     def test_converging_delays_fire_in_schedule_order_at_collision(self):
         """Events scheduled at different times with different delays that land
@@ -95,13 +95,18 @@ class TestEngineTieBreak:
 
     def test_seq_is_strictly_increasing_per_schedule_call(self):
         sim = Simulator()
-        handles = [sim.schedule(1.0, lambda: None) for _ in range(10)]
-        seqs = [handle.seq for handle in handles]
+        seqs = [sim.schedule(1.0, lambda: None) for _ in range(10)]
         assert seqs == sorted(seqs)
         assert len(set(seqs)) == 10
 
-    def test_queue_entries_never_compare_event_objects(self):
-        """The unique seq guarantees tuple comparison stops before the event
-        handle: events must not need (or define) ordering."""
+    def test_queue_entries_never_compare_callbacks(self):
+        """The unique seq guarantees tuple comparison stops before the
+        callback: callbacks need not (and do not) define an ordering."""
+        sim = Simulator()
+        for i in range(30):
+            sim.schedule(1.0, lambda i=i: None)
+        heap = list(sim._heap)
+        assert [entry[2] for entry in sorted(heap)] == list(range(30))
+        # Without the seq, equal (time, priority) keys reach the callbacks.
         with pytest.raises(TypeError):
-            ScheduledEvent(1.0, 0, 0, print) < ScheduledEvent(1.0, 0, 1, print)
+            sorted(entry[:2] + entry[3:] for entry in heap)

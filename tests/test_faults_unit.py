@@ -113,6 +113,22 @@ class TestLRMSFailAll:
         sim.run()
         assert wide.status is not JobStatus.COMPLETED
 
+    def test_cancels_every_running_jobs_finish_event(self):
+        """A crash takes each killed job's finish out of the heap: nothing
+        stale fires later, and the simulator has nothing pending."""
+        sim = Simulator()
+        lrms = SpaceSharedLRMS(sim, make_spec(procs=4))
+        running = [make_job(procs=1) for _ in range(3)]
+        for job in running:
+            lrms.submit(job)
+        lrms.submit(make_job(procs=2))  # queued: it has no finish event yet
+        assert (sim.pending, lrms.running_count, lrms.queue_length) == (3, 3, 1)
+        lrms.fail_all()
+        assert sim.pending == 0
+        sim.run()
+        assert sim.events_processed == 0
+        assert sim.queue_size == 0
+
     def test_partial_work_counts_toward_utilisation(self):
         sim = Simulator()
         lrms = SpaceSharedLRMS(sim, make_spec(procs=4, mips=1.0))

@@ -345,8 +345,7 @@ class TestShardBuild:
         shard = build_shard_federation(ELIGIBLE, shard_index, 2, 60.0)
         shard.start()
         arrivals = {}
-        for _time, _priority, _seq, event in shard.sim._heap:
-            callback = event.callback
+        for _time, _priority, _seq, callback, _args in shard.sim._heap:
             if getattr(callback, "__func__", None) is UserPopulation._submit:
                 name = callback.__self__.gfa.name
                 arrivals[name] = arrivals.get(name, 0) + 1

@@ -461,10 +461,16 @@ class TestParStateGuards:
         write_par_state(str(path), scenario=SCENARIO, workers=2, window=60.0, payload={})
         current = b'"version": %d' % PAR_CHECKPOINT_VERSION
         previous = b'"version": %d' % (PAR_CHECKPOINT_VERSION - 1)
+        # The frame is magic | 4-byte header length | JSON header | pickle;
+        # re-frame the header, whose length changes with the version digits.
         raw = path.read_bytes()
-        assert raw.count(current) == 1 and len(current) == len(previous)
-        header_end = raw.index(current) + raw[raw.index(current):].index(b"}") + 1
-        path.write_bytes(raw[:header_end].replace(current, previous) + b"not a pickle")
+        start = raw.index(b"\n") + 1 + 4
+        header = raw[start : start + int.from_bytes(raw[start - 4 : start], "big")]
+        assert header.count(current) == 1
+        header = header.replace(current, previous)
+        path.write_bytes(
+            raw[: start - 4] + len(header).to_bytes(4, "big") + header + b"not a pickle"
+        )
         with pytest.raises(SnapshotMismatchError) as excinfo:
             load_par_state(str(path), expected_scenario=SCENARIO, expected_workers=2)
         message = str(excinfo.value)

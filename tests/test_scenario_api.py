@@ -299,7 +299,7 @@ class TestRemovedEntryPointsTable:
         api = (Path(__file__).resolve().parents[1] / "docs" / "API.md").read_text()
         section = api.split("## Removed entry points", 1)[1].split("\n## ", 1)[0]
         rows = [line.split("|")[1:3] for line in section.splitlines() if line.startswith("| `")]
-        assert len(rows) == 20
+        assert len(rows) == 22
         modules = self._modules()
         public = (repro, importlib.import_module("repro.experiments"))
         for removed, replacement in rows:

@@ -39,9 +39,9 @@ from repro.service.snapshot import (
 from repro.workload.job import job_counter_state
 
 #: (format version, digest of the pickled class → state-name map).
-SNAPSHOT_SHAPE = (8, "55d63d5edda185fa")
-PAR_SHAPE = (9, "ed8ab932bc2421ed")
-CACHE_SHAPE = (4, "61faf01cda6ffbb2")
+SNAPSHOT_SHAPE = (9, "9e138a5e19d67c67")
+PAR_SHAPE = (10, "88de3fc91113232a")
+CACHE_SHAPE = (5, "1baec5a2410eea51")
 
 #: Scenarios whose graphs between them reach the fault injector, the
 #: resilience manager, the WAN topology, the bank, dynamic pricing and the

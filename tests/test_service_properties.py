@@ -82,14 +82,17 @@ class TestEventHeapRoundTrip:
     def test_mid_run_heap_resumes_identically(self, events, pops, cancels):
         """Schedule, fire some, lazily cancel some, pickle: identical pops after."""
         sim = Simulator()
-        handles = [
-            sim.schedule_at(time, _noop, priority=priority) for time, priority in events
+        keys = [
+            (time, priority, sim.schedule_at(time, _noop, priority=priority))
+            for time, priority in events
         ]
-        if pops:
-            sim.run(max_events=min(pops, len(handles)))
-        # Cancel a random subset of the not-yet-fired events: the heap keeps
-        # their corpses, which must pickle faithfully.
-        pending = [h for h in handles if h._queued]
+        fired = min(pops, len(keys))
+        if fired:
+            sim.run(max_events=fired)
+        # Cancel a random subset of the not-yet-fired events (those after
+        # the first ``fired`` in delivery order): the heap keeps their
+        # corpses, which must pickle faithfully.
+        pending = [seq for _time, _priority, seq in sorted(keys)[fired:]]
         if pending:
             victims = cancels.draw(
                 st.lists(st.sampled_from(pending), max_size=len(pending), unique=True)
@@ -99,8 +102,8 @@ class TestEventHeapRoundTrip:
         clone = _roundtrip(sim)
         assert clone.queue_size == sim.queue_size
         assert clone.pending == sim.pending
-        original = [(e.time, e.priority, e.seq) for e in sim.drain()]
-        restored = [(e.time, e.priority, e.seq) for e in clone.drain()]
+        original = [entry[:3] for entry in sim.drain()]
+        restored = [entry[:3] for entry in clone.drain()]
         assert original == restored
 
 

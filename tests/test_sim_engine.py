@@ -143,17 +143,17 @@ class TestCancellation:
     def test_cancelled_event_does_not_fire(self):
         sim = Simulator()
         fired = []
-        handle = sim.schedule(1.0, fired.append, "x")
-        sim.cancel(handle)
+        seq = sim.schedule(1.0, fired.append, "x")
+        sim.cancel(seq)
         sim.run()
         assert fired == []
 
     def test_double_cancel_raises(self):
         sim = Simulator()
-        handle = sim.schedule(1.0, lambda: None)
-        sim.cancel(handle)
+        seq = sim.schedule(1.0, lambda: None)
+        sim.cancel(seq)
         with pytest.raises(SimulationError):
-            sim.cancel(handle)
+            sim.cancel(seq)
 
     def test_pending_excludes_cancelled(self):
         sim = Simulator()
@@ -168,10 +168,10 @@ class TestCancellation:
         """pending is a live counter: exact through schedules, fires, cancels
         and drains (it used to be an O(n) scan of the heap)."""
         sim = Simulator()
-        handles = [sim.schedule(float(i), lambda: None) for i in range(10)]
+        seqs = [sim.schedule(float(i), lambda: None) for i in range(10)]
         assert sim.pending == 10
-        sim.cancel(handles[3])
-        sim.cancel(handles[7])
+        sim.cancel(seqs[3])
+        sim.cancel(seqs[7])
         assert sim.pending == 8
         sim.step()
         assert sim.pending == 7
@@ -188,21 +188,27 @@ class TestCancellation:
         assert len(list(sim.drain())) == 5
         assert sim.pending == 0
 
-    def test_cancel_after_fire_does_not_corrupt_pending(self):
-        """Cancelling a handle whose event already fired (or drained) is a
-        no-op on the live counter — it must never go negative."""
+    def test_cancelling_a_seq_that_is_not_pending_raises_and_changes_nothing(self):
+        """Only a pending event can be cancelled: the seq of a fired, drained
+        or cancelled event, or one never issued, raises and leaves pending,
+        queue_size and events_processed as they were."""
         sim = Simulator()
-        fired_handle = sim.schedule(1.0, lambda: None)
+        fired = sim.schedule(1.0, lambda: None)
+        sim.run(until=1.0)
+        drained = sim.schedule(5.0, lambda: None)
+        assert [entry[2] for entry in sim.drain()] == [drained]
+        cancelled = sim.schedule(2.0, lambda: None)
+        sim.cancel(cancelled)
+        reserved = sim.reserve_seqs(1)
+        sim.schedule(3.0, lambda: None)
+        state = (sim.pending, sim.queue_size, sim.events_processed)
+        assert state == (1, 2, 1)
+        for seq in (fired, drained, cancelled, reserved, sim.reserve_seqs(0) + 10, -1):
+            with pytest.raises(SimulationError, match="not pending"):
+                sim.cancel(seq)
+            assert (sim.pending, sim.queue_size, sim.events_processed) == state
         sim.run()
-        sim.cancel(fired_handle)  # late cancel: allowed, counter untouched
-        assert sim.pending == 0
-        assert len(sim) == 0
-        with pytest.raises(SimulationError):
-            sim.cancel(fired_handle)  # but double-cancel still raises
-        drained_handle = sim.schedule(1.0, lambda: None)
-        assert list(sim.drain())
-        sim.cancel(drained_handle)
-        assert sim.pending == 0
+        assert (sim.pending, sim.queue_size, sim.events_processed) == (0, 0, 2)
 
     def test_pending_visible_from_callbacks(self):
         """Entities poll pending mid-run (dynamic pricing does) — the counter
@@ -213,6 +219,40 @@ class TestCancellation:
         sim.schedule(2.0, lambda: observed.append(sim.pending))
         sim.run()
         assert observed == [1, 0]
+
+
+#: Each way to put an event on the heap, as ``form(sim, time, callback)``.
+_SCHEDULE_FORMS = {
+    "schedule_at": lambda sim, time, callback: sim.schedule_at(time, callback),
+    "schedule_reserved": lambda sim, time, callback: sim.schedule_reserved(
+        sim.reserve_seqs(1), time, callback
+    ),
+    "schedule_at_many": lambda sim, time, callback: sim.schedule_at_many(
+        [(20.0, print, ()), (time, callback, ())]
+    ),
+}
+
+
+class TestScheduleValidation:
+    @pytest.mark.parametrize("form", sorted(_SCHEDULE_FORMS))
+    def test_every_form_refuses_a_bad_event_and_schedules_nothing(self, form):
+        """A non-finite time, a time in the past and a callback that cannot
+        be called are refused by every form, before anything is queued."""
+        sim = Simulator(start_time=10.0)
+        sim.schedule(1.0, print)
+        bad = [
+            (math.nan, print, "finite"),
+            (math.inf, print, "finite"),
+            (5.0, print, "in the past"),
+            (12.0, "not callable", "callable"),
+        ]
+        for time, callback, message in bad:
+            with pytest.raises(SimulationError, match=message):
+                _SCHEDULE_FORMS[form](sim, time, callback)
+            assert (sim.pending, sim.queue_size) == (1, 1)
+        # A good event still goes through, so the refusals were the checks.
+        _SCHEDULE_FORMS[form](sim, 12.0, print)
+        assert sim.pending == 2 + (form == "schedule_at_many")
 
 
 class TestRunControl:
@@ -288,7 +328,7 @@ class TestRunControl:
         sim.schedule(1.0, lambda: None)
         sim.schedule(2.0, lambda: None)
         remaining = list(sim.drain())
-        assert [ev.time for ev in remaining] == [1.0, 2.0]
+        assert [entry[0] for entry in remaining] == [1.0, 2.0]
         assert sim.pending == 0
 
 
@@ -328,12 +368,12 @@ class TestProperties:
         """No cancelled event is ever executed, and all others are."""
         sim = Simulator()
         fired = []
-        handles = []
+        seqs = []
         for idx, (delay, cancel) in enumerate(items):
-            handles.append((sim.schedule(delay, fired.append, idx), bool(cancel)))
-        for handle, cancel in handles:
+            seqs.append((sim.schedule(delay, fired.append, idx), bool(cancel)))
+        for seq, cancel in seqs:
             if cancel:
-                sim.cancel(handle)
+                sim.cancel(seq)
         sim.run()
         expected = {idx for idx, (_, cancel) in enumerate(items) if not cancel}
         assert set(fired) == expected
@@ -353,8 +393,8 @@ class TestProperties:
 
 # --------------------------------------------------------------------------- #
 # The one loop: step, run and run_window drive the same private loop, so the
-# trace hook, the counters, cancellation skipping and handle pooling must
-# behave identically whichever entry point fires the events.
+# trace hook, the counters and cancellation skipping must behave identically
+# whichever entry point fires the events.
 # --------------------------------------------------------------------------- #
 def _drive_by_steps(sim):
     while sim.step():
@@ -416,43 +456,39 @@ class TestOneLoop:
         assert observed == [(2, 1), (1, 2), (0, 3)]
         assert (sim.pending, sim.events_processed, sim.queue_size) == (0, 3, 0)
 
-    def test_cancelled_events_are_skipped_and_unqueued(self, drive):
+    def test_cancelled_events_are_skipped_and_dropped(self, drive):
         sim = Simulator()
         fired = []
         kept = sim.schedule(1.0, fired.append, "kept")
         dropped = sim.schedule(0.5, fired.append, "dropped")
-        late = sim.schedule(2.0, fired.append, "late")
+        sim.schedule(2.0, fired.append, "late")
         sim.cancel(dropped)
         drive(sim)
         assert fired == ["kept", "late"]
-        assert not dropped._queued and not kept._queued and not late._queued
-        assert sim.events_processed == 2
-        # Cancelling after the fact is a no-op on the counter.
-        sim.cancel(kept)
-        assert sim.pending == 0
+        assert (sim.events_processed, sim.pending, sim.queue_size) == (2, 0, 0)
+        # A fired event is no longer pending: cancelling it raises.
+        with pytest.raises(SimulationError, match="not pending"):
+            sim.cancel(kept)
+        assert (sim.events_processed, sim.pending, sim.queue_size) == (2, 0, 0)
 
-    def test_unretained_handles_are_recycled(self, drive):
-        sim = Simulator()
-        for time in (1.0, 2.0, 3.0):
-            sim.schedule(time, lambda: None)
-        drive(sim)
-        pooled = list(sim._pool)
-        assert len(pooled) == 3
-        assert all(handle.callback is None and handle.args == () for handle in pooled)
-        reused = sim.schedule(1.0, lambda: None)
-        assert any(reused is handle for handle in pooled)
-
-    def test_retained_handles_are_not_recycled(self, drive):
+    def test_compaction_from_a_callback_keeps_the_running_heap(self, drive):
+        """A callback whose cancellations cross the compaction threshold
+        compacts the heap in place, so the loop firing it keeps popping the
+        one heap: an event scheduled after the purge fires in the same
+        drive, once, in order."""
         sim = Simulator()
         fired = []
-        kept = [sim.schedule(float(i), fired.append, i) for i in range(1, 4)]
+        far = [sim.schedule(10.0 + i, fired.append, i) for i in range(80)]
+
+        def purge():
+            for seq in far[:70]:
+                sim.cancel(seq)
+            sim.schedule(0.1, fired.append, "after purge")
+
+        sim.schedule(0.5, purge)
         drive(sim)
-        assert sim._pool == []
-        assert [(handle.time, handle.args) for handle in kept] == [
-            (1.0, (1,)),
-            (2.0, (2,)),
-            (3.0, (3,)),
-        ]
+        assert fired == ["after purge"] + list(range(70, 80))
+        assert (sim.pending, sim.queue_size, sim.events_processed) == (0, 0, 12)
 
     def test_events_scheduled_from_callbacks_fire_in_the_same_drive(self, drive):
         sim = Simulator()
@@ -618,39 +654,38 @@ class TestIntrospection:
 
     def test_next_event_time_is_none_once_only_corpses_remain(self):
         sim = Simulator()
-        handles = [sim.schedule(float(t), lambda: None) for t in (1, 2, 3)]
-        for handle in handles:
-            sim.cancel(handle)
+        seqs = [sim.schedule(float(t), lambda: None) for t in (1, 2, 3)]
+        for seq in seqs:
+            sim.cancel(seq)
         assert sim.queue_size == 3
         assert sim.next_event_time() is None
         assert sim.queue_size == 0
-        assert all(not handle._queued for handle in handles)
+        assert sim.pending == 0
 
     def test_compaction_drops_every_cancelled_entry(self):
         sim = Simulator()
         live = [sim.schedule(50.0 + i, lambda: None) for i in range(10)]
         doomed = [sim.schedule(10.0 + i, lambda: None) for i in range(70)]
-        for handle in doomed:
-            sim.cancel(handle)
-        # 70 dead entries against 10 live ones crossed the compaction
-        # threshold (more than 64 dead, and more dead than live) on the way.
-        assert sim.queue_size < len(live) + len(doomed)
-        compacted = [handle for handle in doomed if not handle._queued]
-        assert len(compacted) >= 65
+        for seq in doomed:
+            sim.cancel(seq)
+        # The 65th cancellation crossed the compaction threshold (more than
+        # 64 dead, and more dead than live) and dropped all 65 corpses; the
+        # last five cancelled entries wait to surface.
+        assert sim.queue_size == len(live) + 5
         assert sim.pending == 10
         assert sim.next_event_time() == 50.0
 
-    def test_drain_skips_cancelled_entries_and_unqueues_all(self):
+    def test_drain_skips_cancelled_entries_and_yields_heap_entries(self):
         sim = Simulator()
-        keep = sim.schedule(1.0, lambda: None)
+        keep = sim.schedule(1.0, print, "kept")
         drop = sim.schedule(2.0, lambda: None)
-        sim.schedule(3.0, lambda: None)
+        last = sim.schedule(3.0, print, priority=-1)
         sim.cancel(drop)
         drained = list(sim.drain())
-        assert [event.time for event in drained] == [1.0, 3.0]
-        assert drained[0] is keep
-        assert not drop._queued
+        assert drained == [(1.0, 0, keep, print, ("kept",)), (3.0, -1, last, print, ())]
         assert (sim.pending, sim.queue_size) == (0, 0)
+        with pytest.raises(SimulationError, match="not pending"):
+            sim.cancel(drop)
 
 
 class TestPickling:
@@ -661,7 +696,7 @@ class TestPickling:
         sim.reserve_seqs(4)
         clone = pickle.loads(pickle.dumps(sim))
         assert type(clone._seq) is int
-        assert clone.schedule(1.0, print).seq == sim.schedule(1.0, print).seq == 7
+        assert clone.schedule(1.0, print) == sim.schedule(1.0, print) == 7
 
     def test_simulator_pickle_names_no_itertools_global(self):
         sim = Simulator()

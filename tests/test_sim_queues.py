@@ -3,15 +3,16 @@
 The delivery contract — events fire in strictly increasing
 ``(time, priority, seq)`` order — is pinned three ways: the unit tests in
 ``test_delivery_order.py``, the hypothesis oracle here that replays random
-schedule / cancel / run / run_window / step interleavings through the
-simulator and through a naive sorted-list reference model and requires
-identical fire transcripts, and a parity oracle holding ``schedule_at_many``
-to the looped ``schedule_at`` form.
+schedule / cancel / run / run_window / step interleavings (cancellations
+from inside callbacks included) through the simulator and through a naive
+sorted-list reference model and requires identical fire transcripts, and a
+parity oracle holding ``schedule_at_many`` to the looped ``schedule_at``
+form.
 
 The engine-level guarantees that ride on the heap are pinned too: bounded
-heap length under cancellation churn (compaction), the pooled-handle rules
-(a retained handle is never recycled out from under its holder), reserved
-sequence numbers, and the out-of-order guard.
+heap length under cancellation churn (compaction), the cancel contract
+(only a pending seq can be cancelled),
+reserved sequence numbers, and the out-of-order guard.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.engine import ScheduledEvent, SimulationError, Simulator
+from repro.sim.engine import SimulationError, Simulator
 
 
 class TestMisorderGuard:
@@ -36,9 +37,9 @@ class TestMisorderGuard:
         sim.schedule(10.0, lambda: None)
         sim.run()
         # Slip an entry older than the clock past schedule()'s validation.
-        stale = ScheduledEvent(1.0, 0, sim.reserve_seqs(1), lambda: None)
-        heappush(sim._heap, (stale.time, stale.priority, stale.seq, stale))
-        sim._pending += 1
+        seq = sim.reserve_seqs(1)
+        heappush(sim._heap, (1.0, 0, seq, lambda: None, ()))
+        sim._live.add(seq)
         return sim
 
     def test_run_raises_on_out_of_order_delivery(self):
@@ -59,13 +60,13 @@ class TestReservedSequenceNumbers:
         sim = Simulator()
         first = sim.reserve_seqs(3)
         assert first == 0
-        assert sim.schedule(1.0, lambda: None).seq == 3
+        assert sim.schedule(1.0, lambda: None) == 3
 
     def test_reserved_schedule_does_not_advance_the_counter(self):
         sim = Simulator()
         first = sim.reserve_seqs(2)
-        sim.schedule_reserved(first + 1, 5.0, lambda: None)
-        assert sim.schedule(1.0, lambda: None).seq == 2
+        assert sim.schedule_reserved(first + 1, 5.0, lambda: None) == first + 1
+        assert sim.schedule(1.0, lambda: None) == 2
 
     def test_reserved_event_keeps_its_place_among_equal_times(self):
         sim = Simulator()
@@ -75,6 +76,14 @@ class TestReservedSequenceNumbers:
         sim.schedule_reserved(first, 5.0, fired.append, "reserved seq")
         sim.run()
         assert fired == ["reserved seq", "later seq"]
+
+    def test_a_pending_reserved_seq_cannot_be_scheduled_again(self):
+        sim = Simulator()
+        first = sim.reserve_seqs(1)
+        sim.schedule_reserved(first, 1.0, lambda: None)
+        with pytest.raises(SimulationError, match="already pending"):
+            sim.schedule_reserved(first, 2.0, lambda: None)
+        assert (sim.pending, sim.queue_size) == (1, 1)
 
     def test_unreserved_seq_rejected(self):
         sim = Simulator()
@@ -95,8 +104,7 @@ class TestEngineCompaction:
         # pre-compaction engine kept every corpse until it surfaced.
         worst = 0
         for _ in range(10_000):
-            handle = sim.schedule(500.0, lambda: None)
-            sim.cancel(handle)
+            sim.cancel(sim.schedule(500.0, lambda: None))
             worst = max(worst, sim.queue_size)
         # Compaction triggers once dead entries outnumber live ones (above
         # the 64-entry floor), so the raw heap can never hold more than
@@ -132,8 +140,8 @@ class TestEngineCompaction:
         observed = []
         original = Simulator.cancel
 
-        def recording_cancel(self, event):
-            original(self, event)
+        def recording_cancel(self, seq):
+            original(self, seq)
             observed.append((self.queue_size, self.pending))
 
         monkeypatch.setattr(Simulator, "cancel", recording_cancel)
@@ -164,65 +172,53 @@ class TestEngineCompaction:
         fired = []
         expected = []
         for i in range(2000):
-            handle = sim.schedule(float(rng.uniform(0, 100)), fired.append, i)
+            time = float(rng.uniform(0, 100))
+            seq = sim.schedule(time, fired.append, i)
             if rng.random() < 0.8:
-                sim.cancel(handle)
+                sim.cancel(seq)
             else:
-                expected.append((handle.time, handle.seq, i))
+                expected.append((time, seq, i))
         sim.run()
         assert fired == [i for _, _, i in sorted(expected)]
         assert sim.queue_size == 0
 
 
-class TestHandlePooling:
-    def test_retained_handles_are_never_recycled(self):
-        sim = Simulator()
-        kept = sim.schedule(1.0, lambda: None)
-        sim.run()
-        seq, time_ = kept.seq, kept.time
-        for _ in range(50):
-            sim.schedule(1.0, lambda: None)
-        assert (kept.seq, kept.time) == (seq, time_)
 
-    def test_pooled_handles_are_reinitialised(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule(1.0, fired.append, "a")  # handle not retained → poolable
-        sim.run()
-        handle = sim.schedule(2.0, fired.append, "b")
-        assert handle.cancelled is False
-        assert handle._queued is True
-        sim.run()
-        assert fired == ["a", "b"]
-
-    def test_pool_does_not_pin_callback_references(self):
+class TestFiredEventsPinNothing:
+    @pytest.mark.parametrize("cancelled", [False, True], ids=["fired", "cancelled"])
+    def test_a_finished_event_does_not_keep_its_callback_alive(self, cancelled):
+        """Once an event fired, or was cancelled and dropped as it surfaced,
+        the simulator holds no reference to its callback."""
         import weakref
 
         class Target:
-            def method(self):  # pragma: no cover - never fires
-                pass
+            pass
 
         sim = Simulator()
         target = Target()
-        sim.schedule(1.0, lambda t=target: None)
+        seq = sim.schedule(1.0, lambda t=target: None)
+        if cancelled:
+            sim.cancel(seq)
+        sim.schedule(2.0, lambda: None)
         sim.run()
         ref = weakref.ref(target)
         del target
-        assert ref() is None, "a pooled handle kept the callback alive"
+        assert ref() is None, "the simulator kept a finished event's callback alive"
 
 
 # --------------------------------------------------------------------------- #
 # The reference-model oracle
 # --------------------------------------------------------------------------- #
 class _Entry:
-    __slots__ = ("time", "priority", "seq", "tag", "follow", "alive")
+    __slots__ = ("time", "priority", "seq", "tag", "follow", "purge", "alive")
 
-    def __init__(self, time, priority, seq, tag, follow):
+    def __init__(self, time, priority, seq, tag, follow, purge=None):
         self.time = time
         self.priority = priority
         self.seq = seq
         self.tag = tag
         self.follow = follow
+        self.purge = purge
         self.alive = True
 
 
@@ -240,8 +236,8 @@ class _Model:
         self.entries = []
         self.fired = []
 
-    def schedule(self, delay, tag, priority=0, follow=None):
-        entry = _Entry(self.now + delay, priority, self.seq, tag, follow)
+    def schedule(self, delay, tag, priority=0, follow=None, purge=None):
+        entry = _Entry(self.now + delay, priority, self.seq, tag, follow, purge)
         self.seq += 1
         self.entries.append(entry)
         return entry
@@ -265,6 +261,8 @@ class _Model:
         if entry.follow is not None:
             delay, tag = entry.follow
             self.schedule(delay, tag)
+        for victim in entry.purge or ():
+            victim.alive = False
 
     def step(self):
         head = self._head()
@@ -331,6 +329,15 @@ _ops = st.lists(
         # An event whose callback schedules a follow-up (scheduling inside
         # the loop, including into the window being run).
         st.tuples(st.just("chain"), st.floats(min_value=0.0, max_value=20.0)),
+        # An event whose callback cancels every event scheduled before it
+        # that is still pending, then schedules a follow-up (cancelling
+        # inside the loop; after a burst or two that crosses the compaction
+        # threshold mid-run, and the follow-up must land in the heap the
+        # loop is still popping).
+        st.tuples(st.just("purge"), st.floats(min_value=0.0, max_value=20.0)),
+        # A burst big enough that the purge right behind it compacts the
+        # heap from inside the loop.
+        st.tuples(st.just("burst_purge"), st.integers(min_value=65, max_value=80)),
         # A reserved arrival chain with non-decreasing gaps.
         st.tuples(
             st.just("arrivals"),
@@ -355,23 +362,37 @@ def _replay(ops):
     sim = Simulator()
     model = _Model()
     fired = []
-    pairs = []  # (simulator handle, model entry) for cancellation
+    pairs = []  # (simulator seq, model entry) for cancellation
     tag = 0
 
-    def schedule(delay, priority=0, follow=None):
+    def schedule(delay, priority=0, follow=None, purge=False):
         nonlocal tag
-        if follow is None:
-            callback = lambda t=tag: fired.append(t)  # noqa: E731
-        else:
+        victims = list(pairs) if purge else []
+        if purge:
+
+            def callback(t=tag, follow=follow):
+                fired.append(t)
+                for seq, _entry in victims:
+                    try:
+                        sim.cancel(seq)
+                    except SimulationError:
+                        pass  # fired or cancelled already
+                sim.schedule(follow[0], lambda: fired.append(follow[1]))
+
+        elif follow is not None:
 
             def callback(t=tag, follow=follow):
                 fired.append(t)
                 sim.schedule(follow[0], lambda: fired.append(follow[1]))
 
+        else:
+            callback = lambda t=tag: fired.append(t)  # noqa: E731
         pairs.append(
             (
                 sim.schedule(delay, callback, priority=priority),
-                model.schedule(delay, tag, priority, follow),
+                model.schedule(
+                    delay, tag, priority, follow, [entry for _seq, entry in victims]
+                ),
             )
         )
         tag += 1
@@ -385,6 +406,12 @@ def _replay(ops):
             schedule(0.5)
         elif kind == "chain":
             schedule(value, follow=(value, ("follow", tag)))
+        elif kind == "purge":
+            schedule(value, follow=(0.5, ("after purge", tag)), purge=True)
+        elif kind == "burst_purge":
+            for i in range(value):
+                schedule(500.0 + float(i))
+            schedule(0.5, follow=(0.5, ("after purge", tag)), purge=True)
         elif kind == "arrivals":
             times, at = [], sim.now
             for gap in value:
@@ -396,10 +423,17 @@ def _replay(ops):
             model.arrivals(times, tags)
         elif kind == "cancel":
             if pairs:
-                handle, entry = pairs[value % len(pairs)]
-                if not handle.cancelled:
-                    sim.cancel(handle)
+                seq, entry = pairs[value % len(pairs)]
+                if entry.alive:
+                    sim.cancel(seq)
                     entry.alive = False
+                else:
+                    # Fired or cancelled already: the cancel raises and
+                    # changes nothing.
+                    before = (sim.pending, sim.queue_size, sim.events_processed)
+                    with pytest.raises(SimulationError, match="not pending"):
+                        sim.cancel(seq)
+                    assert (sim.pending, sim.queue_size, sim.events_processed) == before
         elif kind == "run_for":
             until = sim.now + value
             sim.run(until=until)
@@ -421,9 +455,10 @@ def _replay(ops):
 
 class TestOrderingOracle:
     """Hypothesis oracle: the simulator replays any interleaving of
-    schedule / equal-time schedule / in-loop schedule / reserved arrival
-    chains / cancel / partial run / window / step into the exact fire
-    transcript of a naive sorted-list reference kernel."""
+    schedule / equal-time schedule / in-loop schedule / in-loop cancel /
+    reserved arrival chains / cancel (of pending and of fired or cancelled
+    seqs) / partial run / window / step into the exact fire transcript of a
+    naive sorted-list reference kernel."""
 
     @given(ops=_ops)
     @settings(max_examples=80, deadline=None)
@@ -471,20 +506,19 @@ class TestBatchScheduleParity:
             for time, prio in prefill:
                 sim.schedule_at(time, fired.append, ("pre", time), priority=prio)
             if batched:
-                handles = sim.schedule_at_many(
+                seqs = sim.schedule_at_many(
                     [(time, fired.append, (("new", i),)) for i, time in enumerate(times)],
                     priority=priority,
                 )
             else:
-                handles = [
+                seqs = [
                     sim.schedule_at(time, fired.append, ("new", i), priority=priority)
                     for i, time in enumerate(times)
                 ]
             # Cancel an arbitrary-but-identical subset: the window must skip
             # corpses exactly like the looped form.
-            for handle in handles[::3]:
-                sim.cancel(handle)
-            seqs = [handle.seq for handle in handles]
+            for seq in seqs[::3]:
+                sim.cancel(seq)
             sim.run_window(horizon)
             in_window = list(fired)
             sim.run()
