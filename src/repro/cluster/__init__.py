@@ -1,4 +1,4 @@
-"""Cluster substrate: resource specifications, machines and the space-shared LRMS.
+"""Cluster substrate: resource specifications and the space-shared LRMS.
 
 A *cluster* in the paper is a homogeneous collection of machines with a single
 system image, managed by a local resource management system (LRMS) such as PBS
@@ -7,12 +7,13 @@ or SGE.  This package provides that substrate:
 * :class:`~repro.cluster.specs.ResourceSpec` — the advertised resource set
   ``R_i = (p_i, mu_i, gamma_i)`` plus the owner's access price ``c_i``;
 * :mod:`repro.cluster.specs` — the paper's cost/time model (Eqs. 1–4);
-* :class:`~repro.cluster.machine.NodePool` — allocation of individual nodes,
-  held as sorted runs of free node ids and each job's tuple of runs;
 * :class:`~repro.cluster.profile.AvailabilityProfile` — processor availability
   over time, used for completion-time estimation and backfilling;
 * :class:`~repro.cluster.lrms.SpaceSharedLRMS` — FCFS / EASY-backfilling
-  space-shared scheduler with admission-control estimates.
+  space-shared scheduler with admission-control estimates.  It keeps the
+  cluster's free processors as one count (the paper names no individual
+  node) and raises :class:`~repro.cluster.lrms.AllocationError` for a start
+  that would over-allocate them.
 """
 
 from repro.cluster.specs import (
@@ -23,9 +24,8 @@ from repro.cluster.specs import (
     execution_time,
     transfer_volume_gb,
 )
-from repro.cluster.machine import NodePool, AllocationError
 from repro.cluster.profile import AvailabilityProfile, ProfileError
-from repro.cluster.lrms import SpaceSharedLRMS, SchedulingPolicy
+from repro.cluster.lrms import AllocationError, SpaceSharedLRMS, SchedulingPolicy
 
 __all__ = [
     "ResourceSpec",
@@ -34,7 +34,6 @@ __all__ = [
     "execution_time",
     "execution_cost",
     "transfer_volume_gb",
-    "NodePool",
     "AllocationError",
     "AvailabilityProfile",
     "ProfileError",

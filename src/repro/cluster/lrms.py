@@ -10,6 +10,10 @@ are provided:
   earliest possible start time and later jobs may jump ahead if doing so does
   not delay that reservation.
 
+The cluster is ``P`` interchangeable processors, as in the paper's model: the
+LRMS keeps how many are free, a job's start takes its width ``p`` from that
+count and its finish (or a crash) gives it back.  No node is named.
+
 Besides executing jobs the LRMS answers the admission-control question used by
 the Grid-Federation negotiation protocol: *"by when could this job complete if
 submitted now?"* (:meth:`SpaceSharedLRMS.estimate_completion_time`), based on
@@ -31,11 +35,14 @@ from __future__ import annotations
 import enum
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.cluster.machine import NodePool
 from repro.cluster.profile import AvailabilityProfile
 from repro.cluster.specs import ResourceSpec, execution_time
 from repro.sim.engine import Simulator
 from repro.workload.job import Job, JobStatus
+
+
+class AllocationError(RuntimeError):
+    """Raised when a start would over-allocate the cluster's processors."""
 
 
 class SchedulingPolicy(enum.Enum):
@@ -72,7 +79,8 @@ class SpaceSharedLRMS:
         self.spec = spec
         self.policy = policy
         self.on_job_complete = on_job_complete
-        self.nodes = NodePool(spec.num_processors)
+        # Processors not held by a running job.
+        self._free = spec.num_processors
         self._queue: List[Job] = []
         # job_id -> (job, finish time, finish event's seq); the seq lets a
         # crash (fail_all) cancel the in-flight completion.
@@ -117,7 +125,7 @@ class SpaceSharedLRMS:
     @property
     def free_processors(self) -> int:
         """Processors not currently allocated to a running job."""
-        return self.nodes.free_count
+        return self._free
 
     def runtime_of(self, job: Job) -> float:
         """Execution time of ``job`` on this cluster (Eq. 2)."""
@@ -149,7 +157,7 @@ class SpaceSharedLRMS:
         self.jobs_submitted += 1
         if self.on_state_change is not None:
             self.on_state_change()
-        if not self._queue and job.num_processors <= self.nodes.free_count:
+        if not self._queue and job.num_processors <= self._free:
             self._start(job)
             return
         self._queue.append(job)
@@ -166,7 +174,7 @@ class SpaceSharedLRMS:
             self._dispatch_easy()
 
     def _dispatch_fcfs(self) -> None:
-        while self._queue and self._queue[0].num_processors <= self.nodes.free_count:
+        while self._queue and self._queue[0].num_processors <= self._free:
             self._start(self._queue.pop(0))
 
     def _dispatch_easy(self) -> None:
@@ -184,7 +192,7 @@ class SpaceSharedLRMS:
         while i < len(self._queue):
             job = self._queue[i]
             runtime = self.runtime_of(job)
-            fits_now = job.num_processors <= self.nodes.free_count
+            fits_now = job.num_processors <= self._free
             ends_before_shadow = now + runtime <= shadow_time + 1e-9
             uses_spare_nodes = job.num_processors <= extra_nodes
             if fits_now and (ends_before_shadow or uses_spare_nodes):
@@ -217,6 +225,9 @@ class SpaceSharedLRMS:
         return shadow, extra
 
     def _start(self, job: Job) -> None:
+        procs = job.num_processors
+        if procs < 1 or procs > self._free or job.job_id in self._running:
+            raise self._allocation_error(job)
         now = self.sim.now
         # Only a live profile predicts starts, so with none there is nothing
         # to pop.
@@ -237,7 +248,7 @@ class SpaceSharedLRMS:
                 runtime = record[3]
             else:
                 runtime = execution_time(job, self.spec)
-        self.nodes.allocate(job.job_id, job.num_processors)
+        self._free -= procs
         job.mark_running(now)
         finish = now + runtime
         self._running[job.job_id] = (
@@ -246,11 +257,22 @@ class SpaceSharedLRMS:
             self.sim.schedule_at(finish, self._finish, job.job_id),
         )
 
+    def _allocation_error(self, job: Job) -> AllocationError:
+        """The error for a start that ``_start``'s guard refuses."""
+        procs = job.num_processors
+        if procs < 1:
+            return AllocationError(f"must allocate at least one node, got {procs}")
+        if job.job_id in self._running:
+            return AllocationError(f"job {job.job_id} already holds an allocation")
+        return AllocationError(
+            f"job {job.job_id} requested {procs} nodes but only {self._free} are free"
+        )
+
     def _finish(self, job_id: int) -> None:
         if self.on_state_change is not None:
             self.on_state_change()
         job = self._running.pop(job_id)[0]
-        self.nodes.release(job_id)
+        self._free += job.num_processors
         now = self.sim.now
         started = job.start_time if job.start_time is not None else now
         self.busy_node_seconds += job.num_processors * (now - started)
@@ -267,9 +289,11 @@ class SpaceSharedLRMS:
     # Fault injection
     # ------------------------------------------------------------------ #
     def fail_all(self) -> List[Job]:
-        """Crash the cluster: kill running jobs, drop the queue, free nodes.
+        """Crash the cluster: kill running jobs, drop the queue, free processors.
 
-        Every running job's finish event is cancelled and its nodes released;
+        Every running job's finish event is cancelled and its processors
+        handed back to the free count (not reset to the cluster's size, so a
+        miscount stays visible to the validator);
         node-seconds consumed up to the crash instant still count towards
         utilisation (the processors *were* busy).  Queued jobs are returned
         untouched behind the killed running jobs.  The fate of the returned
@@ -278,9 +302,9 @@ class SpaceSharedLRMS:
         """
         now = self.sim.now
         killed: List[Job] = []
-        for job_id, (job, _finish, seq) in self._running.items():
+        for job, _finish, seq in self._running.values():
             self.sim.cancel(seq)
-            self.nodes.release(job_id)
+            self._free += job.num_processors
             started = job.start_time if job.start_time is not None else now
             self.busy_node_seconds += job.num_processors * (now - started)
             killed.append(job)
@@ -316,7 +340,7 @@ class SpaceSharedLRMS:
         """
         runtime = execution_time(job, self.spec)  # ValueError if too wide
         now = self.sim.now
-        if not self._queue and job.num_processors <= self.nodes.free_count:
+        if not self._queue and job.num_processors <= self._free:
             start = now
         else:
             profile, queue_tail_start = self._estimation_profile()

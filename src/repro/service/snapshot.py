@@ -76,8 +76,9 @@ __all__ = [
 #: the simulator's heap holds ``(time, priority, seq, callback, args)``
 #: tuples and a set of live seqs (no event handles, pool or pending
 #: counter), and each LRMS keeps its finish event's seq in ``_running`` in
-#: place of a ``_finish_events`` map.
-SNAPSHOT_FORMAT_VERSION = 9
+#: place of a ``_finish_events`` map.  v10: each LRMS pickles its free
+#: processors as one int (``_free``) in place of a ``NodePool``.
+SNAPSHOT_FORMAT_VERSION = 10
 
 _MAGIC = b"gridfed-snapshot\n"
 _WHAT = "gridfed snapshot"
@@ -311,8 +312,9 @@ def load_snapshot(
 #: envelope, no event-id counter).  v8: shards pickle the v7 LRMS (the
 #: estimate record and ``(start, runtime)`` predictions).  v9: shards pickle
 #: the v8 directory (its query charge).  v10: shards pickle the v9 simulator
-#: and LRMS (plain heap tuples, live seqs, no event handles).
-PAR_CHECKPOINT_VERSION = 10
+#: and LRMS (plain heap tuples, live seqs, no event handles).  v11: shards
+#: pickle the v10 LRMS (a free-processor count, no node pool).
+PAR_CHECKPOINT_VERSION = 11
 
 _PAR_MAGIC = b"gridfed-par-state\n"
 _PAR_WHAT = "parallel checkpoint state file"

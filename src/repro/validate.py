@@ -409,8 +409,8 @@ class RuntimeValidator:
       work, every live cluster's free plus running processors equal its
       size);
     * :meth:`validate_end` — called by ``Federation.run`` on the assembled
-      result; checks that every cluster's node pool is wholly free again,
-      then runs the full result-level suite.
+      result; checks that every cluster runs no job and has all its
+      processors free again, then runs the full result-level suite.
 
     Raises :class:`InvariantViolation` at the first breached checkpoint.
     """
@@ -472,17 +472,18 @@ class RuntimeValidator:
             raise InvariantViolation(violations)
 
     def validate_end(self, federation: "Federation", result: FederationResult) -> None:
-        """Check that every node pool drained, then run the result-level suite."""
+        """Check that every cluster drained, then run the result-level suite."""
         self.results_validated += 1
         violations = []
         for name, gfa in federation.gfas.items():
-            free = gfa.lrms.nodes.free_runs()
-            if free != ((0, gfa.spec.num_processors),):
+            lrms = gfa.lrms
+            if lrms.running_count or lrms.free_processors != gfa.spec.num_processors:
                 violations.append(
                     Violation(
                         "drained-nodes",
-                        f"cluster {name}: free runs {free} after the run drained, "
-                        f"not all {gfa.spec.num_processors} processors",
+                        f"cluster {name}: {lrms.free_processors} free processors and "
+                        f"{lrms.running_count} running jobs after the run drained, "
+                        f"not all {gfa.spec.num_processors} processors free",
                     )
                 )
         if violations:

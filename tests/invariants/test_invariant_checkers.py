@@ -247,8 +247,9 @@ class TestRuntimeValidator:
             federation.run()
 
     def test_nodes_released_behind_the_lrms_back_are_caught(self, crash_plan):
-        """A live cluster whose pool frees a running job's nodes without the
-        LRMS knowing breaks node conservation at the next fault checkpoint."""
+        """A live cluster whose free count takes back a running job's
+        processors while the job still runs breaks processor conservation
+        at the next fault checkpoint."""
         federation = _federation(EXPERIMENT_SHAPES["exp3_economy"])
         injector = federation.install_faults(crash_plan)
         validator = federation.install_validator()
@@ -262,17 +263,45 @@ class TestRuntimeValidator:
             if gfa.alive
             for job in gfa.lrms.running_jobs()
         )
-        lrms.nodes.release(job.job_id)
+        lrms._free += job.num_processors
         with pytest.raises(InvariantViolation, match="runtime-nodes"):
             validator.after_fault(injector, event)
 
     def test_undrained_pool_at_the_end_is_caught(self):
+        """A processor still taken after the run drained (a start whose
+        finish never handed it back) fails the end-of-run check."""
         scenario = Scenario(mode="federation", workload="synthetic", horizon=6 * 3600.0, thin=40, seed=7)
         federation = _federation(scenario)
         validator = federation.install_validator()
         result = federation.run()
         assert validator.results_validated == 1
-        next(iter(federation.gfas.values())).lrms.nodes.allocate(job_id=-1, count=1)
+        next(iter(federation.gfas.values())).lrms._free -= 1
+        with pytest.raises(InvariantViolation, match="drained-nodes"):
+            validator.validate_end(federation, result)
+
+    def test_a_processor_leaked_before_a_crash_is_caught(self, crash_plan):
+        """A crash hands back its killed jobs' processors, not a reset to
+        the cluster's size, so a processor lost before it leaves the dead
+        cluster short, and the checkpoint after the crash says so."""
+        federation = _federation(EXPERIMENT_SHAPES["exp3_economy"])
+        federation.install_faults(crash_plan)
+        federation.install_validator()
+        federation.start()
+        federation.sim.run(until=4_500.0)  # the first crash is at 5,000 s
+        federation.gfas["LANL Origin"].lrms._free -= 1
+        with pytest.raises(InvariantViolation, match="dead cluster LANL Origin still has"):
+            federation.sim.run()
+
+    def test_a_job_left_running_at_the_end_is_caught(self):
+        """A job still listed as running after the run drained fails the
+        end-of-run check even when the free count reads the full size."""
+        scenario = Scenario(mode="federation", workload="synthetic", horizon=6 * 3600.0, thin=40, seed=7)
+        federation = _federation(scenario)
+        validator = federation.install_validator()
+        result = federation.run()
+        job = result.completed_jobs()[0]
+        lrms = federation.gfas[job.executed_on].lrms
+        lrms._running[job.job_id] = (job, job.finish_time, -1)
         with pytest.raises(InvariantViolation, match="drained-nodes"):
             validator.validate_end(federation, result)
 

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import ResourceSpec, SpaceSharedLRMS, SchedulingPolicy
+from repro.cluster import AllocationError, ResourceSpec, SpaceSharedLRMS, SchedulingPolicy
 from repro.cluster.specs import execution_time
 from repro.sim import Simulator
 from repro.workload.job import Job, JobStatus
@@ -108,6 +110,140 @@ class TestExecution:
         _, _, lrms = world
         with pytest.raises(ValueError):
             lrms.utilisation(0.0)
+
+
+class TestFreeProcessors:
+    """The LRMS keeps its free processors as one count: a start takes the
+    job's width, a finish or a crash gives it back."""
+
+    @pytest.mark.parametrize("policy", list(SchedulingPolicy))
+    def test_starts_take_and_finishes_return_the_width(self, policy):
+        sim = Simulator()
+        spec = make_spec(procs=16)
+        lrms = SpaceSharedLRMS(sim, spec, policy=policy)
+        seen = []
+
+        def watch(job):
+            seen.append((sim.now, job.job_id, lrms.free_processors))
+
+        lrms.on_job_complete = watch
+        a = make_job(procs=10, runtime=100.0, spec=spec)
+        b = make_job(procs=4, runtime=50.0, spec=spec)
+        c = make_job(procs=8, runtime=30.0, spec=spec)
+        lrms.submit(a)
+        assert lrms.free_processors == 6
+        lrms.submit(b)
+        assert lrms.free_processors == 2
+        lrms.submit(c)  # waits for ``a``'s 10 processors
+        assert lrms.free_processors == 2 and lrms.queue_length == 1
+        sim.run()
+        # ``b`` hands back 4 at 50; ``a`` hands back 10 at 100 and ``c``
+        # takes 8 of them before the completion callback; ``c`` ends at 130.
+        assert seen == [(50.0, b.job_id, 6), (100.0, a.job_id, 8), (130.0, c.job_id, 16)]
+
+    def test_fail_all_returns_each_killed_width_without_resetting(self):
+        """A crash adds back what its killed jobs held; it does not reset
+        the count to the cluster's size, so a processor leaked before the
+        crash stays missing (the validator's dead-cluster check reads it)."""
+        sim = Simulator()
+        spec = make_spec(procs=16)
+        lrms = SpaceSharedLRMS(sim, spec)
+        for procs in (6, 7, 16):
+            lrms.submit(make_job(procs=procs, runtime=100.0, spec=spec))
+        assert lrms.free_processors == 3
+        lrms._free -= 1  # a processor some bug never handed back
+        killed = lrms.fail_all()
+        assert [job.num_processors for job in killed] == [6, 7, 16]
+        assert lrms.free_processors == spec.num_processors - 1
+        assert lrms.running_count == 0 and sim.pending == 0
+
+    def test_a_finish_for_a_job_that_is_not_running_raises(self, world):
+        sim, spec, lrms = world
+        job = make_job(procs=4, runtime=10.0, spec=spec)
+        lrms.submit(job)
+        sim.run()
+        with pytest.raises(KeyError):
+            lrms._finish(job.job_id)
+        assert lrms.free_processors == spec.num_processors
+
+    @pytest.mark.parametrize("policy", list(SchedulingPolicy))
+    def test_a_pickled_busy_cluster_resumes_like_the_original(self, policy):
+        """Mid-run state (free count, running and queued jobs, finish
+        events) survives pickling, as a checkpoint takes it."""
+        sim = Simulator()
+        spec = make_spec(procs=16)
+        lrms = SpaceSharedLRMS(sim, spec, policy=policy)
+        for procs, runtime in ((10, 100.0), (16, 10.0), (2, 10.0), (5, 40.0), (3, 500.0)):
+            lrms.submit(make_job(procs=procs, runtime=runtime, spec=spec))
+        sim.run(until=5.0)
+        clone_sim, clone = pickle.loads(pickle.dumps((sim, lrms)))
+        assert clone.free_processors == lrms.free_processors
+        sim.run()
+        clone_sim.run()
+        assert clone.free_processors == lrms.free_processors == spec.num_processors
+        assert clone.busy_node_seconds == lrms.busy_node_seconds
+        assert clone.last_finish_time == lrms.last_finish_time
+        assert clone.jobs_completed == lrms.jobs_completed == 5
+
+    def test_allocation_error_is_exported_from_the_cluster_package(self):
+        from repro.cluster.lrms import AllocationError as defined
+
+        assert AllocationError is defined
+        assert issubclass(AllocationError, RuntimeError)
+
+
+class TestStartGuards:
+    """A start that would over-allocate is refused with
+    :class:`AllocationError` before the LRMS changes anything."""
+
+    CASES = {
+        "wider-than-free": "requested 8 nodes but only 6 are free",
+        "zero-width": "must allocate at least one node, got 0",
+        "already-running": "already holds an allocation",
+    }
+
+    @staticmethod
+    def _state(sim, lrms):
+        return (
+            lrms.free_processors,
+            dict(lrms._running),
+            list(lrms._queue),
+            lrms._profile,
+            dict(lrms._predicted),
+            lrms._estimate,
+            lrms.jobs_submitted,
+            sim.pending,
+            sim.queue_size,
+        )
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_a_refused_start_changes_nothing(self, case):
+        sim = Simulator()
+        spec = make_spec(procs=16)
+        lrms = SpaceSharedLRMS(sim, spec)
+        running = make_job(procs=10, runtime=100.0, spec=spec)
+        lrms.submit(running)
+        waiting = make_job(procs=8, runtime=20.0, spec=spec)
+        lrms.estimate_completion_time(waiting)
+        lrms.submit(waiting)  # queued, its start predicted at 100
+        if case == "wider-than-free":
+            job = waiting
+        elif case == "zero-width":
+            job = make_job(procs=1, runtime=5.0, spec=spec)
+            job.num_processors = 0
+        else:
+            job = running
+        # A live estimate record for the job: a start that got past its
+        # guards would clear it, and drop the profile for an unpredicted one.
+        lrms.estimate_completion_time(running if case == "zero-width" else job)
+        before = self._state(sim, lrms)
+        assert lrms._profile is not None and lrms._estimate is not None
+        with pytest.raises(AllocationError, match=self.CASES[case]):
+            lrms._start(job)
+        assert self._state(sim, lrms) == before
+        sim.run()
+        assert (running.finish_time, waiting.start_time, waiting.finish_time) == (100.0, 100.0, 120.0)
+        assert lrms.free_processors == spec.num_processors
 
 
 class TestFCFSOrdering:

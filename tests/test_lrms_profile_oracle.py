@@ -9,7 +9,9 @@ The oracle here is the rebuild itself, done the naive way: every running
 job holds its processors over ``[now, finish)``, the queue is replayed in
 FCFS order behind the tail, and the earliest start is found by checking the
 free count at every breakpoint of a plain list of intervals.  The LRMS's
-answers must equal it bit for bit after every operation of a random mix.
+answers must equal it bit for bit after every operation of a random mix,
+and its free processors plus the running jobs' widths must equal the
+cluster's size.
 """
 
 from __future__ import annotations
@@ -61,7 +63,16 @@ def reference(lrms: SpaceSharedLRMS) -> Tuple[List[Interval], float]:
     return holds, tail
 
 
+def assert_conserves_processors(lrms: SpaceSharedLRMS) -> None:
+    """Every processor is free or held by exactly one running job."""
+    capacity = lrms.spec.num_processors
+    held = sum(job.num_processors for job in lrms.running_jobs())
+    assert lrms.free_processors + held == capacity
+    assert 0 <= lrms.free_processors <= capacity
+
+
 def assert_matches_reference(lrms: SpaceSharedLRMS) -> None:
+    assert_conserves_processors(lrms)
     holds, tail = reference(lrms)
     now = lrms.sim.now
     for procs, runtime in PROBES:

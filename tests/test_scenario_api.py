@@ -276,6 +276,7 @@ class TestRemovedEntryPointsTable:
     importable from ``repro`` or ``repro.experiments``."""
 
     PACKAGES = (
+        "repro.cluster",
         "repro.core",
         "repro.experiments",
         "repro.baselines",
@@ -299,7 +300,7 @@ class TestRemovedEntryPointsTable:
         api = (Path(__file__).resolve().parents[1] / "docs" / "API.md").read_text()
         section = api.split("## Removed entry points", 1)[1].split("\n## ", 1)[0]
         rows = [line.split("|")[1:3] for line in section.splitlines() if line.startswith("| `")]
-        assert len(rows) == 22
+        assert len(rows) == 23
         modules = self._modules()
         public = (repro, importlib.import_module("repro.experiments"))
         for removed, replacement in rows:

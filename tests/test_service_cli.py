@@ -61,6 +61,30 @@ class TestRunFlags:
         assert "scenario mismatch" in err
         assert "seed=99" in err
 
+    def test_resume_of_a_previous_format_checkpoint_is_exit_2(self, tmp_path, capsys):
+        """A checkpoint an older build wrote is refused with the version
+        message, and a re-run over its directory still completes to the
+        uninterrupted fingerprint."""
+        from repro.service.checkpoint import snapshot_path
+        from repro.service.snapshot import SNAPSHOT_FORMAT_VERSION
+        from tests.test_service_resume import _rewrite_format_version
+
+        ckpt = str(tmp_path / "ckpt")
+        assert main(["run", *_FAST_ARGS]) == 0
+        plain = _fingerprint(capsys.readouterr().out)
+        assert main(["run", *_FAST_ARGS, "--checkpoint", ckpt]) == 0
+        capsys.readouterr()
+        previous = SNAPSHOT_FORMAT_VERSION - 1
+        _rewrite_format_version(snapshot_path(ckpt), previous)
+        assert main(["run", "--resume", ckpt]) == 2
+        err = capsys.readouterr().err
+        assert (
+            f"snapshot format version {previous} is not supported by this build "
+            f"(which reads version {SNAPSHOT_FORMAT_VERSION})"
+        ) in err
+        assert main(["run", *_FAST_ARGS, "--checkpoint", ckpt]) == 0
+        assert _fingerprint(capsys.readouterr().out) == plain
+
     def test_sharded_checkpoint_then_resume_matches(self, tmp_path, capsys):
         """--checkpoint and --resume serve --workers runs: the run stays
         sharded, leaves a fleet checkpoint, and resumes to the same digest."""

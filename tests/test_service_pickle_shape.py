@@ -39,8 +39,8 @@ from repro.service.snapshot import (
 from repro.workload.job import job_counter_state
 
 #: (format version, digest of the pickled class → state-name map).
-SNAPSHOT_SHAPE = (9, "9e138a5e19d67c67")
-PAR_SHAPE = (10, "88de3fc91113232a")
+SNAPSHOT_SHAPE = (10, "68f3d0cf02e80925")
+PAR_SHAPE = (11, "1fa17e9b1025f8a3")
 CACHE_SHAPE = (5, "1baec5a2410eea51")
 
 #: Scenarios whose graphs between them reach the fault injector, the
