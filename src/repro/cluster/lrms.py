@@ -215,14 +215,26 @@ class SpaceSharedLRMS:
         The shadow time is the earliest start of the head-of-queue job given
         the currently running jobs; the extra nodes are the processors that
         remain free at that instant after the head job has been placed.
+
+        With running jobs alone the free count never falls over time, so
+        the shadow time is the first instant (now, or a release) at which it
+        reaches the head's width, and the extra nodes are the count there,
+        after every release due then, minus that width.  One pass over the
+        releases in time order finds both, with no availability profile; a
+        finish due now (its event not fired yet) counts as released now.
         """
-        now = self.sim.now
-        profile = self._running_profile()
-        runtime = self.runtime_of(head)
-        shadow = profile.earliest_start(head.num_processors, runtime, earliest=now)
-        free_at_shadow = profile.min_free(shadow, shadow + runtime)
-        extra = max(free_at_shadow - head.num_processors, 0)
-        return shadow, extra
+        releases = sorted(
+            (finish, job.num_processors) for job, finish, _seq in self._running.values()
+        )
+        need = head.num_processors
+        free = self._free
+        shadow = self.sim.now
+        for finish, procs in releases:
+            if free >= need and finish > shadow:
+                break
+            shadow = finish
+            free += procs
+        return shadow, max(free - need, 0)
 
     def _start(self, job: Job) -> None:
         procs = job.num_processors

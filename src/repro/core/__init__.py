@@ -26,7 +26,7 @@ from repro.core.federation import (
 from repro.core.gfa import GFAStatistics, GridFederationAgent
 from repro.core.messages import GFAMessageCounters, MessageLog, MessageType
 from repro.core.policies import SharingMode, rank_criterion_for
-from repro.core.users import UserPopulation
+from repro.core.users import UserPopulation, start_populations
 
 __all__ = [
     "AdmissionController",
@@ -43,4 +43,5 @@ __all__ = [
     "SharingMode",
     "rank_criterion_for",
     "UserPopulation",
+    "start_populations",
 ]

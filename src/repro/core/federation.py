@@ -17,7 +17,7 @@ from repro.cluster.specs import ResourceSpec
 from repro.core.gfa import GFAStatistics, GridFederationAgent
 from repro.core.messages import MessageLog
 from repro.core.policies import SharingMode
-from repro.core.users import UserPopulation
+from repro.core.users import UserPopulation, start_populations
 from repro.economy.bank import GridBank
 from repro.net.topology import build_topology
 from repro.net.transport import Transport, TransportStats
@@ -344,9 +344,10 @@ class Federation:
     def start(self) -> None:
         """Schedule the initial event population (faults, then arrivals).
 
-        Each user population queues only its first arrival; the rest follow
-        one at a time under sequence numbers reserved here, in population
-        order.
+        Every population's jobs are merged into the simulator's one
+        presorted feed (:func:`~repro.core.users.start_populations`), in
+        ``(submit time, population order)`` order, under the sequence
+        numbers that follow the faults'.
 
         Split out of :meth:`run` so the checkpointing driver can start the
         entities once and then advance the simulation in bounded chunks
@@ -360,8 +361,7 @@ class Federation:
             # Faults are scheduled first so that, at equal timestamps, a
             # fault applies before the job submissions of that instant.
             self._fault_injector.start()
-        for population in self.populations.values():
-            population.start()
+        start_populations(self.sim, self.populations.values())
 
     def collect(self) -> FederationResult:
         """Harvest the :class:`FederationResult` after the event queue drained."""

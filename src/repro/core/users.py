@@ -4,11 +4,16 @@ Each cluster has a local population of users that submits the (trace-driven or
 synthetic) workload to the cluster's GFA, keeping the submission path of the
 paper's model (user → GFA → LRMS / federation) and giving a single place to
 attach per-population bookkeeping.
+
+Every submission time is known before the run starts, so
+:func:`start_populations` hands all of them to the simulator at once as its
+one presorted feed (:meth:`~repro.sim.engine.Simulator.feed`): no arrival
+waits on the event heap.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Sequence
+from typing import TYPE_CHECKING, Iterable, List, Sequence
 
 from repro.sim.engine import Simulator
 from repro.workload.job import Job
@@ -39,8 +44,6 @@ class UserPopulation:
         self._jobs: List[Job] = sorted(jobs, key=lambda j: (j.submit_time, j.job_id))
         self.submitted = 0
         self._started = False
-        #: Sequence number reserved for the first job's arrival (set by start).
-        self._first_seq = 0
         for job in self._jobs:
             if job.origin != gfa.name:
                 raise ValueError(
@@ -51,36 +54,12 @@ class UserPopulation:
     # ------------------------------------------------------------------ #
     # Behaviour
     # ------------------------------------------------------------------ #
-    def start(self) -> None:
-        """Reserve the arrivals' sequence numbers and queue the first one.
-
-        Only one arrival is pending at a time: each one schedules the next
-        job under the number reserved for it here, so every arrival keeps
-        the ``(time, priority, seq)`` key that scheduling the whole workload
-        up front would give it, while the event heap holds one arrival per
-        population instead of the whole workload.
-        """
-        if self._started:
-            raise RuntimeError(f"{self.name}: population already started")
-        self._started = True
-        self._first_seq = self.sim.reserve_seqs(len(self._jobs))
-        if self._jobs:
-            self.sim.schedule_reserved(self._first_seq, self._jobs[0].submit_time, self._submit)
-
     def _submit(self) -> None:
-        jobs = self._jobs
+        """Hand the next job to the GFA: the feed fires one call per job, in
+        the population's job order."""
         index = self.submitted
         self.submitted = index + 1
-        if index + 1 < len(jobs):
-            self.sim.schedule_reserved(
-                self._first_seq + index + 1, jobs[index + 1].submit_time, self._submit
-            )
-        # The GFA takes the job at the arrival's own key, (time, 0, the seq
-        # reserved by start()): an event due at this instant that was
-        # scheduled before the population started (a fault, the pricing
-        # ticker) has already run, and one scheduled after it (a job finish)
-        # runs once the GFA has the job.
-        self.gfa.submit_local_job(jobs[index])
+        self.gfa.submit_local_job(self._jobs[index])
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -97,3 +76,30 @@ class UserPopulation:
 
     def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
         return f"UserPopulation({self.gfa.name!r}, jobs={len(self._jobs)})"
+
+
+def start_populations(sim: Simulator, populations: Iterable[UserPopulation]) -> None:
+    """Start ``populations``: queue every job's arrival on ``sim``'s feed.
+
+    The jobs of all populations are merged into one list ordered by
+    ``(submit_time, population order, job order)``, the order of the
+    ``(time, 0, seq)`` keys that scheduling each population's jobs in turn
+    would give them, and installed as the simulator's feed.  So the GFA
+    takes each job at that key: among events of the job's instant, one
+    scheduled before the populations started (a fault, the pricing ticker)
+    runs first, and one scheduled after it (a job finish) runs once the GFA
+    has the job.
+    """
+    populations = list(populations)
+    for population in populations:
+        if population._started:
+            raise RuntimeError(f"{population.name}: population already started")
+    times = [job.submit_time for population in populations for job in population._jobs]
+    owners: List[UserPopulation] = []
+    for population in populations:
+        owners += [population] * len(population._jobs)
+    # A stable sort of the population-ordered lists keeps ties in that order.
+    order = sorted(range(len(times)), key=times.__getitem__)
+    sim.feed([times[i] for i in order], UserPopulation._submit, [owners[i] for i in order])
+    for population in populations:
+        population._started = True

@@ -35,8 +35,9 @@ __all__ = ["CACHE_FORMAT_VERSION", "PersistentResultCache"]
 #: sorted ``(key, quote)`` lists in place of skip lists.  v4: it also
 #: pickles its per-probe query charge.  v5: the simulator a result reaches
 #: through its directory's transport pickles plain heap tuples and live seqs
-#: in place of event handles.
-CACHE_FORMAT_VERSION = 5
+#: in place of event handles.  v6: that simulator also pickles its arrival
+#: feed's fields (a spent feed: empty lists and no callback).
+CACHE_FORMAT_VERSION = 6
 
 _SUFFIX = ".result.pkl"
 

@@ -77,8 +77,11 @@ __all__ = [
 #: tuples and a set of live seqs (no event handles, pool or pending
 #: counter), and each LRMS keeps its finish event's seq in ``_running`` in
 #: place of a ``_finish_events`` map.  v10: each LRMS pickles its free
-#: processors as one int (``_free``) in place of a ``NodePool``.
-SNAPSHOT_FORMAT_VERSION = 10
+#: processors as one int (``_free``) in place of a ``NodePool``.  v11: the
+#: simulator pickles its arrival feed (times, items, callback and end seq),
+#: which holds every arrival not yet fired, and user populations no longer
+#: keep a reserved first seq (``_first_seq``).
+SNAPSHOT_FORMAT_VERSION = 11
 
 _MAGIC = b"gridfed-snapshot\n"
 _WHAT = "gridfed snapshot"
@@ -313,8 +316,10 @@ def load_snapshot(
 #: estimate record and ``(start, runtime)`` predictions).  v9: shards pickle
 #: the v8 directory (its query charge).  v10: shards pickle the v9 simulator
 #: and LRMS (plain heap tuples, live seqs, no event handles).  v11: shards
-#: pickle the v10 LRMS (a free-processor count, no node pool).
-PAR_CHECKPOINT_VERSION = 11
+#: pickle the v10 LRMS (a free-processor count, no node pool).  v12: shards
+#: pickle the v11 simulator and populations (the arrival feed, no reserved
+#: first seq).
+PAR_CHECKPOINT_VERSION = 12
 
 _PAR_MAGIC = b"gridfed-par-state\n"
 _PAR_WHAT = "parallel checkpoint state file"

@@ -17,16 +17,25 @@ The engine is deliberately callback-based rather than coroutine-based: the
 Grid-Federation entities (GFAs, LRMSes, user populations) are reactive state
 machines, and callbacks keep the hot path free of generator overhead.
 
-Three hot-path details worth knowing:
+Four hot-path details worth knowing:
 
 * **One loop** — :meth:`Simulator.step`, :meth:`Simulator.run` and
   :meth:`Simulator.run_window` all fire events through the same private
-  loop, which pops while the heap head lies inside an end bound.
-* **Events are their sequence numbers** — every ``schedule*`` call returns
-  the event's ``seq``, and the simulator keeps the set of live (scheduled,
-  not yet fired, drained or cancelled) seqs.  :meth:`Simulator.cancel`
-  takes a seq out of that set; :attr:`Simulator.pending` is its size.
-  Nothing is allocated per event beyond its heap tuple.
+  loop, which fires while the next event lies inside an end bound.
+* **Scheduled events are their sequence numbers** — every ``schedule*``
+  call returns the event's ``seq``, and the simulator keeps the set of live
+  (scheduled, not yet fired, drained or cancelled) seqs.
+  :meth:`Simulator.cancel` takes a seq out of that set.  Nothing is
+  allocated per event beyond its heap tuple.
+* **One presorted feed** — a trace-driven workload knows every arrival
+  time before the run starts, so :meth:`Simulator.feed` takes them all at
+  once, validated in one pass, as a list the loop fires from in key order
+  without pushing them on the heap.  Each feed event has the key
+  ``(time, 0, seq)`` it would have had from :meth:`Simulator.schedule_at`
+  at install time, and the loop takes the feed's head whenever that key
+  sorts before the heap's head, so the delivery order is the same as if
+  the feed had been scheduled.  :attr:`Simulator.pending` counts the live
+  seqs plus the feed's remaining events.
 * **Cancellation compaction** — a heap cannot delete from the middle, so a
   cancelled entry stays put until it surfaces, where the loop drops it; the
   heap is compacted in place once dead entries outnumber live ones, so
@@ -38,7 +47,9 @@ from __future__ import annotations
 
 import math
 from heapq import heapify, heappop, heappush
-from typing import Any, Callable, Iterator, List, NoReturn, Optional, Set, Tuple
+from itertools import islice
+from operator import le
+from typing import Any, Callable, Iterator, List, NoReturn, Optional, Sequence, Set, Tuple
 
 #: Dead heap entries tolerated before compaction (and the floor below which
 #: compaction is never worth the rebuild).
@@ -93,6 +104,12 @@ class Simulator:
         self._heap: List[HeapEntry] = []
         self._live: Set[int] = set()  # seqs scheduled, not fired/drained/cancelled
         self._seq = 0  # the next sequence number to hand out
+        # The feed, latest first so the head pops off the end: its times,
+        # the item each passes to its callback, and one past the last seq.
+        self._feed_times: List[float] = []
+        self._feed_items: List[Any] = []
+        self._feed_callback: Optional[Callable[[Any], None]] = None
+        self._feed_end = 0
         self._running = False
         self._stopped = False
         self._events_processed = 0
@@ -113,24 +130,26 @@ class Simulator:
 
     @property
     def pending(self) -> int:
-        """Number of live (non-cancelled) events still waiting in the heap.
+        """Number of events still to fire: the live (scheduled, not
+        cancelled) heap events plus the feed's remaining events.
 
-        The size of the live-seq set, so reading it is ``O(1)`` — entities
-        may poll it every event (dynamic pricing does).
+        Two sizes, so reading it is ``O(1)`` — entities may poll it every
+        event (dynamic pricing does).
         """
-        return len(self._live)
+        return len(self._live) + len(self._feed_times)
 
     @property
     def queue_size(self) -> int:
-        """Raw heap entries, *including* cancelled ones not yet dropped.
+        """Raw heap entries, *including* cancelled ones not yet dropped
+        (the feed never enters the heap, so this excludes it).
 
-        The compaction guarantee keeps this within a constant factor of
-        :attr:`pending` (plus the compaction floor), bounded regardless of
+        The compaction guarantee keeps this within a constant factor of the
+        live heap events (plus the compaction floor), bounded regardless of
         cancellation churn."""
         return len(self._heap)
 
     def __len__(self) -> int:
-        return len(self._live)
+        return self.pending
 
     # ------------------------------------------------------------------ #
     # Scheduling
@@ -179,49 +198,6 @@ class Simulator:
         self._live.add(seq)
         return seq
 
-    def reserve_seqs(self, count: int) -> int:
-        """Reserve ``count`` consecutive sequence numbers; return the first.
-
-        A caller that will schedule a chain of events — a user population's
-        arrivals — reserves their numbers where it would otherwise have
-        scheduled them all at once, then schedules each link with
-        :meth:`schedule_reserved` when the previous one fires.  Every event
-        keeps the ``(time, priority, seq)`` key it would have had, so the
-        delivery order is unchanged while only one link is pending.
-        """
-        if count < 0:
-            raise SimulationError(f"cannot reserve a negative count ({count})")
-        first = self._seq
-        self._seq = first + count
-        return first
-
-    def schedule_reserved(
-        self,
-        seq: int,
-        time: float,
-        callback: Callable[..., None],
-        *args: Any,
-    ) -> int:
-        """Schedule ``callback(*args)`` at ``time`` under a reserved ``seq``;
-        return ``seq``.
-
-        ``seq`` must come from :meth:`reserve_seqs`, and each reserved number
-        may be used once; the event has the default priority 0.  A seq that
-        is already pending is refused: the live set names an event by its
-        seq, so a second entry under it would be dropped unfired.  The
-        sequence counter does not move, so the next ordinary ``schedule``
-        draws the number it would have drawn anyway.
-        """
-        if not 0 <= seq < self._seq or seq in self._live:
-            raise SimulationError(
-                f"sequence number {seq} was never reserved or is already pending"
-            )
-        if not (self._now <= time < _INF and callable(callback)):
-            self._reject(time, callback)
-        heappush(self._heap, (float(time), 0, seq, callback, args))
-        self._live.add(seq)
-        return seq
-
     def schedule_at_many(
         self,
         items,
@@ -258,6 +234,74 @@ class Simulator:
         seqs = range(first, seq)
         self._live.update(seqs)
         return list(seqs)
+
+    def feed(
+        self,
+        times: Sequence[float],
+        callback: Callable[[Any], None],
+        items: Sequence[Any],
+    ) -> None:
+        """Install a presorted feed: ``callback(items[i])`` fires at
+        ``times[i]`` for every ``i``.
+
+        The feed's events take the next ``len(times)`` sequence numbers in
+        order and priority 0, so each fires under the ``(time, 0, seq)`` key
+        the equivalent :meth:`schedule_at` loop would give it: among events
+        of one instant, those scheduled before the feed fire first, those
+        scheduled after it fire later.  The loop fires them from the feed
+        itself, so none enters the heap or the live set, and none can be
+        cancelled.
+
+        Every time is checked once, here: the times must be finite,
+        non-decreasing and not before :attr:`now`, ``callback`` callable,
+        ``items`` as long as ``times``, and no earlier feed may still be
+        pending.  A refused feed changes nothing.  Once its last event has
+        fired (or been drained) the simulator holds no reference to the
+        callback or the items.
+        """
+        if self._feed_times:
+            raise SimulationError(
+                f"a feed is already pending ({len(self._feed_times)} events left)"
+            )
+        if not callable(callback):
+            raise SimulationError("callback must be callable")
+        times = list(map(float, times))
+        if len(items) != len(times):
+            raise SimulationError(f"a feed of {len(times)} times got {len(items)} items")
+        if not times:
+            return
+        if not (
+            self._now <= times[0]
+            and times[-1] < _INF
+            and all(map(le, times, islice(times, 1, None)))
+        ):
+            self._reject_feed(times, callback)
+        # Extended in place: a loop in progress keeps firing from the lists.
+        self._feed_times.extend(reversed(times))
+        self._feed_items.extend(reversed(items))
+        self._feed_callback = callback
+        self._seq += len(times)
+        self._feed_end = self._seq
+
+    def _reject_feed(self, times: List[float], callback: Callable[[Any], None]) -> NoReturn:
+        """Raise the error that disqualifies a feed: its first time that is
+        not finite, lies in the past or precedes the time before it."""
+        previous = self._now
+        for time in times:
+            if not self._now <= time < _INF:
+                self._reject(time, callback)
+            if time < previous:
+                raise SimulationError(
+                    f"feed times must be non-decreasing ({time} follows {previous})"
+                )
+            previous = time
+        raise AssertionError("unreachable: every feed time passed")  # pragma: no cover
+
+    def _feed_first(self, time: float, priority: int, seq: int) -> bool:
+        """Whether the feed's head, keyed ``(its time, 0, its seq)``, fires
+        before the heap event keyed ``(time, priority, seq)``."""
+        feed = self._feed_times
+        return (feed[-1], 0, self._feed_end - len(feed)) < (time, priority, seq)
 
     def _reject(self, time: float, callback: Callable[..., None]) -> NoReturn:
         """Raise the error that disqualifies an event: a non-finite time, a
@@ -367,25 +411,47 @@ class Simulator:
         return fired
 
     def _fire(self, bound: float, budget: Optional[int]) -> int:
-        """The event loop: fire events while the live head's time is at most
+        """The event loop: fire events while the next one's time is at most
         ``bound``, until ``budget`` events fired or :meth:`stop` is called.
 
-        Returns the number of events fired.  This loop carries whole
-        federation runs, so it works on the heap directly.
+        The next event is the heap's live head or the feed's head, whichever
+        key sorts first.  Returns the number of events fired.  This loop
+        carries whole federation runs, so it works on the heap and the feed
+        directly.
         """
         heap = self._heap
         live = self._live
+        feed = self._feed_times
+        items = self._feed_items
         trace = self._trace
         fired = 0
-        while heap:
-            time, _, seq, callback, args = heap[0]
-            if seq not in live:
-                heappop(heap)  # cancelled: dropped as it surfaces
-                continue
+        while True:
+            if heap:
+                time, priority, seq, callback, args = heap[0]
+                if seq not in live:
+                    heappop(heap)  # cancelled: dropped as it surfaces
+                    continue
+                from_heap = not feed or time < feed[-1] or (
+                    time == feed[-1] and not self._feed_first(time, priority, seq)
+                )
+                if not from_heap:
+                    time = feed[-1]
+            elif feed:
+                from_heap = False
+                time = feed[-1]
+            else:
+                break
             if time > bound:
                 break
-            heappop(heap)
-            live.remove(seq)
+            if from_heap:
+                heappop(heap)
+                live.remove(seq)
+            else:
+                del feed[-1]
+                callback = self._feed_callback
+                args = (items.pop(),)
+                if not feed:
+                    self._feed_callback = None  # spent: hold nothing of it
             if time < self._now:
                 raise SimulationError(
                     f"event at {time} surfaced after the clock reached {self._now} "
@@ -412,6 +478,9 @@ class Simulator:
         live = self._live
         while heap and heap[0][2] not in live:
             heappop(heap)
+        feed = self._feed_times
+        if feed and (not heap or feed[-1] < heap[0][0]):
+            return feed[-1]
         return heap[0][0] if heap else None
 
     def stop(self) -> None:
@@ -419,19 +488,33 @@ class Simulator:
         self._stopped = True
 
     def drain(self) -> Iterator[HeapEntry]:
-        """Pop and yield all remaining live events without firing them.
+        """Pop and yield all remaining events without firing them.
 
-        Each is yielded as its ``(time, priority, seq, callback, args)``
-        heap entry, in delivery order.  Mainly useful for inspecting the
+        Each is yielded as a ``(time, priority, seq, callback, args)`` heap
+        entry, in delivery order; a feed event is yielded as the entry it
+        would have had on the heap.  Mainly useful for inspecting the
         end-of-run state in tests.
         """
         heap = self._heap
         live = self._live
-        while heap:
-            entry = heappop(heap)
-            if entry[2] in live:
+        feed = self._feed_times
+        while True:
+            if heap and heap[0][2] not in live:
+                heappop(heap)
+                continue
+            if feed and (not heap or self._feed_first(*heap[0][:3])):
+                seq = self._feed_end - len(feed)
+                callback = self._feed_callback
+                entry = (feed.pop(), 0, seq, callback, (self._feed_items.pop(),))
+                if not feed:
+                    self._feed_callback = None
+                yield entry
+            elif heap:
+                entry = heappop(heap)
                 live.remove(entry[2])
                 yield entry
+            else:
+                return
 
     # ------------------------------------------------------------------ #
     # Pickling (checkpoint/resume support)

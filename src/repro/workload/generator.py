@@ -21,12 +21,13 @@ synthetic ones everywhere in the library.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Sequence
 
 import numpy as np
 
-from repro.workload.job import Job, advance_job_counter, job_counter_state
+from repro.workload.job import Job, QoSStrategy, advance_job_counter, job_counter_state
 
 
 @dataclass(frozen=True)
@@ -140,6 +141,10 @@ class SyntheticTraceGenerator:
         processors = self._sample_processor_counts()
         runtimes = self._sample_runtimes(processors)
         user_ids = self.rng.integers(0, p.num_users, size=p.num_jobs)
+        # Only the kept jobs' products are taken: each is elementwise, so a
+        # kept job's values do not depend on the others.
+        runtimes = runtimes[::thin]
+        processors = processors[::thin]
         # Keep the factor order: reordering the products moves last bits,
         # and with them every result digest.
         length_mi = (1.0 - p.comm_fraction) * runtimes * p.mips * processors
@@ -147,22 +152,18 @@ class SyntheticTraceGenerator:
 
         first = job_counter_state()
         advance_job_counter(p.num_jobs)
+        origin = p.resource_name
+        none = QoSStrategy.NONE
+        # Positional: origin, user_id, submit_time, num_processors,
+        # length_mi, comm_data_gb, budget, deadline, strategy, job_id.
         return [
-            Job(
-                origin=p.resource_name,
-                user_id=user,
-                submit_time=submit,
-                num_processors=procs,
-                length_mi=length,
-                comm_data_gb=comm,
-                job_id=job_id,
-            )
+            Job(origin, user, submit, procs, length, comm, None, None, none, job_id)
             for job_id, submit, procs, length, comm, user in zip(
                 range(first, first + p.num_jobs, thin),
                 submit_times[::thin].tolist(),
-                processors[::thin].tolist(),
-                length_mi[::thin].tolist(),
-                comm_data_gb[::thin].tolist(),
+                processors.tolist(),
+                length_mi.tolist(),
+                comm_data_gb.tolist(),
                 user_ids[::thin].tolist(),
             )
         ]
@@ -174,7 +175,7 @@ class SyntheticTraceGenerator:
         """Arrival times with a day/night cycle over the horizon."""
         p = self.params
         seconds_per_day = 86_400.0
-        n_days = max(int(np.ceil(p.horizon / seconds_per_day)), 1)
+        n_days = max(math.ceil(p.horizon / seconds_per_day), 1)
         is_daytime = self.rng.random(p.num_jobs) < p.day_fraction
         day_index = self.rng.integers(0, n_days, size=p.num_jobs)
 
@@ -184,8 +185,10 @@ class SyntheticTraceGenerator:
 
         offsets = np.where(is_daytime, day_offsets, night_offsets)
         times = day_index * seconds_per_day + offsets
-        times = np.clip(times, 0.0, p.horizon - 1e-6)
-        return np.sort(times)
+        # Every term is non-negative, so only the upper bound can bind.
+        np.minimum(times, p.horizon - 1e-6, out=times)
+        times.sort()
+        return times
 
     def _sample_processor_counts(self) -> np.ndarray:
         """Power-of-two dominated processor requests bounded by the cluster size.
@@ -198,10 +201,10 @@ class SyntheticTraceGenerator:
         """
         p = self.params
         largest_job = max(p.max_processors * p.max_job_fraction, 2.0)
-        max_power = max(int(np.floor(np.log2(largest_job))), 1)
+        max_power = max(math.floor(math.log2(largest_job)), 1)
         serial = self.rng.random(p.num_jobs) < p.serial_fraction
         powers = self.rng.integers(1, max_power + 1, size=p.num_jobs)
-        counts = (2 ** powers).astype(np.int64)
+        counts = 2 ** powers  # int64, like the powers
         counts[serial] = 1
         # A small fraction of non-power-of-two jobs, as seen in real logs.
         odd = self.rng.random(p.num_jobs) < 0.1
@@ -230,11 +233,12 @@ class SyntheticTraceGenerator:
         # load, so the remaining deficit is redistributed over the un-capped
         # jobs until the target is met (or everything is capped).
         for _ in range(8):
-            current = float(np.sum(runtimes * processors))
+            node_seconds = runtimes * processors
+            current = float(np.sum(node_seconds))
             if current >= target_node_seconds * 0.999:
                 break
             free = runtimes < cap
-            free_node_seconds = float(np.sum(runtimes[free] * processors[free]))
+            free_node_seconds = float(np.sum(node_seconds[free]))
             if free_node_seconds <= 0:
                 break
             deficit = target_node_seconds - current

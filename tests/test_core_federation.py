@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.core import Federation, FederationConfig, SharingMode
@@ -121,10 +123,10 @@ class TestConstruction:
             )
 
 
-class TestLazyArrivals:
-    def test_start_leaves_one_pending_arrival_per_population(self):
-        """Each non-empty population queues only its next arrival; the fault
-        plan and the repricing ticker are the only other pending events."""
+class TestFedArrivals:
+    def test_start_feeds_every_arrival_behind_the_faults_and_the_ticker(self):
+        """Every job's arrival is on the feed; the fault plan and the
+        repricing ticker are the only events in the heap."""
         from repro.extensions.dynamic_pricing import DynamicPricingFederation
         from repro.faults.plan import FaultPlan
 
@@ -136,10 +138,10 @@ class TestLazyArrivals:
         plan = FaultPlan().crash(specs[0].name, at=3600.0, duration=900.0)
         federation.install_faults(plan)
         federation.start()
-        populations = sum(1 for jobs in workload.values() if jobs)
-        assert populations == len(specs) - 1
+        jobs = sum(len(jobs) for jobs in workload.values())
         ticker = 1
-        assert federation.sim.pending == populations + len(plan.scheduled()) + ticker
+        assert federation.sim.queue_size == len(plan.scheduled()) + ticker
+        assert federation.sim.pending == jobs + len(plan.scheduled()) + ticker
 
 
 class TestEventCount:
@@ -159,84 +161,115 @@ class TestEventCount:
         assert federation.sim.events_processed == len(jobs) + started
 
 
-def _arrivals_by_population(sim):
-    """Live pending arrivals in the heap, counted per population."""
-    counts = {}
-    for _time, _priority, seq, callback, _args in sim._heap:
-        if seq in sim._live and getattr(callback, "__func__", None) is UserPopulation._submit:
-            counts[callback.__self__.name] = counts.get(callback.__self__.name, 0) + 1
-    return counts
+def _heap_arrivals(sim):
+    """Live heap entries that are population arrivals."""
+    return sum(
+        1
+        for _time, _priority, seq, callback, _args in sim._heap
+        if seq in sim._live and getattr(callback, "__func__", callback) is UserPopulation._submit
+    )
 
 
-class TestLazyArrivalsOnGoldenShapes:
-    """The lazy-arrival contract on each golden experiment shape: one pending
-    arrival per non-empty population, every job submitted exactly once at its
-    submit time, in ``(time, reserved seq)`` order."""
+class TestFedArrivalsOnGoldenShapes:
+    """The arrival contract on each golden experiment shape: every job
+    arrives once, at its submit time, in ``(time, seq)`` order; no arrival
+    is ever in the heap; and ``pending``, ``next_event_time`` and ``drain``
+    include the feed."""
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_SCENARIOS))
-    def test_start_leaves_one_arrival_per_non_empty_population(self, name, monkeypatch):
+    def test_start_feeds_every_job_and_drain_yields_it_in_key_order(self, name, monkeypatch):
         observed = []
         original = Federation.start
 
         def recording_start(self):
             original(self)
-            non_empty = {
-                population.name
-                for population in self.populations.values()
-                if population.jobs
-            }
-            observed.append((non_empty, _arrivals_by_population(self.sim)))
+            order = {name: index for index, name in enumerate(self.populations)}
+            jobs = sum(len(population.jobs) for population in self.populations.values())
+            sim = self.sim
+            observed.append((jobs, sim.pending, len(sim._live), _heap_arrivals(sim)))
+            # Drain a copy: the arrivals come out in (time, population order,
+            # job order), each at its job's submit time, among the heap's
+            # events in key order.
+            copy = pickle.loads(pickle.dumps(sim))
+            entries = list(copy.drain())
+            keys = [entry[:3] for entry in entries]
+            assert keys == sorted(keys)
+            submitted = dict.fromkeys(order, 0)
+            arrivals = []
+            for time, priority, _seq, callback, args in entries:
+                if callback.__qualname__ != "UserPopulation._submit":
+                    continue
+                (population,) = args
+                position = submitted[population.gfa.name]
+                submitted[population.gfa.name] = position + 1
+                assert time == population.jobs[position].submit_time
+                assert priority == 0
+                arrivals.append((time, order[population.gfa.name], position))
+            assert arrivals == sorted(arrivals)
+            assert len(arrivals) == jobs
+            assert copy.pending == 0
 
         monkeypatch.setattr(Federation, "start", recording_start)
         run_scenario(GOLDEN_SCENARIOS[name])
-        ((non_empty, arrivals),) = observed
-        assert non_empty
-        assert arrivals == {population: 1 for population in non_empty}
+        ((jobs, pending, live, heap_arrivals),) = observed
+        assert jobs > 0
+        assert heap_arrivals == 0
+        assert pending == jobs + live
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_SCENARIOS))
     def test_every_job_arrives_once_at_its_submit_time_in_key_order(
         self, name, monkeypatch
     ):
         arrivals = []
-        populations = set()
+        populations = []
         original = UserPopulation._submit
 
         def recording_submit(self):
             job = self._jobs[self.submitted]
-            arrivals.append(
-                (self.sim.now, self._first_seq + self.submitted, job.submit_time, job.job_id)
-            )
-            populations.add(self)
+            if self not in populations:
+                populations.append(self)
+            arrivals.append((self.sim.now, self.name, self.submitted, job.submit_time, job.job_id))
             original(self)
 
         monkeypatch.setattr(UserPopulation, "_submit", recording_submit)
-        run_scenario(GOLDEN_SCENARIOS[name])
+        result = run_scenario(GOLDEN_SCENARIOS[name])
         total = sum(len(population.jobs) for population in populations)
         assert len(arrivals) == total > 0
         assert len({job_id for *_rest, job_id in arrivals}) == total
-        assert all(now == submit_time for now, _seq, submit_time, _id in arrivals)
-        keys = [(now, seq) for now, seq, _submit_time, _id in arrivals]
+        assert all(now == submit_time for now, _n, _i, submit_time, _id in arrivals)
+        # The (time, seq) order: population order (the specs') breaks ties
+        # in time, then each population's own job order.
+        rank = {f"users@{spec.name}": index for index, spec in enumerate(result.specs)}
+        keys = [(now, rank[name], index) for now, name, index, _t, _id in arrivals]
         assert keys == sorted(keys)
-        assert len(set(seq for _now, seq in keys)) == total
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_SCENARIOS))
-    def test_pending_arrivals_stay_bounded_by_the_population_count(
-        self, name, monkeypatch
-    ):
-        worst = []
+    def test_no_arrival_enters_the_heap_and_pending_counts_the_feed(self, name, monkeypatch):
+        checks = []
         original = UserPopulation._submit
+        arrived = [0]
 
         def probing_submit(self):
             original(self)
-            counts = _arrivals_by_population(self.sim)
-            worst.append((max(counts.values(), default=0), sum(counts.values())))
+            arrived[0] += 1
+            sim = self.sim
+            fed = len(sim._feed_times)
+            next_arrival = sim._feed_times[-1] if fed else None
+            next_time = sim.next_event_time()
+            checks.append(
+                (
+                    _heap_arrivals(sim),
+                    sim.pending == len(sim._live) + fed,
+                    next_arrival is None or next_time <= next_arrival,
+                    fed + arrived[0],
+                )
+            )
 
         monkeypatch.setattr(UserPopulation, "_submit", probing_submit)
         result = run_scenario(GOLDEN_SCENARIOS[name])
-        clusters = len(result.specs)
-        assert worst
-        assert max(per_population for per_population, _ in worst) == 1
-        assert max(total for _, total in worst) <= clusters
+        total = len(result.jobs)
+        assert checks
+        assert all(check == (0, True, True, total) for check in checks)
 
 
 class TestRunInvariants:

@@ -1,13 +1,12 @@
-"""Unit tests for :class:`repro.core.users.UserPopulation` lazy arrivals.
+"""Unit tests for :class:`repro.core.users.UserPopulation` arrivals.
 
-A population keeps exactly one arrival pending: :meth:`UserPopulation.start`
-reserves one sequence number per job, and each arrival schedules the next
-job under its reserved number.  The contract these tests pin is that this
-is indistinguishable from queueing the whole workload up front — same
-arrival times, and the same order of the GFA calls among themselves and
-among other events of the same instant — while the heap holds at most one
-arrival per population.  The eager form lives on here as a test-only
-reference (:class:`_EagerPopulation`); a stub stands in for each GFA.
+:func:`start_populations` merges the populations' jobs into the simulator's
+one presorted feed.  The contract these tests pin is that this is
+indistinguishable from queueing the whole workload up front — same arrival
+times, and the same order of the GFA calls among themselves and among other
+events of the same instant — while no arrival ever enters the event heap.
+The eager form lives on here as a test-only reference
+(:class:`_EagerPopulation`); a stub stands in for each GFA.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.users import UserPopulation
+from repro.core.users import UserPopulation, start_populations
 from repro.sim.engine import SimulationError, Simulator
 from repro.workload.job import Job
 
@@ -37,15 +36,18 @@ def _jobs(origin, times, first_id=1):
     ]
 
 
-def _pending_arrivals(sim, population=None):
-    """Live heap entries that are population arrivals (of ``population``)."""
-    count = 0
-    for _time, _priority, seq, callback, _args in sim._heap:
-        if seq not in sim._live or getattr(callback, "__func__", None) is not UserPopulation._submit:
-            continue
-        if population is None or callback.__self__ is population:
-            count += 1
-    return count
+def _heap_arrivals(sim):
+    """Live heap entries that are population arrivals (there should be none)."""
+    return sum(
+        1
+        for _time, _priority, seq, callback, _args in sim._heap
+        if seq in sim._live and getattr(callback, "__func__", callback) is UserPopulation._submit
+    )
+
+
+def _fed_arrivals(sim, population):
+    """Arrivals of ``population`` still on the simulator's feed."""
+    return sum(1 for item in sim._feed_items if item is population)
 
 
 class _StubGFA:
@@ -74,6 +76,15 @@ class _EagerPopulation(UserPopulation):
         self.gfa.submit_local_job(job)
 
 
+def _start(sim, populations):
+    """Start populations the way their class does."""
+    if populations and isinstance(populations[0], _EagerPopulation):
+        for population in populations:
+            population.start()
+    else:
+        start_populations(sim, populations)
+
+
 def _world(times_by_gfa, population_class=UserPopulation, log=None):
     """A simulator, one population per GFA name, and the log every stub GFA
     appends its ``(name, time, job id)`` calls to."""
@@ -89,38 +100,51 @@ def _world(times_by_gfa, population_class=UserPopulation, log=None):
 
 
 class TestStart:
-    def test_start_queues_only_the_first_arrival(self):
+    def test_start_feeds_every_arrival_and_heaps_none(self):
         sim, (population,), _ = _world({"gfa": [3.0, 1.0, 2.0, 2.0]})
-        population.start()
-        assert sim.pending == 1
-        assert _pending_arrivals(sim, population) == 1
+        start_populations(sim, [population])
+        assert sim.pending == 4
+        assert (sim.queue_size, _heap_arrivals(sim)) == (0, 0)
+        assert _fed_arrivals(sim, population) == 4
         assert sim.next_event_time() == 1.0
 
-    def test_start_reserves_one_sequence_number_per_job(self):
+    def test_start_takes_one_sequence_number_per_job(self):
         sim, (population,), _ = _world({"gfa": [1.0, 2.0, 3.0]})
         sim.schedule(0.5, lambda: None)  # seq 0
-        population.start()  # reserves 1, 2, 3
-        assert population._first_seq == 1
+        start_populations(sim, [population])  # takes 1, 2, 3
         assert sim.schedule(9.0, lambda: None) == 4
 
-    def test_empty_population_schedules_and_reserves_nothing(self):
+    def test_empty_population_schedules_and_takes_nothing(self):
         sim, (population,), _ = _world({"gfa": []})
-        population.start()
+        start_populations(sim, [population])
         assert sim.pending == 0
         assert sim.schedule(1.0, lambda: None) == 0
 
     def test_start_twice_raises(self):
         _sim, (population,), _ = _world({"gfa": [1.0]})
-        population.start()
+        start_populations(_sim, [population])
         with pytest.raises(RuntimeError, match="already started"):
-            population.start()
+            start_populations(_sim, [population])
+
+    def test_a_second_start_while_the_feed_is_pending_is_refused(self):
+        """The simulator has one feed: populations are started together, and
+        a later group is refused, unstarted, while the first still feeds."""
+        sim, (first, second), log = _world({"a": [1.0], "b": [2.0]})
+        start_populations(sim, [first])
+        with pytest.raises(SimulationError, match="already pending"):
+            start_populations(sim, [second])
+        assert not second._started
+        assert sim.pending == 1
+        sim.run()
+        assert log == [("a", 1.0, 1)]
 
     def test_arrival_before_the_clock_is_rejected_at_start(self):
         sim = Simulator(start_time=10.0)
         gfa = _StubGFA(sim, "gfa", [])
         population = UserPopulation(sim, gfa, _jobs("gfa", [5.0, 20.0]))
         with pytest.raises(SimulationError, match="in the past"):
-            population.start()
+            start_populations(sim, [population])
+        assert (sim.pending, population._started) == (0, False)
 
     def test_foreign_job_rejected(self):
         sim = Simulator()
@@ -131,7 +155,7 @@ class TestStart:
 class TestArrivals:
     def test_jobs_are_submitted_at_their_submit_times_in_order(self):
         sim, (population,), log = _world({"gfa": [4.0, 1.0, 2.5]})
-        population.start()
+        start_populations(sim, [population])
         sim.run()
         # Sorted by submit time, the jobs are 2 (t=1.0), 3 (2.5) and 1 (4.0).
         assert log == [("gfa", 1.0, 2), ("gfa", 2.5, 3), ("gfa", 4.0, 1)]
@@ -142,30 +166,29 @@ class TestArrivals:
         log = []
         jobs = _jobs("gfa", [2.0, 2.0, 2.0, 1.0])
         population = UserPopulation(sim, _StubGFA(sim, "gfa", log), list(reversed(jobs)))
-        population.start()
+        start_populations(sim, [population])
         sim.run()
         assert [job_id for _name, _time, job_id in log] == [4, 1, 2, 3]
 
     def test_the_gfa_gets_a_job_at_the_arrivals_own_key(self):
         """The arrival calls its GFA directly, at the ``(time, 0, seq)`` key
-        reserved by ``start()``: an event due at the arrival instant that
+        the feed took at start: an event due at the arrival instant that
         was scheduled before the population started (a fault, the pricing
         ticker) runs first, and one scheduled after it (a job finish) runs
         once the GFA has the job."""
         sim, (population,), log = _world({"gfa": [5.0]})
         sim.schedule_at(5.0, log.append, "before start")
-        population.start()
+        start_populations(sim, [population])
         sim.schedule_at(5.0, log.append, "after start")
         sim.run()
         assert log == ["before start", ("gfa", 5.0, 1), "after start"]
         assert sim.events_processed == 3
 
-    def test_populations_interleave_by_time_then_start_order(self):
+    def test_populations_interleave_by_time_then_population_order(self):
         sim, populations, log = _world({"a": [1.0, 2.0, 3.0], "b": [1.0, 2.0]})
-        for population in populations:
-            population.start()
+        start_populations(sim, populations)
         sim.run()
-        # Population "a" reserved its block first, so it wins every tie.
+        # Population "a" comes first, so it wins every tie.
         assert [(name, time) for name, time, _job_id in log] == [
             ("a", 1.0),
             ("b", 1.0),
@@ -176,42 +199,45 @@ class TestArrivals:
 
     def test_submitted_counts_each_arrival_as_it_fires(self):
         sim, (population,), _ = _world({"gfa": [1.0, 2.0, 3.0]})
-        population.start()
+        start_populations(sim, [population])
         seen = []
         for _ in range(3):
             sim.run(until=sim.next_event_time())
             seen.append(population.submitted)
         assert seen == [1, 2, 3]
 
-    def test_at_most_one_arrival_per_population_is_ever_pending(self):
+    def test_no_arrival_ever_enters_the_heap_and_pending_counts_the_feed(self):
         sim, populations, _ = _world(
             {"a": [0.0, 0.0, 1.0, 5.0, 5.0], "b": [2.0, 2.0, 2.0], "c": [4.0]}
         )
-        for population in populations:
-            population.start()
-        worst = {population.name: 0 for population in populations}
+        start_populations(sim, populations)
+        total = sum(len(population.jobs) for population in populations)
+        observed = []
 
         def probe(_time, _label):
-            for population in populations:
-                worst[population.name] = max(
-                    worst[population.name], _pending_arrivals(sim, population)
-                )
+            submitted = sum(population.submitted for population in populations)
+            observed.append(
+                (_heap_arrivals(sim), sim.pending - len(sim._live), total - submitted)
+            )
 
         sim._trace = probe
         sim.run()
-        assert worst == {"users@a": 1, "users@b": 1, "users@c": 1}
+        # The probe runs before each arrival's callback, so the firing one
+        # has left the feed but is not yet submitted.
+        assert observed == [(0, left - 1, left) for left in range(total, 0, -1)]
 
     def test_last_arrival_leaves_nothing_pending(self):
         sim, (population,), log = _world({"gfa": [1.0, 2.0]})
-        population.start()
+        start_populations(sim, [population])
         sim.run()
-        assert _pending_arrivals(sim) == 0
+        assert _fed_arrivals(sim, population) == 0
         assert sim.pending == 0
+        assert sim._feed_callback is None
         assert len(log) == 2
 
 
 class TestEagerEquivalence:
-    """Lazy arrivals against the eager reference form."""
+    """Fed arrivals against the eager reference form."""
 
     @staticmethod
     def _transcript(times_by_gfa, noise, population_class):
@@ -224,8 +250,7 @@ class TestEagerEquivalence:
         # equal timestamps.
         for time in noise:
             sim.schedule_at(time, fired.append, ("noise", time))
-        for population in populations:
-            population.start()
+        _start(sim, populations)
         for time in noise:
             sim.schedule_at(time, lambda t=time: sim.schedule(0.0, fired.append, ("echo", t)))
         sim.run()
@@ -234,9 +259,9 @@ class TestEagerEquivalence:
 
     def test_gfa_calls_match_the_eager_form(self):
         times = {"a": [1.0, 1.0, 3.0], "b": [1.0, 2.0]}
-        lazy = self._transcript(times, [1.0, 2.0], UserPopulation)
+        fed = self._transcript(times, [1.0, 2.0], UserPopulation)
         eager = self._transcript(times, [1.0, 2.0], _EagerPopulation)
-        assert lazy == eager
+        assert fed == eager
 
     @given(
         times_by_gfa=st.dictionaries(
@@ -248,18 +273,18 @@ class TestEagerEquivalence:
     )
     @settings(max_examples=60, deadline=None)
     def test_any_workload_matches_the_eager_form(self, times_by_gfa, noise):
-        lazy = self._transcript(times_by_gfa, noise, UserPopulation)
+        fed = self._transcript(times_by_gfa, noise, UserPopulation)
         eager = self._transcript(times_by_gfa, noise, _EagerPopulation)
-        assert lazy == eager
+        assert fed == eager
 
 
 class TestPickling:
-    def test_population_resumes_from_a_pickle_mid_chain(self):
+    def test_population_resumes_from_a_pickle_mid_feed(self):
         sim, populations, log = _world({"a": [1.0, 2.0, 3.0, 3.0], "b": [2.0, 5.0]})
-        for population in populations:
-            population.start()
+        start_populations(sim, populations)
         sim.run(until=2.0)
         clone_sim, clone_log = pickle.loads(pickle.dumps((sim, log)))
+        assert clone_sim.pending == sim.pending == 3
         sim.run()
         clone_sim.run()
         assert clone_log == log

@@ -118,3 +118,22 @@ def test_easy_backfill_golden_fingerprint(monkeypatch):
     result = run_scenario(EASY_SCENARIO)
     assert result_fingerprint(result) == EASY_FINGERPRINT
     assert backfills
+
+
+def test_easy_backfill_builds_no_profile_per_dispatch(monkeypatch):
+    """EASY's shadow time comes from one pass over the running jobs'
+    releases: the only profiles the EASY shape builds are the admission
+    estimates' rebuilds (a per-dispatch profile made it 253)."""
+    from repro.cluster.profile import AvailabilityProfile
+
+    builds = []
+    init = AvailabilityProfile.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(AvailabilityProfile, "__init__", counting_init)
+    result = run_scenario(EASY_SCENARIO)
+    assert result_fingerprint(result) == EASY_FINGERPRINT
+    assert len(builds) == 12

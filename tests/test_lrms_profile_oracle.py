@@ -136,6 +136,67 @@ _op = st.one_of(
 )
 
 
+def _replay(ops, policy, t0, check) -> None:
+    """Drive a fresh LRMS through ``ops``, calling ``check(lrms)`` after each
+    op (and, for an ``at-finish`` op, at the finish instant before the
+    finish event fires)."""
+    sim = Simulator()
+    spec = make_spec(procs=CAPACITY)
+    lrms = SpaceSharedLRMS(sim, spec, policy=policy)
+    sim.run(until=t0)
+
+    def job_of(job_shape):
+        procs, runtime = job_shape
+        return make_job(procs=procs, runtime=runtime, spec=spec, submit=sim.now)
+
+    def arrive(kind, arg):
+        if kind == "submit":
+            lrms.submit(job_of(arg))
+        elif kind == "estimate-submit":
+            job = job_of(arg)
+            lrms.estimate_completion_time(job)
+            lrms.submit(job)
+        else:
+            job_a, job_b = job_of(arg[0]), job_of(arg[1])
+            lrms.estimate_completion_time(job_a)
+            lrms.submit(job_b)
+            lrms.submit(job_a)
+
+    for kind, arg in ops:
+        if kind in ("submit", "estimate-submit", "estimate-a-submit-b-a"):
+            arrive(kind, arg)
+        elif kind == "advance":
+            sim.run(until=sim.now + arg)
+        elif kind == "at-finish" and lrms.running_count:
+
+            def act(arrival=arg):
+                if arrival is not None:
+                    arrive(*arrival)
+                check(lrms)
+
+            finish = _next_finish(lrms)
+            sim.schedule_at(finish, act, priority=-1)
+            sim.run(until=finish)
+        elif kind == "fail-all":
+            lrms.fail_all()
+        check(lrms)
+
+
+def assert_shadow_matches_the_running_profile(lrms: SpaceSharedLRMS) -> None:
+    """EASY's shadow time and spare processors for a head job, found in one
+    pass over the running jobs' releases, equal the answer of the running
+    jobs' availability profile: its earliest start, and its minimum free
+    count over the head's run there, less the head's width."""
+    profile = lrms._running_profile()
+    now = lrms.sim.now
+    for procs in range(1, CAPACITY + 1):
+        head = make_job(procs=procs, runtime=PROBES[procs % len(PROBES)][1], spec=lrms.spec)
+        runtime = lrms.runtime_of(head)
+        shadow = profile.earliest_start(procs, runtime, earliest=now)
+        extra = max(profile.min_free(shadow, shadow + runtime) - procs, 0)
+        assert lrms._shadow(head) == (shadow, extra)
+
+
 class TestMaintainedProfileOracle:
     @given(
         ops=st.lists(_op, min_size=1, max_size=40),
@@ -144,46 +205,18 @@ class TestMaintainedProfileOracle:
     )
     @settings(max_examples=150, deadline=None)
     def test_answers_equal_a_naive_rebuild_after_every_op(self, ops, policy, t0):
-        sim = Simulator()
-        spec = make_spec(procs=CAPACITY)
-        lrms = SpaceSharedLRMS(sim, spec, policy=policy)
-        sim.run(until=t0)
+        _replay(ops, policy, t0, assert_matches_reference)
 
-        def job_of(job_shape):
-            procs, runtime = job_shape
-            return make_job(procs=procs, runtime=runtime, spec=spec, submit=sim.now)
-
-        def arrive(kind, arg):
-            if kind == "submit":
-                lrms.submit(job_of(arg))
-            elif kind == "estimate-submit":
-                job = job_of(arg)
-                lrms.estimate_completion_time(job)
-                lrms.submit(job)
-            else:
-                job_a, job_b = job_of(arg[0]), job_of(arg[1])
-                lrms.estimate_completion_time(job_a)
-                lrms.submit(job_b)
-                lrms.submit(job_a)
-
-        for kind, arg in ops:
-            if kind in ("submit", "estimate-submit", "estimate-a-submit-b-a"):
-                arrive(kind, arg)
-            elif kind == "advance":
-                sim.run(until=sim.now + arg)
-            elif kind == "at-finish" and lrms.running_count:
-
-                def act(arrival=arg):
-                    if arrival is not None:
-                        arrive(*arrival)
-                    assert_matches_reference(lrms)
-
-                finish = _next_finish(lrms)
-                sim.schedule_at(finish, act, priority=-1)
-                sim.run(until=finish)
-            elif kind == "fail-all":
-                lrms.fail_all()
-            assert_matches_reference(lrms)
+    @given(
+        ops=st.lists(_op, min_size=1, max_size=40),
+        policy=st.sampled_from(list(SchedulingPolicy)),
+        t0=st.sampled_from([0.0, 12_345.678, 2e7]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_easy_shadow_equals_the_running_profile_answer(self, ops, policy, t0):
+        """Including at a finish instant whose finish event has not fired:
+        that job's hold ends at now, so it holds nothing."""
+        _replay(ops, policy, t0, assert_shadow_matches_the_running_profile)
 
     @given(
         arrivals=st.lists(

@@ -336,22 +336,33 @@ class TestShardBuild:
         assert kinds == {ShardGFA, RemoteClusterProxy}
 
     @pytest.mark.parametrize("shard_index", [0, 1])
-    def test_shard_start_queues_one_arrival_per_owned_population(self, shard_index):
+    def test_shard_start_feeds_every_owned_arrival(self, shard_index):
         """Shards build their populations like the serial federation does, so
-        each owned, non-empty population holds exactly one pending arrival."""
+        each owned population's jobs are all on the shard's feed, none in
+        its heap, and pending and the next event time count them."""
         from repro.core.users import UserPopulation
         from repro.par.shard import build_shard_federation
 
         shard = build_shard_federation(ELIGIBLE, shard_index, 2, 60.0)
         shard.start()
-        arrivals = {}
-        for _time, _priority, _seq, callback, _args in shard.sim._heap:
-            if getattr(callback, "__func__", None) is UserPopulation._submit:
-                name = callback.__self__.gfa.name
-                arrivals[name] = arrivals.get(name, 0) + 1
-        owned = {spec.name for spec in shard.owned_specs if shard.workload[spec.name]}
+        sim = shard.sim
+        assert not any(
+            getattr(callback, "__func__", callback) is UserPopulation._submit
+            for _time, _priority, _seq, callback, _args in sim._heap
+        )
+        fed = {}
+        for population in sim._feed_items:
+            fed[population.gfa.name] = fed.get(population.gfa.name, 0) + 1
+        owned = {
+            spec.name: len(shard.workload[spec.name])
+            for spec in shard.owned_specs
+            if shard.workload[spec.name]
+        }
         assert owned
-        assert arrivals == {name: 1 for name in owned}
+        assert fed == owned
+        assert sim.pending == len(sim._live) + sum(owned.values())
+        first = min(job.submit_time for name in owned for job in shard.workload[name])
+        assert sim.next_event_time() <= first
 
 
 class TestSimulatorValidation:

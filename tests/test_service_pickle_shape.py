@@ -39,9 +39,9 @@ from repro.service.snapshot import (
 from repro.workload.job import job_counter_state
 
 #: (format version, digest of the pickled class → state-name map).
-SNAPSHOT_SHAPE = (10, "68f3d0cf02e80925")
-PAR_SHAPE = (11, "1fa17e9b1025f8a3")
-CACHE_SHAPE = (5, "1baec5a2410eea51")
+SNAPSHOT_SHAPE = (11, "3dca4d38be31d734")
+PAR_SHAPE = (12, "cbf2bf9405fb0dfa")
+CACHE_SHAPE = (6, "9e2cf0aaa82eaf23")
 
 #: Scenarios whose graphs between them reach the fault injector, the
 #: resilience manager, the WAN topology, the bank, dynamic pricing and the
@@ -156,6 +156,22 @@ def test_cached_result_shape_is_pinned_to_its_version():
         {"version": CACHE_FORMAT_VERSION, "key": "0" * 64, "result": result} for result in results
     ]
     _assert_pinned("CACHE_FORMAT_VERSION", CACHE_FORMAT_VERSION, shape_digest(*wrappers), CACHE_SHAPE)
+
+
+@pytest.mark.parametrize("index", range(len(_SCENARIOS)), ids=["chaos-wan", "coordinated-demand"])
+def test_a_cached_result_pickles_no_federation_member(index):
+    """A result reaches the run's simulator through its directory's
+    transport; once the run is over, the simulator's spent feed must hold
+    nothing, or the pickle would carry the whole federation."""
+    recorder = _ShapeRecorder(io.BytesIO())
+    recorder.dump(run_scenario(_SCENARIOS[index]))
+    members = {
+        "repro.core.gfa.GridFederationAgent",
+        "repro.cluster.lrms.SpaceSharedLRMS",
+        "repro.core.users.UserPopulation",
+    }
+    assert "repro.sim.engine.Simulator" in recorder.shapes
+    assert members.isdisjoint(recorder.shapes)
 
 
 def test_the_recorder_sees_a_new_field():

@@ -86,9 +86,11 @@ class TestResumeOracle:
         ids=["chain-unstarted", "chain-midway", "chain-exhausted"],
     )
     def test_resume_at_each_arrival_chain_state(self, chunks, chain, tmp_path):
-        """Each population keeps one pending arrival under a reserved seq.
-        Interrupt while some chains have not fired yet, while every chain is
-        midway, and after every chain has run out: each resume is exact."""
+        """Every arrival waits on the simulator's feed until it fires.
+        Interrupt while some populations have submitted nothing yet, while
+        every population is midway, and after the feed has run out: each
+        snapshot holds exactly the arrivals not yet fired, and each resume
+        is exact."""
         expected = result_fingerprint(run_scenario(_FAST))
         reports = []
 
@@ -109,13 +111,16 @@ class TestResumeOracle:
             (population.submitted, len(population.jobs))
             for population in federation.populations.values()
         ]
+        sim = federation.sim
+        assert len(sim._feed_times) == sum(total - done for done, total in progress)
         if chain == "unstarted":
             assert any(done == 0 for done, _total in progress)
         elif chain == "midway":
             assert all(0 < done < total for done, total in progress)
         else:
             assert all(done == total for done, total in progress)
-            assert federation.sim.pending > 0
+            assert sim._feed_callback is None
+            assert sim.pending > 0
         result, _ = resume_run(tmp_path, checkpoint_every=600.0)
         assert result_fingerprint(result) == expected
 

@@ -189,9 +189,10 @@ class TestCancellation:
         assert sim.pending == 0
 
     def test_cancelling_a_seq_that_is_not_pending_raises_and_changes_nothing(self):
-        """Only a pending event can be cancelled: the seq of a fired, drained
-        or cancelled event, or one never issued, raises and leaves pending,
-        queue_size and events_processed as they were."""
+        """Only a pending scheduled event can be cancelled: the seq of a
+        fired, drained or cancelled event, of a feed event, or one never
+        issued, raises and leaves pending, queue_size and events_processed
+        as they were."""
         sim = Simulator()
         fired = sim.schedule(1.0, lambda: None)
         sim.run(until=1.0)
@@ -199,16 +200,17 @@ class TestCancellation:
         assert [entry[2] for entry in sim.drain()] == [drained]
         cancelled = sim.schedule(2.0, lambda: None)
         sim.cancel(cancelled)
-        reserved = sim.reserve_seqs(1)
+        sim.feed([3.0], print, ["fed"])
+        fed = cancelled + 1
         sim.schedule(3.0, lambda: None)
         state = (sim.pending, sim.queue_size, sim.events_processed)
-        assert state == (1, 2, 1)
-        for seq in (fired, drained, cancelled, reserved, sim.reserve_seqs(0) + 10, -1):
+        assert state == (2, 2, 1)
+        for seq in (fired, drained, cancelled, fed, fed + 10, -1):
             with pytest.raises(SimulationError, match="not pending"):
                 sim.cancel(seq)
             assert (sim.pending, sim.queue_size, sim.events_processed) == state
         sim.run()
-        assert (sim.pending, sim.queue_size, sim.events_processed) == (0, 0, 2)
+        assert (sim.pending, sim.queue_size, sim.events_processed) == (0, 0, 3)
 
     def test_pending_visible_from_callbacks(self):
         """Entities poll pending mid-run (dynamic pricing does) — the counter
@@ -224,9 +226,7 @@ class TestCancellation:
 #: Each way to put an event on the heap, as ``form(sim, time, callback)``.
 _SCHEDULE_FORMS = {
     "schedule_at": lambda sim, time, callback: sim.schedule_at(time, callback),
-    "schedule_reserved": lambda sim, time, callback: sim.schedule_reserved(
-        sim.reserve_seqs(1), time, callback
-    ),
+    "feed": lambda sim, time, callback: sim.feed([12.0, time], callback, [None, None]),
     "schedule_at_many": lambda sim, time, callback: sim.schedule_at_many(
         [(20.0, print, ()), (time, callback, ())]
     ),
@@ -252,7 +252,7 @@ class TestScheduleValidation:
             assert (sim.pending, sim.queue_size) == (1, 1)
         # A good event still goes through, so the refusals were the checks.
         _SCHEDULE_FORMS[form](sim, 12.0, print)
-        assert sim.pending == 2 + (form == "schedule_at_many")
+        assert sim.pending == 2 + (form in ("schedule_at_many", "feed"))
 
 
 class TestRunControl:
@@ -693,7 +693,7 @@ class TestPickling:
         sim = Simulator()
         for time in (1.0, 2.0, 3.0):
             sim.schedule(time, print)
-        sim.reserve_seqs(4)
+        sim.feed([4.0] * 4, print, range(4))
         clone = pickle.loads(pickle.dumps(sim))
         assert type(clone._seq) is int
         assert clone.schedule(1.0, print) == sim.schedule(1.0, print) == 7

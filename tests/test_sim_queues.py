@@ -11,12 +11,14 @@ form.
 
 The engine-level guarantees that ride on the heap are pinned too: bounded
 heap length under cancellation churn (compaction), the cancel contract
-(only a pending seq can be cancelled),
-reserved sequence numbers, and the out-of-order guard.
+(only a pending seq can be cancelled), the presorted feed (its keys, its
+validation, and that it never enters the heap), and the out-of-order guard.
 """
 
 from __future__ import annotations
 
+import math
+import pickle
 from heapq import heappush
 
 import numpy as np
@@ -37,7 +39,8 @@ class TestMisorderGuard:
         sim.schedule(10.0, lambda: None)
         sim.run()
         # Slip an entry older than the clock past schedule()'s validation.
-        seq = sim.reserve_seqs(1)
+        seq = sim._seq
+        sim._seq += 1
         heappush(sim._heap, (1.0, 0, seq, lambda: None, ()))
         sim._live.add(seq)
         return sim
@@ -55,43 +58,146 @@ class TestMisorderGuard:
             self._corrupted().run_window(20.0)
 
 
-class TestReservedSequenceNumbers:
-    def test_reserved_block_is_skipped_by_ordinary_schedules(self):
+class TestFeed:
+    def test_the_feed_takes_the_next_sequence_numbers(self):
         sim = Simulator()
-        first = sim.reserve_seqs(3)
-        assert first == 0
-        assert sim.schedule(1.0, lambda: None) == 3
+        assert sim.schedule(1.0, lambda: None) == 0
+        sim.feed([2.0, 3.0, 3.0], print, ["a", "b", "c"])  # seqs 1, 2, 3
+        assert sim.schedule(1.0, lambda: None) == 4
 
-    def test_reserved_schedule_does_not_advance_the_counter(self):
-        sim = Simulator()
-        first = sim.reserve_seqs(2)
-        assert sim.schedule_reserved(first + 1, 5.0, lambda: None) == first + 1
-        assert sim.schedule(1.0, lambda: None) == 2
-
-    def test_reserved_event_keeps_its_place_among_equal_times(self):
+    @pytest.mark.parametrize("priority", [-1, 0, 1])
+    def test_a_feed_event_keeps_its_place_among_equal_times(self, priority):
+        """A feed event has the key ``(time, 0, seq)``: at its instant it
+        fires after lower priorities and before higher ones, and at priority
+        0 after what was scheduled before the feed and before what was
+        scheduled after it."""
         sim = Simulator()
         fired = []
-        first = sim.reserve_seqs(1)
-        sim.schedule(5.0, fired.append, "later seq")
-        sim.schedule_reserved(first, 5.0, fired.append, "reserved seq")
+        sim.schedule_at(5.0, fired.append, "before", priority=priority)
+        sim.feed([5.0, 5.0], fired.append, ["fed 1", "fed 2"])
+        sim.schedule_at(5.0, fired.append, "after", priority=priority)
         sim.run()
-        assert fired == ["reserved seq", "later seq"]
+        expected = {
+            -1: ["before", "after", "fed 1", "fed 2"],
+            0: ["before", "fed 1", "fed 2", "after"],
+            1: ["fed 1", "fed 2", "before", "after"],
+        }
+        assert fired == expected[priority]
 
-    def test_a_pending_reserved_seq_cannot_be_scheduled_again(self):
+    def test_a_feed_never_enters_the_heap(self):
         sim = Simulator()
-        first = sim.reserve_seqs(1)
-        sim.schedule_reserved(first, 1.0, lambda: None)
+        sim.schedule(4.0, lambda: None)
+        sim.feed([1.0, 2.0, 6.0], print, [1, 2, 6])
+        assert (sim.pending, len(sim), sim.queue_size) == (4, 4, 1)
+        assert sim.next_event_time() == 1.0
+        sim.run(until=3.0)
+        assert (sim.pending, sim.queue_size, sim.events_processed) == (2, 1, 2)
+        assert sim.next_event_time() == 4.0
+        sim.run()
+        assert (sim.pending, sim.queue_size, sim.events_processed) == (0, 0, 4)
+        assert sim.next_event_time() is None
+
+    def test_feed_events_cannot_be_cancelled(self):
+        sim = Simulator()
+        sim.feed([1.0], print, ["fed"])  # seq 0
+        with pytest.raises(SimulationError, match="not pending"):
+            sim.cancel(0)
+        assert sim.pending == 1
+
+    @pytest.mark.parametrize(
+        "times, message",
+        [
+            ([12.0, math.nan], "finite"),
+            ([12.0, math.inf], "finite"),
+            ([5.0, 12.0], "in the past"),
+            ([12.0, 14.0, 13.0], "non-decreasing"),
+        ],
+        ids=["nan", "inf", "past", "decreasing"],
+    )
+    def test_a_bad_time_refuses_the_whole_feed(self, times, message):
+        sim = Simulator(start_time=10.0)
+        sim.schedule(1.0, print)
+        before = (sim.pending, sim.queue_size, sim._seq)
+        with pytest.raises(SimulationError, match=message):
+            sim.feed(times, print, list(range(len(times))))
+        assert (sim.pending, sim.queue_size, sim._seq) == before
+        sim.run()
+        assert sim.events_processed == 1
+
+    def test_a_bad_callback_or_item_count_refuses_the_feed(self):
+        sim = Simulator()
+        with pytest.raises(SimulationError, match="callable"):
+            sim.feed([1.0], "not callable", [None])
+        with pytest.raises(SimulationError, match="2 items"):
+            sim.feed([1.0], print, [None, None])
+        assert (sim.pending, sim._seq) == (0, 0)
+
+    def test_a_second_feed_waits_for_the_first_to_be_spent(self):
+        sim = Simulator()
+        fired = []
+        sim.feed([1.0, 2.0], fired.append, ["a1", "a2"])
         with pytest.raises(SimulationError, match="already pending"):
-            sim.schedule_reserved(first, 2.0, lambda: None)
-        assert (sim.pending, sim.queue_size) == (1, 1)
+            sim.feed([3.0], fired.append, ["b"])
+        assert (sim.pending, sim._seq) == (2, 2)
+        sim.run(until=1.5)
+        with pytest.raises(SimulationError, match="already pending"):
+            sim.feed([3.0], fired.append, ["b"])
+        sim.run()
+        sim.feed([3.0], fired.append, ["b"])
+        sim.run()
+        assert fired == ["a1", "a2", "b"]
 
-    def test_unreserved_seq_rejected(self):
+    def test_a_feed_installed_by_a_callback_fires_in_the_same_run(self):
         sim = Simulator()
-        sim.reserve_seqs(2)
-        with pytest.raises(SimulationError, match="never reserved"):
-            sim.schedule_reserved(2, 1.0, lambda: None)
-        with pytest.raises(SimulationError, match="negative"):
-            sim.reserve_seqs(-1)
+        fired = []
+        sim.feed([1.0], lambda _item: sim.feed([2.0, 3.0], fired.append, ["b", "c"]), [None])
+        sim.run()
+        assert fired == ["b", "c"]
+        assert sim.now == 3.0
+
+    def test_drain_merges_the_feed_in_delivery_order(self):
+        sim = Simulator()
+        first = sim.schedule_at(2.0, print, "heap")
+        sim.feed([1.0, 2.0], print, ["fed 1", "fed 2"])  # seqs 1, 2
+        last = sim.schedule_at(2.0, print, priority=-1)
+        assert list(sim.drain()) == [
+            (1.0, 0, 1, print, ("fed 1",)),
+            (2.0, -1, last, print, ()),
+            (2.0, 0, first, print, ("heap",)),
+            (2.0, 0, 2, print, ("fed 2",)),
+        ]
+        assert (sim.pending, sim.queue_size) == (0, 0)
+        assert sim._feed_callback is None
+
+    def test_a_spent_feed_holds_no_callback_or_item(self):
+        import weakref
+
+        class Target:
+            def __call__(self, item):
+                pass
+
+        class Item:
+            pass
+
+        sim = Simulator()
+        callback, item = Target(), Item()
+        sim.feed([1.0], callback, [item])
+        refs = (weakref.ref(callback), weakref.ref(item))
+        del callback, item
+        sim.run()
+        assert [ref() for ref in refs] == [None, None]
+
+    def test_a_feed_resumes_from_a_pickle(self):
+        sim = Simulator()
+        log = []
+        sim.feed([1.0, 2.0, 2.0, 4.0], log.append, ["a", "b", "c", "d"])
+        sim.schedule_at(2.0, log.append, "heap")
+        sim.run(until=1.0)
+        clone, clone_log = pickle.loads(pickle.dumps((sim, log)))
+        assert clone.pending == sim.pending == 4
+        sim.run()
+        clone.run()
+        assert clone_log == log == ["a", "b", "c", "heap", "d"]
 
 
 class TestEngineCompaction:
@@ -225,9 +331,9 @@ class _Entry:
 class _Model:
     """The naive reference kernel: a plain list, sorted on every pop.
 
-    It schedules a reserved arrival chain *eagerly* — every link at once,
-    under consecutive sequence numbers — so agreeing with it also proves the
-    simulator's one-pending-link chain equivalent to the up-front batch.
+    It schedules a feed *eagerly* — every event at once, under consecutive
+    sequence numbers, like any other event — so agreeing with it also proves
+    the simulator's feed equivalent to scheduling it.
     """
 
     def __init__(self):
@@ -243,9 +349,30 @@ class _Model:
         return entry
 
     def arrivals(self, times, tags):
-        for offset, (time, tag) in enumerate(zip(times, tags)):
-            self.entries.append(_Entry(time, 0, self.seq + offset, tag, None))
+        """Schedule a feed's events; return their entries."""
+        entries = [
+            _Entry(time, 0, self.seq + offset, tag, None)
+            for offset, (time, tag) in enumerate(zip(times, tags))
+        ]
         self.seq += len(times)
+        self.entries.extend(entries)
+        return entries
+
+    def pending(self):
+        return sum(1 for entry in self.entries if entry.alive)
+
+    def next_time(self):
+        head = self._head()
+        return None if head is None else head.time
+
+    def drain(self):
+        live = sorted(
+            (entry for entry in self.entries if entry.alive),
+            key=lambda entry: (entry.time, entry.priority, entry.seq),
+        )
+        for entry in live:
+            entry.alive = False
+        return [(entry.time, entry.priority, entry.seq) for entry in live]
 
     def _head(self):
         live = sorted(
@@ -281,31 +408,6 @@ class _Model:
         self.now = max(self.now, end)
 
 
-class _ArrivalChain:
-    """A user-population-style chain: one pending link at a time, each link
-    scheduled under the sequence number reserved for it up front."""
-
-    def __init__(self, sim, times, tags, fired):
-        self.sim = sim
-        self.times = times
-        self.tags = tags
-        self.fired = fired
-        self.index = 0
-        self.first = sim.reserve_seqs(len(times))
-        self._schedule_next()
-
-    def _schedule_next(self):
-        if self.index < len(self.times):
-            self.sim.schedule_reserved(
-                self.first + self.index, self.times[self.index], self._arrive
-            )
-
-    def _arrive(self):
-        self.fired.append(self.tags[self.index])
-        self.index += 1
-        self._schedule_next()
-
-
 _ops = st.lists(
     st.one_of(
         st.tuples(
@@ -338,10 +440,22 @@ _ops = st.lists(
         # A burst big enough that the purge right behind it compacts the
         # heap from inside the loop.
         st.tuples(st.just("burst_purge"), st.integers(min_value=65, max_value=80)),
-        # A reserved arrival chain with non-decreasing gaps.
+        # Equal absolute times across priorities -1, 0 and 1, on the grid
+        # the "feed_at" op draws from.
         st.tuples(
-            st.just("arrivals"),
+            st.just("at"),
+            st.tuples(st.sampled_from([5.0, 10.0, 12.5, 25.0]), st.integers(-1, 1)),
+        ),
+        # A feed with non-decreasing gaps from now (refused while an earlier
+        # feed is pending).
+        st.tuples(
+            st.just("feed"),
             st.lists(st.sampled_from([0.0, 0.5, 5.0, 12.5]), min_size=1, max_size=8),
+        ),
+        # A feed on the absolute grid (times before now are dropped).
+        st.tuples(
+            st.just("feed_at"),
+            st.lists(st.sampled_from([5.0, 10.0, 12.5, 25.0]), min_size=1, max_size=8),
         ),
         st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=10_000)),
         st.tuples(st.just("run_for"), st.floats(min_value=0.0, max_value=30.0)),
@@ -357,12 +471,13 @@ _ops = st.lists(
 )
 
 
-def _replay(ops):
+def _replay(ops, drain_at_end=False):
     """Replay an op sequence on the simulator and the model in lockstep."""
     sim = Simulator()
     model = _Model()
     fired = []
     pairs = []  # (simulator seq, model entry) for cancellation
+    feed = []  # the model entries of the last feed installed
     tag = 0
 
     def schedule(delay, priority=0, follow=None, purge=False):
@@ -412,15 +527,27 @@ def _replay(ops):
             for i in range(value):
                 schedule(500.0 + float(i))
             schedule(0.5, follow=(0.5, ("after purge", tag)), purge=True)
-        elif kind == "arrivals":
-            times, at = [], sim.now
-            for gap in value:
-                at = at + gap
-                times.append(at)
+        elif kind == "at":
+            at, priority = value
+            schedule(max(at, sim.now) - sim.now, priority)
+        elif kind in ("feed", "feed_at"):
+            if kind == "feed":
+                times, at = [], sim.now
+                for gap in value:
+                    at = at + gap
+                    times.append(at)
+            else:
+                times = sorted(time for time in value if time >= sim.now)
             tags = [("arrival", tag, i) for i in range(len(times))]
             tag += 1
-            _ArrivalChain(sim, times, tags, fired)
-            model.arrivals(times, tags)
+            if any(entry.alive for entry in feed):
+                before = (sim.pending, sim.queue_size, sim._seq)
+                with pytest.raises(SimulationError, match="already pending"):
+                    sim.feed(times, fired.append, tags)
+                assert (sim.pending, sim.queue_size, sim._seq) == before
+            else:
+                sim.feed(times, fired.append, tags)
+                feed = model.arrivals(times, tags)
         elif kind == "cancel":
             if pairs:
                 seq, entry = pairs[value % len(pairs)]
@@ -446,8 +573,14 @@ def _replay(ops):
             sim.step()
             model.step()
         assert sim.now == model.now, f"clocks diverged after {kind}"
-    sim.run()
-    model.run()
+        assert sim.pending == model.pending(), f"pending diverged after {kind}"
+        assert sim.next_event_time() == model.next_time(), f"heads diverged after {kind}"
+    if drain_at_end:
+        drained = [entry[:3] for entry in sim.drain()]
+        assert drained == model.drain()
+    else:
+        sim.run()
+        model.run()
     assert sim.pending == 0
     assert sim.events_processed == len(model.fired)
     return fired, model.fired
@@ -455,15 +588,18 @@ def _replay(ops):
 
 class TestOrderingOracle:
     """Hypothesis oracle: the simulator replays any interleaving of
-    schedule / equal-time schedule / in-loop schedule / in-loop cancel /
-    reserved arrival chains / cancel (of pending and of fired or cancelled
-    seqs) / partial run / window / step into the exact fire transcript of a
-    naive sorted-list reference kernel."""
+    schedule / equal-time schedule at priorities -1, 0 and 1 / in-loop
+    schedule / in-loop cancel / feeds (installed, or refused while one is
+    pending) / cancel (of pending and of fired or cancelled seqs) / partial
+    run / window / step into the exact fire transcript of a naive
+    sorted-list reference kernel, with the same pending count and next
+    event time after every op, and drains what is left in the model's
+    delivery order."""
 
-    @given(ops=_ops)
+    @given(ops=_ops, drain_at_end=st.booleans())
     @settings(max_examples=80, deadline=None)
-    def test_simulator_agrees_with_reference_model(self, ops):
-        fired, reference = _replay(ops)
+    def test_simulator_agrees_with_reference_model(self, ops, drain_at_end):
+        fired, reference = _replay(ops, drain_at_end)
         assert fired == reference
 
 
