@@ -13,6 +13,7 @@ waits on the event heap.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable, List, Sequence
 
 from repro.sim.engine import Simulator
@@ -41,7 +42,7 @@ class UserPopulation:
         self.sim = sim
         self.gfa = gfa
         self.name = f"users@{gfa.name}"
-        self._jobs: List[Job] = sorted(jobs, key=lambda j: (j.submit_time, j.job_id))
+        self._jobs: List[Job] = sorted(jobs, key=attrgetter("submit_time", "job_id"))
         self.submitted = 0
         self._started = False
         for job in self._jobs:

@@ -12,6 +12,9 @@ the scheduling hot path are timed:
 * **Table-3 federation run** — the full Experiment 2 simulation end to end,
   with its :func:`~repro.scenario.runner.result_fingerprint` recorded next
   to the timing.
+* **Workload generation** — :func:`~repro.workload.archive.build_workload`
+  on the Table-3 sizes, with a sha256 of every generated job's fields
+  recorded next to the timing.
 * **Resilience overhead** — the Table-3 run with no policy vs the inert one.
 * **Parallel engine** — the Exp-5 economy shape per worker count.
 * **Service** — fresh daemon submissions run through the daemon's worker
@@ -39,6 +42,7 @@ top-N cumulative-time hotspot table, so future perf work starts from data.
 from __future__ import annotations
 
 import cProfile
+import hashlib
 import json
 import platform
 import pstats
@@ -55,7 +59,14 @@ from repro.core.policies import SharingMode
 from repro.p2p.directory import FederationDirectory, RankCriterion
 from repro.scenario import Scenario, result_fingerprint, run_scenario
 from repro.sim.engine import Simulator
-from repro.workload.archive import build_federation_specs, replicate_resources
+from repro.sim.rng import RandomStreams
+from repro.workload.archive import (
+    ARCHIVE_RESOURCES,
+    build_federation_specs,
+    build_workload,
+    replicate_resources,
+)
+from repro.workload.job import Job, reset_job_counter
 
 __all__ = [
     "BENCH_SCALES",
@@ -63,6 +74,7 @@ __all__ = [
     "bench_directory_queries",
     "bench_event_kernel",
     "bench_table3",
+    "bench_workload",
     "bench_resilience_overhead",
     "bench_parallel_engine",
     "bench_service",
@@ -346,6 +358,59 @@ def bench_table3(
 
 
 # --------------------------------------------------------------------------- #
+# Workload-generation benchmark
+# --------------------------------------------------------------------------- #
+def _workload_digest(workload: Dict[str, List[Job]]) -> str:
+    """sha256 of every job's fields, resource by resource, in job order."""
+    digest = hashlib.sha256()
+    for name, jobs in workload.items():
+        digest.update(repr(name).encode("utf-8"))
+        for job in jobs:
+            digest.update(repr(vars(job)).encode("utf-8"))
+    return digest.hexdigest()
+
+
+def bench_workload(
+    thin: int,
+    repeats: int = 1,
+    seed: int = 42,
+    system_sizes: Sequence[Optional[int]] = (None,),
+) -> List[Dict[str, object]]:
+    """Time :func:`~repro.workload.archive.build_workload` per federation size.
+
+    ``system_sizes`` are as in :func:`bench_table3`: a size replicates the
+    Table-1 resources, ``None`` is the paper's eight.  Each build starts
+    from job id 1 at ``seed``, as a scenario's does.  Each row records the
+    minimum time, and the job count and :func:`_workload_digest` of the
+    last build.
+    """
+    rows: List[Dict[str, object]] = []
+    for size in system_sizes:
+        resources = list(ARCHIVE_RESOURCES) if size is None else replicate_resources(size)
+        outcome: Dict[str, Dict[str, List[Job]]] = {}
+
+        def once() -> float:
+            reset_job_counter()
+            start = time.perf_counter()
+            outcome["workload"] = build_workload(RandomStreams(seed), resources, thin=thin)
+            return time.perf_counter() - start
+
+        seconds = _best_of(repeats, once)
+        workload = outcome["workload"]
+        rows.append(
+            _row(
+                f"{len(resources)}@thin{thin}/build_s",
+                seconds,
+                clusters=len(resources),
+                thin=int(thin),
+                jobs=sum(len(jobs) for jobs in workload.values()),
+                fingerprint=_workload_digest(workload),
+            )
+        )
+    return rows
+
+
+# --------------------------------------------------------------------------- #
 # Resilience-layer overhead benchmark
 # --------------------------------------------------------------------------- #
 def bench_resilience_overhead(
@@ -618,6 +683,12 @@ def run_benchmarks(
         ),
         "event_kernel": lambda: [bench_event_kernel(scale.events, repeats=scale.repeats)],
         "table3": lambda: bench_table3(
+            scale.table3_thin,
+            repeats=scale.repeats,
+            seed=seed,
+            system_sizes=scale.table3_sizes,
+        ),
+        "workload": lambda: bench_workload(
             scale.table3_thin,
             repeats=scale.repeats,
             seed=seed,

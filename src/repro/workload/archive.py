@@ -22,12 +22,17 @@ only; the simulation uses the two-day counts, as the paper does.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Set
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.cluster.specs import ResourceSpec
 from repro.economy.pricing import StaticPricingPolicy
 from repro.sim.rng import RandomStreams
-from repro.workload.generator import SyntheticTraceGenerator, WorkloadParameters, merge_workloads
+from repro.workload.generator import (
+    SyntheticTraceGenerator,
+    WorkloadParameters,
+    group_replicas,
+    merge_workloads,
+)
 from repro.workload.job import Job, advance_job_counter
 
 #: Two simulated days, the evaluation horizon of every experiment in the paper.
@@ -208,18 +213,39 @@ def build_workload(
     -------
     dict
         Mapping from resource name to its (time-sorted) job list.
+
+    Resources whose workload parameters differ only in name (the replicas
+    of Experiment 5, or :func:`replicate_resources`) form a replica group
+    (:func:`~repro.workload.generator.group_replicas`) and are sampled
+    together, a few rows per set of array passes.  Each resource still
+    draws from its own stream and gets its jobs, and their ids, at its own
+    turn in ``resources`` order, so every job is bit-identical to a
+    one-resource-at-a-time build.
     """
     resources = list(ARCHIVE_RESOURCES) if resources is None else list(resources)
-    workload: Dict[str, List[Job]] = {}
+    generators: List[Tuple[str, WorkloadParameters, Optional[SyntheticTraceGenerator]]] = []
+    streams_used: Set[str] = set()
+    replicas: List[SyntheticTraceGenerator] = []
     for res in resources:
         params = res.workload_parameters(horizon)
         if only is not None and res.name not in only:
-            advance_job_counter(params.num_jobs)
-            workload[res.name] = []
+            generators.append((res.name, params, None))
             continue
-        rng = streams.get(f"workload/{res.name}")
-        generator = SyntheticTraceGenerator(params, rng)
-        workload[res.name] = generator.generate(thin)
+        generator = SyntheticTraceGenerator(params, streams.get(f"workload/{res.name}"))
+        generators.append((res.name, params, generator))
+        # A repeated name draws from its first entry's stream, so it
+        # generates alone, in turn, after that entry.
+        if res.name not in streams_used:
+            streams_used.add(res.name)
+            replicas.append(generator)
+    group_replicas(replicas)
+    workload: Dict[str, List[Job]] = {}
+    for name, params, generator in generators:
+        if generator is None:
+            advance_job_counter(params.num_jobs)
+            workload[name] = []
+        else:
+            workload[name] = generator.generate(thin)
     return workload
 
 

@@ -18,7 +18,7 @@ from typing import Dict, Iterable, List, Mapping, Sequence
 
 import numpy as np
 
-from repro.cluster.specs import ResourceSpec, execution_cost, execution_time
+from repro.cluster.specs import ResourceSpec, _infeasible
 from repro.workload.job import Job, QoSStrategy
 
 
@@ -46,14 +46,28 @@ def assign_qos(
     KeyError
         If a job's origin resource is not in ``specs``.
     ValueError
-        If a factor is not positive.
+        If a factor is not positive, or a job needs more processors than
+        its origin has.
     """
     if budget_factor <= 0 or deadline_factor <= 0:
         raise ValueError("budget and deadline factors must be positive")
+    # One pass: Eqs. 2-4 inlined with :func:`execution_cost`'s and
+    # :func:`execution_time`'s float expressions, so the bits are theirs; the
+    # origin's spec is looked up again only when the origin changes.
+    origin: object = object()  # equal to no job's origin
     for job in jobs:
-        spec = specs[job.origin]
-        job.budget = budget_factor * execution_cost(job, spec)
-        job.deadline = deadline_factor * execution_time(job, spec)
+        if job.origin != origin:
+            origin = job.origin
+            spec = specs[origin]
+            price, mips, width, bandwidth = (
+                spec.price, spec.mips, spec.num_processors, spec.bandwidth_gbps
+            )
+        processors = job.num_processors
+        if processors > width:
+            raise _infeasible(job, spec)
+        compute = job.length_mi / (mips * processors)
+        job.budget = budget_factor * (price * compute)
+        job.deadline = deadline_factor * (compute + job.comm_data_gb / bandwidth)
 
 
 def assign_strategies(

@@ -8,6 +8,7 @@ synthetic report/baseline pairs.
 
 from __future__ import annotations
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -21,10 +22,14 @@ from repro.perf import (
     bench_parallel_engine,
     bench_service,
     bench_table3,
+    bench_workload,
     render_comparison,
     render_report,
 )
 from repro.scenario import Scenario, result_fingerprint, run_scenario
+from repro.sim import RandomStreams
+from repro.workload.archive import ARCHIVE_RESOURCES, build_workload, replicate_resources
+from repro.workload.job import reset_job_counter
 
 BASELINE = Path(__file__).resolve().parents[1] / "benchmarks" / "BENCH_baseline.json"
 
@@ -66,6 +71,24 @@ def test_table3_rows_carry_the_run_fingerprint():
         assert row["jobs"] == len(direct.jobs)
         assert row["events"] == direct.events_processed
         assert row["fingerprint"] == result_fingerprint(direct)
+
+
+def test_workload_rows_carry_the_jobs_digest():
+    rows = bench_workload(thin=40, repeats=2, system_sizes=(None, 16))
+    assert [row["key"] for row in rows] == ["8@thin40/build_s", "16@thin40/build_s"]
+    for row, resources in zip(rows, (ARCHIVE_RESOURCES, replicate_resources(16))):
+        assert set(row) == ROW_CONTRACT | {"clusters", "thin", "jobs", "fingerprint"}
+        assert row["problem"] is None and row["seconds"] > 0
+        reset_job_counter()
+        workload = build_workload(RandomStreams(42), resources, thin=40)
+        digest = hashlib.sha256()
+        for name, jobs in workload.items():
+            digest.update(repr(name).encode("utf-8"))
+            for job in jobs:
+                digest.update(repr(vars(job)).encode("utf-8"))
+        assert row["clusters"] == len(workload) and row["thin"] == 40
+        assert row["jobs"] == sum(len(jobs) for jobs in workload.values())
+        assert row["fingerprint"] == digest.hexdigest()
 
 
 def test_a_parallel_row_that_fell_back_reports_it():

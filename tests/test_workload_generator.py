@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from typing import List
+import dataclasses
+import math
+from typing import Dict, List, Optional, Set
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from repro.sim import RandomStreams
 from repro.workload.archive import (
     ARCHIVE_RESOURCES,
     TWO_DAYS,
+    ArchiveResource,
     archive_by_name,
     build_federation_specs,
     build_workload,
@@ -22,9 +25,16 @@ from repro.workload.archive import (
 from repro.workload.generator import (
     SyntheticTraceGenerator,
     WorkloadParameters,
+    group_replicas,
     merge_workloads,
 )
-from repro.workload.job import Job, job_counter_state, reset_job_counter, restore_job_counter
+from repro.workload.job import (
+    Job,
+    advance_job_counter,
+    job_counter_state,
+    reset_job_counter,
+    restore_job_counter,
+)
 
 
 def make_params(**overrides) -> WorkloadParameters:
@@ -42,16 +52,59 @@ def make_params(**overrides) -> WorkloadParameters:
 
 
 def reference_generate(params: WorkloadParameters, rng: np.random.Generator) -> List[Job]:
-    """The full trace, one scalar step per job, as the generator once built it.
+    """The full trace of one resource, one scalar step per job.
 
-    Same draws in the same order as :meth:`SyntheticTraceGenerator.generate`;
-    every job takes the next id from the global counter as it is constructed.
+    A self-contained copy of the generator's algorithm as it stood when it
+    ran one resource at a time on 1-D arrays: the same ten draws in the same
+    order, then the arrival clip and sort, the processor widths, the capped
+    and water-filled runtimes and the per-job products.  It calls nothing of
+    the generator's, so a change there cannot move the oracle with it.  Every
+    job takes the next id from the global counter as it is constructed.
     """
-    generator = SyntheticTraceGenerator(params, rng)
-    submit_times = generator._sample_arrival_times()
-    processors = generator._sample_processor_counts()
-    runtimes = generator._sample_runtimes(processors)
-    user_ids = rng.integers(0, params.num_users, size=params.num_jobs)
+    n = params.num_jobs
+    seconds_per_day = 86_400.0
+    n_days = max(math.ceil(params.horizon / seconds_per_day), 1)
+    is_daytime = rng.random(n) < params.day_fraction
+    day_index = rng.integers(0, n_days, size=n)
+    day_window = (params.workday_end_hour - params.workday_start_hour) * 3600.0
+    day_offsets = params.workday_start_hour * 3600.0 + rng.random(n) * day_window
+    night_offsets = rng.random(n) * seconds_per_day
+    submit_times = day_index * seconds_per_day + np.where(is_daytime, day_offsets, night_offsets)
+    submit_times = np.sort(np.minimum(submit_times, params.horizon - 1e-6))
+
+    largest_job = max(params.max_processors * params.max_job_fraction, 2.0)
+    max_power = max(math.floor(math.log2(largest_job)), 1)
+    serial = rng.random(n) < params.serial_fraction
+    powers = rng.integers(1, max_power + 1, size=n)
+    odd = rng.random(n) < 0.1
+    jitter = rng.integers(1, 4, size=n)
+    processors = []
+    for is_serial, power, is_odd, nudge in zip(serial, powers, odd, jitter):
+        count = 1 if is_serial else 2 ** int(power)
+        if is_odd and not is_serial:
+            count = max(count - int(nudge), 1)
+        processors.append(min(count, params.max_processors))
+    processors = np.array(processors, dtype=np.int64)
+
+    cap = params.max_runtime_fraction * params.horizon
+    raw = rng.lognormal(mean=params.mean_log_runtime, sigma=params.sigma_log_runtime, size=n)
+    raw = np.minimum(raw, cap)
+    target = params.offered_load * params.max_processors * params.horizon
+    runtimes = np.minimum(raw * (target / float(np.sum(raw * processors))), cap)
+    for _ in range(8):
+        node_seconds = runtimes * processors
+        current = float(np.sum(node_seconds))
+        if current >= target * 0.999:
+            break
+        free = runtimes < cap
+        free_node_seconds = float(np.sum(node_seconds[free]))
+        if free_node_seconds <= 0:
+            break
+        scale = 1.0 + (target - current) / free_node_seconds
+        runtimes[free] = np.minimum(runtimes[free] * scale, cap)
+    runtimes = np.maximum(runtimes, 1.0)
+    user_ids = rng.integers(0, params.num_users, size=n)
+
     jobs: List[Job] = []
     for submit, procs, runtime, user in zip(submit_times, processors, runtimes, user_ids):
         compute_share = (1.0 - params.comm_fraction) * runtime
@@ -72,6 +125,29 @@ def reference_generate(params: WorkloadParameters, rng: np.random.Generator) -> 
     return jobs
 
 
+def reference_build(
+    streams: RandomStreams,
+    resources: List[ArchiveResource],
+    horizon: float = TWO_DAYS,
+    only: Optional[Set[str]] = None,
+    thin: int = 1,
+) -> Dict[str, List[Job]]:
+    """``build_workload`` one resource at a time through the oracle: each
+    generated resource's full trace, sliced; a skipped one's id range
+    consumed."""
+    workload: Dict[str, List[Job]] = {}
+    for res in resources:
+        params = res.workload_parameters(horizon)
+        if only is not None and res.name not in only:
+            advance_job_counter(params.num_jobs)
+            workload[res.name] = []
+        else:
+            workload[res.name] = reference_generate(
+                params, streams.get(f"workload/{res.name}")
+            )[::thin]
+    return workload
+
+
 def job_fields(jobs: List[Job]) -> List[dict]:
     """Every field of every job, with each value's type next to it."""
     return [{name: (type(v), v) for name, v in vars(job).items()} for job in jobs]
@@ -90,11 +166,20 @@ class TestWorkloadParameters:
             ("num_users", 0),
             ("serial_fraction", 1.5),
             ("day_fraction", -0.2),
+            ("mips", 0.0),
+            ("mips", -850.0),
+            ("workday_start_hour", -1.0),
+            ("workday_end_hour", 25.0),
+            ("workday_end_hour", 8.0),
+            pytest.param(
+                {"workday_start_hour": 18.0, "workday_end_hour": 8.0}, None, id="inverted-workday"
+            ),
         ],
     )
     def test_invalid_parameters_rejected(self, field, value):
+        overrides = field if isinstance(field, dict) else {field: value}
         with pytest.raises(ValueError):
-            make_params(**{field: value})
+            make_params(**overrides)
 
 
 class TestGenerator:
@@ -244,6 +329,165 @@ class TestThinnedGeneration:
 
         assert sorted(constructed) == sorted(returned)
         assert len(returned) == sum(len(range(0, r.two_day_jobs, 8)) for r in ARCHIVE_RESOURCES)
+
+
+class TestReplicaGroups:
+    """Generators joined by ``group_replicas`` give what they give alone."""
+
+    @staticmethod
+    def params(count: int, num_jobs: int) -> List[WorkloadParameters]:
+        # Two kinds of resource, interleaved: two replica groups.
+        return [
+            make_params(resource_name=f"r{i}", num_jobs=num_jobs, offered_load=(0.6, 1.7)[i % 2])
+            for i in range(count)
+        ]
+
+    @pytest.mark.parametrize("count, num_jobs, thin", [(2, 200, 1), (40, 333, 8), (25, 817, 3)])
+    def test_members_equal_lone_generators_in_any_call_order(self, count, num_jobs, thin):
+        params = self.params(count, num_jobs)
+        order = list(range(count))
+        np.random.default_rng(count).shuffle(order)
+        restore_job_counter(1)
+        alone = {
+            i: SyntheticTraceGenerator(params[i], np.random.default_rng(i)).generate(thin)
+            for i in order
+        }
+        restore_job_counter(1)
+        members = [SyntheticTraceGenerator(p, np.random.default_rng(i)) for i, p in enumerate(params)]
+        group_replicas(members)
+        grouped = {i: members[i].generate(thin) for i in order}
+
+        for i in order:
+            assert job_fields(grouped[i]) == job_fields(alone[i])
+
+    @given(
+        count=st.integers(min_value=2, max_value=30),
+        num_jobs=st.integers(min_value=1, max_value=300),
+        max_processors=st.integers(min_value=1, max_value=2048),
+        overrides=st.sampled_from([{}] + [res.workload_overrides for res in ARCHIVE_RESOURCES]),
+        horizon=st.sampled_from([4 * 3600.0, 6 * 3600.0, 86_400.0, TWO_DAYS]),
+        offered_load=st.floats(min_value=0.05, max_value=3.0),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        thin=st.integers(min_value=1, max_value=40),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_any_replicas_equal_lone_generators(
+        self, count, num_jobs, max_processors, overrides, horizon, offered_load, seed, thin
+    ):
+        params = [
+            make_params(
+                resource_name=f"r{i}",
+                num_jobs=num_jobs,
+                max_processors=max_processors,
+                horizon=horizon,
+                offered_load=offered_load,
+                **overrides,
+            )
+            for i in range(count)
+        ]
+        order = np.random.default_rng(seed).permutation(count).tolist()
+        restore_job_counter(1)
+        alone = {
+            i: SyntheticTraceGenerator(params[i], np.random.default_rng([seed, i])).generate(thin)
+            for i in order
+        }
+        restore_job_counter(1)
+        members = [
+            SyntheticTraceGenerator(p, np.random.default_rng([seed, i])) for i, p in enumerate(params)
+        ]
+        group_replicas(members)
+        for i in order:
+            assert job_fields(members[i].generate(thin)) == job_fields(alone[i])
+
+    def test_equal_values_of_another_type_stay_apart(self):
+        """``128`` and ``128.0`` compare equal but give float widths."""
+        params = [make_params(resource_name="a"), make_params(resource_name="b", max_processors=128.0)]
+        restore_job_counter(1)
+        alone = [SyntheticTraceGenerator(p, np.random.default_rng(0)).generate(3) for p in params]
+        restore_job_counter(1)
+        members = [SyntheticTraceGenerator(p, np.random.default_rng(0)) for p in params]
+        group_replicas(members)
+        assert [job_fields(m.generate(3)) for m in members] == [job_fields(jobs) for jobs in alone]
+
+    def test_a_member_generates_once_per_sampling_at_its_thin(self):
+        members = [
+            SyntheticTraceGenerator(p, np.random.default_rng(i))
+            for i, p in enumerate(self.params(4, 50)[::2])
+        ]
+        group_replicas(members)
+        members[0].generate(4)
+        with pytest.raises(RuntimeError, match="once"):
+            members[0].generate(4)
+        with pytest.raises(ValueError, match="thin"):
+            members[1].generate(5)
+        assert len(members[1].generate(4)) == 13
+        # Every row was taken, so the next call samples both streams afresh.
+        assert len(members[0].generate(4)) == 13
+
+
+class TestBuildMatchesTheOracle:
+    """``build_workload`` equals the per-resource oracle job for job.
+
+    Replicated federations put resources whose parameters differ only in
+    name side by side (groups of 1 at 8 clusters, 2 at 16, 16 at 128, 17 and
+    20 beyond); ``only=`` subsets thin those groups out.
+    """
+
+    SIX_HOURS = 6 * 3600.0
+
+    @pytest.mark.parametrize(
+        "size, horizon, thin, only_every, seed",
+        [
+            (8, SIX_HOURS, 1, None, 42),
+            (8, TWO_DAYS, 30, None, 43),
+            (16, 4 * 3600.0, 3, None, 44),
+            (16, TWO_DAYS, 8, 3, 42),
+            (20, SIX_HOURS, 8, 2, 7),
+            (128, TWO_DAYS, 8, None, 42),
+            (128, SIX_HOURS, 1, 5, 50),
+            (136, 4 * 3600.0, 30, 2, 51),
+            (160, TWO_DAYS, 3, None, 52),
+        ],
+    )
+    def test_build_equals_the_per_resource_oracle(self, size, horizon, thin, only_every, seed):
+        resources = replicate_resources(size)
+        only = None if only_every is None else {r.name for r in resources[::only_every]}
+        restore_job_counter(11)
+        expected = reference_build(RandomStreams(seed), resources, horizon, only, thin)
+        expected_next_id = job_counter_state()
+        restore_job_counter(11)
+        workload = build_workload(RandomStreams(seed), resources, horizon, only, thin)
+
+        assert job_counter_state() == expected_next_id
+        assert list(workload) == list(expected)
+        for name, jobs in workload.items():
+            assert job_fields(jobs) == job_fields(expected[name]), name
+        if horizon == self.SIX_HOURS and thin == 1:
+            # The golden fingerprints' horizon: most arrivals clip to its end.
+            clipped = [j for jobs in expected.values() for j in jobs if j.submit_time == horizon - 1e-6]
+            assert len(clipped) > sum(len(jobs) for jobs in expected.values()) // 2
+
+
+    def test_a_repeated_name_draws_its_stream_in_resource_order(self):
+        """A name that comes back draws from the same stream: the later
+        entry's jobs follow the earlier's draws even when its replicas
+        were sampled before the earlier entry's turn."""
+        kth, sdsc = archive_by_name()["KTH SP2"], archive_by_name()["SDSC SP2"]
+        resources = [
+            dataclasses.replace(kth, name="first"),
+            dataclasses.replace(sdsc, name="second"),
+            dataclasses.replace(kth, name="second"),
+        ]
+        restore_job_counter(1)
+        expected = reference_build(RandomStreams(5), resources, thin=2)
+        expected_next_id = job_counter_state()
+        restore_job_counter(1)
+        workload = build_workload(RandomStreams(5), resources, thin=2)
+
+        assert job_counter_state() == expected_next_id
+        assert list(workload) == list(expected) == ["first", "second"]
+        for name, jobs in workload.items():
+            assert job_fields(jobs) == job_fields(expected[name]), name
 
 
 class TestMerge:

@@ -55,6 +55,24 @@ class TestAssignQoS:
         with pytest.raises(KeyError):
             assign_qos([job], spec_map())
 
+    def test_values_are_the_model_functions_bits(self):
+        """The one-pass loop gives exactly Eqs. 7-8 of the model functions,
+        also when consecutive jobs come from different origins."""
+        specs = spec_map()
+        jobs = small_workload()
+        jobs = [job for pair in zip(jobs[:40], jobs[40:]) for job in pair]
+        assign_qos(jobs, specs, budget_factor=3.0, deadline_factor=1.5)
+        for job in jobs:
+            origin = specs[job.origin]
+            assert job.budget == 3.0 * execution_cost(job, origin)
+            assert job.deadline == 1.5 * execution_time(job, origin)
+
+    def test_job_wider_than_its_origin_raises(self):
+        job = Job(origin="KTH SP2", user_id=0, submit_time=0.0, num_processors=101, length_mi=1e3)
+        with pytest.raises(ValueError, match="needs 101 processors but KTH SP2 only has 100"):
+            assign_qos([job], spec_map())
+        assert job.budget is None and job.deadline is None
+
     def test_qos_always_feasible_on_unloaded_origin(self):
         """With factor-2 deadlines, the origin can always meet the deadline when
         idle — the basis of the paper's acceptance criterion."""
