@@ -425,6 +425,24 @@ class SpaceSharedLRMS:
         self._predicted.clear()
         self._estimate = None
 
+    def start_bound(self) -> Optional[float]:
+        """An O(1) lower bound on the start :meth:`estimate_completion_time`
+        would find for a new job now, or ``None`` when it is not known.
+
+        With no job waiting the bound is now.  While the live profile
+        exists it is the FCFS queue tail (clamped to now), below which the
+        estimate never searches.  Without a live profile the tail is known
+        only after a rebuild, so the bound is unknown.  Nothing is built,
+        trimmed or recorded.
+        """
+        now = self.sim.now
+        if not self._queue:
+            return now
+        if self._profile is None:
+            return None
+        tail = self._tail
+        return tail if tail > now else now
+
     def expected_wait(self) -> float:
         """Predicted queueing delay currently faced by a new arrival.
 

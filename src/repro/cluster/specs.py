@@ -124,8 +124,11 @@ def execution_time(job: "Job", spec: ResourceSpec) -> float:
 
 
 def execution_cost(job: "Job", spec: ResourceSpec) -> float:
-    """Execution cost ``B(J, R_m) = c_m * l / (mu_m * p)`` (Eq. 4)."""
-    return spec.price * compute_time(job, spec)
+    """Execution cost ``B(J, R_m) = c_m * l / (mu_m * p)`` (Eq. 4): the
+    price times :func:`compute_time`, in one call; raises as it does."""
+    if job.num_processors > spec.num_processors:
+        raise _infeasible(job, spec)
+    return spec.price * (job.length_mi / (spec.mips * job.num_processors))
 
 
 def feasible_execution_time(job: "Job", spec: ResourceSpec) -> float:

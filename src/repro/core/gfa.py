@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.cluster.lrms import SchedulingPolicy, SpaceSharedLRMS
-from repro.cluster.specs import ResourceSpec, execution_cost
+from repro.cluster.specs import ResourceSpec, execution_cost, execution_time
 from repro.core.admission import AdmissionController, AdmissionDecision
 from repro.core.messages import MessageType
 
@@ -204,27 +204,9 @@ class GridFederationAgent:
             # Departed from the federation: no directory, no remote candidates.
             self._reject(job)
             return
-        # Online scheduling over remote resources in decreasing speed order.
-        # The session resumes from the last matched rank on every probe, so
-        # the whole negotiation sequence costs one forward sweep of the
-        # directory instead of a fresh scan per round.
-        if self.resilience is not None:
-            self.resilience.evict_stale_quotes(self)
-        session = self.directory.open_session(
-            rank_criterion_for(job), min_processors=job.num_processors
-        )
-        for quote in session:
-            job.negotiation_rounds += 1
-            if quote.gfa_name == self.name:
-                continue  # local feasibility was already ruled out
-            if self.resilience is not None and not self.resilience.allow_candidate(
-                self.name, quote.gfa_name
-            ):
-                continue  # circuit open: stop hammering a dead/flapping peer
-            if self._negotiate(quote, job):
-                self._migrate(quote, job)
-                return
-        self._reject(job)
+        # Online scheduling over remote resources in decreasing speed order;
+        # local feasibility was ruled out above.
+        self._walk(job, None, local=False)
 
     def _schedule_economy(self, job: Job) -> None:
         if not self.joined:
@@ -242,30 +224,77 @@ class GridFederationAgent:
             else:
                 self._reject(job)
             return
+        budget = job.budget
+        self._walk(job, None if budget is None else budget + 1e-9, local=True)
+
+    def _walk(self, job: Job, limit: Optional[float], local: bool) -> None:
+        """The DBC walk: probe the directory's ranking for ``job`` one
+        candidate at a time until one admits it, else reject it.
+
+        A quote whose cost exceeds ``limit`` is ruled out from the quote
+        alone, with no message.  This cluster's own quote is placed
+        locally when ``local`` holds and its LRMS can meet the deadline,
+        else skipped.  One session serves the whole walk, so the probes
+        cost one forward sweep of the ranking.
+
+        Under FCFS a new job starts no earlier than the candidate's queue
+        tail (:meth:`~repro.cluster.lrms.SpaceSharedLRMS.start_bound`), and
+        the admission estimate never starts it earlier.  So when that bound
+        plus the job's runtime there already misses the deadline, the
+        remote's answer is a refusal: the round is booked as a refused
+        round is (the same round trip, the same counts on both GFAs) with
+        no estimate asked for.  Only bare runs refuse so: a fault plan or a
+        resilience policy acts on each enquiry, an agent that overrides
+        :meth:`_negotiate` (the coordinated agent prunes from published
+        loads) runs its own round, and a remote without an LRMS of its own
+        (a parallel shard's proxy) answers from its snapshot.
+        """
         resilience = self.resilience
         if resilience is not None:
             resilience.evict_stale_quotes(self)
         session = self.directory.open_session(
             rank_criterion_for(job), min_processors=job.num_processors
         )
-        # Per-job constants, read once for the whole DBC loop.
         name = self.name
-        budget = job.budget
-        limit = None if budget is None else budget + 1e-9
+        deadline = job.absolute_deadline
+        late = (
+            deadline + 1e-9
+            if deadline is not None
+            and self.faults is None
+            and resilience is None
+            and type(self)._negotiate is GridFederationAgent._negotiate
+            else None
+        )
+        lookup = self.registry.lookup
+        roundtrip = self.transport.roundtrip
+        stats = self.stats
         for quote in session:
             job.negotiation_rounds += 1
-            # Budget feasibility is checked from the published quote alone —
-            # no message is needed to rule a candidate out on cost.
             if limit is not None and execution_cost(job, quote.spec) > limit:
                 continue
             candidate = quote.gfa_name
             if candidate == name:
-                if self.lrms.can_meet_deadline(job):
+                if local and self.lrms.can_meet_deadline(job):
                     self._accept_locally(job)
                     return
                 continue
             if resilience is not None and not resilience.allow_candidate(name, candidate):
                 continue  # circuit open: stop hammering a dead/flapping peer
+            if late is not None:
+                remote = lookup(candidate)
+                lrms = remote.lrms
+                if lrms is not None:
+                    start = lrms.start_bound()
+                    if start is not None and start + execution_time(job, lrms.spec) > late:
+                        stats.negotiations_sent += 1
+                        if roundtrip(name, candidate, job, remote.alive):
+                            admission = remote.admission
+                            admission.enquiries += 1
+                            admission.refused += 1
+                            stats.negotiations_refused += 1
+                        else:
+                            stats.negotiation_timeouts += 1
+                        continue
             if self._negotiate(quote, job):
                 self._migrate(quote, job)
                 return

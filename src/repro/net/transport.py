@@ -108,6 +108,10 @@ class TransportStats:
 #: hands a job over synchronously, so no per-transfer tuple is allocated.
 _DELIVER_INLINE: Tuple[str, float] = ("deliver", 0.0)
 
+#: Read once: on Python 3.11 an enum member lookup on its class is a
+#: Python-level call, and every round trip books a NEGOTIATE.
+_NEGOTIATE = MessageType.NEGOTIATE
+
 
 class Transport:
     """Routes, perturbs and accounts every cross-entity message.
@@ -198,7 +202,7 @@ class Transport:
             link_lost = replied and link.loss_rate > 0.0 and self._draw() < link.loss_rate
             if link_lost:
                 replied = False
-        self.log.record(MessageType.NEGOTIATE, src, dst, job, replied)
+        self.log.record(_NEGOTIATE, src, dst, job, replied)
         stats = self.stats
         stats.volume_mb += size_mb
         stats.latency_s += latency_s

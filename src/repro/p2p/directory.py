@@ -204,11 +204,57 @@ class DirectoryQuerySession:
                 return quote
 
     def __iter__(self) -> Iterator[DirectoryQuote]:
+        """Serve what repeated :meth:`next` calls serve, booking the same
+        probes.
+
+        While the directory's version holds and the sweep stands where the
+        last probe left it, each probe is taken in place: it is booked as
+        :meth:`kth` books it, and the sweep moves on to the ranking's next
+        quote that passes the filter, with no ``next`` or ``kth`` call.
+        Otherwise (a membership change, a direct :meth:`kth` probe ahead
+        of the walk, or inside ``batch_updates()``, where :meth:`kth`
+        raises) the probe is :meth:`next` itself, which restarts from rank
+        1 after a change and skips what was served.
+        """
+        directory = self._directory
+        stats = directory._stats
+        ranking = self._ranking
+        matched = self._matched
+        yielded = self._yielded
+        min_processors = self.min_processors
         while True:
-            quote = self.next()
-            if quote is None:
+            if (
+                self._version != directory._version
+                or directory._batch_depth
+                or self._pos != len(matched)
+            ):
+                quote = self.next()
+                if quote is None:
+                    return
+                yield quote
+                continue
+            stats.queries += 1
+            stats.assumed_messages += directory._query_charge
+            transport = directory._transport
+            if transport is not None:
+                transport.control("query")
+            scan = self._scan
+            end = len(ranking)
+            while scan < end:
+                quote = ranking[scan][1]
+                scan += 1
+                if quote.spec.num_processors >= min_processors:
+                    break
+            else:
+                self._scan = scan
                 return
-            yield quote
+            self._scan = scan
+            matched.append(quote)
+            self._pos += 1
+            name = quote.gfa_name
+            if name not in yielded:
+                yielded.add(name)
+                yield quote
 
 
 class FederationDirectory:

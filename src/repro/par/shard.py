@@ -77,11 +77,14 @@ class RemoteClusterProxy:
     """Stand-in for a cluster owned by another shard.
 
     Duck-typed against the slice of :class:`GridFederationAgent` the base
-    negotiation path touches: ``name``, ``alive``,
+    negotiation path touches: ``name``, ``alive``, ``lrms``,
     ``handle_admission_request`` and ``receive_remote_job``.
     """
 
     __slots__ = ("name", "spec", "shard", "alive", "_tail", "_bump")
+
+    #: No LRMS of its own: every enquiry is answered from the snapshot.
+    lrms = None
 
     def __init__(self, name: str, spec: ResourceSpec, shard: "ShardFederation"):
         self.name = name

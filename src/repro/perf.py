@@ -12,6 +12,9 @@ the scheduling hot path are timed:
 * **Table-3 federation run** — the full Experiment 2 simulation end to end,
   with its :func:`~repro.scenario.runner.result_fingerprint` recorded next
   to the timing.
+* **Economy run** — the Experiment 5 economy shape (OFT 30%, two-tier WAN,
+  ``thin=32``) at large federation sizes, serial, with its DBC rounds per
+  job, microseconds per job and fingerprint next to the timing.
 * **Workload generation** — :func:`~repro.workload.archive.build_workload`
   on the Table-3 sizes, with a sha256 of every generated job's fields
   recorded next to the timing.
@@ -74,6 +77,7 @@ __all__ = [
     "bench_directory_queries",
     "bench_event_kernel",
     "bench_table3",
+    "bench_economy",
     "bench_workload",
     "bench_resilience_overhead",
     "bench_parallel_engine",
@@ -121,6 +125,8 @@ class BenchScale:
     table3_thin: int
     #: Federation sizes for the end-to-end run (None = the paper's 8 resources).
     table3_sizes: Tuple[Optional[int], ...]
+    #: Federation sizes for the Exp-5 economy run.
+    economy_sizes: Tuple[int, ...]
     #: Timing repetitions; the minimum is reported (noise suppression).
     repeats: int
     #: Federation size for the parallel-engine benchmark (Exp-5 economy shape
@@ -144,6 +150,7 @@ BENCH_SCALES: Dict[str, BenchScale] = {
         events=30_000,
         table3_thin=4,
         table3_sizes=(None,),
+        economy_sizes=(128,),
         repeats=2,
         par_size=64,
         par_thin=4,
@@ -157,6 +164,7 @@ BENCH_SCALES: Dict[str, BenchScale] = {
         events=200_000,
         table3_thin=1,
         table3_sizes=(None, 32),
+        economy_sizes=(1024, 2048),
         repeats=3,
         par_size=256,
         par_thin=8,
@@ -171,6 +179,7 @@ BENCH_SCALES: Dict[str, BenchScale] = {
         events=500_000,
         table3_thin=8,
         table3_sizes=(256, 1024),
+        economy_sizes=(4096,),
         repeats=1,
         par_size=4096,
         par_thin=32,
@@ -351,6 +360,64 @@ def bench_table3(
                 thin=int(thin),
                 jobs=outcome["jobs"],
                 events=outcome["events"],
+                fingerprint=outcome["fingerprint"],
+            )
+        )
+    return rows
+
+
+# --------------------------------------------------------------------------- #
+# Exp-5 economy benchmark
+# --------------------------------------------------------------------------- #
+#: ``thin`` of the economy rows: the Exp-5 shape at large federation sizes.
+ECONOMY_THIN = 32
+
+
+def bench_economy(
+    system_sizes: Sequence[int], repeats: int = 1, seed: int = 42
+) -> List[Dict[str, object]]:
+    """Time the Exp-5 economy run (OFT 30%, two-tier WAN, serial) per size.
+
+    Replicated Table-1 rows tie in the directory's rankings, so each job's
+    DBC walk probes the same busy prefix, and its rounds per job grow with
+    the federation.  Each row records the minimum time, and the last run's
+    jobs, mean negotiation rounds per job, microseconds per job (at the
+    minimum time), ledger messages and fingerprint.
+    """
+    rows: List[Dict[str, object]] = []
+    for size in system_sizes:
+        scenario = Scenario(
+            mode=SharingMode.ECONOMY,
+            oft_fraction=0.3,
+            system_size=size,
+            thin=ECONOMY_THIN,
+            transport="two-tier-wan",
+            seed=seed,
+        )
+        outcome: Dict[str, object] = {}
+
+        def once() -> float:
+            start = time.perf_counter()
+            result = run_scenario(scenario)
+            elapsed = time.perf_counter() - start
+            outcome["jobs"] = len(result.jobs)
+            outcome["rounds"] = sum(job.negotiation_rounds for job in result.jobs)
+            outcome["messages"] = result.message_log.total_messages
+            outcome["fingerprint"] = result_fingerprint(result)
+            return elapsed
+
+        seconds = _best_of(repeats, once)
+        jobs = int(outcome["jobs"])
+        rows.append(
+            _row(
+                f"{size}@thin{ECONOMY_THIN}/seconds",
+                seconds,
+                clusters=int(size),
+                thin=ECONOMY_THIN,
+                jobs=jobs,
+                rounds_per_job=outcome["rounds"] / max(jobs, 1),
+                us_per_job=1e6 * seconds / max(jobs, 1),
+                messages=outcome["messages"],
                 fingerprint=outcome["fingerprint"],
             )
         )
@@ -687,6 +754,9 @@ def run_benchmarks(
             repeats=scale.repeats,
             seed=seed,
             system_sizes=scale.table3_sizes,
+        ),
+        "economy": lambda: bench_economy(
+            scale.economy_sizes, repeats=scale.repeats, seed=seed
         ),
         "workload": lambda: bench_workload(
             scale.table3_thin,

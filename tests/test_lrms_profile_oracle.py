@@ -197,6 +197,26 @@ def assert_shadow_matches_the_running_profile(lrms: SpaceSharedLRMS) -> None:
         assert lrms._shadow(head) == (shadow, extra)
 
 
+def assert_start_bound_holds(lrms: SpaceSharedLRMS) -> None:
+    """``start_bound``, when known, is at most the start the admission
+    estimate then finds (so bound plus runtime is at most the estimate),
+    and equals that start when no job waits and the job fits.  It is
+    unknown only while jobs wait with no live profile."""
+    for procs, runtime in PROBES:
+        probe = make_job(procs=procs, runtime=runtime, spec=lrms.spec)
+        bound = lrms.start_bound()
+        idle = lrms.queue_length == 0 and procs <= lrms.free_processors
+        estimate = lrms.estimate_completion_time(probe)
+        start = lrms._estimate[2]
+        if bound is None:
+            assert lrms.queue_length > 0
+            continue
+        assert bound <= start
+        assert bound + lrms.runtime_of(probe) <= estimate
+        if idle:
+            assert bound == start
+
+
 class TestMaintainedProfileOracle:
     @given(
         ops=st.lists(_op, min_size=1, max_size=40),
@@ -206,6 +226,17 @@ class TestMaintainedProfileOracle:
     @settings(max_examples=150, deadline=None)
     def test_answers_equal_a_naive_rebuild_after_every_op(self, ops, policy, t0):
         _replay(ops, policy, t0, assert_matches_reference)
+
+    @given(
+        ops=st.lists(_op, min_size=1, max_size=40),
+        policy=st.sampled_from(list(SchedulingPolicy)),
+        t0=st.sampled_from([0.0, 12_345.678, 2e7]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_start_bound_never_exceeds_the_estimated_start(self, ops, policy, t0):
+        """Across submits, idle starts, finishes, EASY backfills and
+        crashes (each of the last three drops the profile)."""
+        _replay(ops, policy, t0, assert_start_bound_holds)
 
     @given(
         ops=st.lists(_op, min_size=1, max_size=40),
@@ -376,6 +407,30 @@ class TestIdleStart:
         assert lrms._profile is None
         assert lrms._predicted == {} and lrms._estimate is None
         assert_matches_reference(lrms)
+
+
+class TestStartBound:
+    """The O(1) start bound reads the queue and the live profile only."""
+
+    def test_bound_is_now_tail_or_unknown(self):
+        sim = Simulator()
+        spec = make_spec(procs=CAPACITY)
+        lrms = SpaceSharedLRMS(sim, spec)
+        sim.run(until=5.0)
+        assert lrms.start_bound() == 5.0  # nothing waits
+        lrms.submit(make_job(procs=CAPACITY, runtime=100.0, spec=spec, submit=5.0))
+        assert lrms.start_bound() == 5.0  # one job runs, none waits
+        lrms.submit(make_job(procs=8, runtime=20.0, spec=spec, submit=5.0))
+        assert lrms.start_bound() is None  # queued with no live profile
+        with counted_profile_builds() as builds:
+            assert lrms.start_bound() is None
+        assert builds == []  # the bound never builds one
+        probe = make_job(procs=CAPACITY, runtime=1.0, spec=spec, submit=5.0)
+        assert lrms.estimate_completion_time(probe) == 126.0  # builds the profile
+        assert lrms.start_bound() == 105.0  # the queued job's predicted start
+        assert lrms._estimate[2] == 125.0
+        sim.run(until=110.0)
+        assert lrms.start_bound() == 110.0  # the tail has passed: now
 
 
 class TestFallbackRebuilds:

@@ -113,14 +113,18 @@ class TestDerivedMessageAccounting:
 
 class TestWanAccountingPinned:
     """Every ``TransportStats`` field, the directory's query totals and the
-    per-type counts of one WAN economy run, with and without a chaos plan,
-    compared with ``==`` (floats included).  The fingerprint hashes none of
-    these, so a reordered float sum, a misbooked REPLY or a changed query
-    charge would pass every digest; the chaos run reaches window loss, link
-    loss, transit loss and membership churn."""
+    per-type counts of WAN economy runs, compared with ``==`` (floats
+    included).  The fingerprint hashes none of these, so a reordered float
+    sum, a misbooked REPLY or a changed query charge would pass every
+    digest.  The 32-cluster run with a chaos plan reaches window loss, link
+    loss, transit loss and membership churn; the 128-cluster run is the
+    benchmark's ``econ-wan-128`` shape, whose walks are deep (4.33 rounds
+    per job, against 1.73 for the 32-cluster run without faults)."""
 
     PINNED = {
         "none": dict(
+            system_size=32,
+            faults="none",
             fingerprint="c37ac2892724797ff5fde4e0a20c7456d1642003d24bb7a6c5199d76907edd28",
             network=TransportStats(
                 messages=6801,
@@ -137,6 +141,8 @@ class TestWanAccountingPinned:
             per_type=[2159, 2148, 1247, 1247],
         ),
         "chaos": dict(
+            system_size=32,
+            faults="chaos",
             fingerprint="7d8bdd7135959a398856b59a6fe02dde5cfa8583264bce6f381d41e1ef1fe82b",
             network=TransportStats(
                 messages=5774,
@@ -152,19 +158,37 @@ class TestWanAccountingPinned:
             queries=(1939, 9695),
             per_type=[1786, 1749, 1130, 1109],
         ),
+        "econ-wan-128": dict(
+            system_size=128,
+            faults="none",
+            fingerprint="90af5ba0060a88f9d787547b919accef244dd7dd50691eeb4245582b3de0e621",
+            network=TransportStats(
+                messages=56056,
+                volume_mb=42245.57600001983,
+                latency_s=1104.1376563575536,
+                timeouts=150,
+                link_losses=150,
+                transit_losses=0,
+                delayed_deliveries=5268,
+                control_messages=23383,
+                control_by_kind={"query": 23255, "subscribe": 128},
+            ),
+            queries=(23255, 162785),
+            per_type=[22835, 22685, 5268, 5268],
+        ),
     }
 
-    @pytest.mark.parametrize("faults", sorted(PINNED))
-    def test_wan_economy_accounting_is_pinned(self, faults):
-        pinned = self.PINNED[faults]
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_wan_economy_accounting_is_pinned(self, name):
+        pinned = self.PINNED[name]
         scenario = Scenario(
             mode="economy",
             oft_fraction=0.3,
-            system_size=32,
+            system_size=pinned["system_size"],
             thin=8,
             transport="two-tier-wan",
             seed=42,
-            faults=faults,
+            faults=pinned["faults"],
         )
         result = run_scenario(scenario)
         assert result_fingerprint(result) == pinned["fingerprint"]

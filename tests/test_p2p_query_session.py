@@ -17,7 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.specs import ResourceSpec
+from repro.net.transport import Transport
 from repro.p2p import FederationDirectory, OverlayError, RankCriterion
+from repro.sim import Simulator
 from repro.workload.archive import build_federation_specs, replicate_resources
 
 
@@ -209,6 +211,105 @@ class TestSessionIterationSurvivesUnsubscribe:
                     assert quote.gfa_name in live
                     served.append(quote.gfa_name)
         assert len(served) == len(set(served))
+
+
+class TestIterationMatchesRepeatedNext:
+    """Iterating a session walks the ranking in place while the directory's
+    version holds.  Its reference is :meth:`next`, called once per yield on
+    a twin directory that sees the same churn: the same quotes must come
+    out, and the same probes be booked (query count, assumed messages and
+    ``query`` control messages, the final miss included), with direct
+    ``kth`` probes and churn between the yields."""
+
+    @staticmethod
+    def _twin():
+        directory = FederationDirectory()
+        transport = Transport(Simulator())
+        directory.attach_transport(transport)
+        return directory, transport
+
+    @staticmethod
+    def _booked(directory, transport):
+        return (
+            directory.query_count,
+            directory.assumed_query_messages,
+            transport.stats.control_by_kind.get("query", 0),
+        )
+
+    @given(
+        members=st.lists(
+            st.tuples(
+                st.sampled_from([1.0, 2.0, 3.0]),
+                st.sampled_from([500.0, 900.0]),
+                st.sampled_from([1, 2, 64, 512]),
+            ),
+            min_size=0,
+            max_size=8,
+        ),
+        steps=st.lists(
+            st.one_of(
+                st.just(("yield",)),
+                st.tuples(st.just("kth"), st.integers(min_value=1, max_value=6)),
+                st.tuples(
+                    st.sampled_from(["subscribe", "unsubscribe", "update", "batch"]),
+                    st.integers(min_value=0, max_value=9),
+                    st.sampled_from([0.5, 1.0, 2.0, 3.0]),
+                    st.sampled_from([500.0, 900.0]),
+                    st.sampled_from([1, 2, 64, 512]),
+                ),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        criterion=st.sampled_from(list(RankCriterion)),
+        min_processors=st.sampled_from([1, 2, 64]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_iteration_books_what_repeated_next_books(
+        self, members, steps, criterion, min_processors
+    ):
+        walked, walked_transport = self._twin()
+        stepped, stepped_transport = self._twin()
+        for directory in (walked, stepped):
+            for i, (price, mips, procs) in enumerate(members):
+                directory.subscribe(f"GFA-{i}", make_spec(f"GFA-{i}", price, mips, procs))
+        session = walked.open_session(criterion, min_processors)
+        walk = iter(session)
+        reference = stepped.open_session(criterion, min_processors)
+        for step in steps:
+            if step[0] == "kth":
+                # A direct probe moves the sweep ahead of (or back under)
+                # the iteration's position.
+                got, want = session.kth(step[1]), reference.kth(step[1])
+                assert (got and got.gfa_name) == (want and want.gfa_name)
+                continue
+            if step[0] == "yield":
+                got = next(walk, None)
+                want = reference.next()
+                assert (got and got.gfa_name) == (want and want.gfa_name)
+                assert got is None or got is walked.quote_of(got.gfa_name)
+                assert self._booked(walked, walked_transport) == self._booked(
+                    stepped, stepped_transport
+                )
+                if want is None:
+                    return  # a finished iteration serves nothing more
+                continue
+            kind, idx, price, mips, procs = step
+            name = f"GFA-{idx}"
+            spec = make_spec(name, price, mips, procs)
+            for directory in (walked, stepped):
+                subscribed = directory.is_subscribed(name)
+                if kind == "subscribe" and not subscribed:
+                    directory.subscribe(name, spec)
+                elif kind == "unsubscribe" and subscribed:
+                    directory.unsubscribe(name)
+                elif kind == "update" and subscribed:
+                    directory.update_quote(name, spec)
+                elif kind == "batch":
+                    with directory.batch_updates():
+                        for other in directory.member_names()[:2]:
+                            directory.update_quote(other, make_spec(other, price, mips, procs))
+        assert walked_transport.stats == stepped_transport.stats
 
 
 class TestSessionIterationSurvivesRequotes:

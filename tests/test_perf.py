@@ -19,6 +19,7 @@ from repro.perf import (
     REPORT_SCHEMA,
     _tracked_timings,
     bench_directory_queries,
+    bench_economy,
     bench_parallel_engine,
     bench_service,
     bench_table3,
@@ -70,6 +71,29 @@ def test_table3_rows_carry_the_run_fingerprint():
         )
         assert row["jobs"] == len(direct.jobs)
         assert row["events"] == direct.events_processed
+        assert row["fingerprint"] == result_fingerprint(direct)
+
+
+def test_economy_rows_carry_rounds_and_the_run_fingerprint():
+    rows = bench_economy(system_sizes=(16, 32), repeats=2)
+    assert [row["key"] for row in rows] == ["16@thin32/seconds", "32@thin32/seconds"]
+    for row, size in zip(rows, (16, 32)):
+        assert set(row) == ROW_CONTRACT | {
+            "clusters", "thin", "jobs", "rounds_per_job", "us_per_job", "messages",
+            "fingerprint",
+        }
+        assert row["problem"] is None and row["seconds"] > 0
+        direct = run_scenario(
+            Scenario(
+                mode=SharingMode.ECONOMY, oft_fraction=0.3, system_size=size, thin=32,
+                transport="two-tier-wan", seed=42,
+            )
+        )
+        assert (row["clusters"], row["thin"], row["jobs"]) == (size, 32, len(direct.jobs))
+        rounds = sum(job.negotiation_rounds for job in direct.jobs)
+        assert row["rounds_per_job"] == rounds / len(direct.jobs)
+        assert row["us_per_job"] == 1e6 * row["seconds"] / len(direct.jobs)
+        assert row["messages"] == direct.network.messages
         assert row["fingerprint"] == result_fingerprint(direct)
 
 
